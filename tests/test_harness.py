@@ -9,6 +9,7 @@ witnesses (never as a crash), and the exit codes must follow the contract
 import io
 import json
 import contextlib
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ from spin7lab.harness import (SUITE_NAMES, CheckResult, RunConfig,
 from spin7lab.invariant.bryant_salamon import build_bryant_salamon
 from spin7lab.invariant.chamber import ChamberForm
 from spin7lab.invariant.liealg import build_lie_frame
+
+
+GOLDEN_SEED0 = Path(__file__).parent / "golden" / "verify-seed0.json"
 
 
 def run_cli(argv):
@@ -38,12 +42,11 @@ def test_suite_names_are_canonical():
 
 
 def test_every_suite_passes():
-    for name in SUITE_NAMES:
-        results = run_suite(name, seed=0)
-        assert results, name
-        for r in results:
-            assert isinstance(r, CheckResult)
-            assert r.passed, (name, r.name, r.detail)
+    """A fresh default run passes every check and reproduces the golden
+    report byte for byte."""
+    code, out = run_cli(["verify", "--seed", "0"])
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN_SEED0.read_bytes()
 
 
 def test_unknown_suite_raises():
