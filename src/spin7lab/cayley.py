@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exterior import linalg
 from .exterior.blades import blades_of_degree
-from .exterior.forms import (Covector, KForm, Vector, contract, hodge_star,
-                             inner, wedge)
+from .exterior.forms import (KForm, Vector, coefficient_matrix, contract,
+                             hodge_star, inner, wedge)
 from .exterior.endo import Endo, rho
 from .exterior.scalars import ONE, ZERO, Q, FieldScalar
 
@@ -42,11 +42,6 @@ class FormOperator:
             raise ValueError(f"need {expected} images for degree {degree}")
         self.degree = degree
         self.images = tuple(images)
-
-    @staticmethod
-    def from_callable(fn: Callable[[KForm], KForm], degree: int) -> "FormOperator":
-        return FormOperator(degree, [fn(KForm(degree, {m: ONE}))
-                                     for m in blades_of_degree(degree)])
 
     @staticmethod
     def identity(degree: int) -> "FormOperator":
@@ -96,14 +91,9 @@ class FormOperator:
         return hash((self.degree, self.images))
 
     def matrix(self) -> list[list[FieldScalar]]:
-        """Dense matrix, rows and columns in canonical blade order."""
-        blades = blades_of_degree(self.degree)
-        pos = _blade_positions(self.degree)
-        out = [[ZERO] * len(blades) for _ in blades]
-        for j, img in enumerate(self.images):
-            for m, c in img.mask_items():
-                out[pos[m]][j] = c
-        return out
+        """Dense matrix: columns in canonical blade order, one row per blade
+        that occurs in an image."""
+        return coefficient_matrix(self.images)
 
     def rank(self) -> int:
         return linalg.rank(self.matrix())
@@ -188,13 +178,7 @@ def stabilizer_algebra() -> tuple[Endo, ...]:
     """Canonical basis of {A ∈ gl(8) : ρ(A)Ω = 0}; 21-dimensional."""
     omega = build_omega().omega
     gens = _gl8_basis()
-    images = [rho(a, omega) for a in gens]
-    masks = blades_of_degree(4)
-    pos = _blade_positions(4)
-    matrix = [[ZERO] * len(gens) for _ in masks]
-    for col, img in enumerate(images):
-        for m, c in img.mask_items():
-            matrix[pos[m]][col] = c
+    matrix = coefficient_matrix([rho(a, omega) for a in gens])
     kernel = linalg.nullspace(matrix, ncols=len(gens))
     out = []
     for vec in kernel:
@@ -206,15 +190,7 @@ def stabilizer_algebra() -> tuple[Endo, ...]:
 def image_dimension(generators: Sequence[Endo]) -> int:
     """dim span{ρ(A)Ω : A in the given list}."""
     omega = build_omega().omega
-    pos = _blade_positions(4)
-    rows = []
-    for a in generators:
-        img = rho(a, omega)
-        row = [ZERO] * len(pos)
-        for m, c in img.mask_items():
-            row[pos[m]] = c
-        rows.append(row)
-    return linalg.rank(rows)
+    return linalg.rank(coefficient_matrix([rho(a, omega) for a in generators]))
 
 
 @lru_cache(maxsize=1)
@@ -231,19 +207,11 @@ def projectors() -> DecompositionProjectors:
                                    - hodge_star(KForm(4, {m: ONE})))
                            for m in blades])
 
-    # Λ⁴₇ = ρ(so(8))Ω: reduce the 28 generators to a 7-element basis, then
+    # Λ⁴₇ = ρ(so(8))Ω: keep the 7 images at pivot columns as a basis, then
     # project orthogonally via the exact Gram normal equations.
-    pos = _blade_positions(4)
-    rows = []
-    for a in so8_basis():
-        img = rho(a, omega)
-        row = [ZERO] * len(blades)
-        for m, c in img.mask_items():
-            row[pos[m]] = c
-        rows.append(row)
-    reduced, _ = linalg.rref(rows)
-    span = [KForm(4, {m: c for m, c in zip(blades, row) if c})
-            for row in reduced]
+    images = [rho(a, omega) for a in so8_basis()]
+    _, pivots = linalg.echelon(coefficient_matrix(images))
+    span = [images[j] for j in pivots]
     gram = [[inner(a, b) for b in span] for a in span]
     gram_inv = linalg.invert(gram)
     images7 = []

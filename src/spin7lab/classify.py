@@ -16,13 +16,12 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, lcm
 from typing import Iterator
 
-from .exterior.blades import DIM, blades_of_degree, wedge_sign
-from .exterior.forms import Covector, KForm, Vector, contract
+from .exterior.blades import DIM, blades_of_degree
+from .exterior.forms import (Covector, KForm, Vector, contract,
+                             nullspace_on_forms, wedge)
 from .exterior.endo import Endo, rho
-from .exterior.scalars import FieldScalar
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -104,22 +103,6 @@ class JordanRepresentative:
     def generator(self, label: str) -> Covector:
         return Covector.basis(self.labels.index(label) + 1)
 
-    def dual_vector(self, label: str) -> Vector:
-        return Vector.basis(self.labels.index(label) + 1)
-
-    def labeled_duals(self) -> list[tuple[str, Vector]]:
-        return [(lab, Vector.basis(i + 1))
-                for i, lab in enumerate(self.labels)]
-
-    def tensorial(self) -> list[tuple[Vector, Covector]]:
-        """The chain steps as rank-one pieces: A = Σ (dual at p) ⊗ e^{p+1}."""
-        out = []
-        for start, size in self.diagram.blocks():
-            for k in range(size - 1):
-                out.append((Vector.basis(start + k),
-                            Covector.basis(start + k + 1)))
-        return out
-
 
 def representative(diagram: YoungDiagram) -> JordanRepresentative:
     labels = [""] * DIM
@@ -165,7 +148,6 @@ class KernelSpace:
 
 def kernel_space(diagram: YoungDiagram) -> KernelSpace:
     a = representative(diagram).matrix
-    from .exterior.forms import nullspace_on_forms
     basis = nullspace_on_forms(lambda b: rho(a, rho(a, b)), 4)
     return KernelSpace(diagram=diagram, basis=tuple(basis))
 
@@ -174,49 +156,21 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 #
 # (u⌟v⌟ Σ xᵢωᵢ)³ is a cubic in x with Λ⁶-valued coefficients.  Since the
 # two-forms qᵢ = u⌟v⌟ωᵢ commute, it vanishes identically iff
-# qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k.  Coefficients are scaled to primitive
-# integers (allowed: each triple rescales by a nonzero factor), so the
-# inner loops run on plain ints.
-
-
-def _scaled_terms(q: KForm) -> list[tuple[int, int]] | list[tuple[int, FieldScalar]]:
-    items = list(q.mask_items())
-    if all(c.is_rational() for _, c in items):
-        scale = lcm(*(int(c.a.denominator) for _, c in items))
-        ints = [(m, int(c.a * scale)) for m, c in items]
-        g = gcd(*(abs(x) for _, x in ints))
-        return [(m, x // g) for m, x in ints]
-    return items
-
-
-def _wedge_terms(t1, t2):
-    acc: dict[int, object] = {}
-    for m1, c1 in t1:
-        for m2, c2 in t2:
-            if m1 & m2:
-                continue
-            term = c1 * c2 if wedge_sign(m1, m2) == 1 else -(c1 * c2)
-            key = m1 | m2
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
-    return [(m, c) for m, c in acc.items() if c]
+# qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k.
 
 
 def cubic_vanishes_on_subspace(u: Vector, v: Vector,
                                kernel: KernelSpace) -> bool:
     """True iff (u⌟v⌟ω)³ = 0 for every ω in the span of the kernel basis."""
-    qs = []
-    for omega in kernel.basis:
-        q = contract(u, contract(v, omega))
-        if q:
-            qs.append(_scaled_terms(q))
+    qs = [q for q in (contract(u, contract(v, omega)) for omega in kernel.basis)
+          if q]
     for i, qi in enumerate(qs):
         for j in range(i, len(qs)):
-            rij = _wedge_terms(qi, qs[j])
+            rij = wedge(qi, qs[j])
             if not rij:
                 continue
             for k in range(j, len(qs)):
-                if _wedge_terms(rij, qs[k]):
+                if wedge(rij, qs[k]):
                     return False
     return True
 
@@ -251,9 +205,9 @@ class Certificate:
         return rec
 
 
-def _candidate_pairs(rep: JordanRepresentative,
-                     max_fallback: int) -> Iterator[tuple[LabeledVector, LabeledVector]]:
-    """Deterministic search order: w-dual pairs, then v-duals, then combos."""
+def _candidate_pairs(rep: JordanRepresentative) -> Iterator[tuple[LabeledVector, LabeledVector]]:
+    """Deterministic search order: pairs of w-duals, then (w-dual, v-dual)
+    pairs, then pairs of v-duals."""
     w_duals = [LabeledVector(Vector.basis(p), f"w{p}") for p in rep.w_positions]
     v_duals = [LabeledVector(Vector.basis(p), f"v{p}") for p in rep.v_positions]
     yield from combinations(w_duals, 2)
@@ -261,37 +215,15 @@ def _candidate_pairs(rep: JordanRepresentative,
         for vd in v_duals:
             yield wd, vd
     yield from combinations(v_duals, 2)
-    # fallback: pairs of independent two-index integer combinations
-    coeffs = (1, -1, 2, -2)
-    combos = []
-    for i, j in combinations(range(1, DIM + 1), 2):
-        for ci in coeffs:
-            for cj in coeffs:
-                combos.append(ci * Vector.basis(i) + cj * Vector.basis(j))
-    emitted = 0
-    for a, b in combinations(combos, 2):
-        if emitted >= max_fallback:
-            return
-        ok = False
-        for i, j in combinations(range(DIM), 2):
-            if (a.components[i] * b.components[j]
-                    - a.components[j] * b.components[i]):
-                ok = True
-                break
-        if not ok:
-            continue
-        emitted += 1
-        yield LabeledVector(a), LabeledVector(b)
 
 
-def find_certificate(diagram: YoungDiagram, *,
-                     max_fallback: int = 2000) -> Certificate:
+def find_certificate(diagram: YoungDiagram) -> Certificate:
     kernel = kernel_space(diagram)
     if kernel.dimension == len(blades_of_degree(4)):
         # ρ(A)² kills every 4-form: every orbit element perturbs, admissible.
         return Certificate(diagram, "admissible", kernel.dimension)
     rep = representative(diagram)
-    for u, v in _candidate_pairs(rep, max_fallback):
+    for u, v in _candidate_pairs(rep):
         if cubic_vanishes_on_subspace(u.vector, v.vector, kernel):
             return Certificate(diagram, "excluded", kernel.dimension, (u, v))
     return Certificate(diagram, "unresolved", kernel.dimension)

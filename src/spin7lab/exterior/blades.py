@@ -1,6 +1,7 @@
-"""Bitmask encoding of basis blades e^{i1} ^ ... ^ e^{ik} on R^8.
+"""Bitmask encoding of basis blades e^{i1} ^ ... ^ e^{ik}.
 
 A blade is an int whose bit (i-1) is set iff the covector e^i appears.
+The generator count defaults to the eight covectors of R^8.
 Signs come from counting transpositions, so everything stays exact.
 """
 
@@ -41,8 +42,8 @@ def contract_sign(slot: int, mask: int) -> int:
     return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
 
 
-def mask_of(indices) -> tuple[int, int]:
-    """(sign, mask) for a possibly unsorted list of 1-based indices.
+def mask_of(indices, dim: int = DIM) -> tuple[int, int]:
+    """(sign, mask) for a possibly unsorted list of 1-based indices in 1..dim.
 
     The sign is the parity of the permutation sorting the indices; it is 0
     when an index repeats (the blade collapses).
@@ -50,8 +51,8 @@ def mask_of(indices) -> tuple[int, int]:
     mask = 0
     sign = 1
     for idx in indices:
-        if not 1 <= idx <= DIM:
-            raise ValueError(f"index {idx} out of range 1..{DIM}")
+        if not 1 <= idx <= dim:
+            raise ValueError(f"index {idx} out of range 1..{dim}")
         bit = 1 << (idx - 1)
         if mask & bit:
             return 0, 0

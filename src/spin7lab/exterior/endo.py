@@ -7,9 +7,7 @@ coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
   at a time;
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
 
-For nilpotent A the two are linked by pullback(exp A) = exp(rho A); the
-Jordan-Chevalley split writes a rational matrix as commuting semisimple
-plus nilpotent parts, both polynomials in the input.
+For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 """
 
 from __future__ import annotations
@@ -18,11 +16,10 @@ from math import factorial
 
 from . import linalg
 from .blades import DIM, contract_sign, wedge_sign
-from .scalars import ONE, ZERO, Q, FieldScalar
-from .forms import Covector, KForm, Vector, wedge
+from .scalars import ZERO, Q, FieldScalar
+from .forms import Covector, KForm, Vector, blade_pullback
 
-__all__ = ["Endo", "rho", "pullback", "exp_nilpotent", "char_poly",
-           "jordan_chevalley_split", "commutator"]
+__all__ = ["Endo", "rho", "pullback", "exp_nilpotent", "commutator"]
 
 
 class Endo:
@@ -131,10 +128,6 @@ class Endo:
     def transpose(self) -> "Endo":
         return Endo(list(zip(*self.rows)))
 
-    def negative_transpose(self) -> "Endo":
-        """The induced action on vectors dual to this action on covectors."""
-        return -self.transpose()
-
     def trace(self) -> FieldScalar:
         return sum((self.rows[i][i] for i in range(DIM)), ZERO)
 
@@ -209,21 +202,9 @@ def rho(a: Endo, form: KForm) -> KForm:
 
 def pullback(l_map: Endo, form: KForm) -> KForm:
     """Λ^k extension: each covector slot is mapped through l_map and wedged."""
-    if form.degree == 0:
-        return form
-    columns = [KForm(1, {1 << i: l_map.rows[i][j]
-                         for i in range(DIM) if l_map.rows[i][j]})
-               for j in range(DIM)]
-    out = KForm(form.degree)
-    for m, coeff in form.mask_items():
-        image = KForm.constant(1)
-        t = m
-        while t and image:
-            low = t & -t
-            t ^= low
-            image = wedge(image, columns[low.bit_length() - 1])
-        out = out + coeff * image
-    return out
+    return blade_pullback(form, [KForm(1, {1 << i: l_map.rows[i][j]
+                                           for i in range(DIM)})
+                                 for j in range(DIM)])
 
 
 def exp_nilpotent(a: Endo) -> Endo:
@@ -238,133 +219,3 @@ def exp_nilpotent(a: Endo) -> Endo:
             break
         acc = acc + FieldScalar(Q(1, factorial(k))) * power
     return acc
-
-
-# -- characteristic polynomial and the Jordan-Chevalley split ----------------
-#
-# Rational polynomials are ascending coefficient lists over the rational
-# backend Q, trimmed of trailing zeros.  Only the handful of operations the
-# Newton iteration needs are implemented.
-
-
-def char_poly(a: Endo) -> list[FieldScalar]:
-    """Monic characteristic polynomial det(λI − A), ascending coefficients."""
-    coeffs = [ONE]  # filled from the top degree downward
-    m = Endo.identity()
-    for k in range(1, DIM + 1):
-        am = a @ m
-        ck = -(FieldScalar(Q(1, k)) * am.trace())
-        coeffs.append(ck)
-        m = am + ck * Endo.identity()
-    coeffs.reverse()
-    return coeffs
-
-
-def _ptrim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    p = p + [Q(0)] * (n - len(p))
-    q = q + [Q(0)] * (n - len(q))
-    return _ptrim([a + b for a, b in zip(p, q)])
-
-
-def _pscale(p, s):
-    return _ptrim([s * a for a in p]) if s else []
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _ptrim(out)
-
-
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    quo = [Q(0)] * max(0, len(p) - len(q) + 1)
-    inv = Q(1) / q[-1]
-    while len(r) >= len(q) and _ptrim(r):
-        shift = len(r) - len(q)
-        factor = r[-1] * inv
-        quo[shift] = factor
-        for i, b in enumerate(q):
-            r[shift + i] -= factor * b
-        r.pop()
-    return _ptrim(quo), _ptrim(r)
-
-
-def _pgcd(p, q):
-    p, q = _ptrim(list(p)), _ptrim(list(q))
-    while q:
-        p, q = q, _pdivmod(p, q)[1]
-    if p:
-        inv = Q(1) / p[-1]
-        p = [a * inv for a in p]
-    return p
-
-
-def _pxgcd(p, q):
-    """(g, u, v) with u*p + v*q = g, g monic."""
-    r0, r1 = _ptrim(list(p)), _ptrim(list(q))
-    u0, u1 = [Q(1)], []
-    v0, v1 = [], [Q(1)]
-    while r1:
-        quo, rem = _pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _padd(u0, _pscale(_pmul(quo, u1), Q(-1)))
-        v0, v1 = v1, _padd(v0, _pscale(_pmul(quo, v1), Q(-1)))
-    if r0:
-        inv = Q(1) / r0[-1]
-        r0 = [a * inv for a in r0]
-        u0 = _pscale(u0, inv)
-        v0 = _pscale(v0, inv)
-    return r0, u0, v0
-
-
-def _pderiv(p):
-    return _ptrim([Q(i) * a for i, a in enumerate(p)][1:])
-
-
-def _peval_endo(p, a: Endo) -> Endo:
-    out = Endo.zero()
-    for coeff in reversed(p):
-        out = out @ a + FieldScalar(coeff) * Endo.identity()
-    return out
-
-
-def jordan_chevalley_split(a: Endo) -> tuple[Endo, Endo]:
-    """A = S + N with S semisimple, N nilpotent, [S, N] = 0, over the rationals.
-
-    Newton iteration against the squarefree part g of the characteristic
-    polynomial: S ← S − g(S)·v(S) where u·g + v·g' = 1.  Both outputs are
-    polynomials in the input.
-    """
-    if not a.is_rational():
-        raise ValueError("split implemented over the rationals only")
-    p = [c.rational_value() for c in char_poly(a)]
-    g = _pdivmod(p, _pgcd(p, _pderiv(p)))[0]
-    gd = _pderiv(g)
-    one, _, v = _pxgcd(g, gd)
-    if one != [Q(1)]:
-        raise ArithmeticError("squarefree part is not coprime to its derivative")
-    s = a
-    for _ in range(DIM):
-        g_s = _peval_endo(g, s)
-        if not g_s:
-            break
-        s = s - g_s @ _peval_endo(v, s)
-    else:
-        raise ArithmeticError("Newton iteration failed to converge")
-    return s, a - s

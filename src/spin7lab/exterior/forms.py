@@ -1,54 +1,31 @@
-"""Sparse exterior algebra on R^8 with exact field coefficients.
+"""Sparse exterior algebra over any coefficient ring, and its R^8 instance.
 
-KForm stores a degree and a map from blade masks to FieldScalar; zero
-coefficients are pruned eagerly so equality is structural.  The metric is
-the standard Euclidean one with {e^1..e^8} orthonormal and orientation
-e^{12345678}, which fixes the Hodge star and the musical isomorphisms.
-The interior product contracts the first slot.
+A Form stores a degree and a map from blade masks (see blades.py) to
+coefficients; zero coefficients are pruned eagerly so equality is
+structural.  The engine below (add, negate, scale, wedge, contraction by
+one generator, blade pullback) only adds, negates and multiplies the
+coefficients it is given, so the same code serves KForm (the eight
+covectors of R^8 over Q(sqrt2, sqrt3)) and ChamberForm (the eleven chamber
+coframe generators over the chamber ring).
+
+On R^8 the metric is the standard Euclidean one with {e^1..e^8}
+orthonormal and orientation e^{12345678}, which fixes the Hodge star and
+the musical isomorphisms.  The interior product contracts the first slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .blades import (DIM, FULL_MASK, blades_of_degree, complement_sign,
                      contract_sign, indices_of, mask_of, wedge_sign)
 from .scalars import ONE, ZERO, FieldScalar
 
-__all__ = ["MultiIndex", "Vector", "Covector", "KForm", "wedge", "contract",
-           "hodge_star", "inner", "nullspace_on_forms", "basis_blades"]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A strictly increasing tuple of indices in 1..8, i.e. a basis blade."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("multi-index must be strictly increasing")
-        if self.indices and not (1 <= self.indices[0] and self.indices[-1] <= DIM):
-            raise ValueError(f"indices must lie in 1..{DIM}")
-
-    @staticmethod
-    def from_unsorted(indices: Iterable[int]) -> tuple[int, "MultiIndex"]:
-        """(sign, canonical multi-index); sign 0 when an index repeats."""
-        sign, mask = mask_of(indices)
-        return sign, MultiIndex(indices_of(mask))
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.indices)[1]
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __str__(self):
-        return "e^{" + "".join(map(str, self.indices)) + "}"
+__all__ = ["Form", "Vector", "Covector", "KForm", "add", "negate", "scale",
+           "wedge", "contract_generator", "blade_pullback", "contract",
+           "hodge_star", "inner", "coefficient_matrix", "nullspace_on_forms",
+           "basis_blades"]
 
 
 class _EightTuple:
@@ -136,12 +113,18 @@ class Covector(_EightTuple):
         return sum((a * b for a, b in zip(self.components, v.components)), ZERO)
 
 
-class KForm:
-    """A homogeneous exterior form, degree 0..8, sparse over basis blades."""
+class Form:
+    """A homogeneous exterior form over ``generators`` covectors.
+
+    Subclasses set the generator count and ``_scalar``, which coerces a
+    multiplier into their coefficient ring once per product, never per term.
+    """
 
     __slots__ = ("degree", "_terms")
+    generators: int
+    _scalar: Callable
 
-    def __init__(self, degree: int, terms: dict[int, FieldScalar] | None = None):
+    def __init__(self, degree: int, terms: dict | None = None):
         if not 0 <= degree:
             raise ValueError("degree must be nonnegative")
         self.degree = degree
@@ -150,11 +133,136 @@ class KForm:
             if m.bit_count() != degree:
                 raise ValueError(f"blade {indices_of(m)} has wrong degree")
 
-    # -- construction --------------------------------------------------
+    @classmethod
+    def zero(cls, degree: int):
+        return cls(degree)
 
-    @staticmethod
-    def zero(degree: int) -> "KForm":
-        return KForm(degree)
+    def mask_items(self):
+        return self._terms.items()
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._terms == other._terms:
+            return self.degree == other.degree or not self._terms
+        return False
+
+    def __hash__(self):
+        # the blades fix the degree, and zero forms of any degree are equal
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return add(self, other)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return add(self, negate(other))
+
+    def __neg__(self):
+        return negate(self)
+
+    def __rmul__(self, scalar):
+        return scale(self._scalar(scalar), self)
+
+    __mul__ = __rmul__
+
+    def wedge(self, other):
+        return wedge(self, other)
+
+    __xor__ = wedge
+
+
+# -- the engine: public functions, written once for every Form ----------------
+
+
+def add(a: Form, b: Form) -> Form:
+    if a.degree != b.degree and a._terms and b._terms:
+        raise ValueError("cannot add forms of different degrees")
+    acc = dict(a._terms)
+    for m, c in b._terms.items():
+        prev = acc.get(m)
+        acc[m] = c if prev is None else prev + c
+    return type(a)(a.degree if a._terms else b.degree, acc)
+
+
+def negate(a: Form) -> Form:
+    return type(a)(a.degree, {m: -c for m, c in a._terms.items()})
+
+
+def scale(s, a: Form) -> Form:
+    """s·a for a coefficient s already in a's ring."""
+    if not s:
+        return type(a)(a.degree)
+    return type(a)(a.degree, {m: s * c for m, c in a._terms.items()})
+
+
+def wedge(a: Form, b: Form) -> Form:
+    acc: dict = {}
+    for m1, c1 in a._terms.items():
+        for m2, c2 in b._terms.items():
+            if m1 & m2:
+                continue
+            s = wedge_sign(m1, m2)
+            m = m1 | m2
+            prev = acc.get(m)
+            term = c1 * c2 if s == 1 else -(c1 * c2)
+            acc[m] = term if prev is None else prev + term
+    return type(a)(a.degree + b.degree, acc)
+
+
+def contract_generator(slot: int, a: Form) -> Form:
+    """Interior product with the dual of generator ``slot`` (0-based),
+    contracting the first slot."""
+    if a.degree == 0:
+        raise ValueError("cannot contract a scalar")
+    bit = 1 << slot
+    acc = {}
+    for m, c in a._terms.items():
+        sign = contract_sign(slot, m)
+        if sign:
+            acc[m ^ bit] = c if sign == 1 else -c
+    return type(a)(a.degree - 1, acc)
+
+
+def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
+    """Λ^k of the map sending generator i to the 1-form images[i]: every
+    blade becomes the wedge of its generators' images."""
+    if len(images) != a.generators:
+        raise ValueError(f"need one image per generator, got {len(images)}")
+    if a.degree == 0:
+        return a
+    out = type(a)(a.degree)
+    for m, coeff in a._terms.items():
+        low = m & -m
+        piece = images[low.bit_length() - 1]
+        t = m ^ low
+        while t and piece:
+            low = t & -t
+            t ^= low
+            piece = wedge(piece, images[low.bit_length() - 1])
+        if piece:
+            out = add(out, scale(coeff, piece))
+    return out
+
+
+class KForm(Form):
+    """A homogeneous form on R^8 over Q(sqrt2, sqrt3), degree 0..8,
+    addressed by 1-based indices."""
+
+    __slots__ = ()
+    generators = DIM
+    _scalar = staticmethod(FieldScalar.of)
+
+    # -- construction --------------------------------------------------
 
     @staticmethod
     def blade(*indices: int, coeff=1) -> "KForm":
@@ -189,59 +297,11 @@ class KForm:
                 for m, c in sorted(self._terms.items(),
                                    key=lambda mc: indices_of(mc[0]))]
 
-    def mask_items(self):
-        return self._terms.items()
-
     def coefficient(self, *indices: int) -> FieldScalar:
         sign, mask = mask_of(indices)
         if sign == 0:
             return ZERO
         return sign * self._terms.get(mask, ZERO)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        if self._terms == other._terms:
-            return self.degree == other.degree or not self._terms
-        return False
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self._terms.items())))
-
-    # -- linear structure -------------------------------------------------
-
-    def __add__(self, other: "KForm") -> "KForm":
-        if not isinstance(other, KForm):
-            return NotImplemented
-        if self.degree != other.degree and self and other:
-            raise ValueError("cannot add forms of different degrees")
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            acc[m] = acc.get(m, ZERO) + c
-        return KForm(self.degree if self else other.degree, acc)
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
-
-    def __neg__(self) -> "KForm":
-        return KForm(self.degree, {m: -c for m, c in self._terms.items()})
-
-    def __rmul__(self, scalar) -> "KForm":
-        s = FieldScalar.of(scalar)
-        if not s:
-            return KForm(self.degree)
-        return KForm(self.degree, {m: s * c for m, c in self._terms.items()})
-
-    __mul__ = __rmul__
-
-    def __xor__(self, other: "KForm") -> "KForm":
-        return wedge(self, other)
 
     def __str__(self):
         if not self._terms:
@@ -279,42 +339,18 @@ class KForm:
         return KForm(int(record["degree"]), terms)
 
 
-# -- the four classical operations ------------------------------------------
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    acc: dict[int, FieldScalar] = {}
-    for m1, c1 in a._terms.items():
-        for m2, c2 in b._terms.items():
-            if m1 & m2:
-                continue
-            s = wedge_sign(m1, m2)
-            m = m1 | m2
-            prev = acc.get(m)
-            term = c1 * c2 if s == 1 else -(c1 * c2)
-            acc[m] = term if prev is None else prev + term
-    return KForm(a.degree + b.degree, acc)
+# -- operations specific to R^8 ----------------------------------------------
 
 
 def contract(v: Vector, a: KForm) -> KForm:
     """Interior product v ⌟ a, contracting the first slot."""
     if a.degree == 0:
         raise ValueError("cannot contract a scalar")
-    acc: dict[int, FieldScalar] = {}
-    for slot in range(DIM):
-        comp = v.components[slot]
-        if not comp:
-            continue
-        bit = 1 << slot
-        for m, c in a._terms.items():
-            if not (m & bit):
-                continue
-            s = contract_sign(slot, m)
-            sub = m ^ bit
-            term = comp * c if s == 1 else -(comp * c)
-            prev = acc.get(sub)
-            acc[sub] = term if prev is None else prev + term
-    return KForm(a.degree - 1, acc)
+    out = KForm(a.degree - 1)
+    for slot, comp in enumerate(v.components):
+        if comp:
+            out = add(out, scale(comp, contract_generator(slot, a)))
+    return out
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -342,6 +378,18 @@ def basis_blades(k: int) -> list[KForm]:
     return [KForm(k, {m: ONE}) for m in blades_of_degree(k)]
 
 
+def coefficient_matrix(forms: Sequence[KForm]) -> list[list[FieldScalar]]:
+    """Dense matrix with one column per form and one row per blade that
+    occurs in any of them (rows in increasing mask order)."""
+    masks = sorted({m for f in forms for m in f._terms})
+    row_of = {m: i for i, m in enumerate(masks)}
+    matrix = [[ZERO] * len(forms) for _ in masks]
+    for j, f in enumerate(forms):
+        for m, c in f._terms.items():
+            matrix[row_of[m]][j] = c
+    return matrix
+
+
 def nullspace_on_forms(op: Callable[[KForm], KForm] | Sequence[KForm],
                        degree: int) -> list[KForm]:
     """Exact kernel basis of a linear operator on Λ^degree.
@@ -357,12 +405,6 @@ def nullspace_on_forms(op: Callable[[KForm], KForm] | Sequence[KForm],
         images = list(op)
         if len(images) != len(domain):
             raise ValueError("need one image per basis blade")
-    rows_masks = sorted({m for img in images for m, _ in img.mask_items()})
-    row_index = {m: i for i, m in enumerate(rows_masks)}
-    matrix = [[ZERO] * len(domain) for _ in rows_masks]
-    for j, img in enumerate(images):
-        for m, c in img.mask_items():
-            matrix[row_index[m]][j] = c
-    kernel = linalg.nullspace(matrix, ncols=len(domain))
+    kernel = linalg.nullspace(coefficient_matrix(images), ncols=len(domain))
     return [KForm(degree, {m: c for m, c in zip(domain, vec) if c})
             for vec in kernel]

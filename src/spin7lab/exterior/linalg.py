@@ -1,10 +1,13 @@
 """Exact dense linear algebra over Q(sqrt2, sqrt3).
 
-Matrices are lists of rows of FieldScalar.  Forward elimination is
-fraction-free in the Bareiss style (cross-multiplication with division by
-the previous pivot) which keeps intermediate entries small; the final
-reduced form is normalized with field division.  Everything is exact and
-deterministic: the same matrix always yields the same echelon basis.
+Matrices are lists of rows of FieldScalar.  Forward elimination
+cross-multiplies each row below the pivot and divides by the previous
+pivot, as Bareiss does, but it skips rows whose entry in the pivot column
+is already zero.  That breaks Bareiss's exact-division invariant, so the
+division happens in the field and intermediate entries need not stay
+integral or small; the results are exact all the same.  The final reduced
+form is normalized with field division.  Everything is deterministic: the
+same matrix always yields the same echelon basis.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ def _copy(rows: Matrix) -> Matrix:
 
 
 def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Row-echelon form and pivot columns (fraction-free forward pass)."""
+    """Row-echelon form and pivot columns (Bareiss-style forward pass)."""
     m = _copy(rows)
     if not m:
         return m, []

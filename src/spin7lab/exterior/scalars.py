@@ -172,6 +172,9 @@ class FieldScalar:
                 and self.c == other.c and self.d == other.d)
 
     def __hash__(self):
+        # a rational scalar equals its int/Fraction, so it must hash like it
+        if not (self.b or self.c or self.d):
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     # -- display -------------------------------------------------------

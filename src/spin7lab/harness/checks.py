@@ -5,13 +5,16 @@ with the run seed and the check name, so identical (suites, seed) runs
 produce identical reports.  A failing check never raises — it returns a
 CheckResult carrying a serialized witness of the failure (the offending
 form, pair, or residual), which is what makes fault-injection tests
-observable rather than crashy.
+observable rather than crashy.  A check that raises fails with the error
+and the place in this package where it was raised.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from .. import cayley
@@ -41,6 +44,8 @@ from ..sampling import (random_even_scalar, random_form,
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_all_suites"]
 
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 SUITE_NAMES = ("basics", "decomposition", "classify", "bryant-salamon",
                "perturb")
 
@@ -67,12 +72,23 @@ def _salted(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
+def _raised_at(exc: Exception) -> str:
+    """'<path in the package>:<line> in <function>' of the innermost frame
+    of the traceback that lies in the spin7lab package."""
+    frames = [f for f in traceback.extract_tb(exc.__traceback__)
+              if os.path.abspath(f.filename).startswith(_PACKAGE_DIR + os.sep)]
+    frame = frames[-1]  # never empty: _timed's own frame is in the package
+    path = os.path.relpath(os.path.abspath(frame.filename), _PACKAGE_DIR)
+    return f"{path.replace(os.sep, '/')}:{frame.lineno} in {frame.name}"
+
+
 def _timed(name: str, fn) -> CheckResult:
     started = time.perf_counter()
     try:
         passed, detail = fn()
     except Exception as exc:  # a check failure must never crash the run
-        passed, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+        passed, detail = False, {"error": f"{type(exc).__name__}: {exc}",
+                                 "where": _raised_at(exc)}
     millis = int((time.perf_counter() - started) * 1000)
     return CheckResult(name=name, passed=bool(passed), detail=detail,
                        duration_millis=millis)

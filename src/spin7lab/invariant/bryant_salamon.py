@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..exterior.forms import blade_pullback
 from ..exterior.scalars import FieldScalar
 from .liealg import LieFrame, build_lie_frame
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
@@ -217,16 +218,7 @@ def orbit_witness_holds(field: InvariantField,
     images = [ChamberForm.generator(k) for k in range(N_COFRAME)]
     for slot, coeff in field.coefficients():
         images[slot] = images[slot] + (DT * coeff) * ds
-    out = ChamberForm.zero(4)
-    for mask, coeff in bs.phi.terms.items():
-        piece = ChamberForm.scalar(1)
-        t = mask
-        while t and piece:
-            low = t & -t
-            t ^= low
-            piece = piece.wedge(images[low.bit_length() - 1])
-        out = out + coeff * piece
-    return out == perturbed_form(field, bs)
+    return blade_pullback(bs.phi, images) == perturbed_form(field, bs)
 
 
 class InvariantMetric:

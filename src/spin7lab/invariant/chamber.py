@@ -6,17 +6,19 @@ turns every fractional power appearing in the geometry into a Laurent
 polynomial, so d, wedge and Lie derivatives stay exact.  The derivation is
 determined by ∂_s w = (2/5) s w⁻⁴.
 
-ChamberForm is the exterior algebra over the 11 coframe generators
-{ds, A¹..A⁶, X¹..X⁴}; the differential combines ∂_s on coefficients with
-the Maurer-Cartan equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.
+ChamberForm is the shared sparse exterior algebra (exterior.forms) over
+the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
+the differential combines ∂_s on coefficients with the Maurer-Cartan
+equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..exterior.blades import contract_sign, wedge_sign
-from ..exterior.scalars import ONE, ZERO, Q, FieldScalar
+from ..exterior.blades import indices_of, mask_of
+from ..exterior.forms import Form, contract_generator, wedge
+from ..exterior.scalars import ZERO, Q, FieldScalar
 from .liealg import LieFrame, N_GENERATORS, build_lie_frame
 
 __all__ = ["ChamberScalar", "ChamberForm", "COFRAME_NAMES", "S", "W", "W_INV",
@@ -140,6 +142,9 @@ class ChamberScalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its FieldScalar (or int), so it must hash like it
+        if self.is_constant():
+            return hash(self.terms.get((0, 0), ZERO))
         return hash(frozenset(self.terms.items()))
 
     # -- calculus and predicates -----------------------------------------
@@ -271,122 +276,56 @@ W_INV = ChamberScalar.monomial(1, 0, -1)
 T = S * S
 
 _ZERO_SCALAR = ChamberScalar()
+_ONE_SCALAR = ChamberScalar.of(1)
 
 
-class ChamberForm:
+def _slots(mask: int) -> tuple[int, ...]:
+    return tuple(i - 1 for i in indices_of(mask))
+
+
+class ChamberForm(Form):
     """Exterior form over the 11 chamber coframe generators."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ()
+    generators = N_COFRAME
+    _scalar = staticmethod(ChamberScalar.of)
 
-    def __init__(self, degree: int,
-                 terms: dict[int, ChamberScalar] | None = None):
-        self.degree = degree
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-        for m in self.terms:
-            if m.bit_count() != degree:
-                raise ValueError("blade has wrong degree")
-
-    @staticmethod
-    def zero(degree: int = 0) -> "ChamberForm":
-        return ChamberForm(degree)
+    @property
+    def terms(self) -> dict[int, ChamberScalar]:
+        return self._terms
 
     @staticmethod
     def generator(slot: int) -> "ChamberForm":
         """The coframe covector for a slot: 0 = ds, 1..6 = A, 7..10 = X."""
         if not 0 <= slot < N_COFRAME:
             raise ValueError(f"slot {slot} out of range 0..{N_COFRAME - 1}")
-        return ChamberForm(1, {1 << slot: ChamberScalar.of(1)})
+        return ChamberForm(1, {1 << slot: _ONE_SCALAR})
 
     @staticmethod
     def blade(*slots: int, coeff=1) -> "ChamberForm":
-        mask = 0
-        sign = 1
-        for slot in slots:
-            bit = 1 << slot
-            if mask & bit:
-                return ChamberForm(len(slots))
-            if (mask >> (slot + 1)).bit_count() & 1:
-                sign = -sign
-            mask |= bit
+        sign, mask = mask_of([s + 1 for s in slots], N_COFRAME)
+        if sign == 0:
+            return ChamberForm(len(slots))
         c = ChamberScalar.of(coeff)
-        if sign == -1:
-            c = -c
-        return ChamberForm(len(slots), {mask: c})
+        return ChamberForm(len(slots), {mask: c if sign == 1 else -c})
 
     @staticmethod
     def scalar(coeff) -> "ChamberForm":
         return ChamberForm(0, {0: ChamberScalar.of(coeff)})
 
-    def __add__(self, other: "ChamberForm") -> "ChamberForm":
-        if self.terms and other.terms and self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-        return ChamberForm(self.degree if self.terms else other.degree, acc)
-
-    def __sub__(self, other: "ChamberForm") -> "ChamberForm":
-        return self + (-other)
-
-    def __neg__(self) -> "ChamberForm":
-        out = ChamberForm.__new__(ChamberForm)
-        out.degree = self.degree
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __rmul__(self, scalar) -> "ChamberForm":
-        c = ChamberScalar.of(scalar)
-        return ChamberForm(self.degree,
-                           {m: c * x for m, x in self.terms.items()})
-
-    __mul__ = __rmul__
-
-    def wedge(self, other: "ChamberForm") -> "ChamberForm":
-        acc: dict[int, ChamberScalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                term = c1 * c2
-                if wedge_sign(m1, m2) == -1:
-                    term = -term
-                key = m1 | m2
-                prev = acc.get(key)
-                acc[key] = term if prev is None else prev + term
-        return ChamberForm(self.degree + other.degree, acc)
-
-    __xor__ = wedge
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChamberForm):
-            return NotImplemented
-        if self.terms == other.terms:
-            return self.degree == other.degree or not self.terms
-        return False
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
     def coefficient(self, *slots: int) -> ChamberScalar:
-        probe = ChamberForm.blade(*slots)
-        if not probe.terms:
+        sign, mask = mask_of([s + 1 for s in slots], N_COFRAME)
+        if sign == 0:
             return _ZERO_SCALAR
-        ((mask, c),) = probe.terms.items()
-        got = self.terms.get(mask, _ZERO_SCALAR)
-        return got if c == ChamberScalar.of(1) else -got
+        got = self._terms.get(mask, _ZERO_SCALAR)
+        return got if sign == 1 else -got
 
     def blades(self) -> list[tuple[tuple[int, ...], ChamberScalar]]:
-        out = []
-        for m in sorted(self.terms, key=_mask_slots):
-            out.append((_mask_slots(m), self.terms[m]))
-        return out
+        return sorted(((_slots(m), c) for m, c in self._terms.items()),
+                      key=lambda sc: sc[0])
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
         for slots, c in self.blades():
@@ -414,16 +353,6 @@ class ChamberForm:
         return ChamberForm(int(record["degree"]), acc)
 
 
-def _mask_slots(mask: int) -> tuple[int, ...]:
-    out = []
-    t = mask
-    while t:
-        low = t & -t
-        out.append(low.bit_length() - 1)
-        t ^= low
-    return tuple(out)
-
-
 def _coframe_differentials(frame: LieFrame) -> list[ChamberForm]:
     """d(e^k) = −Σ_{i<j} c^k_{ij} e^i ∧ e^j for each coframe slot."""
     out = [ChamberForm.zero(2)]  # d(ds) = 0
@@ -442,44 +371,25 @@ def _coframe_differentials(frame: LieFrame) -> list[ChamberForm]:
 
 def maurer_cartan_d(form: ChamberForm,
                     frame: LieFrame | None = None) -> ChamberForm:
-    """Exterior derivative: ∂_s on coefficients plus Maurer-Cartan terms."""
+    """Exterior derivative: ∂_s on coefficients plus Maurer-Cartan terms.
+
+    d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
+    degree, so moving it to the front costs no sign.
+    """
     frame = frame or build_lie_frame()
     dgen = _coframe_differentials(frame)
     out = ChamberForm.zero(form.degree + 1)
     ds = ChamberForm.generator(0)
     for mask, coeff in form.terms.items():
+        blade = ChamberForm(form.degree, {mask: _ONE_SCALAR})
         dcoeff = coeff.derivative()
         if dcoeff:
-            out = out + dcoeff * ds.wedge(ChamberForm(form.degree, {mask: ChamberScalar.of(1)}))
-        t = mask
-        while t:
-            low = t & -t
-            t ^= low
-            slot = low.bit_length() - 1
-            if slot == 0:
-                continue  # d(ds) = 0
-            d_slot = dgen[slot]
-            if not d_slot:
-                continue
-            sign = contract_sign(slot, mask)
-            rest = ChamberForm(form.degree - 1, {mask ^ low: ChamberScalar.of(1)})
-            piece = coeff * d_slot.wedge(rest)
-            out = out + (piece if sign == 1 else -piece)
+            out = out + dcoeff * wedge(ds, blade)
+        for slot in _slots(mask):
+            if dgen[slot]:  # d(ds) = 0
+                out = out + coeff * wedge(dgen[slot],
+                                          contract_generator(slot, blade))
     return out
-
-
-def contract_generator(slot: int, form: ChamberForm) -> ChamberForm:
-    """Interior product with a coframe-dual generator (first slot)."""
-    if form.degree == 0:
-        raise ValueError("cannot contract a scalar")
-    bit = 1 << slot
-    acc: dict[int, ChamberScalar] = {}
-    for mask, coeff in form.terms.items():
-        if not (mask & bit):
-            continue
-        sign = contract_sign(slot, mask)
-        acc[mask ^ bit] = coeff if sign == 1 else -coeff
-    return ChamberForm(form.degree - 1, acc)
 
 
 def lie_derivative(slot: int, form: ChamberForm,

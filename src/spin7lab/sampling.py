@@ -17,7 +17,7 @@ from .exterior.endo import Endo
 __all__ = ["random_vector", "random_nonzero_vector", "random_orthogonal_pair",
            "random_independent_pair", "random_form", "random_endo",
            "random_rank_one_nilpotent", "random_unimodular",
-           "random_nilpotent", "random_invertible", "random_even_scalar"]
+           "random_nilpotent", "random_even_scalar"]
 
 
 def random_vector(rng: random.Random, lo: int = -9, hi: int = 9) -> Vector:
@@ -103,16 +103,6 @@ def random_nilpotent(rng: random.Random, max_rank: int = 3) -> Endo:
             n = n + Endo.unit(start + k + 1, start + k)
     g, g_inv = random_unimodular(rng)
     return g @ n @ g_inv
-
-
-def random_invertible(rng: random.Random) -> tuple[Endo, Endo]:
-    """(L, L^{-1}) with integer entries: unimodular times a diagonal of ±1, ±2."""
-    g, g_inv = random_unimodular(rng, shears=8)
-    diag = [rng.choice([1, -1, 2]) for _ in range(DIM)]
-    d = Endo.diagonal(*diag)
-    from .exterior.scalars import FieldScalar, Q
-    d_inv = Endo.diagonal(*[FieldScalar(Q(1, x)) for x in diag])
-    return g @ d, d_inv @ g_inv
 
 
 def random_even_scalar(rng: random.Random, max_half_degree: int = 4):

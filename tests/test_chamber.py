@@ -17,7 +17,7 @@ from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         maurer_cartan_d)
 from spin7lab.invariant.liealg import build_lie_frame
 
-from _strategies import small_ints
+from _strategies import field_scalars, small_ints
 
 DS = ChamberForm.generator(0)
 
@@ -64,6 +64,15 @@ def test_power_and_coercion():
     assert ChamberScalar.of(7) == ChamberScalar.monomial(7)
     assert ChamberScalar.of(FieldScalar(0, 1)) * \
         ChamberScalar.of(FieldScalar(0, 1)) == ChamberScalar.of(2)
+
+
+@given(st.one_of(small_ints, field_scalars))
+def test_constants_hash_like_their_value(x):
+    # a constant equals its int or FieldScalar, so a set never holds both
+    c = ChamberScalar.of(x)
+    assert c == x
+    assert hash(c) == hash(x)
+    assert len({c, x}) == 1
 
 
 # -- derivation ------------------------------------------------------------------

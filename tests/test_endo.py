@@ -10,10 +10,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from spin7lab.exterior.endo import (Endo, char_poly, commutator, exp_nilpotent,
-                                    jordan_chevalley_split, pullback, rho)
+from spin7lab.exterior.endo import Endo, commutator, exp_nilpotent, pullback, rho
 from spin7lab.exterior.forms import Covector, KForm, Vector, wedge
-from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 
 from _strategies import forms, small_ints
 
@@ -166,77 +165,3 @@ def test_pullback_of_exp_equals_exp_of_rho():
             term = FieldScalar(Q(1, k)) * rho(a, term)
             assert k <= 32, "rho of a nilpotent matrix must be nilpotent"
         assert lhs == rhs
-
-
-# -- characteristic polynomial ---------------------------------------------------
-
-def test_char_poly_is_monic_of_degree_eight():
-    rng = seeded("char")
-    from spin7lab.sampling import random_endo
-    a = random_endo(rng)
-    p = char_poly(a)
-    assert len(p) == 9
-    assert p[8] == ONE
-    assert p[7] == -a.trace()
-
-
-def test_char_poly_of_diagonal_matrix():
-    entries = [1, 1, 2, 3, 0, 0, 0, -1]
-    a = Endo.diagonal(*entries)
-    # expand prod (λ - d_i) by convolving one factor at a time
-    coeffs = [Q(1)]
-    for d in entries:
-        new = [Q(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k + 1] += c
-            new[k] -= d * c
-        coeffs = new
-    expected = [FieldScalar(c) for c in coeffs]
-    assert char_poly(a) == expected
-
-
-def test_cayley_hamilton():
-    rng = seeded("cayley-hamilton")
-    from spin7lab.sampling import random_endo
-    for _ in range(3):
-        a = random_endo(rng)
-        p = char_poly(a)
-        acc = Endo.zero()
-        for c in reversed(p):
-            acc = acc @ a + c * Endo.identity()
-        assert not acc
-
-
-def test_char_poly_is_conjugation_invariant():
-    rng = seeded("conj")
-    from spin7lab.sampling import random_endo, random_unimodular
-    a = random_endo(rng)
-    g, g_inv = random_unimodular(rng)
-    assert char_poly(g @ a @ g_inv) == char_poly(a)
-
-
-# -- Jordan-Chevalley decomposition ----------------------------------------------
-
-def test_split_of_known_commuting_pair():
-    s0 = Endo.diagonal(1, 1, 2, 2, 3, 3, 4, 4)
-    n0 = Endo.unit(1, 2)
-    s, n = jordan_chevalley_split(s0 + n0)
-    assert s == s0 and n == n0
-
-
-def test_split_properties_on_random_input():
-    rng = seeded("split")
-    for _ in range(4):
-        a = Endo([[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)])
-        s, n = jordan_chevalley_split(a)
-        assert s + n == a
-        assert not commutator(s, n)
-        assert n.is_nilpotent()
-        # the split is idempotent: a semisimple input has no nilpotent part
-        s2, n2 = jordan_chevalley_split(s)
-        assert s2 == s and not n2
-
-
-def test_split_requires_rational_entries():
-    with pytest.raises(ValueError):
-        jordan_chevalley_split(FieldScalar(0, 1) * Endo.identity())

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spin7lab.exterior.blades import DIM
-from spin7lab.exterior.forms import (Covector, KForm, MultiIndex, Vector,
-                                     basis_blades, contract, hodge_star,
-                                     inner, nullspace_on_forms, wedge)
+from spin7lab.exterior.forms import (Covector, KForm, Vector, basis_blades,
+                                     contract, hodge_star, inner,
+                                     nullspace_on_forms, wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
 
 from _strategies import forms, small_ints, vectors
@@ -161,14 +161,6 @@ def test_from_record_requires_increasing_indices():
                                             "c": "0", "d": "0"}}]}
     with pytest.raises(ValueError):
         KForm.from_record(rec)
-
-
-def test_multi_index_validation():
-    assert MultiIndex((1, 3, 5)).mask == 0b10101
-    with pytest.raises(ValueError):
-        MultiIndex((3, 1))
-    sign, mi = MultiIndex.from_unsorted([3, 1])
-    assert sign == -1 and mi.indices == (1, 3)
 
 
 # -- vectors and covectors -----------------------------------------------------

@@ -91,6 +91,24 @@ def test_corrupted_frame_fails_perturbation_suite():
     assert any(not r.passed for r in results)
 
 
+def test_raising_check_says_where(monkeypatch):
+    import inspect
+    import spin7lab.harness.checks as checks
+    from spin7lab.exterior import linalg
+    from spin7lab.exterior.scalars import ZERO
+
+    # every decomposition check builds the projectors; make that raise
+    monkeypatch.setattr(checks, "projectors", lambda: linalg.invert([[ZERO]]))
+    lines, first = inspect.getsourcelines(linalg.invert)
+    raise_line = first + next(i for i, line in enumerate(lines)
+                              if "matrix is singular" in line)
+    results = run_suite("decomposition", seed=0)
+    assert results and not any(r.passed for r in results)
+    for r in results:
+        assert r.detail["error"] == "ValueError: matrix is singular"
+        assert r.detail["where"] == f"exterior/linalg.py:{raise_line} in invert"
+
+
 # -- RunConfig and run() -----------------------------------------------------------
 
 def test_config_validation():

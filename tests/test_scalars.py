@@ -1,7 +1,7 @@
 """Field axioms and Galois structure of the Q(sqrt2, sqrt3) scalars."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, SQRT6, ZERO,
                                        FieldScalar, Q, rational)
@@ -88,6 +88,16 @@ def test_known_square():
     rhs = FieldScalar(5) + 2 * SQRT6
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6),
+                 st.fractions(min_value=-99, max_value=99, max_denominator=60)))
+def test_rational_scalars_hash_like_their_value(r):
+    # equal objects must hash alike, so a set never holds both
+    x = FieldScalar(r)
+    assert x == r
+    assert hash(x) == hash(r)
+    assert len({x, r}) == 1
 
 
 def test_parsing_and_quadruple_round_trip():
