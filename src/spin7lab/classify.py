@@ -184,7 +184,8 @@ class LabeledVector:
 
     def to_record(self) -> dict:
         return {"label": self.label,
-                "components": [str(c.a) for c in self.vector.components]}
+                "components": [str(c.rational_value())
+                               for c in self.vector.components]}
 
 
 @dataclass(frozen=True)

@@ -157,14 +157,12 @@ class Endo:
 
     def to_record(self) -> dict:
         """JSON-ready record; rationals as strings, bit-exact round-trip."""
-        return {"rows": [[{"a": str(x.a), "b": str(x.b),
-                           "c": str(x.c), "d": str(x.d)} for x in row]
-                         for row in self.rows]}
+        return {"rows": [[x.to_record() for x in row] for row in self.rows]}
 
     @staticmethod
     def from_record(record: dict) -> "Endo":
-        return Endo([[FieldScalar.from_quadruple((x["a"], x["b"], x["c"], x["d"]))
-                      for x in row] for row in record["rows"]])
+        return Endo([[FieldScalar.from_record(x) for x in row]
+                     for row in record["rows"]])
 
 
 def commutator(a: Endo, b: Endo) -> Endo:

@@ -320,8 +320,7 @@ class KForm(Form):
             "degree": self.degree,
             "terms": [
                 {"indices": list(indices),
-                 "coeff": {"a": str(c.a), "b": str(c.b),
-                           "c": str(c.c), "d": str(c.d)}}
+                 "coeff": c.to_record()}
                 for indices, c in self.terms()
             ],
         }
@@ -333,9 +332,7 @@ class KForm(Form):
             sign, mask = mask_of(t["indices"])
             if sign != 1:
                 raise ValueError("serialized indices must be strictly increasing")
-            co = t["coeff"]
-            terms[mask] = FieldScalar.from_quadruple(
-                (co["a"], co["b"], co["c"], co["d"]))
+            terms[mask] = FieldScalar.from_record(t["coeff"])
         return KForm(int(record["degree"]), terms)
 
 

@@ -1,43 +1,56 @@
 """Exact arithmetic in the real field Q(sqrt2, sqrt3).
 
-Every scalar in the library is a quadruple (a, b, c, d) of rationals
-representing a + b*sqrt2 + c*sqrt3 + d*sqrt6.  The field is closed under
-the four arithmetic operations; inversion goes through the two Galois
+Every scalar in the library is a + b*sqrt2 + c*sqrt3 + d*sqrt6 with
+rational a, b, c, d, stored as four integer numerators over one positive
+integer denominator in lowest terms (gcd(a, b, c, d, den) == 1).  The
+representation is canonical, so equality and hashing compare parts, and
+each result is normalized by a single gcd.  The field is closed under the
+four arithmetic operations; inversion goes through the two Galois
 conjugations (sqrt2 -> -sqrt2 and sqrt3 -> -sqrt3), which push the norm
-down to a plain rational.  No floating point is used anywhere.
+down to a plain integer.
+
+Rationals come in as int, ``Q`` (``fractions.Fraction``) or 'p/q' strings
+and go out as ``Q``.  Floats are refused: no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-try:  # gmpy2 is optional but much faster; Fraction is the portable fallback
-    from gmpy2 import mpq as Q  # type: ignore[import-untyped]
-except ImportError:  # pragma: no cover
-    Q = Fraction
+Q = Fraction
 
 __all__ = ["Q", "FieldScalar", "ZERO", "ONE", "SQRT2", "SQRT3", "SQRT6", "rational"]
 
-_RatLike = (int, Fraction, type(Q(0)))
 
-
-def rational(x) -> "Q":
-    """Coerce an int, Fraction, mpq or 'p/q' string to the rational backend."""
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of an int, Q or 'p/q' string."""
+    if isinstance(x, int):
+        return int(x), 1
     if isinstance(x, str):
-        return Q(x.replace(" ", ""))
-    return Q(x)
+        x = Fraction(x.replace(" ", ""))
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def rational(x) -> Q:
+    """Coerce an int, Fraction or 'p/q' string to a rational."""
+    return Fraction(*_ratio(x))
 
 
 class FieldScalar:
-    """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational a, b, c, d."""
+    """An element (a + b*sqrt2 + c*sqrt3 + d*sqrt6)/den with integer parts."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_a", "_b", "_c", "_d", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Q(a)
-        self.b = Q(b)
-        self.c = Q(c)
-        self.d = Q(d)
+        parts = (_ratio(a), _ratio(b), _ratio(c), _ratio(d))
+        # over the lcm of reduced denominators the parts are already coprime
+        den = lcm(*(q for _, q in parts))
+        self._a, self._b, self._c, self._d = (p * (den // q) for p, q in parts)
+        self._den = den
 
     # -- construction -------------------------------------------------
 
@@ -45,37 +58,55 @@ class FieldScalar:
     def of(x) -> "FieldScalar":
         if isinstance(x, FieldScalar):
             return x
-        if isinstance(x, _RatLike):
-            return FieldScalar(x)
-        if isinstance(x, str):
-            return FieldScalar(rational(x))
-        raise TypeError(f"cannot interpret {x!r} as a field scalar")
+        out = _coerce(x)
+        return FieldScalar(x) if out is NotImplemented else out
 
     @staticmethod
     def from_quadruple(parts) -> "FieldScalar":
-        a, b, c, d = parts
-        return FieldScalar(rational(a), rational(b), rational(c), rational(d))
+        return FieldScalar(*parts)
 
-    def quadruple(self):
-        return (self.a, self.b, self.c, self.d)
+    def quadruple(self) -> tuple[Q, Q, Q, Q]:
+        den = self._den
+        return (Fraction(self._a, den), Fraction(self._b, den),
+                Fraction(self._c, den), Fraction(self._d, den))
+
+    def to_record(self) -> dict:
+        """JSON-ready parts as ``str(Q)``; ``from_record`` reads them back."""
+        return dict(zip("abcd", map(str, self.quadruple())))
+
+    @staticmethod
+    def from_record(record: dict) -> "FieldScalar":
+        return FieldScalar(record["a"], record["b"], record["c"], record["d"])
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldScalar(self.a + other.a, self.b + other.b,
-                           self.c + other.c, self.d + other.d)
+        if type(other) is not FieldScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self._den, other._den
+        if n1 == n2:
+            return _reduced(self._a + other._a, self._b + other._b,
+                            self._c + other._c, self._d + other._d, n1)
+        return _reduced(self._a * n2 + other._a * n1, self._b * n2 + other._b * n1,
+                        self._c * n2 + other._c * n1, self._d * n2 + other._d * n1,
+                        n1 * n2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldScalar(self.a - other.a, self.b - other.b,
-                           self.c - other.c, self.d - other.d)
+        if type(other) is not FieldScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self._den, other._den
+        if n1 == n2:
+            return _reduced(self._a - other._a, self._b - other._b,
+                            self._c - other._c, self._d - other._d, n1)
+        return _reduced(self._a * n2 - other._a * n1, self._b * n2 - other._b * n1,
+                        self._c * n2 - other._c * n1, self._d * n2 - other._d * n1,
+                        n1 * n2)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -84,29 +115,29 @@ class FieldScalar:
         return other - self
 
     def __neg__(self):
-        return FieldScalar(-self.a, -self.b, -self.c, -self.d)
+        return _canonical(-self._a, -self._b, -self._c, -self._d, self._den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        if type(other) is not FieldScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2 = other._a, other._b, other._c, other._d
+        den = self._den * other._den
         if not (b1 or c1 or d1 or b2 or c2 or d2):  # cheap rational fast path
-            return FieldScalar(a1 * a2)
-        return FieldScalar(
-            a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
-            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+            a = a1 * a2
+            g = gcd(a, den)
+            return _canonical(a // g, 0, 0, 0, den // g)
+        return _reduced(*_product(a1, b1, c1, d1, a2, b2, c2, d2), den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not FieldScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -133,61 +164,66 @@ class FieldScalar:
 
     def conj_sqrt2(self) -> "FieldScalar":
         """The automorphism sqrt2 -> -sqrt2 (also flips sqrt6)."""
-        return FieldScalar(self.a, -self.b, self.c, -self.d)
+        return _canonical(self._a, -self._b, self._c, -self._d, self._den)
 
     def conj_sqrt3(self) -> "FieldScalar":
         """The automorphism sqrt3 -> -sqrt3 (also flips sqrt6)."""
-        return FieldScalar(self.a, self.b, -self.c, -self.d)
+        return _canonical(self._a, self._b, -self._c, -self._d, self._den)
 
     def inverse(self) -> "FieldScalar":
-        if not self:
-            raise ZeroDivisionError("field scalar is zero")
-        partial = self * self.conj_sqrt2()      # lands in Q(sqrt3)
-        norm = partial.a * partial.a - 3 * partial.c * partial.c  # plain rational
-        num = self.conj_sqrt2() * partial.conj_sqrt3()
-        inv = Q(1) / norm
-        return FieldScalar(num.a * inv, num.b * inv, num.c * inv, num.d * inv)
+        a, b, c, d, den = self._a, self._b, self._c, self._d, self._den
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("field scalar is zero")
+            return _reduced(den, 0, 0, 0, a)
+        # X = a + b√2 + c√3 + d√6 times its sqrt2-conjugate lands in Q(sqrt3),
+        # and that times its sqrt3-conjugate is the integer norm of X
+        pa, _, pc, _ = _product(a, b, c, d, a, -b, c, -d)
+        norm = pa * pa - 3 * pc * pc
+        na, nb, nc, nd = _product(a, -b, c, -d, pa, 0, -pc, 0)
+        return _reduced(den * na, den * nb, den * nc, den * nd, norm)
 
     # -- predicates ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b or self.c or self.d)
+        return bool(self._a or self._b or self._c or self._d)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        return not (self._b or self._c or self._d)
 
-    def rational_value(self):
+    def rational_value(self) -> Q:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.a
+        return Fraction(self._a, self._den)
 
     def is_positive_rational(self) -> bool:
-        return self.is_rational() and self.a > 0
+        return self.is_rational() and self._a > 0
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
+        if type(other) is not FieldScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (self._a == other._a and self._den == other._den
+                and self._b == other._b and self._c == other._c
+                and self._d == other._d)
 
     def __hash__(self):
         # a rational scalar equals its int/Fraction, so it must hash like it
-        if not (self.b or self.c or self.d):
-            return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d))
+        if not (self._b or self._c or self._d):
+            return hash(Fraction(self._a, self._den))
+        return hash((self._a, self._b, self._c, self._d, self._den))
 
     # -- display -------------------------------------------------------
 
     def __repr__(self):
-        return f"FieldScalar({self.a}, {self.b}, {self.c}, {self.d})"
+        return "FieldScalar({}, {}, {}, {})".format(*self.quadruple())
 
     def __str__(self):
         if not self:
             return "0"
         pieces = []
-        for coeff, tag in ((self.a, ""), (self.b, "sqrt2"),
-                           (self.c, "sqrt3"), (self.d, "sqrt6")):
+        for coeff, tag in zip(self.quadruple(), ("", "sqrt2", "sqrt3", "sqrt6")):
             if not coeff:
                 continue
             if not tag:
@@ -207,11 +243,50 @@ class FieldScalar:
         return " ".join(pieces)
 
 
+_new = object.__new__
+
+
+def _canonical(a: int, b: int, c: int, d: int, den: int) -> FieldScalar:
+    """A scalar from parts that are already in canonical form."""
+    x = _new(FieldScalar)
+    x._a = a
+    x._b = b
+    x._c = c
+    x._d = d
+    x._den = den
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> FieldScalar:
+    """(a + b√2 + c√3 + d√6)/den for a nonzero den, reduced by one gcd."""
+    g = gcd(a, b, c, d, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        den //= g
+    return _canonical(a, b, c, d, den)
+
+
+def _product(a1, b1, c1, d1, a2, b2, c2, d2):
+    """Numerators of (a1 + b1√2 + c1√3 + d1√6)(a2 + b2√2 + c2√3 + d2√6)."""
+    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
 def _coerce(x):
-    if isinstance(x, FieldScalar):
-        return x
-    if isinstance(x, _RatLike):
-        return FieldScalar(x)
+    """An int or Q operand as a scalar, else NotImplemented."""
+    if type(x) is int:
+        return _canonical(x, 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return _canonical(x.numerator, 0, 0, 0, x.denominator)
+    if isinstance(x, int):  # bool and other int subclasses
+        return _canonical(int(x), 0, 0, 0, 1)
     return NotImplemented
 
 

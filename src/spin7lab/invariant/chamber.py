@@ -22,13 +22,16 @@ from ..exterior.scalars import ZERO, Q, FieldScalar
 from .liealg import LieFrame, N_GENERATORS, build_lie_frame
 
 __all__ = ["ChamberScalar", "ChamberForm", "COFRAME_NAMES", "S", "W", "W_INV",
-           "T", "maurer_cartan_d", "contract_generator", "lie_derivative"]
+           "T", "coframe_differentials", "maurer_cartan_d", "contract_generator",
+           "lie_derivative"]
 
 COFRAME_NAMES = ("ds", "A1", "A2", "A3", "A4", "A5", "A6",
                  "X1", "X2", "X3", "X4")
 N_COFRAME = len(COFRAME_NAMES)
 
 _TWO_FIFTHS = FieldScalar(Q(2, 5))
+# constants a ChamberScalar accepts as operands, as FieldScalar does
+_CONSTANTS = (int, Q, FieldScalar)
 
 
 class ChamberScalar:
@@ -56,7 +59,7 @@ class ChamberScalar:
     def _coerce(x):
         if isinstance(x, ChamberScalar):
             return x
-        if isinstance(x, (int, FieldScalar)):
+        if isinstance(x, _CONSTANTS):
             return ChamberScalar({(0, 0): FieldScalar.of(x)})
         return None
 
@@ -103,7 +106,7 @@ class ChamberScalar:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldScalar)):
+        if isinstance(other, _CONSTANTS):
             s = FieldScalar.of(other)
             if not s:
                 return ChamberScalar()
@@ -135,14 +138,14 @@ class ChamberScalar:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldScalar)):
+        if isinstance(other, _CONSTANTS):
             other = ChamberScalar.of(other)
         if not isinstance(other, ChamberScalar):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        # a constant equals its FieldScalar (or int), so it must hash like it
+        # a constant equals its FieldScalar (or int, or Q), so it must hash like it
         if self.is_constant():
             return hash(self.terms.get((0, 0), ZERO))
         return hash(frozenset(self.terms.items()))
@@ -184,17 +187,15 @@ class ChamberScalar:
 
     def to_record(self) -> dict:
         return {"terms": [{"s_exp": a, "w_exp": e,
-                           "coeff": {"a": str(c.a), "b": str(c.b),
-                                     "c": str(c.c), "d": str(c.d)}}
+                           "coeff": c.to_record()}
                           for a, e, c in self.sorted_terms()]}
 
     @staticmethod
     def from_record(record: dict) -> "ChamberScalar":
         raw = {}
         for t in record["terms"]:
-            co = t["coeff"]
-            raw[(int(t["s_exp"]), int(t["w_exp"]))] = FieldScalar.from_quadruple(
-                (co["a"], co["b"], co["c"], co["d"]))
+            raw[(int(t["s_exp"]), int(t["w_exp"]))] = FieldScalar.from_record(
+                t["coeff"])
         return ChamberScalar(raw)
 
     def __str__(self):
@@ -353,8 +354,12 @@ class ChamberForm(Form):
         return ChamberForm(int(record["degree"]), acc)
 
 
-def _coframe_differentials(frame: LieFrame) -> list[ChamberForm]:
-    """d(e^k) = −Σ_{i<j} c^k_{ij} e^i ∧ e^j for each coframe slot."""
+def coframe_differentials(frame: LieFrame) -> tuple[ChamberForm, ...]:
+    """d(e^k) = −Σ_{i<j} c^k_{ij} e^i ∧ e^j for each coframe slot.
+
+    Built afresh on every call; ``frame.coframe_differentials`` keeps the
+    one built for that frame object.
+    """
     out = [ChamberForm.zero(2)]  # d(ds) = 0
     for k in range(N_GENERATORS):
         acc: dict[int, ChamberScalar] = {}
@@ -366,7 +371,7 @@ def _coframe_differentials(frame: LieFrame) -> list[ChamberForm]:
                     mask = (1 << (i + 1)) | (1 << (j + 1))
                     acc[mask] = acc.get(mask, _ZERO_SCALAR) - ChamberScalar.of(c)
         out.append(ChamberForm(2, acc))
-    return out
+    return tuple(out)
 
 
 def maurer_cartan_d(form: ChamberForm,
@@ -377,7 +382,7 @@ def maurer_cartan_d(form: ChamberForm,
     degree, so moving it to the front costs no sign.
     """
     frame = frame or build_lie_frame()
-    dgen = _coframe_differentials(frame)
+    dgen = frame.coframe_differentials
     out = ChamberForm.zero(form.degree + 1)
     ds = ChamberForm.generator(0)
     for mask, coeff in form.terms.items():

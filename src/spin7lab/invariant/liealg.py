@@ -21,7 +21,7 @@ and infinitesimal normalizers of subalgebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from ..exterior import linalg
@@ -202,6 +202,13 @@ class LieFrame:
                     if cij[k]:
                         out[k] = out[k] + f * cij[k]
         return tuple(out)
+
+    @cached_property
+    def coframe_differentials(self) -> tuple:
+        """d(e^k) of the chamber coframe (``chamber.coframe_differentials``),
+        built once per frame object."""
+        from .chamber import coframe_differentials
+        return coframe_differentials(self)
 
     def with_structure(self, structure) -> "LieFrame":
         """Same frame with replaced structure constants (fault injection)."""

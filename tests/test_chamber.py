@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spin7lab.exterior.scalars import FieldScalar, Q
+from spin7lab.invariant import chamber
 from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         ChamberScalar, S, T, W, W_INV,
                                         contract_generator, lie_derivative,
@@ -73,6 +74,21 @@ def test_constants_hash_like_their_value(x):
     assert c == x
     assert hash(c) == hash(x)
     assert len({c, x}) == 1
+
+
+@given(st.one_of(st.integers(-10**6, 10**6),
+                 st.fractions(min_value=-99, max_value=99, max_denominator=60)))
+def test_constants_compare_and_combine_like_their_rational(r):
+    # equality is transitive across ChamberScalar, FieldScalar and Q, and a
+    # Q operand is accepted wherever an int or FieldScalar is
+    q = Q(r)
+    c, h = ChamberScalar.of(q), FieldScalar(q)
+    assert c == h and h == q and c == q and q == c and c == r
+    assert len({c, h, q}) == 1
+    assert c * q == q * c == ChamberScalar.of(q * q)
+    assert c + q == q + c == ChamberScalar.of(2 * q)
+    assert c - q == q - c == ChamberScalar()
+    assert S * q == ChamberScalar.monomial(q, 1, 0)
 
 
 # -- derivation ------------------------------------------------------------------
@@ -221,6 +237,29 @@ def test_contract_generator_picks_out_slots():
     assert contract_generator(4, form) == S * ChamberForm.generator(7)
     assert contract_generator(7, form) == -S * ChamberForm.generator(4)
     assert not contract_generator(5, form)
+
+
+def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
+    built = []
+    original = chamber.coframe_differentials
+    monkeypatch.setattr(chamber, "coframe_differentials",
+                        lambda frame: built.append(frame) or original(frame))
+    base = build_lie_frame()
+    frame = base.with_structure(base.structure)  # a fresh frame object
+    a6 = ChamberForm.generator(6)
+    form = a6 + ChamberForm.blade(7, coeff=S)
+    first = maurer_cartan_d(form, frame)
+    for _ in range(3):
+        assert maurer_cartan_d(form, frame) == first
+    lie_derivative(1, form, frame)
+    assert built == [frame]
+    # a frame with other constants ([A4, A5] = 3 A6) gets its own d(e^k)
+    mutated = [[list(row) for row in plane] for plane in base.structure]
+    mutated[3][4][5] = FieldScalar(3)
+    other = base.with_structure(tuple(tuple(tuple(r) for r in p)
+                                      for p in mutated))
+    assert maurer_cartan_d(a6, other) != maurer_cartan_d(a6, frame)
+    assert built == [frame, other]
 
 
 def test_lie_derivative_rotates_the_sp1_coframe():

@@ -24,7 +24,7 @@ from spin7lab.invariant.chamber import ChamberForm
 from spin7lab.invariant.liealg import build_lie_frame
 
 
-GOLDEN_SEED0 = Path(__file__).parent / "golden" / "verify-seed0.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -42,11 +42,13 @@ def test_suite_names_are_canonical():
 
 
 def test_every_suite_passes():
-    """A fresh default run passes every check and reproduces the golden
-    report byte for byte."""
-    code, out = run_cli(["verify", "--seed", "0"])
-    assert code == 0
-    assert out.encode("utf-8") == GOLDEN_SEED0.read_bytes()
+    """For seeds 0, 1 and 2, a fresh default run passes every check and
+    reproduces the golden report byte for byte."""
+    for seed in (0, 1, 2):
+        code, out = run_cli(["verify", "--seed", str(seed)])
+        assert code == 0, seed
+        golden = GOLDEN / f"verify-seed{seed}.json"
+        assert out.encode("utf-8") == golden.read_bytes(), seed
 
 
 def test_unknown_suite_raises():

@@ -1,7 +1,10 @@
 """Field axioms and Galois structure of the Q(sqrt2, sqrt3) scalars."""
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, SQRT6, ZERO,
                                        FieldScalar, Q, rational)
@@ -66,7 +69,7 @@ def test_trace_over_galois_group_is_rational(x):
     trace = (x + x.conj_sqrt2() + x.conj_sqrt3()
              + x.conj_sqrt2().conj_sqrt3())
     assert trace.is_rational()
-    assert trace == FieldScalar(4 * x.a)
+    assert trace == FieldScalar(4 * x.quadruple()[0])
 
 
 @given(field_scalars)
@@ -127,3 +130,78 @@ def test_display():
     assert str(ONE + SQRT2) == "1 + sqrt2"
     assert str(ONE - SQRT3) == "1 - sqrt3"
     assert str(FieldScalar(0, 0, 0, Q(-2, 3))) == "-2/3*sqrt6"
+
+
+def test_floats_are_refused():
+    for bad in (0.1, 1.0, 1j, complex(2, 0)):
+        with pytest.raises(TypeError):
+            FieldScalar(bad)
+        with pytest.raises(TypeError):
+            FieldScalar(0, 0, bad)
+        with pytest.raises(TypeError):
+            FieldScalar.of(bad)
+        with pytest.raises(TypeError):
+            ONE * bad
+        with pytest.raises(TypeError):
+            bad + ONE
+
+
+# -- differential test against plain Fraction quadruples ------------------------
+
+def _ref_mul(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2,
+            a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _ref_inverse(x):
+    a, b, c, d = x
+    conj2 = (a, -b, c, -d)
+    pa, pb, pc, pd = _ref_mul(x, conj2)        # lands in Q(sqrt3)
+    norm = pa * pa - 3 * pc * pc
+    return tuple(n / norm for n in _ref_mul(conj2, (pa, pb, -pc, -pd)))
+
+
+def _assert_canonical(x):
+    parts = (x._a, x._b, x._c, x._d, x._den)
+    assert all(type(p) is int for p in parts)
+    assert x._den > 0
+    assert gcd(*parts) == 1
+
+
+_wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+_part = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction), _wide)
+_quadruples = st.tuples(_part, _part, _part, _part)
+
+
+@settings(max_examples=200)
+@given(_quadruples, _quadruples)
+def test_arithmetic_matches_fraction_quadruples(p, r):
+    x, y = FieldScalar(*p), FieldScalar(*r)
+    for z in (x, y):
+        _assert_canonical(z)
+    assert x.quadruple() == p
+    expected = {
+        "+": tuple(u + v for u, v in zip(p, r)),
+        "-": tuple(u - v for u, v in zip(p, r)),
+        "*": _ref_mul(p, r),
+        "neg": tuple(-u for u in p),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x}
+    if any(r):
+        expected["inv"] = _ref_inverse(r)
+        got["inv"] = y.inverse()
+    for op, z in got.items():
+        _assert_canonical(z)
+        assert z.quadruple() == expected[op], op
+        assert all(type(q) is Fraction for q in z.quadruple())
+        assert z.to_record() == dict(zip("abcd", map(str, expected[op])))
+        assert FieldScalar.from_record(z.to_record()) == z
+    assert (x == y) == (p == r)
+    if p == r:
+        assert hash(x) == hash(y)
+    if not any(p[1:]):
+        assert x == p[0] and hash(x) == hash(p[0])
