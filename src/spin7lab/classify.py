@@ -106,14 +106,15 @@ class JordanRepresentative:
 
 def representative(diagram: YoungDiagram) -> JordanRepresentative:
     labels = [""] * DIM
-    matrix = Endo.zero()
+    rows = [[0] * DIM for _ in range(DIM)]
     for start, size in diagram.blocks():
         labels[start - 1] = (f"w{start}" if size >= 2 else f"v{start}")
         for k in range(1, size):
             labels[start - 1 + k] = f"v{start + k}"
         for k in range(size - 1):
-            matrix = matrix + Endo.unit(start + k + 1, start + k)
-    return JordanRepresentative(diagram=diagram, matrix=matrix,
+            # the chain step e^(start+k) -> e^(start+k+1), 1-based
+            rows[start + k][start + k - 1] = 1
+    return JordanRepresentative(diagram=diagram, matrix=Endo(rows),
                                 labels=tuple(labels))
 
 

@@ -1,54 +1,123 @@
 """Exact dense linear algebra over Q(sqrt2, sqrt3).
 
-Matrices are lists of rows of FieldScalar.  Forward elimination
-cross-multiplies each row below the pivot and divides by the previous
-pivot, as Bareiss does, but it skips rows whose entry in the pivot column
-is already zero.  That breaks Bareiss's exact-division invariant, so the
-division happens in the field and intermediate entries need not stay
-integral or small; the results are exact all the same.  The final reduced
-form is normalized with field division.  Everything is deterministic: the
-same matrix always yields the same echelon basis.
+Matrices are lists of rows of FieldScalar.  Every elimination goes through
+``echelon``, which returns the reduced row-echelon form (RREF, also an
+echelon form) and picks its arithmetic from the entries:
+
+* When every entry is rational, each row is scaled by the lcm of its
+  denominators and kept as a sparse {column: int} dict.  The rows are
+  reduced one at a time into a Gauss–Jordan basis: a row is cleared in a
+  column by cross-multiplying, p/g times it minus f/g times the basis row
+  with pivot p, where f is its own entry and g = gcd(p, f), and every
+  result is divided by its content (the gcd of its entries).  Each
+  division is therefore exact, and no field inversion happens.  Only the
+  final RREF goes back to FieldScalar, one reduced fraction per nonzero
+  entry.
+* A matrix with a surd entry is reduced by Gauss–Jordan in the field, with
+  one inversion per pivot.
+
+The RREF of a matrix is unique, so both paths give the same canonical
+bases, and the same matrix always yields the same result.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, FieldScalar
+from math import gcd
+
+from .scalars import ONE, ZERO, FieldScalar, integer_row
 
 __all__ = ["echelon", "rref", "rank", "nullspace", "solve", "invert"]
 
 Matrix = list[list[FieldScalar]]
-
-
-def _copy(rows: Matrix) -> Matrix:
-    return [list(r) for r in rows]
+SparseRow = dict[int, int]
 
 
 def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Row-echelon form and pivot columns (Bareiss-style forward pass)."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    """Reduced row-echelon form and pivot columns.
+
+    The result has as many rows as the input: the nonzero rows of the RREF
+    in pivot order, then zero rows.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    sparse = []
+    for row in rows:
+        int_row = integer_row(row)
+        if int_row is None:
+            return _field_rref(rows, ncols)
+        sparse.append(_primitive(int_row))
+    basis = _integer_rref(sparse)
+    pivots = sorted(basis)
+    reduced = []
+    for c in pivots:
+        row, p = basis[c], basis[c][c]
+        dense = [ZERO] * ncols
+        for j, v in row.items():
+            dense[j] = FieldScalar.from_ratio(v, p)
+        reduced.append(dense)
+    reduced.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
+    return reduced, pivots
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    """The row divided by its content, the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _cleared(row: SparseRow, basis_row: SparseRow, c: int) -> SparseRow:
+    """(p/g)·row − (f/g)·basis_row, made primitive, with p = basis_row[c],
+    f = row[c] and g = gcd(p, f): zero in column c."""
+    p, f = basis_row[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = {j: p * v for j, v in row.items()} if p != 1 else dict(row)
+    for j, v in basis_row.items():
+        x = out.get(j, 0) - f * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
+    """Gauss–Jordan basis of the row space: pivot column -> primitive row
+    whose first nonzero entry is in that column and which is zero in every
+    other pivot column."""
+    basis: dict[int, SparseRow] = {}
+    for row in rows:
+        # clearing a pivot column brings in only non-pivot columns
+        for c in [c for c in row if c in basis]:
+            row = _cleared(row, basis[c], c)
+        if not row:
+            continue
+        c = min(row)
+        for b, basis_row in basis.items():
+            if c in basis_row:
+                basis[b] = _cleared(basis_row, row, c)
+        basis[c] = row
+    return basis
+
+
+def _field_rref(rows: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
+    """Gauss–Jordan in the field: one inversion per pivot, zero rows last."""
+    m = [list(r) for r in rows]
     pivots: list[int] = []
-    prev = ONE
     r = 0
     for c in range(ncols):
         p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if not f:
-                continue
-            row_i, row_r = m[i], m[r]
-            m[i] = [(piv * row_i[j] - f * row_r[j]) / prev
-                    for j in range(ncols)]
-            m[i][c] = ZERO
+        m[r], m[p] = m[p], m[r]
+        inv = m[r][c].inverse()
+        pivot_row = m[r] = [x * inv for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [a - f * b for a, b in zip(row, pivot_row)]
         pivots.append(c)
-        prev = piv
         r += 1
         if r == len(m):
             break
@@ -62,17 +131,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     representative of the row space, so downstream bases are deterministic.
     """
     m, pivots = echelon(rows)
-    m = m[: len(pivots)]
-    for k in reversed(range(len(pivots))):
-        c = pivots[k]
-        inv = m[k][c].inverse()
-        m[k] = [x * inv for x in m[k]]
-        for i in range(k):
-            f = m[i][c]
-            if f:
-                row_i, row_k = m[i], m[k]
-                m[i] = [a - f * b for a, b in zip(row_i, row_k)]
-    return m, pivots
+    return m[: len(pivots)], pivots
 
 
 def rank(rows: Matrix) -> int:

@@ -62,6 +62,11 @@ class FieldScalar:
         return FieldScalar(x) if out is NotImplemented else out
 
     @staticmethod
+    def from_ratio(numerator: int, denominator: int) -> "FieldScalar":
+        """The rational numerator/denominator for ints, denominator nonzero."""
+        return _reduced(numerator, 0, 0, 0, denominator)
+
+    @staticmethod
     def from_quadruple(parts) -> "FieldScalar":
         return FieldScalar(*parts)
 
@@ -241,6 +246,23 @@ class FieldScalar:
             else:
                 pieces.append(body)
         return " ".join(pieces)
+
+
+def integer_row(row) -> dict[int, int] | None:
+    """The row times the lcm of its denominators, as a sparse
+    {column: int} dict, if every entry is rational; else None."""
+    nonzero = {}
+    den = 1
+    for j, x in enumerate(row):
+        if x._b or x._c or x._d:
+            return None
+        if x._a:
+            nonzero[j] = x
+            if x._den != 1:
+                den = lcm(den, x._den)
+    if den == 1:
+        return {j: x._a for j, x in nonzero.items()}
+    return {j: x._a * (den // x._den) for j, x in nonzero.items()}
 
 
 _new = object.__new__

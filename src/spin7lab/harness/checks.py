@@ -11,6 +11,7 @@ and the place in this package where it was raised.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
@@ -21,7 +22,8 @@ from .. import cayley
 from ..cayley import (build_omega, image_dimension, pair_contraction_cube,
                       perturb_rank_one, projectors, skew_perturbation,
                       sl8_basis, so8_basis, stabilizer_algebra)
-from ..classify import classification_report, enumerate_diagrams, jordan_type_of
+from ..classify import (ClassificationReport, classification_report,
+                        enumerate_diagrams, jordan_type_of)
 from ..exterior.blades import blades_of_degree
 from ..exterior.endo import Endo, exp_nilpotent, pullback, rho
 from ..exterior.forms import KForm, hodge_star, inner
@@ -219,10 +221,6 @@ def _check_skew_ansatz(seed: int) -> tuple[bool, dict]:
 # --------------------------------------------------------------------------
 # classify
 
-def _classification(seed: int):
-    return classification_report(seed=seed, signature_samples=25)
-
-
 def _check_diagram_enumeration(seed: int) -> tuple[bool, dict]:
     diagrams = enumerate_diagrams()
     ok = len(diagrams) == 22 and len(set(diagrams)) == 22
@@ -231,8 +229,7 @@ def _check_diagram_enumeration(seed: int) -> tuple[bool, dict]:
                 "last": list(diagrams[-1].parts)}
 
 
-def _check_admissible_set(seed: int) -> tuple[bool, dict]:
-    report = _classification(seed)
+def _check_admissible_set(report: ClassificationReport) -> tuple[bool, dict]:
     admissible = [list(d.parts) for d in report.admissible]
     expected = [[2, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1]]
     ok = sorted(admissible, reverse=True) == sorted(expected, reverse=True)
@@ -242,8 +239,7 @@ def _check_admissible_set(seed: int) -> tuple[bool, dict]:
     return ok, detail
 
 
-def _check_exclusion_certificates(seed: int) -> tuple[bool, dict]:
-    report = _classification(seed)
+def _check_exclusion_certificates(report: ClassificationReport) -> tuple[bool, dict]:
     rows = []
     ok = True
     for cert, _ms in report.rows:
@@ -258,9 +254,8 @@ def _check_exclusion_certificates(seed: int) -> tuple[bool, dict]:
                                     "certificates": rows}
 
 
-def _check_chain_dual_certificates(seed: int) -> tuple[bool, dict]:
+def _check_chain_dual_certificates(report: ClassificationReport) -> tuple[bool, dict]:
     """The four length-capped chain diagrams certify via pairs of w-duals."""
-    report = _classification(seed)
     chains = {(3, 2, 2, 1), (2, 2, 2, 2), (2, 2, 2, 1, 1),
               (2, 2, 1, 1, 1, 1)}
     found = {}
@@ -516,13 +511,17 @@ def run_suite(name: str, seed: int = 0,
             ("skew-ansatz-type", lambda: _check_skew_ansatz(seed)),
         ]
     elif name == "classify":
+        # built by the first check that needs it, once per call; a build
+        # that raises is not cached, so each check reports its own error
+        report = functools.cache(
+            lambda: classification_report(seed=seed, signature_samples=25))
         plan = [
             ("diagram-enumeration", lambda: _check_diagram_enumeration(seed)),
-            ("admissible-set", lambda: _check_admissible_set(seed)),
+            ("admissible-set", lambda: _check_admissible_set(report())),
             ("exclusion-certificates",
-             lambda: _check_exclusion_certificates(seed)),
+             lambda: _check_exclusion_certificates(report())),
             ("chain-dual-certificates",
-             lambda: _check_chain_dual_certificates(seed)),
+             lambda: _check_chain_dual_certificates(report())),
             ("signature-replay", lambda: _check_signature_replay(seed)),
         ]
     elif name == "bryant-salamon":

@@ -111,6 +111,48 @@ def test_raising_check_says_where(monkeypatch):
         assert r.detail["where"] == f"exterior/linalg.py:{raise_line} in invert"
 
 
+_REPORT_CHECKS = ("admissible-set", "exclusion-certificates",
+                  "chain-dual-certificates")
+
+
+def _count_reports(monkeypatch, build):
+    import spin7lab.harness.checks as checks
+    calls = [0]
+
+    def counted(**kwargs):
+        calls[0] += 1
+        return build(**kwargs)
+
+    monkeypatch.setattr(checks, "classification_report", counted)
+    return calls
+
+
+def test_classify_suite_builds_its_report_once(monkeypatch):
+    from spin7lab.classify import classification_report
+    calls = _count_reports(monkeypatch, classification_report)
+    results = run_suite("classify", seed=0)
+    assert all(r.passed for r in results)
+    assert calls == [1]
+
+
+def test_failed_report_build_fails_each_check_where_raised(monkeypatch):
+    import inspect
+    from spin7lab.exterior import linalg
+    from spin7lab.exterior.scalars import ZERO
+
+    calls = _count_reports(monkeypatch, lambda **_: linalg.invert([[ZERO]]))
+    lines, first = inspect.getsourcelines(linalg.invert)
+    raise_line = first + next(i for i, line in enumerate(lines)
+                              if "matrix is singular" in line)
+    results = {r.name: r for r in run_suite("classify", seed=0)}
+    for name in _REPORT_CHECKS:
+        assert not results[name].passed
+        assert results[name].detail == {
+            "error": "ValueError: matrix is singular",
+            "where": f"exterior/linalg.py:{raise_line} in invert"}
+    assert calls == [len(_REPORT_CHECKS)]  # a failed build is not reused
+
+
 # -- RunConfig and run() -----------------------------------------------------------
 
 def test_config_validation():

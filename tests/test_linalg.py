@@ -1,11 +1,17 @@
-"""Fraction-free exact linear algebra over the scalar field."""
+"""Exact linear algebra over the scalar field.
+
+Rational matrices are eliminated by sparse integer Gauss–Jordan with
+content normalization; matrices with a surd entry by Gauss–Jordan in the
+field.  The field code is the reference the integer path is compared with.
+"""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from spin7lab.exterior import linalg
 from spin7lab.exterior.linalg import (echelon, invert, nullspace, rank, rref,
                                       solve)
-from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar
+from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
 
 from _strategies import small_ints
 
@@ -115,3 +121,73 @@ def test_nullspace_is_canonical_per_free_column():
     basis = nullspace(fs_matrix([[1, 2, 3]]))
     assert basis == [[FieldScalar(-2), ONE, ZERO],
                      [FieldScalar(-3), ZERO, ONE]]
+
+
+# -- the integer path against the field code -----------------------------------
+
+_entries = st.one_of(st.just(0), st.just(0), small_ints,
+                     st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Non-square rational matrices, often with zero and repeated rows."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return [[FieldScalar(Q(x)) for x in row] for row in rows]
+
+
+def _field_reference(m):
+    """rref, rank and nullspace of m computed by the field code alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "echelon",
+                   lambda rows: linalg._field_rref(rows, len(rows[0])))
+        return rref(m), rank(m), nullspace(m)
+
+
+@settings(max_examples=150)
+@given(rational_matrices())
+def test_integer_path_matches_field_code(m):
+    assert echelon(m) == linalg._field_rref(m, len(m[0]))
+    assert (rref(m), rank(m), nullspace(m)) == _field_reference(m)
+
+
+def _count_inverses(monkeypatch) -> list[int]:
+    calls = [0]
+    original = FieldScalar.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(FieldScalar, "inverse", counted)
+    return calls
+
+
+def test_rational_elimination_never_inverts(monkeypatch):
+    calls = _count_inverses(monkeypatch)
+    m = fs_matrix([[Q(1, 2), Q(-3, 4), 5], [2, Q(7, 3), 0], [Q(5, 6), 1, Q(1, 9)]])
+    assert len(nullspace(m + [m[0]])) == 0
+    inv = invert(m)
+    assert mat_mul(m, inv) == fs_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert solve(m, [ONE, ZERO, ONE]) == mat_vec(inv, [ONE, ZERO, ONE])
+    assert calls == [0]
+
+
+def test_surd_matrix_with_integer_rows_takes_the_field_path(monkeypatch):
+    calls = _count_inverses(monkeypatch)
+    one, two = FieldScalar(1), FieldScalar(2)
+    m = [[one, two, FieldScalar(3)],
+         [SQRT2, two * SQRT2, FieldScalar(3) * SQRT2 + one],
+         [two, FieldScalar(4), FieldScalar(7)]]
+    red, pivots = rref(m)
+    assert calls == [len(pivots)]  # one inversion per pivot
+    assert pivots == [0, 2]
+    assert red == [[ONE, two, ZERO], [ZERO, ZERO, ONE]]
+    assert nullspace(m) == [[FieldScalar(-2), ONE, ZERO]]
