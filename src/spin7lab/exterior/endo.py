@@ -89,9 +89,17 @@ class Endo:
     def __matmul__(self, other: "Endo") -> "Endo":
         if not isinstance(other, Endo):
             return NotImplemented
-        cols = list(zip(*other.rows))
-        return Endo([[sum((a * b for a, b in zip(row, col)), ZERO)
-                      for col in cols] for row in self.rows])
+        # row i of the product is Σ_j a_ij · (row j of other), nonzeros only
+        nonzero = [[(k, b) for k, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [ZERO] * DIM
+            for a, entries in zip(row, nonzero):
+                if a:
+                    for k, b in entries:
+                        acc[k] = acc[k] + a * b
+            out.append(acc)
+        return Endo(out)
 
     def __pow__(self, n: int) -> "Endo":
         if not isinstance(n, int) or n < 0:
@@ -171,7 +179,8 @@ def commutator(a: Endo, b: Endo) -> Endo:
 
 def rho(a: Endo, form: KForm) -> KForm:
     """Derivation action: replace each slot of each blade by its image."""
-    rows = a.rows
+    # column p -> its nonzero (bit of e^i, entry) pairs, collected once
+    columns: dict[int, list[tuple[int, FieldScalar]]] = {}
     acc: dict[int, FieldScalar] = {}
     for m, coeff in form.mask_items():
         t = m
@@ -181,11 +190,11 @@ def rho(a: Endo, form: KForm) -> KForm:
             p = low.bit_length() - 1
             sub = m ^ low
             s_out = contract_sign(p, m)
-            for i in range(DIM):
-                entry = rows[i][p]
-                if not entry:
-                    continue
-                bit = 1 << i
+            column = columns.get(p)
+            if column is None:
+                column = columns[p] = [(1 << i, row[p])
+                                       for i, row in enumerate(a.rows) if row[p]]
+            for bit, entry in column:
                 if sub & bit:
                     continue
                 s_in = wedge_sign(bit, sub)

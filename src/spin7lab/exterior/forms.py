@@ -403,5 +403,4 @@ def nullspace_on_forms(op: Callable[[KForm], KForm] | Sequence[KForm],
         if len(images) != len(domain):
             raise ValueError("need one image per basis blade")
     kernel = linalg.nullspace(coefficient_matrix(images), ncols=len(domain))
-    return [KForm(degree, {m: c for m, c in zip(domain, vec) if c})
-            for vec in kernel]
+    return [KForm(degree, dict(zip(domain, vec))) for vec in kernel]

@@ -9,15 +9,18 @@ determined by ∂_s w = (2/5) s w⁻⁴.
 ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
 the differential combines ∂_s on coefficients with the Maurer-Cartan
-equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.
+equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.  It sums the raw, unreduced
+(s, w) terms of all contributions and makes one canonicalization per
+output blade; canonical forms are unique, so the result does not depend
+on the order of summation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ..exterior.blades import indices_of, mask_of
-from ..exterior.forms import Form, contract_generator, wedge
+from ..exterior.blades import contract_sign, indices_of, mask_of, wedge_sign
+from ..exterior.forms import Form, contract_generator
 from ..exterior.scalars import ZERO, Q, FieldScalar
 from .liealg import LieFrame, N_GENERATORS, build_lie_frame
 
@@ -82,8 +85,7 @@ class ChamberScalar:
         if other is None:
             return NotImplemented
         raw = dict(self.terms)
-        for key, c in other.terms.items():
-            raw[key] = raw.get(key, ZERO) + c
+        _add_terms(raw, other.terms.items())
         return ChamberScalar(raw)
 
     __radd__ = __add__
@@ -107,24 +109,26 @@ class ChamberScalar:
 
     def __mul__(self, other):
         if isinstance(other, _CONSTANTS):
-            s = FieldScalar.of(other)
-            if not s:
-                return ChamberScalar()
-            out = ChamberScalar.__new__(ChamberScalar)
-            out.terms = {k: s * c for k, c in self.terms.items()}
-            return out
+            return self._scaled(FieldScalar.of(other))
         if not isinstance(other, ChamberScalar):
             return NotImplemented
+        # a canonical form times a nonzero constant is still canonical
+        if _is_constant_term(other.terms):
+            return self._scaled(other.terms[(0, 0)])
+        if _is_constant_term(self.terms):
+            return other._scaled(self.terms[(0, 0)])
         raw: dict[tuple[int, int], FieldScalar] = {}
-        for (s1, w1), c1 in self.terms.items():
-            for (s2, w2), c2 in other.terms.items():
-                key = (s1 + s2, w1 + w2)
-                prev = raw.get(key)
-                term = c1 * c2
-                raw[key] = term if prev is None else prev + term
+        _add_terms(raw, _product_terms(self.terms, other.terms))
         return ChamberScalar(raw)
 
     __rmul__ = __mul__
+
+    def _scaled(self, s: FieldScalar) -> "ChamberScalar":
+        if not s:
+            return ChamberScalar()
+        out = ChamberScalar.__new__(ChamberScalar)
+        out.terms = {k: s * c for k, c in self.terms.items()}
+        return out
 
     def __pow__(self, n: int):
         if n < 0:
@@ -155,13 +159,7 @@ class ChamberScalar:
     def derivative(self) -> "ChamberScalar":
         """∂_s, with ∂_s w = (2/5) s w⁻⁴."""
         raw: dict[tuple[int, int], FieldScalar] = {}
-        for (a, e), c in self.terms.items():
-            if a:
-                key = (a - 1, e)
-                raw[key] = raw.get(key, ZERO) + FieldScalar(a) * c
-            if e:
-                key = (a + 1, e - 5)
-                raw[key] = raw.get(key, ZERO) + (_TWO_FIFTHS * FieldScalar(e)) * c
+        _add_terms(raw, _derivative_terms(self.terms))
         return ChamberScalar(raw)
 
     def is_even_in_s(self) -> bool:
@@ -209,6 +207,37 @@ class ChamberScalar:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _is_constant_term(terms: dict) -> bool:
+    """Whether a canonical term map is one nonzero constant."""
+    return len(terms) == 1 and (0, 0) in terms
+
+
+# Raw term maps (s_exp, w_exp) -> FieldScalar need not be canonical; the
+# helpers below build and sum them, and ChamberScalar(raw) reduces once.
+
+def _add_terms(raw: dict[tuple[int, int], FieldScalar], items) -> None:
+    """Add (key, coefficient) pairs into a raw term map."""
+    for key, c in items:
+        prev = raw.get(key)
+        raw[key] = c if prev is None else prev + c
+
+
+def _product_terms(x: dict, y: dict):
+    """The raw terms of the product of two term maps, unsummed."""
+    for (a1, e1), c1 in x.items():
+        for (a2, e2), c2 in y.items():
+            yield (a1 + a2, e1 + e2), c1 * c2
+
+
+def _derivative_terms(terms: dict):
+    """The raw terms of ∂_s, with ∂_s w = (2/5) s w⁻⁴, unsummed."""
+    for (a, e), c in terms.items():
+        if a:
+            yield (a - 1, e), FieldScalar(a) * c
+        if e:
+            yield (a + 1, e - 5), (_TWO_FIFTHS * FieldScalar(e)) * c
 
 
 def _canonical(raw: dict[tuple[int, int], FieldScalar]) -> dict[tuple[int, int], FieldScalar]:
@@ -379,22 +408,33 @@ def maurer_cartan_d(form: ChamberForm,
     """Exterior derivative: ∂_s on coefficients plus Maurer-Cartan terms.
 
     d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
-    degree, so moving it to the front costs no sign.
+    degree, so moving it to the front costs no sign.  The raw (s, w) terms
+    of every contribution are summed per output blade, with signs from
+    contract_sign/wedge_sign: one canonicalization per output blade.
     """
     frame = frame or build_lie_frame()
     dgen = frame.coframe_differentials
-    out = ChamberForm.zero(form.degree + 1)
-    ds = ChamberForm.generator(0)
+    acc: dict[int, dict[tuple[int, int], FieldScalar]] = {}
     for mask, coeff in form.terms.items():
-        blade = ChamberForm(form.degree, {mask: _ONE_SCALAR})
-        dcoeff = coeff.derivative()
-        if dcoeff:
-            out = out + dcoeff * wedge(ds, blade)
-        for slot in _slots(mask):
-            if dgen[slot]:  # d(ds) = 0
-                out = out + coeff * wedge(dgen[slot],
-                                          contract_generator(slot, blade))
-    return out
+        if not mask & 1:  # ds is slot 0, so ds∧e^I has sign +1
+            _add_terms(acc.setdefault(mask | 1, {}),
+                       _derivative_terms(coeff.terms))
+        t = mask
+        while t:
+            bit = t & -t
+            t ^= bit
+            slot = bit.bit_length() - 1
+            sub = mask ^ bit
+            s_out = contract_sign(slot, mask)
+            for m, structure in dgen[slot].terms.items():
+                if m & sub:
+                    continue
+                if s_out * wedge_sign(m, sub) == -1:
+                    structure = -structure
+                _add_terms(acc.setdefault(m | sub, {}),
+                           _product_terms(structure.terms, coeff.terms))
+    return ChamberForm(form.degree + 1,
+                       {m: ChamberScalar(raw) for m, raw in acc.items()})
 
 
 def lie_derivative(slot: int, form: ChamberForm,

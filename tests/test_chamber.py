@@ -10,7 +10,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from spin7lab.exterior.scalars import FieldScalar, Q
+from spin7lab.exterior.forms import wedge
+from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from spin7lab.invariant import chamber
 from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         ChamberScalar, S, T, W, W_INV,
@@ -26,6 +27,26 @@ scalars = st.lists(
     st.tuples(st.integers(0, 3), st.integers(-2, 2), small_ints),
     min_size=0, max_size=3,
 ).map(ChamberScalar.from_terms)
+
+# surd coefficients and w-exponents on both sides of the w⁵ reduction
+laurent_scalars = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(-7, 7), field_scalars),
+    min_size=0, max_size=3,
+).map(ChamberScalar.from_terms)
+
+constant_scalars = st.one_of(st.just(ChamberScalar()),
+                             small_ints.map(ChamberScalar.of),
+                             field_scalars.map(ChamberScalar.of))
+
+
+def _raw_product(x: ChamberScalar, y: ChamberScalar) -> ChamberScalar:
+    """The product summed term by term and canonicalized once."""
+    raw = {}
+    for (a1, e1), c1 in x.terms.items():
+        for (a2, e2), c2 in y.terms.items():
+            key = (a1 + a2, e1 + e2)
+            raw[key] = raw.get(key, ZERO) + c1 * c2
+    return ChamberScalar(raw)
 
 
 # -- ring structure -------------------------------------------------------------
@@ -58,6 +79,16 @@ def test_ring_axioms(x, y, z):
 def test_multiplying_by_the_relation_is_transparent(x):
     # multiplying by w⁵ and by 1+s² must agree in canonical form
     assert x * W ** 5 == x * (1 + T)
+
+
+@given(constant_scalars, st.one_of(laurent_scalars, constant_scalars))
+def test_constant_products_are_the_canonical_product(c, x):
+    # the constant fast path skips the reduction; its result must still be
+    # the canonical form of the raw product, from either side
+    expected = _raw_product(c, x)
+    for product in (c * x, x * c):
+        assert product.terms == expected.terms
+        assert ChamberScalar(product.terms).terms == product.terms
 
 
 def test_power_and_coercion():
@@ -228,6 +259,63 @@ def test_d_is_an_antiderivation():
     lhs = maurer_cartan_d(f.wedge(g))
     rhs = maurer_cartan_d(f).wedge(g) - f.wedge(maurer_cartan_d(g))
     assert lhs == rhs
+
+
+# -- d against the engine composition ------------------------------------------------
+
+def _engine_d(form: ChamberForm, frame) -> ChamberForm:
+    """d as a composition of engine calls, form by form: ∂_s c ds∧e^I plus
+    c de^k∧(e_k⌟e^I) for each slot k of each blade."""
+    dgen = frame.coframe_differentials
+    out = ChamberForm.zero(form.degree + 1)
+    for slots, coeff in form.blades():
+        blade = ChamberForm.blade(*slots)
+        dcoeff = coeff.derivative()
+        if dcoeff:
+            out = out + dcoeff * wedge(DS, blade)
+        for slot in slots:
+            if dgen[slot]:
+                out = out + coeff * wedge(dgen[slot],
+                                          contract_generator(slot, blade))
+    return out
+
+
+def _mutated_frame(entries):
+    """The real frame with some structure constants c^k_ij replaced."""
+    base = build_lie_frame()
+    mutated = [[list(row) for row in plane] for plane in base.structure]
+    for (i, j, k), value in entries.items():
+        mutated[i][j][k] = FieldScalar.of(value)
+    return base.with_structure(tuple(tuple(tuple(r) for r in p)
+                                     for p in mutated))
+
+
+FRAMES = [build_lie_frame(),
+          _mutated_frame({(3, 4, 5): 3}),           # [A4, A5] = 3 A6
+          _mutated_frame({(0, 6, 9): FieldScalar(0, 1), (2, 8, 1): -2})]
+
+
+def chamber_forms(degree: int):
+    """Sparse degree-k chamber forms with Laurent coefficients."""
+    masks = [m for m in range(1 << N_COFRAME) if m.bit_count() == degree]
+    return st.lists(st.tuples(st.sampled_from(masks), laurent_scalars),
+                    max_size=4).map(lambda pairs: ChamberForm(degree, dict(pairs)))
+
+
+@given(st.integers(0, 4), st.sampled_from(FRAMES), st.data())
+def test_d_equals_the_engine_composition(degree, frame, data):
+    form = data.draw(chamber_forms(degree))
+    if degree:
+        # plus an exact form of the engine: on the real frame the terms of
+        # its d cancel completely, on a mutated one they need not
+        form = form + _engine_d(data.draw(chamber_forms(degree - 1)), frame)
+    assert maurer_cartan_d(form, frame) == _engine_d(form, frame)
+
+
+def test_d_of_exact_forms_cancels_on_the_real_frame():
+    h = (S * ChamberForm.blade(4, 7) + W_INV * ChamberForm.blade(0, 2)
+         + W * ChamberForm.blade(1, 9))
+    assert not maurer_cartan_d(_engine_d(h, FRAMES[0]))
 
 
 # -- contraction and Lie derivative ----------------------------------------------

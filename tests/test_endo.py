@@ -25,6 +25,26 @@ sparse_endos = st.lists(
                           Endo.zero()))
 
 
+
+
+def _with_zero_lines(rows, zero_rows, zero_cols):
+    return Endo([[0 if i in zero_rows or j in zero_cols else x
+                  for j, x in enumerate(row)] for i, row in enumerate(rows)])
+
+
+# rational and surd matrices with zero rows and columns, and rank-one maps
+_entries = st.one_of(st.just(0), small_ints,
+                     st.builds(FieldScalar, small_ints, small_ints))
+_lines = st.sets(st.integers(0, 7), max_size=7)
+mixed_endos = st.one_of(
+    st.builds(_with_zero_lines,
+              st.lists(st.lists(_entries, min_size=8, max_size=8),
+                       min_size=8, max_size=8), _lines, _lines),
+    st.builds(lambda v, alpha: Endo.tensor(Vector(v), Covector(alpha)),
+              st.lists(_entries, min_size=8, max_size=8),
+              st.lists(_entries, min_size=8, max_size=8)))
+
+
 def seeded(name: str) -> random.Random:
     return random.Random(f"test-endo:{name}")
 
@@ -35,6 +55,14 @@ def seeded(name: str) -> random.Random:
 def test_matmul_matches_composition_on_covectors(a, b):
     alpha = Covector(range(1, 9))
     assert (a @ b).apply(alpha) == a.apply(b.apply(alpha))
+
+
+@given(mixed_endos, mixed_endos)
+def test_matmul_matches_the_dense_sum(a, b):
+    cols = list(zip(*b.rows))
+    dense = Endo([[sum((x * y for x, y in zip(row, col)), ZERO)
+                   for col in cols] for row in a.rows])
+    assert (a @ b).rows == dense.rows
 
 
 def test_constructors():
