@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .exterior.blades import DIM, blades_of_degree
-from .exterior.forms import (Covector, KForm, Vector, contract,
-                             nullspace_on_forms, wedge)
-from .exterior.endo import Endo, rho
+from .exterior.blades import BLADES, DIM
+from .exterior.forms import Covector, KForm, Vector, contract, wedge
+from .exterior.endo import Endo, rho, rho_operator
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -148,9 +147,14 @@ class KernelSpace:
 
 
 def kernel_space(diagram: YoungDiagram) -> KernelSpace:
-    a = representative(diagram).matrix
-    basis = nullspace_on_forms(lambda b: rho(a, rho(a, b)), 4)
-    return KernelSpace(diagram=diagram, basis=tuple(basis))
+    """K for the representative, whose entries are 0 and 1: ρ(A) on Λ⁴ is
+    built once as an integer FormOperator and squared on Python ints, and
+    the sparse rows of ρ(A)² go to integer Gauss–Jordan."""
+    r = rho_operator(representative(diagram).matrix, 4)
+    masks = BLADES[4]
+    basis = tuple(KForm(4, {masks[j]: c for j, c in vec.items()})
+                  for vec in (r @ r).kernel())
+    return KernelSpace(diagram=diagram, basis=basis)
 
 
 # -- the cubic certificate ----------------------------------------------------
@@ -221,7 +225,7 @@ def _candidate_pairs(rep: JordanRepresentative) -> Iterator[tuple[LabeledVector,
 
 def find_certificate(diagram: YoungDiagram) -> Certificate:
     kernel = kernel_space(diagram)
-    if kernel.dimension == len(blades_of_degree(4)):
+    if kernel.dimension == len(BLADES[4]):
         # ρ(A)² kills every 4-form: every orbit element perturbs, admissible.
         return Certificate(diagram, "admissible", kernel.dimension)
     rep = representative(diagram)

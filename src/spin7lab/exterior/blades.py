@@ -1,8 +1,11 @@
 """Bitmask encoding of basis blades e^{i1} ^ ... ^ e^{ik}.
 
 A blade is an int whose bit (i-1) is set iff the covector e^i appears.
-The generator count defaults to the eight covectors of R^8.
-Signs come from counting transpositions, so everything stays exact.
+The generator count defaults to the eight covectors of R^8, whose blades
+of each degree are tabulated once, at import, in the order of their index
+tuples (``BLADES``), with each mask's position in that order
+(``BLADE_POSITION``).  Signs come from counting transpositions, so
+everything stays exact.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from itertools import combinations
 DIM = 8
 FULL_MASK = (1 << DIM) - 1
 
-__all__ = ["DIM", "FULL_MASK", "wedge_sign", "contract_sign", "mask_of",
-           "indices_of", "complement_sign", "blades_of_degree"]
+__all__ = ["DIM", "FULL_MASK", "BLADES", "BLADE_POSITION", "wedge_sign",
+           "contract_sign", "mask_of", "indices_of", "complement_sign",
+           "blades_of_degree"]
 
 
 def wedge_sign(m1: int, m2: int) -> int:
@@ -79,6 +83,11 @@ def complement_sign(mask: int) -> int:
     return wedge_sign(mask, FULL_MASK ^ mask)
 
 
+BLADES = tuple(tuple(mask_of(c)[1] for c in combinations(range(1, DIM + 1), k))
+               for k in range(DIM + 1))
+BLADE_POSITION = tuple({m: i for i, m in enumerate(masks)} for masks in BLADES)
+
+
 def blades_of_degree(k: int) -> list[int]:
     """All degree-k blade masks, ordered by their index tuples."""
-    return [mask_of(c)[1] for c in combinations(range(1, DIM + 1), k)]
+    return list(BLADES[k]) if 0 <= k <= DIM else []

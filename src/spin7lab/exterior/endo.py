@@ -4,7 +4,8 @@ An Endo is an 8x8 exact matrix acting on covectors: entry (i, j) is the
 coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
 
 * ``rho(A, a)`` — the derivation (Lie-algebra) action, replacing one slot
-  at a time;
+  at a time; ``rho_operator(A, k)`` is the same action built once as a
+  FormOperator on Λ^k;
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
@@ -15,11 +16,13 @@ from __future__ import annotations
 from math import factorial
 
 from . import linalg
-from .blades import DIM, contract_sign, wedge_sign
+from .blades import BLADES, DIM, contract_sign, wedge_sign
 from .scalars import ZERO, Q, FieldScalar
-from .forms import Covector, KForm, Vector, blade_pullback
+from .forms import (Covector, FormOperator, KForm, Vector, _combine,
+                    blade_pullback)
 
-__all__ = ["Endo", "rho", "pullback", "exp_nilpotent", "commutator"]
+__all__ = ["Endo", "rho", "rho_operator", "pullback", "exp_nilpotent",
+           "commutator"]
 
 
 class Endo:
@@ -133,20 +136,8 @@ class Endo:
             sum((row[j] * alpha.components[j] for j in range(DIM)), ZERO)
             for row in self.rows))
 
-    def transpose(self) -> "Endo":
-        return Endo(list(zip(*self.rows)))
-
-    def trace(self) -> FieldScalar:
-        return sum((self.rows[i][i] for i in range(DIM)), ZERO)
-
-    def matrix(self) -> list[list[FieldScalar]]:
-        return [list(r) for r in self.rows]
-
-    def flatten(self) -> list[FieldScalar]:
-        return [x for row in self.rows for x in row]
-
     def rank(self) -> int:
-        return linalg.rank(self.matrix())
+        return linalg.rank(self.rows)
 
     def is_rational(self) -> bool:
         return all(x.is_rational() for row in self.rows for x in row)
@@ -158,10 +149,6 @@ class Endo:
                 return True
             p = p @ p
         return not p
-
-    def is_skew(self) -> bool:
-        return all(self.rows[i][j] == -self.rows[j][i]
-                   for i in range(DIM) for j in range(i, DIM))
 
     def to_record(self) -> dict:
         """JSON-ready record; rationals as strings, bit-exact round-trip."""
@@ -177,34 +164,51 @@ def commutator(a: Endo, b: Endo) -> Endo:
     return a @ b - b @ a
 
 
+def _columns(rows) -> list[list[tuple[int, object]]]:
+    """Column p of a matrix as its nonzero (bit of e^i, entry) pairs."""
+    return [[(1 << i, row[p]) for i, row in enumerate(rows) if row[p]]
+            for p in range(DIM)]
+
+
+def _rho_image(columns, m: int) -> dict:
+    """ρ(A)e^m as a {blade: coefficient} dict: each slot p of the blade
+    replaced by e^i for every nonzero a_ip.  Diagonal entries send e^m to
+    itself once per slot, so a coefficient may sum to zero."""
+    acc: dict = {}
+    t = m
+    while t:
+        low = t & -t
+        t ^= low
+        p = low.bit_length() - 1
+        sub = m ^ low
+        s_out = contract_sign(p, m)
+        for bit, entry in columns[p]:
+            if sub & bit:
+                continue
+            term = entry if s_out * wedge_sign(bit, sub) == 1 else -entry
+            prev = acc.get(sub | bit)
+            acc[sub | bit] = term if prev is None else prev + term
+    return acc
+
+
 def rho(a: Endo, form: KForm) -> KForm:
     """Derivation action: replace each slot of each blade by its image."""
-    # column p -> its nonzero (bit of e^i, entry) pairs, collected once
-    columns: dict[int, list[tuple[int, FieldScalar]]] = {}
-    acc: dict[int, FieldScalar] = {}
-    for m, coeff in form.mask_items():
-        t = m
-        while t:
-            low = t & -t
-            t ^= low
-            p = low.bit_length() - 1
-            sub = m ^ low
-            s_out = contract_sign(p, m)
-            column = columns.get(p)
-            if column is None:
-                column = columns[p] = [(1 << i, row[p])
-                                       for i, row in enumerate(a.rows) if row[p]]
-            for bit, entry in column:
-                if sub & bit:
-                    continue
-                s_in = wedge_sign(bit, sub)
-                term = coeff * entry
-                if s_out * s_in == -1:
-                    term = -term
-                key = sub | bit
-                prev = acc.get(key)
-                acc[key] = term if prev is None else prev + term
-    return KForm(form.degree, acc)
+    columns = _columns(a.rows)
+    return KForm(form.degree, _combine((_rho_image(columns, m), coeff)
+                                       for m, coeff in form.mask_items()))
+
+
+def rho_operator(a: Endo, degree: int) -> FormOperator:
+    """ρ(A) on Λ^degree, built once from the nonzero entries of A.
+
+    An integer matrix gives an integer operator (int coefficients), so
+    its powers and their kernels never touch FieldScalar arithmetic.
+    """
+    ints = [[x.integer_value() for x in row] for row in a.rows]
+    columns = _columns(a.rows if any(None in row for row in ints) else ints)
+    return FormOperator(degree, [
+        {key: c for key, c in _rho_image(columns, m).items() if c}
+        for m in BLADES[degree]])
 
 
 def pullback(l_map: Endo, form: KForm) -> KForm:

@@ -11,6 +11,15 @@ coframe generators over the chamber ring).
 On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
 the musical isomorphisms.  The interior product contracts the first slot.
+
+A FormOperator is a linear map into Λ^k stored as the images of a domain
+basis, one {mask: coefficient} dict per basis vector; on Λ^k itself the
+domain basis is the blade order of ``blades.BLADES``.  Applying,
+composing and adding operators, like contracting by a vector, sum every
+contribution into one accumulator per output blade.  An operator with int
+coefficients (ρ(A) of an integer matrix, and its powers) has its kernel
+computed by integer Gauss–Jordan on its sparse rows; any other operator
+is densified and reduced by ``linalg.echelon``.
 """
 
 from __future__ import annotations
@@ -18,14 +27,13 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from . import linalg
-from .blades import (DIM, FULL_MASK, blades_of_degree, complement_sign,
+from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, complement_sign,
                      contract_sign, indices_of, mask_of, wedge_sign)
 from .scalars import ONE, ZERO, FieldScalar
 
-__all__ = ["Form", "Vector", "Covector", "KForm", "add", "negate", "scale",
-           "wedge", "contract_generator", "blade_pullback", "contract",
-           "hodge_star", "inner", "coefficient_matrix", "nullspace_on_forms",
-           "basis_blades"]
+__all__ = ["Form", "Vector", "Covector", "KForm", "FormOperator", "add",
+           "negate", "scale", "wedge", "contract_generator", "blade_pullback",
+           "contract", "hodge_star", "inner", "basis_blades"]
 
 
 class _EightTuple:
@@ -102,9 +110,6 @@ class Vector(_EightTuple):
 
 class Covector(_EightTuple):
     """A one-form alpha = sum alpha_i e^i."""
-
-    def sharp(self) -> Vector:
-        return Vector(self.components)
 
     def form(self) -> "KForm":
         return KForm(1, {1 << i: c for i, c in enumerate(self.components) if c})
@@ -224,13 +229,17 @@ def contract_generator(slot: int, a: Form) -> Form:
     contracting the first slot."""
     if a.degree == 0:
         raise ValueError("cannot contract a scalar")
+    return type(a)(a.degree - 1, _contracted(slot, a._terms))
+
+
+def _contracted(slot: int, terms: dict) -> dict:
     bit = 1 << slot
-    acc = {}
-    for m, c in a._terms.items():
+    out = {}
+    for m, c in terms.items():
         sign = contract_sign(slot, m)
         if sign:
-            acc[m ^ bit] = c if sign == 1 else -c
-    return type(a)(a.degree - 1, acc)
+            out[m ^ bit] = c if sign == 1 else -c
+    return out
 
 
 def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
@@ -240,7 +249,7 @@ def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
         raise ValueError(f"need one image per generator, got {len(images)}")
     if a.degree == 0:
         return a
-    out = type(a)(a.degree)
+    pieces = []
     for m, coeff in a._terms.items():
         low = m & -m
         piece = images[low.bit_length() - 1]
@@ -249,9 +258,20 @@ def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
             low = t & -t
             t ^= low
             piece = wedge(piece, images[low.bit_length() - 1])
-        if piece:
-            out = add(out, scale(coeff, piece))
-    return out
+        pieces.append((piece._terms, coeff))
+    return type(a)(a.degree, _combine(pieces))
+
+
+def _combine(pairs) -> dict:
+    """Σ s·terms over (terms, s) pairs of term maps and coefficients, in
+    one accumulator per blade; zero sums are pruned."""
+    acc: dict = {}
+    for terms, s in pairs:
+        for m, c in terms.items():
+            term = s * c
+            prev = acc.get(m)
+            acc[m] = term if prev is None else prev + term
+    return {m: x for m, x in acc.items() if x}
 
 
 class KForm(Form):
@@ -343,11 +363,9 @@ def contract(v: Vector, a: KForm) -> KForm:
     """Interior product v ⌟ a, contracting the first slot."""
     if a.degree == 0:
         raise ValueError("cannot contract a scalar")
-    out = KForm(a.degree - 1)
-    for slot, comp in enumerate(v.components):
-        if comp:
-            out = add(out, scale(comp, contract_generator(slot, a)))
-    return out
+    return KForm(a.degree - 1, _combine(
+        (_contracted(slot, a._terms), comp)
+        for slot, comp in enumerate(v.components) if comp))
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -372,35 +390,101 @@ def inner(a: KForm, b: KForm) -> FieldScalar:
 
 
 def basis_blades(k: int) -> list[KForm]:
-    return [KForm(k, {m: ONE}) for m in blades_of_degree(k)]
+    return [KForm(k, {m: ONE}) for m in BLADES[k]]
 
 
-def coefficient_matrix(forms: Sequence[KForm]) -> list[list[FieldScalar]]:
-    """Dense matrix with one column per form and one row per blade that
-    occurs in any of them (rows in increasing mask order)."""
-    masks = sorted({m for f in forms for m in f._terms})
-    row_of = {m: i for i, m in enumerate(masks)}
-    matrix = [[ZERO] * len(forms) for _ in masks]
-    for j, f in enumerate(forms):
-        for m, c in f._terms.items():
-            matrix[row_of[m]][j] = c
-    return matrix
+class FormOperator:
+    """A linear map into Λ^degree: ``images[j]`` is the {mask: coefficient}
+    dict of the image of the j-th domain basis vector.
 
-
-def nullspace_on_forms(op: Callable[[KForm], KForm] | Sequence[KForm],
-                       degree: int) -> list[KForm]:
-    """Exact kernel basis of a linear operator on Λ^degree.
-
-    The operator may be a callable on KForms or a precomputed list of the
-    images of the canonical basis blades.  Output forms are canonical
-    (reduced echelon coordinates over the blade basis) and exactly kill op.
+    With one image per basis blade of Λ^degree, in ``BLADES`` order, it is
+    an operator on Λ^degree, as ``apply``, ``@``, ``identity`` and ``zero``
+    assume.  Coefficients are FieldScalars, or ints throughout for an
+    integer operator, whose sums and products stay on ints.
     """
-    domain = blades_of_degree(degree)
-    if callable(op):
-        images = [op(KForm(degree, {m: ONE})) for m in domain]
-    else:
-        images = list(op)
-        if len(images) != len(domain):
-            raise ValueError("need one image per basis blade")
-    kernel = linalg.nullspace(coefficient_matrix(images), ncols=len(domain))
-    return [KForm(degree, dict(zip(domain, vec))) for vec in kernel]
+
+    __slots__ = ("degree", "images")
+
+    def __init__(self, degree: int, images: Sequence[dict]):
+        self.degree = degree
+        self.images = tuple(images)
+
+    @staticmethod
+    def of_forms(degree: int, forms: Sequence[KForm]) -> "FormOperator":
+        """The map sending the j-th coordinate vector to forms[j]."""
+        return FormOperator(degree, [f._terms for f in forms])
+
+    @staticmethod
+    def identity(degree: int) -> "FormOperator":
+        return FormOperator(degree, [{m: ONE} for m in BLADES[degree]])
+
+    @staticmethod
+    def zero(degree: int) -> "FormOperator":
+        return FormOperator(degree, [{}] * len(BLADES[degree]))
+
+    def image(self, coords: Sequence) -> KForm:
+        """The image of the domain vector with these coordinates."""
+        return KForm(self.degree, _combine((img, c) for img, c
+                                           in zip(self.images, coords) if c))
+
+    def apply(self, form: KForm) -> KForm:
+        if form.degree != self.degree:
+            raise ValueError("operator degree mismatch")
+        pos = BLADE_POSITION[self.degree]
+        return KForm(self.degree, _combine((self.images[pos[m]], c)
+                                           for m, c in form._terms.items()))
+
+    __call__ = apply
+
+    def __matmul__(self, other: "FormOperator") -> "FormOperator":
+        pos = BLADE_POSITION[self.degree]
+        return FormOperator(self.degree, [
+            _combine((self.images[pos[m]], c) for m, c in img.items())
+            for img in other.images])
+
+    def __add__(self, other: "FormOperator") -> "FormOperator":
+        return FormOperator(self.degree, [_combine(((a, 1), (b, 1))) for a, b
+                                          in zip(self.images, other.images)])
+
+    def __sub__(self, other: "FormOperator") -> "FormOperator":
+        return FormOperator(self.degree, [_combine(((a, 1), (b, -1))) for a, b
+                                          in zip(self.images, other.images)])
+
+    def __eq__(self, other):
+        return (isinstance(other, FormOperator)
+                and self.degree == other.degree and self.images == other.images)
+
+    def _rows(self) -> dict[int, dict[int, object]]:
+        """The sparse rows of the matrix: output blade -> {column j: entry}."""
+        rows: dict[int, dict[int, object]] = {}
+        for j, img in enumerate(self.images):
+            for m, c in img.items():
+                rows.setdefault(m, {})[j] = c
+        return rows
+
+    def _matrix(self) -> list[list[FieldScalar]]:
+        """Dense FieldScalar matrix, one row per occurring blade by mask."""
+        rows = self._rows()
+        return [[FieldScalar.of(rows[m].get(j, ZERO))
+                 for j in range(len(self.images))] for m in sorted(rows)]
+
+    def pivots(self) -> list[int]:
+        """The positions j whose image is not a combination of earlier ones."""
+        return linalg.echelon(self._matrix())[1]
+
+    def rank(self) -> int:
+        return len(self.pivots())
+
+    def kernel(self) -> list[dict[int, FieldScalar]]:
+        """Canonical kernel basis as sparse coordinate vectors, one per free
+        column with 1 there (the vectors of ``linalg.nullspace``).  The
+        sparse rows of an integer operator go to integer Gauss–Jordan."""
+        rows = self._rows()
+        ncols = len(self.images)
+        if all(type(c) is int for row in rows.values() for c in row.values()):
+            return linalg.integer_nullspace(list(rows.values()), ncols)
+        return [{j: x for j, x in enumerate(vec) if x}
+                for vec in linalg.nullspace(self._matrix(), ncols=ncols)]
+
+    def is_idempotent(self) -> bool:
+        return self @ self == self

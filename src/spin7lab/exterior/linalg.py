@@ -16,6 +16,10 @@ echelon form) and picks its arithmetic from the entries:
 * A matrix with a surd entry is reduced by Gauss–Jordan in the field, with
   one inversion per pivot.
 
+``integer_nullspace`` takes a matrix that is already sparse integer rows
+(the rows of an integer FormOperator) straight to the integer Gauss–Jordan,
+with no dense matrix and no FieldScalar until the kernel vectors.
+
 The RREF of a matrix is unique, so both paths give the same canonical
 bases, and the same matrix always yields the same result.
 """
@@ -26,7 +30,8 @@ from math import gcd
 
 from .scalars import ONE, ZERO, FieldScalar, integer_row
 
-__all__ = ["echelon", "rref", "rank", "nullspace", "solve", "invert"]
+__all__ = ["echelon", "rref", "rank", "nullspace", "integer_nullspace",
+           "solve", "invert"]
 
 Matrix = list[list[FieldScalar]]
 SparseRow = dict[int, int]
@@ -157,6 +162,20 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]
                 v[c] = -row[f]
         basis.append(v)
     return basis
+
+
+def integer_nullspace(rows: list[SparseRow],
+                      ncols: int) -> list[dict[int, FieldScalar]]:
+    """The kernel basis of ``nullspace`` for a matrix given as sparse
+    integer rows without zero entries, as sparse {column: entry} vectors."""
+    basis = _integer_rref([_primitive(row) for row in rows if row])
+    # a basis row is zero in the other pivot columns: the rest are free
+    out = {f: {f: ONE} for f in range(ncols) if f not in basis}
+    for c, row in basis.items():
+        for f, x in row.items():
+            if f != c:
+                out[f][c] = FieldScalar.from_ratio(-x, row[c])
+    return list(out.values())
 
 
 def solve(rows: Matrix, rhs: list[FieldScalar]) -> list[FieldScalar]:

@@ -66,10 +66,6 @@ class FieldScalar:
         """The rational numerator/denominator for ints, denominator nonzero."""
         return _reduced(numerator, 0, 0, 0, denominator)
 
-    @staticmethod
-    def from_quadruple(parts) -> "FieldScalar":
-        return FieldScalar(*parts)
-
     def quadruple(self) -> tuple[Q, Q, Q, Q]:
         den = self._den
         return (Fraction(self._a, den), Fraction(self._b, den),
@@ -167,14 +163,6 @@ class FieldScalar:
 
     # -- Galois conjugation and inversion -----------------------------
 
-    def conj_sqrt2(self) -> "FieldScalar":
-        """The automorphism sqrt2 -> -sqrt2 (also flips sqrt6)."""
-        return _canonical(self._a, -self._b, self._c, -self._d, self._den)
-
-    def conj_sqrt3(self) -> "FieldScalar":
-        """The automorphism sqrt3 -> -sqrt3 (also flips sqrt6)."""
-        return _canonical(self._a, self._b, -self._c, -self._d, self._den)
-
     def inverse(self) -> "FieldScalar":
         a, b, c, d, den = self._a, self._b, self._c, self._d, self._den
         if not (b or c or d):
@@ -195,6 +183,12 @@ class FieldScalar:
 
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
+
+    def integer_value(self) -> int | None:
+        """The scalar as an int, or None when it is not an integer."""
+        if self._den == 1 and not (self._b or self._c or self._d):
+            return self._a
+        return None
 
     def rational_value(self) -> Q:
         if not self.is_rational():

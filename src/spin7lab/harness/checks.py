@@ -18,29 +18,25 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from .. import cayley
 from ..cayley import (build_omega, image_dimension, pair_contraction_cube,
-                      perturb_rank_one, projectors, skew_perturbation,
-                      sl8_basis, so8_basis, stabilizer_algebra)
+                      projectors, skew_perturbation, sl8_basis, so8_basis,
+                      stabilizer_algebra)
 from ..classify import (ClassificationReport, classification_report,
                         enumerate_diagrams, jordan_type_of)
-from ..exterior.blades import blades_of_degree
-from ..exterior.endo import Endo, exp_nilpotent, pullback, rho
-from ..exterior.forms import KForm, hodge_star, inner
+from ..exterior.endo import exp_nilpotent, pullback, rho
+from ..exterior.forms import hodge_star, inner
 from ..exterior.scalars import FieldScalar, Q
 from ..invariant.bryant_salamon import (InvariantField, build_bryant_salamon,
                                         build_metric, closure_mechanism_holds,
                                         lemma_invariant_forms,
                                         metric_lie_derivative,
                                         orbit_witness_holds, perturbed_form,
-                                        pointwise_rank_one_check,
-                                        verify_killing,
-                                        verify_pullback_proposition)
+                                        pointwise_rank_one_check)
 from ..invariant.chamber import (ChamberForm, ChamberScalar, lie_derivative,
                                  maurer_cartan_d)
 from ..invariant.liealg import (N_GENERATORS, SP1_PLUS, LieFrame,
                                 build_lie_frame, build_orthonormal_frame,
-                                killing_matrix, normalizer)
+                                generator_coords, killing_matrix, normalizer)
 from ..sampling import (random_even_scalar, random_form,
                         random_independent_pair, random_rank_one_nilpotent)
 
@@ -137,7 +133,7 @@ def _check_contraction_nondegeneracy(seed: int) -> tuple[bool, dict]:
 
 
 def _check_cube_display(seed: int) -> tuple[bool, dict]:
-    from ..exterior.forms import Vector, contract, wedge
+    from ..exterior.forms import Vector
     omega = build_omega().omega
     cube = pair_contraction_cube(Vector.basis(7), Vector.basis(8), omega)
     detail = {
@@ -292,9 +288,7 @@ def _check_signature_replay(seed: int) -> tuple[bool, dict]:
 
 def _check_lie_frame_consistency(seed: int, frame: LieFrame) -> tuple[bool, dict]:
     from itertools import combinations
-    from ..exterior.scalars import ONE, ZERO
-    basis = [tuple(ONE if a == i else ZERO for a in range(N_GENERATORS))
-             for i in range(N_GENERATORS)]
+    basis = [generator_coords(i) for i in range(N_GENERATORS)]
     for i, j, k in combinations(range(N_GENERATORS), 3):
         t1 = frame.bracket_coords(basis[i], frame.bracket_coords(basis[j], basis[k]))
         t2 = frame.bracket_coords(basis[j], frame.bracket_coords(basis[k], basis[i]))
@@ -313,9 +307,7 @@ def _check_lie_frame_consistency(seed: int, frame: LieFrame) -> tuple[bool, dict
 
 
 def _check_sp1_normalizer(seed: int, frame: LieFrame) -> tuple[bool, dict]:
-    from ..exterior.scalars import ONE, ZERO
-    h = [tuple(ONE if a == i else ZERO for a in range(N_GENERATORS))
-         for i in SP1_PLUS]
+    h = [generator_coords(i) for i in SP1_PLUS]
     basis = normalizer(frame, h)
     dim = len(basis)
     # the normalizer must be spanned by the six diagonal generators

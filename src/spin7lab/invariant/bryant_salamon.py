@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..exterior.forms import blade_pullback
+from ..exterior.forms import _contracted, blade_pullback
 from ..exterior.scalars import FieldScalar
 from .liealg import LieFrame, build_lie_frame
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
-                      S, W, contract_generator, lie_derivative,
-                      maurer_cartan_d)
+                      S, _add_terms, _product_terms, maurer_cartan_d)
 
 __all__ = ["HForm", "BryantSalamon", "build_bryant_salamon",
            "proposition_display", "verify_pullback_proposition",
@@ -168,11 +167,15 @@ class InvariantField:
         return all(c.is_even_in_s() for c in (self.a, self.b, self.c))
 
     def contract(self, form: ChamberForm) -> ChamberForm:
-        out = ChamberForm.zero(form.degree - 1)
+        """Y⌟form: the raw (s, w) terms of the three slots' contributions
+        are summed per output blade and canonicalized once per blade."""
+        acc: dict[int, dict] = {}
         for slot, coeff in self.coefficients():
-            if coeff:
-                out = out + coeff * contract_generator(slot, form)
-        return out
+            for m, c in _contracted(slot, form.terms).items():
+                _add_terms(acc.setdefault(m, {}),
+                           _product_terms(coeff.terms, c.terms))
+        return ChamberForm(form.degree - 1,
+                           {m: ChamberScalar(raw) for m, raw in acc.items()})
 
     def lie_derivative(self, form: ChamberForm,
                        frame: LieFrame | None = None) -> ChamberForm:

@@ -126,14 +126,6 @@ class QuatMat2:
         return QuatMat2(scalar * self.a, scalar * self.b,
                         scalar * self.c, scalar * self.d)
 
-    def conj_transpose(self):
-        return QuatMat2(self.a.conjugate(), self.c.conjugate(),
-                        self.b.conjugate(), self.d.conjugate())
-
-    def is_anti_hermitian(self):
-        zero = self.conj_transpose() + self
-        return not (zero.a or zero.b or zero.c or zero.d)
-
     def bracket(self, other):
         return self @ other - other @ self
 
@@ -281,15 +273,10 @@ def _residual_rows(span_rref: list[list[FieldScalar]],
 
 def is_subalgebra(frame: LieFrame,
                   basis: Sequence[Sequence[FieldScalar]]) -> bool:
-    if not basis:
-        return True
-    span, pivots = linalg.rref([list(b) for b in basis])
-    for x in basis:
-        for y in basis:
-            res = _residual_rows(span, pivots, frame.bracket_coords(x, y))
-            if any(res):
-                return False
-    return True
+    rows = [list(b) for b in basis]
+    dim = linalg.rank(rows)
+    return all(linalg.rank(rows + [list(frame.bracket_coords(x, y))]) == dim
+               for x in basis for y in basis)
 
 
 def normalizer(frame: LieFrame,

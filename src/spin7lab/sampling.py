@@ -11,11 +11,11 @@ import random
 from itertools import combinations
 
 from .exterior.blades import DIM
-from .exterior.forms import Covector, KForm, Vector
+from .exterior.forms import KForm, Vector
 from .exterior.endo import Endo
 
 __all__ = ["random_vector", "random_nonzero_vector", "random_orthogonal_pair",
-           "random_independent_pair", "random_form", "random_endo",
+           "random_independent_pair", "random_form",
            "random_rank_one_nilpotent", "random_unimodular",
            "random_nilpotent", "random_even_scalar"]
 
@@ -60,10 +60,6 @@ def random_form(rng: random.Random, degree: int, nterms: int = 6) -> KForm:
         idx = rng.sample(range(1, DIM + 1), degree)
         terms.append((tuple(idx), rng.randint(-9, 9)))
     return KForm.from_terms(degree, terms)
-
-
-def random_endo(rng: random.Random) -> Endo:
-    return Endo([[rng.randint(-9, 9) for _ in range(DIM)] for _ in range(DIM)])
 
 
 def random_rank_one_nilpotent(rng: random.Random) -> Endo:

@@ -8,8 +8,9 @@ perturbation Φ + dt∧(Y⌟Φ) with even coefficients stays closed.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spin7lab.exterior.scalars import FieldScalar, Q
+from spin7lab.exterior.scalars import SQRT2, FieldScalar, Q
 from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon, HForm,
                                                InvariantField,
                                                build_bryant_salamon,
@@ -24,8 +25,8 @@ from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon, HForm,
                                                verify_killing,
                                                verify_pullback_proposition)
 from spin7lab.invariant.chamber import (ChamberForm, ChamberScalar, S, T, W,
-                                        W_INV, lie_derivative,
-                                        maurer_cartan_d)
+                                        W_INV, contract_generator,
+                                        lie_derivative, maurer_cartan_d)
 from spin7lab.invariant.liealg import build_lie_frame
 from spin7lab.sampling import random_even_scalar
 
@@ -165,6 +166,46 @@ def test_perturbation_shape():
     # every added term contains ds
     for slots, _c in delta.blades():
         assert slots[0] == 0
+
+
+def _contract_by_slots(field: InvariantField, form: ChamberForm) -> ChamberForm:
+    """Y⌟form as a running sum of the scaled generator contractions."""
+    out = ChamberForm.zero(form.degree - 1)
+    for slot, coeff in field.coefficients():
+        if coeff:
+            out = out + coeff * contract_generator(slot, form)
+    return out
+
+
+# w-exponents on both sides of zero and of the w⁵ reduction
+_laurent = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(-7, 7),
+              st.sampled_from([1, -2, 3, SQRT2])),
+    min_size=1, max_size=3).map(ChamberScalar.from_terms)
+_fields = st.builds(InvariantField, _laurent, _laurent, _laurent)
+_three_forms = st.lists(
+    st.tuples(st.lists(st.integers(0, 10), min_size=3, max_size=3,
+                       unique=True), _laurent),
+    max_size=6).map(lambda terms: sum(
+        (ChamberForm.blade(*slots, coeff=c) for slots, c in terms),
+        ChamberForm.zero(3)))
+
+
+@settings(max_examples=20)
+@given(_fields)
+def test_contract_matches_the_sum_of_generator_contractions_on_phi(field):
+    assert field.contract(BS.phi) == _contract_by_slots(field, BS.phi)
+
+
+@settings(max_examples=20)
+@given(_fields, _three_forms)
+def test_contract_matches_the_sum_of_generator_contractions(field, form):
+    assert field.contract(form) == _contract_by_slots(field, form)
+
+
+def test_contract_of_a_scalar_raises():
+    with pytest.raises(ValueError):
+        InvariantField.of(1, 0, 0).contract(ChamberForm.scalar(1))
 
 
 def test_closure_mechanism():

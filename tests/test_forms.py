@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from spin7lab.exterior.blades import DIM
-from spin7lab.exterior.forms import (Covector, KForm, Vector, basis_blades,
-                                     contract, hodge_star, inner,
-                                     nullspace_on_forms, wedge)
+from spin7lab.exterior.blades import BLADES, DIM
+from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
+                                     basis_blades, contract, hodge_star, inner,
+                                     wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
 
 from _strategies import forms, small_ints, vectors
@@ -172,7 +172,7 @@ def test_dot_symmetry(u, v):
 
 @given(vectors)
 def test_musical_isomorphisms_round_trip(v):
-    assert v.flat().sharp() == v
+    assert Vector(v.flat().components) == v
     # with the Euclidean metric, evaluation against v gives |v|^2
     assert v.flat()(v) == v.dot(v)
 
@@ -193,24 +193,25 @@ def test_vector_arithmetic():
     assert bool(u) and not Vector.zero()
 
 
-# -- kernel computation on form spaces ------------------------------------------
+# -- kernels of operators on form spaces ----------------------------------------
 
-def test_nullspace_on_forms_wedge_with_covector():
+def test_kernel_of_wedge_with_covector():
     # kernel of (e^1 ∧ ·) on Λ¹ is exactly the span of e^1
-    kernel = nullspace_on_forms(
-        lambda f: wedge(KForm.blade(1), f), 1)
-    assert len(kernel) == 1
-    assert kernel[0] == KForm.blade(1)
+    op = FormOperator.of_forms(2, [wedge(KForm.blade(1), b)
+                                   for b in basis_blades(1)])
+    kernel = op.kernel()
+    assert kernel == [{0: ONE}]
+    assert BLADES[1][0] == 1  # coordinate 0 is the blade e^1
 
 
-def test_nullspace_on_forms_accepts_precomputed_images():
+def test_kernel_of_a_map_from_fewer_coordinates():
+    # three images are a map from R³: only the first coordinate dies
     images = [wedge(KForm.blade(1), b) for b in basis_blades(1)]
-    kernel = nullspace_on_forms(images, 1)
-    assert len(kernel) == 1
-    with pytest.raises(ValueError):
-        nullspace_on_forms(images[:3], 1)
+    assert len(FormOperator.of_forms(2, images).kernel()) == 1
+    assert FormOperator.of_forms(2, images[:3]).kernel() == [{0: ONE}]
+    assert FormOperator.of_forms(2, images[1:4]).kernel() == []
 
 
-def test_nullspace_on_forms_zero_operator():
-    kernel = nullspace_on_forms(lambda f: KForm.zero(2), 2)
-    assert len(kernel) == 28
+def test_kernel_of_zero_operator():
+    kernel = FormOperator.zero(2).kernel()
+    assert kernel == [{j: ONE} for j in range(28)]
