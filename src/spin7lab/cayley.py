@@ -56,12 +56,16 @@ class DecompositionProjectors:
         return tuple(p.rank() for p in self.all())  # type: ignore[return-value]
 
     def is_resolution(self) -> bool:
-        """Idempotent, pairwise annihilating, summing to the identity."""
+        """Idempotent, pairwise annihilating, summing to the identity.
+
+        Only the sum and the 12 cross products are composed: Σⱼ pⱼ = I and
+        pᵢpⱼ = 0 for i ≠ j give pᵢ = pᵢ·Σⱼ pⱼ = pᵢ², so idempotence
+        follows."""
         ps = self.all()
         zero = FormOperator.zero(4)
         return (ps[0] + ps[1] + ps[2] + ps[3] == FormOperator.identity(4)
-                and all(p @ q == (p if i == j else zero)
-                        for i, p in enumerate(ps) for j, q in enumerate(ps)))
+                and all(p @ q == zero for i, p in enumerate(ps)
+                        for j, q in enumerate(ps) if i != j))
 
 
 @lru_cache(maxsize=1)

@@ -118,14 +118,16 @@ def representative(diagram: YoungDiagram) -> JordanRepresentative:
 
 
 def jordan_type_of(a: Endo) -> YoungDiagram:
-    """Recover the partition from the rank sequence of powers."""
-    if not a.is_nilpotent():
-        raise ValueError("jordan type computed for nilpotent input only")
+    """Recover the partition from the ranks of A, A², … up to the first
+    zero power; A^8 ≠ 0 means A is not nilpotent."""
     ranks = [DIM]
-    power = Endo.identity()
-    while ranks[-1]:
-        power = power @ a
+    power = a
+    while power:
+        if len(ranks) == DIM:
+            raise ValueError("jordan type computed for nilpotent input only")
         ranks.append(power.rank())
+        power = power @ a
+    ranks.append(0)
     blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     blocks_ge.append(0)
     parts = []
@@ -136,10 +138,11 @@ def jordan_type_of(a: Endo) -> YoungDiagram:
 
 @dataclass(frozen=True)
 class KernelSpace:
-    """K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the diagram's representative."""
+    """K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the diagram's representative A."""
 
     diagram: YoungDiagram
     basis: tuple[KForm, ...]
+    representative: JordanRepresentative
 
     @property
     def dimension(self) -> int:
@@ -150,11 +153,12 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
     """K for the representative, whose entries are 0 and 1: ρ(A) on Λ⁴ is
     built once as an integer FormOperator and squared on Python ints, and
     the sparse rows of ρ(A)² go to integer Gauss–Jordan."""
-    r = rho_operator(representative(diagram).matrix, 4)
+    rep = representative(diagram)
+    r = rho_operator(rep.matrix, 4)
     masks = BLADES[4]
     basis = tuple(KForm(4, {masks[j]: c for j, c in vec.items()})
                   for vec in (r @ r).kernel())
-    return KernelSpace(diagram=diagram, basis=basis)
+    return KernelSpace(diagram=diagram, basis=basis, representative=rep)
 
 
 # -- the cubic certificate ----------------------------------------------------
@@ -228,8 +232,7 @@ def find_certificate(diagram: YoungDiagram) -> Certificate:
     if kernel.dimension == len(BLADES[4]):
         # ρ(A)² kills every 4-form: every orbit element perturbs, admissible.
         return Certificate(diagram, "admissible", kernel.dimension)
-    rep = representative(diagram)
-    for u, v in _candidate_pairs(rep):
+    for u, v in _candidate_pairs(kernel.representative):
         if cubic_vanishes_on_subspace(u.vector, v.vector, kernel):
             return Certificate(diagram, "excluded", kernel.dimension, (u, v))
     return Certificate(diagram, "unresolved", kernel.dimension)

@@ -24,15 +24,21 @@ def wedge_sign(m1: int, m2: int) -> int:
     """Sign of blade(m1) ^ blade(m2) relative to blade(m1 | m2); 0 on overlap."""
     if m1 & m2:
         return 0
-    sign = 1
+    return -1 if (m1 & _sign_mask(m2)).bit_count() & 1 else 1
+
+
+def _sign_mask(m2: int) -> int:
+    """The mask S with wedge_sign(m1, m2) = (-1)^|m1 & S| for every m1
+    disjoint from m2: each generator j of m2 moves left past the
+    generators of m1 above j, and the parity of those counts summed over
+    j is the parity of |m1 & S| for S the XOR of the bits above each j."""
+    s = 0
     t = m2
     while t:
         low = t & -t
-        j = low.bit_length() - 1
-        if (m1 >> (j + 1)).bit_count() & 1:
-            sign = -sign
+        s ^= -(low << 1)
         t ^= low
-    return sign
+    return s
 
 
 def contract_sign(slot: int, mask: int) -> int:

@@ -9,6 +9,10 @@ coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
+
+Rational matrices run on Python ints, over one common denominator each:
+``@`` and ``pullback`` of a rational form divide once per output entry,
+and any surd entry keeps the FieldScalar path.
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ from math import factorial
 
 from . import linalg
 from .blades import BLADES, DIM, contract_sign, wedge_sign
-from .scalars import ZERO, Q, FieldScalar
+from .scalars import ZERO, FieldScalar, _integer_matrix
 from .forms import (Covector, FormOperator, KForm, Vector, _combine,
-                    blade_pullback)
+                    _pulled_back, blade_pullback)
 
-__all__ = ["Endo", "rho", "rho_operator", "pullback", "exp_nilpotent",
-           "commutator"]
+__all__ = ["Endo", "rho", "rho_operator", "pullback", "exp_nilpotent"]
 
 
 class Endo:
@@ -59,13 +62,6 @@ class Endo:
         return Endo([[alpha.components[i] * v.components[j]
                       for j in range(DIM)] for i in range(DIM)])
 
-    @staticmethod
-    def diagonal(*entries) -> "Endo":
-        if len(entries) != DIM:
-            raise ValueError(f"need {DIM} diagonal entries")
-        return Endo([[entries[i] if i == j else 0 for j in range(DIM)]
-                     for i in range(DIM)])
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "Endo") -> "Endo":
@@ -90,31 +86,16 @@ class Endo:
     __mul__ = __rmul__
 
     def __matmul__(self, other: "Endo") -> "Endo":
+        """Two rational factors multiply as int matrices over their common
+        denominators, and each entry is divided once by den_a·den_b."""
         if not isinstance(other, Endo):
             return NotImplemented
-        # row i of the product is Σ_j a_ij · (row j of other), nonzeros only
-        nonzero = [[(k, b) for k, b in enumerate(row) if b] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [ZERO] * DIM
-            for a, entries in zip(row, nonzero):
-                if a:
-                    for k, b in entries:
-                        acc[k] = acc[k] + a * b
-            out.append(acc)
-        return Endo(out)
-
-    def __pow__(self, n: int) -> "Endo":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Endo.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            base = base @ base
-            n >>= 1
-        return out
+        left, right = _integer_matrix(self.rows), _integer_matrix(other.rows)
+        if left is None or right is None:
+            return Endo(_product(self.rows, other.rows, ZERO))
+        den = left[0] * right[0]
+        return Endo([[FieldScalar.from_ratio(n, den) for n in row]
+                     for row in _product(left[1], right[1], 0)])
 
     def __eq__(self, other):
         return isinstance(other, Endo) and self.rows == other.rows
@@ -131,24 +112,8 @@ class Endo:
 
     # -- actions and predicates ------------------------------------------
 
-    def apply(self, alpha: Covector) -> Covector:
-        return Covector(tuple(
-            sum((row[j] * alpha.components[j] for j in range(DIM)), ZERO)
-            for row in self.rows))
-
     def rank(self) -> int:
         return linalg.rank(self.rows)
-
-    def is_rational(self) -> bool:
-        return all(x.is_rational() for row in self.rows for x in row)
-
-    def is_nilpotent(self) -> bool:
-        p = self
-        for _ in range(3):  # A^8 via three squarings
-            if not p:
-                return True
-            p = p @ p
-        return not p
 
     def to_record(self) -> dict:
         """JSON-ready record; rationals as strings, bit-exact round-trip."""
@@ -160,8 +125,19 @@ class Endo:
                      for row in record["rows"]])
 
 
-def commutator(a: Endo, b: Endo) -> Endo:
-    return a @ b - b @ a
+def _product(rows_a, rows_b, zero) -> list[list]:
+    """The matrix product over any ring: row i is Σ_j a_ij·(row j of b),
+    summed over nonzero entries only."""
+    nonzero = [[(k, b) for k, b in enumerate(row) if b] for row in rows_b]
+    out = []
+    for row in rows_a:
+        acc = [zero] * DIM
+        for a, entries in zip(row, nonzero):
+            if a:
+                for k, b in entries:
+                    acc[k] = acc[k] + a * b
+        out.append(acc)
+    return out
 
 
 def _columns(rows) -> list[list[tuple[int, object]]]:
@@ -204,29 +180,42 @@ def rho_operator(a: Endo, degree: int) -> FormOperator:
     An integer matrix gives an integer operator (int coefficients), so
     its powers and their kernels never touch FieldScalar arithmetic.
     """
-    ints = [[x.integer_value() for x in row] for row in a.rows]
-    columns = _columns(a.rows if any(None in row for row in ints) else ints)
+    ints = _integer_matrix(a.rows)
+    columns = _columns(ints[1] if ints and ints[0] == 1 else a.rows)
     return FormOperator(degree, [
         {key: c for key, c in _rho_image(columns, m).items() if c}
         for m in BLADES[degree]])
 
 
 def pullback(l_map: Endo, form: KForm) -> KForm:
-    """Λ^k extension: each covector slot is mapped through l_map and wedged."""
-    return blade_pullback(form, [KForm(1, {1 << i: l_map.rows[i][j]
-                                           for i in range(DIM)})
-                                 for j in range(DIM)])
+    """Λ^k L: each covector slot is mapped through L and the images are
+    wedged, on the int numerators of a rational L and form, with one
+    division by den(L)^k·den(form) per output coefficient."""
+    items = list(form.mask_items())
+    matrix = _integer_matrix(l_map.rows)
+    values = _integer_matrix([[c for _, c in items]])
+    if matrix is None or values is None or not form.degree:
+        return blade_pullback(form, [KForm(1, dict(column))
+                                     for column in _columns(l_map.rows)])
+    (den_l, rows), (den_f, (numerators,)) = matrix, values
+    terms = _pulled_back({m: n for (m, _), n in zip(items, numerators)},
+                         [dict(column) for column in _columns(rows)])
+    den = den_l ** form.degree * den_f
+    return KForm(form.degree, {m: FieldScalar.from_ratio(n, den)
+                               for m, n in terms.items()})
 
 
 def exp_nilpotent(a: Endo) -> Endo:
-    """exp of a nilpotent matrix as the finite series sum A^k / k!."""
-    if not a.is_nilpotent():
-        raise ValueError("exp_nilpotent requires nilpotent input")
+    """exp of a nilpotent matrix as the finite series Σ A^k/k!, summed in
+    one power loop that stops at the first zero power; A^8 ≠ 0 means A is
+    not nilpotent."""
     acc = Endo.identity()
-    power = Endo.identity()
+    power = a
     for k in range(1, DIM):
-        power = power @ a
         if not power:
-            break
-        acc = acc + FieldScalar(Q(1, factorial(k))) * power
+            return acc
+        acc = acc + FieldScalar.from_ratio(1, factorial(k)) * power
+        power = power @ a
+    if power:
+        raise ValueError("exp_nilpotent requires nilpotent input")
     return acc

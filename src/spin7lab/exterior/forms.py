@@ -5,8 +5,9 @@ coefficients; zero coefficients are pruned eagerly so equality is
 structural.  The engine below (add, negate, scale, wedge, contraction by
 one generator, blade pullback) only adds, negates and multiplies the
 coefficients it is given, so the same code serves KForm (the eight
-covectors of R^8 over Q(sqrt2, sqrt3)) and ChamberForm (the eleven chamber
-coframe generators over the chamber ring).
+covectors of R^8 over Q(sqrt2, sqrt3)), ChamberForm (the eleven chamber
+coframe generators over the chamber ring) and the int numerators of a
+rational ``endo.pullback``.
 
 On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
@@ -27,8 +28,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from . import linalg
-from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, complement_sign,
-                     contract_sign, indices_of, mask_of, wedge_sign)
+from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, _sign_mask,
+                     complement_sign, contract_sign, indices_of, mask_of)
 from .scalars import ONE, ZERO, FieldScalar
 
 __all__ = ["Form", "Vector", "Covector", "KForm", "FormOperator", "add",
@@ -211,17 +212,23 @@ def scale(s, a: Form) -> Form:
 
 
 def wedge(a: Form, b: Form) -> Form:
+    return type(a)(a.degree + b.degree, _wedged(a._terms, b._terms))
+
+
+def _wedged(terms1: dict, terms2: dict) -> dict:
+    """The wedge of two term maps, in one accumulator per blade; zero sums
+    are pruned."""
     acc: dict = {}
-    for m1, c1 in a._terms.items():
-        for m2, c2 in b._terms.items():
+    right = [(m2, c2, _sign_mask(m2)) for m2, c2 in terms2.items()]
+    for m1, c1 in terms1.items():
+        for m2, c2, sign_mask in right:
             if m1 & m2:
                 continue
-            s = wedge_sign(m1, m2)
             m = m1 | m2
             prev = acc.get(m)
-            term = c1 * c2 if s == 1 else -(c1 * c2)
+            term = -(c1 * c2) if (m1 & sign_mask).bit_count() & 1 else c1 * c2
             acc[m] = term if prev is None else prev + term
-    return type(a)(a.degree + b.degree, acc)
+    return {m: c for m, c in acc.items() if c}
 
 
 def contract_generator(slot: int, a: Form) -> Form:
@@ -249,17 +256,32 @@ def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
         raise ValueError(f"need one image per generator, got {len(images)}")
     if a.degree == 0:
         return a
+    return type(a)(a.degree,
+                   _pulled_back(a._terms, [f._terms for f in images]))
+
+
+def _pulled_back(terms: dict, images: Sequence[dict]) -> dict:
+    """Σ c·(wedge of the images of m's generators) over the nonempty
+    blades m of ``terms``, on term maps over any coefficient ring.  The
+    wedge for each prefix mask (a blade's first j generators, in increasing
+    order) is built once per call and shared by the blades that start so."""
+    prefixes: dict = {}
     pieces = []
-    for m, coeff in a._terms.items():
-        low = m & -m
-        piece = images[low.bit_length() - 1]
-        t = m ^ low
-        while t and piece:
+    for m, coeff in terms.items():
+        prefix, piece = 0, None
+        t = m
+        while t:
             low = t & -t
             t ^= low
-            piece = wedge(piece, images[low.bit_length() - 1])
-        pieces.append((piece._terms, coeff))
-    return type(a)(a.degree, _combine(pieces))
+            prefix |= low
+            known = prefixes.get(prefix)
+            if known is None:
+                image = images[low.bit_length() - 1]
+                known = image if piece is None else _wedged(piece, image)
+                prefixes[prefix] = known
+            piece = known
+        pieces.append((piece, coeff))
+    return _combine(pieces)
 
 
 def _combine(pairs) -> dict:

@@ -184,12 +184,6 @@ class FieldScalar:
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
 
-    def integer_value(self) -> int | None:
-        """The scalar as an int, or None when it is not an integer."""
-        if self._den == 1 and not (self._b or self._c or self._d):
-            return self._a
-        return None
-
     def rational_value(self) -> Q:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
@@ -257,6 +251,19 @@ def integer_row(row) -> dict[int, int] | None:
     if den == 1:
         return {j: x._a for j, x in nonzero.items()}
     return {j: x._a * (den // x._den) for j, x in nonzero.items()}
+
+
+def _integer_matrix(rows) -> tuple[int, list[list[int]]] | None:
+    """(den, int rows) with every entry = numerator/den over the lcm den
+    of the entries' denominators, if every entry is rational; else None."""
+    den = 1
+    for row in rows:
+        for x in row:
+            if x._b or x._c or x._d:
+                return None
+            if x._den != 1:
+                den = lcm(den, x._den)
+    return den, [[x._a * (den // x._den) for x in row] for row in rows]
 
 
 _new = object.__new__

@@ -17,7 +17,7 @@ from .exterior.endo import Endo
 __all__ = ["random_vector", "random_nonzero_vector", "random_orthogonal_pair",
            "random_independent_pair", "random_form",
            "random_rank_one_nilpotent", "random_unimodular",
-           "random_nilpotent", "random_even_scalar"]
+           "random_even_scalar"]
 
 
 def random_vector(rng: random.Random, lo: int = -9, hi: int = 9) -> Vector:
@@ -80,25 +80,6 @@ def random_unimodular(rng: random.Random, shears: int = 6) -> tuple[Endo, Endo]:
         g = g @ shear
         g_inv = unshear @ g_inv
     return g, g_inv
-
-
-def random_nilpotent(rng: random.Random, max_rank: int = 3) -> Endo:
-    """A nilpotent matrix of rank <= max_rank, conjugated off Jordan form."""
-    starts = []
-    pos = 1
-    rank = 0
-    while pos <= DIM and rank < max_rank:
-        size = rng.randint(1, min(DIM - pos + 1, max_rank - rank + 1))
-        if size >= 2:
-            starts.append((pos, size))
-            rank += size - 1
-        pos += size
-    n = Endo.zero()
-    for start, size in starts:
-        for k in range(size - 1):
-            n = n + Endo.unit(start + k + 1, start + k)
-    g, g_inv = random_unimodular(rng)
-    return g @ n @ g_inv
 
 
 def random_even_scalar(rng: random.Random, max_half_degree: int = 4):

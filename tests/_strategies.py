@@ -8,7 +8,8 @@ the algebra, not in the size of the numbers.
 from hypothesis import strategies as st
 
 from spin7lab.exterior.blades import blades_of_degree
-from spin7lab.exterior.forms import KForm, Vector
+from spin7lab.exterior.endo import Endo
+from spin7lab.exterior.forms import Covector, KForm, Vector
 from spin7lab.exterior.scalars import FieldScalar, Q
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -26,15 +27,71 @@ field_scalars = st.builds(
 
 nonzero_field_scalars = field_scalars.filter(bool)
 
+# (q·d + r)/d with 0 < r < d: never an integer
+rationals = st.integers(2, 6).flatmap(lambda d: st.builds(
+    lambda q, r: FieldScalar(Q(q * d + r, d)),
+    st.integers(-5, 4), st.integers(1, d - 1)))
+surds = st.builds(FieldScalar, small_ints, small_ints.filter(bool))
+
+# integers, non-integer rationals and a + b√2 with b != 0: the coefficient
+# rings that Endo products and the pullback branch on
+coefficient_families = (small_ints, rationals, surds)
+
 vectors = st.lists(small_ints, min_size=8, max_size=8).map(Vector)
 
 nonzero_vectors = vectors.filter(bool)
 
 
-def forms(degree: int, max_terms: int = 5):
-    """Sparse degree-k forms with small integer coefficients."""
+def forms(degree: int, max_terms: int = 5, coeffs=small_ints,
+          min_terms: int = 0):
+    """Sparse degree-k forms with small coefficients (integers by default)."""
     masks = blades_of_degree(degree)
     return st.lists(
-        st.tuples(st.sampled_from(masks), small_ints),
-        max_size=max_terms,
-    ).map(lambda pairs: KForm(degree, {m: FieldScalar(c) for m, c in pairs}))
+        st.tuples(st.sampled_from(masks), coeffs),
+        min_size=min_terms, max_size=max_terms,
+    ).map(lambda pairs: KForm(degree, {m: FieldScalar.of(c)
+                                       for m, c in pairs}))
+
+
+def mixed_forms(degree: int, max_terms: int = 5):
+    """Forms of one to max_terms terms with integer, non-integer rational
+    or surd coefficients."""
+    return st.sampled_from(coefficient_families).flatmap(
+        lambda coeffs: forms(degree, max_terms, coeffs, min_terms=1))
+
+
+def _with_zero_lines(rows, zero_rows, zero_cols):
+    return Endo([[0 if i in zero_rows or j in zero_cols else x
+                  for j, x in enumerate(row)] for i, row in enumerate(rows)])
+
+
+def _squares(entries):
+    """8x8 matrices of these entries, with up to three rows and columns
+    zeroed."""
+    eight = st.lists(entries, min_size=8, max_size=8)
+    lines = st.sets(st.integers(0, 7), max_size=3)
+    return st.builds(_with_zero_lines, st.lists(eight, min_size=8, max_size=8),
+                     lines, lines)
+
+
+def _rank_one(entries):
+    eight = st.lists(entries, min_size=8, max_size=8)
+    return st.builds(lambda v, alpha: Endo.tensor(Vector(v), Covector(alpha)),
+                     eight, eight)
+
+
+# integer, non-integer rational and surd matrices, with rank-one maps
+mixed_endos = st.one_of(*(st.one_of(_squares(c), _rank_one(c))
+                          for c in coefficient_families))
+
+# a few elementary matrices with integer, rational or surd coefficients
+sparse_endos = st.sampled_from(coefficient_families).flatmap(
+    lambda coeffs: st.lists(
+        st.tuples(st.integers(1, 8), st.integers(1, 8), coeffs),
+        min_size=1, max_size=4,
+    ).map(lambda entries: sum((FieldScalar.of(c) * Endo.unit(i, j)
+                               for i, j, c in entries), Endo.zero())))
+
+# the identity plus such a map: rarely singular, so that pullbacks of forms
+# of higher degree rarely vanish
+identity_plus_sparse = sparse_endos.map(lambda a: Endo.identity() + a)

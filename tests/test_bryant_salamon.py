@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spin7lab.exterior.forms import blade_pullback
 from spin7lab.exterior.scalars import SQRT2, FieldScalar, Q
 from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon, HForm,
                                                InvariantField,
@@ -24,11 +25,13 @@ from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon, HForm,
                                                proposition_display,
                                                verify_killing,
                                                verify_pullback_proposition)
-from spin7lab.invariant.chamber import (ChamberForm, ChamberScalar, S, T, W,
-                                        W_INV, contract_generator,
+from spin7lab.invariant.chamber import (N_COFRAME, ChamberForm, ChamberScalar,
+                                        S, T, W, W_INV, contract_generator,
                                         lie_derivative, maurer_cartan_d)
 from spin7lab.invariant.liealg import build_lie_frame
 from spin7lab.sampling import random_even_scalar
+
+from _oracles import blade_pullback as old_blade_pullback
 
 BS = build_bryant_salamon()
 DS = ChamberForm.generator(0)
@@ -236,6 +239,22 @@ def test_orbit_witness():
               InvariantField.of(T, T * T + 1, 3 * T)]
     for field in fields:
         assert orbit_witness_holds(field)
+
+
+def test_blade_pullback_on_chamber_forms_matches_the_oracle():
+    rng = random.Random("test-bs:pullback-oracle")
+    for _ in range(3):
+        field = InvariantField.of(*(random_even_scalar(rng) for _ in range(3)))
+        # the images of orbit_witness_holds: Λ(Id + Y⊗dt)
+        images = [ChamberForm.generator(k) for k in range(N_COFRAME)]
+        for slot, coeff in field.coefficients():
+            images[slot] = images[slot] + (DT * coeff) * DS
+        singular = list(images)
+        singular[rng.randrange(1, N_COFRAME)] = ChamberForm.zero(1)
+        for imgs in (images, singular):
+            for form in (BS.phi, field.contract(BS.phi)):
+                assert blade_pullback(form, imgs) == \
+                    old_blade_pullback(form, imgs)
 
 
 # -- the metric and its isometries ----------------------------------------------------

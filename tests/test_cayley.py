@@ -11,11 +11,12 @@ from itertools import combinations, product
 
 import pytest
 
-from spin7lab.cayley import (build_omega, image_dimension,
+from spin7lab.cayley import (DecompositionProjectors, FormOperator,
+                             build_omega, image_dimension,
                              pair_contraction_cube, perturb_rank_one,
                              projectors, skew_perturbation, sl8_basis,
                              so8_basis, stabilizer_algebra)
-from spin7lab.exterior.endo import Endo, commutator, rho
+from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import (KForm, Vector, contract, hodge_star,
                                      inner, wedge)
 from spin7lab.exterior.linalg import rank
@@ -23,7 +24,7 @@ from spin7lab.exterior.scalars import FieldScalar, Q
 from spin7lab.sampling import (random_form, random_orthogonal_pair,
                                random_rank_one_nilpotent)
 
-from _oracles import flatten, is_skew, trace
+from _oracles import commutator, flatten, is_skew, trace
 
 OMEGA = build_omega().omega
 VOL = KForm.blade(1, 2, 3, 4, 5, 6, 7, 8)
@@ -128,6 +129,17 @@ def test_projector_ranks_and_resolution():
     ps = projectors()
     assert ps.ranks() == (1, 7, 27, 35)
     assert ps.is_resolution()
+
+
+def test_resolution_rejects_a_non_idempotent_split_of_the_identity():
+    # 2p1 + p7 + (p27 - p1) + p35 still sums to I, but 2p1 is not idempotent
+    ps = projectors()
+    doubled = FormOperator(4, [{m: 2 * c for m, c in img.items()}
+                               for img in ps.p1.images])
+    bad = DecompositionProjectors(p1=doubled, p7=ps.p7, p27=ps.p27 - ps.p1,
+                                  p35=ps.p35)
+    assert sum(bad.all()[1:], bad.p1) == FormOperator.identity(4)
+    assert not bad.is_resolution()
 
 
 def test_projector_action_on_omega():

@@ -20,6 +20,8 @@ from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import Vector
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
+from _oracles import is_nilpotent
+
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
 KERNEL_DIMS = {
     (8,): 15,
@@ -114,13 +116,17 @@ def test_diagram_validation():
 def test_representative_round_trips_through_jordan_type():
     for d in enumerate_diagrams():
         a = representative(d).matrix
-        assert a.is_nilpotent()
+        assert is_nilpotent(a)
         assert jordan_type_of(a) == d
 
 
 def test_jordan_type_rejects_non_nilpotent():
-    with pytest.raises(ValueError):
-        jordan_type_of(Endo.identity())
+    # the cyclic shift e^j -> e^(j+1 mod 8) has A^7 != 0 and A^8 = I
+    cycle = Endo([[1 if r == (c + 1) % 8 else 0 for c in range(8)]
+                  for r in range(8)])
+    for a in (Endo.identity(), cycle):
+        with pytest.raises(ValueError):
+            jordan_type_of(a)
 
 
 def test_jordan_type_is_a_conjugation_invariant():

@@ -6,44 +6,26 @@ tests check exactly on nilpotent inputs.
 """
 
 import random
+from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from spin7lab.exterior.endo import Endo, commutator, exp_nilpotent, pullback, rho
-from spin7lab.exterior.forms import Covector, KForm, Vector, wedge
+from spin7lab.classify import YoungDiagram, representative
+from spin7lab.exterior.blades import blades_of_degree
+from spin7lab.exterior.endo import Endo, exp_nilpotent, pullback, rho
+from spin7lab.exterior.forms import (Covector, KForm, Vector, blade_pullback,
+                                     wedge)
 from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 
-from _oracles import is_skew, trace
-from _strategies import forms, small_ints
+from _oracles import (apply, commutator, diagonal, is_nilpotent, is_rational,
+                      is_skew, random_nilpotent, trace)
+from _oracles import blade_pullback as old_blade_pullback
+from _strategies import (forms, identity_plus_sparse, mixed_endos,
+                         mixed_forms, small_ints, sparse_endos)
 
 endos = st.lists(st.lists(small_ints, min_size=8, max_size=8),
                  min_size=8, max_size=8).map(Endo)
-sparse_endos = st.lists(
-    st.tuples(st.integers(1, 8), st.integers(1, 8), small_ints),
-    min_size=1, max_size=4,
-).map(lambda entries: sum((c * Endo.unit(i, j) for i, j, c in entries),
-                          Endo.zero()))
-
-
-
-
-def _with_zero_lines(rows, zero_rows, zero_cols):
-    return Endo([[0 if i in zero_rows or j in zero_cols else x
-                  for j, x in enumerate(row)] for i, row in enumerate(rows)])
-
-
-# rational and surd matrices with zero rows and columns, and rank-one maps
-_entries = st.one_of(st.just(0), small_ints,
-                     st.builds(FieldScalar, small_ints, small_ints))
-_lines = st.sets(st.integers(0, 7), max_size=7)
-mixed_endos = st.one_of(
-    st.builds(_with_zero_lines,
-              st.lists(st.lists(_entries, min_size=8, max_size=8),
-                       min_size=8, max_size=8), _lines, _lines),
-    st.builds(lambda v, alpha: Endo.tensor(Vector(v), Covector(alpha)),
-              st.lists(_entries, min_size=8, max_size=8),
-              st.lists(_entries, min_size=8, max_size=8)))
 
 
 def seeded(name: str) -> random.Random:
@@ -55,7 +37,7 @@ def seeded(name: str) -> random.Random:
 @given(endos, endos)
 def test_matmul_matches_composition_on_covectors(a, b):
     alpha = Covector(range(1, 9))
-    assert (a @ b).apply(alpha) == a.apply(b.apply(alpha))
+    assert apply(a @ b, alpha) == apply(a, apply(b, alpha))
 
 
 @given(mixed_endos, mixed_endos)
@@ -67,13 +49,13 @@ def test_matmul_matches_the_dense_sum(a, b):
 
 
 def test_constructors():
-    assert Endo.unit(2, 5).apply(Covector.basis(5)) == Covector.basis(2)
-    assert not Endo.unit(2, 5).apply(Covector.basis(4))
-    d = Endo.diagonal(1, 2, 3, 4, 5, 6, 7, 8)
-    assert d.apply(Covector.basis(3)) == 3 * Covector.basis(3)
+    assert apply(Endo.unit(2, 5), Covector.basis(5)) == Covector.basis(2)
+    assert not apply(Endo.unit(2, 5), Covector.basis(4))
+    d = diagonal(1, 2, 3, 4, 5, 6, 7, 8)
+    assert apply(d, Covector.basis(3)) == 3 * Covector.basis(3)
     assert trace(d) == FieldScalar(36)
     with pytest.raises(ValueError):
-        Endo.diagonal(1, 2, 3)
+        diagonal(1, 2, 3)
     with pytest.raises(ValueError):
         Endo([[1, 2], [3, 4]])
 
@@ -86,16 +68,16 @@ def test_tensor_is_rank_one():
     # as a map on covectors: eps -> eps(v) * alpha
     eps = Covector([1, 1, 1, 1, 1, 1, 1, 1])
     evaluated = sum((c for c in v.components), ZERO)
-    assert t.apply(eps) == evaluated * alpha
+    assert apply(t, eps) == evaluated * alpha
 
 
 def test_predicates():
     n = Endo.unit(1, 2)
-    assert n.is_nilpotent() and not Endo.identity().is_nilpotent()
+    assert is_nilpotent(n) and not is_nilpotent(Endo.identity())
     skew = Endo.unit(1, 2) - Endo.unit(2, 1)
     assert is_skew(skew) and not is_skew(Endo.unit(1, 2))
-    assert Endo.identity().is_rational()
-    assert not (FieldScalar(0, 1) * Endo.identity()).is_rational()
+    assert is_rational(Endo.identity())
+    assert not is_rational(FieldScalar(0, 1) * Endo.identity())
 
 
 @given(endos)
@@ -130,7 +112,7 @@ def test_rho_on_one_forms_is_matrix_action():
 
 # -- pullback: the multiplicative action ----------------------------------------
 
-@given(sparse_endos, sparse_endos, forms(3))
+@given(identity_plus_sparse, identity_plus_sparse, mixed_forms(3))
 def test_pullback_is_functorial(a, b, x):
     assert pullback(a @ b, x) == pullback(a, pullback(b, x))
 
@@ -140,7 +122,7 @@ def test_pullback_of_identity(x):
     assert pullback(Endo.identity(), x) == x
 
 
-@given(sparse_endos, forms(2), forms(2))
+@given(identity_plus_sparse, mixed_forms(2), mixed_forms(2))
 def test_pullback_is_multiplicative_over_wedge(a, x, y):
     assert pullback(a, wedge(x, y)) == wedge(pullback(a, x), pullback(a, y))
 
@@ -160,26 +142,109 @@ def test_pullback_scaling_weights_by_degree():
     two = 2 * Endo.identity()
     x = KForm.blade(1, 2, 3)
     assert pullback(two, x) == 8 * x
+    third = FieldScalar(Q(1, 3)) * Endo.identity()
+    assert pullback(third, FieldScalar(Q(5, 2)) * x) == FieldScalar(Q(5, 54)) * x
+
+
+def generator_images(l_map):
+    """The 1-forms L e^j that the oracle wedges."""
+    return [KForm(1, {1 << i: row[j] for i, row in enumerate(l_map.rows)})
+            for j in range(8)]
+
+
+# random entries of each coefficient family: drawn from a seeded generator,
+# because Hypothesis's own draws favour zero and constant (rank <= 1) maps,
+# which kill every form of degree >= 2
+_ENTRY = {"int": lambda rng: rng.randint(-9, 9),
+          "rational": lambda rng: Q(rng.randint(-30, 30), rng.randint(2, 6)),
+          "surd": lambda rng: FieldScalar(rng.randint(-9, 9),
+                                          rng.randint(-9, 9))}
+_FAMILIES = st.sampled_from(sorted(_ENTRY))
+
+
+@settings(max_examples=60)
+@given(_FAMILIES, _FAMILIES, st.integers(0, 8),
+       st.sets(st.integers(0, 7), max_size=2), st.randoms(use_true_random=True))
+def test_pullback_matches_the_per_blade_oracle(l_family, x_family, degree,
+                                               zero_columns, rng):
+    # dense maps, and singular ones with zero image columns
+    l_map = Endo([[0 if j in zero_columns else _ENTRY[l_family](rng)
+                   for j in range(8)] for _ in range(8)])
+    masks = blades_of_degree(degree)
+    x = KForm(degree, {m: FieldScalar.of(_ENTRY[x_family](rng))
+                       for m in rng.sample(masks, min(3, len(masks)))})
+    images = generator_images(l_map)
+    expected = old_blade_pullback(x, images)
+    assert pullback(l_map, x) == expected
+    assert blade_pullback(x, images) == expected
+
+
+@pytest.mark.parametrize("t", ["1", "-3", "5/7"])
+def test_pullback_along_the_checked_exponentials_matches_the_oracle(t):
+    from spin7lab.cayley import build_omega
+    from spin7lab.sampling import random_rank_one_nilpotent
+    rng = seeded(f"exp-oracle:{t}")
+    omega = build_omega().omega
+    for _ in range(2):
+        l_map = exp_nilpotent(FieldScalar(t) * random_rank_one_nilpotent(rng))
+        assert pullback(l_map, omega) == \
+            old_blade_pullback(omega, generator_images(l_map))
+
+
+def test_rational_pullback_multiplies_no_field_scalars(monkeypatch):
+    rng = seeded("spy")
+    l_map = Endo([[Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]
+                  for _ in range(8)])
+    x = KForm(4, {m: FieldScalar(Q(rng.randint(1, 9), 3))
+                  for m in (0b1111, 0b110011, 0b11000011, 0b10101010)})
+    calls = []
+    original = FieldScalar.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(FieldScalar, "__mul__", counted)
+    monkeypatch.setattr(FieldScalar, "__rmul__", counted)
+    out = pullback(l_map, x)
+    assert not calls
+    monkeypatch.undo()
+    assert out and out == old_blade_pullback(x, generator_images(l_map))
 
 
 # -- exponential ---------------------------------------------------------------
 
 def test_exp_nilpotent_is_a_group_homomorphism():
     rng = seeded("exp")
-    from spin7lab.sampling import random_nilpotent
     for _ in range(6):
         a = random_nilpotent(rng)
         assert exp_nilpotent(a) @ exp_nilpotent(-a) == Endo.identity()
 
 
+def test_exp_of_the_full_jordan_block_uses_every_term():
+    # J^7 != 0 = J^8, so exp(J) has 1/(r - c)! on and below the diagonal
+    j = representative(YoungDiagram.of(8)).matrix
+    e = exp_nilpotent(j)
+    assert e.rows == tuple(
+        tuple(FieldScalar(Q(1, factorial(r - c))) if r >= c else ZERO
+              for c in range(8)) for r in range(8))
+    assert e @ exp_nilpotent(-j) == Endo.identity()
+
+
+# the cyclic shift e^j -> e^(j+1 mod 8): A^7 != 0 and A^8 = I
+CYCLE = Endo([[1 if r == (c + 1) % 8 else 0 for c in range(8)]
+              for r in range(8)])
+
+
 def test_exp_nilpotent_rejects_non_nilpotent():
-    with pytest.raises(ValueError):
-        exp_nilpotent(Endo.identity())
+    for a in (Endo.identity(), CYCLE):
+        with pytest.raises(ValueError):
+            exp_nilpotent(a)
 
 
 def test_pullback_of_exp_equals_exp_of_rho():
     rng = seeded("exp-rho")
-    from spin7lab.sampling import random_form, random_nilpotent
+    from spin7lab.sampling import random_form
     for _ in range(4):
         a = random_nilpotent(rng)
         x = random_form(rng, 3, nterms=4)

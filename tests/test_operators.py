@@ -22,6 +22,7 @@ from spin7lab.exterior.endo import Endo, rho, rho_operator
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
 from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
 
+from _oracles import is_rational
 from _strategies import forms
 
 
@@ -102,9 +103,10 @@ def rank_one_nilpotents(entries):
 
 
 rational_nilpotents = rank_one_nilpotents(_rationals).filter(
-    lambda a: any(x.integer_value() is None for row in a.rows for x in row))
+    lambda a: any(x.rational_value().denominator != 1
+                  for row in a.rows for x in row))
 surd_nilpotents = rank_one_nilpotents(_surds).filter(
-    lambda a: not a.is_rational())
+    lambda a: not is_rational(a))
 matrices = st.one_of(jordan_matrices, rational_nilpotents, surd_nilpotents)
 
 
