@@ -1,13 +1,13 @@
 """Classification of nilpotent perturbation directions for the Cayley form.
 
 For each of the 22 nilpotent Jordan types on R^8 this module builds the
-canonical representative A, the kernel K = {ω ∈ Λ⁴ : ρ(A)²ω = 0}, and a
+canonical representative A, the kernel K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} and a
 certificate deciding whether K can meet the GL(8)-orbit of the Cayley
-form.  The obstruction is degeneracy: if some pair of dual vectors (u, v)
-has (u⌟v⌟ω)³ = 0 for EVERY ω ∈ K — proved by expanding the cubic's
-coefficients, not by sampling — then no orbit element lies in K and the
-type is excluded.  Exactly the rank-one type (2,1,...,1) and the zero type
-(1,...,1) survive.
+form, on Python ints from ρ(A) to the verdict.  The obstruction is
+degeneracy: if some pair of dual vectors (u, v) has (u⌟v⌟ω)³ = 0 for
+EVERY ω ∈ K — proved by expanding the cubic's coefficients, not by
+sampling — then no orbit element lies in K and the type is excluded.
+Exactly the rank-one type (2,1,...,1) and the zero type (1,...,1) survive.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from .exterior.blades import BLADES, DIM
-from .exterior.forms import Covector, KForm, Vector, contract, wedge
+from .exterior.forms import KForm, Vector, _wedged
 from .exterior.endo import Endo, rho, rho_operator
+from .exterior.scalars import ONE, ZERO, FieldScalar, integer_row
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -89,30 +90,17 @@ class JordanRepresentative:
     matrix: Endo
     labels: tuple[str, ...]
 
-    @property
-    def w_positions(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, lab in enumerate(self.labels)
-                     if lab.startswith("w"))
-
-    @property
-    def v_positions(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, lab in enumerate(self.labels)
-                     if lab.startswith("v"))
-
-    def generator(self, label: str) -> Covector:
-        return Covector.basis(self.labels.index(label) + 1)
-
 
 def representative(diagram: YoungDiagram) -> JordanRepresentative:
     labels = [""] * DIM
-    rows = [[0] * DIM for _ in range(DIM)]
+    rows = [[ZERO] * DIM for _ in range(DIM)]
     for start, size in diagram.blocks():
         labels[start - 1] = (f"w{start}" if size >= 2 else f"v{start}")
         for k in range(1, size):
             labels[start - 1 + k] = f"v{start + k}"
         for k in range(size - 1):
             # the chain step e^(start+k) -> e^(start+k+1), 1-based
-            rows[start + k][start + k - 1] = 1
+            rows[start + k][start + k - 1] = ONE
     return JordanRepresentative(diagram=diagram, matrix=Endo(rows),
                                 labels=tuple(labels))
 
@@ -128,59 +116,90 @@ def jordan_type_of(a: Endo) -> YoungDiagram:
         ranks.append(power.rank())
         power = power @ a
     ranks.append(0)
-    blocks_ge = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    blocks_ge.append(0)
-    parts = []
-    for size in range(len(blocks_ge) - 1, 0, -1):
-        parts.extend([size] * (blocks_ge[size - 1] - blocks_ge[size]))
-    return YoungDiagram(tuple(sorted(parts, reverse=True)))
+    # at_least[k - 1] = ranks[k - 1] - ranks[k] blocks have size >= k
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
+    return YoungDiagram(tuple(
+        size for size in range(len(at_least) - 1, 0, -1)
+        for _ in range(at_least[size - 1] - at_least[size])))
 
 
 @dataclass(frozen=True)
 class KernelSpace:
-    """K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the diagram's representative A."""
+    """K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the diagram's representative A,
+    spanned by ``vectors``, primitive int coordinates over ``BLADES[4]``;
+    ``basis`` is the canonical basis of ``linalg.nullspace`` (each vector
+    over its last entry, in its free column), built as KForms on demand."""
 
     diagram: YoungDiagram
-    basis: tuple[KForm, ...]
+    vectors: tuple[dict[int, int], ...]
     representative: JordanRepresentative
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
+
+    @property
+    def basis(self) -> tuple[KForm, ...]:
+        return tuple(KForm(4, {BLADES[4][j]: FieldScalar.from_ratio(
+            x, vec[max(vec)]) for j, x in vec.items()}) for vec in self.vectors)
 
 
 def kernel_space(diagram: YoungDiagram) -> KernelSpace:
     """K for the representative, whose entries are 0 and 1: ρ(A) on Λ⁴ is
-    built once as an integer FormOperator and squared on Python ints, and
-    the sparse rows of ρ(A)² go to integer Gauss–Jordan."""
+    an integer FormOperator, squared on Python ints, and integer
+    Gauss–Jordan on the sparse rows of ρ(A)² gives the kernel vectors."""
     rep = representative(diagram)
     r = rho_operator(rep.matrix, 4)
-    masks = BLADES[4]
-    basis = tuple(KForm(4, {masks[j]: c for j, c in vec.items()})
-                  for vec in (r @ r).kernel())
-    return KernelSpace(diagram=diagram, basis=basis, representative=rep)
+    return KernelSpace(diagram, tuple((r @ r).integer_kernel()), rep)
 
 
 # -- the cubic certificate ----------------------------------------------------
 #
 # (u⌟v⌟ Σ xᵢωᵢ)³ is a cubic in x with Λ⁶-valued coefficients.  Since the
 # two-forms qᵢ = u⌟v⌟ωᵢ commute, it vanishes identically iff
-# qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k.
+# qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k.  That depends only on span(K) and the
+# lines of u and v, so int kernel vectors and numerators give the verdict.
+
+
+def _components(x: Vector) -> list[tuple[int, object]]:
+    """(bit of e_i, x_i) over the nonzero components, as int numerators
+    over their common denominator when x is rational."""
+    ints = integer_row(x.components)
+    return [(1 << i, c) for i, c in (ints.items() if ints is not None else
+                                      enumerate(x.components)) if c]
+
+
+def _pair_contractions(u: Vector, v: Vector, vectors) -> list[dict]:
+    """The nonzero qᵢ = u⌟v⌟ωᵢ as term maps: a filter over the blades m of
+    ωᵢ that hold e_a and e_b, for the nonzero u_a and v_b, sending m to
+    m ^ b ^ a, negated by the parity of m's generators below b plus that
+    of (m ^ b)'s generators below a."""
+    pairs = [(a | b, (b - 1) ^ (a - 1) & ~b, x * y)
+             for a, x in _components(u) for b, y in _components(v) if a != b]
+    qs = []
+    for vec in vectors:
+        acc: dict = {}
+        for j, x in vec.items():
+            m = BLADES[4][j]
+            for ab, sign_mask, w in pairs:
+                if (m & ab) == ab:
+                    term = -w * x if (m & sign_mask).bit_count() & 1 else w * x
+                    acc[m ^ ab] = acc.get(m ^ ab, 0) + term
+        q = {m: c for m, c in acc.items() if c}
+        if q:
+            qs.append(q)
+    return qs
 
 
 def cubic_vanishes_on_subspace(u: Vector, v: Vector,
                                kernel: KernelSpace) -> bool:
-    """True iff (u⌟v⌟ω)³ = 0 for every ω in the span of the kernel basis."""
-    qs = [q for q in (contract(u, contract(v, omega)) for omega in kernel.basis)
-          if q]
+    """True iff (u⌟v⌟ω)³ = 0 for every ω in K."""
+    qs = _pair_contractions(u, v, kernel.vectors)
     for i, qi in enumerate(qs):
         for j in range(i, len(qs)):
-            rij = wedge(qi, qs[j])
-            if not rij:
-                continue
-            for k in range(j, len(qs)):
-                if wedge(rij, qs[k]):
-                    return False
+            rij = _wedged(qi, qs[j])
+            if rij and any(_wedged(rij, q) for q in qs[j:]):
+                return False
     return True
 
 
@@ -218,12 +237,12 @@ class Certificate:
 def _candidate_pairs(rep: JordanRepresentative) -> Iterator[tuple[LabeledVector, LabeledVector]]:
     """Deterministic search order: pairs of w-duals, then (w-dual, v-dual)
     pairs, then pairs of v-duals."""
-    w_duals = [LabeledVector(Vector.basis(p), f"w{p}") for p in rep.w_positions]
-    v_duals = [LabeledVector(Vector.basis(p), f"v{p}") for p in rep.v_positions]
+    duals = [LabeledVector(Vector.basis(i + 1), lab)
+             for i, lab in enumerate(rep.labels)]
+    w_duals = [d for d in duals if d.label[0] == "w"]
+    v_duals = [d for d in duals if d.label[0] == "v"]
     yield from combinations(w_duals, 2)
-    for wd in w_duals:
-        for vd in v_duals:
-            yield wd, vd
+    yield from product(w_duals, v_duals)
     yield from combinations(v_duals, 2)
 
 

@@ -5,14 +5,14 @@ coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
 
 * ``rho(A, a)`` — the derivation (Lie-algebra) action, replacing one slot
   at a time; ``rho_operator(A, k)`` is the same action built once as a
-  FormOperator on Λ^k;
+  FormOperator on Λ^k; both walk the nonzero entries of A;
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 
 Rational matrices run on Python ints, over one common denominator each:
-``@`` and ``pullback`` of a rational form divide once per output entry,
-and any surd entry keeps the FieldScalar path.
+``@``, and ``rho`` and ``pullback`` of a rational form, divide once per
+output entry, and any surd entry keeps the FieldScalar path.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from __future__ import annotations
 from math import factorial
 
 from . import linalg
-from .blades import BLADES, DIM, contract_sign, wedge_sign
+from .blades import BLADES, DIM
 from .scalars import ZERO, FieldScalar, _integer_matrix
 from .forms import (Covector, FormOperator, KForm, Vector, _combine,
-                    _pulled_back, blade_pullback)
+                    _pulled_back)
 
 __all__ = ["Endo", "rho", "rho_operator", "pullback", "exp_nilpotent"]
 
@@ -140,69 +140,72 @@ def _product(rows_a, rows_b, zero) -> list[list]:
     return out
 
 
-def _columns(rows) -> list[list[tuple[int, object]]]:
-    """Column p of a matrix as its nonzero (bit of e^i, entry) pairs."""
-    return [[(1 << i, row[p]) for i, row in enumerate(rows) if row[p]]
+def _columns(rows) -> list[dict]:
+    """Column p of a matrix as a {bit of e^i: entry} dict, nonzero only."""
+    return [{1 << i: row[p] for i, row in enumerate(rows) if row[p]}
             for p in range(DIM)]
 
 
-def _rho_image(columns, m: int) -> dict:
-    """ρ(A)e^m as a {blade: coefficient} dict: each slot p of the blade
-    replaced by e^i for every nonzero a_ip.  Diagonal entries send e^m to
-    itself once per slot, so a coefficient may sum to zero."""
-    acc: dict = {}
-    t = m
-    while t:
-        low = t & -t
-        t ^= low
-        p = low.bit_length() - 1
-        sub = m ^ low
-        s_out = contract_sign(p, m)
-        for bit, entry in columns[p]:
-            if sub & bit:
-                continue
-            term = entry if s_out * wedge_sign(bit, sub) == 1 else -entry
-            prev = acc.get(sub | bit)
-            acc[sub | bit] = term if prev is None else prev + term
-    return acc
+def _rho_images(columns, masks) -> list[dict]:
+    """ρ(A)e^m for each blade m of ``masks``, from the nonzero entries a_ip
+    of A: a blade with e^p, and without e^i unless i = p, sends a_ip to
+    m ^ p | i, negated if m has an odd number of generators strictly
+    between i and p.  Diagonal entries may sum to zero coefficients."""
+    images = [{} for _ in masks]
+    for p, column in enumerate(columns):
+        bit_p = 1 << p
+        for bit_i, entry in column.items():
+            both, negated = bit_p | bit_i, -entry
+            between = (abs(bit_i - bit_p) - min(bit_i, bit_p)
+                       if bit_i != bit_p else 0)
+            for image, m in zip(images, masks):
+                if (m & both) == bit_p:
+                    key = m ^ bit_p | bit_i
+                    image[key] = image.get(key, 0) + (
+                        negated if (m & between).bit_count() & 1 else entry)
+    return images
+
+
+def _on_numerators(a: Endo, form: KForm, action, den_power: int) -> KForm:
+    """action(term map of the form, columns of A), on the int numerators of
+    a rational A and form with one division by den(A)^den_power·den(form)
+    per output coefficient, or on FieldScalars when either has a surd."""
+    items = list(form.mask_items())
+    matrix = _integer_matrix(a.rows)
+    values = _integer_matrix([[c for _, c in items]])
+    if matrix is None or values is None:
+        return KForm(form.degree, action(dict(items), _columns(a.rows)))
+    (den_a, rows), (den_f, (numerators,)) = matrix, values
+    terms = action({m: n for (m, _), n in zip(items, numerators)},
+                   _columns(rows))
+    den = den_a ** den_power * den_f
+    return KForm(form.degree, {m: FieldScalar.from_ratio(n, den)
+                               for m, n in terms.items()})
 
 
 def rho(a: Endo, form: KForm) -> KForm:
     """Derivation action: replace each slot of each blade by its image."""
-    columns = _columns(a.rows)
-    return KForm(form.degree, _combine((_rho_image(columns, m), coeff)
-                                       for m, coeff in form.mask_items()))
+    return _on_numerators(a, form, lambda terms, columns: _combine(zip(
+        _rho_images(columns, list(terms)), terms.values())), 1)
 
 
 def rho_operator(a: Endo, degree: int) -> FormOperator:
-    """ρ(A) on Λ^degree, built once from the nonzero entries of A.
-
-    An integer matrix gives an integer operator (int coefficients), so
-    its powers and their kernels never touch FieldScalar arithmetic.
-    """
+    """ρ(A) on Λ^degree, built once from the nonzero entries of A.  An
+    integer A gives an integer operator, whose powers and kernels stay on
+    Python ints."""
     ints = _integer_matrix(a.rows)
     columns = _columns(ints[1] if ints and ints[0] == 1 else a.rows)
     return FormOperator(degree, [
-        {key: c for key, c in _rho_image(columns, m).items() if c}
-        for m in BLADES[degree]])
+        {key: c for key, c in image.items() if c}
+        for image in _rho_images(columns, BLADES[degree])])
 
 
 def pullback(l_map: Endo, form: KForm) -> KForm:
     """Λ^k L: each covector slot is mapped through L and the images are
-    wedged, on the int numerators of a rational L and form, with one
-    division by den(L)^k·den(form) per output coefficient."""
-    items = list(form.mask_items())
-    matrix = _integer_matrix(l_map.rows)
-    values = _integer_matrix([[c for _, c in items]])
-    if matrix is None or values is None or not form.degree:
-        return blade_pullback(form, [KForm(1, dict(column))
-                                     for column in _columns(l_map.rows)])
-    (den_l, rows), (den_f, (numerators,)) = matrix, values
-    terms = _pulled_back({m: n for (m, _), n in zip(items, numerators)},
-                         [dict(column) for column in _columns(rows)])
-    den = den_l ** form.degree * den_f
-    return KForm(form.degree, {m: FieldScalar.from_ratio(n, den)
-                               for m, n in terms.items()})
+    wedged (``forms._pulled_back``)."""
+    if not form.degree:
+        return form
+    return _on_numerators(l_map, form, _pulled_back, form.degree)
 
 
 def exp_nilpotent(a: Endo) -> Endo:

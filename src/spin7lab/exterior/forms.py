@@ -56,7 +56,7 @@ class _EightTuple:
     def basis(cls, i: int):
         if not 1 <= i <= DIM:
             raise ValueError(f"basis index {i} out of range 1..{DIM}")
-        return cls(tuple(1 if k == i - 1 else 0 for k in range(DIM)))
+        return cls(tuple(ONE if k == i - 1 else ZERO for k in range(DIM)))
 
     def __getitem__(self, i: int) -> FieldScalar:
         """Component with 1-based index, matching e_i / e^i labels."""
@@ -499,14 +499,18 @@ class FormOperator:
 
     def kernel(self) -> list[dict[int, FieldScalar]]:
         """Canonical kernel basis as sparse coordinate vectors, one per free
-        column with 1 there (the vectors of ``linalg.nullspace``).  The
-        sparse rows of an integer operator go to integer Gauss–Jordan."""
-        rows = self._rows()
-        ncols = len(self.images)
-        if all(type(c) is int for row in rows.values() for c in row.values()):
-            return linalg.integer_nullspace(list(rows.values()), ncols)
-        return [{j: x for j, x in enumerate(vec) if x}
-                for vec in linalg.nullspace(self._matrix(), ncols=ncols)]
+        column with 1 there (the vectors of ``linalg.nullspace``); an integer
+        operator's ``integer_kernel`` vectors over their last entries."""
+        if all(type(c) is int for img in self.images for c in img.values()):
+            return [{j: FieldScalar.from_ratio(x, vec[max(vec)])
+                     for j, x in vec.items()} for vec in self.integer_kernel()]
+        return [{j: x for j, x in enumerate(vec) if x} for vec in
+                linalg.nullspace(self._matrix(), ncols=len(self.images))]
+
+    def integer_kernel(self) -> list[dict[int, int]]:
+        """``linalg.integer_nullspace`` of an integer operator's rows."""
+        return linalg.integer_nullspace(list(self._rows().values()),
+                                        len(self.images))
 
     def is_idempotent(self) -> bool:
         return self @ self == self

@@ -17,8 +17,9 @@ echelon form) and picks its arithmetic from the entries:
   one inversion per pivot.
 
 ``integer_nullspace`` takes a matrix that is already sparse integer rows
-(the rows of an integer FormOperator) straight to the integer Gauss–Jordan,
-with no dense matrix and no FieldScalar until the kernel vectors.
+(the rows of an integer FormOperator) straight to the integer Gauss–Jordan
+and returns primitive integer kernel vectors, with no dense matrix and no
+FieldScalar at all.
 
 The RREF of a matrix is unique, so both paths give the same canonical
 bases, and the same matrix always yields the same result.
@@ -26,12 +27,12 @@ bases, and the same matrix always yields the same result.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import ONE, ZERO, FieldScalar, integer_row
 
 __all__ = ["echelon", "rref", "rank", "nullspace", "integer_nullspace",
-           "solve", "invert"]
+           "invert"]
 
 Matrix = list[list[FieldScalar]]
 SparseRow = dict[int, int]
@@ -164,35 +165,23 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]
     return basis
 
 
-def integer_nullspace(rows: list[SparseRow],
-                      ncols: int) -> list[dict[int, FieldScalar]]:
-    """The kernel basis of ``nullspace`` for a matrix given as sparse
-    integer rows without zero entries, as sparse {column: entry} vectors."""
+def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
+    """Per free column f, in order, the vector of ``nullspace`` for f made
+    a primitive int vector, positive in f, for a matrix given as sparse
+    integer rows.  Its other entries sit in pivot columns left of f."""
     basis = _integer_rref([_primitive(row) for row in rows if row])
     # a basis row is zero in the other pivot columns: the rest are free
-    out = {f: {f: ONE} for f in range(ncols) if f not in basis}
+    entries: dict[int, list] = {f: [] for f in range(ncols) if f not in basis}
     for c, row in basis.items():
         for f, x in row.items():
             if f != c:
-                out[f][c] = FieldScalar.from_ratio(-x, row[c])
-    return list(out.values())
-
-
-def solve(rows: Matrix, rhs: list[FieldScalar]) -> list[FieldScalar]:
-    """The unique solution of A x = b; raises if none exists or it is not unique."""
-    if not rows:
-        raise ValueError("linear system has no unique solution")
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        raise ValueError("linear system is inconsistent")
-    if len(pivots) != ncols:
-        raise ValueError("linear system has no unique solution")
-    x = [ZERO] * ncols
-    for row, c in zip(red, pivots):
-        x[c] = row[ncols]
-    return x
+                entries[f].append((c, x, row[c]))
+    out = []
+    for f, column in entries.items():
+        scale = lcm(*(p for _, _, p in column))
+        out.append(_primitive({f: scale, **{c: -x * (scale // p)
+                                            for c, x, p in column}}))
+    return out
 
 
 def invert(rows: Matrix) -> Matrix:

@@ -19,8 +19,7 @@ from .bryant_salamon import (DT, BryantSalamon, HForm, InvariantField,
                              build_metric, closure_mechanism_holds,
                              lemma_invariant_forms, metric_lie_derivative,
                              orbit_witness_holds, perturbed_form,
-                             pointwise_rank_one_check, proposition_display,
-                             verify_killing, verify_pullback_proposition)
+                             pointwise_rank_one_check, proposition_display)
 
 __all__ = [
     "GENERATOR_NAMES", "SP1_MINUS", "SP1_PLUS", "LieFrame", "Quaternion",
@@ -32,5 +31,4 @@ __all__ = [
     "build_bryant_salamon", "build_metric", "closure_mechanism_holds",
     "lemma_invariant_forms", "metric_lie_derivative", "orbit_witness_holds",
     "perturbed_form", "pointwise_rank_one_check", "proposition_display",
-    "verify_killing", "verify_pullback_proposition",
 ]

@@ -25,11 +25,10 @@ from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
                       S, _add_terms, _product_terms, maurer_cartan_d)
 
 __all__ = ["HForm", "BryantSalamon", "build_bryant_salamon",
-           "proposition_display", "verify_pullback_proposition",
-           "InvariantField", "perturbed_form", "closure_mechanism_holds",
-           "orbit_witness_holds", "InvariantMetric", "build_metric",
-           "metric_lie_derivative", "verify_killing",
-           "lemma_invariant_forms", "pointwise_rank_one_check", "DT"]
+           "proposition_display", "InvariantField", "perturbed_form",
+           "closure_mechanism_holds", "orbit_witness_holds", "InvariantMetric",
+           "build_metric", "metric_lie_derivative", "lemma_invariant_forms",
+           "pointwise_rank_one_check", "DT"]
 
 DT = ChamberScalar.monomial(2, 1, 0)  # dt = 2s ds as a coefficient of ds
 
@@ -141,10 +140,6 @@ def proposition_display() -> ChamberForm:
     out = out - (t * f * g) * paired
     out = out - (g * g) * blade(_X[1], _X[2], _X[3], _X[4])
     return out
-
-
-def verify_pullback_proposition() -> bool:
-    return build_bryant_salamon().phi == proposition_display()
 
 
 @dataclass(frozen=True)
@@ -310,14 +305,6 @@ def metric_lie_derivative(slot: int, metric: InvariantMetric,
             if total:
                 out[(i, j)] = total
     return InvariantMetric(out)
-
-
-def verify_killing(frame: LieFrame | None = None) -> bool:
-    """L_{A_i} g = 0 for i = 4, 5, 6 on the Bryant-Salamon metric."""
-    frame = frame or build_lie_frame()
-    metric = build_metric()
-    return all(not metric_lie_derivative(_A[i], metric, frame)
-               for i in (4, 5, 6))
 
 
 def lemma_invariant_forms() -> tuple[ChamberForm, ChamberForm]:

@@ -1,9 +1,16 @@
 """Reference helpers that only the tests use, kept out of the package."""
 
-from spin7lab.exterior.blades import DIM
+from spin7lab.exterior import linalg
+from spin7lab.exterior.blades import BLADES, DIM, contract_sign, wedge_sign
 from spin7lab.exterior.endo import Endo
-from spin7lab.exterior.forms import Covector, wedge
-from spin7lab.exterior.scalars import ZERO, FieldScalar
+from spin7lab.exterior.forms import (Covector, FormOperator, KForm, contract,
+                                     wedge)
+from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar
+from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
+                                               build_metric,
+                                               metric_lie_derivative,
+                                               proposition_display)
+from spin7lab.invariant.liealg import build_lie_frame
 from spin7lab.sampling import random_unimodular
 
 
@@ -70,6 +77,34 @@ def random_nilpotent(rng, max_rank=3):
     return g @ n @ g_inv
 
 
+def solve(rows, rhs):
+    """The unique solution of A x = b; raises if none exists or it is not
+    unique."""
+    if not rows:
+        raise ValueError("linear system has no unique solution")
+    ncols = len(rows[0])
+    red, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        raise ValueError("linear system is inconsistent")
+    if len(pivots) != ncols:
+        raise ValueError("linear system has no unique solution")
+    x = [ZERO] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+def verify_pullback_proposition():
+    return build_bryant_salamon().phi == proposition_display()
+
+
+def verify_killing(frame=None):
+    """L_{A_i} g = 0 for i = 4, 5, 6 on the Bryant-Salamon metric."""
+    frame = frame or build_lie_frame()
+    metric = build_metric()
+    return all(not metric_lie_derivative(i, metric, frame) for i in (4, 5, 6))
+
+
 def blade_pullback(a, images):
     """Λ^k of the map sending generator i to images[i], with every blade's
     wedge of images built from scratch and summed into a running total."""
@@ -105,3 +140,112 @@ def is_anti_hermitian(m):
     a, b, c, d = (m.a + m.a.conjugate(), m.b + m.c.conjugate(),
                   m.c + m.b.conjugate(), m.d + m.d.conjugate())
     return not (a or b or c or d)
+
+
+# -- the derivation action, its kernels and the cubic, as they were ------------
+
+def old_rho(a, form):
+    """Replace each slot of each blade by its image, one term at a time."""
+    acc = {}
+    for m, coeff in form.mask_items():
+        t = m
+        while t:
+            low = t & -t
+            t ^= low
+            p = low.bit_length() - 1
+            sub = m ^ low
+            s_out = contract_sign(p, m)
+            for i, row in enumerate(a.rows):
+                bit, entry = 1 << i, row[p]
+                if not entry or sub & bit:
+                    continue
+                term = coeff * entry
+                if s_out * wedge_sign(bit, sub) == -1:
+                    term = -term
+                key = sub | bit
+                acc[key] = acc[key] + term if key in acc else term
+    return KForm(form.degree, acc)
+
+
+def _rho_image(columns, m):
+    """ρ(A)e^m from A's nonzero column entries, visiting every slot of m."""
+    acc = {}
+    t = m
+    while t:
+        low = t & -t
+        t ^= low
+        p = low.bit_length() - 1
+        sub = m ^ low
+        s_out = contract_sign(p, m)
+        for bit, entry in columns[p]:
+            if sub & bit:
+                continue
+            term = entry if s_out * wedge_sign(bit, sub) == 1 else -entry
+            prev = acc.get(sub | bit)
+            acc[sub | bit] = term if prev is None else prev + term
+    return acc
+
+
+def old_rho_operator(a, degree):
+    """ρ(A) on Λ^degree built blade by blade, slot by slot, on FieldScalars."""
+    columns = [[(1 << i, row[p]) for i, row in enumerate(a.rows) if row[p]]
+               for p in range(DIM)]
+    return FormOperator(degree, [
+        {key: c for key, c in _rho_image(columns, m).items() if c}
+        for m in BLADES[degree]])
+
+
+def coefficient_matrix(images):
+    """Dense matrix of forms: one row per occurring blade, one column per form."""
+    masks = sorted({m for f in images for m, _ in f.mask_items()})
+    row_of = {m: i for i, m in enumerate(masks)}
+    matrix = [[ZERO] * len(images) for _ in masks]
+    for j, f in enumerate(images):
+        for m, c in f.mask_items():
+            matrix[row_of[m]][j] = c
+    return matrix
+
+
+def nullspace_on_forms(op, degree):
+    """Canonical kernel basis of a map on Λ^degree, by dense elimination."""
+    domain = BLADES[degree]
+    images = [op(KForm(degree, {m: ONE})) for m in domain]
+    kernel = linalg.nullspace(coefficient_matrix(images), ncols=len(domain))
+    return [KForm(degree, dict(zip(domain, vec))) for vec in kernel]
+
+
+def old_kernel_basis(a):
+    """The canonical basis of {ω ∈ Λ⁴ : ρ(A)²ω = 0} as FieldScalar KForms."""
+    return nullspace_on_forms(lambda b: old_rho(a, old_rho(a, b)), 4)
+
+
+def old_cubic_vanishes(u, v, basis):
+    """(u⌟v⌟ω)³ = 0 on the span of ``basis``, by FieldScalar contraction
+    and wedge of every qᵢ = u⌟v⌟ωᵢ."""
+    qs = [q for q in (contract(u, contract(v, omega)) for omega in basis) if q]
+    for i, qi in enumerate(qs):
+        for j in range(i, len(qs)):
+            rij = wedge(qi, qs[j])
+            if not rij:
+                continue
+            for k in range(j, len(qs)):
+                if wedge(rij, qs[k]):
+                    return False
+    return True
+
+
+def count_calls(monkeypatch, *names):
+    """Counts calls of these FieldScalar methods; ``__rmul__`` shares the
+    ``__mul__`` counter."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(FieldScalar, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(FieldScalar, name, counted)
+        if name == "__mul__":
+            monkeypatch.setattr(FieldScalar, "__rmul__", counted)
+    return calls

@@ -22,9 +22,7 @@ from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon, HForm,
                                                orbit_witness_holds,
                                                perturbed_form,
                                                pointwise_rank_one_check,
-                                               proposition_display,
-                                               verify_killing,
-                                               verify_pullback_proposition)
+                                               proposition_display)
 from spin7lab.invariant.chamber import (N_COFRAME, ChamberForm, ChamberScalar,
                                         S, T, W, W_INV, contract_generator,
                                         lie_derivative, maurer_cartan_d)
@@ -32,6 +30,7 @@ from spin7lab.invariant.liealg import build_lie_frame
 from spin7lab.sampling import random_even_scalar
 
 from _oracles import blade_pullback as old_blade_pullback
+from _oracles import verify_killing, verify_pullback_proposition
 
 BS = build_bryant_salamon()
 DS = ChamberForm.generator(0)

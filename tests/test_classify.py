@@ -7,20 +7,28 @@ a mismatch against these constants.
 """
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spin7lab.cayley import build_omega
-from spin7lab.classify import (Certificate, YoungDiagram,
+from spin7lab.classify import (Certificate, YoungDiagram, _candidate_pairs,
+                               _pair_contractions,
                                classification_report,
                                cubic_vanishes_on_subspace, enumerate_diagrams,
                                find_certificate, jordan_type_of, kernel_space,
                                representative)
+from spin7lab.exterior import linalg
+from spin7lab.exterior.blades import BLADES, indices_of
 from spin7lab.exterior.endo import Endo, rho
-from spin7lab.exterior.forms import Vector
+from spin7lab.exterior.forms import KForm, Vector, contract
+from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
-from _oracles import is_nilpotent
+from _oracles import (count_calls, is_nilpotent, old_cubic_vanishes,
+                      old_kernel_basis, old_rho)
+from _strategies import coefficient_families, small_ints, surds
 
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
 KERNEL_DIMS = {
@@ -73,6 +81,8 @@ CERTIFICATE_PAIRS = {
 }
 
 ADMISSIBLE = {(2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 1)}
+
+_INDICES = [indices_of(m) for m in BLADES[4]]
 
 
 def seeded(name: str) -> random.Random:
@@ -164,6 +174,129 @@ def test_full_kernel_exactly_for_admissible_types():
     for d in enumerate_diagrams():
         full = kernel_space(d).dimension == 70
         assert full == (d.parts in ADMISSIBLE)
+
+
+# -- integer kernels against the dense FieldScalar elimination ------------------
+
+@pytest.fixture(scope="module")
+def old_kernels():
+    """The canonical kernel basis of each diagram by the old dense path."""
+    return {d.parts: old_kernel_basis(representative(d).matrix)
+            for d in enumerate_diagrams()}
+
+
+def _dense(vectors):
+    return [[FieldScalar.of(vec.get(j, 0)) for j in range(len(BLADES[4]))]
+            for vec in vectors]
+
+
+def test_int_kernel_vectors_span_the_dense_kernel(old_kernels):
+    for d in enumerate_diagrams():
+        a = representative(d).matrix
+        space = kernel_space(d)
+        for vec in space.vectors:
+            assert gcd(*vec.values()) == 1
+            assert vec[max(vec)] > 0
+            form = KForm(4, {BLADES[4][j]: FieldScalar.of(x)
+                             for j, x in vec.items()})
+            assert not old_rho(a, old_rho(a, form))
+        ints = _dense(space.vectors)
+        canonical = [[omega.coefficient(*idx) for idx in _INDICES]
+                     for omega in old_kernels[d.parts]]
+        dim = KERNEL_DIMS[d.parts]
+        assert space.dimension == dim
+        assert linalg.rank(ints) == linalg.rank(canonical) == dim
+        assert linalg.rank(ints + canonical) == dim
+
+
+def test_kernel_basis_is_the_old_canonical_basis(old_kernels):
+    for d in enumerate_diagrams():
+        assert list(kernel_space(d).basis) == old_kernels[d.parts]
+
+
+# -- the integer cubic against contraction and wedge on FieldScalars ------------
+
+def _contracted_by_forms(u, v, space):
+    """The nonzero u⌟v⌟ωᵢ of the kernel vectors, by FieldScalar contract."""
+    forms = [KForm(4, {BLADES[4][j]: FieldScalar.of(x) for j, x in vec.items()})
+             for vec in space.vectors]
+    return [q for q in (contract(u, contract(v, w)) for w in forms) if q]
+
+
+def _as_forms(qs):
+    return [KForm(2, {m: FieldScalar.of(c) for m, c in q.items()}) for q in qs]
+
+
+def test_pair_contractions_match_contract_on_every_candidate_pair():
+    for d in enumerate_diagrams():
+        space = kernel_space(d)
+        for u, v in _candidate_pairs(space.representative):
+            u, v = u.vector, v.vector
+            assert _as_forms(_pair_contractions(u, v, space.vectors)) == \
+                _contracted_by_forms(u, v, space)
+
+
+_int_or_surd_vectors = st.sampled_from([small_ints, surds]).flatmap(
+    lambda c: st.lists(c, min_size=8, max_size=8)).map(Vector)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(enumerate_diagrams()), _int_or_surd_vectors,
+       _int_or_surd_vectors)
+def test_pair_contractions_match_contract_on_dense_vectors(d, u, v):
+    # integer vectors are their own numerators, so the terms match exactly
+    space = kernel_space(d)
+    assert _as_forms(_pair_contractions(u, v, space.vectors)) == \
+        _contracted_by_forms(u, v, space)
+
+
+def test_int_cubic_agrees_on_every_candidate_pair(old_kernels):
+    verdicts = []
+    for d in enumerate_diagrams():
+        space = kernel_space(d)
+        for u, v in _candidate_pairs(space.representative):
+            got = cubic_vanishes_on_subspace(u.vector, v.vector, space)
+            assert got == old_cubic_vanishes(u.vector, v.vector,
+                                             old_kernels[d.parts])
+            verdicts.append(got)
+    assert len(verdicts) == 616
+    assert True in verdicts and False in verdicts
+
+
+def _in_plane(a, b, coeffs):
+    return coeffs[0] * Vector.basis(a) + coeffs[1] * Vector.basis(b)
+
+
+_plane_coeffs = st.sampled_from(coefficient_families).flatmap(
+    lambda c: st.lists(c, min_size=4, max_size=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(enumerate_diagrams()), _plane_coeffs,
+       st.sampled_from(coefficient_families).flatmap(
+           lambda c: st.lists(c, min_size=16, max_size=16)),
+       st.booleans())
+def test_int_cubic_agrees_on_rational_and_surd_vectors(old_kernels, d, plane,
+                                                       dense, in_plane):
+    # vectors spanning a certificate's plane (a vanishing cubic for the
+    # excluded types), or arbitrary ones
+    space = kernel_space(d)
+    if in_plane and d.parts in CERTIFICATE_PAIRS:
+        a, b = (space.representative.labels.index(lab) + 1
+                for lab in CERTIFICATE_PAIRS[d.parts])
+        u, v = _in_plane(a, b, plane[:2]), _in_plane(a, b, plane[2:])
+    else:
+        u, v = Vector(dense[:8]), Vector(dense[8:])
+    assert cubic_vanishes_on_subspace(u, v, space) == \
+        old_cubic_vanishes(u, v, old_kernels[d.parts])
+
+
+def test_certificates_multiply_no_field_scalars(monkeypatch):
+    calls = count_calls(monkeypatch, "__mul__", "inverse")
+    certs = [find_certificate(d) for d in enumerate_diagrams()]
+    assert calls == {"__mul__": 0, "inverse": 0}
+    monkeypatch.undo()
+    assert [c.dim_kernel for c in certs] == list(KERNEL_DIMS.values())
 
 
 # -- certificates -----------------------------------------------------------

@@ -21,8 +21,9 @@ from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from _oracles import (apply, commutator, diagonal, is_nilpotent, is_rational,
                       is_skew, random_nilpotent, trace)
 from _oracles import blade_pullback as old_blade_pullback
-from _strategies import (forms, identity_plus_sparse, mixed_endos,
-                         mixed_forms, small_ints, sparse_endos)
+from _strategies import (entry_families, forms, identity_plus_sparse,
+                         mixed_endos, mixed_forms, seeded_entry, small_ints,
+                         sparse_endos)
 
 endos = st.lists(st.lists(small_ints, min_size=8, max_size=8),
                  min_size=8, max_size=8).map(Endo)
@@ -152,26 +153,16 @@ def generator_images(l_map):
             for j in range(8)]
 
 
-# random entries of each coefficient family: drawn from a seeded generator,
-# because Hypothesis's own draws favour zero and constant (rank <= 1) maps,
-# which kill every form of degree >= 2
-_ENTRY = {"int": lambda rng: rng.randint(-9, 9),
-          "rational": lambda rng: Q(rng.randint(-30, 30), rng.randint(2, 6)),
-          "surd": lambda rng: FieldScalar(rng.randint(-9, 9),
-                                          rng.randint(-9, 9))}
-_FAMILIES = st.sampled_from(sorted(_ENTRY))
-
-
 @settings(max_examples=60)
-@given(_FAMILIES, _FAMILIES, st.integers(0, 8),
+@given(entry_families, entry_families, st.integers(0, 8),
        st.sets(st.integers(0, 7), max_size=2), st.randoms(use_true_random=True))
 def test_pullback_matches_the_per_blade_oracle(l_family, x_family, degree,
                                                zero_columns, rng):
     # dense maps, and singular ones with zero image columns
-    l_map = Endo([[0 if j in zero_columns else _ENTRY[l_family](rng)
+    l_map = Endo([[0 if j in zero_columns else seeded_entry[l_family](rng)
                    for j in range(8)] for _ in range(8)])
     masks = blades_of_degree(degree)
-    x = KForm(degree, {m: FieldScalar.of(_ENTRY[x_family](rng))
+    x = KForm(degree, {m: FieldScalar.of(seeded_entry[x_family](rng))
                        for m in rng.sample(masks, min(3, len(masks)))})
     images = generator_images(l_map)
     expected = old_blade_pullback(x, images)

@@ -5,14 +5,18 @@ content normalization; matrices with a surd entry by Gauss–Jordan in the
 field.  The field code is the reference the integer path is compared with.
 """
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spin7lab.exterior import linalg
-from spin7lab.exterior.linalg import (echelon, invert, nullspace, rank, rref,
-                                      solve)
-from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
+from spin7lab.exterior.linalg import (echelon, integer_nullspace, invert,
+                                      nullspace, rank, rref)
+from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, ZERO, FieldScalar,
+                                       Q, integer_row)
 
+from _oracles import solve
 from _strategies import small_ints
 
 
@@ -156,6 +160,21 @@ def _field_reference(m):
 def test_integer_path_matches_field_code(m):
     assert echelon(m) == linalg._field_rref(m, len(m[0]))
     assert (rref(m), rank(m), nullspace(m)) == _field_reference(m)
+
+
+@settings(max_examples=150)
+@given(rational_matrices())
+def test_integer_nullspace_is_the_nullspace_made_primitive(m):
+    ncols = len(m[0])
+    vectors = integer_nullspace([integer_row(row) for row in m], ncols)
+    canonical = nullspace(m)
+    assert len(vectors) == len(canonical)
+    for vec, expected in zip(vectors, canonical):
+        free = max(vec)
+        assert vec[free] > 0 and gcd(*vec.values()) == 1
+        assert all(type(x) is int and x for x in vec.values())
+        assert [FieldScalar.from_ratio(vec.get(j, 0), vec[free])
+                for j in range(ncols)] == expected
 
 
 def _count_inverses(monkeypatch) -> list[int]:

@@ -1,13 +1,15 @@
-"""FormOperator against the per-blade code it replaced.
+"""FormOperator and ρ against the per-blade code they replaced.
 
-The oracles below are that code, kept here: ``rho`` applied term by term,
-the images of the basis blades computed one ``rho`` call at a time, a
-dense coefficient matrix with one row per occurring blade,
+The oracles are that code, kept in ``_oracles.py`` and below: ``rho``
+applied term by term, ρ(A) built blade by blade and slot by slot from A's
+columns, the images of the basis blades computed one ``rho`` call at a
+time, a dense coefficient matrix with one row per occurring blade,
 ``linalg.nullspace`` on it, and ``apply`` as a running sum
 ``out = out + c * image``.  The operators cover integer Jordan
 representatives (the integer kernel path), rank-one nilpotents with
 non-integer rational entries and rank-one nilpotents with surd entries
-(the dense ``linalg.echelon`` path).
+(the dense ``linalg.echelon`` path); ρ itself also runs on diagonal,
+sparse and dense matrices of every coefficient family.
 """
 
 import pytest
@@ -16,57 +18,18 @@ from hypothesis import given, settings, strategies as st
 from spin7lab.cayley import projectors
 from spin7lab.classify import enumerate_diagrams, representative
 from spin7lab.exterior import linalg
-from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, contract_sign,
-                                      wedge_sign)
+from spin7lab.exterior.blades import BLADE_POSITION, BLADES
 from spin7lab.exterior.endo import Endo, rho, rho_operator
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
 from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
 
-from _oracles import is_rational
-from _strategies import forms
+from _oracles import (coefficient_matrix, count_calls, diagonal, is_rational,
+                      nullspace_on_forms, old_rho, old_rho_operator)
+from _strategies import (coefficient_families, entry_families, forms,
+                         mixed_endos, seeded_entry, sparse_endos)
 
 
 # -- the old per-blade path, kept as the oracle ---------------------------------
-
-def old_rho(a, form):
-    """Replace each slot of each blade by its image, one term at a time."""
-    acc = {}
-    for m, coeff in form.mask_items():
-        t = m
-        while t:
-            low = t & -t
-            t ^= low
-            p = low.bit_length() - 1
-            sub = m ^ low
-            s_out = contract_sign(p, m)
-            for i, row in enumerate(a.rows):
-                bit, entry = 1 << i, row[p]
-                if not entry or sub & bit:
-                    continue
-                term = coeff * entry
-                if s_out * wedge_sign(bit, sub) == -1:
-                    term = -term
-                key = sub | bit
-                acc[key] = acc[key] + term if key in acc else term
-    return KForm(form.degree, acc)
-
-
-def coefficient_matrix(images):
-    masks = sorted({m for f in images for m, _ in f.mask_items()})
-    row_of = {m: i for i, m in enumerate(masks)}
-    matrix = [[ZERO] * len(images) for _ in masks]
-    for j, f in enumerate(images):
-        for m, c in f.mask_items():
-            matrix[row_of[m]][j] = c
-    return matrix
-
-
-def nullspace_on_forms(op, degree):
-    domain = BLADES[degree]
-    images = [op(KForm(degree, {m: ONE})) for m in domain]
-    kernel = linalg.nullspace(coefficient_matrix(images), ncols=len(domain))
-    return [KForm(degree, dict(zip(domain, vec))) for vec in kernel]
-
 
 def old_apply(images, form):
     pos = BLADE_POSITION[form.degree]
@@ -119,6 +82,55 @@ def test_rho_operator_matches_rho_per_blade(a, degree):
     assert len(op.images) == len(BLADES[degree])
     for m, image in zip(BLADES[degree], as_forms(op)):
         assert image == old_rho(a, KForm(degree, {m: ONE}))
+
+
+diagonal_endos = st.sampled_from(coefficient_families).flatmap(
+    lambda coeffs: st.lists(coeffs, min_size=8, max_size=8)).map(
+        lambda entries: diagonal(*entries))
+
+
+@settings(max_examples=60)
+@given(st.one_of(diagonal_endos, sparse_endos, mixed_endos), st.integers(1, 4))
+def test_rho_operator_matches_the_slot_by_slot_code(a, degree):
+    expected = [old_rho(a, KForm(degree, {m: ONE})) for m in BLADES[degree]]
+    assert as_forms(rho_operator(a, degree)) == expected
+    assert as_forms(old_rho_operator(a, degree)) == expected
+
+
+def test_diagonal_matrices_scale_each_blade_by_its_diagonal_sum():
+    entries = [1, -1, 2, 0, 3, -3, 5, Q(1, 2)]
+    a = diagonal(*entries)
+    for degree in range(1, 5):
+        for m, image in zip(BLADES[degree], as_forms(rho_operator(a, degree))):
+            total = sum(FieldScalar.of(x) for p, x in enumerate(entries)
+                        if m >> p & 1)
+            # e^{12}, e^{56} and e^{1256} sum to zero and have no image
+            assert image == KForm(degree, {m: total})
+
+
+@settings(max_examples=60)
+@given(entry_families, entry_families, st.integers(0, 8),
+       st.randoms(use_true_random=True))
+def test_rho_matches_the_oracle(a_family, x_family, degree, rng):
+    # about half of the entries of A are zero
+    a = Endo([[seeded_entry[a_family](rng) if rng.random() < 0.5 else 0
+               for _ in range(8)] for _ in range(8)])
+    masks = BLADES[degree]
+    x = KForm(degree, {m: FieldScalar.of(seeded_entry[x_family](rng))
+                       for m in rng.sample(masks, min(5, len(masks)))})
+    assert rho(a, x) == old_rho(a, x)
+
+
+def test_rational_rho_multiplies_no_field_scalars(monkeypatch):
+    a = Endo([[Q((3 * i - 5 * j) % 7 - 3, 1 + (i + j) % 4) for j in range(8)]
+              for i in range(8)])
+    x = KForm(4, {m: FieldScalar(Q(k - 20, 3)) for k, m
+                  in enumerate(BLADES[4]) if k % 3})
+    calls = count_calls(monkeypatch, "__mul__")
+    out = rho(a, x)
+    assert calls == {"__mul__": 0}
+    monkeypatch.undo()
+    assert out and out == old_rho(a, x)
 
 
 @given(jordan_matrices, st.sampled_from([2, 4]))
