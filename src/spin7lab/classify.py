@@ -20,8 +20,10 @@ from typing import Iterator
 
 from .exterior.blades import BLADES, DIM
 from .exterior.forms import KForm, Vector, _wedged
-from .exterior.endo import Endo, rho, rho_operator
-from .exterior.scalars import ONE, ZERO, FieldScalar, integer_row
+from .exterior import linalg
+from .exterior.endo import Endo, _product, rho, rho_operator
+from .exterior.scalars import (ONE, ZERO, FieldScalar, _integer_matrix,
+                               integer_row)
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -107,14 +109,20 @@ def representative(diagram: YoungDiagram) -> JordanRepresentative:
 
 def jordan_type_of(a: Endo) -> YoungDiagram:
     """Recover the partition from the ranks of A, A², … up to the first
-    zero power; A^8 ≠ 0 means A is not nilpotent."""
+    zero power; A^8 ≠ 0 means A is not nilpotent.  The powers and ranks of
+    a rational A are taken on the int numerators of its rows."""
+    ints = _integer_matrix(a.rows)
+    if ints is None:
+        rows, zero, rank = a.rows, ZERO, linalg.rank
+    else:
+        rows, zero, rank = ints[1], 0, linalg._integer_rank
     ranks = [DIM]
-    power = a
-    while power:
+    power = rows
+    while any(map(any, power)):
         if len(ranks) == DIM:
             raise ValueError("jordan type computed for nilpotent input only")
-        ranks.append(power.rank())
-        power = power @ a
+        ranks.append(rank(power))
+        power = _product(power, rows, zero)
     ranks.append(0)
     # at_least[k - 1] = ranks[k - 1] - ranks[k] blocks have size >= k
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]

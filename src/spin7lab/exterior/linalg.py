@@ -107,6 +107,12 @@ def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
     return basis
 
 
+def _integer_rank(rows: list[list[int]]) -> int:
+    """The rank of a dense int matrix, by the integer Gauss–Jordan."""
+    return len(_integer_rref([{j: v for j, v in enumerate(row) if v}
+                              for row in rows]))
+
+
 def _field_rref(rows: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
     """Gauss–Jordan in the field: one inversion per pivot, zero rows last."""
     m = [list(r) for r in rows]

@@ -62,8 +62,13 @@ class FieldScalar:
         return FieldScalar(x) if out is NotImplemented else out
 
     @staticmethod
-    def from_ratio(numerator: int, denominator: int) -> "FieldScalar":
-        """The rational numerator/denominator for ints, denominator nonzero."""
+    def from_ratio(numerator, denominator: int) -> "FieldScalar":
+        """numerator/denominator: an int or FieldScalar over a nonzero int."""
+        if type(numerator) is FieldScalar:
+            n = numerator
+            return _reduced(n._a, n._b, n._c, n._d, n._den * denominator)
+        if denominator == 1:
+            return _canonical(numerator, 0, 0, 0, 1)
         return _reduced(numerator, 0, 0, 0, denominator)
 
     def quadruple(self) -> tuple[Q, Q, Q, Q]:

@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..exterior.forms import _contracted, blade_pullback
-from ..exterior.scalars import FieldScalar
+from ..exterior.blades import contract_sign
+from ..exterior.forms import blade_pullback
+from ..exterior.scalars import ZERO, FieldScalar
 from .liealg import LieFrame, build_lie_frame
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
-                      S, _add_terms, _product_terms, maurer_cartan_d)
+                      S, _add_products, _numerators, _over,
+                      maurer_cartan_d)
 
 __all__ = ["HForm", "BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",
@@ -162,15 +164,23 @@ class InvariantField:
         return all(c.is_even_in_s() for c in (self.a, self.b, self.c))
 
     def contract(self, form: ChamberForm) -> ChamberForm:
-        """Y⌟form: the raw (s, w) terms of the three slots' contributions
-        are summed per output blade and canonicalized once per blade."""
+        """Y⌟form: the raw (s, w) terms of the three slots are summed per
+        output blade on the numerators of Y and the form over their lcm
+        denominator D (FieldScalars over 1 with a surd), then canonicalized
+        once and divided by D² per term."""
+        fields = self.coefficients()
+        maps, den = _numerators([c.terms for _, c in fields]
+                                + [c.terms for c in form.terms.values()])
         acc: dict[int, dict] = {}
-        for slot, coeff in self.coefficients():
-            for m, c in _contracted(slot, form.terms).items():
-                _add_terms(acc.setdefault(m, {}),
-                           _product_terms(coeff.terms, c.terms))
-        return ChamberForm(form.degree - 1,
-                           {m: ChamberScalar(raw) for m, raw in acc.items()})
+        for (slot, _), y in zip(fields, maps):
+            signed = {1: y, -1: {k: -c for k, c in y.items()}}
+            for m, terms in zip(form.terms, maps[len(fields):]):
+                sign = contract_sign(slot, m)
+                if sign:
+                    _add_products(acc.setdefault(m ^ (1 << slot), {}),
+                                  signed[sign], terms)
+        return ChamberForm(form.degree - 1, {m: _over(raw, den * den)
+                                             for m, raw in acc.items()})
 
     def lie_derivative(self, form: ChamberForm,
                        frame: LieFrame | None = None) -> ChamberForm:
@@ -279,31 +289,19 @@ def metric_lie_derivative(slot: int, metric: InvariantMetric,
     commutes with every generator.
     """
     frame = frame or build_lie_frame()
-
-    def bracket_coeff(a: int, i: int, k: int) -> FieldScalar:
-        # c^k_{ai} over coframe slots; ds (slot 0) brackets to zero
-        if a == 0 or i == 0 or k == 0:
-            from ..exterior.scalars import ZERO as FZERO
-            return FZERO
-        return frame.structure[a - 1][i - 1][k - 1]
-
+    # c[i][k] = c^k_{slot,i} over coframe slots; ds (slot 0) brackets to zero
+    c = [[frame.structure[slot - 1][i - 1][k - 1] if slot and i and k
+          else ZERO for k in range(N_COFRAME)] for i in range(N_COFRAME)]
     out: dict[tuple[int, int], ChamberScalar] = {}
     for i in range(N_COFRAME):
         for j in range(i, N_COFRAME):
             total = ChamberScalar()
             for k in range(N_COFRAME):
-                cki = bracket_coeff(slot, i, k)
-                if cki:
-                    g_kj = metric.get(k, j)
-                    if g_kj:
-                        total = total - g_kj * cki
-                ckj = bracket_coeff(slot, j, k)
-                if ckj:
-                    g_ik = metric.get(i, k)
-                    if g_ik:
-                        total = total - g_ik * ckj
-            if total:
-                out[(i, j)] = total
+                if c[i][k] and metric.get(k, j):
+                    total = total - metric.get(k, j) * c[i][k]
+                if c[j][k] and metric.get(i, k):
+                    total = total - metric.get(i, k) * c[j][k]
+            out[(i, j)] = total
     return InvariantMetric(out)
 
 

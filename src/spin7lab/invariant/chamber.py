@@ -9,19 +9,21 @@ determined by ∂_s w = (2/5) s w⁻⁴.
 ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
 the differential combines ∂_s on coefficients with the Maurer-Cartan
-equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.  It sums the raw, unreduced
-(s, w) terms of all contributions and makes one canonicalization per
-output blade; canonical forms are unique, so the result does not depend
-on the order of summation.
+equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.  d, ∂_s and non-constant products
+sum raw (s, w) terms on int numerators over one denominator D when every
+input is rational (w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep
+them integral), else on FieldScalars; each output scalar is canonicalized
+once and each of its terms divided once by D.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
-from ..exterior.blades import contract_sign, indices_of, mask_of, wedge_sign
+from ..exterior.blades import indices_of, mask_of
 from ..exterior.forms import Form, contract_generator
-from ..exterior.scalars import ZERO, Q, FieldScalar
+from ..exterior.scalars import ZERO, Q, FieldScalar, _integer_matrix
 from .liealg import LieFrame, N_GENERATORS, build_lie_frame
 
 __all__ = ["ChamberScalar", "ChamberForm", "COFRAME_NAMES", "S", "W", "W_INV",
@@ -32,7 +34,6 @@ COFRAME_NAMES = ("ds", "A1", "A2", "A3", "A4", "A5", "A6",
                  "X1", "X2", "X3", "X4")
 N_COFRAME = len(COFRAME_NAMES)
 
-_TWO_FIFTHS = FieldScalar(Q(2, 5))
 # constants a ChamberScalar accepts as operands, as FieldScalar does
 _CONSTANTS = (int, Q, FieldScalar)
 
@@ -60,10 +61,8 @@ class ChamberScalar:
 
     @staticmethod
     def _coerce(x):
-        if isinstance(x, ChamberScalar):
-            return x
-        if isinstance(x, _CONSTANTS):
-            return ChamberScalar({(0, 0): FieldScalar.of(x)})
+        if isinstance(x, (ChamberScalar, *_CONSTANTS)):
+            return ChamberScalar.of(x)
         return None
 
     @staticmethod
@@ -73,9 +72,7 @@ class ChamberScalar:
     @staticmethod
     def from_terms(entries: Iterable[tuple[int, int, object]]) -> "ChamberScalar":
         raw: dict[tuple[int, int], FieldScalar] = {}
-        for s_exp, w_exp, coeff in entries:
-            key = (s_exp, w_exp)
-            raw[key] = raw.get(key, ZERO) + FieldScalar.of(coeff)
+        _add_terms(raw, (((a, e), FieldScalar.of(c)) for a, e, c in entries))
         return ChamberScalar(raw)
 
     # -- ring structure ---------------------------------------------------
@@ -113,13 +110,14 @@ class ChamberScalar:
         if not isinstance(other, ChamberScalar):
             return NotImplemented
         # a canonical form times a nonzero constant is still canonical
-        if _is_constant_term(other.terms):
+        if other.terms.keys() == {(0, 0)}:
             return self._scaled(other.terms[(0, 0)])
-        if _is_constant_term(self.terms):
+        if self.terms.keys() == {(0, 0)}:
             return other._scaled(self.terms[(0, 0)])
-        raw: dict[tuple[int, int], FieldScalar] = {}
-        _add_terms(raw, _product_terms(self.terms, other.terms))
-        return ChamberScalar(raw)
+        (x, y), den = _numerators([self.terms, other.terms])
+        raw: dict = {}
+        _add_products(raw, x, y)
+        return _over(raw, den * den)
 
     __rmul__ = __mul__
 
@@ -157,10 +155,11 @@ class ChamberScalar:
     # -- calculus and predicates -----------------------------------------
 
     def derivative(self) -> "ChamberScalar":
-        """∂_s, with ∂_s w = (2/5) s w⁻⁴."""
-        raw: dict[tuple[int, int], FieldScalar] = {}
-        _add_terms(raw, _derivative_terms(self.terms))
-        return ChamberScalar(raw)
+        """∂_s, with ∂_s w = (2/5) s w⁻⁴, as 5∂_s divided by 5."""
+        (terms,), den = _numerators([self.terms])
+        raw: dict = {}
+        _add_terms(raw, _derivative_terms(terms))
+        return _over(raw, 5 * den)
 
     def is_even_in_s(self) -> bool:
         return all(a % 2 == 0 for (a, _e) in self.terms)
@@ -209,94 +208,99 @@ class ChamberScalar:
     __repr__ = __str__
 
 
-def _is_constant_term(terms: dict) -> bool:
-    """Whether a canonical term map is one nonzero constant."""
-    return len(terms) == 1 and (0, 0) in terms
+# Raw term maps (s_exp, w_exp) -> coefficient need not be canonical.  The
+# helpers below build, sum and reduce them on ints or on FieldScalars:
+# every sum starts from its first term, never from ZERO.
+
+def _numerators(maps: list[dict]) -> tuple[list[dict], int]:
+    """(maps, D): the term maps as int numerators over D, the lcm of the
+    denominators of their coefficients; as given, over 1, with a surd."""
+    ints = _integer_matrix([m.values() for m in maps])
+    if ints is None:
+        return maps, 1
+    den, rows = ints
+    return [dict(zip(m, row)) for m, row in zip(maps, rows)], den
 
 
-# Raw term maps (s_exp, w_exp) -> FieldScalar need not be canonical; the
-# helpers below build and sum them, and ChamberScalar(raw) reduces once.
+def _over(raw: dict, den: int) -> ChamberScalar:
+    """raw/den, canonicalized once, with one from_ratio per term."""
+    out = ChamberScalar.__new__(ChamberScalar)
+    out.terms = {k: FieldScalar.from_ratio(n, den)
+                 for k, n in _canonical(raw).items()}
+    return out
 
-def _add_terms(raw: dict[tuple[int, int], FieldScalar], items) -> None:
+
+def _add_terms(raw: dict, items) -> None:
     """Add (key, coefficient) pairs into a raw term map."""
     for key, c in items:
         prev = raw.get(key)
         raw[key] = c if prev is None else prev + c
 
 
-def _product_terms(x: dict, y: dict):
-    """The raw terms of the product of two term maps, unsummed."""
+def _add_products(raw: dict, x: dict, y: dict) -> None:
+    """Add the raw terms of the product of two term maps into raw."""
     for (a1, e1), c1 in x.items():
         for (a2, e2), c2 in y.items():
-            yield (a1 + a2, e1 + e2), c1 * c2
+            key = (a1 + a2, e1 + e2)
+            prev = raw.get(key)
+            raw[key] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-def _derivative_terms(terms: dict):
-    """The raw terms of ∂_s, with ∂_s w = (2/5) s w⁻⁴, unsummed."""
+def _derivative_terms(terms: dict, factor: int = 1):
+    """The raw terms of factor·5∂_s (∂_s w = (2/5) s w⁻⁴), unsummed."""
     for (a, e), c in terms.items():
         if a:
-            yield (a - 1, e), FieldScalar(a) * c
+            yield (a - 1, e), 5 * factor * a * c
         if e:
-            yield (a + 1, e - 5), (_TWO_FIFTHS * FieldScalar(e)) * c
+            yield (a + 1, e - 5), 2 * factor * e * c
 
 
-def _canonical(raw: dict[tuple[int, int], FieldScalar]) -> dict[tuple[int, int], FieldScalar]:
+def _canonical(raw: dict) -> dict:
     """Reduce to the unique representative with minimal w-denominator."""
     terms = {k: c for k, c in raw.items() if c}
     if not terms:
         return {}
-    shift = max(0, -min(e for (_a, e) in terms))
-    # numerator form: all w-exponents >= 0
-    num: dict[tuple[int, int], FieldScalar] = {}
-    for (a, e), c in terms.items():
-        num[(a, e + shift)] = num.get((a, e + shift), ZERO) + c
-    # reduce w-degree into 0..4 using w⁵ = 1 + s²
-    while True:
-        high = [(a, e) for (a, e) in num if e >= 5]
-        if not high:
-            break
-        for a, e in high:
-            c = num.pop((a, e))
-            for key in ((a, e - 5), (a + 2, e - 5)):
-                num[key] = num.get(key, ZERO) + c
+    exponents = [e for _a, e in terms]
+    shift = max(0, -min(exponents))
+    # numerator form with w-degrees in 0..4: w^(5q + r) = (1 + s²)^q w^r
+    if max(exponents) + shift < 5:
+        if not shift:
+            return terms
+        num = {(a, e + shift): c for (a, e), c in terms.items()}
+    else:
+        num = {}
+        for (a, e), c in terms.items():
+            q, r = divmod(e + shift, 5)
+            # the binomials of q = 1 are both 1
+            _add_terms(num, (((a + 2 * j, r), c if q == 1 else comb(q, j) * c)
+                             for j in range(q + 1)))
         num = {k: c for k, c in num.items() if c}
     # minimality: divide numerator by w while the shift allows and the
     # w⁰ layer is divisible by 1 + s² in F[s]
     while shift > 0:
-        layer0 = {a: c for (a, e), c in num.items() if e == 0}
-        quotient = _divide_by_one_plus_s2(layer0)
+        quotient = _divide_by_one_plus_s2(
+            {a: c for (a, e), c in num.items() if e == 0})
         if quotient is None:
             break
-        nxt: dict[tuple[int, int], FieldScalar] = {}
-        for (a, e), c in num.items():
-            if e:
-                nxt[(a, e - 1)] = nxt.get((a, e - 1), ZERO) + c
-        for a, c in quotient.items():
-            nxt[(a, 4)] = nxt.get((a, 4), ZERO) + c
-        num = {k: c for k, c in nxt.items() if c}
+        # w-degrees 1..4 drop to 0..3, so the quotient's w⁴ layer is new
+        num = {(a, e - 1): c for (a, e), c in num.items() if e}
+        num.update(((a, 4), c) for a, c in quotient.items())
         shift -= 1
-        if not num:
-            break
     return {(a, e - shift): c for (a, e), c in num.items()}
 
 
-def _divide_by_one_plus_s2(poly: dict[int, FieldScalar]) -> dict[int, FieldScalar] | None:
-    """Exact quotient of a polynomial in s by (1 + s²), or None."""
-    if not poly:
-        return {}
+def _divide_by_one_plus_s2(poly: dict) -> dict | None:
+    """Exact quotient of a polynomial in s by the monic 1 + s², or None;
+    integral on int coefficients.  The quotient has no zero coefficients."""
     rem = dict(poly)
-    out: dict[int, FieldScalar] = {}
-    for deg in range(max(rem), 1, -1):
-        c = rem.get(deg)
+    out: dict = {}
+    for deg in range(max(rem, default=1), 1, -1):
+        c = rem.pop(deg, 0)
         if not c:
             continue
         out[deg - 2] = c
-        rem.pop(deg)
-        low = rem.get(deg - 2, ZERO) - c
-        if low:
-            rem[deg - 2] = low
-        else:
-            rem.pop(deg - 2, None)
+        prev = rem.get(deg - 2)
+        rem[deg - 2] = -c if prev is None else prev - c
     return None if any(rem.values()) else out
 
 
@@ -409,32 +413,45 @@ def maurer_cartan_d(form: ChamberForm,
 
     d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
     degree, so moving it to the front costs no sign.  The raw (s, w) terms
-    of every contribution are summed per output blade, with signs from
-    contract_sign/wedge_sign: one canonicalization per output blade.
+    of 5·d are summed per output blade on the numerators of the form and
+    the structure constants over their lcm denominator D (FieldScalars over
+    1 with a surd), then canonicalized once and divided by 5·D² per term.
     """
     frame = frame or build_lie_frame()
-    dgen = frame.coframe_differentials
-    acc: dict[int, dict[tuple[int, int], FieldScalar]] = {}
-    for mask, coeff in form.terms.items():
+    structure = [(slot, m, c.terms)
+                 for slot, dk in enumerate(frame.coframe_differentials)
+                 for m, c in dk.terms.items()]
+    maps, den = _numerators([c.terms for c in form.terms.values()]
+                            + [t for _, _, t in structure])
+    # 5·de^k per slot, as (blade e^i∧e^j, the bits from i to below j,
+    # numerators, negated numerators)
+    dgen: list[list] = [[] for _ in range(N_COFRAME)]
+    for (slot, m, _), t in zip(structure, maps[len(form.terms):]):
+        five = {k: 5 * c for k, c in t.items()}
+        low = m & -m
+        dgen[slot].append((m, ((m ^ low) - 1) ^ (low - 1), five,
+                           {k: -c for k, c in five.items()}))
+    acc: dict[int, dict] = {}
+    for mask, terms in zip(form.terms, maps):
         if not mask & 1:  # ds is slot 0, so ds∧e^I has sign +1
+            # over 5·D², ∂_s(n/D) is 5∂_s(n)·D
             _add_terms(acc.setdefault(mask | 1, {}),
-                       _derivative_terms(coeff.terms))
+                       _derivative_terms(terms, den))
         t = mask
         while t:
             bit = t & -t
             t ^= bit
-            slot = bit.bit_length() - 1
             sub = mask ^ bit
-            s_out = contract_sign(slot, mask)
-            for m, structure in dgen[slot].terms.items():
-                if m & sub:
-                    continue
-                if s_out * wedge_sign(m, sub) == -1:
-                    structure = -structure
-                _add_terms(acc.setdefault(m | sub, {}),
-                           _product_terms(structure.terms, coeff.terms))
-    return ChamberForm(form.degree + 1,
-                       {m: ChamberScalar(raw) for m, raw in acc.items()})
+            # contract_sign(slot, mask) times wedge_sign(m, sub), which flips
+            # once per generator of sub between the two generators of m
+            odd = (mask & (bit - 1)).bit_count()
+            for m, between, five, negated in dgen[bit.bit_length() - 1]:
+                if not m & sub:
+                    _add_products(acc.setdefault(m | sub, {}), negated
+                                  if (odd + (sub & between).bit_count()) & 1
+                                  else five, terms)
+    return ChamberForm(form.degree + 1, {m: _over(raw, 5 * den * den)
+                                         for m, raw in acc.items()})
 
 
 def lie_derivative(slot: int, form: ChamberForm,

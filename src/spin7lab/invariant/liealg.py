@@ -259,18 +259,6 @@ def killing_matrix(frame: LieFrame) -> list[list[FieldScalar]]:
     return out
 
 
-def _residual_rows(span_rref: list[list[FieldScalar]],
-                   pivots: list[int],
-                   vec: Sequence[FieldScalar]) -> list[FieldScalar]:
-    """Reduce vec against an RREF span; zero iff vec lies in the span."""
-    v = list(vec)
-    for row, p in zip(span_rref, pivots):
-        f = v[p]
-        if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
 def is_subalgebra(frame: LieFrame,
                   basis: Sequence[Sequence[FieldScalar]]) -> bool:
     rows = [list(b) for b in basis]
@@ -289,20 +277,17 @@ def normalizer(frame: LieFrame,
     if basis and not is_subalgebra(frame, basis):
         raise ValueError("normalizer input must be a subalgebra")
     if not basis:
-        return [[ONE if i == j else ZERO for j in range(N_GENERATORS)]
-                for i in range(N_GENERATORS)]
+        return [generator_coords(i) for i in range(N_GENERATORS)]
     span, pivots = linalg.rref([list(b) for b in basis])
+    free = [c for c in range(N_GENERATORS) if c not in pivots]
     rows = []
     for h in span:
-        # condition rows for [h, e_i] mod span, one per non-pivot coordinate
-        images = [frame.bracket_coords(h, [ONE if k == i else ZERO
-                                           for k in range(N_GENERATORS)])
+        # [h, e_i] mod span: one condition row per off-pivot coordinate
+        images = [frame.bracket_coords(h, generator_coords(i))
                   for i in range(N_GENERATORS)]
-        residuals = [_residual_rows(span, pivots, img) for img in images]
-        for coord in range(N_GENERATORS):
-            if coord in pivots:
-                continue
-            rows.append([residuals[i][coord] for i in range(N_GENERATORS)])
+        rows += [[img[c] - sum((img[p] * row[c] for row, p in zip(span, pivots)
+                                if img[p] and row[c]), ZERO)
+                  for img in images] for c in free]
     return linalg.nullspace(rows, ncols=N_GENERATORS)
 
 

@@ -5,11 +5,12 @@ from spin7lab.exterior.blades import BLADES, DIM, contract_sign, wedge_sign
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, contract,
                                      wedge)
-from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar
+from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
 from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                build_metric,
                                                metric_lie_derivative,
                                                proposition_display)
+from spin7lab.invariant.chamber import ChamberForm, ChamberScalar
 from spin7lab.invariant.liealg import build_lie_frame
 from spin7lab.sampling import random_unimodular
 
@@ -75,6 +76,22 @@ def random_nilpotent(rng, max_rank=3):
             n = n + Endo.unit(start + k + 1, start + k)
     g, g_inv = random_unimodular(rng)
     return g @ n @ g_inv
+
+
+def old_jordan_type(a):
+    """The partition of a nilpotent Endo from the ranks of its Endo powers
+    A, A², …, each ranked by ``linalg.rank`` on its FieldScalar rows."""
+    ranks = [DIM]
+    power = a
+    while power:
+        if len(ranks) == DIM:
+            raise ValueError("not nilpotent")
+        ranks.append(linalg.rank(power.rows))
+        power = power @ a
+    ranks.append(0)
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
+    return tuple(size for size in range(len(at_least) - 1, 0, -1)
+                 for _ in range(at_least[size - 1] - at_least[size]))
 
 
 def solve(rows, rhs):
@@ -249,3 +266,148 @@ def count_calls(monkeypatch, *names):
         if name == "__mul__":
             monkeypatch.setattr(FieldScalar, "__rmul__", counted)
     return calls
+
+
+# -- the chamber ring's raw-term layer on FieldScalars -------------------------
+# Raw term maps (s_exp, w_exp) -> FieldScalar, summed from ZERO and reduced
+# once by old_canonical, as the package did before it ran rational
+# coefficients on int numerators.
+
+_TWO_FIFTHS = FieldScalar(Q(2, 5))
+
+
+def _old_add_terms(raw, items):
+    for key, c in items:
+        raw[key] = raw.get(key, ZERO) + c
+
+
+def _old_product_terms(x, y):
+    for (a1, e1), c1 in x.items():
+        for (a2, e2), c2 in y.items():
+            yield (a1 + a2, e1 + e2), c1 * c2
+
+
+def _old_derivative_terms(terms):
+    for (a, e), c in terms.items():
+        if a:
+            yield (a - 1, e), FieldScalar(a) * c
+        if e:
+            yield (a + 1, e - 5), (_TWO_FIFTHS * FieldScalar(e)) * c
+
+
+def old_canonical(raw):
+    """The unique representative with minimal w-denominator: shift to
+    w-exponents >= 0, reduce w⁵ = 1 + s² one step at a time, then divide by
+    w while the w⁰ layer is divisible by 1 + s²."""
+    terms = {k: c for k, c in raw.items() if c}
+    if not terms:
+        return {}
+    shift = max(0, -min(e for (_a, e) in terms))
+    num = {}
+    for (a, e), c in terms.items():
+        num[(a, e + shift)] = num.get((a, e + shift), ZERO) + c
+    while True:
+        high = [(a, e) for (a, e) in num if e >= 5]
+        if not high:
+            break
+        for a, e in high:
+            c = num.pop((a, e))
+            for key in ((a, e - 5), (a + 2, e - 5)):
+                num[key] = num.get(key, ZERO) + c
+        num = {k: c for k, c in num.items() if c}
+    while shift > 0:
+        layer0 = {a: c for (a, e), c in num.items() if e == 0}
+        quotient = _old_divide_by_one_plus_s2(layer0)
+        if quotient is None:
+            break
+        nxt = {}
+        for (a, e), c in num.items():
+            if e:
+                nxt[(a, e - 1)] = nxt.get((a, e - 1), ZERO) + c
+        for a, c in quotient.items():
+            nxt[(a, 4)] = nxt.get((a, 4), ZERO) + c
+        num = {k: c for k, c in nxt.items() if c}
+        shift -= 1
+        if not num:
+            break
+    return {(a, e - shift): c for (a, e), c in num.items()}
+
+
+def _old_divide_by_one_plus_s2(poly):
+    if not poly:
+        return {}
+    rem = dict(poly)
+    out = {}
+    for deg in range(max(rem), 1, -1):
+        c = rem.get(deg)
+        if not c:
+            continue
+        out[deg - 2] = c
+        rem.pop(deg)
+        low = rem.get(deg - 2, ZERO) - c
+        if low:
+            rem[deg - 2] = low
+        else:
+            rem.pop(deg - 2, None)
+    return None if any(rem.values()) else out
+
+
+def _old_scalar(raw):
+    out = ChamberScalar.__new__(ChamberScalar)
+    out.terms = old_canonical(raw)
+    return out
+
+
+def old_product(x, y):
+    """x·y summed as FieldScalars and canonicalized once."""
+    raw = {}
+    _old_add_terms(raw, _old_product_terms(x.terms, y.terms))
+    return _old_scalar(raw)
+
+
+def old_derivative(x):
+    raw = {}
+    _old_add_terms(raw, _old_derivative_terms(x.terms))
+    return _old_scalar(raw)
+
+
+def old_maurer_cartan_d(form, frame):
+    """d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I), summed per
+    output blade as FieldScalar raw terms."""
+    dgen = frame.coframe_differentials
+    acc = {}
+    for mask, coeff in form.terms.items():
+        if not mask & 1:
+            _old_add_terms(acc.setdefault(mask | 1, {}),
+                           _old_derivative_terms(coeff.terms))
+        t = mask
+        while t:
+            bit = t & -t
+            t ^= bit
+            slot = bit.bit_length() - 1
+            sub = mask ^ bit
+            s_out = contract_sign(slot, mask)
+            for m, structure in dgen[slot].terms.items():
+                if m & sub:
+                    continue
+                if s_out * wedge_sign(m, sub) == -1:
+                    structure = -structure
+                _old_add_terms(acc.setdefault(m | sub, {}), _old_product_terms(
+                    structure.terms, coeff.terms))
+    return ChamberForm(form.degree + 1,
+                       {m: _old_scalar(raw) for m, raw in acc.items()})
+
+
+def old_contract(field, form):
+    """Y⌟form, the three slots' raw FieldScalar terms summed per blade."""
+    acc = {}
+    for slot, coeff in field.coefficients():
+        for m, c in form.terms.items():
+            sign = contract_sign(slot, m)
+            if sign:
+                _old_add_terms(acc.setdefault(m ^ (1 << slot), {}),
+                               _old_product_terms(coeff.terms,
+                                                  c.terms if sign == 1
+                                                  else (-c).terms))
+    return ChamberForm(form.degree - 1,
+                       {m: _old_scalar(raw) for m, raw in acc.items()})

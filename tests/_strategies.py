@@ -11,6 +11,7 @@ from spin7lab.exterior.blades import blades_of_degree
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior.forms import Covector, KForm, Vector
 from spin7lab.exterior.scalars import FieldScalar, Q
+from spin7lab.invariant.chamber import ChamberScalar
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -105,3 +106,24 @@ sparse_endos = st.sampled_from(coefficient_families).flatmap(
 # the identity plus such a map: rarely singular, so that pullbacks of forms
 # of higher degree rarely vanish
 identity_plus_sparse = sparse_endos.map(lambda a: Endo.identity() + a)
+
+
+def _rational_laurent(terms, cancel):
+    """The scalar of (s_exp, w_exp, coeff) terms; with ``cancel``, the first
+    term comes back negated as c(1 + s²)w^(e−5), which cancels it only
+    through the relation w⁵ = 1 + s²."""
+    if cancel and terms:
+        a, e, c = terms[0]
+        terms = terms + [(a, e - 5, -c), (a + 2, e - 5, -c)]
+    return ChamberScalar.from_terms(terms)
+
+
+# rational chamber scalars over denominators that include 5 and 7, with
+# w-exponents on both sides of zero and of the w⁵ reduction
+rational_laurent_scalars = st.builds(
+    _rational_laurent,
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-7, 7),
+                       st.builds(Q, st.integers(-12, 12),
+                                 st.sampled_from((1, 2, 5, 7, 10, 21)))),
+             max_size=4),
+    st.booleans())

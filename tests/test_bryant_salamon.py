@@ -30,7 +30,9 @@ from spin7lab.invariant.liealg import build_lie_frame
 from spin7lab.sampling import random_even_scalar
 
 from _oracles import blade_pullback as old_blade_pullback
-from _oracles import verify_killing, verify_pullback_proposition
+from _oracles import (count_calls, old_contract, old_maurer_cartan_d,
+                      verify_killing, verify_pullback_proposition)
+from _strategies import rational_laurent_scalars
 
 BS = build_bryant_salamon()
 DS = ChamberForm.generator(0)
@@ -203,6 +205,52 @@ def test_contract_matches_the_sum_of_generator_contractions_on_phi(field):
 @given(_fields, _three_forms)
 def test_contract_matches_the_sum_of_generator_contractions(field, form):
     assert field.contract(form) == _contract_by_slots(field, form)
+
+
+_rational_fields = st.builds(InvariantField, rational_laurent_scalars,
+                            rational_laurent_scalars, rational_laurent_scalars)
+
+
+def _cancelling_pair(field: InvariantField, slots, c) -> ChamberForm:
+    """b·c A⁴∧e^R − a·c A⁵∧e^R for X-slots R: Y⌟ of it cancels on e^R,
+    with raw terms that differ and cancel only after canonicalization."""
+    rest = ChamberForm.blade(*slots)
+    return ((field.b * c) * ChamberForm.generator(4).wedge(rest)
+            - (field.a * c) * ChamberForm.generator(5).wedge(rest))
+
+
+@settings(max_examples=20)
+@given(st.one_of(_rational_fields, _fields),
+       st.one_of(st.just(BS.phi), _three_forms), st.data())
+def test_contract_matches_the_field_scalar_oracle(field, form, data):
+    slots = data.draw(st.lists(st.integers(7, 10), min_size=form.degree - 1,
+                               max_size=form.degree - 1, unique=True))
+    pair = _cancelling_pair(field, slots,
+                            data.draw(st.one_of(rational_laurent_scalars,
+                                                _laurent)))
+    assert not field.contract(pair)
+    form = form + pair
+    assert field.contract(form) == old_contract(field, form)
+
+
+def test_rational_d_and_contract_multiply_no_field_scalars(monkeypatch):
+    rng = random.Random("test-bs:int-path")
+    fields = [InvariantField.of(*(random_even_scalar(rng) for _ in range(3)))
+              for _ in range(2)]
+    fields.append(InvariantField.of(Q(2, 5) * T, Q(-3, 7), W_INV * Q(1, 10)))
+    forms = [BS.phi, Q(3, 35) * W_INV * BS.phi + S * BS.psi2]
+    forms += [perturbed_form(f) for f in fields[:2]]
+    calls = count_calls(monkeypatch, "__mul__", "inverse")
+    d = [maurer_cartan_d(form) for form in forms]
+    contracted = [f.contract(form) for f in fields for form in forms]
+    assert calls == {"__mul__": 0, "inverse": 0}
+    monkeypatch.undo()
+    frame = build_lie_frame()
+    assert d == [old_maurer_cartan_d(form, frame) for form in forms]
+    assert contracted == [old_contract(f, form) for f in fields
+                          for form in forms]
+    # Φ and the perturbed forms are closed; the second form is not
+    assert [bool(x) for x in d] == [False, True, False, False]
 
 
 def test_contract_of_a_scalar_raises():

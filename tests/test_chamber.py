@@ -19,7 +19,8 @@ from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         maurer_cartan_d)
 from spin7lab.invariant.liealg import build_lie_frame
 
-from _strategies import field_scalars, small_ints
+from _oracles import old_derivative, old_maurer_cartan_d, old_product
+from _strategies import field_scalars, rational_laurent_scalars, small_ints
 
 DS = ChamberForm.generator(0)
 
@@ -89,6 +90,17 @@ def test_constant_products_are_the_canonical_product(c, x):
     for product in (c * x, x * c):
         assert product.terms == expected.terms
         assert ChamberScalar(product.terms).terms == product.terms
+
+
+@given(st.sampled_from([rational_laurent_scalars, laurent_scalars]),
+       st.data())
+def test_products_and_derivatives_match_the_field_scalar_oracle(family, data):
+    # rational operands run on int numerators, surd ones on FieldScalars;
+    # the second pair's product cancels w⁻⁵ against 1 + s²
+    x, y = data.draw(family), data.draw(family)
+    for a, b in ((x, y), (x * W_INV ** 5, y * (1 + T))):
+        assert (a * b).terms == old_product(a, b).terms == (x * y).terms
+    assert x.derivative().terms == old_derivative(x).terms
 
 
 def test_power_and_coercion():
@@ -295,10 +307,10 @@ FRAMES = [build_lie_frame(),
           _mutated_frame({(0, 6, 9): FieldScalar(0, 1), (2, 8, 1): -2})]
 
 
-def chamber_forms(degree: int):
+def chamber_forms(degree: int, coeffs=laurent_scalars):
     """Sparse degree-k chamber forms with Laurent coefficients."""
     masks = [m for m in range(1 << N_COFRAME) if m.bit_count() == degree]
-    return st.lists(st.tuples(st.sampled_from(masks), laurent_scalars),
+    return st.lists(st.tuples(st.sampled_from(masks), coeffs),
                     max_size=4).map(lambda pairs: ChamberForm(degree, dict(pairs)))
 
 
@@ -310,6 +322,18 @@ def test_d_equals_the_engine_composition(degree, frame, data):
         # its d cancel completely, on a mutated one they need not
         form = form + _engine_d(data.draw(chamber_forms(degree - 1)), frame)
     assert maurer_cartan_d(form, frame) == _engine_d(form, frame)
+
+
+@given(st.integers(0, 4), st.sampled_from(FRAMES),
+       st.sampled_from([rational_laurent_scalars, laurent_scalars]), st.data())
+def test_d_matches_the_field_scalar_oracle(degree, frame, coeffs, data):
+    # rational forms on the integer frames run on int numerators, the rest
+    # on FieldScalars; the exact part makes raw sums cancel
+    form = data.draw(chamber_forms(degree, coeffs))
+    if degree:
+        form = form + old_maurer_cartan_d(
+            data.draw(chamber_forms(degree - 1, coeffs)), frame)
+    assert maurer_cartan_d(form, frame) == old_maurer_cartan_d(form, frame)
 
 
 def test_d_of_exact_forms_cancels_on_the_real_frame():

@@ -26,8 +26,9 @@ from spin7lab.exterior.forms import KForm, Vector, contract
 from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
-from _oracles import (count_calls, is_nilpotent, old_cubic_vanishes,
-                      old_kernel_basis, old_rho)
+from _oracles import (count_calls, diagonal, is_nilpotent,
+                      old_cubic_vanishes, old_jordan_type, old_kernel_basis,
+                      old_rho)
 from _strategies import coefficient_families, small_ints, surds
 
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
@@ -145,6 +146,52 @@ def test_jordan_type_is_a_conjugation_invariant():
         a = representative(d).matrix
         g, g_inv = random_unimodular(rng)
         assert jordan_type_of(g @ a @ g_inv) == d
+
+
+def _scaled_conjugates(rng, d):
+    """q·g·D·N·D⁻¹·g⁻¹ for the representative N of d, a unimodular g, a
+    non-integer rational q and a diagonal D with non-integer entries: a
+    non-integer rational nilpotent of type d."""
+    g, g_inv = random_unimodular(rng)
+    entries = [Q(rng.randint(1, 9), rng.choice([2, 3, 5, 7]))
+               for _ in range(8)]
+    scale = diagonal(*entries)
+    unscale = diagonal(*(1 / x for x in entries))
+    q = Q(rng.choice([-7, -2, 3, 5]), rng.choice([3, 4, 5]))
+    return q * (g @ scale @ representative(d).matrix @ unscale @ g_inv)
+
+
+def test_jordan_type_matches_the_endo_power_oracle():
+    # conjugated integer representatives, non-integer rational nilpotents
+    # and (times √2) surd nilpotents, whose ranks come from FieldScalars
+    rng = seeded("jordan-oracle")
+    for d in enumerate_diagrams():
+        g, g_inv = random_unimodular(rng)
+        conjugate = g @ representative(d).matrix @ g_inv
+        rational = _scaled_conjugates(rng, d)
+        # every type but the zero map has a non-integer entry
+        assert any(x.rational_value().denominator > 1
+                   for row in rational.rows for x in row) == bool(conjugate)
+        for a in (conjugate, rational, FieldScalar(0, 1) * rational):
+            assert jordan_type_of(a).parts == old_jordan_type(a) == d.parts
+
+
+def _refuse(*args):
+    raise AssertionError("a rational Jordan type left the int path")
+
+
+def test_rational_jordan_type_stays_on_ints(monkeypatch):
+    # no FieldScalar product or inverse, no Endo product and no FieldScalar
+    # elimination for a rational A
+    rng = seeded("jordan-spy")
+    matrices = [_scaled_conjugates(rng, d) for d in enumerate_diagrams()]
+    calls = count_calls(monkeypatch, "__mul__", "inverse")
+    monkeypatch.setattr(Endo, "__matmul__", _refuse)
+    monkeypatch.setattr(linalg, "echelon", _refuse)
+    types = [jordan_type_of(a) for a in matrices]
+    assert calls == {"__mul__": 0, "inverse": 0}
+    monkeypatch.undo()
+    assert types == list(enumerate_diagrams())
 
 
 def test_rank_one_nilpotents_have_minimal_type():

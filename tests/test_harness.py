@@ -51,6 +51,16 @@ def test_every_suite_passes():
         assert out.encode("utf-8") == golden.read_bytes(), seed
 
 
+def test_chamber_suites_pass_on_seeds_outside_the_goldens():
+    for seed in (3, 4, 5):
+        code, out = run_cli(["verify", "--suite", "perturb",
+                             "--suite", "bryant-salamon", "--seed", str(seed)])
+        report = json.loads(out)
+        assert code == 0, seed
+        assert report["suites"] == ["bryant-salamon", "perturb"]
+        assert report["checks"] and all(c["passed"] for c in report["checks"])
+
+
 def test_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_suite("nonsense")
