@@ -20,10 +20,10 @@ from typing import Sequence
 
 from .exterior import linalg
 from .exterior.blades import BLADES
-from .exterior.forms import (FormOperator, KForm, Vector, contract, hodge_star,
-                             inner, wedge)
+from .exterior.forms import (FormOperator, KForm, Vector, _wedged, contract,
+                             hodge_star, inner, wedge)
 from .exterior.endo import Endo, rho
-from .exterior.scalars import ONE, ZERO, Q, FieldScalar
+from .exterior.scalars import ONE, ZERO, Q, FieldScalar, _integer_matrix
 
 __all__ = ["CayleyStructure", "FormOperator", "DecompositionProjectors",
            "build_omega", "stabilizer_algebra", "so8_basis", "sl8_basis",
@@ -142,10 +142,42 @@ def projectors() -> DecompositionProjectors:
     return DecompositionProjectors(p1=p1, p7=p7, p27=p27, p35=p35)
 
 
+def _pair_contracted(u: Vector, v: Vector, masks, vectors) -> tuple[int, list]:
+    """(d, [d·(u⌟v⌟ω) for ω in vectors]), ω as (j, coefficient of masks[j])
+    items, on the int numerators of rational u and v (else FieldScalars,
+    d = 1): a blade m holding e_a and e_b goes to m ^ b ^ a, negated by the
+    parity of m's generators below b plus that of (m ^ b)'s below a."""
+    ints = _integer_matrix([u.components, v.components])
+    den, rows = ints if ints is not None else (1, (u.components, v.components))
+    us, vs = ([(1 << i, c) for i, c in enumerate(row) if c] for row in rows)
+    pairs = [(a | b, (b - 1) ^ (a - 1) & ~b, x * y)
+             for a, x in us for b, y in vs if a != b]
+    qs = []
+    for items in vectors:
+        acc: dict = {}
+        for j, x in items:
+            m = masks[j]
+            for ab, sign_mask, w in pairs:
+                if (m & ab) == ab:
+                    term = -w * x if (m & sign_mask).bit_count() & 1 else w * x
+                    acc[m ^ ab] = acc.get(m ^ ab, 0) + term
+        qs.append({m: c for m, c in acc.items() if c})
+    return den * den, qs
+
+
 def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
-    """(u⌟v⌟a)³ ∈ Λ⁶; the pair contraction is degenerate iff this vanishes."""
-    q = contract(u, contract(v, a))
-    return wedge(q, wedge(q, q))
+    """(u⌟v⌟a)³ ∈ Λ⁶; the pair contraction is degenerate iff this vanishes.
+
+    q = u⌟v⌟a is built on the int numerators of a rational a, u and v,
+    cubed with ``forms._wedged`` and divided once per coefficient by the
+    cube of its denominator; a surd keeps FieldScalars in the same code."""
+    masks, coeffs = zip(*a.mask_items()) if a else ((), ())
+    ints = _integer_matrix([coeffs])
+    den_a, (numerators,) = ints if ints is not None else (1, (coeffs,))
+    den_uv, (q,) = _pair_contracted(u, v, masks, [enumerate(numerators)])
+    den = (den_a * den_uv) ** 3
+    return KForm(3 * a.degree - 6, {m: FieldScalar.from_ratio(c, den) for m, c
+                                    in _wedged(q, _wedged(q, q)).items()})
 
 
 def perturb_rank_one(v: Vector, w: Vector, t) -> KForm:

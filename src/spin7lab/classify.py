@@ -3,7 +3,8 @@
 For each of the 22 nilpotent Jordan types on R^8 this module builds the
 canonical representative A, the kernel K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} and a
 certificate deciding whether K can meet the GL(8)-orbit of the Cayley
-form, on Python ints from ρ(A) to the verdict.  The obstruction is
+form, on Python ints from A's chain steps to the verdict, with ρ(A)
+squared straight into the sparse rows of ρ(A)².  The obstruction is
 degeneracy: if some pair of dual vectors (u, v) has (u⌟v⌟ω)³ = 0 for
 EVERY ω ∈ K — proved by expanding the cubic's coefficients, not by
 sampling — then no orbit element lies in K and the type is excluded.
@@ -14,16 +15,16 @@ from __future__ import annotations
 
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator
 
-from .exterior.blades import BLADES, DIM
+from .exterior.blades import BLADE_POSITION, BLADES, DIM
 from .exterior.forms import KForm, Vector, _wedged
 from .exterior import linalg
-from .exterior.endo import Endo, _product, rho, rho_operator
-from .exterior.scalars import (ONE, ZERO, FieldScalar, _integer_matrix,
-                               integer_row)
+from .exterior.endo import Endo, _product, _rho_images, rho
+from .exterior.scalars import ZERO, FieldScalar, _integer_matrix
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -85,26 +86,30 @@ class JordanRepresentative:
 
     The covector starting a block of size >= 2 at position p is labeled
     ``w{p}``; every other basis covector is ``v{p}``.  The matrix sends
-    each chain covector to the next one and the chain ends to zero.
+    each chain covector to the next one and the chain ends to zero: column
+    p - 1 of ``columns`` is {bit of e^(p+1): 1} for each chain step
+    e^p -> e^(p+1) (1-based), as ``endo._rho_images`` reads it.
     """
 
     diagram: YoungDiagram
-    matrix: Endo
     labels: tuple[str, ...]
+    columns: tuple[dict[int, int], ...]
+
+    @property
+    def matrix(self) -> Endo:
+        return Endo([[column.get(1 << i, 0) for column in self.columns]
+                     for i in range(DIM)])
 
 
 def representative(diagram: YoungDiagram) -> JordanRepresentative:
     labels = [""] * DIM
-    rows = [[ZERO] * DIM for _ in range(DIM)]
+    columns: list[dict[int, int]] = [{} for _ in range(DIM)]
     for start, size in diagram.blocks():
         labels[start - 1] = (f"w{start}" if size >= 2 else f"v{start}")
-        for k in range(1, size):
-            labels[start - 1 + k] = f"v{start + k}"
-        for k in range(size - 1):
-            # the chain step e^(start+k) -> e^(start+k+1), 1-based
-            rows[start + k][start + k - 1] = ONE
-    return JordanRepresentative(diagram=diagram, matrix=Endo(rows),
-                                labels=tuple(labels))
+        for p in range(start, start + size - 1):
+            labels[p] = f"v{p + 1}"
+            columns[p - 1] = {1 << p: 1}
+    return JordanRepresentative(diagram, tuple(labels), tuple(columns))
 
 
 def jordan_type_of(a: Endo) -> YoungDiagram:
@@ -153,12 +158,25 @@ class KernelSpace:
 
 
 def kernel_space(diagram: YoungDiagram) -> KernelSpace:
-    """K for the representative, whose entries are 0 and 1: ρ(A) on Λ⁴ is
-    an integer FormOperator, squared on Python ints, and integer
-    Gauss–Jordan on the sparse rows of ρ(A)² gives the kernel vectors."""
+    """K for the representative, on ints: ρ(A) on Λ⁴ comes from its int
+    columns; each term c·e^m of image j adds c·c' to row m' of ρ(A)² per
+    term c'·e^m' of the image of e^m (zero sums dropped), and integer
+    Gauss–Jordan on the rows gives the kernel vectors."""
     rep = representative(diagram)
-    r = rho_operator(rep.matrix, 4)
-    return KernelSpace(diagram, tuple((r @ r).integer_kernel()), rep)
+    images = _rho_images(rep.columns, BLADES[4])
+    pos = BLADE_POSITION[4]
+    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for j, image in enumerate(images):
+        for m, c in image.items():
+            for m2, c2 in images[pos[m]].items():
+                row = rows[m2]
+                x = row.get(j, 0) + c * c2
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return KernelSpace(diagram, tuple(linalg.integer_nullspace(
+        list(rows.values()), len(images))), rep)
 
 
 # -- the cubic certificate ----------------------------------------------------
@@ -169,34 +187,11 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 # lines of u and v, so int kernel vectors and numerators give the verdict.
 
 
-def _components(x: Vector) -> list[tuple[int, object]]:
-    """(bit of e_i, x_i) over the nonzero components, as int numerators
-    over their common denominator when x is rational."""
-    ints = integer_row(x.components)
-    return [(1 << i, c) for i, c in (ints.items() if ints is not None else
-                                      enumerate(x.components)) if c]
-
-
 def _pair_contractions(u: Vector, v: Vector, vectors) -> list[dict]:
-    """The nonzero qᵢ = u⌟v⌟ωᵢ as term maps: a filter over the blades m of
-    ωᵢ that hold e_a and e_b, for the nonzero u_a and v_b, sending m to
-    m ^ b ^ a, negated by the parity of m's generators below b plus that
-    of (m ^ b)'s generators below a."""
-    pairs = [(a | b, (b - 1) ^ (a - 1) & ~b, x * y)
-             for a, x in _components(u) for b, y in _components(v) if a != b]
-    qs = []
-    for vec in vectors:
-        acc: dict = {}
-        for j, x in vec.items():
-            m = BLADES[4][j]
-            for ab, sign_mask, w in pairs:
-                if (m & ab) == ab:
-                    term = -w * x if (m & sign_mask).bit_count() & 1 else w * x
-                    acc[m ^ ab] = acc.get(m ^ ab, 0) + term
-        q = {m: c for m, c in acc.items() if c}
-        if q:
-            qs.append(q)
-    return qs
+    """The nonzero qᵢ = u⌟v⌟ωᵢ of the kernel vectors as term maps, up to
+    the positive factor of ``cayley._pair_contracted``."""
+    return [q for q in cayley._pair_contracted(
+        u, v, BLADES[4], (vec.items() for vec in vectors))[1] if q]
 
 
 def cubic_vanishes_on_subspace(u: Vector, v: Vector,
@@ -244,14 +239,12 @@ class Certificate:
 
 def _candidate_pairs(rep: JordanRepresentative) -> Iterator[tuple[LabeledVector, LabeledVector]]:
     """Deterministic search order: pairs of w-duals, then (w-dual, v-dual)
-    pairs, then pairs of v-duals."""
-    duals = [LabeledVector(Vector.basis(i + 1), lab)
-             for i, lab in enumerate(rep.labels)]
-    w_duals = [d for d in duals if d.label[0] == "w"]
-    v_duals = [d for d in duals if d.label[0] == "v"]
-    yield from combinations(w_duals, 2)
-    yield from product(w_duals, v_duals)
-    yield from combinations(v_duals, 2)
+    pairs, then pairs of v-duals, each dual built when its pair comes up."""
+    w = [i for i, lab in enumerate(rep.labels) if lab[0] == "w"]
+    v = [i for i, lab in enumerate(rep.labels) if lab[0] == "v"]
+    for pair in chain(combinations(w, 2), product(w, v), combinations(v, 2)):
+        yield tuple(LabeledVector(Vector.basis(i + 1), rep.labels[i])
+                    for i in pair)
 
 
 def find_certificate(diagram: YoungDiagram) -> Certificate:

@@ -5,7 +5,7 @@ from .blades import BLADES, DIM, blades_of_degree
 from .forms import (Covector, Form, FormOperator, KForm, Vector, basis_blades,
                     blade_pullback, contract, contract_generator, hodge_star,
                     inner, wedge)
-from .endo import Endo, exp_nilpotent, pullback, rho, rho_operator
+from .endo import Endo, exp_nilpotent, pullback, rho
 from . import linalg
 
 __all__ = [
@@ -13,5 +13,5 @@ __all__ = [
     "DIM", "BLADES", "blades_of_degree", "Vector", "Covector", "Form", "KForm",
     "FormOperator", "wedge", "contract", "contract_generator",
     "blade_pullback", "hodge_star", "inner", "basis_blades", "Endo", "rho",
-    "rho_operator", "pullback", "exp_nilpotent", "linalg",
+    "pullback", "exp_nilpotent", "linalg",
 ]

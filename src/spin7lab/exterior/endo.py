@@ -4,8 +4,8 @@ An Endo is an 8x8 exact matrix acting on covectors: entry (i, j) is the
 coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
 
 * ``rho(A, a)`` — the derivation (Lie-algebra) action, replacing one slot
-  at a time; ``rho_operator(A, k)`` is the same action built once as a
-  FormOperator on Λ^k; both walk the nonzero entries of A;
+  at a time; ``_rho_images`` builds it on the basis blades from the
+  nonzero entries of A, for ``rho`` and for the classifier's ρ(A)²;
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
@@ -20,12 +20,11 @@ from __future__ import annotations
 from math import factorial
 
 from . import linalg
-from .blades import BLADES, DIM
+from .blades import DIM
 from .scalars import ZERO, FieldScalar, _integer_matrix
-from .forms import (Covector, FormOperator, KForm, Vector, _combine,
-                    _pulled_back)
+from .forms import Covector, KForm, Vector, _combine, _pulled_back
 
-__all__ = ["Endo", "rho", "rho_operator", "pullback", "exp_nilpotent"]
+__all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
 
 
 class Endo:
@@ -187,17 +186,6 @@ def rho(a: Endo, form: KForm) -> KForm:
     """Derivation action: replace each slot of each blade by its image."""
     return _on_numerators(a, form, lambda terms, columns: _combine(zip(
         _rho_images(columns, list(terms)), terms.values())), 1)
-
-
-def rho_operator(a: Endo, degree: int) -> FormOperator:
-    """ρ(A) on Λ^degree, built once from the nonzero entries of A.  An
-    integer A gives an integer operator, whose powers and kernels stay on
-    Python ints."""
-    ints = _integer_matrix(a.rows)
-    columns = _columns(ints[1] if ints and ints[0] == 1 else a.rows)
-    return FormOperator(degree, [
-        {key: c for key, c in image.items() if c}
-        for image in _rho_images(columns, BLADES[degree])])
 
 
 def pullback(l_map: Endo, form: KForm) -> KForm:

@@ -17,10 +17,8 @@ A FormOperator is a linear map into Λ^k stored as the images of a domain
 basis, one {mask: coefficient} dict per basis vector; on Λ^k itself the
 domain basis is the blade order of ``blades.BLADES``.  Applying,
 composing and adding operators, like contracting by a vector, sum every
-contribution into one accumulator per output blade.  An operator with int
-coefficients (ρ(A) of an integer matrix, and its powers) has its kernel
-computed by integer Gauss–Jordan on its sparse rows; any other operator
-is densified and reduced by ``linalg.echelon``.
+contribution into one accumulator per output blade.  Pivots, ranks and
+kernels densify the operator and reduce it by ``linalg.echelon``.
 """
 
 from __future__ import annotations
@@ -315,11 +313,6 @@ class KForm(Form):
         return KForm(len(indices), {mask: sign * c} if c else {})
 
     @staticmethod
-    def constant(c) -> "KForm":
-        c = FieldScalar.of(c)
-        return KForm(0, {0: c} if c else {})
-
-    @staticmethod
     def from_terms(degree: int, terms) -> "KForm":
         """Build from (indices, coeff) pairs; unsorted indices are canonicalized."""
         acc: dict[int, FieldScalar] = {}
@@ -421,8 +414,8 @@ class FormOperator:
 
     With one image per basis blade of Λ^degree, in ``BLADES`` order, it is
     an operator on Λ^degree, as ``apply``, ``@``, ``identity`` and ``zero``
-    assume.  Coefficients are FieldScalars, or ints throughout for an
-    integer operator, whose sums and products stay on ints.
+    assume.  Coefficients are FieldScalars, or ints throughout, whose sums
+    and products stay on ints.
     """
 
     __slots__ = ("degree", "images")
@@ -476,19 +469,11 @@ class FormOperator:
         return (isinstance(other, FormOperator)
                 and self.degree == other.degree and self.images == other.images)
 
-    def _rows(self) -> dict[int, dict[int, object]]:
-        """The sparse rows of the matrix: output blade -> {column j: entry}."""
-        rows: dict[int, dict[int, object]] = {}
-        for j, img in enumerate(self.images):
-            for m, c in img.items():
-                rows.setdefault(m, {})[j] = c
-        return rows
-
     def _matrix(self) -> list[list[FieldScalar]]:
         """Dense FieldScalar matrix, one row per occurring blade by mask."""
-        rows = self._rows()
-        return [[FieldScalar.of(rows[m].get(j, ZERO))
-                 for j in range(len(self.images))] for m in sorted(rows)]
+        masks = sorted({m for img in self.images for m in img})
+        return [[FieldScalar.of(img.get(m, ZERO)) for img in self.images]
+                for m in masks]
 
     def pivots(self) -> list[int]:
         """The positions j whose image is not a combination of earlier ones."""
@@ -499,18 +484,9 @@ class FormOperator:
 
     def kernel(self) -> list[dict[int, FieldScalar]]:
         """Canonical kernel basis as sparse coordinate vectors, one per free
-        column with 1 there (the vectors of ``linalg.nullspace``); an integer
-        operator's ``integer_kernel`` vectors over their last entries."""
-        if all(type(c) is int for img in self.images for c in img.values()):
-            return [{j: FieldScalar.from_ratio(x, vec[max(vec)])
-                     for j, x in vec.items()} for vec in self.integer_kernel()]
+        column with 1 there (the vectors of ``linalg.nullspace``)."""
         return [{j: x for j, x in enumerate(vec) if x} for vec in
                 linalg.nullspace(self._matrix(), ncols=len(self.images))]
-
-    def integer_kernel(self) -> list[dict[int, int]]:
-        """``linalg.integer_nullspace`` of an integer operator's rows."""
-        return linalg.integer_nullspace(list(self._rows().values()),
-                                        len(self.images))
 
     def is_idempotent(self) -> bool:
         return self @ self == self

@@ -17,9 +17,11 @@ echelon form) and picks its arithmetic from the entries:
   one inversion per pivot.
 
 ``integer_nullspace`` takes a matrix that is already sparse integer rows
-(the rows of an integer FormOperator) straight to the integer Gauss–Jordan
+(the rows of ρ(A)² in the classifier) straight to the integer Gauss–Jordan
 and returns primitive integer kernel vectors, with no dense matrix and no
-FieldScalar at all.
+FieldScalar at all.  The columns of one-entry rows are dropped first, and
+since clearing makes a row primitive, only a row that enters the basis
+uncleared is divided by its content.
 
 The RREF of a matrix is unique, so both paths give the same canonical
 bases, and the same matrix always yields the same result.
@@ -47,12 +49,9 @@ def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    sparse = []
-    for row in rows:
-        int_row = integer_row(row)
-        if int_row is None:
-            return _field_rref(rows, ncols)
-        sparse.append(_primitive(int_row))
+    sparse = [integer_row(row) for row in rows]
+    if None in sparse:
+        return _field_rref(rows, ncols)
     basis = _integer_rref(sparse)
     pivots = sorted(basis)
     reduced = []
@@ -91,14 +90,18 @@ def _cleared(row: SparseRow, basis_row: SparseRow, c: int) -> SparseRow:
 def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
     """Gauss–Jordan basis of the row space: pivot column -> primitive row
     whose first nonzero entry is in that column and which is zero in every
-    other pivot column."""
+    other pivot column.  ``_cleared`` returns primitive rows, so only an
+    input row that enters uncleared is divided by its content."""
     basis: dict[int, SparseRow] = {}
     for row in rows:
         # clearing a pivot column brings in only non-pivot columns
-        for c in [c for c in row if c in basis]:
+        pivots = [c for c in row if c in basis]
+        for c in pivots:
             row = _cleared(row, basis[c], c)
         if not row:
             continue
+        if not pivots:
+            row = _primitive(row)
         c = min(row)
         for b, basis_row in basis.items():
             if c in basis_row:
@@ -174,16 +177,24 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]
 def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """Per free column f, in order, the vector of ``nullspace`` for f made
     a primitive int vector, positive in f, for a matrix given as sparse
-    integer rows.  Its other entries sit in pivot columns left of f."""
-    basis = _integer_rref([_primitive(row) for row in rows if row])
-    # a basis row is zero in the other pivot columns: the rest are free
-    entries: dict[int, list] = {f: [] for f in range(ncols) if f not in basis}
+    integer rows, primitive or not.  A one-entry row's column is zero in
+    every kernel vector, so it leaves all rows before the elimination.  The
+    other entries sit in pivot columns left of f; a free column that no
+    basis row holds gives {f: 1}."""
+    fixed = {c for row in rows if len(row) == 1 for c in row}
+    basis = _integer_rref([r for r in ({j: x for j, x in row.items()
+                                        if j not in fixed} for row in rows) if r])
+    fixed.update(basis)  # a basis row is zero in the other pivot columns
+    entries: dict[int, list] = {f: [] for f in range(ncols) if f not in fixed}
     for c, row in basis.items():
         for f, x in row.items():
             if f != c:
                 entries[f].append((c, x, row[c]))
     out = []
     for f, column in entries.items():
+        if not column:
+            out.append({f: 1})
+            continue
         scale = lcm(*(p for _, _, p in column))
         out.append(_primitive({f: scale, **{c: -x * (scale // p)
                                             for c, x, p in column}}))

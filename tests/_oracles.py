@@ -1,11 +1,13 @@
 """Reference helpers that only the tests use, kept out of the package."""
 
+from math import gcd
+
 from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import BLADES, DIM, contract_sign, wedge_sign
-from spin7lab.exterior.endo import Endo
+from spin7lab.exterior.endo import Endo, _columns, _rho_images
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, contract,
                                      wedge)
-from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q, _integer_matrix
 from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                build_metric,
                                                metric_lie_derivative,
@@ -210,6 +212,39 @@ def old_rho_operator(a, degree):
     return FormOperator(degree, [
         {key: c for key, c in _rho_image(columns, m).items() if c}
         for m in BLADES[degree]])
+
+
+def rho_operator(a, degree):
+    """ρ(A) on Λ^degree as a FormOperator, built once from the nonzero
+    entries of A; an integer A gives an integer operator."""
+    ints = _integer_matrix(a.rows)
+    columns = _columns(ints[1] if ints and ints[0] == 1 else a.rows)
+    return FormOperator(degree, [
+        {key: c for key, c in image.items() if c}
+        for image in _rho_images(columns, BLADES[degree])])
+
+
+def operator_kernel_vectors(a):
+    """ker ρ(A)² on Λ⁴ of an integer A as primitive int vectors, the way
+    the classifier took it before it built the rows of ρ(A)² directly:
+    ρ(A) @ ρ(A) as FormOperators, transposed into sparse rows, each row
+    made primitive, then ``linalg.integer_nullspace``."""
+    square = rho_operator(a, 4) @ rho_operator(a, 4)
+    rows = {}
+    for j, image in enumerate(square.images):
+        for m, c in image.items():
+            rows.setdefault(m, {})[j] = c
+    primitive = []
+    for row in rows.values():
+        g = gcd(*row.values())
+        primitive.append({j: x // g for j, x in row.items()})
+    return linalg.integer_nullspace(primitive, len(square.images))
+
+
+def old_pair_contraction_cube(u, v, a):
+    """(u⌟v⌟a)³ by FieldScalar contraction and wedge."""
+    q = contract(u, contract(v, a))
+    return wedge(q, wedge(q, q))
 
 
 def coefficient_matrix(images):

@@ -10,6 +10,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spin7lab.cayley import (DecompositionProjectors, FormOperator,
                              build_omega, image_dimension,
@@ -24,7 +25,9 @@ from spin7lab.exterior.scalars import FieldScalar, Q
 from spin7lab.sampling import (random_form, random_orthogonal_pair,
                                random_rank_one_nilpotent)
 
-from _oracles import commutator, flatten, is_skew, trace
+from _oracles import (commutator, count_calls, flatten, is_skew,
+                      old_pair_contraction_cube, trace)
+from _strategies import coefficient_families, mixed_forms
 
 OMEGA = build_omega().omega
 VOL = KForm.blade(1, 2, 3, 4, 5, 6, 7, 8)
@@ -212,6 +215,37 @@ def test_contraction_cube_is_antisymmetric_under_swap():
     # q = u⌟v⌟Ω flips sign under the swap, so the cube flips too
     assert pair_contraction_cube(v, u, OMEGA) == \
         -pair_contraction_cube(u, v, OMEGA)
+
+
+_family_vectors = st.sampled_from(coefficient_families).flatmap(
+    lambda c: st.lists(c, min_size=8, max_size=8)).map(Vector)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_family_vectors, _family_vectors,
+       st.sampled_from([2, 3, 4]).flatmap(lambda k: mixed_forms(k, 10)))
+def test_contraction_cube_matches_contract_and_wedge(u, v, a):
+    # ints, non-integer rationals and surds in each of u, v and a
+    assert pair_contraction_cube(u, v, a) == old_pair_contraction_cube(u, v, a)
+
+
+def test_contraction_cube_of_omega_matches_contract_and_wedge():
+    rng = seeded("cube-oracle")
+    for _ in range(10):
+        u, v = (Vector([Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+                        for _ in range(8)]) for _ in range(2))
+        assert pair_contraction_cube(u, v, OMEGA) == \
+            old_pair_contraction_cube(u, v, OMEGA)
+
+
+def test_rational_contraction_cube_multiplies_no_field_scalars(monkeypatch):
+    u = Vector([Q(1, 2), 0, Q(-3, 5), 1, 0, 2, Q(1, 7), 0])
+    v = Vector([0, Q(2, 3), 1, 0, Q(-1, 4), 0, 3, 1])
+    calls = count_calls(monkeypatch, "__mul__")
+    cube = pair_contraction_cube(u, v, OMEGA)
+    assert calls == {"__mul__": 0}
+    monkeypatch.undo()
+    assert cube and cube == old_pair_contraction_cube(u, v, OMEGA)
 
 
 def test_perturbation_requires_orthogonality():

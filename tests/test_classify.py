@@ -19,16 +19,16 @@ from spin7lab.classify import (Certificate, YoungDiagram, _candidate_pairs,
                                cubic_vanishes_on_subspace, enumerate_diagrams,
                                find_certificate, jordan_type_of, kernel_space,
                                representative)
-from spin7lab.exterior import linalg
+from spin7lab.exterior import endo, forms, linalg
 from spin7lab.exterior.blades import BLADES, indices_of
 from spin7lab.exterior.endo import Endo, rho
-from spin7lab.exterior.forms import KForm, Vector, contract
+from spin7lab.exterior.forms import FormOperator, KForm, Vector, contract
 from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
 from _oracles import (count_calls, diagonal, is_nilpotent,
                       old_cubic_vanishes, old_jordan_type, old_kernel_basis,
-                      old_rho)
+                      old_rho, operator_kernel_vectors)
 from _strategies import coefficient_families, small_ints, surds
 
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
@@ -259,6 +259,36 @@ def test_int_kernel_vectors_span_the_dense_kernel(old_kernels):
 def test_kernel_basis_is_the_old_canonical_basis(old_kernels):
     for d in enumerate_diagrams():
         assert list(kernel_space(d).basis) == old_kernels[d.parts]
+
+
+def test_kernel_vectors_match_the_squared_operator():
+    # ρ(A) @ ρ(A) as FormOperators, transposed, on primitive rows
+    for d in enumerate_diagrams():
+        assert list(kernel_space(d).vectors) == \
+            operator_kernel_vectors(representative(d).matrix)
+
+
+def test_representative_columns_hold_the_chain_steps():
+    rep = representative(YoungDiagram.of(3, 2, 2, 1))
+    # e^1 -> e^2 -> e^3, e^4 -> e^5, e^6 -> e^7 and e^8 -> 0, 1-based
+    assert rep.columns == ({2: 1}, {4: 1}, {}, {16: 1}, {}, {64: 1}, {}, {})
+    assert rep.matrix == Endo([[1 if (i, j) in {(1, 0), (2, 1), (4, 3), (6, 5)}
+                                else 0 for j in range(8)] for i in range(8)])
+
+
+def test_kernel_space_makes_no_operator_or_field_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_space left the int row path")
+
+    monkeypatch.setattr(FormOperator, "__matmul__", refuse)
+    monkeypatch.setattr(forms, "_combine", refuse)
+    monkeypatch.setattr(endo, "_combine", refuse)
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    calls = count_calls(monkeypatch, "__mul__")
+    dims = [kernel_space(d).dimension for d in enumerate_diagrams()]
+    assert calls == {"__mul__": 0}
+    monkeypatch.undo()
+    assert dims == list(KERNEL_DIMS.values())
 
 
 # -- the integer cubic against contraction and wedge on FieldScalars ------------

@@ -80,7 +80,7 @@ def test_contraction_is_adjoint_to_exterior_multiplication(v, a, b):
 
 def test_contract_scalar_raises():
     with pytest.raises(ValueError):
-        contract(Vector.basis(1), KForm.constant(1))
+        contract(Vector.basis(1), KForm.blade())
 
 
 # -- Hodge star and inner product --------------------------------------------
@@ -117,7 +117,7 @@ def test_inner_is_positive_definite_on_rational_forms(a):
 
 def test_hodge_star_on_basis_blade():
     assert hodge_star(KForm.blade(1, 2)) == KForm.blade(3, 4, 5, 6, 7, 8)
-    assert hodge_star(KForm.constant(1)) == VOL
+    assert hodge_star(KForm.blade()) == VOL
 
 
 # -- KForm structure ----------------------------------------------------------

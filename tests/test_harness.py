@@ -61,6 +61,17 @@ def test_chamber_suites_pass_on_seeds_outside_the_goldens():
         assert report["checks"] and all(c["passed"] for c in report["checks"])
 
 
+def test_classifier_suites_pass_on_seeds_outside_the_goldens():
+    for seed in (3, 4, 5):
+        code, out = run_cli(["verify", "--suite", "basics", "--suite",
+                             "decomposition", "--suite", "classify",
+                             "--seed", str(seed)])
+        report = json.loads(out)
+        assert code == 0, seed
+        assert report["suites"] == ["basics", "decomposition", "classify"]
+        assert report["checks"] and all(c["passed"] for c in report["checks"])
+
+
 def test_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_suite("nonsense")

@@ -177,6 +177,36 @@ def test_integer_nullspace_is_the_nullspace_made_primitive(m):
                 for j in range(ncols)] == expected
 
 
+_int_matrices = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=1, max_size=7))
+
+
+@settings(max_examples=150)
+@given(_int_matrices, st.lists(st.integers(-6, 6).filter(bool), min_size=18,
+                               max_size=18), st.booleans(), st.integers(0, 7))
+def test_integer_nullspace_ignores_the_content_of_its_rows(m, factors, twos,
+                                                          single):
+    # rows times arbitrary nonzero ints, each row twice, a row of 2s and a
+    # one-entry row
+    ncols = len(m[0])
+    if twos:
+        m = m + [[2] * ncols]
+    if single < ncols:
+        m = m + [[3 if j == single else 0 for j in range(ncols)]]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    primitive = [{j: x // gcd(*row.values()) for j, x in row.items()}
+                 for row in rows if row]
+    scaled = [{j: f * x for j, x in row.items()}
+              for f, row in zip(factors, rows + rows)]
+    vectors = integer_nullspace(scaled, ncols)
+    assert vectors == integer_nullspace(primitive, ncols)
+    basis = linalg._integer_rref(scaled)
+    assert all(gcd(*row.values()) == 1 for row in basis.values())
+    assert [[FieldScalar.from_ratio(vec.get(j, 0), vec[max(vec)])
+             for j in range(ncols)] for vec in vectors] == nullspace(fs_matrix(m))
+
+
 def _count_inverses(monkeypatch) -> list[int]:
     calls = [0]
     original = FieldScalar.inverse
