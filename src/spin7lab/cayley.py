@@ -23,7 +23,7 @@ from .exterior.blades import BLADES
 from .exterior.forms import (FormOperator, KForm, Vector, _wedged, contract,
                              hodge_star, inner, wedge)
 from .exterior.endo import Endo, rho
-from .exterior.scalars import ONE, ZERO, Q, FieldScalar, _integer_matrix
+from .exterior.scalars import ONE, ZERO, Q, FieldScalar, integer_row
 
 __all__ = ["CayleyStructure", "FormOperator", "DecompositionProjectors",
            "build_omega", "stabilizer_algebra", "so8_basis", "sl8_basis",
@@ -142,14 +142,18 @@ def projectors() -> DecompositionProjectors:
     return DecompositionProjectors(p1=p1, p7=p7, p27=p27, p35=p35)
 
 
+def _numerators(entries) -> tuple[int, dict]:
+    """``integer_row`` of rational entries, else (1, the nonzero entries)."""
+    return integer_row(entries) or (1, {j: c for j, c in enumerate(entries) if c})
+
+
 def _pair_contracted(u: Vector, v: Vector, masks, vectors) -> tuple[int, list]:
     """(d, [d·(u⌟v⌟ω) for ω in vectors]), ω as (j, coefficient of masks[j])
-    items, on the int numerators of rational u and v (else FieldScalars,
-    d = 1): a blade m holding e_a and e_b goes to m ^ b ^ a, negated by the
-    parity of m's generators below b plus that of (m ^ b)'s below a."""
-    ints = _integer_matrix([u.components, v.components])
-    den, rows = ints if ints is not None else (1, (u.components, v.components))
-    us, vs = ([(1 << i, c) for i, c in enumerate(row) if c] for row in rows)
+    items, with d = den_u·den_v from ``_numerators`` of u and v: a blade m
+    holding e_a and e_b goes to m ^ b ^ a, negated by the parity of m's
+    generators below b plus that of (m ^ b)'s below a."""
+    (den_u, us), (den_v, vs) = _numerators(u.components), _numerators(v.components)
+    us, vs = ([(1 << i, c) for i, c in row.items()] for row in (us, vs))
     pairs = [(a | b, (b - 1) ^ (a - 1) & ~b, x * y)
              for a, x in us for b, y in vs if a != b]
     qs = []
@@ -162,7 +166,7 @@ def _pair_contracted(u: Vector, v: Vector, masks, vectors) -> tuple[int, list]:
                     term = -w * x if (m & sign_mask).bit_count() & 1 else w * x
                     acc[m ^ ab] = acc.get(m ^ ab, 0) + term
         qs.append({m: c for m, c in acc.items() if c})
-    return den * den, qs
+    return den_u * den_v, qs
 
 
 def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
@@ -172,9 +176,8 @@ def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
     cubed with ``forms._wedged`` and divided once per coefficient by the
     cube of its denominator; a surd keeps FieldScalars in the same code."""
     masks, coeffs = zip(*a.mask_items()) if a else ((), ())
-    ints = _integer_matrix([coeffs])
-    den_a, (numerators,) = ints if ints is not None else (1, (coeffs,))
-    den_uv, (q,) = _pair_contracted(u, v, masks, [enumerate(numerators)])
+    den_a, numerators = _numerators(coeffs)
+    den_uv, (q,) = _pair_contracted(u, v, masks, [numerators.items()])
     den = (den_a * den_uv) ** 3
     return KForm(3 * a.degree - 6, {m: FieldScalar.from_ratio(c, den) for m, c
                                     in _wedged(q, _wedged(q, q)).items()})

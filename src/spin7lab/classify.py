@@ -21,10 +21,10 @@ from itertools import chain, combinations, product
 from typing import Iterator
 
 from .exterior.blades import BLADE_POSITION, BLADES, DIM
-from .exterior.forms import KForm, Vector, _wedged
+from .exterior.forms import Vector, _wedged
 from .exterior import linalg
 from .exterior.endo import Endo, _product, _rho_images, rho
-from .exterior.scalars import ZERO, FieldScalar, _integer_matrix
+from .exterior.scalars import ZERO, _integer_matrix
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -139,9 +139,7 @@ def jordan_type_of(a: Endo) -> YoungDiagram:
 @dataclass(frozen=True)
 class KernelSpace:
     """K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the diagram's representative A,
-    spanned by ``vectors``, primitive int coordinates over ``BLADES[4]``;
-    ``basis`` is the canonical basis of ``linalg.nullspace`` (each vector
-    over its last entry, in its free column), built as KForms on demand."""
+    spanned by ``vectors``, primitive int coordinates over ``BLADES[4]``."""
 
     diagram: YoungDiagram
     vectors: tuple[dict[int, int], ...]
@@ -150,11 +148,6 @@ class KernelSpace:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-    @property
-    def basis(self) -> tuple[KForm, ...]:
-        return tuple(KForm(4, {BLADES[4][j]: FieldScalar.from_ratio(
-            x, vec[max(vec)]) for j, x in vec.items()}) for vec in self.vectors)
 
 
 def kernel_space(diagram: YoungDiagram) -> KernelSpace:
@@ -214,9 +207,11 @@ class LabeledVector:
     label: str | None = None
 
     def to_record(self) -> dict:
-        return {"label": self.label,
-                "components": [str(c.rational_value())
-                               for c in self.vector.components]}
+        """The rational components as ``str(Q)`` prints them, from their
+        canonical parts: "a", or "a/den" when den is not 1."""
+        return {"label": self.label, "components": [
+            str(c._a) if c._den == 1 else f"{c._a}/{c._den}"
+            for c in self.vector.components]}
 
 
 @dataclass(frozen=True)

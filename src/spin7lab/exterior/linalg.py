@@ -52,7 +52,7 @@ def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     sparse = [integer_row(row) for row in rows]
     if None in sparse:
         return _field_rref(rows, ncols)
-    basis = _integer_rref(sparse)
+    basis = _integer_rref([ints for _den, ints in sparse])
     pivots = sorted(basis)
     reduced = []
     for c in pivots:

@@ -241,9 +241,9 @@ class FieldScalar:
         return " ".join(pieces)
 
 
-def integer_row(row) -> dict[int, int] | None:
-    """The row times the lcm of its denominators, as a sparse
-    {column: int} dict, if every entry is rational; else None."""
+def integer_row(row) -> tuple[int, dict[int, int]] | None:
+    """(den, the row times den as a sparse {column: int} dict), den the lcm
+    of the entries' denominators, if every entry is rational; else None."""
     nonzero = {}
     den = 1
     for j, x in enumerate(row):
@@ -254,8 +254,8 @@ def integer_row(row) -> dict[int, int] | None:
             if x._den != 1:
                 den = lcm(den, x._den)
     if den == 1:
-        return {j: x._a for j, x in nonzero.items()}
-    return {j: x._a * (den // x._den) for j, x in nonzero.items()}
+        return 1, {j: x._a for j, x in nonzero.items()}
+    return den, {j: x._a * (den // x._den) for j, x in nonzero.items()}
 
 
 def _integer_matrix(rows) -> tuple[int, list[list[int]]] | None:

@@ -13,9 +13,11 @@ basis are exposed:
 * build_orthonormal_frame() scales by 1/sqrt(12) and 1/sqrt(24), making
   the basis orthonormal for the Killing metric (Killing matrix -Id).
 
-Structure constants are extracted exactly by decomposing matrix brackets
-back into the basis, and the frame exposes the bracket, the Killing form,
-and infinitesimal normalizers of subalgebras.
+Both frames take their structure constants from one table c_ij^k built on
+Python ints for the unscaled basis e_i, whose brackets an exactness guard
+rebuilds from their nonzero coordinates; the frame of generators s_i·e_i
+has the constants c_ij^k·s_i·s_j/s_k.  The frame exposes the bracket, the
+Killing form, and infinitesimal normalizers of subalgebras.
 """
 
 from __future__ import annotations
@@ -37,15 +39,12 @@ SP1_MINUS = (3, 4, 5)   # A4, A5, A6
 
 
 class Quaternion:
-    """w + xi + yj + zk over FieldScalar."""
+    """w + xi + yj + zk with int or FieldScalar parts, used as given."""
 
     __slots__ = ("w", "x", "y", "z")
 
     def __init__(self, w=0, x=0, y=0, z=0):
-        self.w = FieldScalar.of(w)
-        self.x = FieldScalar.of(x)
-        self.y = FieldScalar.of(y)
-        self.z = FieldScalar.of(z)
+        self.w, self.x, self.y, self.z = w, x, y, z
 
     def __add__(self, other):
         return Quaternion(self.w + other.w, self.x + other.x,
@@ -60,8 +59,8 @@ class Quaternion:
 
     def __mul__(self, other):
         if not isinstance(other, Quaternion):
-            s = FieldScalar.of(other)
-            return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
+            return Quaternion(self.w * other, self.x * other,
+                              self.y * other, self.z * other)
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
         w2, x2, y2, z2 = other.w, other.x, other.y, other.z
         return Quaternion(
@@ -71,8 +70,7 @@ class Quaternion:
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
 
-    def __rmul__(self, scalar):
-        s = FieldScalar.of(scalar)
+    def __rmul__(self, s):
         return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
 
     def conjugate(self):
@@ -146,7 +144,7 @@ _ORTHONORMAL_SCALES = (FieldScalar(0, 0, Q(1, 6), 0),     # sqrt(3)/6 = 1/sqrt(1
                        FieldScalar(0, 0, 0, Q(1, 12)))    # sqrt(6)/12 = 1/sqrt(24)
 
 
-def _basis_matrices(a_scale: FieldScalar, x_scale: FieldScalar) -> tuple[QuatMat2, ...]:
+def _basis_matrices(a_scale, x_scale) -> tuple[QuatMat2, ...]:
     diag = lambda p, q: QuatMat2(p, _ZERO_Q, _ZERO_Q, q)
     off = lambda q: QuatMat2(_ZERO_Q, q, -q.conjugate(), _ZERO_Q)
     return (
@@ -158,17 +156,13 @@ def _basis_matrices(a_scale: FieldScalar, x_scale: FieldScalar) -> tuple[QuatMat
     )
 
 
-def _decompose(m: QuatMat2, a_inv: FieldScalar,
-               x_inv: FieldScalar) -> tuple[FieldScalar, ...]:
-    """Coordinates of an anti-Hermitian matrix in the ten-generator basis."""
+def _decompose(m: QuatMat2) -> tuple:
+    """Coordinates of an anti-Hermitian matrix in the unscaled basis
+    ``_basis_matrices(1, 1)``."""
     if m.a.w or m.d.w:
         raise ValueError("diagonal entries must be imaginary")
-    coords = (
-        a_inv * m.a.x, a_inv * m.a.y, a_inv * m.a.z,
-        a_inv * m.d.x, a_inv * m.d.y, a_inv * m.d.z,
-        x_inv * m.b.x, x_inv * m.b.y, x_inv * m.b.z, x_inv * m.b.w,
-    )
-    return coords
+    return (m.a.x, m.a.y, m.a.z, m.d.x, m.d.y, m.d.z,
+            m.b.x, m.b.y, m.b.z, m.b.w)
 
 
 @dataclass(frozen=True)
@@ -209,24 +203,29 @@ class LieFrame:
 
 
 def _frame_from_scales(a_scale: FieldScalar, x_scale: FieldScalar) -> LieFrame:
-    mats = _basis_matrices(a_scale, x_scale)
-    a_inv, x_inv = a_scale.inverse(), x_scale.inverse()
-    structure = []
-    for i, mi in enumerate(mats):
-        row = []
-        for j, mj in enumerate(mats):
+    """The frame of generators s_i·e_i, s_i = a_scale for A1..A6 and
+    x_scale for X1..X4.  The table [e_i, e_j] = Σ c_ij^k e_k is built once
+    on the unscaled integer basis ``_basis_matrices(1, 1)``; the exactness
+    guard rebuilds each bracket from its nonzero int coordinates and raises
+    ArithmeticError if it does not close; each nonzero constant is scaled
+    once, by s_i·s_j/s_k, into a FieldScalar."""
+    basis = _basis_matrices(1, 1)
+    scales = (a_scale,) * 6 + (x_scale,) * 4
+    inverses = (a_scale.inverse(),) * 6 + (x_scale.inverse(),) * 4
+    structure = [[[ZERO] * N_GENERATORS for _ in basis] for _ in basis]
+    for i, mi in enumerate(basis):
+        for j, mj in enumerate(basis):
             br = mi.bracket(mj)
-            coords = _decompose(br, a_inv, x_inv)
-            # exactness guard: the decomposition must reproduce the bracket
             rebuilt = QuatMat2(_ZERO_Q, _ZERO_Q, _ZERO_Q, _ZERO_Q)
-            for c, m in zip(coords, mats):
-                rebuilt = rebuilt + c * m
+            for k, c in enumerate(_decompose(br)):
+                if c:
+                    rebuilt = rebuilt + c * basis[k]
+                    structure[i][j][k] = scales[i] * scales[j] * inverses[k] * c
             if rebuilt != br:
                 raise ArithmeticError("bracket does not close in the basis")
-            row.append(coords)
-        structure.append(tuple(row))
-    return LieFrame(names=GENERATOR_NAMES, matrices=mats,
-                    structure=tuple(structure))
+    return LieFrame(names=GENERATOR_NAMES,
+                    matrices=_basis_matrices(a_scale, x_scale),
+                    structure=tuple(tuple(map(tuple, p)) for p in structure))
 
 
 @lru_cache(maxsize=1)

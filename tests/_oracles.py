@@ -13,7 +13,9 @@ from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                metric_lie_derivative,
                                                proposition_display)
 from spin7lab.invariant.chamber import ChamberForm, ChamberScalar
-from spin7lab.invariant.liealg import build_lie_frame
+from spin7lab.invariant.liealg import (GENERATOR_NAMES, LieFrame, QuatMat2,
+                                       _ZERO_Q, _basis_matrices,
+                                       build_lie_frame)
 from spin7lab.sampling import random_unimodular
 
 
@@ -161,6 +163,34 @@ def is_anti_hermitian(m):
     return not (a or b or c or d)
 
 
+def old_frame_from_scales(a_scale, x_scale):
+    """The sp(2) frame as it was built on FieldScalar quaternions: every
+    bracket of the scaled basis decomposed with the inverse scales and
+    rebuilt from all ten scaled matrices as the exactness guard."""
+    mats = _basis_matrices(a_scale, x_scale)
+    a_inv, x_inv = a_scale.inverse(), x_scale.inverse()
+    structure = []
+    for mi in mats:
+        row = []
+        for mj in mats:
+            br = mi.bracket(mj)
+            if br.a.w or br.d.w:
+                raise ValueError("diagonal entries must be imaginary")
+            coords = (a_inv * br.a.x, a_inv * br.a.y, a_inv * br.a.z,
+                      a_inv * br.d.x, a_inv * br.d.y, a_inv * br.d.z,
+                      x_inv * br.b.x, x_inv * br.b.y, x_inv * br.b.z,
+                      x_inv * br.b.w)
+            rebuilt = QuatMat2(_ZERO_Q, _ZERO_Q, _ZERO_Q, _ZERO_Q)
+            for c, m in zip(coords, mats):
+                rebuilt = rebuilt + c * m
+            if rebuilt != br:
+                raise ArithmeticError("bracket does not close in the basis")
+            row.append(coords)
+        structure.append(tuple(row))
+    return LieFrame(names=GENERATOR_NAMES, matrices=mats,
+                    structure=tuple(structure))
+
+
 # -- the derivation action, its kernels and the cubic, as they were ------------
 
 def old_rho(a, form):
@@ -264,6 +294,13 @@ def nullspace_on_forms(op, degree):
     images = [op(KForm(degree, {m: ONE})) for m in domain]
     kernel = linalg.nullspace(coefficient_matrix(images), ncols=len(domain))
     return [KForm(degree, dict(zip(domain, vec))) for vec in kernel]
+
+
+def kernel_basis(space):
+    """The canonical basis of ``linalg.nullspace`` for a ``KernelSpace``:
+    each int vector over its entry in its free (last) column, as a KForm."""
+    return [KForm(4, {BLADES[4][j]: FieldScalar.from_ratio(x, vec[max(vec)])
+                      for j, x in vec.items()}) for vec in space.vectors]
 
 
 def old_kernel_basis(a):

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from spin7lab.exterior.scalars import ONE, SQRT3, SQRT6, ZERO, FieldScalar, Q
+from spin7lab.invariant import liealg
 from spin7lab.invariant.liealg import (GENERATOR_NAMES, SP1_MINUS, SP1_PLUS,
                                        LieFrame, Quaternion, QuatMat2,
                                        build_lie_frame,
@@ -18,10 +19,19 @@ from spin7lab.invariant.liealg import (GENERATOR_NAMES, SP1_MINUS, SP1_PLUS,
                                        generator_coords, is_subalgebra,
                                        killing_matrix, normalizer)
 
-from _oracles import is_anti_hermitian
+from _oracles import count_calls, is_anti_hermitian, old_frame_from_scales
 
-I, J, K = Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1)
-ONE_Q = Quaternion(1)
+SCALES = {"connection": liealg._CONNECTION_SCALES,
+          "orthonormal": liealg._ORTHONORMAL_SCALES}
+
+
+ENTRY_TYPES = (int, FieldScalar.of)   # Quaternion parts as ints or FieldScalars
+
+
+def units(entry):
+    """0, 1, i, j, k with parts built by ``entry``."""
+    return [Quaternion(*(entry(int(a == b)) for b in range(4)))
+            for a in (4, 0, 1, 2, 3)]
 
 
 def coords(**weights):
@@ -35,23 +45,39 @@ def coords(**weights):
 # -- quaternions ---------------------------------------------------------------
 
 def test_quaternion_multiplication_table():
-    assert I * I == J * J == K * K == -ONE_Q
-    assert I * J == K and J * K == I and K * I == J
-    assert J * I == -K and K * J == -I and I * K == -J
+    for entry in ENTRY_TYPES:
+        _zero, one, i, j, k = units(entry)
+        assert i * i == j * j == k * k == -one
+        assert i * j == k and j * k == i and k * i == j
+        assert j * i == -k and k * j == -i and i * k == -j
 
 
 def test_quaternion_conjugation_is_an_antihomomorphism():
-    p = Quaternion(1, 2, -1, 3)
-    q = Quaternion(0, -2, 5, 1)
-    assert (p * q).conjugate() == q.conjugate() * p.conjugate()
-    assert (p * p.conjugate()).conjugate() == p * p.conjugate()
+    for entry in ENTRY_TYPES:
+        p = Quaternion(*map(entry, (1, 2, -1, 3)))
+        q = Quaternion(*map(entry, (0, -2, 5, 1)))
+        assert (p * q).conjugate() == q.conjugate() * p.conjugate()
+        assert (p * p.conjugate()).conjugate() == p * p.conjugate()
 
 
 def test_quat_mat2_bracket():
-    a = QuatMat2(I, Quaternion(), Quaternion(), Quaternion())
-    b = QuatMat2(Quaternion(), ONE_Q, -ONE_Q, Quaternion())
-    assert a.bracket(b) == (a @ b) - (b @ a)
-    assert is_anti_hermitian(a)
+    for entry in ENTRY_TYPES:
+        zero, one, i, _j, _k = units(entry)
+        a = QuatMat2(i, zero, zero, zero)
+        b = QuatMat2(zero, one, -one, zero)
+        assert a.bracket(b) == (a @ b) - (b @ a)
+        assert a.bracket(b) == QuatMat2(zero, i, i, zero)
+        assert is_anti_hermitian(a)
+
+
+def test_int_and_field_quaternions_are_equal_and_hash_alike():
+    p = Quaternion(1, 2, -1, 3)
+    q = Quaternion(*map(FieldScalar.of, (1, 2, -1, 3)))
+    assert p == q and hash(p) == hash(q)
+    assert 2 * p == q * FieldScalar(2) == p + p
+    assert type((p * p).w) is int and type((q * q).w) is FieldScalar
+    m = QuatMat2(p, q, -q, p)
+    assert m == QuatMat2(q, p, -p, q) and hash(m) == hash(QuatMat2(q, p, -p, q))
 
 
 # -- the two frames ------------------------------------------------------------
@@ -61,6 +87,42 @@ def test_frame_generators_are_anti_hermitian():
         assert frame.names == GENERATOR_NAMES
         for m in frame.matrices:
             assert is_anti_hermitian(m)
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_frames_equal_the_field_scalar_oracle(name):
+    frame = liealg._frame_from_scales(*SCALES[name])
+    old = old_frame_from_scales(*SCALES[name])
+    assert frame.names == old.names
+    assert frame.matrices == old.matrices
+    constants = [c for plane in frame.structure for row in plane for c in row]
+    expected = [c for plane in old.structure for row in plane for c in row]
+    assert len(constants) == 1000 and constants == expected
+    assert all(type(c) is FieldScalar for c in constants)
+    assert sum(1 for c in constants if c) == 84
+
+
+@pytest.mark.parametrize("name", sorted(SCALES))
+def test_frame_build_scales_only_the_nonzero_constants(monkeypatch, name):
+    calls = count_calls(monkeypatch, "__mul__")
+    liealg._frame_from_scales(*SCALES[name])
+    assert 0 < calls["__mul__"] < 1000
+
+
+def test_frame_build_guard_rejects_a_bracket_that_does_not_close(monkeypatch):
+    decompose = liealg._decompose
+
+    def drop_last(m):
+        coords = list(decompose(m))
+        nonzero = [k for k, c in enumerate(coords) if c]
+        if nonzero:
+            coords[nonzero[-1]] = 0
+        return tuple(coords)
+
+    monkeypatch.setattr(liealg, "_decompose", drop_last)
+    for scales in SCALES.values():
+        with pytest.raises(ArithmeticError, match="does not close"):
+            liealg._frame_from_scales(*scales)
 
 
 def test_structure_constants_of_the_connection_frame():
