@@ -23,7 +23,8 @@ from .exterior.blades import BLADES
 from .exterior.forms import (FormOperator, KForm, Vector, _wedged, contract,
                              hodge_star, inner, wedge)
 from .exterior.endo import Endo, rho
-from .exterior.scalars import ONE, ZERO, Q, FieldScalar, integer_row
+from .exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
+                               to_numerators)
 
 __all__ = ["CayleyStructure", "FormOperator", "DecompositionProjectors",
            "build_omega", "stabilizer_algebra", "so8_basis", "sl8_basis",
@@ -142,18 +143,13 @@ def projectors() -> DecompositionProjectors:
     return DecompositionProjectors(p1=p1, p7=p7, p27=p27, p35=p35)
 
 
-def _numerators(entries) -> tuple[int, dict]:
-    """``integer_row`` of rational entries, else (1, the nonzero entries)."""
-    return integer_row(entries) or (1, {j: c for j, c in enumerate(entries) if c})
-
-
 def _pair_contracted(u: Vector, v: Vector, masks, vectors) -> tuple[int, list]:
     """(d, [d·(u⌟v⌟ω) for ω in vectors]), ω as (j, coefficient of masks[j])
-    items, with d = den_u·den_v from ``_numerators`` of u and v: a blade m
-    holding e_a and e_b goes to m ^ b ^ a, negated by the parity of m's
-    generators below b plus that of (m ^ b)'s below a."""
-    (den_u, us), (den_v, vs) = _numerators(u.components), _numerators(v.components)
-    us, vs = ([(1 << i, c) for i, c in row.items()] for row in (us, vs))
+    items, with d = den² for the numerator view of u and v over den: a
+    blade m holding e_a and e_b goes to m ^ b ^ a, negated by the parity of
+    m's generators below b plus that of (m ^ b)'s below a."""
+    den, rows = to_numerators([u.components, v.components])
+    us, vs = ([(1 << i, c) for i, c in row.items()] for row in rows)
     pairs = [(a | b, (b - 1) ^ (a - 1) & ~b, x * y)
              for a, x in us for b, y in vs if a != b]
     qs = []
@@ -166,21 +162,20 @@ def _pair_contracted(u: Vector, v: Vector, masks, vectors) -> tuple[int, list]:
                     term = -w * x if (m & sign_mask).bit_count() & 1 else w * x
                     acc[m ^ ab] = acc.get(m ^ ab, 0) + term
         qs.append({m: c for m, c in acc.items() if c})
-    return den_u * den_v, qs
+    return den * den, qs
 
 
 def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
     """(u⌟v⌟a)³ ∈ Λ⁶; the pair contraction is degenerate iff this vanishes.
 
-    q = u⌟v⌟a is built on the int numerators of a rational a, u and v,
-    cubed with ``forms._wedged`` and divided once per coefficient by the
-    cube of its denominator; a surd keeps FieldScalars in the same code."""
+    q = u⌟v⌟a is built on the numerator view of a, u and v
+    (``scalars.to_numerators``), cubed with ``forms._wedged`` and divided
+    once per coefficient by the cube of its denominator."""
     masks, coeffs = zip(*a.mask_items()) if a else ((), ())
-    den_a, numerators = _numerators(coeffs)
+    den_a, (numerators,) = to_numerators([coeffs])
     den_uv, (q,) = _pair_contracted(u, v, masks, [numerators.items()])
-    den = (den_a * den_uv) ** 3
-    return KForm(3 * a.degree - 6, {m: FieldScalar.from_ratio(c, den) for m, c
-                                    in _wedged(q, _wedged(q, q)).items()})
+    return KForm(3 * a.degree - 6, from_numerators(
+        _wedged(q, _wedged(q, q)), (den_a * den_uv) ** 3))
 
 
 def perturb_rank_one(v: Vector, w: Vector, t) -> KForm:

@@ -24,7 +24,7 @@ from .exterior.blades import BLADE_POSITION, BLADES, DIM
 from .exterior.forms import Vector, _wedged
 from .exterior import linalg
 from .exterior.endo import Endo, _product, _rho_images, rho
-from .exterior.scalars import ZERO, _integer_matrix
+from .exterior.scalars import ZERO, to_numerators
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -114,20 +114,24 @@ def representative(diagram: YoungDiagram) -> JordanRepresentative:
 
 def jordan_type_of(a: Endo) -> YoungDiagram:
     """Recover the partition from the ranks of A, A², … up to the first
-    zero power; A^8 ≠ 0 means A is not nilpotent.  The powers and ranks of
-    a rational A are taken on the int numerators of its rows."""
-    ints = _integer_matrix(a.rows)
-    if ints is None:
-        rows, zero, rank = a.rows, ZERO, linalg.rank
+    zero power; A^8 ≠ 0 means A is not nilpotent.  The powers are taken on
+    the numerator view of A's rows (``scalars.to_numerators``).  Like
+    ``linalg.echelon`` it branches on the view, because the ranks use a
+    different algorithm on ints (``linalg._integer_rref``) than in the
+    field (``linalg.rank``)."""
+    _den, rows = to_numerators(a.rows)
+    if linalg._on_ints(rows):
+        rank = lambda power: len(linalg._integer_rref(power))
     else:
-        rows, zero, rank = ints[1], 0, linalg._integer_rank
+        rank = lambda power: linalg.rank(
+            [[row.get(j, ZERO) for j in range(DIM)] for row in power])
     ranks = [DIM]
     power = rows
-    while any(map(any, power)):
+    while any(power):
         if len(ranks) == DIM:
             raise ValueError("jordan type computed for nilpotent input only")
         ranks.append(rank(power))
-        power = _product(power, rows, zero)
+        power = _product(power, rows)
     ranks.append(0)
     # at_least[k - 1] = ranks[k - 1] - ranks[k] blocks have size >= k
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
@@ -207,11 +211,9 @@ class LabeledVector:
     label: str | None = None
 
     def to_record(self) -> dict:
-        """The rational components as ``str(Q)`` prints them, from their
-        canonical parts: "a", or "a/den" when den is not 1."""
-        return {"label": self.label, "components": [
-            str(c._a) if c._den == 1 else f"{c._a}/{c._den}"
-            for c in self.vector.components]}
+        """The rational components as ``str(Q)`` prints them."""
+        return {"label": self.label,
+                "components": [str(c) for c in self.vector.components]}
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ DIM = 8
 FULL_MASK = (1 << DIM) - 1
 
 __all__ = ["DIM", "FULL_MASK", "BLADES", "BLADE_POSITION", "wedge_sign",
-           "contract_sign", "mask_of", "indices_of", "complement_sign",
-           "blades_of_degree"]
+           "contract_sign", "mask_of", "indices_of", "complement_sign"]
 
 
 def wedge_sign(m1: int, m2: int) -> int:
@@ -92,8 +91,3 @@ def complement_sign(mask: int) -> int:
 BLADES = tuple(tuple(mask_of(c)[1] for c in combinations(range(1, DIM + 1), k))
                for k in range(DIM + 1))
 BLADE_POSITION = tuple({m: i for i, m in enumerate(masks)} for masks in BLADES)
-
-
-def blades_of_degree(k: int) -> list[int]:
-    """All degree-k blade masks, ordered by their index tuples."""
-    return list(BLADES[k]) if 0 <= k <= DIM else []

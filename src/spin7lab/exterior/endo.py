@@ -10,9 +10,8 @@ coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 
-Rational matrices run on Python ints, over one common denominator each:
-``@``, and ``rho`` and ``pullback`` of a rational form, divide once per
-output entry, and any surd entry keeps the FieldScalar path.
+``@``, ``rho`` and ``pullback`` sum and multiply on the numerator view of
+their inputs (``scalars.to_numerators``) and divide once per output entry.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from math import factorial
 
 from . import linalg
 from .blades import DIM
-from .scalars import ZERO, FieldScalar, _integer_matrix
+from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
 from .forms import Covector, KForm, Vector, _combine, _pulled_back
 
 __all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
@@ -85,16 +84,15 @@ class Endo:
     __mul__ = __rmul__
 
     def __matmul__(self, other: "Endo") -> "Endo":
-        """Two rational factors multiply as int matrices over their common
-        denominators, and each entry is divided once by den_a·den_b."""
+        """The product of the numerator views of the factors, each entry
+        divided once by den_a·den_b."""
         if not isinstance(other, Endo):
             return NotImplemented
-        left, right = _integer_matrix(self.rows), _integer_matrix(other.rows)
-        if left is None or right is None:
-            return Endo(_product(self.rows, other.rows, ZERO))
-        den = left[0] * right[0]
-        return Endo([[FieldScalar.from_ratio(n, den) for n in row]
-                     for row in _product(left[1], right[1], 0)])
+        den_a, left = to_numerators(self.rows)
+        den_b, right = to_numerators(other.rows)
+        rows = [from_numerators(row, den_a * den_b)
+                for row in _product(left, right)]
+        return Endo([[row.get(k, ZERO) for k in range(DIM)] for row in rows])
 
     def __eq__(self, other):
         return isinstance(other, Endo) and self.rows == other.rows
@@ -124,25 +122,19 @@ class Endo:
                      for row in record["rows"]])
 
 
-def _product(rows_a, rows_b, zero) -> list[list]:
-    """The matrix product over any ring: row i is Σ_j a_ij·(row j of b),
-    summed over nonzero entries only."""
-    nonzero = [[(k, b) for k, b in enumerate(row) if b] for row in rows_b]
-    out = []
-    for row in rows_a:
-        acc = [zero] * DIM
-        for a, entries in zip(row, nonzero):
-            if a:
-                for k, b in entries:
-                    acc[k] = acc[k] + a * b
-        out.append(acc)
-    return out
+def _product(rows_a, rows_b) -> list[dict]:
+    """The product of two matrices of sparse {column: entry} rows over any
+    ring: row i is Σ_j a_ij·(row j of b), zero sums pruned."""
+    return [_combine((rows_b[j], a) for j, a in row.items()) for row in rows_a]
 
 
 def _columns(rows) -> list[dict]:
-    """Column p of a matrix as a {bit of e^i: entry} dict, nonzero only."""
-    return [{1 << i: row[p] for i, row in enumerate(rows) if row[p]}
-            for p in range(DIM)]
+    """Column p of a matrix of sparse rows as a {bit of e^i: entry} dict."""
+    columns: list[dict] = [{} for _ in range(DIM)]
+    for i, row in enumerate(rows):
+        for p, x in row.items():
+            columns[p][1 << i] = x
+    return columns
 
 
 def _rho_images(columns, masks) -> list[dict]:
@@ -166,20 +158,13 @@ def _rho_images(columns, masks) -> list[dict]:
 
 
 def _on_numerators(a: Endo, form: KForm, action, den_power: int) -> KForm:
-    """action(term map of the form, columns of A), on the int numerators of
-    a rational A and form with one division by den(A)^den_power·den(form)
-    per output coefficient, or on FieldScalars when either has a surd."""
-    items = list(form.mask_items())
-    matrix = _integer_matrix(a.rows)
-    values = _integer_matrix([[c for _, c in items]])
-    if matrix is None or values is None:
-        return KForm(form.degree, action(dict(items), _columns(a.rows)))
-    (den_a, rows), (den_f, (numerators,)) = matrix, values
-    terms = action({m: n for (m, _), n in zip(items, numerators)},
-                   _columns(rows))
-    den = den_a ** den_power * den_f
-    return KForm(form.degree, {m: FieldScalar.from_ratio(n, den)
-                               for m, n in terms.items()})
+    """action(term map of the form, columns of A) on the numerator views
+    of A and the form, divided once by den(A)^den_power·den(form) per
+    output coefficient."""
+    den_a, rows = to_numerators(a.rows)
+    den_f, (terms,) = to_numerators([dict(form.mask_items())])
+    return KForm(form.degree, from_numerators(action(terms, _columns(rows)),
+                                              den_a ** den_power * den_f))
 
 
 def rho(a: Endo, form: KForm) -> KForm:

@@ -4,15 +4,15 @@ Matrices are lists of rows of FieldScalar.  Every elimination goes through
 ``echelon``, which returns the reduced row-echelon form (RREF, also an
 echelon form) and picks its arithmetic from the entries:
 
-* When every entry is rational, each row is scaled by the lcm of its
-  denominators and kept as a sparse {column: int} dict.  The rows are
-  reduced one at a time into a Gauss–Jordan basis: a row is cleared in a
-  column by cross-multiplying, p/g times it minus f/g times the basis row
-  with pivot p, where f is its own entry and g = gcd(p, f), and every
-  result is divided by its content (the gcd of its entries).  Each
-  division is therefore exact, and no field inversion happens.  Only the
-  final RREF goes back to FieldScalar, one reduced fraction per nonzero
-  entry.
+* When every entry is rational, the rows are taken in the numerator view
+  of ``scalars.to_numerators``, as sparse {column: int} dicts over one
+  denominator.  They are reduced one at a time into a Gauss–Jordan basis:
+  a row is cleared in a column by cross-multiplying, p/g times it minus
+  f/g times the basis row with pivot p, where f is its own entry and
+  g = gcd(p, f), and every result is divided by its content (the gcd of
+  its entries).  Each division is therefore exact, and no field inversion
+  happens.  Only the final RREF goes back to FieldScalar, one reduced
+  fraction per nonzero entry.
 * A matrix with a surd entry is reduced by Gauss–Jordan in the field, with
   one inversion per pivot.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, FieldScalar, integer_row
+from .scalars import ONE, ZERO, FieldScalar, from_numerators, to_numerators
 
 __all__ = ["echelon", "rref", "rank", "nullspace", "integer_nullspace",
            "invert"]
@@ -44,25 +44,30 @@ def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form and pivot columns.
 
     The result has as many rows as the input: the nonzero rows of the RREF
-    in pivot order, then zero rows.
+    in pivot order, then zero rows.  This and ``classify.jordan_type_of``
+    are the two places that branch on the numerator view, because each
+    runs a different algorithm on ints (``_integer_rref``) than in the
+    field (``_field_rref``).
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    sparse = [integer_row(row) for row in rows]
-    if None in sparse:
+    _den, sparse = to_numerators(rows)
+    if not _on_ints(sparse):
         return _field_rref(rows, ncols)
-    basis = _integer_rref([ints for _den, ints in sparse])
+    basis = _integer_rref(sparse)
     pivots = sorted(basis)
     reduced = []
     for c in pivots:
-        row, p = basis[c], basis[c][c]
-        dense = [ZERO] * ncols
-        for j, v in row.items():
-            dense[j] = FieldScalar.from_ratio(v, p)
-        reduced.append(dense)
+        row = from_numerators(basis[c], basis[c][c])
+        reduced.append([row.get(j, ZERO) for j in range(ncols)])
     reduced.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
     return reduced, pivots
+
+
+def _on_ints(sparse: list[SparseRow]) -> bool:
+    """Whether a numerator view holds ints, not its surd fallback."""
+    return all(type(x) is int for row in sparse for x in row.values())
 
 
 def _primitive(row: SparseRow) -> SparseRow:
@@ -108,12 +113,6 @@ def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
                 basis[b] = _cleared(basis_row, row, c)
         basis[c] = row
     return basis
-
-
-def _integer_rank(rows: list[list[int]]) -> int:
-    """The rank of a dense int matrix, by the integer Gauss–Jordan."""
-    return len(_integer_rref([{j: v for j, v in enumerate(row) if v}
-                              for row in rows]))
 
 
 def _field_rref(rows: Matrix, ncols: int) -> tuple[Matrix, list[int]]:

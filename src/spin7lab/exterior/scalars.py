@@ -12,6 +12,23 @@ down to a plain integer.
 Rationals come in as int, ``Q`` (``fractions.Fraction``) or 'p/q' strings
 and go out as ``Q``.  Floats are refused: no floating point is used
 anywhere.
+
+The numerator view.  The sparse sum-and-multiply code of the library
+(``Endo @``, ``rho``, ``pullback``, the contraction cube, the chamber
+products, ``maurer_cartan_d``, ``InvariantField.contract`` and integer
+elimination) reads its coefficients through one pair of functions, and no
+other module looks inside a scalar:
+
+* ``to_numerators(maps)`` takes term maps ({key: scalar}) or rows
+  (sequences, keyed by position) and returns (den, one {key: int} map per
+  input), the numerators of the nonzero coefficients over den, the lcm of
+  all their denominators;
+* ``from_numerators(terms, den)`` divides each term once on the way back.
+
+Surd fallback: when any coefficient has a surd, ``to_numerators`` returns
+the nonzero scalars themselves over den 1.  The same code then sums and
+multiplies FieldScalars instead of ints (an int times a scalar is a
+scalar), and ``from_numerators`` accepts either kind of numerator.
 """
 
 from __future__ import annotations
@@ -21,7 +38,8 @@ from math import gcd, lcm
 
 Q = Fraction
 
-__all__ = ["Q", "FieldScalar", "ZERO", "ONE", "SQRT2", "SQRT3", "SQRT6", "rational"]
+__all__ = ["Q", "FieldScalar", "ZERO", "ONE", "SQRT2", "SQRT3", "SQRT6",
+           "rational", "to_numerators", "from_numerators"]
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -66,6 +84,8 @@ class FieldScalar:
         """numerator/denominator: an int or FieldScalar over a nonzero int."""
         if type(numerator) is FieldScalar:
             n = numerator
+            if denominator == 1:
+                return n
             return _reduced(n._a, n._b, n._c, n._d, n._den * denominator)
         if denominator == 1:
             return _canonical(numerator, 0, 0, 0, 1)
@@ -218,8 +238,8 @@ class FieldScalar:
         return "FieldScalar({}, {}, {}, {})".format(*self.quadruple())
 
     def __str__(self):
-        if not self:
-            return "0"
+        if not (self._b or self._c or self._d):  # as str(Q) prints it
+            return str(self._a) if self._den == 1 else f"{self._a}/{self._den}"
         pieces = []
         for coeff, tag in zip(self.quadruple(), ("", "sqrt2", "sqrt3", "sqrt6")):
             if not coeff:
@@ -241,34 +261,28 @@ class FieldScalar:
         return " ".join(pieces)
 
 
-def integer_row(row) -> tuple[int, dict[int, int]] | None:
-    """(den, the row times den as a sparse {column: int} dict), den the lcm
-    of the entries' denominators, if every entry is rational; else None."""
-    nonzero = {}
+def to_numerators(maps) -> tuple[int, list[dict]]:
+    """(den, one {key: int numerator} map per term map or row), keeping the
+    nonzero coefficients only, den the lcm of all their denominators; the
+    nonzero scalars themselves over den 1 when one has a surd."""
     den = 1
-    for j, x in enumerate(row):
-        if x._b or x._c or x._d:
-            return None
-        if x._a:
-            nonzero[j] = x
-            if x._den != 1:
-                den = lcm(den, x._den)
-    if den == 1:
-        return 1, {j: x._a for j, x in nonzero.items()}
-    return den, {j: x._a * (den // x._den) for j, x in nonzero.items()}
-
-
-def _integer_matrix(rows) -> tuple[int, list[list[int]]] | None:
-    """(den, int rows) with every entry = numerator/den over the lcm den
-    of the entries' denominators, if every entry is rational; else None."""
-    den = 1
-    for row in rows:
-        for x in row:
+    for m in maps:
+        for x in (m.values() if isinstance(m, dict) else m):
             if x._b or x._c or x._d:
-                return None
-            if x._den != 1:
+                return 1, [{k: x for k, x in _items(m) if x} for m in maps]
+            if den % x._den:
                 den = lcm(den, x._den)
-    return den, [[x._a * (den // x._den) for x in row] for row in rows]
+    return den, [{k: x._a * (den // x._den) for k, x in _items(m) if x._a}
+                 for m in maps]
+
+
+def from_numerators(terms: dict, den: int) -> dict:
+    """{key: numerator/den} for int or FieldScalar numerators."""
+    return {k: FieldScalar.from_ratio(n, den) for k, n in terms.items()}
+
+
+def _items(m):
+    return m.items() if isinstance(m, dict) else enumerate(m)
 
 
 _new = object.__new__

@@ -20,11 +20,10 @@ from functools import lru_cache
 
 from ..exterior.blades import contract_sign
 from ..exterior.forms import blade_pullback
-from ..exterior.scalars import ZERO, FieldScalar
+from ..exterior.scalars import ZERO, FieldScalar, to_numerators
 from .liealg import LieFrame, build_lie_frame
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
-                      S, _add_products, _numerators, _over,
-                      maurer_cartan_d)
+                      S, _add_products, _over, maurer_cartan_d)
 
 __all__ = ["HForm", "BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",
@@ -165,12 +164,12 @@ class InvariantField:
 
     def contract(self, form: ChamberForm) -> ChamberForm:
         """Y⌟form: the raw (s, w) terms of the three slots are summed per
-        output blade on the numerators of Y and the form over their lcm
-        denominator D (FieldScalars over 1 with a surd), then canonicalized
-        once and divided by D² per term."""
+        output blade on the numerator view of Y and the form
+        (``scalars.to_numerators``, over D), then canonicalized once and
+        divided by D² per term."""
         fields = self.coefficients()
-        maps, den = _numerators([c.terms for _, c in fields]
-                                + [c.terms for c in form.terms.values()])
+        den, maps = to_numerators([c.terms for _, c in fields]
+                                  + [c.terms for c in form.terms.values()])
         acc: dict[int, dict] = {}
         for (slot, _), y in zip(fields, maps):
             signed = {1: y, -1: {k: -c for k, c in y.items()}}

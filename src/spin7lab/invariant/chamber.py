@@ -10,10 +10,10 @@ ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
 the differential combines ∂_s on coefficients with the Maurer-Cartan
 equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.  d, ∂_s and non-constant products
-sum raw (s, w) terms on int numerators over one denominator D when every
-input is rational (w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep
-them integral), else on FieldScalars; each output scalar is canonicalized
-once and each of its terms divided once by D.
+sum raw (s, w) terms on the numerator view of their inputs
+(``scalars.to_numerators``; w⁵ = 1 + s², division by the monic 1 + s² and
+5∂_s keep int numerators integral); each output scalar is canonicalized
+once and each of its terms divided once by the denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Iterable
 
 from ..exterior.blades import indices_of, mask_of
 from ..exterior.forms import Form, contract_generator
-from ..exterior.scalars import ZERO, Q, FieldScalar, _integer_matrix
+from ..exterior.scalars import (ZERO, Q, FieldScalar, from_numerators,
+                                to_numerators)
 from .liealg import LieFrame, N_GENERATORS, build_lie_frame
 
 __all__ = ["ChamberScalar", "ChamberForm", "COFRAME_NAMES", "S", "W", "W_INV",
@@ -114,7 +115,7 @@ class ChamberScalar:
             return self._scaled(other.terms[(0, 0)])
         if self.terms.keys() == {(0, 0)}:
             return other._scaled(self.terms[(0, 0)])
-        (x, y), den = _numerators([self.terms, other.terms])
+        den, (x, y) = to_numerators([self.terms, other.terms])
         raw: dict = {}
         _add_products(raw, x, y)
         return _over(raw, den * den)
@@ -156,7 +157,7 @@ class ChamberScalar:
 
     def derivative(self) -> "ChamberScalar":
         """∂_s, with ∂_s w = (2/5) s w⁻⁴, as 5∂_s divided by 5."""
-        (terms,), den = _numerators([self.terms])
+        den, (terms,) = to_numerators([self.terms])
         raw: dict = {}
         _add_terms(raw, _derivative_terms(terms))
         return _over(raw, 5 * den)
@@ -212,21 +213,10 @@ class ChamberScalar:
 # helpers below build, sum and reduce them on ints or on FieldScalars:
 # every sum starts from its first term, never from ZERO.
 
-def _numerators(maps: list[dict]) -> tuple[list[dict], int]:
-    """(maps, D): the term maps as int numerators over D, the lcm of the
-    denominators of their coefficients; as given, over 1, with a surd."""
-    ints = _integer_matrix([m.values() for m in maps])
-    if ints is None:
-        return maps, 1
-    den, rows = ints
-    return [dict(zip(m, row)) for m, row in zip(maps, rows)], den
-
-
 def _over(raw: dict, den: int) -> ChamberScalar:
-    """raw/den, canonicalized once, with one from_ratio per term."""
+    """raw/den, canonicalized once, then divided once per term."""
     out = ChamberScalar.__new__(ChamberScalar)
-    out.terms = {k: FieldScalar.from_ratio(n, den)
-                 for k, n in _canonical(raw).items()}
+    out.terms = from_numerators(_canonical(raw), den)
     return out
 
 
@@ -413,16 +403,16 @@ def maurer_cartan_d(form: ChamberForm,
 
     d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
     degree, so moving it to the front costs no sign.  The raw (s, w) terms
-    of 5·d are summed per output blade on the numerators of the form and
-    the structure constants over their lcm denominator D (FieldScalars over
-    1 with a surd), then canonicalized once and divided by 5·D² per term.
+    of 5·d are summed per output blade on the numerator view of the form
+    and the structure constants (``scalars.to_numerators``, over D), then
+    canonicalized once and divided by 5·D² per term.
     """
     frame = frame or build_lie_frame()
     structure = [(slot, m, c.terms)
                  for slot, dk in enumerate(frame.coframe_differentials)
                  for m, c in dk.terms.items()]
-    maps, den = _numerators([c.terms for c in form.terms.values()]
-                            + [t for _, _, t in structure])
+    den, maps = to_numerators([c.terms for c in form.terms.values()]
+                              + [t for _, _, t in structure])
     # 5·de^k per slot, as (blade e^i∧e^j, the bits from i to below j,
     # numerators, negated numerators)
     dgen: list[list] = [[] for _ in range(N_COFRAME)]

@@ -7,7 +7,8 @@ from spin7lab.exterior.blades import BLADES, DIM, contract_sign, wedge_sign
 from spin7lab.exterior.endo import Endo, _columns, _rho_images
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, contract,
                                      wedge)
-from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q, _integer_matrix
+from spin7lab.exterior.scalars import (ONE, ZERO, FieldScalar, Q,
+                                       from_numerators, to_numerators)
 from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                build_metric,
                                                metric_lie_derivative,
@@ -247,8 +248,9 @@ def old_rho_operator(a, degree):
 def rho_operator(a, degree):
     """ρ(A) on Λ^degree as a FormOperator, built once from the nonzero
     entries of A; an integer A gives an integer operator."""
-    ints = _integer_matrix(a.rows)
-    columns = _columns(ints[1] if ints and ints[0] == 1 else a.rows)
+    den, rows = to_numerators(a.rows)
+    columns = _columns(rows if den == 1 else
+                       [from_numerators(row, den) for row in rows])
     return FormOperator(degree, [
         {key: c for key, c in image.items() if c}
         for image in _rho_images(columns, BLADES[degree])])

@@ -7,7 +7,7 @@ the algebra, not in the size of the numbers.
 
 from hypothesis import strategies as st
 
-from spin7lab.exterior.blades import blades_of_degree
+from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior.forms import Covector, KForm, Vector
 from spin7lab.exterior.scalars import FieldScalar, Q
@@ -56,7 +56,7 @@ nonzero_vectors = vectors.filter(bool)
 def forms(degree: int, max_terms: int = 5, coeffs=small_ints,
           min_terms: int = 0):
     """Sparse degree-k forms with small coefficients (integers by default)."""
-    masks = blades_of_degree(degree)
+    masks = BLADES[degree]
     return st.lists(
         st.tuples(st.sampled_from(masks), coeffs),
         min_size=min_terms, max_size=max_terms,

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from spin7lab.exterior.blades import (DIM, FULL_MASK, blades_of_degree,
+from spin7lab.exterior.blades import (BLADES, DIM, FULL_MASK,
                                       complement_sign, contract_sign,
                                       indices_of, mask_of, wedge_sign)
 
@@ -81,7 +81,7 @@ def test_complement_sign_double_complement(mask):
 
 def test_blades_of_degree_enumeration():
     for k in range(DIM + 1):
-        blades = blades_of_degree(k)
+        blades = BLADES[k]
         assert len(blades) == comb(DIM, k)
         assert all(m.bit_count() == k for m in blades)
         # ordering follows the combinations of index tuples

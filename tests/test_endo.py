@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spin7lab.classify import YoungDiagram, representative
-from spin7lab.exterior.blades import blades_of_degree
+from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.endo import Endo, exp_nilpotent, pullback, rho
 from spin7lab.exterior.forms import (Covector, KForm, Vector, blade_pullback,
                                      wedge)
@@ -161,7 +161,7 @@ def test_pullback_matches_the_per_blade_oracle(l_family, x_family, degree,
     # dense maps, and singular ones with zero image columns
     l_map = Endo([[0 if j in zero_columns else seeded_entry[l_family](rng)
                    for j in range(8)] for _ in range(8)])
-    masks = blades_of_degree(degree)
+    masks = BLADES[degree]
     x = KForm(degree, {m: FieldScalar.of(seeded_entry[x_family](rng))
                        for m in rng.sample(masks, min(3, len(masks)))})
     images = generator_images(l_map)

@@ -14,7 +14,7 @@ from spin7lab.exterior import linalg
 from spin7lab.exterior.linalg import (echelon, integer_nullspace, invert,
                                       nullspace, rank, rref)
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, ZERO, FieldScalar,
-                                       Q, integer_row)
+                                       Q, to_numerators)
 
 from _oracles import solve
 from _strategies import small_ints
@@ -166,7 +166,7 @@ def test_integer_path_matches_field_code(m):
 @given(rational_matrices())
 def test_integer_nullspace_is_the_nullspace_made_primitive(m):
     ncols = len(m[0])
-    vectors = integer_nullspace([integer_row(row)[1] for row in m], ncols)
+    vectors = integer_nullspace(to_numerators(m)[1], ncols)
     canonical = nullspace(m)
     assert len(vectors) == len(canonical)
     for vec, expected in zip(vectors, canonical):

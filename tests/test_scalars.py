@@ -1,16 +1,21 @@
-"""Field axioms and Galois structure of the Q(sqrt2, sqrt3) scalars."""
+"""Field axioms and Galois structure of the Q(sqrt2, sqrt3) scalars, and
+the numerator view of rational coefficients."""
 
+import ast
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spin7lab
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, SQRT6, ZERO,
-                                       FieldScalar, Q, rational)
+                                       FieldScalar, Q, from_numerators,
+                                       rational, to_numerators)
 
 from _oracles import conj_sqrt2, conj_sqrt3
-from _strategies import field_scalars, nonzero_field_scalars
+from _strategies import field_scalars, nonzero_field_scalars, surds
 
 
 def test_surd_multiplication_table():
@@ -206,3 +211,68 @@ def test_arithmetic_matches_fraction_quadruples(p, r):
         assert hash(x) == hash(y)
     if not any(p[1:]):
         assert x == p[0] and hash(x) == hash(p[0])
+
+
+# -- the numerator view -----------------------------------------------------------
+
+_view_entries = st.one_of(st.just(0), st.integers(-9, 9),
+                          st.fractions(min_value=-9, max_value=9,
+                                       max_denominator=12))
+_raw_maps = st.one_of(
+    st.dictionaries(st.integers(0, 20), _view_entries, max_size=6),
+    st.lists(_view_entries, max_size=8))
+
+
+def _items(m):
+    return m.items() if isinstance(m, dict) else enumerate(m)
+
+
+@settings(max_examples=150)
+@given(st.lists(_raw_maps, max_size=4))
+def test_numerator_view_round_trips_rational_maps_and_rows(raw):
+    # term maps and dense rows of ints, Fractions of mixed denominators and
+    # zeros
+    maps = [{k: FieldScalar.of(x) for k, x in m.items()} if isinstance(m, dict)
+            else [FieldScalar.of(x) for x in m] for m in raw]
+    den, views = to_numerators(maps)
+    assert den == lcm(1, *(Fraction(x).denominator
+                           for m in raw for _, x in _items(m)))
+    assert len(views) == len(maps)
+    for m, view in zip(raw, views):
+        nonzero = {k: Fraction(x) for k, x in _items(m) if x}
+        assert all(type(n) is int and n for n in view.values())
+        assert {k: Fraction(n, den) for k, n in view.items()} == nonzero
+        back = from_numerators(view, den)
+        assert all(type(x) is FieldScalar for x in back.values())
+        assert back == {k: FieldScalar(x) for k, x in nonzero.items()}
+
+
+@settings(max_examples=100)
+@given(st.lists(_view_entries, max_size=6), st.integers(0, 6), surds)
+def test_numerator_view_of_a_surd_map_is_its_scalars_over_one(entries, at,
+                                                              surd):
+    rational_map = {k: FieldScalar.of(x) for k, x in enumerate(entries)}
+    surd_map = dict(rational_map)
+    surd_map[at] = surd
+    den, views = to_numerators([rational_map, surd_map, list(surd_map.values())])
+    assert den == 1
+    for m, view in zip((rational_map, surd_map, list(surd_map.values())), views):
+        nonzero = {k: x for k, x in _items(m) if x}
+        assert all(type(x) is FieldScalar for x in view.values())
+        assert view == nonzero
+        assert from_numerators(view, den) == nonzero
+
+
+def test_only_scalars_reads_the_private_slots_of_a_field_scalar():
+    # the numerator view is the one place that looks inside a scalar
+    package = Path(spin7lab.__file__).parent
+    slots = set(FieldScalar.__slots__)
+    readers = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "exterior" / "scalars.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.relative_to(package)}:{node.lineno} .{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in slots]
+    assert readers == []
