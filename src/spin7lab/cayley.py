@@ -8,8 +8,11 @@ rank-one perturbation Ω + t·v♭∧(w⌟Ω).
 
 The projectors are FormOperators (exterior.forms): one {mask: coefficient}
 dict per basis 4-blade, applied and composed with one accumulator per
-output blade.  The stabilizer and the orbit dimensions are the kernel and
-the rank of the map A ↦ ρ(A)Ω, a FormOperator from gl(8) into Λ⁴.
+output blade.  All four are rational, so they are applied and composed on
+int numerators over one denominator per projector, and a rational ρ(A)Ω
+is projected without a FieldScalar product.  The stabilizer and the orbit
+dimensions are the kernel and the rank of the map A ↦ ρ(A)Ω, a
+FormOperator from gl(8) into Λ⁴.
 """
 
 from __future__ import annotations

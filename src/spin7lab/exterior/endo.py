@@ -10,8 +10,9 @@ coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 
-``@``, ``rho`` and ``pullback`` sum and multiply on the numerator view of
-their inputs (``scalars.to_numerators``) and divide once per output entry.
+``@``, ``rho``, ``pullback`` and ``exp_nilpotent`` sum and multiply on the
+numerator view of their inputs (``scalars.to_numerators``) and divide once
+per output entry.  Results skip the public constructor's coercion.
 """
 
 from __future__ import annotations
@@ -57,29 +58,29 @@ class Endo:
     @staticmethod
     def tensor(v: Vector, alpha: Covector) -> "Endo":
         """v ⊗ alpha as a map on covectors: ε -> ε(v) · alpha."""
-        return Endo([[alpha.components[i] * v.components[j]
-                      for j in range(DIM)] for i in range(DIM)])
+        return _trusted([alpha.components[i] * v.components[j]
+                         for j in range(DIM)] for i in range(DIM))
 
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "Endo") -> "Endo":
         if not isinstance(other, Endo):
             return NotImplemented
-        return Endo([[a + b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.rows, other.rows)])
+        return _trusted([a + b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.rows, other.rows))
 
     def __sub__(self, other: "Endo") -> "Endo":
         if not isinstance(other, Endo):
             return NotImplemented
-        return Endo([[a - b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.rows, other.rows)])
+        return _trusted([a - b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.rows, other.rows))
 
     def __neg__(self) -> "Endo":
-        return Endo([[-a for a in r] for r in self.rows])
+        return _trusted([-a for a in r] for r in self.rows)
 
     def __rmul__(self, scalar) -> "Endo":
         s = FieldScalar.of(scalar)
-        return Endo([[s * a for a in r] for r in self.rows])
+        return _trusted([s * a for a in r] for r in self.rows)
 
     __mul__ = __rmul__
 
@@ -90,9 +91,7 @@ class Endo:
             return NotImplemented
         den_a, left = to_numerators(self.rows)
         den_b, right = to_numerators(other.rows)
-        rows = [from_numerators(row, den_a * den_b)
-                for row in _product(left, right)]
-        return Endo([[row.get(k, ZERO) for k in range(DIM)] for row in rows])
+        return _of_numerators(_product(left, right), den_a * den_b)
 
     def __eq__(self, other):
         return isinstance(other, Endo) and self.rows == other.rows
@@ -120,6 +119,19 @@ class Endo:
     def from_record(record: dict) -> "Endo":
         return Endo([[FieldScalar.from_record(x) for x in row]
                      for row in record["rows"]])
+
+
+def _trusted(rows) -> Endo:
+    """An Endo of eight rows of eight FieldScalars, taken as they are."""
+    e = object.__new__(Endo)
+    e.rows = tuple(map(tuple, rows))
+    return e
+
+
+def _of_numerators(rows, den: int) -> Endo:
+    """The Endo of sparse {column: numerator} rows over den."""
+    return _trusted((row.get(k, ZERO) for k in range(DIM))
+                    for row in (from_numerators(r, den) for r in rows))
 
 
 def _product(rows_a, rows_b) -> list[dict]:
@@ -182,16 +194,22 @@ def pullback(l_map: Endo, form: KForm) -> KForm:
 
 
 def exp_nilpotent(a: Endo) -> Endo:
-    """exp of a nilpotent matrix as the finite series Σ A^k/k!, summed in
-    one power loop that stops at the first zero power; A^8 ≠ 0 means A is
-    not nilpotent."""
-    acc = Endo.identity()
-    power = a
-    for k in range(1, DIM):
-        if not power:
-            return acc
-        acc = acc + FieldScalar.from_ratio(1, factorial(k)) * power
-        power = power @ a
-    if power:
-        raise ValueError("exp_nilpotent requires nilpotent input")
-    return acc
+    """exp of a nilpotent matrix as the finite series Σ A^k/k!.
+
+    The numerator rows N of A, over den, are raised to powers with
+    ``_product`` until a power is zero; A^8 ≠ 0 means A is not nilpotent.
+    With A^n the last nonzero power, the series is summed over the common
+    denominator den^n·n!, the k-th term weighted by den^(n-k)·n!/k!, and
+    divided once per entry."""
+    den, rows = to_numerators(a.rows)
+    powers = [[{i: 1} for i in range(DIM)], rows]
+    while any(powers[-1]):
+        if len(powers) > DIM:
+            raise ValueError("exp_nilpotent requires nilpotent input")
+        powers.append(_product(powers[-1], rows))
+    n = len(powers) - 2
+    weights = [den ** (n - k) * (factorial(n) // factorial(k))
+               for k in range(n + 1)]
+    return _of_numerators(
+        [_combine((power[i], w) for power, w in zip(powers, weights))
+         for i in range(DIM)], den ** n * factorial(n))

@@ -17,18 +17,22 @@ A FormOperator is a linear map into Λ^k stored as the images of a domain
 basis, one {mask: coefficient} dict per basis vector; on Λ^k itself the
 domain basis is the blade order of ``blades.BLADES``.  Applying,
 composing and adding operators, like contracting by a vector, sum every
-contribution into one accumulator per output blade.  Pivots, ranks and
-kernels densify the operator and reduce it by ``linalg.echelon``.
+contribution into one accumulator per output blade, on the numerator
+view of the images (``scalars.to_numerators``, taken once per operator):
+ints over one denominator for rational images, FieldScalars over 1 with a
+surd, and plain-int images as they are.  Pivots, ranks and kernels densify
+the operator and reduce it by ``linalg.echelon``.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Callable, Sequence
 
 from . import linalg
 from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, _sign_mask,
                      complement_sign, contract_sign, indices_of, mask_of)
-from .scalars import ONE, ZERO, FieldScalar
+from .scalars import ONE, ZERO, FieldScalar, from_numerators, to_numerators
 
 __all__ = ["Form", "Vector", "Covector", "KForm", "FormOperator", "add",
            "negate", "scale", "wedge", "contract_generator", "blade_pullback",
@@ -414,15 +418,21 @@ class FormOperator:
 
     With one image per basis blade of Λ^degree, in ``BLADES`` order, it is
     an operator on Λ^degree, as ``apply``, ``@``, ``identity`` and ``zero``
-    assume.  Coefficients are FieldScalars, or ints throughout, whose sums
-    and products stay on ints.
+    assume.  Coefficients are FieldScalars, or plain ints throughout.
+    ``apply``, ``@``, ``+`` and ``-`` read the images through their
+    numerator view, computed on first use: int numerators over one
+    denominator when all are rational, the FieldScalars over 1 when one has
+    a surd, plain ints as they are.  Results are divided once per
+    coefficient into FieldScalars; operators of plain ints compose into
+    plain ints.
     """
 
-    __slots__ = ("degree", "images")
+    __slots__ = ("degree", "images", "_view")
 
     def __init__(self, degree: int, images: Sequence[dict]):
         self.degree = degree
         self.images = tuple(images)
+        self._view = None
 
     @staticmethod
     def of_forms(degree: int, forms: Sequence[KForm]) -> "FormOperator":
@@ -442,28 +452,52 @@ class FormOperator:
         return KForm(self.degree, _combine((img, c) for img, c
                                            in zip(self.images, coords) if c))
 
+    def _numerators(self) -> tuple[int, tuple, bool]:
+        """(den, numerator images, whether the images are plain ints)."""
+        if self._view is None:
+            first = next((c for img in self.images for c in img.values()), None)
+            self._view = ((1, self.images, True) if type(first) is int
+                          else (*to_numerators(self.images), False))
+        return self._view
+
     def apply(self, form: KForm) -> KForm:
         if form.degree != self.degree:
             raise ValueError("operator degree mismatch")
+        den, images, _ = self._numerators()
+        den_f, (terms,) = to_numerators([form._terms])
         pos = BLADE_POSITION[self.degree]
-        return KForm(self.degree, _combine((self.images[pos[m]], c)
-                                           for m, c in form._terms.items()))
+        return KForm(self.degree, from_numerators(_combine(
+            (images[pos[m]], c) for m, c in terms.items()), den * den_f))
 
     __call__ = apply
 
     def __matmul__(self, other: "FormOperator") -> "FormOperator":
+        den_a, left, ints_a = self._numerators()
+        den_b, right, ints_b = other._numerators()
         pos = BLADE_POSITION[self.degree]
-        return FormOperator(self.degree, [
-            _combine((self.images[pos[m]], c) for m, c in img.items())
-            for img in other.images])
+        return self._divided(
+            [_combine((left[pos[m]], c) for m, c in img.items())
+             for img in right], den_a * den_b, ints_a and ints_b)
 
     def __add__(self, other: "FormOperator") -> "FormOperator":
-        return FormOperator(self.degree, [_combine(((a, 1), (b, 1))) for a, b
-                                          in zip(self.images, other.images)])
+        return self._summed(other, 1)
 
     def __sub__(self, other: "FormOperator") -> "FormOperator":
-        return FormOperator(self.degree, [_combine(((a, 1), (b, -1))) for a, b
-                                          in zip(self.images, other.images)])
+        return self._summed(other, -1)
+
+    def _summed(self, other: "FormOperator", sign: int) -> "FormOperator":
+        """self + sign·other over the lcm of the two denominators."""
+        den_a, left, ints_a = self._numerators()
+        den_b, right, ints_b = other._numerators()
+        den = lcm(den_a, den_b)
+        scale_a, scale_b = den // den_a, sign * (den // den_b)
+        return self._divided([_combine(((a, scale_a), (b, scale_b)))
+                              for a, b in zip(left, right)],
+                             den, ints_a and ints_b)
+
+    def _divided(self, images: list, den: int, ints: bool) -> "FormOperator":
+        return FormOperator(self.degree, images if ints else
+                            [from_numerators(img, den) for img in images])
 
     def __eq__(self, other):
         return (isinstance(other, FormOperator)

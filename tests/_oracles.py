@@ -1,12 +1,13 @@
 """Reference helpers that only the tests use, kept out of the package."""
 
-from math import gcd
+from math import factorial, gcd
 
 from spin7lab.exterior import linalg
-from spin7lab.exterior.blades import BLADES, DIM, contract_sign, wedge_sign
+from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM,
+                                     contract_sign, wedge_sign)
 from spin7lab.exterior.endo import Endo, _columns, _rho_images
-from spin7lab.exterior.forms import (Covector, FormOperator, KForm, contract,
-                                     wedge)
+from spin7lab.exterior.forms import (Covector, FormOperator, KForm, _combine,
+                                     contract, wedge)
 from spin7lab.exterior.scalars import (ONE, ZERO, FieldScalar, Q,
                                        from_numerators, to_numerators)
 from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
@@ -273,6 +274,44 @@ def operator_kernel_vectors(a):
     return linalg.integer_nullspace(primitive, len(square.images))
 
 
+# -- FormOperator and exp_nilpotent on FieldScalars -----------------------------
+# apply, @, + and - summed FieldScalar images (or plain ints) straight
+# through forms._combine, and exp_nilpotent summed Endo powers, as the
+# package did before both read their inputs through the numerator view.
+
+def old_operator_apply(op, form):
+    pos = BLADE_POSITION[op.degree]
+    return KForm(op.degree, _combine((op.images[pos[m]], c)
+                                     for m, c in form.mask_items()))
+
+
+def old_operator_product(p, q):
+    pos = BLADE_POSITION[p.degree]
+    return FormOperator(p.degree, [
+        _combine((p.images[pos[m]], c) for m, c in img.items())
+        for img in q.images])
+
+
+def old_operator_sum(p, q, sign=1):
+    """p + sign·q."""
+    return FormOperator(p.degree, [_combine(((a, 1), (b, sign)))
+                                   for a, b in zip(p.images, q.images)])
+
+
+def old_exp_nilpotent(a):
+    """Σ A^k/k! by Endo products, scalar multiples and sums."""
+    acc = Endo.identity()
+    power = a
+    for k in range(1, DIM):
+        if not power:
+            return acc
+        acc = acc + FieldScalar.from_ratio(1, factorial(k)) * power
+        power = power @ a
+    if power:
+        raise ValueError("exp_nilpotent requires nilpotent input")
+    return acc
+
+
 def old_pair_contraction_cube(u, v, a):
     """(u⌟v⌟a)³ by FieldScalar contraction and wedge."""
     q = contract(u, contract(v, a))
@@ -325,20 +364,20 @@ def old_cubic_vanishes(u, v, basis):
     return True
 
 
-def count_calls(monkeypatch, *names):
-    """Counts calls of these FieldScalar methods; ``__rmul__`` shares the
+def count_calls(monkeypatch, *names, cls=FieldScalar):
+    """Counts calls of these methods of ``cls``; ``__rmul__`` shares the
     ``__mul__`` counter."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(FieldScalar, name)
+        original = getattr(cls, name)
 
         def counted(self, *args, _name=name, _original=original):
             calls[_name] += 1
             return _original(self, *args)
 
-        monkeypatch.setattr(FieldScalar, name, counted)
+        monkeypatch.setattr(cls, name, counted)
         if name == "__mul__":
-            monkeypatch.setattr(FieldScalar, "__rmul__", counted)
+            monkeypatch.setattr(cls, "__rmul__", counted)
     return calls
 
 

@@ -11,15 +11,17 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spin7lab.classify import YoungDiagram, representative
+from spin7lab.classify import YoungDiagram, enumerate_diagrams, representative
 from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.endo import Endo, exp_nilpotent, pullback, rho
 from spin7lab.exterior.forms import (Covector, KForm, Vector, blade_pullback,
                                      wedge)
-from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import SQRT2, ZERO, FieldScalar, Q
+from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
-from _oracles import (apply, commutator, diagonal, is_nilpotent, is_rational,
-                      is_skew, random_nilpotent, trace)
+from _oracles import (apply, commutator, count_calls, diagonal, is_nilpotent,
+                      is_rational, is_skew, old_exp_nilpotent,
+                      random_nilpotent, trace)
 from _oracles import blade_pullback as old_blade_pullback
 from _strategies import (entry_families, forms, identity_plus_sparse,
                          mixed_endos, mixed_forms, seeded_entry, small_ints,
@@ -59,6 +61,23 @@ def test_constructors():
         diagonal(1, 2, 3)
     with pytest.raises(ValueError):
         Endo([[1, 2], [3, 4]])
+
+
+@given(mixed_endos, mixed_endos)
+def test_results_hold_field_scalar_rows_like_the_public_constructor(a, b):
+    # the strictly lower triangle of a is nilpotent
+    lower = Endo([[x if i > j else 0 for j, x in enumerate(row)]
+                  for i, row in enumerate(a.rows)])
+    for out in (a @ b, a + b, a - b, -a, FieldScalar(Q(5, 7)) * a, 3 * a,
+                exp_nilpotent(lower)):
+        assert type(out.rows) is tuple and len(out.rows) == 8
+        assert all(type(row) is tuple and len(row) == 8 for row in out.rows)
+        assert all(type(x) is FieldScalar for row in out.rows for x in row)
+        rebuilt = Endo([list(row) for row in out.rows])
+        assert out == rebuilt and hash(out) == hash(rebuilt)
+    # the public constructor still coerces
+    assert all(type(x) is FieldScalar for row in Endo([[1] * 8] * 8).rows
+               for x in row)
 
 
 def test_tensor_is_rank_one():
@@ -225,6 +244,34 @@ def test_exp_of_the_full_jordan_block_uses_every_term():
 # the cyclic shift e^j -> e^(j+1 mod 8): A^7 != 0 and A^8 = I
 CYCLE = Endo([[1 if r == (c + 1) % 8 else 0 for c in range(8)]
               for r in range(8)])
+
+
+def jordan_exponential_inputs():
+    """The 22 Jordan representatives scaled by 5/7 and by √2, each also
+    conjugated by a seeded unimodular matrix."""
+    rng = seeded("exp-jordan")
+    for diagram in enumerate_diagrams():
+        j = representative(diagram).matrix
+        g, g_inv = random_unimodular(rng)
+        for s in (FieldScalar(Q(5, 7)), SQRT2):
+            yield s * j
+            yield s * (g @ j @ g_inv)
+
+
+def test_exp_nilpotent_matches_the_endo_power_loop():
+    inputs = list(jordan_exponential_inputs())
+    assert len(inputs) == 88
+    for a in inputs:
+        assert exp_nilpotent(a) == old_exp_nilpotent(a)
+
+
+def test_rational_exp_nilpotent_makes_no_endo_products(monkeypatch):
+    a = FieldScalar(Q(5, 7)) * random_rank_one_nilpotent(seeded("spy-exp"))
+    calls = count_calls(monkeypatch, "__matmul__", cls=Endo)
+    out = exp_nilpotent(a)
+    assert calls == {"__matmul__": 0}
+    monkeypatch.undo()
+    assert out == old_exp_nilpotent(a) != Endo.identity()
 
 
 def test_exp_nilpotent_rejects_non_nilpotent():

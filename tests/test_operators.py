@@ -10,23 +10,30 @@ the package's ``endo._rho_images`` of all basis blades as a FormOperator.
 The operators cover integer Jordan representatives (integer operators),
 rank-one nilpotents with non-integer rational entries and rank-one
 nilpotents with surd entries; ρ itself also runs on diagonal, sparse and
-dense matrices of every coefficient family.
+dense matrices of every coefficient family.  ``apply``, ``@``, ``+`` and
+``-``, which read the images through their numerator view, are checked
+against the FieldScalar code they replaced (``old_operator_*``) on random
+operators with plain-int, rational and surd images.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spin7lab.cayley import projectors
+from spin7lab.cayley import build_omega, projectors
 from spin7lab.classify import enumerate_diagrams, representative
 from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import BLADE_POSITION, BLADES
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
 from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
+from spin7lab.sampling import random_rank_one_nilpotent
 
 from _oracles import (coefficient_matrix, count_calls, diagonal, is_rational,
-                      nullspace_on_forms, old_rho, old_rho_operator,
-                      rho_operator)
+                      nullspace_on_forms, old_operator_apply,
+                      old_operator_product, old_operator_sum, old_rho,
+                      old_rho_operator, rho_operator)
 from _strategies import (coefficient_families, entry_families, forms,
                          mixed_endos, seeded_entry, sparse_endos)
 
@@ -167,6 +174,55 @@ def test_sums_and_scaling_act_blade_by_blade(a, b, x):
     assert (p + q)(x) == p(x) + q(x)
     assert (p - q)(x) == p(x) - q(x)
     assert p - p == FormOperator.zero(2)
+
+
+def random_operator(family, degree, rng):
+    """Up to four terms per image, plain ints for the "int" family and
+    FieldScalars otherwise."""
+    masks = BLADES[degree]
+    images = []
+    for _ in masks:
+        image = {}
+        for m in rng.sample(masks, rng.randint(0, 4)):
+            x = seeded_entry[family](rng)
+            image[m] = x if family == "int" else FieldScalar.of(x)
+        images.append({m: x for m, x in image.items() if x})
+    return FormOperator(degree, images)
+
+
+@settings(max_examples=40)
+@given(entry_families, entry_families, st.sampled_from([2, 4]),
+       st.randoms(use_true_random=True))
+def test_numerator_view_matches_the_field_scalar_path(p_family, q_family,
+                                                      degree, rng):
+    p = random_operator(p_family, degree, rng)
+    q = random_operator(q_family, degree, rng)
+    x = KForm(degree, {m: FieldScalar.of(seeded_entry[q_family](rng))
+                       for m in rng.sample(BLADES[degree], 5)})
+    assert p.apply(x) == old_operator_apply(p, x)
+    product, total, difference = p @ q, p + q, p - q
+    assert product == old_operator_product(p, q)
+    assert total == old_operator_sum(p, q)
+    assert difference == old_operator_sum(p, q, -1)
+    # results are read through their own views in turn
+    assert difference @ p == old_operator_product(old_operator_sum(p, q, -1),
+                                                  p)
+    assert total(x) == old_operator_apply(old_operator_sum(p, q), x)
+    kind = int if p_family == q_family == "int" else FieldScalar
+    assert all(type(c) is kind for op in (product, total, difference)
+               for img in op.images for c in img.values())
+
+
+def test_projectors_compose_and_apply_without_field_products(monkeypatch):
+    ps, omega = projectors(), build_omega().omega
+    a = FieldScalar(Q(5, 7)) * random_rank_one_nilpotent(
+        random.Random("test-operators:spy"))
+    calls = count_calls(monkeypatch, "__mul__")
+    resolved = ps.is_resolution()
+    image = ps.p27(rho(a, omega))
+    assert calls == {"__mul__": 0}
+    monkeypatch.undo()
+    assert resolved and not image and a
 
 
 def test_projector_products_match_image_by_image_apply():
