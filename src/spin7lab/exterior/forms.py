@@ -455,7 +455,8 @@ class FormOperator:
     def _numerators(self) -> tuple[int, tuple, bool]:
         """(den, numerator images, whether the images are plain ints)."""
         if self._view is None:
-            first = next((c for img in self.images for c in img.values()), None)
+            first = next((c for img in self.images for c in img.values()),
+                         None)
             self._view = ((1, self.images, True) if type(first) is int
                           else (*to_numerators(self.images), False))
         return self._view
@@ -475,7 +476,7 @@ class FormOperator:
         den_a, left, ints_a = self._numerators()
         den_b, right, ints_b = other._numerators()
         pos = BLADE_POSITION[self.degree]
-        return self._divided(
+        return self._of_numerators(
             [_combine((left[pos[m]], c) for m, c in img.items())
              for img in right], den_a * den_b, ints_a and ints_b)
 
@@ -491,11 +492,14 @@ class FormOperator:
         den_b, right, ints_b = other._numerators()
         den = lcm(den_a, den_b)
         scale_a, scale_b = den // den_a, sign * (den // den_b)
-        return self._divided([_combine(((a, scale_a), (b, scale_b)))
-                              for a, b in zip(left, right)],
-                             den, ints_a and ints_b)
+        images = [_combine(((a, scale_a), (b, scale_b)))
+                  for a, b in zip(left, right)]
+        return self._of_numerators(images, den, ints_a and ints_b)
 
-    def _divided(self, images: list, den: int, ints: bool) -> "FormOperator":
+    def _of_numerators(self, images: list, den: int,
+                       ints: bool) -> "FormOperator":
+        """The operator of these numerator images over den, or of the
+        images themselves when they are plain ints."""
         return FormOperator(self.degree, images if ints else
                             [from_numerators(img, den) for img in images])
 

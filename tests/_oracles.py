@@ -274,7 +274,7 @@ def operator_kernel_vectors(a):
     return linalg.integer_nullspace(primitive, len(square.images))
 
 
-# -- FormOperator and exp_nilpotent on FieldScalars -----------------------------
+# -- FormOperator and exp_nilpotent on FieldScalars ----------------------------
 # apply, @, + and - summed FieldScalar images (or plain ints) straight
 # through forms._combine, and exp_nilpotent summed Endo powers, as the
 # package did before both read their inputs through the numerator view.
