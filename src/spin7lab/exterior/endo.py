@@ -187,7 +187,8 @@ def rho(a: Endo, form: KForm) -> KForm:
 
 def pullback(l_map: Endo, form: KForm) -> KForm:
     """Λ^k L: each covector slot is mapped through L and the images are
-    wedged (``forms._pulled_back``)."""
+    wedged, the last one of each blade straight into the output
+    (``forms._pulled_back``)."""
     if not form.degree:
         return form
     return _on_numerators(l_map, form, _pulled_back, form.degree)

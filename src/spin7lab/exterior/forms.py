@@ -7,7 +7,9 @@ one generator, blade pullback) only adds, negates and multiplies the
 coefficients it is given, so the same code serves KForm (the eight
 covectors of R^8 over Q(sqrt2, sqrt3)), ChamberForm (the eleven chamber
 coframe generators over the chamber ring) and the int numerators of a
-rational ``endo.pullback``.
+rational ``endo.pullback``.  Blade pullback wedges on one image term at a
+time, with its signs from a table per generator count, and adds the last
+wedge of each blade straight into the output.
 
 On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
@@ -26,6 +28,7 @@ the operator and reduce it by ``linalg.echelon``.
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 from typing import Callable, Sequence
 
@@ -264,26 +267,67 @@ def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
 
 def _pulled_back(terms: dict, images: Sequence[dict]) -> dict:
     """Σ c·(wedge of the images of m's generators) over the nonempty
-    blades m of ``terms``, on term maps over any coefficient ring.  The
-    wedge for each prefix mask (a blade's first j generators, in increasing
-    order) is built once per call and shared by the blades that start so."""
-    prefixes: dict = {}
-    pieces = []
+    blades m of ``terms``, on term maps over any coefficient ring.
+
+    A wedge step walks the nonzero terms of one image and reads each sign
+    from ``_sign_table``.  The wedge of a blade's first generators (its
+    prefix) is built once per call and shared by the blades that start so.
+    The image of the last generator j goes straight into the output: a
+    one-term image with the blade's coefficient folded into it, a longer
+    one wedged once onto Σ c·prefix over the blades that end in j."""
+    signs = _sign_table(len(images))
+    steps = [[(signs[b.bit_length() - 1], b, c) for b, c in image.items()]
+             for image in images]
+    prefixes = {1 << i: image for i, image in enumerate(images)}
+    ending: dict = {}
+    acc: dict = {}
     for m, coeff in terms.items():
-        prefix, piece = 0, None
-        t = m
+        j = m.bit_length() - 1
+        prefix, t = 0, m ^ (1 << j)
         while t:
             low = t & -t
             t ^= low
+            if (prefix | low) not in prefixes:
+                prefixes[prefix | low] = _pruned(_wedge_step(
+                    {}, prefixes[prefix], steps[low.bit_length() - 1]))
             prefix |= low
-            known = prefixes.get(prefix)
-            if known is None:
-                image = images[low.bit_length() - 1]
-                known = image if piece is None else _wedged(piece, image)
-                prefixes[prefix] = known
-            piece = known
-        pieces.append((piece, coeff))
-    return _combine(pieces)
+        if not prefix:  # a 1-form blade: its coefficient times its image
+            _wedge_step(acc, {0: coeff}, steps[j])
+        elif len(steps[j]) > 1:
+            ending.setdefault(j, []).append((prefixes[prefix], coeff))
+        else:
+            _wedge_step(acc, prefixes[prefix],
+                        [(row, b, coeff * c) for row, b, c in steps[j]])
+    for j, pairs in ending.items():
+        _wedge_step(acc, _combine(pairs), steps[j])
+    return _pruned(acc)
+
+
+def _wedge_step(acc: dict, piece: dict, step) -> dict:
+    """Add piece∧(Σ c·e^b) over the (sign row, b, c) of ``step`` into acc."""
+    for pm, pc in piece.items():
+        for row, b, c in step:
+            sign = row[pm]
+            if sign:
+                m = pm | b
+                prev = acc.get(m)
+                if sign > 0:
+                    acc[m] = pc * c if prev is None else prev + pc * c
+                else:
+                    acc[m] = -(pc * c) if prev is None else prev - pc * c
+    return acc
+
+
+@cache
+def _sign_table(generators: int) -> tuple:
+    """Row j holds the sign of e^m∧e^j against e^(m|j) for every mask m:
+    0 when m holds j, else −1 to the number of generators of m above j."""
+    return tuple([0 if m >> j & 1 else 1 - 2 * ((m >> j).bit_count() & 1)
+                  for m in range(1 << generators)] for j in range(generators))
+
+
+def _pruned(acc: dict) -> dict:
+    return {m: x for m, x in acc.items() if x}
 
 
 def _combine(pairs) -> dict:

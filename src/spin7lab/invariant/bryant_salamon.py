@@ -27,7 +27,8 @@ from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
 
 __all__ = ["HForm", "BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",
-           "closure_mechanism_holds", "orbit_witness_holds", "InvariantMetric",
+           "closure_mechanism_holds", "closure_mechanism_sides",
+           "orbit_witness_holds", "orbit_witness_sides", "InvariantMetric",
            "build_metric", "metric_lie_derivative", "lemma_invariant_forms",
            "pointwise_rank_one_check", "DT"]
 
@@ -200,22 +201,31 @@ def perturbed_form(field: InvariantField,
     return bs.phi + DT * ds.wedge(field.contract(bs.phi))
 
 
-def closure_mechanism_holds(field: InvariantField,
+def closure_mechanism_sides(field: InvariantField,
                             bs: BryantSalamon | None = None,
-                            frame: LieFrame | None = None) -> bool:
-    """d(dt∧Y⌟Φ) = −dt∧L_YΦ, the identity behind closedness."""
+                            frame: LieFrame | None = None) -> tuple:
+    """(d(dt∧Y⌟Φ), −dt∧L_YΦ): equal sides of the identity behind
+    closedness."""
     bs = bs or build_bryant_salamon()
     frame = frame or build_lie_frame()
     ds = ChamberForm.generator(0)
     dt_wedge = lambda form: DT * ds.wedge(form)
-    lhs = maurer_cartan_d(dt_wedge(field.contract(bs.phi)), frame)
-    rhs = -dt_wedge(field.lie_derivative(bs.phi, frame))
+    return (maurer_cartan_d(dt_wedge(field.contract(bs.phi)), frame),
+            -dt_wedge(field.lie_derivative(bs.phi, frame)))
+
+
+def closure_mechanism_holds(field: InvariantField,
+                            bs: BryantSalamon | None = None,
+                            frame: LieFrame | None = None) -> bool:
+    """d(dt∧Y⌟Φ) = −dt∧L_YΦ (``closure_mechanism_sides``)."""
+    lhs, rhs = closure_mechanism_sides(field, bs, frame)
     return lhs == rhs
 
 
-def orbit_witness_holds(field: InvariantField,
-                        bs: BryantSalamon | None = None) -> bool:
-    """Λ⁴(Id + Y⊗dt) maps Φ to the perturbed form.
+def orbit_witness_sides(field: InvariantField,
+                        bs: BryantSalamon | None = None) -> tuple:
+    """(Λ⁴(Id + Y⊗dt)Φ, the perturbed form): equal when the orbit witness
+    holds.
 
     Y⊗dt is rank one and square zero over the chamber ring (dt(Y) = 0), so
     this realizes the perturbation as a pointwise GL-orbit move.
@@ -225,7 +235,14 @@ def orbit_witness_holds(field: InvariantField,
     images = [ChamberForm.generator(k) for k in range(N_COFRAME)]
     for slot, coeff in field.coefficients():
         images[slot] = images[slot] + (DT * coeff) * ds
-    return blade_pullback(bs.phi, images) == perturbed_form(field, bs)
+    return blade_pullback(bs.phi, images), perturbed_form(field, bs)
+
+
+def orbit_witness_holds(field: InvariantField,
+                        bs: BryantSalamon | None = None) -> bool:
+    """Λ⁴(Id + Y⊗dt) maps Φ to the perturbed form (``orbit_witness_sides``)."""
+    lhs, rhs = orbit_witness_sides(field, bs)
+    return lhs == rhs
 
 
 class InvariantMetric:

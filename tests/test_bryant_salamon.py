@@ -6,6 +6,7 @@ perturbation Φ + dt∧(Y⌟Φ) with even coefficients stays closed.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +303,27 @@ def test_blade_pullback_on_chamber_forms_matches_the_oracle():
             for form in (BS.phi, field.contract(BS.phi)):
                 assert blade_pullback(form, imgs) == \
                     old_blade_pullback(form, imgs)
+
+
+def test_blade_pullback_matches_the_oracle_on_ds_and_slot_10_images():
+    # two-term images whose second term sits on ds (slot 0) or X4 (slot 10),
+    # the first and last generators, and forms whose blades hold them
+    rng = random.Random("test-bs:pullback-ds-slot-10")
+    gen = ChamberForm.generator
+    for degree in range(1, 6):
+        images = [gen(k) for k in range(N_COFRAME)]
+        images[0] = images[0] + random_even_scalar(rng) * gen(10)
+        images[10] = images[10] + random_even_scalar(rng) * DS
+        for slot in rng.sample(range(1, 10), 3):
+            images[slot] = (images[slot]
+                            + random_even_scalar(rng) * gen(rng.choice((0, 10))))
+        ends = [m for m in (sum(1 << k for k in slots) for slots in
+                            combinations(range(N_COFRAME), degree))
+                if m & 1 or m >> 10]
+        blades = rng.sample(ends, min(6, len(ends)))
+        form = ChamberForm(degree, {m: random_even_scalar(rng) for m in blades})
+        assert len(images[0]) == len(images[10]) == 2
+        assert blade_pullback(form, images) == old_blade_pullback(form, images)
 
 
 # -- the metric and its isometries ----------------------------------------------------

@@ -201,6 +201,32 @@ def test_pullback_along_the_checked_exponentials_matches_the_oracle(t):
             old_blade_pullback(omega, generator_images(l_map))
 
 
+@settings(max_examples=80)
+@given(entry_families, st.integers(1, 8), st.booleans(),
+       st.sets(st.integers(0, 7), max_size=2), st.randoms(use_true_random=True))
+def test_pullback_matches_the_oracle_in_every_degree(family, degree, dense,
+                                                     zero_columns, rng):
+    # dense images (all eight entries) or sparse ones (one or two), with
+    # up to two zero images, and forms of up to six blades
+    entry = seeded_entry[family]
+
+    def image(j):
+        if j in zero_columns:
+            return KForm(1)
+        slots = range(8) if dense else rng.sample(range(8), rng.randint(1, 2))
+        return KForm(1, {1 << i: FieldScalar.of(entry(rng)) for i in slots})
+
+    images = [image(j) for j in range(8)]
+    masks = BLADES[degree]
+    x = KForm(degree, {m: FieldScalar.of(entry(rng))
+                       for m in rng.sample(masks, min(6, len(masks)))})
+    expected = old_blade_pullback(x, images)
+    assert blade_pullback(x, images) == expected
+    l_map = Endo([[images[j].coefficient(i + 1) for j in range(8)]
+                  for i in range(8)])
+    assert pullback(l_map, x) == expected
+
+
 def test_rational_pullback_multiplies_no_field_scalars(monkeypatch):
     rng = seeded("spy")
     l_map = Endo([[Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]

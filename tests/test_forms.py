@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from spin7lab.exterior.blades import BLADES, DIM
+from spin7lab.exterior.blades import BLADES, DIM, wedge_sign
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
-                                     basis_blades, contract, hodge_star, inner,
-                                     wedge)
+                                     _sign_table, basis_blades, contract,
+                                     hodge_star, inner, wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
 
 from _strategies import forms, small_ints, vectors
@@ -215,3 +215,15 @@ def test_kernel_of_a_map_from_fewer_coordinates():
 def test_kernel_of_zero_operator():
     kernel = FormOperator.zero(2).kernel()
     assert kernel == [{j: ONE} for j in range(28)]
+
+
+# -- the pullback's sign table --------------------------------------------------
+
+@pytest.mark.parametrize("generators", [DIM, 11])
+def test_sign_table_is_the_wedge_sign_of_every_mask_and_generator(generators):
+    table = _sign_table(generators)
+    assert len(table) == generators
+    for j, row in enumerate(table):
+        assert len(row) == 1 << generators
+        for m, sign in enumerate(row):
+            assert sign == wedge_sign(m, 1 << j), (m, j)

@@ -114,6 +114,47 @@ def test_corrupted_frame_fails_perturbation_suite():
     assert any(not r.passed for r in results)
 
 
+def _perturb_check(name, **kwargs):
+    result = next(r for r in run_suite("perturb", seed=0, **kwargs)
+                  if r.name == name)
+    assert not result.passed
+    assert "error" not in result.detail
+    return json.loads(json.dumps(result.detail["witness"]))
+
+
+def test_closure_mechanism_failure_carries_the_difference_as_witness():
+    frame = build_lie_frame()
+    mutated = [[[c for c in row] for row in plane]
+               for plane in frame.structure]
+    mutated[0][7][8] = 3 * mutated[0][7][8]  # [A1, X2] off along X3
+    frame = frame.with_structure(tuple(tuple(tuple(r) for r in p)
+                                       for p in mutated))
+    witness = _perturb_check("closure-mechanism", frame=frame)
+    # both sides are dt∧(…), so every blade of lhs − rhs starts with ds
+    assert witness["degree"] == 5 and witness["terms"]
+    assert all(t["names"][0] == "ds" and len(t["names"]) == 5
+               for t in witness["terms"])
+
+
+def test_orbit_witness_failure_names_the_flipped_blade(monkeypatch):
+    import spin7lab.invariant.bryant_salamon as bsm
+    original = bsm.blade_pullback
+    flipped = []
+
+    def one_sign_flipped(form, images):
+        out = original(form, images)
+        mask, coeff = min(out.mask_items())
+        flipped.append(mask)
+        return ChamberForm(out.degree, {**dict(out.mask_items()),
+                                        mask: -coeff})
+
+    monkeypatch.setattr(bsm, "blade_pullback", one_sign_flipped)
+    witness = _perturb_check("orbit-witness")
+    assert [sum(1 << k for k in t["slots"]) for t in witness["terms"]] \
+        == flipped
+    assert all(t["names"] for t in witness["terms"])
+
+
 def test_raising_check_says_where(monkeypatch):
     import inspect
     import spin7lab.harness.checks as checks
