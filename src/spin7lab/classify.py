@@ -3,12 +3,14 @@
 For each of the 22 nilpotent Jordan types on R^8 this module builds the
 canonical representative A, the kernel K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} and a
 certificate deciding whether K can meet the GL(8)-orbit of the Cayley
-form, on Python ints from A's chain steps to the verdict, with ρ(A)
-squared straight into the sparse rows of ρ(A)².  The obstruction is
-degeneracy: if some pair of dual vectors (u, v) has (u⌟v⌟ω)³ = 0 for
-EVERY ω ∈ K — proved by expanding the cubic's coefficients, not by
-sampling — then no orbit element lies in K and the type is excluded.
-Exactly the rank-one type (2,1,...,1) and the zero type (1,...,1) survive.
+form.  A is a shift, so everything runs on int bitmasks from A's chain
+steps to the verdict: the rows of ρ(A)² by bit addition on blade masks,
+and the candidate pairs as basis duals, contracted with one sign mask.
+The obstruction is degeneracy: if some pair of dual vectors (u, v) has
+(u⌟v⌟ω)³ = 0 for EVERY ω ∈ K — proved by expanding the cubic's
+coefficients, not by sampling — then no orbit element lies in K and the
+type is excluded.  Exactly the rank-one type (2,1,...,1) and the zero type
+(1,...,1) survive.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterator
 
-from .exterior.blades import BLADE_POSITION, BLADES, DIM
+from .exterior.blades import BLADES, DIM
 from .exterior.forms import Vector, _wedged
 from .exterior import linalg
-from .exterior.endo import Endo, _product, _rho_images, rho
+from .exterior.endo import Endo, _product, rho
 from .exterior.scalars import ZERO, to_numerators
 from . import cayley
 from .sampling import random_rank_one_nilpotent
@@ -88,12 +90,17 @@ class JordanRepresentative:
     ``w{p}``; every other basis covector is ``v{p}``.  The matrix sends
     each chain covector to the next one and the chain ends to zero: column
     p - 1 of ``columns`` is {bit of e^(p+1): 1} for each chain step
-    e^p -> e^(p+1) (1-based), as ``endo._rho_images`` reads it.
+    e^p -> e^(p+1) (1-based), and bit p - 1 of ``steps`` is set.
     """
 
     diagram: YoungDiagram
     labels: tuple[str, ...]
     columns: tuple[dict[int, int], ...]
+
+    @property
+    def steps(self) -> int:
+        """The mask of the generators that A moves one step up."""
+        return sum(1 << p for p, column in enumerate(self.columns) if column)
 
     @property
     def matrix(self) -> Endo:
@@ -154,26 +161,36 @@ class KernelSpace:
         return len(self.vectors)
 
 
-def kernel_space(diagram: YoungDiagram) -> KernelSpace:
-    """K for the representative, on ints: ρ(A) on Λ⁴ comes from its int
-    columns; each term c·e^m of image j adds c·c' to row m' of ρ(A)² per
-    term c'·e^m' of the image of e^m (zero sums dropped), and integer
-    Gauss–Jordan on the rows gives the kernel vectors."""
-    rep = representative(diagram)
-    images = _rho_images(rep.columns, BLADES[4])
-    pos = BLADE_POSITION[4]
+def _square_rows(steps: int) -> dict[int, dict[int, int]]:
+    """The sparse int rows of ρ(A)² on Λ⁴, keyed by blade mask, for the
+    shift A with chain-step mask ``steps``.  Each step sends e^p to
+    e^(p+1) and no generator lies between them, so ρ(A)e^m is Σ e^(m+b),
+    every coefficient +1, over the bits b of m & steps & ~(m >> 1): the
+    steps of m whose target m lacks.  Two such bit loops per blade m, the
+    j-th of Λ⁴, add 1 to column j of row m'' per path m -> m' -> m''; no
+    sum cancels."""
     rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for j, image in enumerate(images):
-        for m, c in image.items():
-            for m2, c2 in images[pos[m]].items():
-                row = rows[m2]
-                x = row.get(j, 0) + c * c2
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
+    for j, m in enumerate(BLADES[4]):
+        t = m & steps & ~(m >> 1)
+        while t:
+            b = t & -t
+            t ^= b
+            m1 = m + b
+            t1 = m1 & steps & ~(m1 >> 1)
+            while t1:
+                b1 = t1 & -t1
+                t1 ^= b1
+                row = rows[m1 + b1]
+                row[j] = row.get(j, 0) + 1
+    return rows
+
+
+def kernel_space(diagram: YoungDiagram) -> KernelSpace:
+    """K for the representative, on ints: integer Gauss–Jordan on the rows
+    of ρ(A)² (``_square_rows``) gives the kernel vectors."""
+    rep = representative(diagram)
     return KernelSpace(diagram, tuple(linalg.integer_nullspace(
-        list(rows.values()), len(images))), rep)
+        list(_square_rows(rep.steps).values()), len(BLADES[4]))), rep)
 
 
 # -- the cubic certificate ----------------------------------------------------
@@ -181,7 +198,10 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 # (u⌟v⌟ Σ xᵢωᵢ)³ is a cubic in x with Λ⁶-valued coefficients.  Since the
 # two-forms qᵢ = u⌟v⌟ωᵢ commute, it vanishes identically iff
 # qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k.  That depends only on span(K) and the
-# lines of u and v, so int kernel vectors and numerators give the verdict.
+# lines of u and v, so int kernel vectors and numerators give the verdict,
+# and multiples of the basis duals e_a, e_b give that of e_a, e_b.
+
+_DUALS = tuple(Vector.basis(i + 1) for i in range(DIM))
 
 
 def _pair_contractions(u: Vector, v: Vector, vectors) -> list[dict]:
@@ -191,10 +211,41 @@ def _pair_contractions(u: Vector, v: Vector, vectors) -> list[dict]:
         u, v, BLADES[4], (vec.items() for vec in vectors))[1] if q]
 
 
+def _dual_contractions(a: int, b: int, vectors) -> list[dict]:
+    """The nonzero e_a⌟e_b⌟ωᵢ (0-based a ≠ b) of the kernel vectors: each
+    blade m holding both bits goes to m without them, negated by the
+    parity of m's generators below b plus that of (m ^ b)'s below a, the
+    bits of one sign mask."""
+    ab, bit_b = 1 << a | 1 << b, 1 << b
+    sign_mask = (bit_b - 1) ^ (((1 << a) - 1) & ~bit_b)
+    masks = BLADES[4]
+    qs = []
+    for vec in vectors:
+        q = {}
+        for j, x in vec.items():
+            m = masks[j]
+            if m & ab == ab:
+                q[m ^ ab] = -x if (m & sign_mask).bit_count() & 1 else x
+        if q:
+            qs.append(q)
+    return qs
+
+
+def _dual_index(w: Vector) -> int | None:
+    """a if w is a nonzero multiple of the basis dual e_a (0-based)."""
+    support = [i for i, c in enumerate(w.components) if c]
+    return support[0] if len(support) == 1 else None
+
+
 def cubic_vanishes_on_subspace(u: Vector, v: Vector,
                                kernel: KernelSpace) -> bool:
-    """True iff (u⌟v⌟ω)³ = 0 for every ω in K."""
-    qs = _pair_contractions(u, v, kernel.vectors)
+    """True iff (u⌟v⌟ω)³ = 0 for every ω in K.  Multiples of two distinct
+    basis duals are contracted on masks (``_dual_contractions``)."""
+    a, b = _dual_index(u), _dual_index(v)
+    if a is None or b is None or a == b:
+        qs = _pair_contractions(u, v, kernel.vectors)
+    else:
+        qs = _dual_contractions(a, b, kernel.vectors)
     for i, qi in enumerate(qs):
         for j in range(i, len(qs)):
             rij = _wedged(qi, qs[j])
@@ -234,14 +285,12 @@ class Certificate:
         return rec
 
 
-def _candidate_pairs(rep: JordanRepresentative) -> Iterator[tuple[LabeledVector, LabeledVector]]:
-    """Deterministic search order: pairs of w-duals, then (w-dual, v-dual)
-    pairs, then pairs of v-duals, each dual built when its pair comes up."""
+def _candidate_pairs(rep: JordanRepresentative) -> Iterator[tuple[int, int]]:
+    """Deterministic search order of the 0-based basis-dual indices: pairs
+    of w-duals, then (w-dual, v-dual) pairs, then pairs of v-duals."""
     w = [i for i, lab in enumerate(rep.labels) if lab[0] == "w"]
     v = [i for i, lab in enumerate(rep.labels) if lab[0] == "v"]
-    for pair in chain(combinations(w, 2), product(w, v), combinations(v, 2)):
-        yield tuple(LabeledVector(Vector.basis(i + 1), rep.labels[i])
-                    for i in pair)
+    return chain(combinations(w, 2), product(w, v), combinations(v, 2))
 
 
 def find_certificate(diagram: YoungDiagram) -> Certificate:
@@ -249,9 +298,12 @@ def find_certificate(diagram: YoungDiagram) -> Certificate:
     if kernel.dimension == len(BLADES[4]):
         # ρ(A)² kills every 4-form: every orbit element perturbs, admissible.
         return Certificate(diagram, "admissible", kernel.dimension)
-    for u, v in _candidate_pairs(kernel.representative):
-        if cubic_vanishes_on_subspace(u.vector, v.vector, kernel):
-            return Certificate(diagram, "excluded", kernel.dimension, (u, v))
+    rep = kernel.representative
+    for a, b in _candidate_pairs(rep):
+        if cubic_vanishes_on_subspace(_DUALS[a], _DUALS[b], kernel):
+            return Certificate(diagram, "excluded", kernel.dimension, (
+                LabeledVector(_DUALS[a], rep.labels[a]),
+                LabeledVector(_DUALS[b], rep.labels[b])))
     return Certificate(diagram, "unresolved", kernel.dimension)
 
 

@@ -177,12 +177,15 @@ def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """Per free column f, in order, the vector of ``nullspace`` for f made
     a primitive int vector, positive in f, for a matrix given as sparse
     integer rows, primitive or not.  A one-entry row's column is zero in
-    every kernel vector, so it leaves all rows before the elimination.  The
-    other entries sit in pivot columns left of f; a free column that no
-    basis row holds gives {f: 1}."""
+    every kernel vector, so that row is dropped and its column leaves the
+    other rows before the elimination; a row without such a column goes in
+    as it is.  The other entries sit in pivot columns left of f; a free
+    column that no basis row holds gives {f: 1}."""
     fixed = {c for row in rows if len(row) == 1 for c in row}
-    basis = _integer_rref([r for r in ({j: x for j, x in row.items()
-                                        if j not in fixed} for row in rows) if r])
+    rows = [row if fixed.isdisjoint(row)
+            else {j: x for j, x in row.items() if j not in fixed}
+            for row in rows if len(row) > 1]
+    basis = _integer_rref([row for row in rows if row])
     fixed.update(basis)  # a basis row is zero in the other pivot columns
     entries: dict[int, list] = {f: [] for f in range(ncols) if f not in fixed}
     for c, row in basis.items():

@@ -257,21 +257,27 @@ def rho_operator(a, degree):
         for image in _rho_images(columns, BLADES[degree])])
 
 
-def operator_kernel_vectors(a):
-    """ker ρ(A)² on Λ⁴ of an integer A as primitive int vectors, the way
-    the classifier took it before it built the rows of ρ(A)² directly:
-    ρ(A) @ ρ(A) as FormOperators, transposed into sparse rows, each row
-    made primitive, then ``linalg.integer_nullspace``."""
+def operator_square_rows(a):
+    """ρ(A)² on Λ⁴ of an integer A as ρ(A) @ ρ(A) of FormOperators,
+    transposed into sparse int rows keyed by blade mask."""
     square = rho_operator(a, 4) @ rho_operator(a, 4)
     rows = {}
     for j, image in enumerate(square.images):
         for m, c in image.items():
             rows.setdefault(m, {})[j] = c
+    return rows
+
+
+def operator_kernel_vectors(a):
+    """ker ρ(A)² on Λ⁴ of an integer A as primitive int vectors, the way
+    the classifier took it before it built the rows of ρ(A)² directly:
+    the rows of ``operator_square_rows``, each made primitive, then
+    ``linalg.integer_nullspace``."""
     primitive = []
-    for row in rows.values():
+    for row in operator_square_rows(a).values():
         g = gcd(*row.values())
         primitive.append({j: x // g for j, x in row.items()})
-    return linalg.integer_nullspace(primitive, len(square.images))
+    return linalg.integer_nullspace(primitive, len(BLADES[4]))
 
 
 # -- FormOperator and exp_nilpotent on FieldScalars ----------------------------

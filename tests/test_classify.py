@@ -7,20 +7,22 @@ a mismatch against these constants.
 """
 
 import random
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spin7lab.cayley import build_omega
+from spin7lab import classify
 from spin7lab.classify import (Certificate, LabeledVector, YoungDiagram,
-                               _candidate_pairs,
-                               _pair_contractions,
+                               _DUALS, _candidate_pairs, _dual_contractions,
+                               _pair_contractions, _square_rows,
                                classification_report,
                                cubic_vanishes_on_subspace, enumerate_diagrams,
                                find_certificate, jordan_type_of, kernel_space,
                                representative)
-from spin7lab.exterior import endo, forms, linalg
+from spin7lab.exterior import endo, forms, linalg, scalars
 from spin7lab.exterior.blades import BLADES, indices_of
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import FormOperator, KForm, Vector, contract
@@ -29,7 +31,7 @@ from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
 from _oracles import (count_calls, diagonal, is_nilpotent, kernel_basis,
                       old_cubic_vanishes, old_jordan_type, old_kernel_basis,
-                      old_rho, operator_kernel_vectors)
+                      old_rho, operator_kernel_vectors, operator_square_rows)
 from _strategies import coefficient_families, small_ints, surds
 
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
@@ -277,6 +279,21 @@ def test_representative_columns_hold_the_chain_steps():
                                 else 0 for j in range(8)] for i in range(8)])
 
 
+def _bits(mask):
+    return [1 << i for i in range(8) if mask >> i & 1]
+
+
+def test_shift_images_and_square_rows_match_the_operators():
+    # ρ(A)e^m = Σ e^(m+b), each +1, over the bits b of m & steps & ~(m >> 1)
+    for d in enumerate_diagrams():
+        rep = representative(d)
+        steps = rep.steps
+        shifted = [{m + b: 1 for b in _bits(m & steps & ~(m >> 1))}
+                   for m in BLADES[4]]
+        assert shifted == endo._rho_images(rep.columns, BLADES[4])
+        assert _square_rows(steps) == operator_square_rows(rep.matrix)
+
+
 def test_kernel_space_makes_no_operator_or_field_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("kernel_space left the int row path")
@@ -308,10 +325,32 @@ def _as_forms(qs):
 def test_pair_contractions_match_contract_on_every_candidate_pair():
     for d in enumerate_diagrams():
         space = kernel_space(d)
-        for u, v in _candidate_pairs(space.representative):
-            u, v = u.vector, v.vector
+        for a, b in _candidate_pairs(space.representative):
+            u, v = Vector.basis(a + 1), Vector.basis(b + 1)
             assert _as_forms(_pair_contractions(u, v, space.vectors)) == \
                 _contracted_by_forms(u, v, space)
+
+
+def test_dual_contractions_match_pair_contractions_on_every_candidate_pair():
+    for d in enumerate_diagrams():
+        space = kernel_space(d)
+        for a, b in _candidate_pairs(space.representative):
+            assert _dual_contractions(a, b, space.vectors) == \
+                _pair_contractions(Vector.basis(a + 1), Vector.basis(b + 1),
+                                   space.vectors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(enumerate_diagrams()), st.integers(0, 7),
+       st.integers(0, 7), st.sampled_from(coefficient_families).flatmap(
+           lambda c: st.lists(c.filter(bool), min_size=2, max_size=2)))
+def test_multiples_of_basis_duals_take_the_mask_path(old_kernels, d, a, b,
+                                                     scales):
+    # a nonzero multiple of a basis dual is read as the dual itself
+    u, v = scales[0] * Vector.basis(a + 1), scales[1] * Vector.basis(b + 1)
+    assert classify._dual_index(u) == a and classify._dual_index(v) == b
+    assert cubic_vanishes_on_subspace(u, v, kernel_space(d)) == \
+        old_cubic_vanishes(u, v, old_kernels[d.parts])
 
 
 _int_or_surd_vectors = st.sampled_from([small_ints, surds]).flatmap(
@@ -332,9 +371,10 @@ def test_int_cubic_agrees_on_every_candidate_pair(old_kernels):
     verdicts = []
     for d in enumerate_diagrams():
         space = kernel_space(d)
-        for u, v in _candidate_pairs(space.representative):
-            got = cubic_vanishes_on_subspace(u.vector, v.vector, space)
-            assert got == old_cubic_vanishes(u.vector, v.vector,
+        for a, b in _candidate_pairs(space.representative):
+            # basis duals take the mask path of _dual_contractions
+            got = cubic_vanishes_on_subspace(_DUALS[a], _DUALS[b], space)
+            assert got == old_cubic_vanishes(_DUALS[a], _DUALS[b],
                                              old_kernels[d.parts])
             verdicts.append(got)
     assert len(verdicts) == 616
@@ -370,9 +410,22 @@ def test_int_cubic_agrees_on_rational_and_surd_vectors(old_kernels, d, plane,
 
 
 def test_certificates_multiply_no_field_scalars(monkeypatch):
+    # and take no numerator view: every binding of scalars.to_numerators
+    # in the package is counted
     calls = count_calls(monkeypatch, "__mul__", "inverse")
+    original, views = scalars.to_numerators, []
+
+    def counted(*args):
+        views.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("spin7lab")
+                and getattr(module, "to_numerators", None) is original):
+            monkeypatch.setattr(module, "to_numerators", counted)
+    assert classify.to_numerators is counted
     certs = [find_certificate(d) for d in enumerate_diagrams()]
-    assert calls == {"__mul__": 0, "inverse": 0}
+    assert calls == {"__mul__": 0, "inverse": 0} and views == []
     monkeypatch.undo()
     assert [c.dim_kernel for c in certs] == list(KERNEL_DIMS.values())
 
