@@ -10,7 +10,8 @@ The obstruction is degeneracy: if some pair of dual vectors (u, v) has
 (u⌟v⌟ω)³ = 0 for EVERY ω ∈ K — proved by expanding the cubic's
 coefficients, not by sampling — then no orbit element lies in K and the
 type is excluded.  Exactly the rank-one type (2,1,...,1) and the zero type
-(1,...,1) survive.
+(1,...,1) survive.  Tests derive dim K from sl₂ weights too, and check that
+each kernel vector lies in one (bits per chain, H-weight) block.
 """
 
 from __future__ import annotations

@@ -371,7 +371,7 @@ def _check_killing_fields(seed: int, frame: LieFrame) -> tuple[bool, dict]:
         lg = metric_lie_derivative(slot, metric, frame)
         if lg:
             return False, {"witness": {"generator_slot": slot,
-                                       "residual": str(lg)}}
+                                       "residual": lg.to_record()}}
     return True, {"killing_generators": [4, 5, 6]}
 
 
@@ -379,7 +379,10 @@ def _check_metric_positivity(seed: int, frame: LieFrame) -> tuple[bool, dict]:
     metric = build_metric()
     diag = metric.is_diagonal()
     pos = metric.has_positive_coefficients()
-    return diag and pos, {"diagonal": diag, "positive_coefficients": pos}
+    detail = {"diagonal": diag, "positive_coefficients": pos}
+    if not (diag and pos):
+        detail["witness"] = metric.to_record()
+    return diag and pos, detail
 
 
 # --------------------------------------------------------------------------

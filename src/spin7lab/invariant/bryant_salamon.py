@@ -182,14 +182,6 @@ class InvariantField:
         return ChamberForm(form.degree - 1, {m: _over(raw, den * den)
                                              for m, raw in acc.items()})
 
-    def lie_derivative(self, form: ChamberForm,
-                       frame: LieFrame | None = None) -> ChamberForm:
-        """Cartan formula for the full function-coefficient field."""
-        frame = frame or build_lie_frame()
-        inner = maurer_cartan_d(self.contract(form), frame)
-        outer = self.contract(maurer_cartan_d(form, frame))
-        return inner + outer
-
 
 def perturbed_form(field: InvariantField,
                    bs: BryantSalamon | None = None) -> ChamberForm:
@@ -205,13 +197,16 @@ def closure_mechanism_sides(field: InvariantField,
                             bs: BryantSalamon | None = None,
                             frame: LieFrame | None = None) -> tuple:
     """(d(dt∧Y⌟Φ), −dt∧L_YΦ): equal sides of the identity behind
-    closedness."""
+    closedness.  Y⌟Φ is contracted once for both sides, and Cartan's
+    L_YΦ = d(Y⌟Φ) + Y⌟dΦ is written out; dΦ is computed, not assumed 0."""
     bs = bs or build_bryant_salamon()
     frame = frame or build_lie_frame()
     ds = ChamberForm.generator(0)
-    dt_wedge = lambda form: DT * ds.wedge(form)
-    return (maurer_cartan_d(dt_wedge(field.contract(bs.phi)), frame),
-            -dt_wedge(field.lie_derivative(bs.phi, frame)))
+    y_phi = field.contract(bs.phi)
+    lie = maurer_cartan_d(y_phi, frame) + field.contract(
+        maurer_cartan_d(bs.phi, frame))
+    return (maurer_cartan_d(DT * ds.wedge(y_phi), frame),
+            -(DT * ds.wedge(lie)))
 
 
 def closure_mechanism_holds(field: InvariantField,
@@ -276,12 +271,11 @@ class InvariantMetric:
                 return False
         return True
 
-    def __str__(self):
-        bits = []
-        for (i, j), c in sorted(self.entries.items()):
-            ni, nj = COFRAME_NAMES[i], COFRAME_NAMES[j]
-            bits.append(f"({c})*{ni}.{nj}")
-        return " + ".join(bits) or "0"
+    def to_record(self) -> dict:
+        return {"entries": [{"slots": [i, j],
+                             "names": [COFRAME_NAMES[i], COFRAME_NAMES[j]],
+                             "coefficient": c.to_record()}
+                            for (i, j), c in sorted(self.entries.items())]}
 
 
 def build_metric(bs: BryantSalamon | None = None) -> InvariantMetric:

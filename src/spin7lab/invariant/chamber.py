@@ -9,11 +9,11 @@ determined by ∂_s w = (2/5) s w⁻⁴.
 ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
 the differential combines ∂_s on coefficients with the Maurer-Cartan
-equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j.  d, ∂_s and non-constant products
-sum raw (s, w) terms on the numerator view of their inputs
-(``scalars.to_numerators``; w⁵ = 1 + s², division by the monic 1 + s² and
-5∂_s keep int numerators integral); each output scalar is canonicalized
-once and each of its terms divided once by the denominator.
+equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j (constants tabulated per frame).
+d, ∂_s and products without a w-free monomial factor c·s^a sum raw (s, w)
+terms on the numerator view of their inputs (``scalars.to_numerators``;
+w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep int numerators
+integral); each output scalar is canonicalized once, each term divided once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable
 
 from ..exterior.blades import indices_of, mask_of
 from ..exterior.forms import Form, contract_generator
-from ..exterior.scalars import (ZERO, Q, FieldScalar, from_numerators,
+from ..exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
                                 to_numerators)
 from .liealg import LieFrame, N_GENERATORS, build_lie_frame
 
@@ -110,11 +110,12 @@ class ChamberScalar:
             return self._scaled(FieldScalar.of(other))
         if not isinstance(other, ChamberScalar):
             return NotImplemented
-        # a canonical form times a nonzero constant is still canonical
-        if other.terms.keys() == {(0, 0)}:
-            return self._scaled(other.terms[(0, 0)])
-        if self.terms.keys() == {(0, 0)}:
-            return other._scaled(self.terms[(0, 0)])
+        # by a w-free monomial c·s^a (a constant when a = 0): see _scaled
+        for x, y in ((self, other), (other, self)):
+            if len(y.terms) == 1:
+                ((a, e), c), = y.terms.items()
+                if not e:
+                    return x._scaled(c, a)
         den, (x, y) = to_numerators([self.terms, other.terms])
         raw: dict = {}
         _add_products(raw, x, y)
@@ -122,11 +123,16 @@ class ChamberScalar:
 
     __rmul__ = __mul__
 
-    def _scaled(self, s: FieldScalar) -> "ChamberScalar":
-        if not s:
+    def _scaled(self, c: FieldScalar, a: int = 0) -> "ChamberScalar":
+        """self·c·s^a, without re-canonicalizing: 1 + s² is coprime to s over
+        F, so the w⁰-layer divisibility test that fixes the canonical form
+        gives the same answer on s^a times a numerator.  By 1 it is self."""
+        if not c:
             return ChamberScalar()
+        if not a and c == ONE:
+            return self
         out = ChamberScalar.__new__(ChamberScalar)
-        out.terms = {k: s * c for k, c in self.terms.items()}
+        out.terms = {(b + a, e): c * x for (b, e), x in self.terms.items()}
         return out
 
     def __pow__(self, n: int):
@@ -225,6 +231,13 @@ def _add_terms(raw: dict, items) -> None:
     for key, c in items:
         prev = raw.get(key)
         raw[key] = c if prev is None else prev + c
+
+
+def _add_scaled(raw: dict, k, terms: dict) -> None:
+    """Add k times a term map into raw."""
+    for key, c in terms.items():
+        prev = raw.get(key)
+        raw[key] = k * c if prev is None else prev + k * c
 
 
 def _add_products(raw: dict, x: dict, y: dict) -> None:
@@ -397,36 +410,43 @@ def coframe_differentials(frame: LieFrame) -> tuple[ChamberForm, ...]:
     return tuple(out)
 
 
+def _maurer_cartan_table(frame: LieFrame) -> tuple[int, tuple]:
+    """(D_frame, 5·de^k per slot): every de^k coefficient is a constant, so
+    each entry is (blade e^i∧e^j, the bits from i to below j, 5·numerator,
+    its negation), one int over D_frame or, with a surd, a FieldScalar."""
+    entries = [(slot, m, c.terms[(0, 0)])
+               for slot, dk in enumerate(frame.coframe_differentials)
+               for m, c in dk.terms.items()]
+    den, (nums,) = to_numerators([[c for _, _, c in entries]])
+    table: list[list] = [[] for _ in range(N_COFRAME)]
+    for i, (slot, m, _) in enumerate(entries):
+        five = 5 * nums[i]
+        low = m & -m
+        table[slot].append((m, ((m ^ low) - 1) ^ (low - 1), five, -five))
+    return den, tuple(map(tuple, table))
+
+
 def maurer_cartan_d(form: ChamberForm,
                     frame: LieFrame | None = None) -> ChamberForm:
     """Exterior derivative: ∂_s on coefficients plus Maurer-Cartan terms.
 
     d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
-    degree, so moving it to the front costs no sign.  The raw (s, w) terms
-    of 5·d are summed per output blade on the numerator view of the form
-    and the structure constants (``scalars.to_numerators``, over D), then
-    canonicalized once and divided by 5·D² per term.
+    degree, so moving it to the front costs no sign.  The constants of
+    5·de^k come from ``frame.maurer_cartan_table``, built once per frame
+    object, as numerators over D_frame.  The raw (s, w) terms of 5·d are
+    summed per output blade on the numerator view of the form (over
+    D_form), each Maurer-Cartan term as one numerator times a term map,
+    then canonicalized once and divided by 5·D_form·D_frame per term.
     """
     frame = frame or build_lie_frame()
-    structure = [(slot, m, c.terms)
-                 for slot, dk in enumerate(frame.coframe_differentials)
-                 for m, c in dk.terms.items()]
-    den, maps = to_numerators([c.terms for c in form.terms.values()]
-                              + [t for _, _, t in structure])
-    # 5·de^k per slot, as (blade e^i∧e^j, the bits from i to below j,
-    # numerators, negated numerators)
-    dgen: list[list] = [[] for _ in range(N_COFRAME)]
-    for (slot, m, _), t in zip(structure, maps[len(form.terms):]):
-        five = {k: 5 * c for k, c in t.items()}
-        low = m & -m
-        dgen[slot].append((m, ((m ^ low) - 1) ^ (low - 1), five,
-                           {k: -c for k, c in five.items()}))
+    frame_den, dgen = frame.maurer_cartan_table
+    den, maps = to_numerators([c.terms for c in form.terms.values()])
     acc: dict[int, dict] = {}
     for mask, terms in zip(form.terms, maps):
         if not mask & 1:  # ds is slot 0, so ds∧e^I has sign +1
-            # over 5·D², ∂_s(n/D) is 5∂_s(n)·D
+            # over 5·D_form·D_frame, ∂_s(n/D_form) is 5∂_s(n)·D_frame
             _add_terms(acc.setdefault(mask | 1, {}),
-                       _derivative_terms(terms, den))
+                       _derivative_terms(terms, frame_den))
         t = mask
         while t:
             bit = t & -t
@@ -437,10 +457,10 @@ def maurer_cartan_d(form: ChamberForm,
             odd = (mask & (bit - 1)).bit_count()
             for m, between, five, negated in dgen[bit.bit_length() - 1]:
                 if not m & sub:
-                    _add_products(acc.setdefault(m | sub, {}), negated
-                                  if (odd + (sub & between).bit_count()) & 1
-                                  else five, terms)
-    return ChamberForm(form.degree + 1, {m: _over(raw, 5 * den * den)
+                    _add_scaled(acc.setdefault(m | sub, {}), negated
+                                if (odd + (sub & between).bit_count()) & 1
+                                else five, terms)
+    return ChamberForm(form.degree + 1, {m: _over(raw, 5 * den * frame_den)
                                          for m, raw in acc.items()})
 
 

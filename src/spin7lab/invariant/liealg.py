@@ -196,6 +196,13 @@ class LieFrame:
         from .chamber import coframe_differentials
         return coframe_differentials(self)
 
+    @cached_property
+    def maurer_cartan_table(self) -> tuple:
+        """The constants of 5·d(e^k) that ``chamber.maurer_cartan_d`` reads,
+        as numerators over one denominator, built once per frame object."""
+        from .chamber import _maurer_cartan_table
+        return _maurer_cartan_table(self)
+
     def with_structure(self, structure) -> "LieFrame":
         """Same frame with replaced structure constants (fault injection)."""
         return LieFrame(names=self.names, matrices=self.matrices,

@@ -269,6 +269,30 @@ def test_closure_mechanism():
         assert closure_mechanism_holds(field)
 
 
+def test_closure_mechanism_contracts_phi_once(monkeypatch):
+    import spin7lab.invariant.bryant_salamon as bsm
+    d_inputs, contracted = [], []
+    original_d, original_contract = bsm.maurer_cartan_d, InvariantField.contract
+
+    def counted_d(form, frame=None):
+        d_inputs.append(form)
+        return original_d(form, frame)
+
+    def counted_contract(self, form):
+        contracted.append(form)
+        return original_contract(self, form)
+
+    monkeypatch.setattr(bsm, "maurer_cartan_d", counted_d)
+    monkeypatch.setattr(InvariantField, "contract", counted_contract)
+    field = InvariantField.of(T, T * T + 1, 3 * T)
+    lhs, rhs = bsm.closure_mechanism_sides(field, BS)
+    assert lhs == rhs
+    # d(Y⌟Φ), dΦ and d(dt∧Y⌟Φ); Y⌟ of Φ and of dΦ
+    assert len(d_inputs) == 3 and sum(f is BS.phi for f in d_inputs) == 1
+    assert len(contracted) == 2
+    assert sum(f is BS.phi for f in contracted) == 1
+
+
 def test_lie_derivative_of_phi_is_absorbed_by_dt():
     # the mechanism closes because dt ∧ L_Y Φ = 0: every blade of L_Y Φ
     # already carries the ds factor (L_Y Φ itself need not vanish)
@@ -276,7 +300,9 @@ def test_lie_derivative_of_phi_is_absorbed_by_dt():
     field = InvariantField.of(random_even_scalar(rng),
                               random_even_scalar(rng),
                               random_even_scalar(rng))
-    lied = field.lie_derivative(BS.phi)
+    # Cartan's formula L_Y = d ∘ ι_Y + ι_Y ∘ d
+    lied = (maurer_cartan_d(field.contract(BS.phi))
+            + field.contract(maurer_cartan_d(BS.phi)))
     for slots, _c in lied.blades():
         assert slots[0] == 0
     assert not DT * DS.wedge(lied)

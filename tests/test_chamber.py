@@ -20,7 +20,8 @@ from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
 from spin7lab.invariant.liealg import build_lie_frame
 
 from _oracles import old_derivative, old_maurer_cartan_d, old_product
-from _strategies import field_scalars, rational_laurent_scalars, small_ints
+from _strategies import (field_scalars, rational_laurent_scalars, rationals,
+                         small_ints, surds)
 
 DS = ChamberForm.generator(0)
 
@@ -90,6 +91,39 @@ def test_constant_products_are_the_canonical_product(c, x):
     for product in (c * x, x * c):
         assert product.terms == expected.terms
         assert ChamberScalar(product.terms).terms == product.terms
+
+
+# 1, −1 and c·s^a with c rational or surd: the operands that skip the reduction
+units_and_s_monomials = st.one_of(
+    st.sampled_from([ChamberScalar.of(1), ChamberScalar.of(-1)]),
+    st.builds(ChamberScalar.monomial, st.one_of(rationals, surds),
+              st.integers(0, 4)))
+
+
+@given(units_and_s_monomials, rational_laurent_scalars)
+def test_unit_and_s_monomial_products_are_the_canonical_product(m, x):
+    expected = old_product(m, x)
+    for product in (m * x, x * m):
+        assert product.terms == expected.terms
+        assert ChamberScalar(product.terms).terms == product.terms
+    assert x * 1 is x
+
+
+def test_unit_and_s_monomial_products_skip_the_reduction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a monomial product was re-canonicalized")
+
+    x = ChamberScalar.from_terms([(0, -3, Q(2, 5)), (1, 2, 7), (3, 4, -1)])
+    monomials = (1, -1, S, T, ChamberScalar.monomial(2, 1),
+                 ChamberScalar.monomial(FieldScalar(0, 1), 3))
+    products = [m * x for m in (W, S * W_INV)]  # these need the reduction
+    for name in ("_canonical", "to_numerators", "_over"):
+        monkeypatch.setattr(chamber, name, refuse)
+    for m in monomials:
+        assert m * x == x * m
+        assert (m * x) * S == m * (x * S)
+    monkeypatch.undo()
+    assert products == [W * x, x * (S * W_INV)]
 
 
 @given(st.sampled_from([rational_laurent_scalars, laurent_scalars]),
@@ -352,10 +386,15 @@ def test_contract_generator_picks_out_slots():
 
 
 def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
-    built = []
+    # so are the d(e^k) constants that maurer_cartan_d reads
+    built, tables = [], []
     original = chamber.coframe_differentials
     monkeypatch.setattr(chamber, "coframe_differentials",
                         lambda frame: built.append(frame) or original(frame))
+    original_table = chamber._maurer_cartan_table
+    monkeypatch.setattr(chamber, "_maurer_cartan_table",
+                        lambda frame: tables.append(frame)
+                        or original_table(frame))
     base = build_lie_frame()
     frame = base.with_structure(base.structure)  # a fresh frame object
     a6 = ChamberForm.generator(6)
@@ -364,14 +403,15 @@ def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
     for _ in range(3):
         assert maurer_cartan_d(form, frame) == first
     lie_derivative(1, form, frame)
-    assert built == [frame]
+    assert built == tables == [frame]
     # a frame with other constants ([A4, A5] = 3 A6) gets its own d(e^k)
     mutated = [[list(row) for row in plane] for plane in base.structure]
     mutated[3][4][5] = FieldScalar(3)
     other = base.with_structure(tuple(tuple(tuple(r) for r in p)
                                       for p in mutated))
     assert maurer_cartan_d(a6, other) != maurer_cartan_d(a6, frame)
-    assert built == [frame, other]
+    assert built == tables == [frame, other]
+    assert other.maurer_cartan_table != frame.maurer_cartan_table
 
 
 def test_lie_derivative_rotates_the_sp1_coframe():

@@ -8,6 +8,8 @@ a mismatch against these constants.
 
 import random
 import sys
+from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -224,6 +226,37 @@ def test_full_kernel_exactly_for_admissible_types():
     for d in enumerate_diagrams():
         full = kernel_space(d).dimension == 70
         assert full == (d.parts in ADMISSIBLE)
+
+
+def _chains_and_weights(d):
+    """The generator mask of each Jordan chain of the representative, and
+    the H-weight of each generator (bit 0 first) for a Jacobson–Morozov
+    triple: k−1, k−3, …, 1−k along a chain of size k, up to one sign."""
+    chains, weights = [], []
+    for start, size in d.blocks():
+        chains.append(((1 << size) - 1) << (start - 1))
+        weights += [2 * i - (size - 1) for i in range(size)]
+    return chains, weights
+
+
+def test_kernel_dimensions_follow_from_sl2_weights():
+    # ρ(A) shifts the H-weight by 2, so ker ρ(A)² holds the top two weights
+    # of each sl₂-string of Λ⁴ (one, for a string of length 1); a string
+    # meets exactly one of the weights 0 and 1, and, when of length 2 or
+    # more, exactly one of 1 and 2: dim = m(0) + 2m(1) + m(2)
+    for d in enumerate_diagrams():
+        chains, weights = _chains_and_weights(d)
+        m = Counter(sum(weights[i] for i in idx)
+                    for idx in combinations(range(8), 4))
+        space = kernel_space(d)
+        assert m[0] + 2 * m[1] + m[2] == space.dimension == KERNEL_DIMS[d.parts]
+        # ρ(A)² keeps the bits per chain and adds 4 to the weight, so each
+        # kernel vector lies in one (bits per chain, weight) block
+        for vec in space.vectors:
+            grades = {(tuple((BLADES[4][j] & c).bit_count() for c in chains),
+                       sum(w for i, w in enumerate(weights)
+                           if BLADES[4][j] >> i & 1)) for j in vec}
+            assert len(grades) == 1, (d, vec)
 
 
 # -- integer kernels against the dense FieldScalar elimination ------------------

@@ -19,7 +19,9 @@ from spin7lab.exterior.scalars import FieldScalar
 from spin7lab.harness import (SUITE_NAMES, CheckResult, RunConfig,
                               export_form, main, run, run_all_suites,
                               run_suite)
-from spin7lab.invariant.bryant_salamon import build_bryant_salamon
+from spin7lab.invariant.bryant_salamon import (InvariantMetric,
+                                               build_bryant_salamon,
+                                               build_metric)
 from spin7lab.invariant.chamber import ChamberForm
 from spin7lab.invariant.liealg import build_lie_frame
 
@@ -114,8 +116,10 @@ def test_corrupted_frame_fails_perturbation_suite():
     assert any(not r.passed for r in results)
 
 
-def _perturb_check(name, **kwargs):
-    result = next(r for r in run_suite("perturb", seed=0, **kwargs)
+def _failed_witness(suite, name, **kwargs):
+    """The JSON round trip of a check's witness; the check must fail
+    without raising."""
+    result = next(r for r in run_suite(suite, seed=0, **kwargs)
                   if r.name == name)
     assert not result.passed
     assert "error" not in result.detail
@@ -129,7 +133,7 @@ def test_closure_mechanism_failure_carries_the_difference_as_witness():
     mutated[0][7][8] = 3 * mutated[0][7][8]  # [A1, X2] off along X3
     frame = frame.with_structure(tuple(tuple(tuple(r) for r in p)
                                        for p in mutated))
-    witness = _perturb_check("closure-mechanism", frame=frame)
+    witness = _failed_witness("perturb", "closure-mechanism", frame=frame)
     # both sides are dt∧(…), so every blade of lhs − rhs starts with ds
     assert witness["degree"] == 5 and witness["terms"]
     assert all(t["names"][0] == "ds" and len(t["names"]) == 5
@@ -149,10 +153,29 @@ def test_orbit_witness_failure_names_the_flipped_blade(monkeypatch):
                                         mask: -coeff})
 
     monkeypatch.setattr(bsm, "blade_pullback", one_sign_flipped)
-    witness = _perturb_check("orbit-witness")
+    witness = _failed_witness("perturb", "orbit-witness")
     assert [sum(1 << k for k in t["slots"]) for t in witness["terms"]] \
         == flipped
     assert all(t["names"] for t in witness["terms"])
+
+
+def test_killing_failure_carries_the_metric_residual_as_witness():
+    witness = _failed_witness("bryant-salamon", "killing-fields",
+                              frame=corrupted_frame())
+    assert witness["generator_slot"] in (4, 5, 6)
+    entries = witness["residual"]["entries"]
+    assert entries and all(len(e["names"]) == 2 and e["coefficient"]["terms"]
+                           for e in entries)
+
+
+def test_metric_positivity_failure_carries_the_metric_as_witness(monkeypatch):
+    import spin7lab.harness.checks as checks
+    good = build_metric()
+    bad = InvariantMetric({**good.entries, (0, 0): -good.get(0, 0)})
+    monkeypatch.setattr(checks, "build_metric", lambda: bad)
+    witness = _failed_witness("bryant-salamon", "metric-positivity")
+    assert witness == json.loads(json.dumps(bad.to_record()))
+    assert witness["entries"][0]["names"] == ["ds", "ds"]
 
 
 def test_raising_check_says_where(monkeypatch):
