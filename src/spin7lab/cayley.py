@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exterior import linalg
-from .exterior.blades import BLADES
+from .exterior.blades import BLADES, pair_sign_mask
 from .exterior.forms import (FormOperator, KForm, Vector, _wedged, contract,
                              hodge_star, inner, wedge)
 from .exterior.endo import Endo, rho
@@ -149,11 +149,11 @@ def projectors() -> DecompositionProjectors:
 def _pair_contracted(u: Vector, v: Vector, masks, vectors) -> tuple[int, list]:
     """(d, [d·(u⌟v⌟ω) for ω in vectors]), ω as (j, coefficient of masks[j])
     items, with d = den² for the numerator view of u and v over den: a
-    blade m holding e_a and e_b goes to m ^ b ^ a, negated by the parity of
-    m's generators below b plus that of (m ^ b)'s below a."""
+    blade m holding e_a and e_b goes to m ^ b ^ a with the sign of
+    ``blades.pair_sign_mask``."""
     den, rows = to_numerators([u.components, v.components])
     us, vs = ([(1 << i, c) for i, c in row.items()] for row in rows)
-    pairs = [(a | b, (b - 1) ^ (a - 1) & ~b, x * y)
+    pairs = [(a | b, pair_sign_mask(a, b), x * y)
              for a, x in us for b, y in vs if a != b]
     qs = []
     for items in vectors:

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterator
 
-from .exterior.blades import BLADES, DIM
+from .exterior.blades import BLADES, DIM, pair_sign_mask
 from .exterior.forms import Vector, _wedged
 from .exterior import linalg
 from .exterior.endo import Endo, _product, rho
-from .exterior.scalars import ZERO, to_numerators
 from . import cayley
 from .sampling import random_rank_one_nilpotent
 
@@ -122,23 +121,17 @@ def representative(diagram: YoungDiagram) -> JordanRepresentative:
 
 def jordan_type_of(a: Endo) -> YoungDiagram:
     """Recover the partition from the ranks of A, A², … up to the first
-    zero power; A^8 ≠ 0 means A is not nilpotent.  The powers are taken on
-    the numerator view of A's rows (``scalars.to_numerators``).  Like
-    ``linalg.echelon`` it branches on the view, because the ranks use a
-    different algorithm on ints (``linalg._integer_rref``) than in the
-    field (``linalg.rank``)."""
-    _den, rows = to_numerators(a.rows)
-    if linalg._on_ints(rows):
-        rank = lambda power: len(linalg._integer_rref(power))
-    else:
-        rank = lambda power: linalg.rank(
-            [[row.get(j, ZERO) for j in range(DIM)] for row in power])
+    zero power; A^8 ≠ 0 means A is not nilpotent.  A is read as int rows
+    by the guard of ``linalg.echelon`` (ValueError on a surd entry); the
+    powers are products of those rows and each rank is the size of their
+    integer Gauss–Jordan basis (``linalg._integer_rref``)."""
+    rows = linalg._int_rows(a.rows)
     ranks = [DIM]
     power = rows
     while any(power):
         if len(ranks) == DIM:
             raise ValueError("jordan type computed for nilpotent input only")
-        ranks.append(rank(power))
+        ranks.append(len(linalg._integer_rref(power)))
         power = _product(power, rows)
     ranks.append(0)
     # at_least[k - 1] = ranks[k - 1] - ranks[k] blocks have size >= k
@@ -196,29 +189,20 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 
 # -- the cubic certificate ----------------------------------------------------
 #
-# (u⌟v⌟ Σ xᵢωᵢ)³ is a cubic in x with Λ⁶-valued coefficients.  Since the
-# two-forms qᵢ = u⌟v⌟ωᵢ commute, it vanishes identically iff
-# qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k.  That depends only on span(K) and the
-# lines of u and v, so int kernel vectors and numerators give the verdict,
-# and multiples of the basis duals e_a, e_b give that of e_a, e_b.
+# (e_a⌟e_b⌟ Σ xᵢωᵢ)³ is a cubic in x with Λ⁶-valued coefficients.  Since
+# the two-forms qᵢ = e_a⌟e_b⌟ωᵢ commute, it vanishes identically iff
+# qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k, which the int kernel vectors decide.
+# The basis duals are kept as vectors only for the certificate records.
 
 _DUALS = tuple(Vector.basis(i + 1) for i in range(DIM))
 
 
-def _pair_contractions(u: Vector, v: Vector, vectors) -> list[dict]:
-    """The nonzero qᵢ = u⌟v⌟ωᵢ of the kernel vectors as term maps, up to
-    the positive factor of ``cayley._pair_contracted``."""
-    return [q for q in cayley._pair_contracted(
-        u, v, BLADES[4], (vec.items() for vec in vectors))[1] if q]
-
-
 def _dual_contractions(a: int, b: int, vectors) -> list[dict]:
     """The nonzero e_a⌟e_b⌟ωᵢ (0-based a ≠ b) of the kernel vectors: each
-    blade m holding both bits goes to m without them, negated by the
-    parity of m's generators below b plus that of (m ^ b)'s below a, the
-    bits of one sign mask."""
-    ab, bit_b = 1 << a | 1 << b, 1 << b
-    sign_mask = (bit_b - 1) ^ (((1 << a) - 1) & ~bit_b)
+    blade m holding both bits goes to m without them, with the sign of
+    ``blades.pair_sign_mask``."""
+    ab = 1 << a | 1 << b
+    sign_mask = pair_sign_mask(1 << a, 1 << b)
     masks = BLADES[4]
     qs = []
     for vec in vectors:
@@ -232,21 +216,13 @@ def _dual_contractions(a: int, b: int, vectors) -> list[dict]:
     return qs
 
 
-def _dual_index(w: Vector) -> int | None:
-    """a if w is a nonzero multiple of the basis dual e_a (0-based)."""
-    support = [i for i, c in enumerate(w.components) if c]
-    return support[0] if len(support) == 1 else None
-
-
-def cubic_vanishes_on_subspace(u: Vector, v: Vector,
-                               kernel: KernelSpace) -> bool:
-    """True iff (u⌟v⌟ω)³ = 0 for every ω in K.  Multiples of two distinct
-    basis duals are contracted on masks (``_dual_contractions``)."""
-    a, b = _dual_index(u), _dual_index(v)
-    if a is None or b is None or a == b:
-        qs = _pair_contractions(u, v, kernel.vectors)
-    else:
-        qs = _dual_contractions(a, b, kernel.vectors)
+def cubic_vanishes_on_subspace(a: int, b: int, kernel: KernelSpace) -> bool:
+    """True iff (e_a⌟e_b⌟ω)³ = 0 for every ω in K, for the basis duals of
+    two distinct 0-based indices a and b, contracted on masks
+    (``_dual_contractions``) and wedged on int term maps."""
+    if a == b or not (0 <= a < DIM and 0 <= b < DIM):
+        raise ValueError(f"need two distinct dual indices in 0..{DIM - 1}")
+    qs = _dual_contractions(a, b, kernel.vectors)
     for i, qi in enumerate(qs):
         for j in range(i, len(qs)):
             rij = _wedged(qi, qs[j])
@@ -301,7 +277,7 @@ def find_certificate(diagram: YoungDiagram) -> Certificate:
         return Certificate(diagram, "admissible", kernel.dimension)
     rep = kernel.representative
     for a, b in _candidate_pairs(rep):
-        if cubic_vanishes_on_subspace(_DUALS[a], _DUALS[b], kernel):
+        if cubic_vanishes_on_subspace(a, b, kernel):
             return Certificate(diagram, "excluded", kernel.dimension, (
                 LabeledVector(_DUALS[a], rep.labels[a]),
                 LabeledVector(_DUALS[b], rep.labels[b])))
@@ -319,16 +295,6 @@ class ClassificationReport:
     def admissible(self) -> tuple[YoungDiagram, ...]:
         return tuple(c.diagram for c, _ in self.rows
                      if c.verdict == "admissible")
-
-    def to_record(self, *, zero_timings: bool = False) -> dict:
-        return {
-            "seed": self.seed,
-            "diagrams": [dict(c.to_record(), millis=0 if zero_timings else ms)
-                         for c, ms in self.rows],
-            "admissible_diagrams": [list(d.parts) for d in self.admissible],
-            "rank_one_signature": {"samples": self.signature_samples,
-                                   "pure_7_35": self.signature_clean},
-        }
 
 
 def classification_report(seed: int = 0,

@@ -16,7 +16,8 @@ DIM = 8
 FULL_MASK = (1 << DIM) - 1
 
 __all__ = ["DIM", "FULL_MASK", "BLADES", "BLADE_POSITION", "wedge_sign",
-           "contract_sign", "mask_of", "indices_of", "complement_sign"]
+           "contract_sign", "pair_sign_mask", "mask_of", "indices_of",
+           "complement_sign"]
 
 
 def wedge_sign(m1: int, m2: int) -> int:
@@ -38,6 +39,13 @@ def _sign_mask(m2: int) -> int:
         s ^= -(low << 1)
         t ^= low
     return s
+
+
+def pair_sign_mask(a: int, b: int) -> int:
+    """The mask S with e_a⌟e_b⌟e^m = (-1)^|m & S| e^(m ^ a ^ b) for every
+    blade m holding both generators, given as the bits a ≠ b: e_b comes
+    out past m's generators below b, then e_a past those of m ^ b below a."""
+    return (b - 1) ^ (a - 1) & ~b
 
 
 def contract_sign(slot: int, mask: int) -> int:

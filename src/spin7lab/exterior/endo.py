@@ -112,13 +112,8 @@ class Endo:
         return linalg.rank(self.rows)
 
     def to_record(self) -> dict:
-        """JSON-ready record; rationals as strings, bit-exact round-trip."""
+        """JSON-ready record: the rows, rationals as strings."""
         return {"rows": [[x.to_record() for x in row] for row in self.rows]}
-
-    @staticmethod
-    def from_record(record: dict) -> "Endo":
-        return Endo([[FieldScalar.from_record(x) for x in row]
-                     for row in record["rows"]])
 
 
 def _trusted(rows) -> Endo:

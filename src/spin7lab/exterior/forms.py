@@ -23,7 +23,7 @@ contribution into one accumulator per output blade, on the numerator
 view of the images (``scalars.to_numerators``, taken once per operator):
 ints over one denominator for rational images, FieldScalars over 1 with a
 surd, and plain-int images as they are.  Pivots, ranks and kernels densify
-the operator and reduce it by ``linalg.echelon``.
+the operator and reduce it by ``linalg.echelon``, over Q only.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ class KForm(Form):
     __repr__ = __str__
 
     def to_record(self) -> dict:
-        """JSON-ready record; rationals as strings, bit-exact round-trip."""
+        """JSON-ready record: the sorted terms, rationals as strings."""
         return {
             "degree": self.degree,
             "terms": [
@@ -407,16 +407,6 @@ class KForm(Form):
                 for indices, c in self.terms()
             ],
         }
-
-    @staticmethod
-    def from_record(record: dict) -> "KForm":
-        terms = {}
-        for t in record["terms"]:
-            sign, mask = mask_of(t["indices"])
-            if sign != 1:
-                raise ValueError("serialized indices must be strictly increasing")
-            terms[mask] = FieldScalar.from_record(t["coeff"])
-        return KForm(int(record["degree"]), terms)
 
 
 # -- operations specific to R^8 ----------------------------------------------

@@ -1,20 +1,15 @@
-"""Exact dense linear algebra over Q(sqrt2, sqrt3).
+"""Exact dense linear algebra over Q.
 
-Matrices are lists of rows of FieldScalar.  Every elimination goes through
-``echelon``, which returns the reduced row-echelon form (RREF, also an
-echelon form) and picks its arithmetic from the entries:
-
-* When every entry is rational, the rows are taken in the numerator view
-  of ``scalars.to_numerators``, as sparse {column: int} dicts over one
-  denominator.  They are reduced one at a time into a Gauss–Jordan basis:
-  a row is cleared in a column by cross-multiplying, p/g times it minus
-  f/g times the basis row with pivot p, where f is its own entry and
-  g = gcd(p, f), and every result is divided by its content (the gcd of
-  its entries).  Each division is therefore exact, and no field inversion
-  happens.  Only the final RREF goes back to FieldScalar, one reduced
-  fraction per nonzero entry.
-* A matrix with a surd entry is reduced by Gauss–Jordan in the field, with
-  one inversion per pivot.
+Matrices are lists of rows of rational FieldScalars.  Every elimination is
+one sparse integer Gauss–Jordan (``_integer_rref``) on the numerator view
+of the rows (``_int_rows``: sparse {column: int} dicts over one
+denominator), which raises ValueError on a surd entry.  The rows are
+reduced one at a time into a Gauss–Jordan basis: a row is cleared in a
+column by cross-multiplying, p/g times it minus f/g times the basis row
+with pivot p, where f is its own entry and g = gcd(p, f), and every result
+is divided by its content (the gcd of its entries).  Each division is
+therefore exact, and no field inversion happens.  Only the final RREF goes
+back to FieldScalar, one reduced fraction per nonzero entry.
 
 ``integer_nullspace`` takes a matrix that is already sparse integer rows
 (the rows of ρ(A)² in the classifier) straight to the integer Gauss–Jordan
@@ -23,8 +18,8 @@ FieldScalar at all.  The columns of one-entry rows are dropped first, and
 since clearing makes a row primitive, only a row that enters the basis
 uncleared is divided by its content.
 
-The RREF of a matrix is unique, so both paths give the same canonical
-bases, and the same matrix always yields the same result.
+The RREF of a matrix is unique, so the same matrix always yields the same
+canonical bases.
 """
 
 from __future__ import annotations
@@ -33,41 +28,36 @@ from math import gcd, lcm
 
 from .scalars import ONE, ZERO, FieldScalar, from_numerators, to_numerators
 
-__all__ = ["echelon", "rref", "rank", "nullspace", "integer_nullspace",
-           "invert"]
+__all__ = ["echelon", "rank", "nullspace", "integer_nullspace", "invert"]
 
 Matrix = list[list[FieldScalar]]
 SparseRow = dict[int, int]
 
 
 def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and pivot columns.
-
-    The result has as many rows as the input: the nonzero rows of the RREF
-    in pivot order, then zero rows.  This and ``classify.jordan_type_of``
-    are the two places that branch on the numerator view, because each
-    runs a different algorithm on ints (``_integer_rref``) than in the
-    field (``_field_rref``).
-    """
+    """The nonzero rows of the reduced row-echelon form (unit pivots, zeros
+    above and below) in pivot order, and the pivot columns.  The RREF is
+    canonical, so bases built from it are deterministic.  Raises ValueError
+    on a surd entry."""
     if not rows:
         return [], []
     ncols = len(rows[0])
-    _den, sparse = to_numerators(rows)
-    if not _on_ints(sparse):
-        return _field_rref(rows, ncols)
-    basis = _integer_rref(sparse)
+    basis = _integer_rref(_int_rows(rows))
     pivots = sorted(basis)
     reduced = []
     for c in pivots:
         row = from_numerators(basis[c], basis[c][c])
         reduced.append([row.get(j, ZERO) for j in range(ncols)])
-    reduced.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
     return reduced, pivots
 
 
-def _on_ints(sparse: list[SparseRow]) -> bool:
-    """Whether a numerator view holds ints, not its surd fallback."""
-    return all(type(x) is int for row in sparse for x in row.values())
+def _int_rows(rows) -> list[SparseRow]:
+    """The numerator view of rows, less its denominator, which leaves the
+    row space as it is; ValueError on a surd entry (the view's fallback)."""
+    _den, sparse = to_numerators(rows)
+    if type(next((x for row in sparse for x in row.values()), 0)) is not int:
+        raise ValueError("a surd entry: elimination runs over Q only")
+    return sparse
 
 
 def _primitive(row: SparseRow) -> SparseRow:
@@ -115,39 +105,6 @@ def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
     return basis
 
 
-def _field_rref(rows: Matrix, ncols: int) -> tuple[Matrix, list[int]]:
-    """Gauss–Jordan in the field: one inversion per pivot, zero rows last."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = m[r][c].inverse()
-        pivot_row = m[r] = [x * inv for x in m[r]]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                m[i] = [a - f * b for a, b in zip(row, pivot_row)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form (unit pivots, zeros above) and pivot columns.
-
-    Only the nonzero rows are returned; the RREF is the canonical
-    representative of the row space, so downstream bases are deterministic.
-    """
-    m, pivots = echelon(rows)
-    return m[: len(pivots)], pivots
-
-
 def rank(rows: Matrix) -> int:
     return len(echelon(rows)[1])
 
@@ -158,7 +115,7 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("nullspace of an empty matrix needs an explicit width")
-    r, pivots = rref(rows)
+    r, pivots = echelon(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -210,7 +167,7 @@ def invert(rows: Matrix) -> Matrix:
         raise ValueError("matrix is not square")
     aug = [list(r) + [ONE if i == j else ZERO for j in range(n)]
            for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
+    red, pivots = echelon(aug)
     if pivots[:n] != list(range(n)) or len(pivots) != n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]

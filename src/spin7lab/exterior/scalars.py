@@ -97,12 +97,8 @@ class FieldScalar:
                 Fraction(self._c, den), Fraction(self._d, den))
 
     def to_record(self) -> dict:
-        """JSON-ready parts as ``str(Q)``; ``from_record`` reads them back."""
+        """JSON-ready parts a, b, c, d as ``str(Q)`` prints them."""
         return dict(zip("abcd", map(str, self.quadruple())))
-
-    @staticmethod
-    def from_record(record: dict) -> "FieldScalar":
-        return FieldScalar(record["a"], record["b"], record["c"], record["d"])
 
     # -- ring operations ----------------------------------------------
 

@@ -9,7 +9,8 @@ determined by ∂_s w = (2/5) s w⁻⁴.
 ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
 the differential combines ∂_s on coefficients with the Maurer-Cartan
-equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j (constants tabulated per frame).
+equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j, read from the frame's constants
+into one table of numerators per frame (``LieFrame.maurer_cartan_table``).
 d, ∂_s and products without a w-free monomial factor c·s^a sum raw (s, w)
 terms on the numerator view of their inputs (``scalars.to_numerators``;
 w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep int numerators
@@ -28,8 +29,7 @@ from ..exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
 from .liealg import LieFrame, N_GENERATORS, build_lie_frame
 
 __all__ = ["ChamberScalar", "ChamberForm", "COFRAME_NAMES", "S", "W", "W_INV",
-           "T", "coframe_differentials", "maurer_cartan_d", "contract_generator",
-           "lie_derivative"]
+           "T", "maurer_cartan_d", "contract_generator", "lie_derivative"]
 
 COFRAME_NAMES = ("ds", "A1", "A2", "A3", "A4", "A5", "A6",
                  "X1", "X2", "X3", "X4")
@@ -193,14 +193,6 @@ class ChamberScalar:
         return {"terms": [{"s_exp": a, "w_exp": e,
                            "coeff": c.to_record()}
                           for a, e, c in self.sorted_terms()]}
-
-    @staticmethod
-    def from_record(record: dict) -> "ChamberScalar":
-        raw = {}
-        for t in record["terms"]:
-            raw[(int(t["s_exp"]), int(t["w_exp"]))] = FieldScalar.from_record(
-                t["coeff"])
-        return ChamberScalar(raw)
 
     def __str__(self):
         if not self.terms:
@@ -379,48 +371,21 @@ class ChamberForm(Form):
                            "coefficient": c.to_record()}
                           for slots, c in self.blades()]}
 
-    @staticmethod
-    def from_record(record: dict) -> "ChamberForm":
-        acc: dict[int, ChamberScalar] = {}
-        for t in record["terms"]:
-            mask = 0
-            for slot in t["slots"]:
-                mask |= 1 << int(slot)
-            acc[mask] = ChamberScalar.from_record(t["coefficient"])
-        return ChamberForm(int(record["degree"]), acc)
-
-
-def coframe_differentials(frame: LieFrame) -> tuple[ChamberForm, ...]:
-    """d(e^k) = −Σ_{i<j} c^k_{ij} e^i ∧ e^j for each coframe slot.
-
-    Built afresh on every call; ``frame.coframe_differentials`` keeps the
-    one built for that frame object.
-    """
-    out = [ChamberForm.zero(2)]  # d(ds) = 0
-    for k in range(N_GENERATORS):
-        acc: dict[int, ChamberScalar] = {}
-        for i in range(N_GENERATORS):
-            for j in range(i + 1, N_GENERATORS):
-                c = frame.structure[i][j][k]
-                if c:
-                    # slots are generator index + 1 (slot 0 is ds)
-                    mask = (1 << (i + 1)) | (1 << (j + 1))
-                    acc[mask] = acc.get(mask, _ZERO_SCALAR) - ChamberScalar.of(c)
-        out.append(ChamberForm(2, acc))
-    return tuple(out)
-
 
 def _maurer_cartan_table(frame: LieFrame) -> tuple[int, tuple]:
-    """(D_frame, 5·de^k per slot): every de^k coefficient is a constant, so
-    each entry is (blade e^i∧e^j, the bits from i to below j, 5·numerator,
-    its negation), one int over D_frame or, with a surd, a FieldScalar."""
-    entries = [(slot, m, c.terms[(0, 0)])
-               for slot, dk in enumerate(frame.coframe_differentials)
-               for m, c in dk.terms.items()]
+    """(D_frame, 5·de^k per coframe slot), de^k = −Σ_{i<j} c^k_ij e^i∧e^j
+    read from ``frame.structure`` (generator i is slot i + 1; d(ds) = 0):
+    per blade e^i∧e^j, (its mask, the bits from i to below j, 5·numerator
+    of −c^k_ij, its negation), an int over D_frame or, with a surd, a
+    FieldScalar."""
+    structure = frame.structure
+    entries = [(k + 1, 2 << i | 2 << j, structure[i][j][k])
+               for k in range(N_GENERATORS) for i in range(N_GENERATORS)
+               for j in range(i + 1, N_GENERATORS) if structure[i][j][k]]
     den, (nums,) = to_numerators([[c for _, _, c in entries]])
     table: list[list] = [[] for _ in range(N_COFRAME)]
     for i, (slot, m, _) in enumerate(entries):
-        five = 5 * nums[i]
+        five = -5 * nums[i]
         low = m & -m
         table[slot].append((m, ((m ^ low) - 1) ^ (low - 1), five, -five))
     return den, tuple(map(tuple, table))

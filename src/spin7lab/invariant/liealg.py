@@ -190,13 +190,6 @@ class LieFrame:
         return tuple(out)
 
     @cached_property
-    def coframe_differentials(self) -> tuple:
-        """d(e^k) of the chamber coframe (``chamber.coframe_differentials``),
-        built once per frame object."""
-        from .chamber import coframe_differentials
-        return coframe_differentials(self)
-
-    @cached_property
     def maurer_cartan_table(self) -> tuple:
         """The constants of 5·d(e^k) that ``chamber.maurer_cartan_d`` reads,
         as numerators over one denominator, built once per frame object."""
@@ -284,7 +277,7 @@ def normalizer(frame: LieFrame,
         raise ValueError("normalizer input must be a subalgebra")
     if not basis:
         return [generator_coords(i) for i in range(N_GENERATORS)]
-    span, pivots = linalg.rref([list(b) for b in basis])
+    span, pivots = linalg.echelon([list(b) for b in basis])
     free = [c for c in range(N_GENERATORS) if c not in pivots]
     rows = []
     for h in span:

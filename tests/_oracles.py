@@ -15,9 +15,9 @@ from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                metric_lie_derivative,
                                                proposition_display)
 from spin7lab.invariant.chamber import ChamberForm, ChamberScalar
-from spin7lab.invariant.liealg import (GENERATOR_NAMES, LieFrame, QuatMat2,
-                                       _ZERO_Q, _basis_matrices,
-                                       build_lie_frame)
+from spin7lab.invariant.liealg import (GENERATOR_NAMES, N_GENERATORS,
+                                       LieFrame, QuatMat2, _ZERO_Q,
+                                       _basis_matrices, build_lie_frame)
 from spin7lab.sampling import random_unimodular
 
 
@@ -106,7 +106,7 @@ def solve(rows, rhs):
     if not rows:
         raise ValueError("linear system has no unique solution")
     ncols = len(rows[0])
-    red, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    red, pivots = linalg.echelon([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         raise ValueError("linear system is inconsistent")
     if len(pivots) != ncols:
@@ -115,6 +115,30 @@ def solve(rows, rhs):
     for row, c in zip(red, pivots):
         x[c] = row[ncols]
     return x
+
+
+def field_rref(rows):
+    """Gauss–Jordan in the field, one inversion per pivot: the nonzero rows
+    of the RREF and the pivots, as ``linalg.echelon`` returns them on ints."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = m[r][c].inverse()
+        pivot_row = m[r] = [x * inv for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [a - f * b for a, b in zip(row, pivot_row)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
 
 
 def verify_pullback_proposition():
@@ -490,10 +514,27 @@ def old_derivative(x):
     return _old_scalar(raw)
 
 
+def coframe_differentials(frame):
+    """d(e^k) = −Σ_{i<j} c^k_{ij} e^i ∧ e^j as a ChamberForm per coframe
+    slot; slot 0 is ds, with d(ds) = 0, and generator i is slot i + 1."""
+    out = [ChamberForm.zero(2)]
+    for k in range(N_GENERATORS):
+        acc = {}
+        for i in range(N_GENERATORS):
+            for j in range(i + 1, N_GENERATORS):
+                c = frame.structure[i][j][k]
+                if c:
+                    mask = (1 << (i + 1)) | (1 << (j + 1))
+                    acc[mask] = acc.get(mask, ChamberScalar()) \
+                        - ChamberScalar.of(c)
+        out.append(ChamberForm(2, acc))
+    return tuple(out)
+
+
 def old_maurer_cartan_d(form, frame):
     """d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I), summed per
     output blade as FieldScalar raw terms."""
-    dgen = frame.coframe_differentials
+    dgen = coframe_differentials(frame)
     acc = {}
     for mask, coeff in form.terms.items():
         if not mask & 1:

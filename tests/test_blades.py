@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 from spin7lab.exterior.blades import (BLADES, DIM, FULL_MASK,
                                       complement_sign, contract_sign,
-                                      indices_of, mask_of, wedge_sign)
+                                      indices_of, mask_of, pair_sign_mask,
+                                      wedge_sign)
 
 
 def perm_sign(seq) -> int:
@@ -70,6 +71,21 @@ def test_contract_sign_counts_earlier_slots(mask, slot):
     else:
         earlier = sum(1 for p in range(slot) if mask & (1 << p))
         assert contract_sign(slot, mask) == (-1) ** earlier
+
+
+def test_pair_sign_mask_is_two_contractions():
+    # e_a⌟e_b⌟e^m for every pair of distinct generators and every blade
+    for a in range(DIM):
+        for b in range(DIM):
+            if a == b:
+                continue
+            sign_mask = pair_sign_mask(1 << a, 1 << b)
+            for m in range(FULL_MASK + 1):
+                sign = contract_sign(b, m) * contract_sign(a, m & ~(1 << b))
+                if sign:
+                    assert (-1) ** (m & sign_mask).bit_count() == sign
+                else:
+                    assert not (m >> a & 1 and m >> b & 1)
 
 
 @given(masks)

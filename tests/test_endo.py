@@ -100,11 +100,6 @@ def test_predicates():
     assert not is_rational(FieldScalar(0, 1) * Endo.identity())
 
 
-@given(endos)
-def test_record_round_trip(a):
-    assert Endo.from_record(a.to_record()) == a
-
-
 # -- rho: the derivation action ------------------------------------------------
 
 @given(sparse_endos, forms(2), forms(2))

@@ -150,19 +150,6 @@ def test_degree_validation():
         KForm(2, {0b111: ONE})
 
 
-@given(forms(4))
-def test_record_round_trip(a):
-    assert KForm.from_record(a.to_record()) == a
-
-
-def test_from_record_requires_increasing_indices():
-    rec = {"degree": 2, "terms": [{"indices": [2, 1],
-                                  "coeff": {"a": "1", "b": "0",
-                                            "c": "0", "d": "0"}}]}
-    with pytest.raises(ValueError):
-        KForm.from_record(rec)
-
-
 # -- vectors and covectors -----------------------------------------------------
 
 @given(vectors, vectors)

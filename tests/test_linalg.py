@@ -1,8 +1,9 @@
-"""Exact linear algebra over the scalar field.
+"""Exact linear algebra over Q.
 
-Rational matrices are eliminated by sparse integer Gauss–Jordan with
-content normalization; matrices with a surd entry by Gauss–Jordan in the
-field.  The field code is the reference the integer path is compared with.
+Matrices are eliminated by sparse integer Gauss–Jordan with content
+normalization, and an entry with a surd is refused.  Gauss–Jordan in the
+field (``_oracles.field_rref``) is the reference the integer path is
+compared with.
 """
 
 from math import gcd
@@ -10,13 +11,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spin7lab.classify import jordan_type_of
 from spin7lab.exterior import linalg
+from spin7lab.exterior.endo import Endo
+from spin7lab.exterior.forms import FormOperator
 from spin7lab.exterior.linalg import (echelon, integer_nullspace, invert,
-                                      nullspace, rank, rref)
+                                      nullspace, rank)
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, ZERO, FieldScalar,
                                        Q, to_numerators)
 
-from _oracles import solve
+from _oracles import field_rref, solve
 from _strategies import small_ints
 
 
@@ -58,9 +62,9 @@ def test_nullspace_vectors_are_killed(m):
 
 @given(square_matrices)
 def test_rref_is_idempotent_and_canonical(m):
-    red, pivots = rref(m)
+    red, pivots = echelon(m)
     assert len(red) == len(pivots) == rank(m)
-    red2, pivots2 = rref(red)
+    red2, pivots2 = echelon(red)
     assert red2 == red and pivots2 == pivots
     for row, c in zip(red, pivots):
         assert row[c] == ONE
@@ -75,12 +79,18 @@ def test_echelon_keeps_row_space():
 
 
 def test_irrational_pivots():
-    # [[1, sqrt2], [sqrt3, 1]] has determinant 1 - sqrt6 != 0
+    # are refused, as elimination runs over Q, though [[1, sqrt2], [sqrt3, 1]]
+    # is invertible over Q(sqrt2, sqrt3)
     m = [[ONE, SQRT2], [SQRT3, ONE]]
-    inv = invert(m)
-    ident = [[ONE, ZERO], [ZERO, ONE]]
-    assert mat_mul(m, inv) == ident
-    assert mat_mul(inv, m) == ident
+    for eliminate in (echelon, rank, nullspace, invert):
+        with pytest.raises(ValueError, match="surd"):
+            eliminate(m)
+    nilpotent = SQRT2 * Endo.unit(1, 2)
+    operator = FormOperator(1, [{1: SQRT2}, {1: ONE, 2: SQRT3}])
+    for eliminate in (lambda: jordan_type_of(nilpotent), nilpotent.rank,
+                      operator.rank, operator.kernel):
+        with pytest.raises(ValueError, match="surd"):
+            eliminate()
 
 
 def test_singular_inversion_raises():
@@ -148,18 +158,17 @@ def rational_matrices(draw):
 
 
 def _field_reference(m):
-    """rref, rank and nullspace of m computed by the field code alone."""
+    """echelon, rank and nullspace of m computed by the field code alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "echelon",
-                   lambda rows: linalg._field_rref(rows, len(rows[0])))
-        return rref(m), rank(m), nullspace(m)
+        mp.setattr(linalg, "echelon", field_rref)
+        return linalg.echelon(m), rank(m), nullspace(m)
 
 
 @settings(max_examples=150)
 @given(rational_matrices())
 def test_integer_path_matches_field_code(m):
-    assert echelon(m) == linalg._field_rref(m, len(m[0]))
-    assert (rref(m), rank(m), nullspace(m)) == _field_reference(m)
+    assert echelon(m) == field_rref(m)
+    assert (echelon(m), rank(m), nullspace(m)) == _field_reference(m)
 
 
 @settings(max_examples=150)
@@ -230,13 +239,20 @@ def test_rational_elimination_never_inverts(monkeypatch):
 
 
 def test_surd_matrix_with_integer_rows_takes_the_field_path(monkeypatch):
+    # The surd row is √2 times the first row plus (0, 0, 1).  linalg refuses
+    # the matrix before any inversion; only the field reference reduces it,
+    # with one inversion per pivot.
     calls = _count_inverses(monkeypatch)
     one, two = FieldScalar(1), FieldScalar(2)
     m = [[one, two, FieldScalar(3)],
          [SQRT2, two * SQRT2, FieldScalar(3) * SQRT2 + one],
          [two, FieldScalar(4), FieldScalar(7)]]
-    red, pivots = rref(m)
+    for eliminate in (echelon, rank, nullspace, invert):
+        with pytest.raises(ValueError, match="surd"):
+            eliminate(m)
+    assert calls == [0]
+    red, pivots = field_rref(m)
     assert calls == [len(pivots)]  # one inversion per pivot
     assert pivots == [0, 2]
     assert red == [[ONE, two, ZERO], [ZERO, ZERO, ONE]]
-    assert nullspace(m) == [[FieldScalar(-2), ONE, ZERO]]
+    assert _field_reference(m)[1:] == (2, [[FieldScalar(-2), ONE, ZERO]])

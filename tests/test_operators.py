@@ -9,7 +9,8 @@ time, a dense coefficient matrix with one row per occurring blade,
 the package's ``endo._rho_images`` of all basis blades as a FormOperator.
 The operators cover integer Jordan representatives (integer operators),
 rank-one nilpotents with non-integer rational entries and rank-one
-nilpotents with surd entries; ρ itself also runs on diagonal, sparse and
+nilpotents with surd entries, whose kernels are not taken, since
+elimination runs over Q; ρ itself also runs on diagonal, sparse and
 dense matrices of every coefficient family.  ``apply``, ``@``, ``+`` and
 ``-``, which read the images through their numerator view, are checked
 against the FieldScalar code they replaced (``old_operator_*``) on random
@@ -235,7 +236,8 @@ def test_projector_products_match_image_by_image_apply():
 # -- kernels --------------------------------------------------------------------
 
 @settings(max_examples=20)
-@given(matrices, st.sampled_from([2, 4]))
+@given(st.one_of(jordan_matrices, rational_nilpotents),
+       st.sampled_from([2, 4]))
 def test_kernel_matches_dense_nullspace(a, degree):
     r = rho_operator(a, degree)
     for op in (r, r @ r):

@@ -205,7 +205,6 @@ def test_arithmetic_matches_fraction_quadruples(p, r):
         assert z.quadruple() == expected[op], op
         assert all(type(q) is Fraction for q in z.quadruple())
         assert z.to_record() == dict(zip("abcd", map(str, expected[op])))
-        assert FieldScalar.from_record(z.to_record()) == z
     assert (x == y) == (p == r)
     if p == r:
         assert hash(x) == hash(y)

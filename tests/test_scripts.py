@@ -2,7 +2,8 @@
 
 The classification table must print the frozen rows of
 ``test_classify.py``; the form export must write the three named forms,
-each reading back to the form it was made from.
+each the record of the form it was made from; the reachability tracer
+must tell a reached line from an unreached one.
 """
 
 import importlib.util
@@ -10,9 +11,8 @@ import json
 import pathlib
 
 from spin7lab.cayley import build_omega, perturb_rank_one
-from spin7lab.exterior.forms import KForm, Vector
+from spin7lab.exterior.forms import Vector
 from spin7lab.invariant.bryant_salamon import build_bryant_salamon
-from spin7lab.invariant.chamber import ChamberForm
 
 from test_classify import ADMISSIBLE, CERTIFICATE_PAIRS, KERNEL_DIMS
 
@@ -55,8 +55,26 @@ def test_export_forms_writes_the_three_named_forms(tmp_path, capsys):
     def read(name):
         return json.loads((tmp_path / name).read_text())
 
-    assert KForm.from_record(read("omega.json")) == build_omega().omega
-    assert ChamberForm.from_record(read("phi.json")) == \
-        build_bryant_salamon().phi
-    assert KForm.from_record(read("rank_one.json")) == \
-        perturb_rank_one(Vector.basis(7), Vector.basis(8), "5/7")
+    assert read("omega.json") == build_omega().omega.to_record()
+    assert read("phi.json") == build_bryant_salamon().phi.to_record()
+    assert read("rank_one.json") == perturb_rank_one(
+        Vector.basis(7), Vector.basis(8), "5/7").to_record()
+
+
+def test_reachability_tracer_sees_the_omega_export(tmp_path):
+    from spin7lab.harness import cli
+    reach = load_script("reachability")
+    lines = pathlib.Path(cli.__file__).read_text().splitlines()
+
+    def line_of(text):
+        return 1 + next(i for i, line in enumerate(lines) if text in line)
+
+    hits = reach.trace(lambda: cli.main(
+        ["export", "--form", "omega", "--out", str(tmp_path / "omega.json")]))
+    reached = hits[cli.__file__]
+    assert line_of("record = build_omega().omega.to_record()") in reached
+    assert line_of("record = build_bryant_salamon().phi.to_record()") \
+        not in reached
+    functions = reach.executable(pathlib.Path(cli.__file__))
+    assert line_of("record = build_omega().omega.to_record()") in \
+        functions["export_form"]
