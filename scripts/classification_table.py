@@ -15,12 +15,11 @@ from spin7lab.classify import classification_report
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timings", action="store_true",
                         help="show per-diagram wall clock")
     args = parser.parse_args(argv)
 
-    report = classification_report(seed=args.seed)
+    report = classification_report()
     header = f"{'jordan type':<22}{'dim K':>6}  {'verdict':<12}{'certificate pair':<20}"
     if args.timings:
         header += f"{'ms':>8}"
@@ -37,8 +36,6 @@ def main(argv=None):
         print(row)
     admissible = ", ".join(str(d) for d in report.admissible)
     print(f"\nadmissible: {admissible}")
-    print(f"rank-one signature clean over {report.signature_samples} samples: "
-          f"{report.signature_clean}")
     return 0
 
 

@@ -16,7 +16,6 @@ each kernel vector lies in one (bits per chain, H-weight) block.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -26,9 +25,7 @@ from typing import Iterator
 from .exterior.blades import BLADES, DIM, pair_sign_mask
 from .exterior.forms import Vector, _wedged
 from .exterior import linalg
-from .exterior.endo import Endo, _product, rho
-from . import cayley
-from .sampling import random_rank_one_nilpotent
+from .exterior.endo import Endo, _product
 
 __all__ = ["YoungDiagram", "JordanRepresentative", "KernelSpace",
            "Certificate", "ClassificationReport", "enumerate_diagrams",
@@ -286,10 +283,10 @@ def find_certificate(diagram: YoungDiagram) -> Certificate:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    seed: int
+    """The certificate of each of the 22 Jordan types, in the order of
+    ``enumerate_diagrams``, with the milliseconds its search took."""
+
     rows: tuple[tuple[Certificate, int], ...]  # (certificate, millis)
-    signature_samples: int
-    signature_clean: bool  # p1 and p27 of ρ(A)Ω vanished for every sample
 
     @property
     def admissible(self) -> tuple[YoungDiagram, ...]:
@@ -297,25 +294,12 @@ class ClassificationReport:
                      if c.verdict == "admissible")
 
 
-def classification_report(seed: int = 0,
-                          signature_samples: int = 25) -> ClassificationReport:
+def classification_report() -> ClassificationReport:
+    """``find_certificate`` for every diagram, timed one by one."""
     rows = []
     for diagram in enumerate_diagrams():
         started = time.perf_counter()
         cert = find_certificate(diagram)
         millis = int((time.perf_counter() - started) * 1000)
         rows.append((cert, millis))
-
-    rng = random.Random(f"{seed}:classify:signature")
-    ps = cayley.projectors()
-    omega = cayley.build_omega().omega
-    clean = True
-    for _ in range(signature_samples):
-        a = random_rank_one_nilpotent(rng)
-        delta = rho(a, omega)
-        if ps.p1(delta) or ps.p27(delta):
-            clean = False
-            break
-    return ClassificationReport(seed=seed, rows=tuple(rows),
-                                signature_samples=signature_samples,
-                                signature_clean=clean)
+    return ClassificationReport(rows=tuple(rows))

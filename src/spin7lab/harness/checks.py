@@ -1,22 +1,26 @@
 """Named verification checks grouped into the five runnable suites.
 
-Every check is deterministic: randomized samples draw from a RNG salted
-with the run seed and the check name, so identical (suites, seed) runs
-produce identical reports.  A failing check never raises — it returns a
-CheckResult carrying a serialized witness of the failure (the offending
-form, pair, or residual), which is what makes fault-injection tests
-observable rather than crashy.  A check that raises fails with the error
-and the place in this package where it was raised.
+``SUITES`` is the one table of them: each suite name maps to its (check
+name, check function) pairs in report order.  Every check is called as
+``check(run, rng)``, where ``run`` holds what the checks of one suite run
+share (the Lie frame and the classification report) and ``rng`` is a
+``Random`` seeded with "<run seed>:<check name>", so identical (suites,
+seed) runs produce identical reports.  A failing check never raises — it
+returns a CheckResult carrying a serialized witness of the failure (the
+offending form, pair, or residual), which is what makes fault-injection
+tests observable rather than crashy.  A check that raises fails with the
+error and the place in this package where it was raised.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import random
 import time
 import traceback
 from dataclasses import dataclass, field
+from itertools import combinations
+from random import Random
 
 from ..cayley import (build_omega, image_dimension, pair_contraction_cube,
                       projectors, skew_perturbation, sl8_basis, so8_basis,
@@ -24,28 +28,27 @@ from ..cayley import (build_omega, image_dimension, pair_contraction_cube,
 from ..classify import (ClassificationReport, classification_report,
                         enumerate_diagrams, jordan_type_of)
 from ..exterior.endo import exp_nilpotent, pullback, rho
-from ..exterior.forms import hodge_star, inner
-from ..exterior.scalars import FieldScalar, Q
+from ..exterior.forms import Vector, hodge_star, inner
+from ..exterior.scalars import ONE, ZERO, FieldScalar, Q
 from ..invariant.bryant_salamon import (InvariantField, build_bryant_salamon,
                                         build_metric, closure_mechanism_sides,
                                         lemma_invariant_forms,
                                         metric_lie_derivative,
                                         orbit_witness_sides, perturbed_form,
-                                        pointwise_rank_one_check)
-from ..invariant.chamber import (ChamberForm, ChamberScalar, lie_derivative,
-                                 maurer_cartan_d)
+                                        pointwise_rank_one_check,
+                                        proposition_display)
+from ..invariant.chamber import (S, ChamberForm, ChamberScalar,
+                                 lie_derivative, maurer_cartan_d)
 from ..invariant.liealg import (N_GENERATORS, SP1_PLUS, LieFrame,
                                 build_lie_frame, build_orthonormal_frame,
                                 generator_coords, killing_matrix, normalizer)
 from ..sampling import (random_even_scalar, random_form,
                         random_independent_pair, random_rank_one_nilpotent)
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_all_suites"]
+__all__ = ["CheckResult", "SUITES", "SUITE_NAMES", "run_suite",
+           "run_all_suites"]
 
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-SUITE_NAMES = ("basics", "decomposition", "classify", "bryant-salamon",
-               "perturb")
 
 # The displayed value of (e7 <| e8 <| Omega)^3 in the source text; the lab
 # recomputes the cube from scratch and reports both, asserting only that
@@ -66,8 +69,17 @@ class CheckResult:
                 "duration_millis": 0 if zero_timings else self.duration_millis}
 
 
-def _salted(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
+@dataclass
+class _Run:
+    """What the checks of one suite run share.  The report is built by the
+    first check that reads it; a build that raises is not kept, so each
+    check that reads it reports its own error."""
+
+    frame: LieFrame
+
+    @functools.cached_property
+    def report(self) -> ClassificationReport:
+        return classification_report()
 
 
 def _raised_at(exc: Exception) -> str:
@@ -80,10 +92,10 @@ def _raised_at(exc: Exception) -> str:
     return f"{path.replace(os.sep, '/')}:{frame.lineno} in {frame.name}"
 
 
-def _timed(name: str, fn) -> CheckResult:
+def _timed(name: str, check, run: _Run, seed: int) -> CheckResult:
     started = time.perf_counter()
     try:
-        passed, detail = fn()
+        passed, detail = check(run, Random(f"{seed}:{name}"))
     except Exception as exc:  # a check failure must never crash the run
         passed, detail = False, {"error": f"{type(exc).__name__}: {exc}",
                                  "where": _raised_at(exc)}
@@ -92,25 +104,21 @@ def _timed(name: str, fn) -> CheckResult:
                        duration_millis=millis)
 
 
-def _form_witness(f) -> dict:
-    return f.to_record()
-
-
 # --------------------------------------------------------------------------
 # basics
 
-def _check_cayley_normalization(seed: int) -> tuple[bool, dict]:
+def _check_cayley_normalization(run: _Run, rng: Random) -> tuple[bool, dict]:
     omega = build_omega().omega
     starred = hodge_star(omega)
     norm = inner(omega, omega)
     ok = starred == omega and norm == FieldScalar(14)
     detail = {"self_dual": starred == omega, "norm": str(norm)}
     if not ok:
-        detail["witness"] = _form_witness(starred - omega)
+        detail["witness"] = (starred - omega).to_record()
     return ok, detail
 
 
-def _check_orbit_dimensions(seed: int) -> tuple[bool, dict]:
+def _check_orbit_dimensions(run: _Run, rng: Random) -> tuple[bool, dict]:
     stab = len(stabilizer_algebra())
     image_sl8 = image_dimension(sl8_basis())
     image_so8 = image_dimension(so8_basis())
@@ -119,8 +127,7 @@ def _check_orbit_dimensions(seed: int) -> tuple[bool, dict]:
                 "skew_image_dim": image_so8}
 
 
-def _check_contraction_nondegeneracy(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "contraction-nondegeneracy")
+def _check_contraction_nondegeneracy(run: _Run, rng: Random) -> tuple[bool, dict]:
     omega = build_omega().omega
     for i in range(25):
         u, v = random_independent_pair(rng)
@@ -132,8 +139,7 @@ def _check_contraction_nondegeneracy(seed: int) -> tuple[bool, dict]:
     return True, {"samples": 25, "all_nonzero": True}
 
 
-def _check_cube_display(seed: int) -> tuple[bool, dict]:
-    from ..exterior.forms import Vector
+def _check_cube_display(run: _Run, rng: Random) -> tuple[bool, dict]:
     omega = build_omega().omega
     cube = pair_contraction_cube(Vector.basis(7), Vector.basis(8), omega)
     detail = {
@@ -143,19 +149,19 @@ def _check_cube_display(seed: int) -> tuple[bool, dict]:
         "computed_nonzero": bool(cube),
     }
     if not cube:
-        detail["witness"] = _form_witness(cube)
+        detail["witness"] = cube.to_record()
     return bool(cube), detail
 
 
 # --------------------------------------------------------------------------
 # decomposition
 
-def _check_projector_ranks(seed: int) -> tuple[bool, dict]:
+def _check_projector_ranks(run: _Run, rng: Random) -> tuple[bool, dict]:
     ranks = projectors().ranks()
     return ranks == (1, 7, 27, 35), {"ranks": list(ranks)}
 
 
-def _check_resolution_of_identity(seed: int) -> tuple[bool, dict]:
+def _check_resolution_of_identity(run: _Run, rng: Random) -> tuple[bool, dict]:
     ps = projectors()
     ok = ps.is_resolution()
     idem = {name: op.is_idempotent()
@@ -164,8 +170,7 @@ def _check_resolution_of_identity(seed: int) -> tuple[bool, dict]:
                                        "sums_to_identity": ok}
 
 
-def _check_star_split(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "star-eigenvalue-split")
+def _check_star_split(run: _Run, rng: Random) -> tuple[bool, dict]:
     ps = projectors()
     detail = {}
     ok = True
@@ -178,7 +183,7 @@ def _check_star_split(seed: int) -> tuple[bool, dict]:
             if hodge_star(part) != expect:
                 ok = False
                 detail["witness"] = {"component": name,
-                                     "form": _form_witness(form)}
+                                     "form": form.to_record()}
                 break
         if not ok:
             break
@@ -187,8 +192,7 @@ def _check_star_split(seed: int) -> tuple[bool, dict]:
     return ok, detail
 
 
-def _check_rank_one_membership(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "rank-one-module-membership")
+def _check_rank_one_membership(run: _Run, rng: Random) -> tuple[bool, dict]:
     ps = projectors()
     omega = build_omega().omega
     for i in range(15):
@@ -197,12 +201,11 @@ def _check_rank_one_membership(seed: int) -> tuple[bool, dict]:
         if ps.p1(delta) or ps.p27(delta):
             return False, {"samples": i,
                            "witness": {"endo": a.to_record(),
-                                       "delta": _form_witness(delta)}}
+                                       "delta": delta.to_record()}}
     return True, {"samples": 15, "pure_7_35": True}
 
 
-def _check_skew_ansatz(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "skew-ansatz-type")
+def _check_skew_ansatz(run: _Run, rng: Random) -> tuple[bool, dict]:
     ps = projectors()
     for i in range(15):
         u, v = random_independent_pair(rng)
@@ -210,14 +213,14 @@ def _check_skew_ansatz(seed: int) -> tuple[bool, dict]:
         residual = delta - ps.p7(delta)
         if residual:
             return False, {"samples": i,
-                           "witness": {"residual": _form_witness(residual)}}
+                           "witness": {"residual": residual.to_record()}}
     return True, {"samples": 15, "pure_7": True}
 
 
 # --------------------------------------------------------------------------
 # classify
 
-def _check_diagram_enumeration(seed: int) -> tuple[bool, dict]:
+def _check_diagram_enumeration(run: _Run, rng: Random) -> tuple[bool, dict]:
     diagrams = enumerate_diagrams()
     ok = len(diagrams) == 22 and len(set(diagrams)) == 22
     return ok, {"count": len(diagrams),
@@ -225,8 +228,8 @@ def _check_diagram_enumeration(seed: int) -> tuple[bool, dict]:
                 "last": list(diagrams[-1].parts)}
 
 
-def _check_admissible_set(report: ClassificationReport) -> tuple[bool, dict]:
-    admissible = [list(d.parts) for d in report.admissible]
+def _check_admissible_set(run: _Run, rng: Random) -> tuple[bool, dict]:
+    admissible = [list(d.parts) for d in run.report.admissible]
     expected = [[2, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1]]
     ok = sorted(admissible, reverse=True) == sorted(expected, reverse=True)
     detail = {"admissible_diagrams": admissible}
@@ -235,10 +238,10 @@ def _check_admissible_set(report: ClassificationReport) -> tuple[bool, dict]:
     return ok, detail
 
 
-def _check_exclusion_certificates(report: ClassificationReport) -> tuple[bool, dict]:
+def _check_exclusion_certificates(run: _Run, rng: Random) -> tuple[bool, dict]:
     rows = []
     ok = True
-    for cert, _ms in report.rows:
+    for cert, _ms in run.report.rows:
         if cert.verdict == "admissible":
             continue
         entry = cert.to_record()
@@ -250,13 +253,13 @@ def _check_exclusion_certificates(report: ClassificationReport) -> tuple[bool, d
                                     "certificates": rows}
 
 
-def _check_chain_dual_certificates(report: ClassificationReport) -> tuple[bool, dict]:
+def _check_chain_dual_certificates(run: _Run, rng: Random) -> tuple[bool, dict]:
     """The four length-capped chain diagrams certify via pairs of w-duals."""
     chains = {(3, 2, 2, 1), (2, 2, 2, 2), (2, 2, 2, 1, 1),
               (2, 2, 1, 1, 1, 1)}
     found = {}
     ok = True
-    for cert, _ms in report.rows:
+    for cert, _ms in run.report.rows:
         if cert.diagram.parts not in chains:
             continue
         labels = [lv.label or "?" for lv in (cert.pair or ())]
@@ -266,8 +269,7 @@ def _check_chain_dual_certificates(report: ClassificationReport) -> tuple[bool, 
     return ok and len(found) == 4, {"pairs": found}
 
 
-def _check_signature_replay(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "signature-replay")
+def _check_signature_replay(run: _Run, rng: Random) -> tuple[bool, dict]:
     ok = True
     witness = None
     for _ in range(20):
@@ -286,8 +288,8 @@ def _check_signature_replay(seed: int) -> tuple[bool, dict]:
 # --------------------------------------------------------------------------
 # bryant-salamon
 
-def _check_lie_frame_consistency(seed: int, frame: LieFrame) -> tuple[bool, dict]:
-    from itertools import combinations
+def _check_lie_frame_consistency(run: _Run, rng: Random) -> tuple[bool, dict]:
+    frame = run.frame
     basis = [generator_coords(i) for i in range(N_GENERATORS)]
     for i, j, k in combinations(range(N_GENERATORS), 3):
         t1 = frame.bracket_coords(basis[i], frame.bracket_coords(basis[j], basis[k]))
@@ -302,13 +304,13 @@ def _check_lie_frame_consistency(seed: int, frame: LieFrame) -> tuple[bool, dict
         dd = maurer_cartan_d(maurer_cartan_d(ChamberForm.generator(slot), frame), frame)
         if dd:
             return False, {"witness": {"slot": slot,
-                                       "d_squared": _form_witness(dd)}}
+                                       "d_squared": dd.to_record()}}
     return True, {"jacobi": True, "d_squared_zero": True}
 
 
-def _check_sp1_normalizer(seed: int, frame: LieFrame) -> tuple[bool, dict]:
+def _check_sp1_normalizer(run: _Run, rng: Random) -> tuple[bool, dict]:
     h = [generator_coords(i) for i in SP1_PLUS]
-    basis = normalizer(frame, h)
+    basis = normalizer(run.frame, h)
     dim = len(basis)
     # the normalizer must be spanned by the six diagonal generators
     spans_diag = all(all(not x for x in row[6:]) for row in basis)
@@ -319,8 +321,7 @@ def _check_sp1_normalizer(seed: int, frame: LieFrame) -> tuple[bool, dict]:
     return ok, detail
 
 
-def _check_orthonormal_killing(seed: int, frame: LieFrame) -> tuple[bool, dict]:
-    from ..exterior.scalars import ONE, ZERO
+def _check_orthonormal_killing(run: _Run, rng: Random) -> tuple[bool, dict]:
     km = killing_matrix(build_orthonormal_frame())
     ok = all(km[i][j] == (-ONE if i == j else ZERO)
              for i in range(N_GENERATORS) for j in range(N_GENERATORS))
@@ -330,8 +331,7 @@ def _check_orthonormal_killing(seed: int, frame: LieFrame) -> tuple[bool, dict]:
     return ok, detail
 
 
-def _check_display_transcription(seed: int, frame: LieFrame) -> tuple[bool, dict]:
-    from ..invariant.bryant_salamon import proposition_display
+def _check_display_transcription(run: _Run, rng: Random) -> tuple[bool, dict]:
     bs = build_bryant_salamon()
     display = proposition_display()
     ok = bs.phi == display
@@ -339,43 +339,43 @@ def _check_display_transcription(seed: int, frame: LieFrame) -> tuple[bool, dict
               "spot_ds_A456": str(bs.phi.coefficient(0, 4, 5, 6)),
               "spot_X1234": str(bs.phi.coefficient(7, 8, 9, 10))}
     if not ok:
-        detail["witness"] = _form_witness(bs.phi - display)
+        detail["witness"] = (bs.phi - display).to_record()
     return ok, detail
 
 
-def _check_phi_closedness(seed: int, frame: LieFrame) -> tuple[bool, dict]:
+def _check_phi_closedness(run: _Run, rng: Random) -> tuple[bool, dict]:
     bs = build_bryant_salamon()
-    residual = maurer_cartan_d(bs.phi, frame)
+    residual = maurer_cartan_d(bs.phi, run.frame)
     ok = not residual
     detail = {"d_phi_zero": ok}
     if not ok:
-        detail["witness"] = _form_witness(residual)
+        detail["witness"] = residual.to_record()
     return ok, detail
 
 
-def _check_invariant_forms_lemma(seed: int, frame: LieFrame) -> tuple[bool, dict]:
+def _check_invariant_forms_lemma(run: _Run, rng: Random) -> tuple[bool, dict]:
     first, second = lemma_invariant_forms()
     for slot in (4, 5, 6):
         for label, form in (("mixed", first), ("fiber", second)):
-            lied = lie_derivative(slot, form, frame)
+            lied = lie_derivative(slot, form, run.frame)
             if lied:
                 return False, {"witness": {"generator_slot": slot,
                                            "form": label,
-                                           "lie_derivative": _form_witness(lied)}}
+                                           "lie_derivative": lied.to_record()}}
     return True, {"annihilating_generators": [4, 5, 6]}
 
 
-def _check_killing_fields(seed: int, frame: LieFrame) -> tuple[bool, dict]:
+def _check_killing_fields(run: _Run, rng: Random) -> tuple[bool, dict]:
     metric = build_metric()
     for slot in (4, 5, 6):
-        lg = metric_lie_derivative(slot, metric, frame)
+        lg = metric_lie_derivative(slot, metric, run.frame)
         if lg:
             return False, {"witness": {"generator_slot": slot,
                                        "residual": lg.to_record()}}
     return True, {"killing_generators": [4, 5, 6]}
 
 
-def _check_metric_positivity(seed: int, frame: LieFrame) -> tuple[bool, dict]:
+def _check_metric_positivity(run: _Run, rng: Random) -> tuple[bool, dict]:
     metric = build_metric()
     diag = metric.is_diagonal()
     pos = metric.has_positive_coefficients()
@@ -388,8 +388,7 @@ def _check_metric_positivity(seed: int, frame: LieFrame) -> tuple[bool, dict]:
 # --------------------------------------------------------------------------
 # perturb
 
-def _check_rank_one_square_zero(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "rank-one-square-zero")
+def _check_rank_one_square_zero(run: _Run, rng: Random) -> tuple[bool, dict]:
     for i in range(20):
         a = random_rank_one_nilpotent(rng)
         omega4 = random_form(rng, 4)
@@ -398,8 +397,7 @@ def _check_rank_one_square_zero(seed: int) -> tuple[bool, dict]:
     return True, {"samples": 20, "rho_squared_zero": True}
 
 
-def _check_exponential_pullback(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "exponential-pullback")
+def _check_exponential_pullback(run: _Run, rng: Random) -> tuple[bool, dict]:
     omega = build_omega().omega
     ts = (FieldScalar(1), FieldScalar(-3), FieldScalar("5/7"))
     for i in range(8):
@@ -411,12 +409,11 @@ def _check_exponential_pullback(seed: int) -> tuple[bool, dict]:
             if lhs != rhs:
                 return False, {"witness": {"endo": a.to_record(),
                                            "t": str(t),
-                                           "difference": _form_witness(lhs - rhs)}}
+                                           "difference": (lhs - rhs).to_record()}}
     return True, {"samples": 8, "t_values": ["1", "-3", "5/7"]}
 
 
-def _check_perturbed_closedness(seed: int, frame: LieFrame) -> tuple[bool, dict]:
-    rng = _salted(seed, "perturbed-closedness")
+def _check_perturbed_closedness(run: _Run, rng: Random) -> tuple[bool, dict]:
     bs = build_bryant_salamon()
     t = ChamberScalar.monomial(1, 2, 0)
     named = [(ChamberScalar.of(1), ChamberScalar.of(0), ChamberScalar.of(0)),
@@ -425,16 +422,15 @@ def _check_perturbed_closedness(seed: int, frame: LieFrame) -> tuple[bool, dict]
                        for _ in range(5)]
     for i, triple in enumerate(triples):
         form = perturbed_form(InvariantField.of(*triple), bs)
-        residual = maurer_cartan_d(form, frame)
+        residual = maurer_cartan_d(form, run.frame)
         if residual:
             return False, {"witness": {
                 "triple": [str(c) for c in triple],
-                "residual": _form_witness(residual)}}
+                "residual": residual.to_record()}}
     return True, {"triples": len(triples), "all_closed": True}
 
 
-def _check_evenness_guard(seed: int) -> tuple[bool, dict]:
-    from ..invariant.chamber import S
+def _check_evenness_guard(run: _Run, rng: Random) -> tuple[bool, dict]:
     try:
         perturbed_form(InvariantField.of(S, 0, 0))
     except ValueError as exc:
@@ -442,15 +438,13 @@ def _check_evenness_guard(seed: int) -> tuple[bool, dict]:
     return False, {"witness": "odd coefficient accepted"}
 
 
-def _check_closure_mechanism(seed: int, frame: LieFrame) -> tuple[bool, dict]:
-    rng = _salted(seed, "closure-mechanism")
+def _check_closure_mechanism(run: _Run, rng: Random) -> tuple[bool, dict]:
     triple = tuple(random_even_scalar(rng) for _ in range(3))
     return _sides_agree(triple, closure_mechanism_sides(
-        InvariantField.of(*triple), frame=frame))
+        InvariantField.of(*triple), frame=run.frame))
 
 
-def _check_orbit_witness(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "orbit-witness")
+def _check_orbit_witness(run: _Run, rng: Random) -> tuple[bool, dict]:
     triple = tuple(random_even_scalar(rng) for _ in range(3))
     return _sides_agree(triple, orbit_witness_sides(InvariantField.of(*triple)))
 
@@ -462,12 +456,11 @@ def _sides_agree(triple, sides) -> tuple[bool, dict]:
     ok = lhs == rhs
     detail = {"triple": [str(c) for c in triple]}
     if not ok:
-        detail["witness"] = _form_witness(lhs - rhs)
+        detail["witness"] = (lhs - rhs).to_record()
     return ok, detail
 
 
-def _check_pointwise_samples(seed: int) -> tuple[bool, dict]:
-    rng = _salted(seed, "pointwise-samples")
+def _check_pointwise_samples(run: _Run, rng: Random) -> tuple[bool, dict]:
     t = ChamberScalar.monomial(1, 2, 0)
     field_ = InvariantField.of(t, 1, t * t)
     records = []
@@ -486,83 +479,66 @@ def _check_pointwise_samples(seed: int) -> tuple[bool, dict]:
 # --------------------------------------------------------------------------
 # suite assembly
 
+SUITES = {
+    "basics": (
+        ("cayley-normalization", _check_cayley_normalization),
+        ("orbit-dimensions", _check_orbit_dimensions),
+        ("contraction-nondegeneracy", _check_contraction_nondegeneracy),
+        ("cube-display-discrepancy", _check_cube_display),
+    ),
+    "decomposition": (
+        ("projector-ranks", _check_projector_ranks),
+        ("resolution-of-identity", _check_resolution_of_identity),
+        ("star-eigenvalue-split", _check_star_split),
+        ("rank-one-module-membership", _check_rank_one_membership),
+        ("skew-ansatz-type", _check_skew_ansatz),
+    ),
+    "classify": (
+        ("diagram-enumeration", _check_diagram_enumeration),
+        ("admissible-set", _check_admissible_set),
+        ("exclusion-certificates", _check_exclusion_certificates),
+        ("chain-dual-certificates", _check_chain_dual_certificates),
+        ("signature-replay", _check_signature_replay),
+    ),
+    "bryant-salamon": (
+        ("lie-frame-consistency", _check_lie_frame_consistency),
+        ("sp1-normalizer", _check_sp1_normalizer),
+        ("orthonormal-killing", _check_orthonormal_killing),
+        ("display-transcription", _check_display_transcription),
+        ("phi-closedness", _check_phi_closedness),
+        ("invariant-forms-lemma", _check_invariant_forms_lemma),
+        ("killing-fields", _check_killing_fields),
+        ("metric-positivity", _check_metric_positivity),
+    ),
+    "perturb": (
+        ("rank-one-square-zero", _check_rank_one_square_zero),
+        ("exponential-pullback", _check_exponential_pullback),
+        ("perturbed-closedness", _check_perturbed_closedness),
+        ("evenness-guard", _check_evenness_guard),
+        ("closure-mechanism", _check_closure_mechanism),
+        ("orbit-witness", _check_orbit_witness),
+        ("pointwise-samples", _check_pointwise_samples),
+    ),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, seed: int = 0,
               frame: LieFrame | None = None) -> list[CheckResult]:
     """Run one named suite; `frame` overrides the Lie frame used by the
     chamber-calculus checks (fault injection hooks in here)."""
-    frame = frame or build_lie_frame()
-    if name == "basics":
-        plan = [
-            ("cayley-normalization", lambda: _check_cayley_normalization(seed)),
-            ("orbit-dimensions", lambda: _check_orbit_dimensions(seed)),
-            ("contraction-nondegeneracy",
-             lambda: _check_contraction_nondegeneracy(seed)),
-            ("cube-display-discrepancy", lambda: _check_cube_display(seed)),
-        ]
-    elif name == "decomposition":
-        plan = [
-            ("projector-ranks", lambda: _check_projector_ranks(seed)),
-            ("resolution-of-identity",
-             lambda: _check_resolution_of_identity(seed)),
-            ("star-eigenvalue-split", lambda: _check_star_split(seed)),
-            ("rank-one-module-membership",
-             lambda: _check_rank_one_membership(seed)),
-            ("skew-ansatz-type", lambda: _check_skew_ansatz(seed)),
-        ]
-    elif name == "classify":
-        # built by the first check that needs it, once per call; a build
-        # that raises is not cached, so each check reports its own error
-        report = functools.cache(
-            lambda: classification_report(seed=seed, signature_samples=25))
-        plan = [
-            ("diagram-enumeration", lambda: _check_diagram_enumeration(seed)),
-            ("admissible-set", lambda: _check_admissible_set(report())),
-            ("exclusion-certificates",
-             lambda: _check_exclusion_certificates(report())),
-            ("chain-dual-certificates",
-             lambda: _check_chain_dual_certificates(report())),
-            ("signature-replay", lambda: _check_signature_replay(seed)),
-        ]
-    elif name == "bryant-salamon":
-        plan = [
-            ("lie-frame-consistency",
-             lambda: _check_lie_frame_consistency(seed, frame)),
-            ("sp1-normalizer", lambda: _check_sp1_normalizer(seed, frame)),
-            ("orthonormal-killing",
-             lambda: _check_orthonormal_killing(seed, frame)),
-            ("display-transcription",
-             lambda: _check_display_transcription(seed, frame)),
-            ("phi-closedness", lambda: _check_phi_closedness(seed, frame)),
-            ("invariant-forms-lemma",
-             lambda: _check_invariant_forms_lemma(seed, frame)),
-            ("killing-fields", lambda: _check_killing_fields(seed, frame)),
-            ("metric-positivity",
-             lambda: _check_metric_positivity(seed, frame)),
-        ]
-    elif name == "perturb":
-        plan = [
-            ("rank-one-square-zero",
-             lambda: _check_rank_one_square_zero(seed)),
-            ("exponential-pullback",
-             lambda: _check_exponential_pullback(seed)),
-            ("perturbed-closedness",
-             lambda: _check_perturbed_closedness(seed, frame)),
-            ("evenness-guard", lambda: _check_evenness_guard(seed)),
-            ("closure-mechanism",
-             lambda: _check_closure_mechanism(seed, frame)),
-            ("orbit-witness", lambda: _check_orbit_witness(seed)),
-            ("pointwise-samples", lambda: _check_pointwise_samples(seed)),
-        ]
-    else:
+    if name not in SUITES:
         raise ValueError(f"unknown suite: {name}")
-    return [_timed(check_name, fn) for check_name, fn in plan]
+    run = _Run(frame or build_lie_frame())
+    return [_timed(check_name, check, run, seed)
+            for check_name, check in SUITES[name]]
 
 
-def run_all_suites(suites: tuple[str, ...], seed: int = 0,
-                   frame: LieFrame | None = None) -> dict[str, list[CheckResult]]:
+def run_all_suites(suites: tuple[str, ...],
+                   seed: int = 0) -> dict[str, list[CheckResult]]:
     """Run the requested suites in canonical order."""
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite: {', '.join(unknown)}")
     ordered = [s for s in SUITE_NAMES if s in suites]
-    return {name: run_suite(name, seed=seed, frame=frame) for name in ordered}
+    return {name: run_suite(name, seed=seed) for name in ordered}

@@ -278,9 +278,9 @@ class InvariantMetric:
                             for (i, j), c in sorted(self.entries.items())]}
 
 
-def build_metric(bs: BryantSalamon | None = None) -> InvariantMetric:
+def build_metric() -> InvariantMetric:
     """f(ds² + s²((A⁴)²+(A⁵)²+(A⁶)²)) + g((X¹)²+…+(X⁴)²)."""
-    bs = bs or build_bryant_salamon()
+    bs = build_bryant_salamon()
     s2 = ChamberScalar.monomial(1, 2, 0)
     entries = {(0, 0): bs.f}
     for i in (4, 5, 6):

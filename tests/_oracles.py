@@ -217,6 +217,17 @@ def old_frame_from_scales(a_scale, x_scale):
                     structure=tuple(structure))
 
 
+def mutated_frame(entries):
+    """The real frame with some structure constants c^k_ij replaced, given
+    as {(i, j, k): value}."""
+    base = build_lie_frame()
+    mutated = [[list(row) for row in plane] for plane in base.structure]
+    for (i, j, k), value in entries.items():
+        mutated[i][j][k] = FieldScalar.of(value)
+    return base.with_structure(tuple(tuple(tuple(r) for r in p)
+                                     for p in mutated))
+
+
 # -- the derivation action, its kernels and the cubic, as they were ------------
 
 def old_rho(a, form):

@@ -31,8 +31,9 @@ from spin7lab.invariant.liealg import build_lie_frame
 from spin7lab.sampling import random_even_scalar
 
 from _oracles import blade_pullback as old_blade_pullback
-from _oracles import (count_calls, old_contract, old_maurer_cartan_d,
-                      verify_killing, verify_pullback_proposition)
+from _oracles import (count_calls, mutated_frame, old_contract,
+                      old_maurer_cartan_d, verify_killing,
+                      verify_pullback_proposition)
 from _strategies import rational_laurent_scalars
 
 BS = build_bryant_salamon()
@@ -382,12 +383,7 @@ def test_isotropy_fields_are_killing():
 
 
 def test_killing_fails_for_a_corrupted_frame():
-    frame = build_lie_frame()
-    mutated = [[[c for c in row] for row in plane]
-               for plane in frame.structure]
-    mutated[3][4][5] = FieldScalar(7)  # corrupt [A4, A5]
-    bad = frame.with_structure(tuple(tuple(tuple(r) for r in p)
-                                     for p in mutated))
+    bad = mutated_frame({(3, 4, 5): 7})  # corrupt [A4, A5]
     assert not verify_killing(bad)
 
 

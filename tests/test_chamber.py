@@ -19,7 +19,7 @@ from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         maurer_cartan_d)
 from spin7lab.invariant.liealg import build_lie_frame, build_orthonormal_frame
 
-from _oracles import (coframe_differentials, old_derivative,
+from _oracles import (coframe_differentials, mutated_frame, old_derivative,
                       old_maurer_cartan_d, old_product)
 from _strategies import (field_scalars, rational_laurent_scalars, rationals,
                          small_ints, surds)
@@ -315,19 +315,9 @@ def _engine_d(form: ChamberForm, frame) -> ChamberForm:
     return out
 
 
-def _mutated_frame(entries):
-    """The real frame with some structure constants c^k_ij replaced."""
-    base = build_lie_frame()
-    mutated = [[list(row) for row in plane] for plane in base.structure]
-    for (i, j, k), value in entries.items():
-        mutated[i][j][k] = FieldScalar.of(value)
-    return base.with_structure(tuple(tuple(tuple(r) for r in p)
-                                     for p in mutated))
-
-
 FRAMES = [build_lie_frame(),
-          _mutated_frame({(3, 4, 5): 3}),           # [A4, A5] = 3 A6
-          _mutated_frame({(0, 6, 9): FieldScalar(0, 1), (2, 8, 1): -2})]
+          mutated_frame({(3, 4, 5): 3}),           # [A4, A5] = 3 A6
+          mutated_frame({(0, 6, 9): FieldScalar(0, 1), (2, 8, 1): -2})]
 
 
 def chamber_forms(degree: int, coeffs=laurent_scalars):
@@ -407,10 +397,7 @@ def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
     lie_derivative(1, form, frame)
     assert tables == [frame]
     # a frame with other constants ([A4, A5] = 3 A6) gets its own table
-    mutated = [[list(row) for row in plane] for plane in base.structure]
-    mutated[3][4][5] = FieldScalar(3)
-    other = base.with_structure(tuple(tuple(tuple(r) for r in p)
-                                      for p in mutated))
+    other = mutated_frame({(3, 4, 5): 3})
     assert maurer_cartan_d(a6, other) != maurer_cartan_d(a6, frame)
     assert tables == [frame, other]
     assert other.maurer_cartan_table != frame.maurer_cartan_table

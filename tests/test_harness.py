@@ -9,21 +9,26 @@ witnesses (never as a crash), and the exit codes must follow the contract
 import io
 import json
 import contextlib
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
-from spin7lab.cayley import build_omega, perturb_rank_one
-from spin7lab.exterior.forms import Vector
-from spin7lab.exterior.scalars import FieldScalar
+from spin7lab.cayley import build_omega, perturb_rank_one, projectors
+from spin7lab.classify import classification_report
+from spin7lab.exterior.forms import KForm, Vector
 from spin7lab.harness import (SUITE_NAMES, CheckResult, RunConfig,
                               export_form, main, run, run_all_suites,
                               run_suite)
+from spin7lab.harness import checks
 from spin7lab.invariant.bryant_salamon import (InvariantMetric,
                                                build_bryant_salamon,
                                                build_metric)
 from spin7lab.invariant.chamber import ChamberForm
 from spin7lab.invariant.liealg import build_lie_frame
+
+from _oracles import mutated_frame
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,15 +95,21 @@ def test_check_results_are_seed_stable():
     assert a == b
 
 
+def test_every_check_function_is_in_the_table_once():
+    """Each _check_* function of the module runs under exactly one name of
+    one suite, and no check name repeats across suites."""
+    defined = {fn for name, fn in vars(checks).items()
+               if name.startswith("_check_") and inspect.isfunction(fn)}
+    listed = [fn for plan in checks.SUITES.values() for _, fn in plan]
+    names = [name for plan in checks.SUITES.values() for name, _ in plan]
+    assert sorted(map(id, listed)) == sorted(map(id, defined))
+    assert len(names) == len(set(names)) == len(listed)
+
+
 # -- fault injection ------------------------------------------------------------
 
 def corrupted_frame():
-    frame = build_lie_frame()
-    mutated = [[[c for c in row] for row in plane]
-               for plane in frame.structure]
-    mutated[3][4][5] = FieldScalar(3)  # [A4, A5] = 3 A6 is wrong
-    return frame.with_structure(tuple(tuple(tuple(r) for r in p)
-                                      for p in mutated))
+    return mutated_frame({(3, 4, 5): 3})  # [A4, A5] = 3 A6 is wrong
 
 
 def test_corrupted_frame_fails_with_witnesses():
@@ -127,12 +138,8 @@ def _failed_witness(suite, name, **kwargs):
 
 
 def test_closure_mechanism_failure_carries_the_difference_as_witness():
-    frame = build_lie_frame()
-    mutated = [[[c for c in row] for row in plane]
-               for plane in frame.structure]
-    mutated[0][7][8] = 3 * mutated[0][7][8]  # [A1, X2] off along X3
-    frame = frame.with_structure(tuple(tuple(tuple(r) for r in p)
-                                       for p in mutated))
+    c = build_lie_frame().structure[0][7][8]
+    frame = mutated_frame({(0, 7, 8): 3 * c})  # [A1, X2] off along X3
     witness = _failed_witness("perturb", "closure-mechanism", frame=frame)
     # both sides are dt∧(…), so every blade of lhs − rhs starts with ds
     assert witness["degree"] == 5 and witness["terms"]
@@ -159,6 +166,46 @@ def test_orbit_witness_failure_names_the_flipped_blade(monkeypatch):
     assert all(t["names"] for t in witness["terms"])
 
 
+def _fails_verify(suite):
+    """`spin7lab verify --suite <suite>` exits with 1."""
+    code, _ = run_cli(["verify", "--suite", suite])
+    assert code == 1
+
+
+def test_flipped_omega_fails_the_basics_suite(monkeypatch):
+    cayley = build_omega()
+    mask, coeff = min(cayley.omega.mask_items())
+    flipped = KForm(4, {**dict(cayley.omega.mask_items()), mask: -coeff})
+    bad = dataclasses.replace(cayley, omega=flipped)
+    monkeypatch.setattr(checks, "build_omega", lambda: bad)
+    witness = _failed_witness("basics", "cayley-normalization")
+    # *Ω − Ω: the flipped blade and its complement, each off by ±2c
+    assert witness["degree"] == 4 and len(witness["terms"]) == 2
+    _fails_verify("basics")
+
+
+def test_swapped_projectors_fail_the_decomposition_suite(monkeypatch):
+    ps = projectors()
+    bad = dataclasses.replace(ps, p7=ps.p35, p35=ps.p7)
+    monkeypatch.setattr(checks, "projectors", lambda: bad)
+    witness = _failed_witness("decomposition", "star-eigenvalue-split")
+    assert witness["component"] == "p7" and witness["form"]["degree"] == 4
+    _fails_verify("decomposition")
+
+
+def test_excluded_rank_one_row_fails_the_classify_suite(monkeypatch):
+    report = classification_report()
+    rows = tuple((dataclasses.replace(cert, verdict="excluded"), ms)
+                 if cert.diagram.parts == (2, 1, 1, 1, 1, 1, 1)
+                 else (cert, ms) for cert, ms in report.rows)
+    bad = dataclasses.replace(report, rows=rows)
+    monkeypatch.setattr(checks, "classification_report", lambda: bad)
+    witness = _failed_witness("classify", "admissible-set")
+    assert witness == {"expected": [[2, 1, 1, 1, 1, 1, 1],
+                                    [1, 1, 1, 1, 1, 1, 1, 1]]}
+    _fails_verify("classify")
+
+
 def test_killing_failure_carries_the_metric_residual_as_witness():
     witness = _failed_witness("bryant-salamon", "killing-fields",
                               frame=corrupted_frame())
@@ -169,7 +216,6 @@ def test_killing_failure_carries_the_metric_residual_as_witness():
 
 
 def test_metric_positivity_failure_carries_the_metric_as_witness(monkeypatch):
-    import spin7lab.harness.checks as checks
     good = build_metric()
     bad = InvariantMetric({**good.entries, (0, 0): -good.get(0, 0)})
     monkeypatch.setattr(checks, "build_metric", lambda: bad)
@@ -179,8 +225,6 @@ def test_metric_positivity_failure_carries_the_metric_as_witness(monkeypatch):
 
 
 def test_raising_check_says_where(monkeypatch):
-    import inspect
-    import spin7lab.harness.checks as checks
     from spin7lab.exterior import linalg
     from spin7lab.exterior.scalars import ZERO
 
@@ -201,7 +245,6 @@ _REPORT_CHECKS = ("admissible-set", "exclusion-certificates",
 
 
 def _count_reports(monkeypatch, build):
-    import spin7lab.harness.checks as checks
     calls = [0]
 
     def counted(**kwargs):
@@ -221,7 +264,6 @@ def test_classify_suite_builds_its_report_once(monkeypatch):
 
 
 def test_failed_report_build_fails_each_check_where_raised(monkeypatch):
-    import inspect
     from spin7lab.exterior import linalg
     from spin7lab.exterior.scalars import ZERO
 

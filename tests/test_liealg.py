@@ -19,7 +19,8 @@ from spin7lab.invariant.liealg import (GENERATOR_NAMES, SP1_MINUS, SP1_PLUS,
                                        generator_coords, is_subalgebra,
                                        killing_matrix, normalizer)
 
-from _oracles import count_calls, is_anti_hermitian, old_frame_from_scales
+from _oracles import (count_calls, is_anti_hermitian, mutated_frame,
+                      old_frame_from_scales)
 
 SCALES = {"connection": liealg._CONNECTION_SCALES,
           "orthonormal": liealg._ORTHONORMAL_SCALES}
@@ -251,11 +252,7 @@ def test_normalizer_of_the_zero_algebra_is_everything():
 
 
 def test_with_structure_substitutes_constants():
-    frame = build_lie_frame()
-    mutated = [[[c for c in row] for row in plane] for plane in frame.structure]
-    mutated[0][1][2] = FieldScalar(5)
-    bad = frame.with_structure(tuple(tuple(tuple(r) for r in p)
-                                     for p in mutated))
+    bad = mutated_frame({(0, 1, 2): 5})
     out = bad.bracket_coords(generator_coords(0), generator_coords(1))
     assert out[2] == FieldScalar(5)
     # the original frame is untouched

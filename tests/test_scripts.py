@@ -43,7 +43,6 @@ def test_classification_table_prints_the_frozen_rows(capsys):
         else:
             assert (verdict, pair) == ("excluded", CERTIFICATE_PAIRS[parts])
     assert lines[25] == "admissible: (2,1,1,1,1,1,1), (1,1,1,1,1,1,1,1)"
-    assert lines[26] == "rank-one signature clean over 25 samples: True"
 
 
 def test_export_forms_writes_the_three_named_forms(tmp_path, capsys):
