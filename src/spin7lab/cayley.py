@@ -22,9 +22,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exterior import linalg
-from .exterior.blades import BLADES, pair_sign_mask
-from .exterior.forms import (FormOperator, KForm, Vector, _wedged, contract,
-                             hodge_star, inner, wedge)
+from .exterior.blades import BLADES
+from .exterior.forms import (FormOperator, KForm, Vector, _combine,
+                             _pair_contracted, _wedged, contract, hodge_star,
+                             inner, wedge)
 from .exterior.endo import Endo, rho
 from .exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
                                to_numerators)
@@ -146,39 +147,20 @@ def projectors() -> DecompositionProjectors:
     return DecompositionProjectors(p1=p1, p7=p7, p27=p27, p35=p35)
 
 
-def _pair_contracted(u: Vector, v: Vector, masks, vectors) -> tuple[int, list]:
-    """(d, [d·(u⌟v⌟ω) for ω in vectors]), ω as (j, coefficient of masks[j])
-    items, with d = den² for the numerator view of u and v over den: a
-    blade m holding e_a and e_b goes to m ^ b ^ a with the sign of
-    ``blades.pair_sign_mask``."""
-    den, rows = to_numerators([u.components, v.components])
-    us, vs = ([(1 << i, c) for i, c in row.items()] for row in rows)
-    pairs = [(a | b, pair_sign_mask(a, b), x * y)
-             for a, x in us for b, y in vs if a != b]
-    qs = []
-    for items in vectors:
-        acc: dict = {}
-        for j, x in items:
-            m = masks[j]
-            for ab, sign_mask, w in pairs:
-                if (m & ab) == ab:
-                    term = -w * x if (m & sign_mask).bit_count() & 1 else w * x
-                    acc[m ^ ab] = acc.get(m ^ ab, 0) + term
-        qs.append({m: c for m, c in acc.items() if c})
-    return den * den, qs
-
-
 def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
     """(u⌟v⌟a)³ ∈ Λ⁶; the pair contraction is degenerate iff this vanishes.
 
-    q = u⌟v⌟a is built on the numerator view of a, u and v
-    (``scalars.to_numerators``), cubed with ``forms._wedged`` and divided
-    once per coefficient by the cube of its denominator."""
-    masks, coeffs = zip(*a.mask_items()) if a else ((), ())
-    den_a, (numerators,) = to_numerators([coeffs])
-    den_uv, (q,) = _pair_contracted(u, v, masks, [numerators.items()])
+    On one numerator view of u, v and a over den
+    (``scalars.to_numerators``), q = den³·(u⌟v⌟a) is the sum of
+    u_i·v_j·e_i⌟e_j⌟a over i ≠ j, each pair contracted on masks by
+    ``forms._pair_contracted``; q is cubed with ``forms._wedged`` and
+    divided once per coefficient by den⁹."""
+    den, (us, vs, terms) = to_numerators(
+        [u.components, v.components, dict(a.mask_items())])
+    q = _combine((_pair_contracted(1 << i, 1 << j, terms), x * y)
+                 for i, x in us.items() for j, y in vs.items() if i != j)
     return KForm(3 * a.degree - 6, from_numerators(
-        _wedged(q, _wedged(q, q)), (den_a * den_uv) ** 3))
+        _wedged(q, _wedged(q, q)), den ** 9))
 
 
 def perturb_rank_one(v: Vector, w: Vector, t) -> KForm:

@@ -5,7 +5,8 @@ canonical representative A, the kernel K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} and a
 certificate deciding whether K can meet the GL(8)-orbit of the Cayley
 form.  A is a shift, so everything runs on int bitmasks from A's chain
 steps to the verdict: the rows of ρ(A)² by bit addition on blade masks,
-and the candidate pairs as basis duals, contracted with one sign mask.
+and the candidate pairs as basis duals, contracted on blade masks by
+``forms._pair_contracted`` (the kernel of ``cayley.pair_contraction_cube``).
 The obstruction is degeneracy: if some pair of dual vectors (u, v) has
 (u⌟v⌟ω)³ = 0 for EVERY ω ∈ K — proved by expanding the cubic's
 coefficients, not by sampling — then no orbit element lies in K and the
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterator
 
-from .exterior.blades import BLADES, DIM, pair_sign_mask
-from .exterior.forms import Vector, _wedged
+from .exterior.blades import BLADES, DIM
+from .exterior.forms import Vector, _pair_contracted, _wedged
 from .exterior import linalg
 from .exterior.endo import Endo, _product
 
@@ -194,32 +195,18 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 _DUALS = tuple(Vector.basis(i + 1) for i in range(DIM))
 
 
-def _dual_contractions(a: int, b: int, vectors) -> list[dict]:
-    """The nonzero e_a⌟e_b⌟ωᵢ (0-based a ≠ b) of the kernel vectors: each
-    blade m holding both bits goes to m without them, with the sign of
-    ``blades.pair_sign_mask``."""
-    ab = 1 << a | 1 << b
-    sign_mask = pair_sign_mask(1 << a, 1 << b)
-    masks = BLADES[4]
-    qs = []
-    for vec in vectors:
-        q = {}
-        for j, x in vec.items():
-            m = masks[j]
-            if m & ab == ab:
-                q[m ^ ab] = -x if (m & sign_mask).bit_count() & 1 else x
-        if q:
-            qs.append(q)
-    return qs
-
-
 def cubic_vanishes_on_subspace(a: int, b: int, kernel: KernelSpace) -> bool:
     """True iff (e_a⌟e_b⌟ω)³ = 0 for every ω in K, for the basis duals of
-    two distinct 0-based indices a and b, contracted on masks
-    (``_dual_contractions``) and wedged on int term maps."""
+    two distinct 0-based indices a and b: each kernel vector with a blade
+    holding both (the others contract to zero), keyed by blade mask, goes
+    through ``forms._pair_contracted``; the results are wedged on ints."""
     if a == b or not (0 <= a < DIM and 0 <= b < DIM):
         raise ValueError(f"need two distinct dual indices in 0..{DIM - 1}")
-    qs = _dual_contractions(a, b, kernel.vectors)
+    ab = 1 << a | 1 << b
+    holding = {j for j, m in enumerate(BLADES[4]) if m & ab == ab}
+    qs = [_pair_contracted(1 << a, 1 << b, {
+        BLADES[4][j]: x for j, x in vec.items()})
+        for vec in kernel.vectors if not holding.isdisjoint(vec)]
     for i, qi in enumerate(qs):
         for j in range(i, len(qs)):
             rij = _wedged(qi, qs[j])

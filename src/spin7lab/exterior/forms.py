@@ -20,10 +20,11 @@ basis, one {mask: coefficient} dict per basis vector; on Λ^k itself the
 domain basis is the blade order of ``blades.BLADES``.  Applying,
 composing and adding operators, like contracting by a vector, sum every
 contribution into one accumulator per output blade, on the numerator
-view of the images (``scalars.to_numerators``, taken once per operator):
-ints over one denominator for rational images, FieldScalars over 1 with a
-surd, and plain-int images as they are.  Pivots, ranks and kernels densify
-the operator and reduce it by ``linalg.echelon``, over Q only.
+view of the FieldScalar images (``scalars.to_numerators``, taken once per
+operator): ints over one denominator for rational images, FieldScalars
+over 1 with a surd.  Pivots, ranks and kernels hand ``linalg`` one sparse
+{column: coefficient} row per occurring blade, in mask order, and reduce
+it over Q only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, _sign_mask,
-                     complement_sign, contract_sign, indices_of, mask_of)
+                     complement_sign, contract_sign, indices_of, mask_of,
+                     pair_sign_mask)
 from .scalars import ONE, ZERO, FieldScalar, from_numerators, to_numerators
 
 __all__ = ["Form", "Vector", "Covector", "KForm", "FormOperator", "add",
@@ -254,6 +256,16 @@ def _contracted(slot: int, terms: dict) -> dict:
     return out
 
 
+def _pair_contracted(a: int, b: int, terms: dict) -> dict:
+    """e_a⌟e_b⌟ of a term map for generator bits a ≠ b: each blade m
+    holding both goes to m ^ a ^ b with the sign of
+    ``blades.pair_sign_mask``."""
+    ab = a | b
+    sign_mask = pair_sign_mask(a, b)
+    return {m ^ ab: -c if (m & sign_mask).bit_count() & 1 else c
+            for m, c in terms.items() if m & ab == ab}
+
+
 def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
     """Λ^k of the map sending generator i to the 1-form images[i]: every
     blade becomes the wedge of its generators' images."""
@@ -447,18 +459,15 @@ def basis_blades(k: int) -> list[KForm]:
 
 
 class FormOperator:
-    """A linear map into Λ^degree: ``images[j]`` is the {mask: coefficient}
+    """A linear map into Λ^degree: ``images[j]`` is the {mask: FieldScalar}
     dict of the image of the j-th domain basis vector.
 
     With one image per basis blade of Λ^degree, in ``BLADES`` order, it is
     an operator on Λ^degree, as ``apply``, ``@``, ``identity`` and ``zero``
-    assume.  Coefficients are FieldScalars, or plain ints throughout.
-    ``apply``, ``@``, ``+`` and ``-`` read the images through their
-    numerator view, computed on first use: int numerators over one
+    assume.  ``apply``, ``@``, ``+`` and ``-`` read the images through
+    their numerator view, computed on first use: int numerators over one
     denominator when all are rational, the FieldScalars over 1 when one has
-    a surd, plain ints as they are.  Results are divided once per
-    coefficient into FieldScalars; operators of plain ints compose into
-    plain ints.
+    a surd.  Results are divided once per coefficient into FieldScalars.
     """
 
     __slots__ = ("degree", "images", "_view")
@@ -486,19 +495,16 @@ class FormOperator:
         return KForm(self.degree, _combine((img, c) for img, c
                                            in zip(self.images, coords) if c))
 
-    def _numerators(self) -> tuple[int, tuple, bool]:
-        """(den, numerator images, whether the images are plain ints)."""
+    def _numerators(self) -> tuple[int, list]:
+        """(den, numerator images)."""
         if self._view is None:
-            first = next((c for img in self.images for c in img.values()),
-                         None)
-            self._view = ((1, self.images, True) if type(first) is int
-                          else (*to_numerators(self.images), False))
+            self._view = to_numerators(self.images)
         return self._view
 
     def apply(self, form: KForm) -> KForm:
         if form.degree != self.degree:
             raise ValueError("operator degree mismatch")
-        den, images, _ = self._numerators()
+        den, images = self._numerators()
         den_f, (terms,) = to_numerators([form._terms])
         pos = BLADE_POSITION[self.degree]
         return KForm(self.degree, from_numerators(_combine(
@@ -507,12 +513,12 @@ class FormOperator:
     __call__ = apply
 
     def __matmul__(self, other: "FormOperator") -> "FormOperator":
-        den_a, left, ints_a = self._numerators()
-        den_b, right, ints_b = other._numerators()
+        den_a, left = self._numerators()
+        den_b, right = other._numerators()
         pos = BLADE_POSITION[self.degree]
         return self._of_numerators(
             [_combine((left[pos[m]], c) for m, c in img.items())
-             for img in right], den_a * den_b, ints_a and ints_b)
+             for img in right], den_a * den_b)
 
     def __add__(self, other: "FormOperator") -> "FormOperator":
         return self._summed(other, 1)
@@ -522,34 +528,34 @@ class FormOperator:
 
     def _summed(self, other: "FormOperator", sign: int) -> "FormOperator":
         """self + sign·other over the lcm of the two denominators."""
-        den_a, left, ints_a = self._numerators()
-        den_b, right, ints_b = other._numerators()
+        den_a, left = self._numerators()
+        den_b, right = other._numerators()
         den = lcm(den_a, den_b)
         scale_a, scale_b = den // den_a, sign * (den // den_b)
         images = [_combine(((a, scale_a), (b, scale_b)))
                   for a, b in zip(left, right)]
-        return self._of_numerators(images, den, ints_a and ints_b)
+        return self._of_numerators(images, den)
 
-    def _of_numerators(self, images: list, den: int,
-                       ints: bool) -> "FormOperator":
-        """The operator of these numerator images over den, or of the
-        images themselves when they are plain ints."""
-        return FormOperator(self.degree, images if ints else
+    def _of_numerators(self, images: list, den: int) -> "FormOperator":
+        """The operator of these numerator images over den."""
+        return FormOperator(self.degree,
                             [from_numerators(img, den) for img in images])
 
     def __eq__(self, other):
         return (isinstance(other, FormOperator)
                 and self.degree == other.degree and self.images == other.images)
 
-    def _matrix(self) -> list[list[FieldScalar]]:
-        """Dense FieldScalar matrix, one row per occurring blade by mask."""
-        masks = sorted({m for img in self.images for m in img})
-        return [[FieldScalar.of(img.get(m, ZERO)) for img in self.images]
-                for m in masks]
+    def _rows(self) -> list[dict]:
+        """One {column: coefficient} row per occurring blade, in mask order."""
+        rows: dict = {}
+        for j, img in enumerate(self.images):
+            for m, c in img.items():
+                rows.setdefault(m, {})[j] = c
+        return [rows[m] for m in sorted(rows)]
 
     def pivots(self) -> list[int]:
         """The positions j whose image is not a combination of earlier ones."""
-        return linalg.echelon(self._matrix())[1]
+        return sorted(linalg._integer_rref(linalg._int_rows(self._rows())))
 
     def rank(self) -> int:
         return len(self.pivots())
@@ -558,7 +564,7 @@ class FormOperator:
         """Canonical kernel basis as sparse coordinate vectors, one per free
         column with 1 there (the vectors of ``linalg.nullspace``)."""
         return [{j: x for j, x in enumerate(vec) if x} for vec in
-                linalg.nullspace(self._matrix(), ncols=len(self.images))]
+                linalg.nullspace(self._rows(), ncols=len(self.images))]
 
     def is_idempotent(self) -> bool:
         return self @ self == self

@@ -1,22 +1,25 @@
-"""Exact dense linear algebra over Q.
+"""Exact linear algebra over Q.
 
-Matrices are lists of rows of rational FieldScalars.  Every elimination is
-one sparse integer Gauss–Jordan (``_integer_rref``) on the numerator view
-of the rows (``_int_rows``: sparse {column: int} dicts over one
-denominator), which raises ValueError on a surd entry.  The rows are
-reduced one at a time into a Gauss–Jordan basis: a row is cleared in a
-column by cross-multiplying, p/g times it minus f/g times the basis row
-with pivot p, where f is its own entry and g = gcd(p, f), and every result
-is divided by its content (the gcd of its entries).  Each division is
-therefore exact, and no field inversion happens.  Only the final RREF goes
-back to FieldScalar, one reduced fraction per nonzero entry.
+Matrices are lists of rows of rational FieldScalars, dense or as sparse
+{column: entry} dicts.  Every elimination is one sparse integer
+Gauss–Jordan (``_integer_rref``) on the numerator view of the rows
+(``_int_rows``: sparse {column: int} dicts over one denominator), which
+raises ValueError on a surd entry.  The rows are reduced one at a time
+into a Gauss–Jordan basis: a row is cleared in a column by
+cross-multiplying, p/g times it minus f/g times the basis row with pivot
+p, where f is its own entry and g = gcd(p, f), and every result is
+divided by its content (the gcd of its entries).  Each division is
+therefore exact, and no field inversion happens.  ``rank`` counts the
+pivots of that basis; only ``echelon`` takes it back to FieldScalar, one
+reduced fraction per nonzero entry of the RREF.
 
-``integer_nullspace`` takes a matrix that is already sparse integer rows
-(the rows of ρ(A)² in the classifier) straight to the integer Gauss–Jordan
-and returns primitive integer kernel vectors, with no dense matrix and no
-FieldScalar at all.  The columns of one-entry rows are dropped first, and
-since clearing makes a row primitive, only a row that enters the basis
-uncleared is divided by its content.
+``integer_nullspace`` builds every kernel basis: it takes sparse integer
+rows (the rows of ρ(A)² in the classifier) straight to the integer
+Gauss–Jordan and returns primitive integer kernel vectors, with no dense
+matrix and no FieldScalar at all.  The columns of one-entry rows are
+dropped first, and since clearing makes a row primitive, only a row that
+enters the basis uncleared is divided by its content.  ``nullspace``
+divides each of its vectors by its entry in its free column.
 
 The RREF of a matrix is unique, so the same matrix always yields the same
 canonical bases.
@@ -106,38 +109,33 @@ def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
 
 
 def rank(rows: Matrix) -> int:
-    return len(echelon(rows)[1])
+    return len(_integer_rref(_int_rows(rows)))
 
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]:
-    """Canonical kernel basis: one vector per free column, unit in that slot."""
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
+    """Canonical kernel basis: one vector per free column, unit in that slot,
+    each vector of ``integer_nullspace`` over its entry in that column (its
+    largest key).  Sparse rows need their width ``ncols``."""
+    if ncols is None and not rows:
         raise ValueError("nullspace of an empty matrix needs an explicit width")
-    r, pivots = echelon(rows)
-    pivot_set = set(pivots)
+    ncols = len(rows[0]) if ncols is None else ncols
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, c in zip(r, pivots):
-            if row[f]:
-                v[c] = -row[f]
+    for vec in integer_nullspace(_int_rows(rows), ncols):
+        v, den = [ZERO] * ncols, vec[max(vec)]
+        for j, x in vec.items():
+            v[j] = FieldScalar.from_ratio(x, den)
         basis.append(v)
     return basis
 
 
 def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
-    """Per free column f, in order, the vector of ``nullspace`` for f made
-    a primitive int vector, positive in f, for a matrix given as sparse
-    integer rows, primitive or not.  A one-entry row's column is zero in
-    every kernel vector, so that row is dropped and its column leaves the
-    other rows before the elimination; a row without such a column goes in
-    as it is.  The other entries sit in pivot columns left of f; a free
-    column that no basis row holds gives {f: 1}."""
+    """Per free column f, in order, the primitive int kernel vector that is
+    positive in f and zero in every other free column, for a matrix given
+    as sparse integer rows, primitive or not.  A one-entry row's column is
+    zero in every kernel vector, so that row is dropped and its column
+    leaves the other rows before the elimination; a row without such a
+    column goes in as it is.  The other entries sit in pivot columns left
+    of f; a free column that no basis row holds gives {f: 1}."""
     fixed = {c for row in rows if len(row) == 1 for c in row}
     rows = [row if fixed.isdisjoint(row)
             else {j: x for j, x in row.items() if j not in fixed}

@@ -3,13 +3,14 @@
 ``SUITES`` is the one table of them: each suite name maps to its (check
 name, check function) pairs in report order.  Every check is called as
 ``check(run, rng)``, where ``run`` holds what the checks of one suite run
-share (the Lie frame and the classification report) and ``rng`` is a
-``Random`` seeded with "<run seed>:<check name>", so identical (suites,
-seed) runs produce identical reports.  A failing check never raises — it
-returns a CheckResult carrying a serialized witness of the failure (the
-offending form, pair, or residual), which is what makes fault-injection
-tests observable rather than crashy.  A check that raises fails with the
-error and the place in this package where it was raised.
+share (the Lie frame and the classification report, each built on first
+read) and ``rng`` is a ``Random`` seeded with "<run seed>:<check name>",
+so identical (suites, seed) runs produce identical reports.  A failing
+check never raises — it returns a CheckResult carrying a serialized
+witness of the failure (the offending form, pair, or residual), which is
+what makes fault-injection tests observable rather than crashy.  A check
+that raises fails with the error and the place in this package where it
+was raised.
 """
 
 from __future__ import annotations
@@ -69,13 +70,15 @@ class CheckResult:
                 "duration_millis": 0 if zero_timings else self.duration_millis}
 
 
-@dataclass
 class _Run:
-    """What the checks of one suite run share.  The report is built by the
-    first check that reads it; a build that raises is not kept, so each
-    check that reads it reports its own error."""
+    """What the checks of one suite run share: the Lie frame (from the
+    module hook ``build_lie_frame``) and the classification report, each
+    built by the first check that reads it; a build that raises is not
+    kept, so each check that reads it reports its own error."""
 
-    frame: LieFrame
+    @functools.cached_property
+    def frame(self) -> LieFrame:
+        return build_lie_frame()
 
     @functools.cached_property
     def report(self) -> ClassificationReport:
@@ -523,13 +526,11 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, seed: int = 0,
-              frame: LieFrame | None = None) -> list[CheckResult]:
-    """Run one named suite; `frame` overrides the Lie frame used by the
-    chamber-calculus checks (fault injection hooks in here)."""
+def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
+    """Run one named suite."""
     if name not in SUITES:
         raise ValueError(f"unknown suite: {name}")
-    run = _Run(frame or build_lie_frame())
+    run = _Run()
     return [_timed(check_name, check, run, seed)
             for check_name, check in SUITES[name]]
 

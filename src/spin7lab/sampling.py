@@ -20,8 +20,8 @@ __all__ = ["random_vector", "random_nonzero_vector", "random_orthogonal_pair",
            "random_even_scalar"]
 
 
-def random_vector(rng: random.Random, lo: int = -9, hi: int = 9) -> Vector:
-    return Vector([rng.randint(lo, hi) for _ in range(DIM)])
+def random_vector(rng: random.Random) -> Vector:
+    return Vector([rng.randint(-9, 9) for _ in range(DIM)])
 
 
 def random_nonzero_vector(rng: random.Random) -> Vector:
@@ -68,11 +68,11 @@ def random_rank_one_nilpotent(rng: random.Random) -> Endo:
     return Endo.tensor(w, v.flat())
 
 
-def random_unimodular(rng: random.Random, shears: int = 6) -> tuple[Endo, Endo]:
-    """(g, g^{-1}) as a product of integer shears; exact inverse for free."""
+def random_unimodular(rng: random.Random) -> tuple[Endo, Endo]:
+    """(g, g^{-1}) as a product of six integer shears; exact inverse free."""
     g = Endo.identity()
     g_inv = Endo.identity()
-    for _ in range(shears):
+    for _ in range(6):
         i, j = rng.sample(range(1, DIM + 1), 2)
         c = rng.choice([-2, -1, 1, 2])
         shear = Endo.identity() + c * Endo.unit(i, j)
@@ -82,12 +82,12 @@ def random_unimodular(rng: random.Random, shears: int = 6) -> tuple[Endo, Endo]:
     return g, g_inv
 
 
-def random_even_scalar(rng: random.Random, max_half_degree: int = 4):
-    """A random even polynomial in s (i.e. a polynomial in t = s²) with
+def random_even_scalar(rng: random.Random):
+    """A random polynomial of degree at most 4 in t = s² (even in s) with
     small integer coefficients; suitable as a perturbation coefficient."""
     from .invariant.chamber import ChamberScalar
     out = ChamberScalar()
     for _ in range(rng.randint(1, 4)):
         coeff = rng.randint(-9, 9)
-        out = out + ChamberScalar.monomial(coeff, 2 * rng.randint(0, max_half_degree), 0)
+        out = out + ChamberScalar.monomial(coeff, 2 * rng.randint(0, 4), 0)
     return out

@@ -86,13 +86,13 @@ def random_nilpotent(rng, max_rank=3):
 
 def old_jordan_type(a):
     """The partition of a nilpotent Endo from the ranks of its Endo powers
-    A, A², …, each ranked by ``linalg.rank`` on its FieldScalar rows."""
+    A, A², …, each ranked by ``field_rref`` on its FieldScalar rows."""
     ranks = [DIM]
     power = a
     while power:
         if len(ranks) == DIM:
             raise ValueError("not nilpotent")
-        ranks.append(linalg.rank(power.rows))
+        ranks.append(len(field_rref(power.rows)[1]))
         power = power @ a
     ranks.append(0)
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
@@ -139,6 +139,24 @@ def field_rref(rows):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def field_nullspace(rows, ncols):
+    """The kernel basis from ``field_rref``: one vector per free column f,
+    in order, with 1 in f and minus the RREF entries of column f in the
+    pivot columns, as ``linalg.nullspace`` returns it on ints."""
+    reduced, pivots = field_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for row, c in zip(reduced, pivots):
+            if row[f]:
+                v[c] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def verify_pullback_proposition():
@@ -282,22 +300,23 @@ def old_rho_operator(a, degree):
 
 
 def rho_operator(a, degree):
-    """ρ(A) on Λ^degree as a FormOperator, built once from the nonzero
-    entries of A; an integer A gives an integer operator."""
+    """ρ(A) on Λ^degree as a FormOperator of FieldScalar images, built once
+    from the nonzero entries of A; an integer A gives integer values."""
     den, rows = to_numerators(a.rows)
-    columns = _columns(rows if den == 1 else
-                       [from_numerators(row, den) for row in rows])
+    columns = _columns([from_numerators(row, den) for row in rows])
     return FormOperator(degree, [
         {key: c for key, c in image.items() if c}
         for image in _rho_images(columns, BLADES[degree])])
 
 
 def operator_square_rows(a):
-    """ρ(A)² on Λ⁴ of an integer A as ρ(A) @ ρ(A) of FormOperators,
-    transposed into sparse int rows keyed by blade mask."""
+    """ρ(A)² on Λ⁴ of an integer A as ρ(A) @ ρ(A) of FormOperators, read
+    as ints and transposed into sparse int rows keyed by blade mask."""
     square = rho_operator(a, 4) @ rho_operator(a, 4)
+    den, images = to_numerators(square.images)
+    assert den == 1, "an integer A has an integer square"
     rows = {}
-    for j, image in enumerate(square.images):
+    for j, image in enumerate(images):
         for m, c in image.items():
             rows.setdefault(m, {})[j] = c
     return rows
@@ -316,8 +335,8 @@ def operator_kernel_vectors(a):
 
 
 # -- FormOperator and exp_nilpotent on FieldScalars ----------------------------
-# apply, @, + and - summed FieldScalar images (or plain ints) straight
-# through forms._combine, and exp_nilpotent summed Endo powers, as the
+# apply, @, + and - summed FieldScalar images straight through
+# forms._combine, and exp_nilpotent summed Endo powers, as the
 # package did before both read their inputs through the numerator view.
 
 def old_operator_apply(op, form):
@@ -371,10 +390,11 @@ def coefficient_matrix(images):
 
 
 def nullspace_on_forms(op, degree):
-    """Canonical kernel basis of a map on Λ^degree, by dense elimination."""
+    """Canonical kernel basis of a map on Λ^degree, by dense elimination
+    in the field (``field_nullspace``)."""
     domain = BLADES[degree]
     images = [op(KForm(degree, {m: ONE})) for m in domain]
-    kernel = linalg.nullspace(coefficient_matrix(images), ncols=len(domain))
+    kernel = field_nullspace(coefficient_matrix(images), len(domain))
     return [KForm(degree, dict(zip(domain, vec))) for vec in kernel]
 
 

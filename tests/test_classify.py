@@ -15,9 +15,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spin7lab.cayley import _pair_contracted, build_omega
+from spin7lab.cayley import build_omega
 from spin7lab.classify import (Certificate, LabeledVector, YoungDiagram,
-                               _DUALS, _candidate_pairs, _dual_contractions,
+                               _DUALS, _candidate_pairs,
                                _square_rows,
                                classification_report,
                                cubic_vanishes_on_subspace, enumerate_diagrams,
@@ -350,10 +350,16 @@ def _contracted_by_forms(u, v, space):
 
 
 def _pair_contractions(u, v, vectors):
-    """The nonzero u⌟v⌟ωᵢ of the kernel vectors by ``cayley._pair_contracted``,
-    up to its positive factor, 1 for int and surd vectors."""
-    return [q for q in _pair_contracted(
-        u, v, BLADES[4], (vec.items() for vec in vectors))[1] if q]
+    """The nonzero u⌟v⌟ωᵢ of the kernel vectors as Σ uᵢ·vⱼ·e_i⌟e_j⌟ωᵢ over
+    i ≠ j, each pair by ``forms._pair_contracted``."""
+    qs = []
+    for vec in vectors:
+        terms = {BLADES[4][j]: x for j, x in vec.items()}
+        qs.append(forms._combine(
+            (forms._pair_contracted(1 << i, 1 << j, terms), x * y)
+            for i, x in enumerate(u.components)
+            for j, y in enumerate(v.components) if i != j and x and y))
+    return [q for q in qs if q]
 
 
 def _as_forms(qs):
@@ -369,15 +375,6 @@ def test_pair_contractions_match_contract_on_every_candidate_pair():
                 _contracted_by_forms(u, v, space)
 
 
-def test_dual_contractions_match_pair_contractions_on_every_candidate_pair():
-    for d in enumerate_diagrams():
-        space = kernel_space(d)
-        for a, b in _candidate_pairs(space.representative):
-            assert _dual_contractions(a, b, space.vectors) == \
-                _pair_contractions(Vector.basis(a + 1), Vector.basis(b + 1),
-                                   space.vectors)
-
-
 _int_or_surd_vectors = st.sampled_from([small_ints, surds]).flatmap(
     lambda c: st.lists(c, min_size=8, max_size=8)).map(Vector)
 
@@ -386,7 +383,6 @@ _int_or_surd_vectors = st.sampled_from([small_ints, surds]).flatmap(
 @given(st.sampled_from(enumerate_diagrams()), _int_or_surd_vectors,
        _int_or_surd_vectors)
 def test_pair_contractions_match_contract_on_dense_vectors(d, u, v):
-    # integer vectors are their own numerators, so the terms match exactly
     space = kernel_space(d)
     assert _as_forms(_pair_contractions(u, v, space.vectors)) == \
         _contracted_by_forms(u, v, space)

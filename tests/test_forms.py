@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from spin7lab.exterior.blades import BLADES, DIM, wedge_sign
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
-                                     _sign_table, basis_blades, contract,
-                                     hodge_star, inner, wedge)
+                                     _pair_contracted, _sign_table,
+                                     basis_blades, contract,
+                                     contract_generator, hodge_star, inner,
+                                     wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
 
 from _strategies import forms, small_ints, vectors
@@ -76,6 +78,20 @@ def test_contraction_squares_to_zero(v, a):
 @given(vectors, forms(3), forms(2))
 def test_contraction_is_adjoint_to_exterior_multiplication(v, a, b):
     assert inner(contract(v, a), b) == inner(a, wedge(v.flat().form(), b))
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_pair_contraction_is_two_generator_contractions(degree):
+    # e_a⌟e_b⌟ on masks, for every ordered pair a ≠ b and every blade
+    for a in range(DIM):
+        for b in range(DIM):
+            if a == b:
+                continue
+            for m in BLADES[degree]:
+                blade = KForm(degree, {m: ONE})
+                expected = contract_generator(a, contract_generator(b, blade))
+                assert KForm(degree - 2, _pair_contracted(
+                    1 << a, 1 << b, {m: ONE})) == expected
 
 
 def test_contract_scalar_raises():

@@ -112,8 +112,9 @@ def corrupted_frame():
     return mutated_frame({(3, 4, 5): 3})  # [A4, A5] = 3 A6 is wrong
 
 
-def test_corrupted_frame_fails_with_witnesses():
-    results = run_suite("bryant-salamon", seed=0, frame=corrupted_frame())
+def test_corrupted_frame_fails_with_witnesses(monkeypatch):
+    monkeypatch.setattr(checks, "build_lie_frame", lambda: corrupted_frame())
+    results = run_suite("bryant-salamon", seed=0)
     failed = [r for r in results if not r.passed]
     assert failed
     for r in failed:
@@ -122,25 +123,54 @@ def test_corrupted_frame_fails_with_witnesses():
     assert any(r.name == "phi-closedness" for r in failed)
 
 
-def test_corrupted_frame_fails_perturbation_suite():
-    results = run_suite("perturb", seed=0, frame=corrupted_frame())
+def test_corrupted_frame_fails_perturbation_suite(monkeypatch):
+    monkeypatch.setattr(checks, "build_lie_frame", lambda: corrupted_frame())
+    results = run_suite("perturb", seed=0)
     assert any(not r.passed for r in results)
 
 
-def _failed_witness(suite, name, **kwargs):
+def _failing_frame_build():
+    raise RuntimeError("no frame")
+
+
+def test_suites_that_read_no_frame_build_none(monkeypatch):
+    monkeypatch.setattr(checks, "build_lie_frame", _failing_frame_build)
+    code, out = run_cli(["verify", "--suite", "basics", "--suite",
+                         "decomposition", "--suite", "classify"])
+    report = json.loads(out)
+    assert code == 0
+    assert len(report["checks"]) == 14
+    assert all(c["passed"] for c in report["checks"])
+
+
+def test_failed_frame_build_fails_each_check_that_reads_it(monkeypatch):
+    monkeypatch.setattr(checks, "build_lie_frame", _failing_frame_build)
+    code, out = run_cli(["verify", "--suite", "perturb"])
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["perturbed-closedness",
+                                           "closure-mechanism"]
+    for c in failed:
+        assert c["detail"]["error"] == "RuntimeError: no frame"
+        assert c["detail"]["where"].startswith("harness/checks.py:")
+        assert c["detail"]["where"].endswith(" in frame")
+
+
+def _failed_witness(suite, name):
     """The JSON round trip of a check's witness; the check must fail
     without raising."""
-    result = next(r for r in run_suite(suite, seed=0, **kwargs)
-                  if r.name == name)
+    result = next(r for r in run_suite(suite, seed=0) if r.name == name)
     assert not result.passed
     assert "error" not in result.detail
     return json.loads(json.dumps(result.detail["witness"]))
 
 
-def test_closure_mechanism_failure_carries_the_difference_as_witness():
+def test_closure_mechanism_failure_carries_the_difference_as_witness(
+        monkeypatch):
     c = build_lie_frame().structure[0][7][8]
     frame = mutated_frame({(0, 7, 8): 3 * c})  # [A1, X2] off along X3
-    witness = _failed_witness("perturb", "closure-mechanism", frame=frame)
+    monkeypatch.setattr(checks, "build_lie_frame", lambda: frame)
+    witness = _failed_witness("perturb", "closure-mechanism")
     # both sides are dt∧(…), so every blade of lhs − rhs starts with ds
     assert witness["degree"] == 5 and witness["terms"]
     assert all(t["names"][0] == "ds" and len(t["names"]) == 5
@@ -206,9 +236,9 @@ def test_excluded_rank_one_row_fails_the_classify_suite(monkeypatch):
     _fails_verify("classify")
 
 
-def test_killing_failure_carries_the_metric_residual_as_witness():
-    witness = _failed_witness("bryant-salamon", "killing-fields",
-                              frame=corrupted_frame())
+def test_killing_failure_carries_the_metric_residual_as_witness(monkeypatch):
+    monkeypatch.setattr(checks, "build_lie_frame", lambda: corrupted_frame())
+    witness = _failed_witness("bryant-salamon", "killing-fields")
     assert witness["generator_slot"] in (4, 5, 6)
     entries = witness["residual"]["entries"]
     assert entries and all(len(e["names"]) == 2 and e["coefficient"]["terms"]

@@ -2,8 +2,9 @@
 
 Matrices are eliminated by sparse integer Gauss–Jordan with content
 normalization, and an entry with a surd is refused.  Gauss–Jordan in the
-field (``_oracles.field_rref``) is the reference the integer path is
-compared with.
+field (``_oracles.field_rref``) and the kernel read off it
+(``_oracles.field_nullspace``) are the references the integer path is
+compared with; no reference calls the integer elimination.
 """
 
 from math import gcd
@@ -20,7 +21,7 @@ from spin7lab.exterior.linalg import (echelon, integer_nullspace, invert,
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, ZERO, FieldScalar,
                                        Q, to_numerators)
 
-from _oracles import field_rref, solve
+from _oracles import field_nullspace, field_rref, solve
 from _strategies import small_ints
 
 
@@ -159,9 +160,8 @@ def rational_matrices(draw):
 
 def _field_reference(m):
     """echelon, rank and nullspace of m computed by the field code alone."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "echelon", field_rref)
-        return linalg.echelon(m), rank(m), nullspace(m)
+    reduced = field_rref(m)
+    return reduced, len(reduced[1]), field_nullspace(m, len(m[0]))
 
 
 @settings(max_examples=150)
@@ -176,7 +176,7 @@ def test_integer_path_matches_field_code(m):
 def test_integer_nullspace_is_the_nullspace_made_primitive(m):
     ncols = len(m[0])
     vectors = integer_nullspace(to_numerators(m)[1], ncols)
-    canonical = nullspace(m)
+    canonical = field_nullspace(m, ncols)
     assert len(vectors) == len(canonical)
     for vec, expected in zip(vectors, canonical):
         free = max(vec)
@@ -213,7 +213,8 @@ def test_integer_nullspace_ignores_the_content_of_its_rows(m, factors, twos,
     basis = linalg._integer_rref(scaled)
     assert all(gcd(*row.values()) == 1 for row in basis.values())
     assert [[FieldScalar.from_ratio(vec.get(j, 0), vec[max(vec)])
-             for j in range(ncols)] for vec in vectors] == nullspace(fs_matrix(m))
+             for j in range(ncols)] for vec in vectors] == \
+        field_nullspace(fs_matrix(m), ncols)
 
 
 def _count_inverses(monkeypatch) -> list[int]:

@@ -3,18 +3,19 @@
 The oracles are that code, kept in ``_oracles.py`` and below: ``rho``
 applied term by term, ρ(A) built blade by blade and slot by slot from A's
 columns, the images of the basis blades computed one ``rho`` call at a
-time, a dense coefficient matrix with one row per occurring blade,
-``linalg.nullspace`` on it, and ``apply`` as a running sum
-``out = out + c * image``.  ``rho_operator`` (in ``_oracles.py``) wraps
-the package's ``endo._rho_images`` of all basis blades as a FormOperator.
-The operators cover integer Jordan representatives (integer operators),
-rank-one nilpotents with non-integer rational entries and rank-one
-nilpotents with surd entries, whose kernels are not taken, since
-elimination runs over Q; ρ itself also runs on diagonal, sparse and
-dense matrices of every coefficient family.  ``apply``, ``@``, ``+`` and
-``-``, which read the images through their numerator view, are checked
-against the FieldScalar code they replaced (``old_operator_*``) on random
-operators with plain-int, rational and surd images.
+time, a dense coefficient matrix with one row per occurring blade, its
+kernel by Gauss–Jordan in the field (``field_nullspace``), and ``apply``
+as a running sum ``out = out + c * image``.  ``rho_operator`` (in
+``_oracles.py``) wraps the package's ``endo._rho_images`` of all basis
+blades as a FormOperator of FieldScalar images.  The operators cover
+integer Jordan representatives (integer values), rank-one nilpotents with
+non-integer rational entries and rank-one nilpotents with surd entries,
+whose kernels are not taken, since elimination runs over Q; ρ itself also
+runs on diagonal, sparse and dense matrices of every coefficient family.
+``apply``, ``@``, ``+`` and ``-``, which read the images through their
+numerator view, are checked against the FieldScalar code they replaced
+(``old_operator_*``) on random operators with integer, rational and surd
+images.
 """
 
 import random
@@ -24,15 +25,15 @@ from hypothesis import given, settings, strategies as st
 
 from spin7lab.cayley import build_omega, projectors
 from spin7lab.classify import enumerate_diagrams, representative
-from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import BLADE_POSITION, BLADES
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
 from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent
 
-from _oracles import (coefficient_matrix, count_calls, diagonal, is_rational,
-                      nullspace_on_forms, old_operator_apply,
+from _oracles import (coefficient_matrix, count_calls, diagonal,
+                      field_nullspace, is_rational, nullspace_on_forms,
+                      old_operator_apply,
                       old_operator_product, old_operator_sum, old_rho,
                       old_rho_operator, rho_operator)
 from _strategies import (coefficient_families, entry_families, forms,
@@ -143,12 +144,6 @@ def test_rational_rho_multiplies_no_field_scalars(monkeypatch):
     assert out and out == old_rho(a, x)
 
 
-@given(jordan_matrices, st.sampled_from([2, 4]))
-def test_integer_matrices_give_integer_operators(a, degree):
-    op = rho_operator(a, degree) @ rho_operator(a, degree)
-    assert all(type(c) is int for img in op.images for c in img.values())
-
-
 @settings(max_examples=20)
 @given(matrices, forms(4, max_terms=8))
 def test_apply_matches_rho_and_the_running_sum(a, x):
@@ -178,15 +173,12 @@ def test_sums_and_scaling_act_blade_by_blade(a, b, x):
 
 
 def random_operator(family, degree, rng):
-    """Up to four terms per image, plain ints for the "int" family and
-    FieldScalars otherwise."""
+    """Up to four FieldScalar terms per image, drawn from the family."""
     masks = BLADES[degree]
     images = []
     for _ in masks:
-        image = {}
-        for m in rng.sample(masks, rng.randint(0, 4)):
-            x = seeded_entry[family](rng)
-            image[m] = x if family == "int" else FieldScalar.of(x)
+        image = {m: FieldScalar.of(seeded_entry[family](rng))
+                 for m in rng.sample(masks, rng.randint(0, 4))}
         images.append({m: x for m, x in image.items() if x})
     return FormOperator(degree, images)
 
@@ -209,8 +201,7 @@ def test_numerator_view_matches_the_field_scalar_path(p_family, q_family,
     assert difference @ p == old_operator_product(old_operator_sum(p, q, -1),
                                                   p)
     assert total(x) == old_operator_apply(old_operator_sum(p, q), x)
-    kind = int if p_family == q_family == "int" else FieldScalar
-    assert all(type(c) is kind for op in (product, total, difference)
+    assert all(type(c) is FieldScalar for op in (product, total, difference)
                for img in op.images for c in img.values())
 
 
@@ -242,7 +233,7 @@ def test_kernel_matches_dense_nullspace(a, degree):
     r = rho_operator(a, degree)
     for op in (r, r @ r):
         images = as_forms(op)
-        dense = linalg.nullspace(coefficient_matrix(images), ncols=len(images))
+        dense = field_nullspace(coefficient_matrix(images), len(images))
         assert [[vec.get(j, ZERO) for j in range(len(images))]
                 for vec in op.kernel()] == dense
     assert [KForm(degree, {BLADES[degree][j]: c for j, c in vec.items()})

@@ -5,8 +5,11 @@ name from the outside.  This test loads it (without editing it), installs
 it, runs one KForm wedge, one ChamberForm wedge, one chamber-ring product
 and one Maurer-Cartan d, and checks that the spans and scalar counters it
 reports saw them and that uninstalling puts every original object back.
+The suite names that perfbench/tracer.py and perfbench/run.py copy are
+read from their source with ``ast``, without importing them.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,7 +21,8 @@ from spin7lab.exterior.forms import KForm
 from spin7lab.exterior.scalars import FieldScalar
 from spin7lab.invariant.chamber import S, W, ChamberForm
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -70,3 +74,19 @@ def test_tracer_installs_counts_and_restores():
         assert summary["counts"][counter] > 0, counter
     after = _attributes(tracer_module)
     assert all(after.get(key) is obj for key, obj in before.items())
+
+
+def _module_constant(path: Path, name: str):
+    """The literal value of the top-level assignment ``name = ...``."""
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_perfbench_suite_names_are_the_harness_suites():
+    for script in ("tracer.py", "run.py"):
+        assert _module_constant(PERFBENCH / script, "SUITES") == \
+            checks.SUITE_NAMES, script
