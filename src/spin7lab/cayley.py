@@ -3,7 +3,8 @@
 Builds Ω = α²/2 + Re β from the standard complex coordinates, computes the
 21-dimensional annihilator {A : ρ(A)Ω = 0} by exact elimination, realizes
 the decomposition Λ⁴ = Λ⁴₁ ⊕ Λ⁴₇ ⊕ Λ⁴₂₇ ⊕ Λ⁴₃₅ through four exact
-projectors, and provides the degeneracy cube (u⌟v⌟a)³ together with the
+projectors (p1, p7 and p35 in closed form, p27 the remainder, with no
+elimination), and provides the degeneracy cube (u⌟v⌟a)³ together with the
 rank-one perturbation Ω + t·v♭∧(w⌟Ω).
 
 The projectors are FormOperators (exterior.forms): one {mask: coefficient}
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exterior import linalg
 from .exterior.blades import BLADES
 from .exterior.forms import (FormOperator, KForm, Vector, _combine,
                              _pair_contracted, _wedged, contract, hodge_star,
@@ -120,6 +120,13 @@ def image_dimension(generators: Sequence[Endo]) -> int:
 
 @lru_cache(maxsize=1)
 def projectors() -> DecompositionProjectors:
+    """p1 = Ω⟨Ω, ·⟩/|Ω|², p35 = (1 − ∗)/2, p7 by Schur's lemma and p27 the
+    remainder, with no elimination.  The 28 images T_ij = ρ(E_ij − E_ji)Ω
+    of ``so8_basis()`` come from a basis of so(8) that is orthogonal, with
+    equal norms, for the Ad-invariant trace form, so M = Σ T_ij⟨T_ij, ·⟩ is
+    Spin(7)-equivariant; its image Λ⁴₇ = ρ(so(8))Ω is irreducible, so
+    M = μ·p7 with μ = tr M/7 = Σ|T_ij|²/7 = 224/7 = 32.  The checks
+    ``projector-ranks`` and ``resolution-of-identity`` check the result."""
     omega = build_omega().omega
     blades = [KForm(4, {m: ONE}) for m in BLADES[4]]
     norm_inv = inner(omega, omega).inverse()
@@ -130,18 +137,10 @@ def projectors() -> DecompositionProjectors:
     half = FieldScalar(Q(1, 2))
     p35 = FormOperator.of_forms(4, [half * (b - hodge_star(b)) for b in blades])
 
-    # Λ⁴₇ = ρ(so(8))Ω: keep the 7 images at pivot columns as a basis, then
-    # project orthogonally via the exact Gram normal equations.
-    images = [rho(a, omega) for a in so8_basis()]
-    span = [images[j] for j in FormOperator.of_forms(4, images).pivots()]
-    span_op = FormOperator.of_forms(4, span)
-    gram_inv = linalg.invert([[inner(a, b) for b in span] for a in span])
-    images7 = []
-    for b in blades:
-        rhs = [inner(g, b) for g in span]
-        images7.append(span_op.image(
-            [sum((x * y for x, y in zip(row, rhs)), ZERO) for row in gram_inv]))
-    p7 = FormOperator.of_forms(4, images7)
+    images = [dict(rho(a, omega).mask_items()) for a in so8_basis()]
+    mu_inv = 7 / sum((c * c for t in images for c in t.values()), ZERO)
+    p7 = FormOperator(4, [_combine((t, mu_inv * t[m]) for t in images
+                                   if m in t) for m in BLADES[4]])
 
     p27 = FormOperator.identity(4) - p1 - p7 - p35
     return DecompositionProjectors(p1=p1, p7=p7, p27=p27, p35=p35)

@@ -22,9 +22,9 @@ composing and adding operators, like contracting by a vector, sum every
 contribution into one accumulator per output blade, on the numerator
 view of the FieldScalar images (``scalars.to_numerators``, taken once per
 operator): ints over one denominator for rational images, FieldScalars
-over 1 with a surd.  Pivots, ranks and kernels hand ``linalg`` one sparse
-{column: coefficient} row per occurring blade, in mask order, and reduce
-it over Q only.
+over 1 with a surd.  Its rank and kernel are all it asks of elimination:
+both hand ``linalg`` one sparse {column: coefficient} row per occurring
+blade, in mask order, and reduce it over Q only.
 """
 
 from __future__ import annotations
@@ -192,6 +192,9 @@ class Form:
         return wedge(self, other)
 
     __xor__ = wedge
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_record()})"
 
 
 # -- the engine: public functions, written once for every Form ----------------
@@ -398,17 +401,6 @@ class KForm(Form):
             return ZERO
         return sign * self._terms.get(mask, ZERO)
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for indices, c in self.terms():
-            blade = "e^{" + "".join(map(str, indices)) + "}" if indices else "1"
-            bits.append(f"({c})*{blade}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
     def to_record(self) -> dict:
         """JSON-ready record: the sorted terms, rationals as strings."""
         return {
@@ -468,6 +460,7 @@ class FormOperator:
     their numerator view, computed on first use: int numerators over one
     denominator when all are rational, the FieldScalars over 1 when one has
     a surd.  Results are divided once per coefficient into FieldScalars.
+    Of elimination it has ``rank`` and ``kernel`` only, both over Q.
     """
 
     __slots__ = ("degree", "images", "_view")
@@ -489,11 +482,6 @@ class FormOperator:
     @staticmethod
     def zero(degree: int) -> "FormOperator":
         return FormOperator(degree, [{}] * len(BLADES[degree]))
-
-    def image(self, coords: Sequence) -> KForm:
-        """The image of the domain vector with these coordinates."""
-        return KForm(self.degree, _combine((img, c) for img, c
-                                           in zip(self.images, coords) if c))
 
     def _numerators(self) -> tuple[int, list]:
         """(den, numerator images)."""
@@ -553,12 +541,8 @@ class FormOperator:
                 rows.setdefault(m, {})[j] = c
         return [rows[m] for m in sorted(rows)]
 
-    def pivots(self) -> list[int]:
-        """The positions j whose image is not a combination of earlier ones."""
-        return sorted(linalg._integer_rref(linalg._int_rows(self._rows())))
-
     def rank(self) -> int:
-        return len(self.pivots())
+        return linalg.rank(self._rows())
 
     def kernel(self) -> list[dict[int, FieldScalar]]:
         """Canonical kernel basis as sparse coordinate vectors, one per free

@@ -10,8 +10,9 @@ cross-multiplying, p/g times it minus f/g times the basis row with pivot
 p, where f is its own entry and g = gcd(p, f), and every result is
 divided by its content (the gcd of its entries).  Each division is
 therefore exact, and no field inversion happens.  ``rank`` counts the
-pivots of that basis; only ``echelon`` takes it back to FieldScalar, one
-reduced fraction per nonzero entry of the RREF.
+pivots of that basis; only ``echelon``, which ``liealg.normalizer``
+uses, takes it back to FieldScalar, one reduced fraction per nonzero
+entry of the RREF.  No matrix is inverted.
 
 ``integer_nullspace`` builds every kernel basis: it takes sparse integer
 rows (the rows of ρ(A)² in the classifier) straight to the integer
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, FieldScalar, from_numerators, to_numerators
+from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
 
-__all__ = ["echelon", "rank", "nullspace", "integer_nullspace", "invert"]
+__all__ = ["echelon", "rank", "nullspace", "integer_nullspace"]
 
 Matrix = list[list[FieldScalar]]
 SparseRow = dict[int, int]
@@ -157,15 +158,3 @@ def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
                                             for c, x, p in column}}))
     return out
 
-
-def invert(rows: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises on singular input."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = echelon(aug)
-    if pivots[:n] != list(range(n)) or len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]

@@ -234,27 +234,11 @@ class FieldScalar:
         return "FieldScalar({}, {}, {}, {})".format(*self.quadruple())
 
     def __str__(self):
-        if not (self._b or self._c or self._d):  # as str(Q) prints it
-            return str(self._a) if self._den == 1 else f"{self._a}/{self._den}"
-        pieces = []
-        for coeff, tag in zip(self.quadruple(), ("", "sqrt2", "sqrt3", "sqrt6")):
-            if not coeff:
-                continue
-            if not tag:
-                body = str(coeff)
-            elif coeff == 1:
-                body = tag
-            elif coeff == -1:
-                body = "-" + tag
-            else:
-                body = f"{coeff}*{tag}"
-            if pieces and not body.startswith("-"):
-                pieces.append("+ " + body)
-            elif pieces:
-                pieces.append("- " + body[1:])
-            else:
-                pieces.append(body)
-        return " ".join(pieces)
+        """A rational as ``str(Q)`` prints it, which the reports read; a
+        surd as its repr."""
+        if self._b or self._c or self._d:
+            return repr(self)
+        return str(self._a) if self._den == 1 else f"{self._a}/{self._den}"
 
 
 def to_numerators(maps) -> tuple[int, list[dict]]:

@@ -353,17 +353,6 @@ class ChamberForm(Form):
         return sorted(((_slots(m), c) for m, c in self._terms.items()),
                       key=lambda sc: sc[0])
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for slots, c in self.blades():
-            label = "^".join(COFRAME_NAMES[s] for s in slots) or "1"
-            bits.append(f"[{c}] {label}")
-        return "  +  ".join(bits)
-
-    __repr__ = __str__
-
     def to_record(self) -> dict:
         return {"degree": self.degree,
                 "terms": [{"slots": list(slots),

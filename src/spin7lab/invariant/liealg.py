@@ -16,8 +16,9 @@ basis are exposed:
 Both frames take their structure constants from one table c_ij^k built on
 Python ints for the unscaled basis e_i, whose brackets an exactness guard
 rebuilds from their nonzero coordinates; the frame of generators s_i·e_i
-has the constants c_ij^k·s_i·s_j/s_k.  The frame exposes the bracket, the
-Killing form, and infinitesimal normalizers of subalgebras.
+has the constants c_ij^k·s_i·s_j/s_k.  A frame holds only those constants
+(``chamber.COFRAME_NAMES[1:]`` names the generators) and gives the
+bracket, the Killing form, and infinitesimal normalizers of subalgebras.
 """
 
 from __future__ import annotations
@@ -137,28 +138,23 @@ class QuatMat2:
 
 
 # 1/sqrt(12) = sqrt3/6 and 1/sqrt(24) = sqrt6/12, exactly in the field
-GENERATOR_NAMES = ("A1", "A2", "A3", "A4", "A5", "A6", "X1", "X2", "X3", "X4")
-
 _CONNECTION_SCALES = (FieldScalar(1), FieldScalar("1/2"))
 _ORTHONORMAL_SCALES = (FieldScalar(0, 0, Q(1, 6), 0),     # sqrt(3)/6 = 1/sqrt(12)
                        FieldScalar(0, 0, 0, Q(1, 12)))    # sqrt(6)/12 = 1/sqrt(24)
 
 
-def _basis_matrices(a_scale, x_scale) -> tuple[QuatMat2, ...]:
+def _basis_matrices() -> tuple[QuatMat2, ...]:
+    """The unscaled int basis e_1..e_10: A1..A6 the imaginary units on the
+    diagonal, X1..X4 the off-diagonal i, j, k and 1."""
     diag = lambda p, q: QuatMat2(p, _ZERO_Q, _ZERO_Q, q)
     off = lambda q: QuatMat2(_ZERO_Q, q, -q.conjugate(), _ZERO_Q)
-    return (
-        a_scale * diag(_I, _ZERO_Q), a_scale * diag(_J, _ZERO_Q),
-        a_scale * diag(_K, _ZERO_Q), a_scale * diag(_ZERO_Q, _I),
-        a_scale * diag(_ZERO_Q, _J), a_scale * diag(_ZERO_Q, _K),
-        x_scale * off(_I), x_scale * off(_J), x_scale * off(_K),
-        x_scale * off(_ONE_Q),
-    )
+    return (diag(_I, _ZERO_Q), diag(_J, _ZERO_Q), diag(_K, _ZERO_Q),
+            diag(_ZERO_Q, _I), diag(_ZERO_Q, _J), diag(_ZERO_Q, _K),
+            off(_I), off(_J), off(_K), off(_ONE_Q))
 
 
 def _decompose(m: QuatMat2) -> tuple:
-    """Coordinates of an anti-Hermitian matrix in the unscaled basis
-    ``_basis_matrices(1, 1)``."""
+    """Coordinates of an anti-Hermitian matrix in ``_basis_matrices()``."""
     if m.a.w or m.d.w:
         raise ValueError("diagonal entries must be imaginary")
     return (m.a.x, m.a.y, m.a.z, m.d.x, m.d.y, m.d.z,
@@ -167,10 +163,9 @@ def _decompose(m: QuatMat2) -> tuple:
 
 @dataclass(frozen=True)
 class LieFrame:
-    """Ten named generators with exact structure constants c[i][j][k]."""
+    """The exact structure constants c[i][j][k] of ten generators, named by
+    ``chamber.COFRAME_NAMES[1:]``; a frame holds nothing else."""
 
-    names: tuple[str, ...]
-    matrices: tuple[QuatMat2, ...]
     structure: tuple[tuple[tuple[FieldScalar, ...], ...], ...]
 
     def bracket_coords(self, x: Sequence[FieldScalar],
@@ -197,19 +192,18 @@ class LieFrame:
         return _maurer_cartan_table(self)
 
     def with_structure(self, structure) -> "LieFrame":
-        """Same frame with replaced structure constants (fault injection)."""
-        return LieFrame(names=self.names, matrices=self.matrices,
-                        structure=structure)
+        """A frame with replaced structure constants (fault injection)."""
+        return LieFrame(structure=structure)
 
 
 def _frame_from_scales(a_scale: FieldScalar, x_scale: FieldScalar) -> LieFrame:
     """The frame of generators s_i·e_i, s_i = a_scale for A1..A6 and
     x_scale for X1..X4.  The table [e_i, e_j] = Σ c_ij^k e_k is built once
-    on the unscaled integer basis ``_basis_matrices(1, 1)``; the exactness
+    on the unscaled integer basis ``_basis_matrices()``; the exactness
     guard rebuilds each bracket from its nonzero int coordinates and raises
     ArithmeticError if it does not close; each nonzero constant is scaled
     once, by s_i·s_j/s_k, into a FieldScalar."""
-    basis = _basis_matrices(1, 1)
+    basis = _basis_matrices()
     scales = (a_scale,) * 6 + (x_scale,) * 4
     inverses = (a_scale.inverse(),) * 6 + (x_scale.inverse(),) * 4
     structure = [[[ZERO] * N_GENERATORS for _ in basis] for _ in basis]
@@ -223,9 +217,7 @@ def _frame_from_scales(a_scale: FieldScalar, x_scale: FieldScalar) -> LieFrame:
                     structure[i][j][k] = scales[i] * scales[j] * inverses[k] * c
             if rebuilt != br:
                 raise ArithmeticError("bracket does not close in the basis")
-    return LieFrame(names=GENERATOR_NAMES,
-                    matrices=_basis_matrices(a_scale, x_scale),
-                    structure=tuple(tuple(map(tuple, p)) for p in structure))
+    return LieFrame(structure=tuple(tuple(map(tuple, p)) for p in structure))
 
 
 @lru_cache(maxsize=1)

@@ -2,12 +2,13 @@
 
 from math import factorial, gcd
 
+from spin7lab.cayley import build_omega, so8_basis
 from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM,
                                      contract_sign, wedge_sign)
-from spin7lab.exterior.endo import Endo, _columns, _rho_images
+from spin7lab.exterior.endo import Endo, _columns, _rho_images, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, _combine,
-                                     contract, wedge)
+                                     contract, inner, wedge)
 from spin7lab.exterior.scalars import (ONE, ZERO, FieldScalar, Q,
                                        from_numerators, to_numerators)
 from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
@@ -15,9 +16,9 @@ from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                metric_lie_derivative,
                                                proposition_display)
 from spin7lab.invariant.chamber import ChamberForm, ChamberScalar
-from spin7lab.invariant.liealg import (GENERATOR_NAMES, N_GENERATORS,
-                                       LieFrame, QuatMat2, _ZERO_Q,
-                                       _basis_matrices, build_lie_frame)
+from spin7lab.invariant.liealg import (N_GENERATORS, LieFrame, QuatMat2,
+                                       _ZERO_Q, _basis_matrices,
+                                       build_lie_frame)
 from spin7lab.sampling import random_unimodular
 
 
@@ -141,6 +142,32 @@ def field_rref(rows):
     return m[:r], pivots
 
 
+def gram_p7():
+    """The projector onto Λ⁴₇ = ρ(so(8))Ω by elimination in the field: the
+    images ρ(A)Ω of ``so8_basis()`` at the pivots of ``field_rref`` span
+    Λ⁴₇, and each blade goes to its orthogonal projection onto that span,
+    by the Gram normal equations with the inverse Gram matrix read off
+    ``field_rref`` of [G | I]."""
+    omega = build_omega().omega
+    images = [rho(a, omega) for a in so8_basis()]
+    span = [images[j] for j in field_rref(coefficient_matrix(images))[1]]
+    n = len(span)
+    reduced, pivots = field_rref(
+        [[inner(a, b) for b in span] + [ONE if i == j else ZERO
+                                        for j in range(n)]
+         for i, a in enumerate(span)])
+    assert pivots == list(range(n)), "the Gram matrix is invertible"
+    gram_inv = [row[n:] for row in reduced]
+    out = []
+    for m in BLADES[4]:
+        rhs = [inner(g, KForm(4, {m: ONE})) for g in span]
+        coords = [sum((x * y for x, y in zip(row, rhs)), ZERO)
+                  for row in gram_inv]
+        out.append(_combine((dict(g.mask_items()), c)
+                            for g, c in zip(span, coords) if c))
+    return FormOperator(4, out)
+
+
 def field_nullspace(rows, ncols):
     """The kernel basis from ``field_rref``: one vector per free column f,
     in order, with 1 in f and minus the RREF entries of column f in the
@@ -208,10 +235,13 @@ def is_anti_hermitian(m):
 
 
 def old_frame_from_scales(a_scale, x_scale):
-    """The sp(2) frame as it was built on FieldScalar quaternions: every
-    bracket of the scaled basis decomposed with the inverse scales and
-    rebuilt from all ten scaled matrices as the exactness guard."""
-    mats = _basis_matrices(a_scale, x_scale)
+    """The sp(2) frame as it was built on FieldScalar quaternions, and its
+    ten scaled matrices: every bracket of the basis ``_basis_matrices()``
+    scaled by a_scale (A1..A6) and x_scale (X1..X4) decomposed with the
+    inverse scales and rebuilt from all ten scaled matrices as the
+    exactness guard.  Returns (matrices, frame)."""
+    mats = tuple(s * m for s, m in zip((a_scale,) * 6 + (x_scale,) * 4,
+                                       _basis_matrices()))
     a_inv, x_inv = a_scale.inverse(), x_scale.inverse()
     structure = []
     for mi in mats:
@@ -231,8 +261,7 @@ def old_frame_from_scales(a_scale, x_scale):
                 raise ArithmeticError("bracket does not close in the basis")
             row.append(coords)
         structure.append(tuple(row))
-    return LieFrame(names=GENERATOR_NAMES, matrices=mats,
-                    structure=tuple(structure))
+    return mats, LieFrame(structure=tuple(structure))
 
 
 def mutated_frame(entries):

@@ -17,6 +17,7 @@ from spin7lab.cayley import (DecompositionProjectors, FormOperator,
                              pair_contraction_cube, perturb_rank_one,
                              projectors, skew_perturbation, sl8_basis,
                              so8_basis, stabilizer_algebra)
+from spin7lab.exterior import linalg
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import (KForm, Vector, contract, hodge_star,
                                      inner, wedge)
@@ -25,7 +26,7 @@ from spin7lab.exterior.scalars import FieldScalar, Q
 from spin7lab.sampling import (random_form, random_orthogonal_pair,
                                random_rank_one_nilpotent)
 
-from _oracles import (commutator, count_calls, flatten, is_skew,
+from _oracles import (commutator, count_calls, flatten, gram_p7, is_skew,
                       old_pair_contraction_cube, trace)
 from _strategies import coefficient_families, mixed_forms
 
@@ -181,6 +182,23 @@ def test_projector_images_are_inner_orthogonal():
         for j, oj in enumerate(other):
             if i != j:
                 assert inner(bi, oj) == FieldScalar(0)
+
+
+def test_p7_is_the_gram_projection_and_is_built_without_elimination(
+        monkeypatch):
+    # Schur's lemma gives p7 as Σ T⟨T, ·⟩/32 over the 28 images T of
+    # so8_basis(); the oracle projects orthogonally onto their span by the
+    # Gram normal equations, eliminating in the field only
+    def refused(*args, **kwargs):
+        raise AssertionError("projectors() reached linalg")
+
+    for name in (*linalg.__all__, "_integer_rref"):
+        monkeypatch.setattr(linalg, name, refused)
+    built = projectors.__wrapped__()
+    assert built.p7 == gram_p7()
+    monkeypatch.undo()
+    assert built.p7 == projectors().p7
+    assert built.ranks() == (1, 7, 27, 35)
 
 
 def test_p7_image_is_rho_of_skew():

@@ -254,20 +254,24 @@ def test_metric_positivity_failure_carries_the_metric_as_witness(monkeypatch):
     assert witness["entries"][0]["names"] == ["ds", "ds"]
 
 
+_EMPTY_NULLSPACE = ("ValueError: nullspace of an empty matrix needs an "
+                    "explicit width")
+
+
 def test_raising_check_says_where(monkeypatch):
     from spin7lab.exterior import linalg
-    from spin7lab.exterior.scalars import ZERO
 
     # every decomposition check builds the projectors; make that raise
-    monkeypatch.setattr(checks, "projectors", lambda: linalg.invert([[ZERO]]))
-    lines, first = inspect.getsourcelines(linalg.invert)
+    monkeypatch.setattr(checks, "projectors", lambda: linalg.nullspace([]))
+    lines, first = inspect.getsourcelines(linalg.nullspace)
     raise_line = first + next(i for i, line in enumerate(lines)
-                              if "matrix is singular" in line)
+                              if "needs an explicit width" in line)
     results = run_suite("decomposition", seed=0)
     assert results and not any(r.passed for r in results)
     for r in results:
-        assert r.detail["error"] == "ValueError: matrix is singular"
-        assert r.detail["where"] == f"exterior/linalg.py:{raise_line} in invert"
+        assert r.detail["error"] == _EMPTY_NULLSPACE
+        assert r.detail["where"] == \
+            f"exterior/linalg.py:{raise_line} in nullspace"
 
 
 _REPORT_CHECKS = ("admissible-set", "exclusion-certificates",
@@ -295,18 +299,17 @@ def test_classify_suite_builds_its_report_once(monkeypatch):
 
 def test_failed_report_build_fails_each_check_where_raised(monkeypatch):
     from spin7lab.exterior import linalg
-    from spin7lab.exterior.scalars import ZERO
 
-    calls = _count_reports(monkeypatch, lambda **_: linalg.invert([[ZERO]]))
-    lines, first = inspect.getsourcelines(linalg.invert)
+    calls = _count_reports(monkeypatch, lambda **_: linalg.nullspace([]))
+    lines, first = inspect.getsourcelines(linalg.nullspace)
     raise_line = first + next(i for i, line in enumerate(lines)
-                              if "matrix is singular" in line)
+                              if "needs an explicit width" in line)
     results = {r.name: r for r in run_suite("classify", seed=0)}
     for name in _REPORT_CHECKS:
         assert not results[name].passed
         assert results[name].detail == {
-            "error": "ValueError: matrix is singular",
-            "where": f"exterior/linalg.py:{raise_line} in invert"}
+            "error": _EMPTY_NULLSPACE,
+            "where": f"exterior/linalg.py:{raise_line} in nullspace"}
     assert calls == [len(_REPORT_CHECKS)]  # a failed build is not reused
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from spin7lab.exterior.scalars import ONE, SQRT3, SQRT6, ZERO, FieldScalar, Q
 from spin7lab.invariant import liealg
-from spin7lab.invariant.liealg import (GENERATOR_NAMES, SP1_MINUS, SP1_PLUS,
+from spin7lab.invariant.chamber import COFRAME_NAMES
+from spin7lab.invariant.liealg import (SP1_MINUS, SP1_PLUS,
                                        LieFrame, Quaternion, QuatMat2,
                                        build_lie_frame,
                                        build_orthonormal_frame,
@@ -24,6 +25,7 @@ from _oracles import (count_calls, is_anti_hermitian, mutated_frame,
 
 SCALES = {"connection": liealg._CONNECTION_SCALES,
           "orthonormal": liealg._ORTHONORMAL_SCALES}
+GENERATOR_NAMES = COFRAME_NAMES[1:]     # A1..A6, X1..X4
 
 
 ENTRY_TYPES = (int, FieldScalar.of)   # Quaternion parts as ints or FieldScalars
@@ -84,18 +86,17 @@ def test_int_and_field_quaternions_are_equal_and_hash_alike():
 # -- the two frames ------------------------------------------------------------
 
 def test_frame_generators_are_anti_hermitian():
-    for frame in (build_lie_frame(), build_orthonormal_frame()):
-        assert frame.names == GENERATOR_NAMES
-        for m in frame.matrices:
+    for scales in SCALES.values():
+        matrices, _frame = old_frame_from_scales(*scales)
+        assert len(matrices) == len(GENERATOR_NAMES) == 10
+        for m in matrices:
             assert is_anti_hermitian(m)
 
 
 @pytest.mark.parametrize("name", sorted(SCALES))
 def test_frames_equal_the_field_scalar_oracle(name):
     frame = liealg._frame_from_scales(*SCALES[name])
-    old = old_frame_from_scales(*SCALES[name])
-    assert frame.names == old.names
-    assert frame.matrices == old.matrices
+    _matrices, old = old_frame_from_scales(*SCALES[name])
     constants = [c for plane in frame.structure for row in plane for c in row]
     expected = [c for plane in old.structure for row in plane for c in row]
     assert len(constants) == 1000 and constants == expected
@@ -203,14 +204,18 @@ def test_killing_form_is_ad_invariant():
 
 
 def test_frames_differ_by_block_rescale():
+    # generator i of the orthonormal frame is r_i times generator i of the
+    # connection frame, so c'_ij^k = c_ij^k·r_i·r_j/r_k
     conn = build_lie_frame()
     orth = build_orthonormal_frame()
     a_ratio = FieldScalar(0, 0, Q(1, 6), 0)       # sqrt3/6 over 1
     x_ratio = FieldScalar(0, 0, 0, Q(1, 6))       # sqrt6/12 over 1/2
-    for i in range(6):
-        assert orth.matrices[i] == a_ratio * conn.matrices[i]
-    for i in range(6, 10):
-        assert orth.matrices[i] == x_ratio * conn.matrices[i]
+    r = (a_ratio,) * 6 + (x_ratio,) * 4
+    for i in range(10):
+        for j in range(10):
+            for k in range(10):
+                assert orth.structure[i][j][k] == \
+                    conn.structure[i][j][k] * r[i] * r[j] / r[k]
 
 
 # -- subalgebras and the normalizer ----------------------------------------------

@@ -16,8 +16,7 @@ from spin7lab.classify import jordan_type_of
 from spin7lab.exterior import linalg
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior.forms import FormOperator
-from spin7lab.exterior.linalg import (echelon, integer_nullspace, invert,
-                                      nullspace, rank)
+from spin7lab.exterior.linalg import echelon, integer_nullspace, nullspace, rank
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, ZERO, FieldScalar,
                                        Q, to_numerators)
 
@@ -83,7 +82,7 @@ def test_irrational_pivots():
     # are refused, as elimination runs over Q, though [[1, sqrt2], [sqrt3, 1]]
     # is invertible over Q(sqrt2, sqrt3)
     m = [[ONE, SQRT2], [SQRT3, ONE]]
-    for eliminate in (echelon, rank, nullspace, invert):
+    for eliminate in (echelon, rank, nullspace):
         with pytest.raises(ValueError, match="surd"):
             eliminate(m)
     nilpotent = SQRT2 * Endo.unit(1, 2)
@@ -92,13 +91,6 @@ def test_irrational_pivots():
                       operator.rank, operator.kernel):
         with pytest.raises(ValueError, match="surd"):
             eliminate()
-
-
-def test_singular_inversion_raises():
-    with pytest.raises(ValueError):
-        invert(fs_matrix([[1, 2], [2, 4]]))
-    with pytest.raises(ValueError):
-        invert(fs_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_solve_unique_system():
@@ -233,8 +225,12 @@ def test_rational_elimination_never_inverts(monkeypatch):
     calls = _count_inverses(monkeypatch)
     m = fs_matrix([[Q(1, 2), Q(-3, 4), 5], [2, Q(7, 3), 0], [Q(5, 6), 1, Q(1, 9)]])
     assert len(nullspace(m + [m[0]])) == 0
-    inv = invert(m)
-    assert mat_mul(m, inv) == fs_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # the inverse from the RREF of [m | I]
+    identity = fs_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    red, pivots = echelon([row + unit for row, unit in zip(m, identity)])
+    assert pivots == [0, 1, 2]
+    inv = [row[3:] for row in red]
+    assert mat_mul(m, inv) == identity
     assert solve(m, [ONE, ZERO, ONE]) == mat_vec(inv, [ONE, ZERO, ONE])
     assert calls == [0]
 
@@ -248,7 +244,7 @@ def test_surd_matrix_with_integer_rows_takes_the_field_path(monkeypatch):
     m = [[one, two, FieldScalar(3)],
          [SQRT2, two * SQRT2, FieldScalar(3) * SQRT2 + one],
          [two, FieldScalar(4), FieldScalar(7)]]
-    for eliminate in (echelon, rank, nullspace, invert):
+    for eliminate in (echelon, rank, nullspace):
         with pytest.raises(ValueError, match="surd"):
             eliminate(m)
     assert calls == [0]

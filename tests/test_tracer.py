@@ -5,12 +5,18 @@ name from the outside.  This test loads it (without editing it), installs
 it, runs one KForm wedge, one ChamberForm wedge, one chamber-ring product
 and one Maurer-Cartan d, and checks that the spans and scalar counters it
 reports saw them and that uninstalling puts every original object back.
-The suite names that perfbench/tracer.py and perfbench/run.py copy are
-read from their source with ``ast``, without importing them.
+The suite names that perfbench/tracer.py and perfbench/run.py copy, and
+the modules, classes, counted methods and hooked functions the tracer
+wraps by name, are read from their source with ``ast``, without importing
+them; the wrapped names are then looked up in a fresh interpreter that has
+imported ``spin7lab.harness.cli``, as the benchmark's child does.
 """
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,14 +82,62 @@ def test_tracer_installs_counts_and_restores():
     assert all(after.get(key) is obj for key, obj in before.items())
 
 
-def _module_constant(path: Path, name: str):
-    """The literal value of the top-level assignment ``name = ...``."""
+def _module_value(path: Path, name: str) -> ast.expr:
+    """The value node of the top-level assignment ``name = ...``."""
     for node in ast.parse(path.read_text()).body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == name
                         for t in node.targets)):
-            return ast.literal_eval(node.value)
+            return node.value
     raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def _module_constant(path: Path, name: str):
+    """The literal value of the top-level assignment ``name = ...``."""
+    return ast.literal_eval(_module_value(path, name))
+
+
+# Run in a fresh interpreter: argv[1] is the JSON of the tracer's targets;
+# prints, per requirement, the targets that miss it.
+_LOOKUP = """
+import json, sys, types
+import spin7lab.harness.cli
+layers, counted, hooks = json.loads(sys.argv[1])
+targets = [t for ts in layers.values() for t in ts]
+def public_functions(modname):
+    return {name for name, obj in vars(sys.modules[modname]).items()
+            if not name.startswith("_") and callable(obj)
+            and not isinstance(obj, type)
+            and getattr(obj, "__module__", None) == modname}
+traced = set().union(*(public_functions(m) for m, cls in targets
+                       if cls is None and m in sys.modules))
+print(json.dumps({
+    "modules": [m for m, _ in targets if m not in sys.modules],
+    "classes": [[m, cls] for m, cls in targets if cls and not
+                isinstance(getattr(sys.modules.get(m), cls, None), type)],
+    "counted": [[m, cls, meth] for m, cls, meth in counted
+                if meth not in vars(getattr(sys.modules[m], cls, object))],
+    "hooks": [name for name in hooks if name not in traced]}))
+"""
+
+
+def test_tracer_targets_exist_after_importing_the_cli():
+    layers = _module_constant(TRACER_PATH, "LAYERS")
+    counted = list(_module_constant(TRACER_PATH, "COUNTED"))
+    hooks = [ast.literal_eval(key)
+             for key in _module_value(TRACER_PATH, "_HOOKS").keys]
+    assert hooks and counted and layers
+    src = Path(spin7lab.harness.cli.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOOKUP, json.dumps([layers, counted, hooks])],
+        capture_output=True, text=True, env=env, check=True)
+    missing = json.loads(proc.stdout)
+    assert missing["modules"] == [], "LAYERS modules not loaded"
+    assert missing["classes"] == [], "LAYERS classes not in their modules"
+    assert missing["counted"] == [], "COUNTED methods not in their classes"
+    assert missing["hooks"] == [], "_HOOKS keys not traced public functions"
 
 
 def test_perfbench_suite_names_are_the_harness_suites():
