@@ -10,7 +10,7 @@ import argparse
 import pathlib
 import sys
 
-from spin7lab.harness import export_form
+from spin7lab.harness.cli import export_form
 
 
 def main(argv=None):

@@ -8,7 +8,7 @@ console entry point.
 
 import sys
 
-from spin7lab.harness import main
+from spin7lab.harness.cli import main
 
 if __name__ == "__main__":
     sys.exit(main(["verify", "--format", "text", *sys.argv[1:]]))

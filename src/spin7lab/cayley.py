@@ -4,8 +4,9 @@ Builds Ω = α²/2 + Re β from the standard complex coordinates, computes the
 21-dimensional annihilator {A : ρ(A)Ω = 0} by exact elimination, realizes
 the decomposition Λ⁴ = Λ⁴₁ ⊕ Λ⁴₇ ⊕ Λ⁴₂₇ ⊕ Λ⁴₃₅ through four exact
 projectors (p1, p7 and p35 in closed form, p27 the remainder, with no
-elimination), and provides the degeneracy cube (u⌟v⌟a)³ together with the
-rank-one perturbation Ω + t·v♭∧(w⌟Ω).
+elimination), and provides the degeneracy cube (u⌟v⌟a)³, read off the
+Pfaffians of u⌟v⌟a on the 28 six-blades, together with the rank-one
+perturbation Ω + t·v♭∧(w⌟Ω).
 
 The projectors are FormOperators (exterior.forms): one {mask: coefficient}
 dict per basis 4-blade, applied and composed with one accumulator per
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exterior.blades import BLADES
+from .exterior.blades import BLADES, wedge_sign
 from .exterior.forms import (FormOperator, KForm, Vector, _combine,
-                             _pair_contracted, _wedged, contract, hodge_star,
-                             inner, wedge)
+                             _pair_contracted, contract, hodge_star, inner,
+                             wedge)
 from .exterior.endo import Endo, rho
 from .exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
                                to_numerators)
@@ -147,19 +148,58 @@ def projectors() -> DecompositionProjectors:
 
 
 def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
-    """(u⌟v⌟a)³ ∈ Λ⁶; the pair contraction is degenerate iff this vanishes.
+    """(u⌟v⌟a)³ ∈ Λ⁶ for a 4-form a; the pair contraction is degenerate
+    iff this vanishes.
 
     On one numerator view of u, v and a over den
     (``scalars.to_numerators``), q = den³·(u⌟v⌟a) is the sum of
-    u_i·v_j·e_i⌟e_j⌟a over i ≠ j, each pair contracted on masks by
-    ``forms._pair_contracted``; q is cubed with ``forms._wedged`` and
-    divided once per coefficient by den⁹."""
+    (u_i·v_j − u_j·v_i)·e_i⌟e_j⌟a over the nonzero minors i < j, each
+    pair contracted on masks by ``forms._pair_contracted``.  A 2-form
+    cubed is 3! times its Pfaffians: the coefficient of q³ on a 6-blade M
+    is 6·Pf(q|_M), the signed sum of q_a·q_b·q_c over the perfect
+    matchings {a, b, c} of M (``_matchings``), divided once by den⁹."""
+    if a.degree != 4:
+        raise ValueError("the contraction cube is taken of a 4-form")
     den, (us, vs, terms) = to_numerators(
         [u.components, v.components, dict(a.mask_items())])
-    q = _combine((_pair_contracted(1 << i, 1 << j, terms), x * y)
-                 for i, x in us.items() for j, y in vs.items() if i != j)
-    return KForm(3 * a.degree - 6, from_numerators(
-        _wedged(q, _wedged(q, q)), den ** 9))
+    minors = ((i, j, us.get(i, 0) * vs.get(j, 0) - us.get(j, 0) * vs.get(i, 0))
+              for i in range(8) for j in range(i + 1, 8))
+    q = _combine((_pair_contracted(1 << i, 1 << j, terms), w)
+                 for i, j, w in minors if w)
+    cube = {}
+    for m, matchings in _matchings():
+        total = 0
+        for sign, x, y, z in matchings:
+            if x in q and y in q and z in q:
+                term = q[x] * q[y] * q[z]
+                total = total + term if sign > 0 else total - term
+        if total:
+            cube[m] = 6 * total
+    return KForm(6, from_numerators(cube, den ** 9))
+
+
+@lru_cache(maxsize=1)
+def _matchings() -> tuple:
+    """(M, its 15 perfect matchings) for each 6-blade M, a matching as
+    (sign, a, b, c): three disjoint 2-blades with a∧b∧c = sign·e^M."""
+    return tuple((m, tuple(_pairings(m))) for m in BLADES[6])
+
+
+def _pairings(m: int):
+    """(sign, 2-blade, …) for each perfect matching of the generators of
+    m, the lowest generator paired first; sign is that of the wedge of the
+    2-blades against e^m."""
+    if not m:
+        yield (1,)
+        return
+    low = m & -m
+    rest = m ^ low
+    t = rest
+    while t:
+        b = t & -t
+        t ^= b
+        for sign, *pairs in _pairings(rest ^ b):
+            yield (sign * wedge_sign(low | b, rest ^ b), low | b, *pairs)
 
 
 def perturb_rank_one(v: Vector, w: Vector, t) -> KForm:

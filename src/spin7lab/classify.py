@@ -119,11 +119,13 @@ def representative(diagram: YoungDiagram) -> JordanRepresentative:
 
 def jordan_type_of(a: Endo) -> YoungDiagram:
     """Recover the partition from the ranks of A, A², … up to the first
-    zero power; A^8 ≠ 0 means A is not nilpotent.  A is read as int rows
-    by the guard of ``linalg.echelon`` (ValueError on a surd entry); the
-    powers are products of those rows and each rank is the size of their
-    integer Gauss–Jordan basis (``linalg._integer_rref``)."""
-    rows = linalg._int_rows(a.rows)
+    zero power; A^8 ≠ 0 means A is not nilpotent.  A's numerator view is
+    read as int rows by the guard of ``linalg.echelon`` (ValueError on a
+    surd entry), so a product such as g·A·g⁻¹ is never divided into
+    FieldScalars; the powers are products of those rows and each rank is
+    the size of their integer Gauss–Jordan basis
+    (``linalg._integer_rref``)."""
+    rows = linalg._int_rows(a._numerators())
     ranks = [DIM]
     power = rows
     while any(power):

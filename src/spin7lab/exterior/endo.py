@@ -4,15 +4,22 @@ An Endo is an 8x8 exact matrix acting on covectors: entry (i, j) is the
 coefficient of e^i in the image of e^j.  Two extensions to Λ^k matter here:
 
 * ``rho(A, a)`` — the derivation (Lie-algebra) action, replacing one slot
-  at a time; ``_rho_images`` builds it on the basis blades from the
-  nonzero entries of A, for ``rho`` and for the classifier's ρ(A)²;
+  at a time: each generator p of each blade is walked down column p of A
+  into one accumulator (``_rho_terms``);
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 
-``@``, ``rho``, ``pullback`` and ``exp_nilpotent`` sum and multiply on the
-numerator view of their inputs (``scalars.to_numerators``) and divide once
-per output entry.  Results skip the public constructor's coercion.
+The numerator view.  ``@``, scaling, ``rho``, ``pullback``,
+``exp_nilpotent`` and the classifier's ``jordan_type_of`` sum and multiply
+on the numerator view of a matrix (``scalars.to_numerators``: sparse int
+rows over one denominator, or the FieldScalars over 1 with a surd) and
+divide once per output entry.  An Endo that ``@``, scaling or
+``exp_nilpotent`` builds from int numerators keeps them as its view, not
+always in lowest terms, and divides them into its FieldScalar ``rows``
+only when those are read; so a chain such as ``pullback(exp_nilpotent(t *
+a), Ω)`` stays on ints from A to the 70 output coefficients.  Surd
+results are divided at once, so a kept view is an int view.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from math import factorial
 from . import linalg
 from .blades import DIM
 from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
-from .forms import Covector, KForm, Vector, _combine, _pulled_back
+from .forms import Covector, KForm, Vector, _combine, _pruned, _pulled_back
 
 __all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
 
@@ -30,13 +37,28 @@ __all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
 class Endo:
     """An exact linear map on covectors; rows[i][j] = ⟨e^i | A e^j⟩."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows", "_view")
 
     def __init__(self, rows):
         rs = tuple(tuple(FieldScalar.of(x) for x in row) for row in rows)
         if len(rs) != DIM or any(len(r) != DIM for r in rs):
             raise ValueError(f"need an {DIM}x{DIM} matrix")
-        self.rows = rs
+        self._rows = rs
+        self._view = None
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as eight tuples of eight FieldScalars; divided out of
+        the numerator view on first read by an Endo built from one."""
+        if self._rows is None:
+            self._rows = _divided(*self._view)
+        return self._rows
+
+    def _numerators(self) -> tuple[int, list[dict]]:
+        """(den, sparse {column: numerator} rows), kept once computed."""
+        if self._view is None:
+            self._view = to_numerators(self._rows)
+        return self._view
 
     # -- construction ---------------------------------------------------
 
@@ -79,18 +101,22 @@ class Endo:
         return _trusted([-a for a in r] for r in self.rows)
 
     def __rmul__(self, scalar) -> "Endo":
-        s = FieldScalar.of(scalar)
-        return _trusted([s * a for a in r] for r in self.rows)
+        """s·A on the numerator views of s and A."""
+        den_s, (s,) = to_numerators([(FieldScalar.of(scalar),)])
+        n = s.get(0)
+        den, rows = self._numerators()
+        return _of_numerators([{k: n * x for k, x in row.items()} if n else {}
+                               for row in rows], den * den_s)
 
     __mul__ = __rmul__
 
     def __matmul__(self, other: "Endo") -> "Endo":
-        """The product of the numerator views of the factors, each entry
-        divided once by den_a·den_b."""
+        """The product of the numerator views of the factors, over
+        den_a·den_b."""
         if not isinstance(other, Endo):
             return NotImplemented
-        den_a, left = to_numerators(self.rows)
-        den_b, right = to_numerators(other.rows)
+        den_a, left = self._numerators()
+        den_b, right = other._numerators()
         return _of_numerators(_product(left, right), den_a * den_b)
 
     def __eq__(self, other):
@@ -100,7 +126,7 @@ class Endo:
         return hash(self.rows)
 
     def __bool__(self):
-        return any(any(row) for row in self.rows)
+        return any(self._numerators()[1])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -119,14 +145,28 @@ class Endo:
 def _trusted(rows) -> Endo:
     """An Endo of eight rows of eight FieldScalars, taken as they are."""
     e = object.__new__(Endo)
-    e.rows = tuple(map(tuple, rows))
+    e._rows = tuple(map(tuple, rows))
+    e._view = None
     return e
 
 
-def _of_numerators(rows, den: int) -> Endo:
-    """The Endo of sparse {column: numerator} rows over den."""
-    return _trusted((row.get(k, ZERO) for k in range(DIM))
-                    for row in (from_numerators(r, den) for r in rows))
+def _of_numerators(rows: list[dict], den: int) -> Endo:
+    """The Endo of sparse {column: numerator} rows over den.  Int numerators
+    are kept as its view; FieldScalar ones (a surd view, whose quotients may
+    all be rational) are divided at once, so that a kept view is an int
+    view exactly when the entries are rational, as ``linalg._int_rows``
+    assumes."""
+    if type(next((x for row in rows for x in row.values()), 0)) is not int:
+        return _trusted(_divided(den, rows))
+    e = object.__new__(Endo)
+    e._rows, e._view = None, (den, rows)
+    return e
+
+
+def _divided(den: int, rows: list[dict]) -> tuple:
+    """The FieldScalar rows of sparse {column: numerator} rows over den."""
+    return tuple(tuple(row.get(k, ZERO) for k in range(DIM))
+                 for row in (from_numerators(r, den) for r in rows))
 
 
 def _product(rows_a, rows_b) -> list[dict]:
@@ -144,31 +184,42 @@ def _columns(rows) -> list[dict]:
     return columns
 
 
-def _rho_images(columns, masks) -> list[dict]:
-    """ρ(A)e^m for each blade m of ``masks``, from the nonzero entries a_ip
-    of A: a blade with e^p, and without e^i unless i = p, sends a_ip to
-    m ^ p | i, negated if m has an odd number of generators strictly
-    between i and p.  Diagonal entries may sum to zero coefficients."""
-    images = [{} for _ in masks]
+def _rho_terms(terms: dict, columns: list[dict]) -> dict:
+    """ρ(A) of a term map, blade by blade and slot by slot: generator p of
+    blade m is walked down column p of A, and a_ip·c goes to m ^ p | i,
+    negated if m has an odd number of generators strictly between i and p,
+    and dropped if m holds i ≠ p.  Diagonal entries may sum to zero, which
+    is pruned."""
+    slots = []
     for p, column in enumerate(columns):
         bit_p = 1 << p
-        for bit_i, entry in column.items():
-            both, negated = bit_p | bit_i, -entry
-            between = (abs(bit_i - bit_p) - min(bit_i, bit_p)
-                       if bit_i != bit_p else 0)
-            for image, m in zip(images, masks):
-                if (m & both) == bit_p:
-                    key = m ^ bit_p | bit_i
-                    image[key] = image.get(key, 0) + (
-                        negated if (m & between).bit_count() & 1 else entry)
-    return images
+        slots.append([(0, 0, 0, x) if bit_i == bit_p else
+                      (bit_i, bit_i | bit_p,
+                       abs(bit_i - bit_p) - min(bit_i, bit_p), x)
+                      for bit_i, x in column.items()])
+    acc: dict = {}
+    for m, c in terms.items():
+        t = m
+        while t:
+            bit = t & -t
+            t ^= bit
+            for blocked, swap, between, x in slots[bit.bit_length() - 1]:
+                if m & blocked:
+                    continue
+                key = m ^ swap
+                prev = acc.get(key)
+                if (m & between).bit_count() & 1:
+                    acc[key] = -(c * x) if prev is None else prev - c * x
+                else:
+                    acc[key] = c * x if prev is None else prev + c * x
+    return _pruned(acc)
 
 
 def _on_numerators(a: Endo, form: KForm, action, den_power: int) -> KForm:
     """action(term map of the form, columns of A) on the numerator views
     of A and the form, divided once by den(A)^den_power·den(form) per
     output coefficient."""
-    den_a, rows = to_numerators(a.rows)
+    den_a, rows = a._numerators()
     den_f, (terms,) = to_numerators([dict(form.mask_items())])
     return KForm(form.degree, from_numerators(action(terms, _columns(rows)),
                                               den_a ** den_power * den_f))
@@ -176,8 +227,7 @@ def _on_numerators(a: Endo, form: KForm, action, den_power: int) -> KForm:
 
 def rho(a: Endo, form: KForm) -> KForm:
     """Derivation action: replace each slot of each blade by its image."""
-    return _on_numerators(a, form, lambda terms, columns: _combine(zip(
-        _rho_images(columns, list(terms)), terms.values())), 1)
+    return _on_numerators(a, form, _rho_terms, 1)
 
 
 def pullback(l_map: Endo, form: KForm) -> KForm:
@@ -196,8 +246,8 @@ def exp_nilpotent(a: Endo) -> Endo:
     ``_product`` until a power is zero; A^8 ≠ 0 means A is not nilpotent.
     With A^n the last nonzero power, the series is summed over the common
     denominator den^n·n!, the k-th term weighted by den^(n-k)·n!/k!, and
-    divided once per entry."""
-    den, rows = to_numerators(a.rows)
+    kept as the view of the result."""
+    den, rows = a._numerators()
     powers = [[{i: 1} for i in range(DIM)], rows]
     while any(powers[-1]):
         if len(powers) > DIM:

@@ -46,7 +46,7 @@ def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    basis = _integer_rref(_int_rows(rows))
+    basis = _integer_rref(_int_rows(to_numerators(rows)))
     pivots = sorted(basis)
     reduced = []
     for c in pivots:
@@ -55,10 +55,11 @@ def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def _int_rows(rows) -> list[SparseRow]:
-    """The numerator view of rows, less its denominator, which leaves the
-    row space as it is; ValueError on a surd entry (the view's fallback)."""
-    _den, sparse = to_numerators(rows)
+def _int_rows(view: tuple[int, list]) -> list[SparseRow]:
+    """The rows of a numerator view (``to_numerators``), less its
+    denominator, which leaves the row space as it is; ValueError on a surd
+    entry (the view's fallback)."""
+    _den, sparse = view
     if type(next((x for row in sparse for x in row.values()), 0)) is not int:
         raise ValueError("a surd entry: elimination runs over Q only")
     return sparse
@@ -110,7 +111,7 @@ def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
 
 
 def rank(rows: Matrix) -> int:
-    return len(_integer_rref(_int_rows(rows)))
+    return len(_integer_rref(_int_rows(to_numerators(rows))))
 
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]:
@@ -121,7 +122,7 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]
         raise ValueError("nullspace of an empty matrix needs an explicit width")
     ncols = len(rows[0]) if ncols is None else ncols
     basis = []
-    for vec in integer_nullspace(_int_rows(rows), ncols):
+    for vec in integer_nullspace(_int_rows(to_numerators(rows)), ncols):
         v, den = [ZERO] * ncols, vec[max(vec)]
         for j, x in vec.items():
             v[j] = FieldScalar.from_ratio(x, den)

@@ -1,7 +1,2 @@
-"""Verification harness: named check suites and the command-line front end."""
-
-from .checks import SUITE_NAMES, CheckResult, run_all_suites, run_suite
-from .cli import RunConfig, export_form, main, run
-
-__all__ = ["SUITE_NAMES", "CheckResult", "run_all_suites", "run_suite",
-           "RunConfig", "export_form", "main", "run"]
+"""Verification harness: the named check suites (``checks``) and the
+command-line front end (``cli``), imported by submodule."""

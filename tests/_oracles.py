@@ -6,11 +6,10 @@ from spin7lab.cayley import build_omega, so8_basis
 from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM,
                                      contract_sign, wedge_sign)
-from spin7lab.exterior.endo import Endo, _columns, _rho_images, rho
+from spin7lab.exterior.endo import Endo, _columns, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, _combine,
                                      contract, inner, wedge)
-from spin7lab.exterior.scalars import (ONE, ZERO, FieldScalar, Q,
-                                       from_numerators, to_numerators)
+from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q, to_numerators
 from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                build_metric,
                                                metric_lie_derivative,
@@ -328,14 +327,47 @@ def old_rho_operator(a, degree):
         for m in BLADES[degree]])
 
 
+def rho_images(columns, masks):
+    """ρ(A)e^m for each blade m of ``masks``, from the nonzero entries a_ip
+    of A (``endo._columns``): a blade with e^p, and without e^i unless
+    i = p, sends a_ip to m ^ p | i, negated if m has an odd number of
+    generators strictly between i and p.  Every entry is tried against
+    every blade.  Diagonal entries may sum to zero coefficients."""
+    images = [{} for _ in masks]
+    for p, column in enumerate(columns):
+        bit_p = 1 << p
+        for bit_i, entry in column.items():
+            both, negated = bit_p | bit_i, -entry
+            between = (abs(bit_i - bit_p) - min(bit_i, bit_p)
+                       if bit_i != bit_p else 0)
+            for image, m in zip(images, masks):
+                if (m & both) == bit_p:
+                    key = m ^ bit_p | bit_i
+                    image[key] = image.get(key, 0) + (
+                        negated if (m & between).bit_count() & 1 else entry)
+    return images
+
+
+def field_columns(a):
+    """Column p of A as a {bit of e^i: FieldScalar} dict of its nonzero
+    entries."""
+    return _columns([{j: x for j, x in enumerate(row) if x} for row in a.rows])
+
+
+def images_rho(a, form):
+    """ρ(A) of a form as the sum of the images ``rho_images`` of its blades,
+    each times its coefficient, on FieldScalars."""
+    terms = dict(form.mask_items())
+    return KForm(form.degree, _combine(zip(
+        rho_images(field_columns(a), list(terms)), terms.values())))
+
+
 def rho_operator(a, degree):
     """ρ(A) on Λ^degree as a FormOperator of FieldScalar images, built once
-    from the nonzero entries of A; an integer A gives integer values."""
-    den, rows = to_numerators(a.rows)
-    columns = _columns([from_numerators(row, den) for row in rows])
+    from the nonzero entries of A (``rho_images``)."""
     return FormOperator(degree, [
         {key: c for key, c in image.items() if c}
-        for image in _rho_images(columns, BLADES[degree])])
+        for image in rho_images(field_columns(a), BLADES[degree])])
 
 
 def operator_square_rows(a):

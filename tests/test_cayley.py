@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spin7lab.cayley import (DecompositionProjectors, FormOperator,
-                             build_omega, image_dimension,
+                             _matchings, build_omega, image_dimension,
                              pair_contraction_cube, perturb_rank_one,
                              projectors, skew_perturbation, sl8_basis,
                              so8_basis, stabilizer_algebra)
 from spin7lab.exterior import linalg
 from spin7lab.exterior.endo import Endo, rho
-from spin7lab.exterior.forms import (KForm, Vector, contract, hodge_star,
+from spin7lab.exterior.blades import BLADES
+from spin7lab.exterior.forms import (KForm, Vector, _wedged, hodge_star,
                                      inner, wedge)
 from spin7lab.exterior.linalg import rank
 from spin7lab.exterior.scalars import FieldScalar, Q
@@ -240,11 +241,27 @@ _family_vectors = st.sampled_from(coefficient_families).flatmap(
 
 
 @settings(max_examples=40, deadline=None)
-@given(_family_vectors, _family_vectors,
-       st.sampled_from([2, 3, 4]).flatmap(lambda k: mixed_forms(k, 10)))
+@given(_family_vectors, _family_vectors, mixed_forms(4, 10))
 def test_contraction_cube_matches_contract_and_wedge(u, v, a):
     # ints, non-integer rationals and surds in each of u, v and a
     assert pair_contraction_cube(u, v, a) == old_pair_contraction_cube(u, v, a)
+
+
+def test_contraction_cube_is_taken_of_four_forms_only():
+    u, v = Vector.basis(1), Vector.basis(2)
+    for a in (KForm.blade(1, 2), KForm.blade(1, 2, 3)):
+        with pytest.raises(ValueError):
+            pair_contraction_cube(u, v, a)
+
+
+def test_each_matching_sign_is_the_wedge_of_its_two_blades():
+    table = _matchings()
+    assert [m for m, _ in table] == list(BLADES[6])
+    for m, matchings in table:
+        assert len({frozenset(pairs) for _sign, *pairs in matchings}) == 15
+        for sign, x, y, z in matchings:
+            assert x | y | z == m and all(b.bit_count() == 2 for b in (x, y, z))
+            assert _wedged({x: 1}, _wedged({y: 1}, {z: 1})) == {m: sign}
 
 
 def test_contraction_cube_of_omega_matches_contract_and_wedge():

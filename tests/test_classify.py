@@ -27,12 +27,13 @@ from spin7lab.exterior import endo, forms, linalg, scalars
 from spin7lab.exterior.blades import BLADES, indices_of
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import FormOperator, KForm, Vector, contract
-from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import SQRT2, ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
 from _oracles import (count_calls, diagonal, is_nilpotent, kernel_basis,
                       old_cubic_vanishes, old_jordan_type, old_kernel_basis,
-                      old_rho, operator_kernel_vectors, operator_square_rows)
+                      old_rho, operator_kernel_vectors, operator_square_rows,
+                      rho_images)
 from _strategies import small_ints, surds
 
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
@@ -150,6 +151,29 @@ def test_jordan_type_is_a_conjugation_invariant():
         a = representative(d).matrix
         g, g_inv = random_unimodular(rng)
         assert jordan_type_of(g @ a @ g_inv) == d
+
+
+def test_jordan_type_of_a_conjugate_builds_no_field_scalar_rows(monkeypatch):
+    # g·A·g⁻¹ is kept as int numerators, which the ranks read as they are
+    rng = seeded("conjugation-spy")
+    for d in enumerate_diagrams():
+        a = representative(d).matrix
+        g, g_inv = random_unimodular(rng)
+        calls = count_calls(monkeypatch, "from_ratio")
+        assert jordan_type_of(g @ a @ g_inv) == d
+        assert calls == {"from_ratio": 0}
+        monkeypatch.undo()
+
+
+def test_jordan_type_reads_a_rational_product_of_surd_matrices():
+    # √2·(√2·A) is rational although both factors of the product are not
+    d = YoungDiagram.of(3, 2, 2, 1)
+    a = representative(d).matrix
+    assert jordan_type_of(SQRT2 * (SQRT2 * a)) == d
+    assert jordan_type_of((SQRT2 * a) @ (SQRT2 * a)) == YoungDiagram.of(
+        2, 1, 1, 1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        jordan_type_of(SQRT2 * a)
 
 
 def _scaled_conjugates(rng, d):
@@ -321,7 +345,7 @@ def test_shift_images_and_square_rows_match_the_operators():
         steps = rep.steps
         shifted = [{m + b: 1 for b in _bits(m & steps & ~(m >> 1))}
                    for m in BLADES[4]]
-        assert shifted == endo._rho_images(rep.columns, BLADES[4])
+        assert shifted == rho_images(rep.columns, BLADES[4])
         assert _square_rows(steps) == operator_square_rows(rep.matrix)
 
 

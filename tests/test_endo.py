@@ -295,6 +295,40 @@ def test_rational_exp_nilpotent_makes_no_endo_products(monkeypatch):
     assert out == old_exp_nilpotent(a) != Endo.identity()
 
 
+@pytest.mark.parametrize("t", [1, -3, Q(5, 7)])
+def test_exponential_pullback_stays_on_numerators(monkeypatch, t):
+    # t·A, exp and Λ⁴ pass A's int numerators along: no FieldScalar
+    # product, and one division per output coefficient
+    from spin7lab.cayley import build_omega
+    omega = build_omega().omega
+    a = random_rank_one_nilpotent(seeded(f"spy-exp-pullback:{t}"))
+    calls = count_calls(monkeypatch, "__mul__", "from_ratio")
+    out = pullback(exp_nilpotent(t * a), omega)
+    assert calls == {"__mul__": 0, "from_ratio": len(out)} and len(out) == 70
+    monkeypatch.undo()
+    assert out == omega + FieldScalar.of(t) * rho(a, omega)
+
+
+@given(mixed_endos, st.sampled_from([0, Q(5, 7), -3, SQRT2]))
+def test_scaling_matches_the_entrywise_product(a, s):
+    expected = Endo([[FieldScalar.of(s) * x for x in row] for row in a.rows])
+    assert s * a == a * s == expected
+
+
+@given(mixed_endos, mixed_endos, st.sampled_from([Q(5, 7), -3, SQRT2]))
+def test_an_endo_built_from_numerators_compares_like_its_rows(a, b, s):
+    # each build runs twice: one result is compared before its rows are read
+    lower = Endo([[x if i > j else 0 for j, x in enumerate(row)]
+                  for i, row in enumerate(a.rows)])
+    for build in (lambda: a @ b, lambda: s * a, lambda: b * s,
+                  lambda: exp_nilpotent(lower), lambda: s * (a @ b)):
+        rebuilt = Endo([list(row) for row in build().rows])
+        assert build() == rebuilt and rebuilt == build()
+        assert hash(build()) == hash(rebuilt)
+        assert build().to_record() == rebuilt.to_record()
+        assert bool(build()) == bool(rebuilt) == any(map(any, rebuilt.rows))
+
+
 def test_exp_nilpotent_rejects_non_nilpotent():
     for a in (Endo.identity(), CYCLE):
         with pytest.raises(ValueError):

@@ -18,10 +18,10 @@ import pytest
 from spin7lab.cayley import build_omega, perturb_rank_one, projectors
 from spin7lab.classify import classification_report
 from spin7lab.exterior.forms import KForm, Vector
-from spin7lab.harness import (SUITE_NAMES, CheckResult, RunConfig,
-                              export_form, main, run, run_all_suites,
-                              run_suite)
 from spin7lab.harness import checks
+from spin7lab.harness.checks import (SUITE_NAMES, CheckResult, run_all_suites,
+                                     run_suite)
+from spin7lab.harness.cli import RunConfig, export_form, main, run
 from spin7lab.invariant.bryant_salamon import (InvariantMetric,
                                                build_bryant_salamon,
                                                build_metric)

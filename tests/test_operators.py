@@ -6,8 +6,10 @@ columns, the images of the basis blades computed one ``rho`` call at a
 time, a dense coefficient matrix with one row per occurring blade, its
 kernel by Gauss–Jordan in the field (``field_nullspace``), and ``apply``
 as a running sum ``out = out + c * image``.  ``rho_operator`` (in
-``_oracles.py``) wraps the package's ``endo._rho_images`` of all basis
-blades as a FormOperator of FieldScalar images.  The operators cover
+``_oracles.py``) wraps ``rho_images``, the images of all basis blades
+from every (entry, blade) pair of A, as a FormOperator of FieldScalar
+images; ``images_rho`` sums those images for one form, the way ``rho``
+did before it walked each blade's slots down A's columns.  The operators cover
 integer Jordan representatives (integer values), rank-one nilpotents with
 non-integer rational entries and rank-one nilpotents with surd entries,
 whose kernels are not taken, since elimination runs over Q; ρ itself also
@@ -32,12 +34,13 @@ from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent
 
 from _oracles import (coefficient_matrix, count_calls, diagonal,
-                      field_nullspace, is_rational, nullspace_on_forms,
+                      field_nullspace, images_rho, is_rational,
+                      nullspace_on_forms,
                       old_operator_apply,
                       old_operator_product, old_operator_sum, old_rho,
                       old_rho_operator, rho_operator)
 from _strategies import (coefficient_families, entry_families, forms,
-                         mixed_endos, seeded_entry, sparse_endos)
+                         mixed_endos, mixed_forms, seeded_entry, sparse_endos)
 
 
 # -- the old per-blade path, kept as the oracle ---------------------------------
@@ -106,6 +109,15 @@ def test_rho_operator_matches_the_slot_by_slot_code(a, degree):
     expected = [old_rho(a, KForm(degree, {m: ONE})) for m in BLADES[degree]]
     assert as_forms(rho_operator(a, degree)) == expected
     assert as_forms(old_rho_operator(a, degree)) == expected
+
+
+@settings(max_examples=80)
+@given(st.one_of(diagonal_endos, sparse_endos, mixed_endos),
+       st.integers(0, 8).flatmap(lambda k: mixed_forms(k, 8)))
+def test_rho_matches_the_summed_blade_images(a, x):
+    # diagonal, sparse and dense A, and forms of every degree, each with
+    # integer, non-integer rational or surd coefficients
+    assert rho(a, x) == images_rho(a, x)
 
 
 def test_diagonal_matrices_scale_each_blade_by_its_diagonal_sum():

@@ -61,7 +61,7 @@ def test_export_forms_writes_the_three_named_forms(tmp_path, capsys):
 
 
 def test_reachability_tracer_sees_the_omega_export(tmp_path):
-    from spin7lab.harness import cli
+    import spin7lab.harness.cli as cli
     reach = load_script("reachability")
     lines = pathlib.Path(cli.__file__).read_text().splitlines()
 
