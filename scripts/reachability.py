@@ -8,8 +8,10 @@ in this directory and five samples of each perfbench sweep.  Then prints,
 per function of each module (comprehensions and lambdas count with the
 function around them, class and module bodies as ``<class>`` and
 ``<module>``), its executable and unreached line counts and the unreached
-lines, and the totals.  A line is executable when the compiled module has
-bytecode on it.  Takes no flags:
+lines, and the totals line: executable lines, unreached lines and the
+physical line count of the package's source files, newline by newline as
+``find src -name '*.py' | xargs cat | wc -l`` counts them.  A line is
+executable when the compiled module has bytecode on it.  Takes no flags:
 
     PYTHONPATH=src python3 scripts/reachability.py
 """
@@ -138,6 +140,13 @@ def _spans(lines) -> str:
     return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in out)
 
 
+def totals(total: int, unreached: int) -> str:
+    """The tab-separated totals line, ending in the physical line count."""
+    physical = sum(path.read_bytes().count(b"\n")
+                   for path in PACKAGE.rglob("*.py"))
+    return f"total\t{total}\t{unreached}\t{physical}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as outdir:
         hits = trace(lambda: runs(outdir))
@@ -151,7 +160,7 @@ def main() -> int:
             unreached_total += len(unreached)
             print(f"{name}:{function}\t{len(lines)}\t{len(unreached)}\t"
                   f"{_spans(unreached)}")
-    print(f"total\t{total}\t{unreached_total}")
+    print(totals(total, unreached_total))
     return 0
 
 

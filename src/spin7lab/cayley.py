@@ -14,7 +14,8 @@ output blade.  All four are rational, so they are applied and composed on
 int numerators over one denominator per projector, and a rational ρ(A)Ω
 is projected without a FieldScalar product.  The stabilizer and the orbit
 dimensions are the kernel and the rank of the map A ↦ ρ(A)Ω, a
-FormOperator from gl(8) into Λ⁴.
+FormOperator from gl(8) into Λ⁴; the elements of gl(8) are Endos, the
+same operator type on Λ¹.
 """
 
 from __future__ import annotations
@@ -68,10 +69,9 @@ class DecompositionProjectors:
         pᵢpⱼ = 0 for i ≠ j give pᵢ = pᵢ·Σⱼ pⱼ = pᵢ², so idempotence
         follows."""
         ps = self.all()
-        zero = FormOperator.zero(4)
         return (ps[0] + ps[1] + ps[2] + ps[3] == FormOperator.identity(4)
-                and all(p @ q == zero for i, p in enumerate(ps)
-                        for j, q in enumerate(ps) if i != j))
+                and not any(p @ q for i, p in enumerate(ps)
+                            for j, q in enumerate(ps) if i != j))
 
 
 @lru_cache(maxsize=1)

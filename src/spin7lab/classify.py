@@ -24,9 +24,9 @@ from itertools import chain, combinations, product
 from typing import Iterator
 
 from .exterior.blades import BLADES, DIM
-from .exterior.forms import Vector, _pair_contracted, _wedged
+from .exterior.forms import Vector, _composed, _pair_contracted, _wedged
 from .exterior import linalg
-from .exterior.endo import Endo, _product
+from .exterior.endo import Endo
 
 __all__ = ["YoungDiagram", "JordanRepresentative", "KernelSpace",
            "Certificate", "ClassificationReport", "enumerate_diagrams",
@@ -48,10 +48,6 @@ class YoungDiagram:
             raise ValueError("parts must be positive")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("parts must be weakly decreasing")
-
-    @staticmethod
-    def of(*parts: int) -> "YoungDiagram":
-        return YoungDiagram(tuple(parts))
 
     def blocks(self) -> list[tuple[int, int]]:
         """(start position, size) for each Jordan block, positions 1-based."""
@@ -120,19 +116,20 @@ def representative(diagram: YoungDiagram) -> JordanRepresentative:
 def jordan_type_of(a: Endo) -> YoungDiagram:
     """Recover the partition from the ranks of A, A², … up to the first
     zero power; A^8 ≠ 0 means A is not nilpotent.  A's numerator view is
-    read as int rows by the guard of ``linalg.echelon`` (ValueError on a
-    surd entry), so a product such as g·A·g⁻¹ is never divided into
-    FieldScalars; the powers are products of those rows and each rank is
-    the size of their integer Gauss–Jordan basis
-    (``linalg._integer_rref``)."""
-    rows = linalg._int_rows(a._numerators())
+    read as int images by ``linalg._int_rows`` (ValueError on a surd
+    entry), so a product such as g·A·g⁻¹ is never divided into
+    FieldScalars; the powers are composed on those images
+    (``forms._composed``) and each rank is the size of their integer
+    Gauss–Jordan basis (``linalg._integer_rref``), the rank of A^k's
+    transpose."""
+    images = linalg._int_rows(a._numerators())
     ranks = [DIM]
-    power = rows
+    power = images
     while any(power):
         if len(ranks) == DIM:
             raise ValueError("jordan type computed for nilpotent input only")
         ranks.append(len(linalg._integer_rref(power)))
-        power = _product(power, rows)
+        power = _composed(power, images, 1)
     ranks.append(0)
     # at_least[k - 1] = ranks[k - 1] - ranks[k] blocks have size >= k
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]

@@ -17,14 +17,18 @@ the musical isomorphisms.  The interior product contracts the first slot.
 
 A FormOperator is a linear map into Λ^k stored as the images of a domain
 basis, one {mask: coefficient} dict per basis vector; on Λ^k itself the
-domain basis is the blade order of ``blades.BLADES``.  Applying,
-composing and adding operators, like contracting by a vector, sum every
-contribution into one accumulator per output blade, on the numerator
-view of the FieldScalar images (``scalars.to_numerators``, taken once per
-operator): ints over one denominator for rational images, FieldScalars
-over 1 with a surd.  Its rank and kernel are all it asks of elimination:
-both hand ``linalg`` one sparse {column: coefficient} row per occurring
-blade, in mask order, and reduce it over Q only.
+domain basis is the blade order of ``blades.BLADES``.  ``endo.Endo`` is
+the FormOperator on Λ¹, an 8x8 matrix whose image j is its column j.
+Applying, composing (``_composed``, which also raises the powers of
+``endo.exp_nilpotent`` and ``classify.jordan_type_of``), adding and
+scaling operators, like contracting by a vector, sum every contribution
+into one accumulator per output blade, on the numerator view of the
+FieldScalar images (``scalars.to_numerators``, taken once per operator):
+ints over one denominator for rational images, FieldScalars over 1 with a
+surd.  An operator built from int numerators keeps them as its view.  Its
+rank and kernel are all it asks of elimination: both hand ``linalg`` one
+sparse {column: coefficient} row per occurring blade, in mask order, and
+reduce it over Q only.
 """
 
 from __future__ import annotations
@@ -64,10 +68,6 @@ class _EightTuple:
         if not 1 <= i <= DIM:
             raise ValueError(f"basis index {i} out of range 1..{DIM}")
         return cls(tuple(ONE if k == i - 1 else ZERO for k in range(DIM)))
-
-    def __getitem__(self, i: int) -> FieldScalar:
-        """Component with 1-based index, matching e_i / e^i labels."""
-        return self.components[i - 1]
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -122,9 +122,6 @@ class Covector(_EightTuple):
     def form(self) -> "KForm":
         return KForm(1, {1 << i: c for i, c in enumerate(self.components) if c})
 
-    def __call__(self, v: Vector) -> FieldScalar:
-        return sum((a * b for a, b in zip(self.components, v.components)), ZERO)
-
 
 class Form:
     """A homogeneous exterior form over ``generators`` covectors.
@@ -152,9 +149,6 @@ class Form:
 
     def mask_items(self):
         return self._terms.items()
-
-    def __len__(self):
-        return len(self._terms)
 
     def __bool__(self):
         return bool(self._terms)
@@ -368,14 +362,6 @@ class KForm(Form):
     # -- construction --------------------------------------------------
 
     @staticmethod
-    def blade(*indices: int, coeff=1) -> "KForm":
-        sign, mask = mask_of(indices)
-        if sign == 0:
-            return KForm(len(indices))
-        c = FieldScalar.of(coeff)
-        return KForm(len(indices), {mask: sign * c} if c else {})
-
-    @staticmethod
     def from_terms(degree: int, terms) -> "KForm":
         """Build from (indices, coeff) pairs; unsorted indices are canonicalized."""
         acc: dict[int, FieldScalar] = {}
@@ -394,12 +380,6 @@ class KForm(Form):
         return [(indices_of(m), c)
                 for m, c in sorted(self._terms.items(),
                                    key=lambda mc: indices_of(mc[0]))]
-
-    def coefficient(self, *indices: int) -> FieldScalar:
-        sign, mask = mask_of(indices)
-        if sign == 0:
-            return ZERO
-        return sign * self._terms.get(mask, ZERO)
 
     def to_record(self) -> dict:
         """JSON-ready record: the sorted terms, rationals as strings."""
@@ -455,20 +435,55 @@ class FormOperator:
     dict of the image of the j-th domain basis vector.
 
     With one image per basis blade of Λ^degree, in ``BLADES`` order, it is
-    an operator on Λ^degree, as ``apply``, ``@``, ``identity`` and ``zero``
-    assume.  ``apply``, ``@``, ``+`` and ``-`` read the images through
-    their numerator view, computed on first use: int numerators over one
-    denominator when all are rational, the FieldScalars over 1 when one has
-    a surd.  Results are divided once per coefficient into FieldScalars.
-    Of elimination it has ``rank`` and ``kernel`` only, both over Q.
+    an operator on Λ^degree, as ``apply``, ``@`` and ``identity`` assume;
+    ``endo.Endo`` is the one on Λ¹.  ``apply``, ``@``, ``+``, ``-``,
+    scaling and ``bool`` read the images through their numerator view,
+    computed on first use: int numerators over one denominator when all
+    are rational, the FieldScalars over 1 when one has a surd.  An
+    operator that they build from int numerators keeps them as its view,
+    not always in lowest terms, and divides them into its ``images`` only
+    when those are read; surd results are divided at once, so a kept view
+    is an int view.  ``==`` and ``hash`` read the images.  Of elimination
+    it has ``rank`` and ``kernel`` only, both over Q.
     """
 
-    __slots__ = ("degree", "images", "_view")
+    __slots__ = ("degree", "_images", "_view")
 
     def __init__(self, degree: int, images: Sequence[dict]):
         self.degree = degree
-        self.images = tuple(images)
+        self._images = tuple(images)
         self._view = None
+
+    @classmethod
+    def _of_numerators(cls, degree: int, images: list[dict], den: int):
+        """The operator of these numerator images over den.  Int numerators
+        are kept as its view; with a FieldScalar among them (a surd view,
+        whose quotients may all be rational) all are divided at once, so
+        that a kept view is an int view exactly when the images are
+        rational, as ``linalg._int_rows`` assumes."""
+        op = object.__new__(cls)
+        op.degree = degree
+        if any(type(x) is not int for img in images for x in img.values()):
+            op._images = tuple(from_numerators(img, den) for img in images)
+            op._view = None
+        else:
+            op._images, op._view = None, (den, images)
+        return op
+
+    @property
+    def images(self) -> tuple:
+        """The {mask: FieldScalar} images; divided out of the numerator view
+        on first read by an operator built from one."""
+        if self._images is None:
+            den, images = self._view
+            self._images = tuple(from_numerators(img, den) for img in images)
+        return self._images
+
+    def _numerators(self) -> tuple[int, list]:
+        """(den, numerator images), kept once computed."""
+        if self._view is None:
+            self._view = to_numerators(self._images)
+        return self._view
 
     @staticmethod
     def of_forms(degree: int, forms: Sequence[KForm]) -> "FormOperator":
@@ -478,16 +493,6 @@ class FormOperator:
     @staticmethod
     def identity(degree: int) -> "FormOperator":
         return FormOperator(degree, [{m: ONE} for m in BLADES[degree]])
-
-    @staticmethod
-    def zero(degree: int) -> "FormOperator":
-        return FormOperator(degree, [{}] * len(BLADES[degree]))
-
-    def _numerators(self) -> tuple[int, list]:
-        """(den, numerator images)."""
-        if self._view is None:
-            self._view = to_numerators(self.images)
-        return self._view
 
     def apply(self, form: KForm) -> KForm:
         if form.degree != self.degree:
@@ -501,17 +506,21 @@ class FormOperator:
     __call__ = apply
 
     def __matmul__(self, other: "FormOperator") -> "FormOperator":
+        if not isinstance(other, FormOperator):
+            return NotImplemented
         den_a, left = self._numerators()
         den_b, right = other._numerators()
-        pos = BLADE_POSITION[self.degree]
         return self._of_numerators(
-            [_combine((left[pos[m]], c) for m, c in img.items())
-             for img in right], den_a * den_b)
+            self.degree, _composed(left, right, self.degree), den_a * den_b)
 
     def __add__(self, other: "FormOperator") -> "FormOperator":
+        if not isinstance(other, FormOperator):
+            return NotImplemented
         return self._summed(other, 1)
 
     def __sub__(self, other: "FormOperator") -> "FormOperator":
+        if not isinstance(other, FormOperator):
+            return NotImplemented
         return self._summed(other, -1)
 
     def _summed(self, other: "FormOperator", sign: int) -> "FormOperator":
@@ -522,16 +531,32 @@ class FormOperator:
         scale_a, scale_b = den // den_a, sign * (den // den_b)
         images = [_combine(((a, scale_a), (b, scale_b)))
                   for a, b in zip(left, right)]
-        return self._of_numerators(images, den)
+        return self._of_numerators(self.degree, images, den)
 
-    def _of_numerators(self, images: list, den: int) -> "FormOperator":
-        """The operator of these numerator images over den."""
-        return FormOperator(self.degree,
-                            [from_numerators(img, den) for img in images])
+    def __rmul__(self, scalar) -> "FormOperator":
+        """s·self on the numerator views of s and self."""
+        den_s, (s,) = to_numerators([(FieldScalar.of(scalar),)])
+        n = s.get(0)
+        den, images = self._numerators()
+        return self._of_numerators(
+            self.degree, [{k: n * x for k, x in img.items()} if n else {}
+                          for img in images], den * den_s)
+
+    __mul__ = __rmul__
+
+    def __neg__(self) -> "FormOperator":
+        return -1 * self
 
     def __eq__(self, other):
         return (isinstance(other, FormOperator)
                 and self.degree == other.degree and self.images == other.images)
+
+    def __hash__(self):
+        return hash((self.degree,
+                     tuple(frozenset(img.items()) for img in self.images)))
+
+    def __bool__(self):
+        return any(self._numerators()[1])
 
     def _rows(self) -> list[dict]:
         """One {column: coefficient} row per occurring blade, in mask order."""
@@ -552,3 +577,13 @@ class FormOperator:
 
     def is_idempotent(self) -> bool:
         return self @ self == self
+
+
+def _composed(left: Sequence[dict], right: Sequence[dict],
+              degree: int) -> list[dict]:
+    """The images of L∘R from those of L and R on Λ^degree, over any ring:
+    image j is Σ c·left[position of m] over the terms c·e^m of right[j],
+    zero sums pruned."""
+    pos = BLADE_POSITION[degree]
+    return [_combine((left[pos[m]], c) for m, c in img.items())
+            for img in right]

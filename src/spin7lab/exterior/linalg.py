@@ -114,13 +114,11 @@ def rank(rows: Matrix) -> int:
     return len(_integer_rref(_int_rows(to_numerators(rows))))
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[FieldScalar]]:
-    """Canonical kernel basis: one vector per free column, unit in that slot,
-    each vector of ``integer_nullspace`` over its entry in that column (its
-    largest key).  Sparse rows need their width ``ncols``."""
-    if ncols is None and not rows:
-        raise ValueError("nullspace of an empty matrix needs an explicit width")
-    ncols = len(rows[0]) if ncols is None else ncols
+def nullspace(rows: Matrix, ncols: int) -> list[list[FieldScalar]]:
+    """Canonical kernel basis of a matrix with ``ncols`` columns, dense or
+    sparse rows: one vector per free column, unit in that slot, each vector
+    of ``integer_nullspace`` over its entry in that column (its largest
+    key)."""
     basis = []
     for vec in integer_nullspace(_int_rows(to_numerators(rows)), ncols):
         v, den = [ZERO] * ncols, vec[max(vec)]

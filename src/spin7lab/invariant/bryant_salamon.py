@@ -4,7 +4,10 @@ Everything is assembled from quaternion-valued one-forms exactly as the
 geometry dictates: α = ds − s(iA⁴+jA⁵+kA⁶) along the section a = s, the
 spinor form ω = X⁴+iX¹+jX²+kX³, the two-form triples B = ½ᾱ∧α and
 ½ω̄∧ω, and Φ = f²ψ₁ + fgψ₂ + g²ψ₃ with f = 4w⁻², g = 5w³ (the radial
-functions 4(1+t)^{-2/5} and 5(1+t)^{3/5} in chamber variables).
+functions 4(1+t)^{-2/5} and 5(1+t)^{3/5} in chamber variables).  The
+quaternion-valued forms are ``liealg.Quaternion``s of chamber forms, and
+ᾱ∧α is their Hamilton product with ``forms.wedge`` for the product of
+parts.
 
 The perturbation machinery adds dt∧(Y⌟Φ) for an invariant field Y along
 A₄, A₅, A₆ with even coefficients, checks closedness and the mechanism
@@ -19,13 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..exterior.blades import contract_sign
-from ..exterior.forms import blade_pullback
+from ..exterior.forms import blade_pullback, wedge
 from ..exterior.scalars import ZERO, FieldScalar, to_numerators
-from .liealg import LieFrame, build_lie_frame
+from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
                       S, _add_products, _over, maurer_cartan_d)
 
-__all__ = ["HForm", "BryantSalamon", "build_bryant_salamon",
+__all__ = ["BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",
            "closure_mechanism_holds", "closure_mechanism_sides",
            "orbit_witness_holds", "orbit_witness_sides", "InvariantMetric",
@@ -38,34 +41,6 @@ _A = {4: 4, 5: 5, 6: 6}          # coframe slots of A⁴, A⁵, A⁶
 _X = {1: 7, 2: 8, 3: 9, 4: 10}   # coframe slots of X¹..X⁴
 
 
-class HForm:
-    """A quaternion-valued chamber form: components (1, i, j, k)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, re, im_i, im_j, im_k):
-        self.components = (re, im_i, im_j, im_k)
-
-    def conjugate(self) -> "HForm":
-        re, x, y, z = self.components
-        return HForm(re, -x, -y, -z)
-
-    def wedge(self, other: "HForm") -> "HForm":
-        p0, p1, p2, p3 = self.components
-        r0, r1, r2, r3 = other.components
-        w = lambda a, b: a.wedge(b)
-        return HForm(
-            w(p0, r0) - w(p1, r1) - w(p2, r2) - w(p3, r3),
-            w(p0, r1) + w(p1, r0) + w(p2, r3) - w(p3, r2),
-            w(p0, r2) + w(p2, r0) + w(p3, r1) - w(p1, r3),
-            w(p0, r3) + w(p3, r0) + w(p1, r2) - w(p2, r1),
-        )
-
-    def scale(self, c) -> "HForm":
-        c = ChamberScalar.of(c)
-        return HForm(*(c * comp for comp in self.components))
-
-
 @dataclass(frozen=True)
 class BryantSalamon:
     """The 4-form Φ together with every intermediate ingredient."""
@@ -76,40 +51,36 @@ class BryantSalamon:
     psi3: ChamberForm
     f: ChamberScalar                       # 4w⁻²
     g: ChamberScalar                       # 5w³
-    b_forms: tuple[ChamberForm, ChamberForm, ChamberForm]
     fiber_forms: tuple[ChamberForm, ChamberForm, ChamberForm]
 
 
 @lru_cache(maxsize=1)
 def build_bryant_salamon() -> BryantSalamon:
-    zero1 = ChamberForm.zero(1)
     ds = ChamberForm.generator(0)
     a4, a5, a6 = (ChamberForm.generator(_A[i]) for i in (4, 5, 6))
     x1, x2, x3, x4 = (ChamberForm.generator(_X[i]) for i in (1, 2, 3, 4))
 
-    alpha = HForm(ds, -(S * a4), -(S * a5), -(S * a6))   # da − aφ at a = s
-    spinor = HForm(x4, x1, x2, x3)
+    alpha = Quaternion(ds, -(S * a4), -(S * a5), -(S * a6))  # da − aφ, a = s
+    spinor = Quaternion(x4, x1, x2, x3)
 
     half = FieldScalar("1/2")
-    b_full = alpha.conjugate().wedge(alpha).scale(half)
-    fiber_full = spinor.conjugate().wedge(spinor).scale(half)
-    if b_full.components[0] or fiber_full.components[0]:
+    b_full = half * alpha.conjugate().product(alpha, wedge)
+    fiber_full = half * spinor.conjugate().product(spinor, wedge)
+    if b_full.w or fiber_full.w:
         raise ArithmeticError("quaternionic two-forms must be imaginary")
-    b_forms = b_full.components[1:]
-    fiber_forms = fiber_full.components[1:]
+    b_forms = (b_full.x, b_full.y, b_full.z)
+    fiber_forms = (fiber_full.x, fiber_full.y, fiber_full.z)
 
-    a0, a1, a2, a3 = alpha.components
-    psi1 = a0.wedge(a1).wedge(a2).wedge(a3)
+    psi1 = alpha.w.wedge(alpha.x).wedge(alpha.y).wedge(alpha.z)
     psi2 = sum((b.wedge(o) for b, o in zip(b_forms, fiber_forms)),
                ChamberForm.zero(4))
-    o0, o1, o2, o3 = spinor.components
-    psi3 = o0.wedge(o1).wedge(o2).wedge(o3)
+    psi3 = spinor.w.wedge(spinor.x).wedge(spinor.y).wedge(spinor.z)
 
     f = ChamberScalar.monomial(4, 0, -2)
     g = ChamberScalar.monomial(5, 0, 3)
     phi = (f * f) * psi1 + (f * g) * psi2 + (g * g) * psi3
     return BryantSalamon(phi=phi, psi1=psi1, psi2=psi2, psi3=psi3, f=f, g=g,
-                         b_forms=tuple(b_forms), fiber_forms=tuple(fiber_forms))
+                         fiber_forms=fiber_forms)
 
 
 def proposition_display() -> ChamberForm:
@@ -183,24 +154,19 @@ class InvariantField:
                                              for m, raw in acc.items()})
 
 
-def perturbed_form(field: InvariantField,
-                   bs: BryantSalamon | None = None) -> ChamberForm:
+def perturbed_form(field: InvariantField, bs: BryantSalamon) -> ChamberForm:
     """Φ + dt∧(Y⌟Φ) in chamber variables (dt = 2s ds)."""
     if not field.is_even():
         raise ValueError("perturbation coefficients must be even functions of s")
-    bs = bs or build_bryant_salamon()
     ds = ChamberForm.generator(0)
     return bs.phi + DT * ds.wedge(field.contract(bs.phi))
 
 
-def closure_mechanism_sides(field: InvariantField,
-                            bs: BryantSalamon | None = None,
-                            frame: LieFrame | None = None) -> tuple:
+def closure_mechanism_sides(field: InvariantField, bs: BryantSalamon,
+                            frame: LieFrame) -> tuple:
     """(d(dt∧Y⌟Φ), −dt∧L_YΦ): equal sides of the identity behind
     closedness.  Y⌟Φ is contracted once for both sides, and Cartan's
     L_YΦ = d(Y⌟Φ) + Y⌟dΦ is written out; dΦ is computed, not assumed 0."""
-    bs = bs or build_bryant_salamon()
-    frame = frame or build_lie_frame()
     ds = ChamberForm.generator(0)
     y_phi = field.contract(bs.phi)
     lie = maurer_cartan_d(y_phi, frame) + field.contract(
@@ -209,23 +175,20 @@ def closure_mechanism_sides(field: InvariantField,
             -(DT * ds.wedge(lie)))
 
 
-def closure_mechanism_holds(field: InvariantField,
-                            bs: BryantSalamon | None = None,
-                            frame: LieFrame | None = None) -> bool:
+def closure_mechanism_holds(field: InvariantField, bs: BryantSalamon,
+                            frame: LieFrame) -> bool:
     """d(dt∧Y⌟Φ) = −dt∧L_YΦ (``closure_mechanism_sides``)."""
     lhs, rhs = closure_mechanism_sides(field, bs, frame)
     return lhs == rhs
 
 
-def orbit_witness_sides(field: InvariantField,
-                        bs: BryantSalamon | None = None) -> tuple:
+def orbit_witness_sides(field: InvariantField, bs: BryantSalamon) -> tuple:
     """(Λ⁴(Id + Y⊗dt)Φ, the perturbed form): equal when the orbit witness
     holds.
 
     Y⊗dt is rank one and square zero over the chamber ring (dt(Y) = 0), so
     this realizes the perturbation as a pointwise GL-orbit move.
     """
-    bs = bs or build_bryant_salamon()
     ds = ChamberForm.generator(0)
     images = [ChamberForm.generator(k) for k in range(N_COFRAME)]
     for slot, coeff in field.coefficients():
@@ -233,8 +196,7 @@ def orbit_witness_sides(field: InvariantField,
     return blade_pullback(bs.phi, images), perturbed_form(field, bs)
 
 
-def orbit_witness_holds(field: InvariantField,
-                        bs: BryantSalamon | None = None) -> bool:
+def orbit_witness_holds(field: InvariantField, bs: BryantSalamon) -> bool:
     """Λ⁴(Id + Y⊗dt) maps Φ to the perturbed form (``orbit_witness_sides``)."""
     lhs, rhs = orbit_witness_sides(field, bs)
     return lhs == rhs
@@ -291,14 +253,13 @@ def build_metric() -> InvariantMetric:
 
 
 def metric_lie_derivative(slot: int, metric: InvariantMetric,
-                          frame: LieFrame | None = None) -> InvariantMetric:
+                          frame: LieFrame) -> InvariantMetric:
     """(L_X g)_ij = −Σ_k c^k_{Xi} g_kj − Σ_k c^k_{Xj} g_ik for a generator X.
 
     Metric coefficients depend on s only, and generator fields are tangent
     to the orbits, so the X(g_ij) term vanishes; slot 0 (the s-direction)
     commutes with every generator.
     """
-    frame = frame or build_lie_frame()
     # c[i][k] = c^k_{slot,i} over coframe slots; ds (slot 0) brackets to zero
     c = [[frame.structure[slot - 1][i - 1][k - 1] if slot and i and k
           else ZERO for k in range(N_COFRAME)] for i in range(N_COFRAME)]

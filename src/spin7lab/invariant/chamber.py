@@ -20,13 +20,12 @@ integral); each output scalar is canonicalized once, each term divided once.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable
 
 from ..exterior.blades import indices_of, mask_of
 from ..exterior.forms import Form, contract_generator
 from ..exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
                                 to_numerators)
-from .liealg import LieFrame, N_GENERATORS, build_lie_frame
+from .liealg import LieFrame, N_GENERATORS
 
 __all__ = ["ChamberScalar", "ChamberForm", "COFRAME_NAMES", "S", "W", "W_INV",
            "T", "maurer_cartan_d", "contract_generator", "lie_derivative"]
@@ -69,12 +68,6 @@ class ChamberScalar:
     @staticmethod
     def monomial(coeff, s_exp: int = 0, w_exp: int = 0) -> "ChamberScalar":
         return ChamberScalar({(s_exp, w_exp): FieldScalar.of(coeff)})
-
-    @staticmethod
-    def from_terms(entries: Iterable[tuple[int, int, object]]) -> "ChamberScalar":
-        raw: dict[tuple[int, int], FieldScalar] = {}
-        _add_terms(raw, (((a, e), FieldScalar.of(c)) for a, e, c in entries))
-        return ChamberScalar(raw)
 
     # -- ring structure ---------------------------------------------------
 
@@ -338,10 +331,6 @@ class ChamberForm(Form):
         c = ChamberScalar.of(coeff)
         return ChamberForm(len(slots), {mask: c if sign == 1 else -c})
 
-    @staticmethod
-    def scalar(coeff) -> "ChamberForm":
-        return ChamberForm(0, {0: ChamberScalar.of(coeff)})
-
     def coefficient(self, *slots: int) -> ChamberScalar:
         sign, mask = mask_of([s + 1 for s in slots], N_COFRAME)
         if sign == 0:
@@ -380,8 +369,7 @@ def _maurer_cartan_table(frame: LieFrame) -> tuple[int, tuple]:
     return den, tuple(map(tuple, table))
 
 
-def maurer_cartan_d(form: ChamberForm,
-                    frame: LieFrame | None = None) -> ChamberForm:
+def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
     """Exterior derivative: ∂_s on coefficients plus Maurer-Cartan terms.
 
     d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
@@ -392,7 +380,6 @@ def maurer_cartan_d(form: ChamberForm,
     D_form), each Maurer-Cartan term as one numerator times a term map,
     then canonicalized once and divided by 5·D_form·D_frame per term.
     """
-    frame = frame or build_lie_frame()
     frame_den, dgen = frame.maurer_cartan_table
     den, maps = to_numerators([c.terms for c in form.terms.values()])
     acc: dict[int, dict] = {}
@@ -419,9 +406,8 @@ def maurer_cartan_d(form: ChamberForm,
 
 
 def lie_derivative(slot: int, form: ChamberForm,
-                   frame: LieFrame | None = None) -> ChamberForm:
+                   frame: LieFrame) -> ChamberForm:
     """Cartan formula L_X = d ∘ ι_X + ι_X ∘ d for a coframe-dual generator."""
-    frame = frame or build_lie_frame()
     inner = maurer_cartan_d(contract_generator(slot, form), frame)
     outer = contract_generator(slot, maurer_cartan_d(form, frame))
     return inner + outer

@@ -19,10 +19,16 @@ rebuilds from their nonzero coordinates; the frame of generators s_i·e_i
 has the constants c_ij^k·s_i·s_j/s_k.  A frame holds only those constants
 (``chamber.COFRAME_NAMES[1:]`` names the generators) and gives the
 bracket, the Killing form, and infinitesimal normalizers of subalgebras.
+
+``Quaternion`` holds the one Hamilton table of the package
+(``Quaternion.product``), over any ring and any product of parts: ``*``
+multiplies int or FieldScalar parts, and ``bryant_salamon`` wedges chamber
+forms with it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -40,7 +46,8 @@ SP1_MINUS = (3, 4, 5)   # A4, A5, A6
 
 
 class Quaternion:
-    """w + xi + yj + zk with int or FieldScalar parts, used as given."""
+    """w + xi + yj + zk with parts from any ring, used as given: ints and
+    FieldScalars here, the chamber forms of ``bryant_salamon``."""
 
     __slots__ = ("w", "x", "y", "z")
 
@@ -58,18 +65,23 @@ class Quaternion:
     def __neg__(self):
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
+    def product(self, other: "Quaternion", times) -> "Quaternion":
+        """The Hamilton product, its parts multiplied by ``times``: ``*``
+        of the ring, or the wedge of quaternion-valued forms."""
+        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
+        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        return Quaternion(
+            times(w1, w2) - times(x1, x2) - times(y1, y2) - times(z1, z2),
+            times(w1, x2) + times(x1, w2) + times(y1, z2) - times(z1, y2),
+            times(w1, y2) - times(x1, z2) + times(y1, w2) + times(z1, x2),
+            times(w1, z2) + times(x1, y2) - times(y1, x2) + times(z1, w2),
+        )
+
     def __mul__(self, other):
         if not isinstance(other, Quaternion):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return self.product(other, operator.mul)
 
     def __rmul__(self, s):
         return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)

@@ -6,7 +6,7 @@ from spin7lab.cayley import build_omega, so8_basis
 from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM,
                                      contract_sign, wedge_sign)
-from spin7lab.exterior.endo import Endo, _columns, rho
+from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, _combine,
                                      contract, inner, wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q, to_numerators
@@ -76,10 +76,10 @@ def random_nilpotent(rng, max_rank=3):
             starts.append((pos, size))
             rank += size - 1
         pos += size
-    n = Endo.zero()
-    for start, size in starts:
-        for k in range(size - 1):
-            n = n + Endo.unit(start + k + 1, start + k)
+    steps = {(start + k + 1, start + k)
+             for start, size in starts for k in range(size - 1)}
+    n = Endo([[int((i, j) in steps) for j in range(1, DIM + 1)]
+              for i in range(1, DIM + 1)])
     g, g_inv = random_unimodular(rng)
     return g @ n @ g_inv
 
@@ -189,9 +189,8 @@ def verify_pullback_proposition():
     return build_bryant_salamon().phi == proposition_display()
 
 
-def verify_killing(frame=None):
+def verify_killing(frame):
     """L_{A_i} g = 0 for i = 4, 5, 6 on the Bryant-Salamon metric."""
-    frame = frame or build_lie_frame()
     metric = build_metric()
     return all(not metric_lie_derivative(i, metric, frame) for i in (4, 5, 6))
 
@@ -329,7 +328,7 @@ def old_rho_operator(a, degree):
 
 def rho_images(columns, masks):
     """ρ(A)e^m for each blade m of ``masks``, from the nonzero entries a_ip
-    of A (``endo._columns``): a blade with e^p, and without e^i unless
+    of A (``field_columns``): a blade with e^p, and without e^i unless
     i = p, sends a_ip to m ^ p | i, negated if m has an odd number of
     generators strictly between i and p.  Every entry is tried against
     every blade.  Diagonal entries may sum to zero coefficients."""
@@ -350,8 +349,8 @@ def rho_images(columns, masks):
 
 def field_columns(a):
     """Column p of A as a {bit of e^i: FieldScalar} dict of its nonzero
-    entries."""
-    return _columns([{j: x for j, x in enumerate(row) if x} for row in a.rows])
+    entries: image p of the Endo."""
+    return list(a.images)
 
 
 def images_rho(a, form):

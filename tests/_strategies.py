@@ -5,6 +5,9 @@ exact arithmetic keeps the tests fast; the interesting structure lives in
 the algebra, not in the size of the numbers.
 """
 
+from functools import reduce
+from operator import add
+
 from hypothesis import strategies as st
 
 from spin7lab.exterior.blades import BLADES
@@ -100,8 +103,8 @@ sparse_endos = st.sampled_from(coefficient_families).flatmap(
     lambda coeffs: st.lists(
         st.tuples(st.integers(1, 8), st.integers(1, 8), coeffs),
         min_size=1, max_size=4,
-    ).map(lambda entries: sum((FieldScalar.of(c) * Endo.unit(i, j)
-                               for i, j, c in entries), Endo.zero())))
+    ).map(lambda entries: reduce(add, (FieldScalar.of(c) * Endo.unit(i, j)
+                                       for i, j, c in entries))))
 
 # the identity plus such a map: rarely singular, so that pullbacks of forms
 # of higher degree rarely vanish
@@ -115,7 +118,15 @@ def _rational_laurent(terms, cancel):
     if cancel and terms:
         a, e, c = terms[0]
         terms = terms + [(a, e - 5, -c), (a + 2, e - 5, -c)]
-    return ChamberScalar.from_terms(terms)
+    return sum((ChamberScalar.monomial(c, a, e) for a, e, c in terms),
+               ChamberScalar())
+
+
+def laurent_scalars(s_exps, w_exps, coeffs, min_size=0, max_size=3):
+    """Sums of min_size to max_size chamber monomials c·s^a·w^e."""
+    return st.lists(st.builds(ChamberScalar.monomial, coeffs, s_exps, w_exps),
+                    min_size=min_size, max_size=max_size).map(
+        lambda monomials: sum(monomials, ChamberScalar()))
 
 
 # rational chamber scalars over denominators that include 5 and 7, with

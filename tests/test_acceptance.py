@@ -220,7 +220,7 @@ def test_11_cube_display_discrepancy_is_recorded():
     started = time.perf_counter()
     omega = build_omega().omega
     cube = pair_contraction_cube(Vector.basis(7), Vector.basis(8), omega)
-    expected = KForm.blade(1, 2, 3, 4, 5, 6, coeff=-6)
+    expected = KForm.from_terms(6, [((1, 2, 3, 4, 5, 6), -6)])
     assert cube == expected        # the recomputed value
     assert cube                    # nonvanishing is all the argument needs
     computed_display = {f"e^{{{''.join(map(str, idx))}}}": str(c)

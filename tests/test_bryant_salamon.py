@@ -11,9 +11,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spin7lab.exterior.forms import blade_pullback
+from spin7lab.exterior.forms import blade_pullback, wedge
 from spin7lab.exterior.scalars import SQRT2, FieldScalar, Q
-from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon, HForm,
+from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon,
                                                InvariantField,
                                                build_bryant_salamon,
                                                build_metric,
@@ -27,47 +27,48 @@ from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon, HForm,
 from spin7lab.invariant.chamber import (N_COFRAME, ChamberForm, ChamberScalar,
                                         S, T, W, W_INV, contract_generator,
                                         lie_derivative, maurer_cartan_d)
-from spin7lab.invariant.liealg import build_lie_frame
+from spin7lab.invariant.liealg import Quaternion, build_lie_frame
 from spin7lab.sampling import random_even_scalar
 
 from _oracles import blade_pullback as old_blade_pullback
 from _oracles import (count_calls, mutated_frame, old_contract,
                       old_maurer_cartan_d, verify_killing,
                       verify_pullback_proposition)
-from _strategies import rational_laurent_scalars
+from _strategies import laurent_scalars, rational_laurent_scalars
 
 BS = build_bryant_salamon()
+FRAME = build_lie_frame()
 DS = ChamberForm.generator(0)
 
 ZERO_S = ChamberScalar()
 ONE_S = ChamberScalar.of(1)
+ONE_FORM = ChamberForm.blade(coeff=1)   # the degree-0 form 1
 
 
 def quaternion_units():
-    z = ChamberForm.zero(0)
-    one = ChamberForm.scalar(1)
-    return (HForm(one, z, z, z), HForm(z, one, z, z),
-            HForm(z, z, one, z), HForm(z, z, z, one))
+    z, one = ChamberForm.zero(0), ONE_FORM
+    return (Quaternion(one, z, z, z), Quaternion(z, one, z, z),
+            Quaternion(z, z, one, z), Quaternion(z, z, z, one))
 
 
 # -- quaternion-valued forms -----------------------------------------------------
 
-def test_hform_wedge_reduces_to_quaternion_product_on_scalars():
+def test_wedge_product_reduces_to_quaternion_product_on_scalars():
     e, i, j, k = quaternion_units()
-    assert i.wedge(j).components[3] == ChamberForm.scalar(1)   # ij = k
-    assert not i.wedge(j).components[0]
-    assert j.wedge(i).components[3] == ChamberForm.scalar(-1)  # ji = -k
-    assert i.wedge(i).components[0] == ChamberForm.scalar(-1)  # i² = -1
-    assert e.wedge(k).components[3] == ChamberForm.scalar(1)   # 1·k = k
+    assert i.product(j, wedge).z == ONE_FORM        # ij = k
+    assert not i.product(j, wedge).w
+    assert j.product(i, wedge).z == -ONE_FORM       # ji = -k
+    assert i.product(i, wedge).w == -ONE_FORM       # i² = -1
+    assert e.product(k, wedge).z == ONE_FORM        # 1·k = k
 
 
-def test_hform_conjugate_flips_imaginary_parts():
+def test_quaternion_form_conjugate_flips_imaginary_parts():
     _, i, j, k = quaternion_units()
     for unit in (i, j, k):
         conj = unit.conjugate()
-        assert conj.components[0] == unit.components[0]
-        for slot in (1, 2, 3):
-            assert conj.components[slot] == -unit.components[slot]
+        assert conj.w == unit.w
+        for part in "xyz":
+            assert getattr(conj, part) == -getattr(unit, part)
 
 
 # -- construction of the 4-form ---------------------------------------------------
@@ -108,31 +109,31 @@ def test_display_transcription_matches_construction():
 # -- closedness --------------------------------------------------------------------
 
 def test_phi_is_closed():
-    assert not maurer_cartan_d(BS.phi)
+    assert not maurer_cartan_d(BS.phi, FRAME)
 
 
 def test_psi_differentials():
     w2, x1234 = lemma_invariant_forms()
-    assert not maurer_cartan_d(BS.psi3)
-    assert maurer_cartan_d(BS.psi1) == \
+    assert not maurer_cartan_d(BS.psi3, FRAME)
+    assert maurer_cartan_d(BS.psi1, FRAME) == \
         ChamberScalar.monomial(Q(1, 2), 3, 0) * DS.wedge(w2)
-    assert maurer_cartan_d(BS.psi2) == \
+    assert maurer_cartan_d(BS.psi2, FRAME) == \
         ChamberScalar.monomial(3, 1, 0) * DS.wedge(x1234)
 
 
 def test_closedness_needs_both_radial_functions():
     # dropping the cross term breaks the cancellation
     partial = (BS.f * BS.f) * BS.psi1 + (BS.g * BS.g) * BS.psi3
-    assert maurer_cartan_d(partial)
+    assert maurer_cartan_d(partial, FRAME)
 
 
 def test_lemma_forms_are_closed_and_invariant():
     w2, x1234 = lemma_invariant_forms()
     for form in (w2, x1234):
-        assert not maurer_cartan_d(form)
+        assert not maurer_cartan_d(form, FRAME)
         # invariance under the isotropy rotations
         for slot in (4, 5, 6):
-            assert not lie_derivative(slot, form)
+            assert not lie_derivative(slot, form, FRAME)
 
 
 # -- invariant perturbations --------------------------------------------------------
@@ -144,8 +145,8 @@ def test_named_perturbations_are_closed():
     ]
     for a, b, c in triples:
         field = InvariantField.of(a, b, c)
-        form = perturbed_form(field)
-        assert not maurer_cartan_d(form)
+        form = perturbed_form(field, BS)
+        assert not maurer_cartan_d(form, FRAME)
         assert form != BS.phi  # the perturbation really moved the form
 
 
@@ -155,19 +156,19 @@ def test_random_even_perturbations_are_closed():
         field = InvariantField.of(random_even_scalar(rng),
                                   random_even_scalar(rng),
                                   random_even_scalar(rng))
-        assert not maurer_cartan_d(perturbed_form(field))
+        assert not maurer_cartan_d(perturbed_form(field, BS), FRAME)
 
 
 def test_odd_coefficients_are_rejected():
     with pytest.raises(ValueError):
-        perturbed_form(InvariantField.of(S, 0, 0))
+        perturbed_form(InvariantField.of(S, 0, 0), BS)
     with pytest.raises(ValueError):
-        perturbed_form(InvariantField.of(1, S * T, 0))
+        perturbed_form(InvariantField.of(1, S * T, 0), BS)
 
 
 def test_perturbation_shape():
     field = InvariantField.of(1, 0, 0)
-    delta = perturbed_form(field) - BS.phi
+    delta = perturbed_form(field, BS) - BS.phi
     assert delta == DT * DS.wedge(field.contract(BS.phi))
     # every added term contains ds
     for slots, _c in delta.blades():
@@ -184,10 +185,8 @@ def _contract_by_slots(field: InvariantField, form: ChamberForm) -> ChamberForm:
 
 
 # w-exponents on both sides of zero and of the w⁵ reduction
-_laurent = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(-7, 7),
-              st.sampled_from([1, -2, 3, SQRT2])),
-    min_size=1, max_size=3).map(ChamberScalar.from_terms)
+_laurent = laurent_scalars(st.integers(0, 4), st.integers(-7, 7),
+                           st.sampled_from([1, -2, 3, SQRT2]), min_size=1)
 _fields = st.builds(InvariantField, _laurent, _laurent, _laurent)
 _three_forms = st.lists(
     st.tuples(st.lists(st.integers(0, 10), min_size=3, max_size=3,
@@ -241,14 +240,13 @@ def test_rational_d_and_contract_multiply_no_field_scalars(monkeypatch):
               for _ in range(2)]
     fields.append(InvariantField.of(Q(2, 5) * T, Q(-3, 7), W_INV * Q(1, 10)))
     forms = [BS.phi, Q(3, 35) * W_INV * BS.phi + S * BS.psi2]
-    forms += [perturbed_form(f) for f in fields[:2]]
+    forms += [perturbed_form(f, BS) for f in fields[:2]]
     calls = count_calls(monkeypatch, "__mul__", "inverse")
-    d = [maurer_cartan_d(form) for form in forms]
+    d = [maurer_cartan_d(form, FRAME) for form in forms]
     contracted = [f.contract(form) for f in fields for form in forms]
     assert calls == {"__mul__": 0, "inverse": 0}
     monkeypatch.undo()
-    frame = build_lie_frame()
-    assert d == [old_maurer_cartan_d(form, frame) for form in forms]
+    assert d == [old_maurer_cartan_d(form, FRAME) for form in forms]
     assert contracted == [old_contract(f, form) for f in fields
                           for form in forms]
     # Φ and the perturbed forms are closed; the second form is not
@@ -257,7 +255,7 @@ def test_rational_d_and_contract_multiply_no_field_scalars(monkeypatch):
 
 def test_contract_of_a_scalar_raises():
     with pytest.raises(ValueError):
-        InvariantField.of(1, 0, 0).contract(ChamberForm.scalar(1))
+        InvariantField.of(1, 0, 0).contract(ONE_FORM)
 
 
 def test_closure_mechanism():
@@ -267,7 +265,7 @@ def test_closure_mechanism():
               InvariantField.of(random_even_scalar(rng), 0,
                                 random_even_scalar(rng))]
     for field in fields:
-        assert closure_mechanism_holds(field)
+        assert closure_mechanism_holds(field, BS, FRAME)
 
 
 def test_closure_mechanism_contracts_phi_once(monkeypatch):
@@ -275,7 +273,7 @@ def test_closure_mechanism_contracts_phi_once(monkeypatch):
     d_inputs, contracted = [], []
     original_d, original_contract = bsm.maurer_cartan_d, InvariantField.contract
 
-    def counted_d(form, frame=None):
+    def counted_d(form, frame):
         d_inputs.append(form)
         return original_d(form, frame)
 
@@ -286,7 +284,7 @@ def test_closure_mechanism_contracts_phi_once(monkeypatch):
     monkeypatch.setattr(bsm, "maurer_cartan_d", counted_d)
     monkeypatch.setattr(InvariantField, "contract", counted_contract)
     field = InvariantField.of(T, T * T + 1, 3 * T)
-    lhs, rhs = bsm.closure_mechanism_sides(field, BS)
+    lhs, rhs = bsm.closure_mechanism_sides(field, BS, FRAME)
     assert lhs == rhs
     # d(Y⌟Φ), dΦ and d(dt∧Y⌟Φ); Y⌟ of Φ and of dΦ
     assert len(d_inputs) == 3 and sum(f is BS.phi for f in d_inputs) == 1
@@ -302,8 +300,8 @@ def test_lie_derivative_of_phi_is_absorbed_by_dt():
                               random_even_scalar(rng),
                               random_even_scalar(rng))
     # Cartan's formula L_Y = d ∘ ι_Y + ι_Y ∘ d
-    lied = (maurer_cartan_d(field.contract(BS.phi))
-            + field.contract(maurer_cartan_d(BS.phi)))
+    lied = (maurer_cartan_d(field.contract(BS.phi), FRAME)
+            + field.contract(maurer_cartan_d(BS.phi, FRAME)))
     for slots, _c in lied.blades():
         assert slots[0] == 0
     assert not DT * DS.wedge(lied)
@@ -313,7 +311,7 @@ def test_orbit_witness():
     fields = [InvariantField.of(1, 0, 0),
               InvariantField.of(T, T * T + 1, 3 * T)]
     for field in fields:
-        assert orbit_witness_holds(field)
+        assert orbit_witness_holds(field, BS)
 
 
 def test_blade_pullback_on_chamber_forms_matches_the_oracle():
@@ -349,7 +347,7 @@ def test_blade_pullback_matches_the_oracle_on_ds_and_slot_10_images():
                 if m & 1 or m >> 10]
         blades = rng.sample(ends, min(6, len(ends)))
         form = ChamberForm(degree, {m: random_even_scalar(rng) for m in blades})
-        assert len(images[0]) == len(images[10]) == 2
+        assert len(images[0].terms) == len(images[10].terms) == 2
         assert blade_pullback(form, images) == old_blade_pullback(form, images)
 
 
@@ -375,11 +373,10 @@ def test_metric_entries():
 
 
 def test_isotropy_fields_are_killing():
-    assert verify_killing()
+    assert verify_killing(FRAME)
     metric = build_metric()
-    frame = build_lie_frame()
     for slot in (4, 5, 6):
-        assert not metric_lie_derivative(slot, metric, frame)
+        assert not metric_lie_derivative(slot, metric, FRAME)
 
 
 def test_killing_fails_for_a_corrupted_frame():

@@ -21,21 +21,18 @@ from spin7lab.invariant.liealg import build_lie_frame, build_orthonormal_frame
 
 from _oracles import (coframe_differentials, mutated_frame, old_derivative,
                       old_maurer_cartan_d, old_product)
-from _strategies import (field_scalars, rational_laurent_scalars, rationals,
-                         small_ints, surds)
+from _strategies import (field_scalars, laurent_scalars,
+                         rational_laurent_scalars, rationals, small_ints,
+                         surds)
 
 DS = ChamberForm.generator(0)
+FRAME = build_lie_frame()
 
-scalars = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(-2, 2), small_ints),
-    min_size=0, max_size=3,
-).map(ChamberScalar.from_terms)
+scalars = laurent_scalars(st.integers(0, 3), st.integers(-2, 2), small_ints)
 
 # surd coefficients and w-exponents on both sides of the w⁵ reduction
-laurent_scalars = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(-7, 7), field_scalars),
-    min_size=0, max_size=3,
-).map(ChamberScalar.from_terms)
+surd_laurent_scalars = laurent_scalars(st.integers(0, 4), st.integers(-7, 7),
+                                       field_scalars)
 
 constant_scalars = st.one_of(st.just(ChamberScalar()),
                              small_ints.map(ChamberScalar.of),
@@ -84,7 +81,7 @@ def test_multiplying_by_the_relation_is_transparent(x):
     assert x * W ** 5 == x * (1 + T)
 
 
-@given(constant_scalars, st.one_of(laurent_scalars, constant_scalars))
+@given(constant_scalars, st.one_of(surd_laurent_scalars, constant_scalars))
 def test_constant_products_are_the_canonical_product(c, x):
     # the constant fast path skips the reduction; its result must still be
     # the canonical form of the raw product, from either side
@@ -114,7 +111,8 @@ def test_unit_and_s_monomial_products_skip_the_reduction(monkeypatch):
     def refuse(*args):
         raise AssertionError("a monomial product was re-canonicalized")
 
-    x = ChamberScalar.from_terms([(0, -3, Q(2, 5)), (1, 2, 7), (3, 4, -1)])
+    x = (ChamberScalar.monomial(Q(2, 5), 0, -3)
+         + ChamberScalar.monomial(7, 1, 2) - ChamberScalar.monomial(1, 3, 4))
     monomials = (1, -1, S, T, ChamberScalar.monomial(2, 1),
                  ChamberScalar.monomial(FieldScalar(0, 1), 3))
     products = [m * x for m in (W, S * W_INV)]  # these need the reduction
@@ -127,7 +125,7 @@ def test_unit_and_s_monomial_products_skip_the_reduction(monkeypatch):
     assert products == [W * x, x * (S * W_INV)]
 
 
-@given(st.sampled_from([rational_laurent_scalars, laurent_scalars]),
+@given(st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
        st.data())
 def test_products_and_derivatives_match_the_field_scalar_oracle(family, data):
     # rational operands run on int numerators, surd ones on FieldScalars;
@@ -241,7 +239,7 @@ def test_wedge_graded_commutativity():
 def test_scalar_multiplication_and_linearity():
     a = ChamberForm.generator(2)
     assert (S * a) + (T * a) == (S + T) * a
-    assert ChamberForm.scalar(S).wedge(a) == S * a
+    assert ChamberForm.blade(coeff=S).wedge(a) == S * a
 
 
 def test_unknown_slot_rejected():
@@ -254,27 +252,29 @@ def test_unknown_slot_rejected():
 # -- exterior derivative -----------------------------------------------------------
 
 def test_d_of_ds_vanishes():
-    assert not maurer_cartan_d(DS)
+    assert not maurer_cartan_d(DS, FRAME)
 
 
 def test_d_on_scalars_is_the_s_derivative():
     f = ChamberScalar.monomial(1, 2, 3)  # s² w³
-    assert maurer_cartan_d(ChamberForm.scalar(f)) == f.derivative() * DS
+    assert maurer_cartan_d(ChamberForm.blade(coeff=f), FRAME) == \
+        f.derivative() * DS
 
 
 def test_d_of_coframe_generators_follows_structure_constants():
     # dA⁶ = -A⁴∧A⁵ · c⁶₄₅ + ... with c⁶₄₅ = 2
-    d6 = maurer_cartan_d(ChamberForm.generator(6))
+    d6 = maurer_cartan_d(ChamberForm.generator(6), FRAME)
     assert d6.coefficient(4, 5) == ChamberScalar.of(-2)
     # dX⁴ couples the two sp(1) factors with opposite signs
-    d10 = maurer_cartan_d(ChamberForm.generator(10))
+    d10 = maurer_cartan_d(ChamberForm.generator(10), FRAME)
     assert d10.coefficient(1, 7) == ChamberScalar.of(1)
     assert d10.coefficient(4, 7) == ChamberScalar.of(-1)
 
 
 def test_d_squared_is_zero_on_generators():
     for slot in range(N_COFRAME):
-        assert not maurer_cartan_d(maurer_cartan_d(ChamberForm.generator(slot)))
+        generator = ChamberForm.generator(slot)
+        assert not maurer_cartan_d(maurer_cartan_d(generator, FRAME), FRAME)
 
 
 def test_d_squared_is_zero_on_products():
@@ -285,14 +285,15 @@ def test_d_squared_is_zero_on_products():
                                        rng.randint(-2, 2))
         slots = rng.sample(range(N_COFRAME), 2)
         form = ChamberForm.blade(*slots, coeff=coeff)
-        assert not maurer_cartan_d(maurer_cartan_d(form))
+        assert not maurer_cartan_d(maurer_cartan_d(form, FRAME), FRAME)
 
 
 def test_d_is_an_antiderivation():
     f = S * ChamberForm.generator(4)
     g = W * ChamberForm.generator(7)
-    lhs = maurer_cartan_d(f.wedge(g))
-    rhs = maurer_cartan_d(f).wedge(g) - f.wedge(maurer_cartan_d(g))
+    lhs = maurer_cartan_d(f.wedge(g), FRAME)
+    rhs = (maurer_cartan_d(f, FRAME).wedge(g)
+           - f.wedge(maurer_cartan_d(g, FRAME)))
     assert lhs == rhs
 
 
@@ -315,12 +316,12 @@ def _engine_d(form: ChamberForm, frame) -> ChamberForm:
     return out
 
 
-FRAMES = [build_lie_frame(),
+FRAMES = [FRAME,
           mutated_frame({(3, 4, 5): 3}),           # [A4, A5] = 3 A6
           mutated_frame({(0, 6, 9): FieldScalar(0, 1), (2, 8, 1): -2})]
 
 
-def chamber_forms(degree: int, coeffs=laurent_scalars):
+def chamber_forms(degree: int, coeffs=surd_laurent_scalars):
     """Sparse degree-k chamber forms with Laurent coefficients."""
     masks = [m for m in range(1 << N_COFRAME) if m.bit_count() == degree]
     return st.lists(st.tuples(st.sampled_from(masks), coeffs),
@@ -338,7 +339,8 @@ def test_d_equals_the_engine_composition(degree, frame, data):
 
 
 @given(st.integers(0, 4), st.sampled_from(FRAMES),
-       st.sampled_from([rational_laurent_scalars, laurent_scalars]), st.data())
+       st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
+       st.data())
 def test_d_matches_the_field_scalar_oracle(degree, frame, coeffs, data):
     # rational forms on the integer frames run on int numerators, the rest
     # on FieldScalars; the exact part makes raw sums cancel
@@ -352,7 +354,7 @@ def test_d_matches_the_field_scalar_oracle(degree, frame, coeffs, data):
 def test_d_of_exact_forms_cancels_on_the_real_frame():
     h = (S * ChamberForm.blade(4, 7) + W_INV * ChamberForm.blade(0, 2)
          + W * ChamberForm.blade(1, 9))
-    assert not maurer_cartan_d(_engine_d(h, FRAMES[0]))
+    assert not maurer_cartan_d(_engine_d(h, FRAMES[0]), FRAME)
 
 
 # -- contraction and Lie derivative ----------------------------------------------
@@ -412,26 +414,26 @@ def test_maurer_cartan_table_is_that_of_the_chamber_form_de_k(frame):
 
 
 def test_lie_derivative_rotates_the_sp1_coframe():
-    assert lie_derivative(4, ChamberForm.generator(5)) == \
+    assert lie_derivative(4, ChamberForm.generator(5), FRAME) == \
         2 * ChamberForm.generator(6)
-    assert lie_derivative(4, ChamberForm.generator(6)) == \
+    assert lie_derivative(4, ChamberForm.generator(6), FRAME) == \
         -2 * ChamberForm.generator(5)
 
 
 def test_lie_derivative_commutes_with_d():
     form = W * ChamberForm.blade(4, 7) + S * ChamberForm.blade(5, 6)
     for slot in (1, 4, 6):
-        lhs = lie_derivative(slot, maurer_cartan_d(form))
-        rhs = maurer_cartan_d(lie_derivative(slot, form))
+        lhs = lie_derivative(slot, maurer_cartan_d(form, FRAME), FRAME)
+        rhs = maurer_cartan_d(lie_derivative(slot, form, FRAME), FRAME)
         assert lhs == rhs
 
 
 def test_lie_derivative_is_cartan_formula():
     form = S * ChamberForm.blade(4, 5) + W * ChamberForm.blade(7, 8)
     for slot in (4, 5, 9):
-        cartan = (contract_generator(slot, maurer_cartan_d(form))
-                  + maurer_cartan_d(contract_generator(slot, form)))
-        assert lie_derivative(slot, form) == cartan
+        cartan = (contract_generator(slot, maurer_cartan_d(form, FRAME))
+                  + maurer_cartan_d(contract_generator(slot, form), FRAME))
+        assert lie_derivative(slot, form, FRAME) == cartan
 
 
 def test_coframe_names():

@@ -14,18 +14,19 @@ from hypothesis import given, settings, strategies as st
 from spin7lab.classify import YoungDiagram, enumerate_diagrams, representative
 from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.endo import Endo, exp_nilpotent, pullback, rho
-from spin7lab.exterior.forms import (Covector, KForm, Vector, blade_pullback,
-                                     wedge)
+from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
+                                     blade_pullback, wedge)
 from spin7lab.exterior.scalars import SQRT2, ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
 from _oracles import (apply, commutator, count_calls, diagonal, is_nilpotent,
                       is_rational, is_skew, old_exp_nilpotent,
+                      old_operator_product, old_operator_sum,
                       random_nilpotent, trace)
 from _oracles import blade_pullback as old_blade_pullback
-from _strategies import (entry_families, forms, identity_plus_sparse,
-                         mixed_endos, mixed_forms, seeded_entry, small_ints,
-                         sparse_endos)
+from _strategies import (coefficient_families, entry_families, forms,
+                         identity_plus_sparse, mixed_endos, mixed_forms,
+                         seeded_entry, small_ints, sparse_endos)
 
 endos = st.lists(st.lists(small_ints, min_size=8, max_size=8),
                  min_size=8, max_size=8).map(Endo)
@@ -80,6 +81,49 @@ def test_results_hold_field_scalar_rows_like_the_public_constructor(a, b):
                for x in row)
 
 
+def test_unit_rejects_indices_outside_one_to_eight():
+    # a column mask 1 << 8 would be a blade outside R^8
+    for i, j in ((9, 1), (0, 3), (1, 9), (3, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            Endo.unit(i, j)
+
+
+@given(mixed_endos, mixed_endos)
+def test_endo_algebra_is_the_operator_algebra_on_one_forms(a, b):
+    # an Endo is the FormOperator on Λ¹ whose image j is the column A e^j
+    p, q = FormOperator(1, a.images), FormOperator(1, b.images)
+    assert a.images == tuple({1 << i: row[j] for i, row in enumerate(a.rows)
+                              if row[j]} for j in range(8))
+    for endo, op, oracle in ((a @ b, p @ q, old_operator_product(p, q)),
+                             (a + b, p + q, old_operator_sum(p, q)),
+                             (a - b, p - q, old_operator_sum(p, q, -1))):
+        assert type(endo) is Endo and type(op) is FormOperator
+        assert endo == op == oracle and oracle == endo
+        assert endo.images == op.images == oracle.images
+
+
+@given(mixed_endos, mixed_endos, st.sampled_from([Q(5, 7), -3, SQRT2]))
+def test_view_built_and_image_built_operators_compare_and_hash_alike(a, b, s):
+    # each build runs again for every twin, so that it is compared and
+    # hashed before its images are read
+    for build in (lambda: a @ b, lambda: s * a, lambda: a - b, lambda: -b):
+        images = build().images
+        for twin in (FormOperator(1, images), Endo(build().rows)):
+            assert build() == twin and twin == build()
+            assert hash(build()) == hash(twin)
+            assert len({build(), twin}) == 1
+
+
+@given(st.sampled_from(coefficient_families).flatmap(
+    lambda c: st.tuples(*[st.lists(c, min_size=8, max_size=8)] * 2)))
+def test_tensor_on_numerators_matches_the_entrywise_build(entries):
+    v, alpha = Vector(entries[0]), Covector(entries[1])
+    expected = Endo([[alpha.components[i] * v.components[j] for j in range(8)]
+                     for i in range(8)])
+    assert Endo.tensor(v, alpha) == expected
+    assert Endo.tensor(v, alpha).rows == expected.rows
+
+
 def test_tensor_is_rank_one():
     v = Vector([1, 2, 0, 0, 1, 0, 0, 0])
     alpha = Covector([0, 0, 3, 4, 0, 0, 0, 0])
@@ -121,8 +165,8 @@ def test_rho_is_a_lie_algebra_action(a, b, x):
 
 def test_rho_on_one_forms_is_matrix_action():
     a = Endo.unit(3, 1) + 2 * Endo.unit(5, 1)
-    assert rho(a, KForm.blade(1)) == \
-        KForm.blade(3) + KForm.blade(5, coeff=2)
+    assert rho(a, KForm.from_terms(1, [((1,), 1)])) == \
+        KForm.from_terms(1, [((3,), 1)]) + KForm.from_terms(1, [((5,), 2)])
 
 
 # -- pullback: the multiplicative action ----------------------------------------
@@ -155,7 +199,7 @@ def test_pullback_of_rank_one_shift_is_identity_plus_rho():
 
 def test_pullback_scaling_weights_by_degree():
     two = 2 * Endo.identity()
-    x = KForm.blade(1, 2, 3)
+    x = KForm.from_terms(3, [((1, 2, 3), 1)])
     assert pullback(two, x) == 8 * x
     third = FieldScalar(Q(1, 3)) * Endo.identity()
     assert pullback(third, FieldScalar(Q(5, 2)) * x) == FieldScalar(Q(5, 54)) * x
@@ -217,8 +261,8 @@ def test_pullback_matches_the_oracle_in_every_degree(family, degree, dense,
                        for m in rng.sample(masks, min(6, len(masks)))})
     expected = old_blade_pullback(x, images)
     assert blade_pullback(x, images) == expected
-    l_map = Endo([[images[j].coefficient(i + 1) for j in range(8)]
-                  for i in range(8)])
+    l_map = Endo([[dict(images[j].mask_items()).get(1 << i, 0)
+                   for j in range(8)] for i in range(8)])
     assert pullback(l_map, x) == expected
 
 
@@ -254,7 +298,7 @@ def test_exp_nilpotent_is_a_group_homomorphism():
 
 def test_exp_of_the_full_jordan_block_uses_every_term():
     # J^7 != 0 = J^8, so exp(J) has 1/(r - c)! on and below the diagonal
-    j = representative(YoungDiagram.of(8)).matrix
+    j = representative(YoungDiagram((8,))).matrix
     e = exp_nilpotent(j)
     assert e.rows == tuple(
         tuple(FieldScalar(Q(1, factorial(r - c))) if r >= c else ZERO
@@ -304,7 +348,8 @@ def test_exponential_pullback_stays_on_numerators(monkeypatch, t):
     a = random_rank_one_nilpotent(seeded(f"spy-exp-pullback:{t}"))
     calls = count_calls(monkeypatch, "__mul__", "from_ratio")
     out = pullback(exp_nilpotent(t * a), omega)
-    assert calls == {"__mul__": 0, "from_ratio": len(out)} and len(out) == 70
+    assert calls == {"__mul__": 0, "from_ratio": len(out.mask_items())}
+    assert len(out.mask_items()) == 70
     monkeypatch.undo()
     assert out == omega + FieldScalar.of(t) * rho(a, omega)
 

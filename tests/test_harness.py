@@ -17,7 +17,8 @@ import pytest
 
 from spin7lab.cayley import build_omega, perturb_rank_one, projectors
 from spin7lab.classify import classification_report
-from spin7lab.exterior.forms import KForm, Vector
+from spin7lab.exterior.endo import Endo
+from spin7lab.exterior.forms import FormOperator, KForm, Vector
 from spin7lab.harness import checks
 from spin7lab.harness.checks import (SUITE_NAMES, CheckResult, run_all_suites,
                                      run_suite)
@@ -28,7 +29,7 @@ from spin7lab.invariant.bryant_salamon import (InvariantMetric,
 from spin7lab.invariant.chamber import ChamberForm
 from spin7lab.invariant.liealg import build_lie_frame
 
-from _oracles import mutated_frame
+from _oracles import count_calls, mutated_frame
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -254,24 +255,59 @@ def test_metric_positivity_failure_carries_the_metric_as_witness(monkeypatch):
     assert witness["entries"][0]["names"] == ["ds", "ds"]
 
 
-_EMPTY_NULLSPACE = ("ValueError: nullspace of an empty matrix needs an "
-                    "explicit width")
+_BAD_UNIT = "ValueError: unit indices (9, 1) out of range 1..8"
+
+
+def _unit_raise_line() -> int:
+    """The line of ``Endo.unit`` that rejects an index outside 1..8."""
+    lines, first = inspect.getsourcelines(Endo.unit)
+    return first + next(i for i, line in enumerate(lines)
+                        if "out of range" in line)
 
 
 def test_raising_check_says_where(monkeypatch):
-    from spin7lab.exterior import linalg
-
     # every decomposition check builds the projectors; make that raise
-    monkeypatch.setattr(checks, "projectors", lambda: linalg.nullspace([]))
-    lines, first = inspect.getsourcelines(linalg.nullspace)
-    raise_line = first + next(i for i, line in enumerate(lines)
-                              if "needs an explicit width" in line)
+    monkeypatch.setattr(checks, "projectors", lambda: Endo.unit(9, 1))
     results = run_suite("decomposition", seed=0)
     assert results and not any(r.passed for r in results)
     for r in results:
-        assert r.detail["error"] == _EMPTY_NULLSPACE
+        assert r.detail["error"] == _BAD_UNIT
         assert r.detail["where"] == \
-            f"exterior/linalg.py:{raise_line} in nullspace"
+            f"exterior/endo.py:{_unit_raise_line()} in unit"
+
+
+def _resolution_check(monkeypatch) -> CheckResult:
+    """The decomposition suite cut down to its resolution-of-identity check."""
+    only = tuple(entry for entry in checks.SUITES["decomposition"]
+                 if entry[0] == "resolution-of-identity")
+    monkeypatch.setitem(checks.SUITES, "decomposition", only)
+    [result] = run_suite("decomposition", seed=0)
+    return result
+
+
+def test_passing_resolution_check_composes_the_cross_products_only(
+        monkeypatch):
+    projectors()                        # built before the products are counted
+    calls = count_calls(monkeypatch, "__matmul__", cls=FormOperator)
+    result = _resolution_check(monkeypatch)
+    # idempotence follows from the sum and the 12 cross products; no squares
+    assert calls == {"__matmul__": 12}
+    assert result.passed and result.detail == {
+        "idempotent": dict.fromkeys(("p1", "p7", "p27", "p35"), True),
+        "sums_to_identity": True}
+
+
+def test_failed_resolution_check_squares_each_projector(monkeypatch):
+    ps = projectors()
+    doubled = dataclasses.replace(ps, p1=2 * ps.p1)
+    monkeypatch.setattr(checks, "projectors", lambda: doubled)
+    calls = count_calls(monkeypatch, "__matmul__", cls=FormOperator)
+    result = _resolution_check(monkeypatch)
+    # the sum fails before any cross product; then each projector is squared
+    assert calls == {"__matmul__": 4}
+    assert not result.passed and result.detail == {
+        "idempotent": {"p1": False, "p7": True, "p27": True, "p35": True},
+        "sums_to_identity": False}
 
 
 _REPORT_CHECKS = ("admissible-set", "exclusion-certificates",
@@ -298,18 +334,13 @@ def test_classify_suite_builds_its_report_once(monkeypatch):
 
 
 def test_failed_report_build_fails_each_check_where_raised(monkeypatch):
-    from spin7lab.exterior import linalg
-
-    calls = _count_reports(monkeypatch, lambda **_: linalg.nullspace([]))
-    lines, first = inspect.getsourcelines(linalg.nullspace)
-    raise_line = first + next(i for i, line in enumerate(lines)
-                              if "needs an explicit width" in line)
+    calls = _count_reports(monkeypatch, lambda **_: Endo.unit(9, 1))
     results = {r.name: r for r in run_suite("classify", seed=0)}
     for name in _REPORT_CHECKS:
         assert not results[name].passed
         assert results[name].detail == {
-            "error": _EMPTY_NULLSPACE,
-            "where": f"exterior/linalg.py:{raise_line} in nullspace"}
+            "error": _BAD_UNIT,
+            "where": f"exterior/endo.py:{_unit_raise_line()} in unit"}
     assert calls == [len(_REPORT_CHECKS)]  # a failed build is not reused
 
 
@@ -435,6 +466,17 @@ def test_export_vector_parsing():
     code, _ = run_cli(["export", "--form", "rank-one",
                        "--v", "1,2,3", "--w", "0,0,0,0,0,0,0,1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--v", "1/0,0,0,0,0,0,1,0", "--w", "0,0,0,0,0,0,0,1"],
+    ["--v", "0,0,0,0,0,0,1,0", "--w", "0,0,0,0,0,0,0,1", "--t", "1/0"],
+])
+def test_export_rejects_a_zero_denominator_as_a_usage_error(argv, capsys):
+    # exit 1 means a failed check; a malformed rational is a usage error
+    code, _ = run_cli(["export", "--form", "rank-one", *argv])
+    assert code == 2
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
 def test_export_function_returns_record(tmp_path):

@@ -3,7 +3,8 @@
 The classification table must print the frozen rows of
 ``test_classify.py``; the form export must write the three named forms,
 each the record of the form it was made from; the reachability tracer
-must tell a reached line from an unreached one.
+must tell a reached line from an unreached one, and its totals line ends in
+the physical line count of the package.
 """
 
 import importlib.util
@@ -77,3 +78,14 @@ def test_reachability_tracer_sees_the_omega_export(tmp_path):
     functions = reach.executable(pathlib.Path(cli.__file__))
     assert line_of("record = build_omega().omega.to_record()") in \
         functions["export_form"]
+
+
+def test_reachability_totals_end_in_the_physical_line_count():
+    import spin7lab
+    reach = load_script("reachability")
+    package = pathlib.Path(spin7lab.__file__).parent
+    physical = sum(len(path.read_text().splitlines())
+                   for path in package.rglob("*.py"))
+    assert physical > 0
+    assert reach.totals(2367, 225).split("\t") == \
+        ["total", "2367", "225", str(physical)]

@@ -26,6 +26,7 @@ import spin7lab.invariant.chamber as chamber
 from spin7lab.exterior.forms import KForm
 from spin7lab.exterior.scalars import FieldScalar
 from spin7lab.invariant.chamber import S, W, ChamberForm
+from spin7lab.invariant.liealg import build_lie_frame
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"
@@ -58,16 +59,17 @@ def test_tracer_installs_counts_and_restores():
     # the fault-injection child rebinds this global of the checks module
     assert "build_lie_frame" in vars(checks)
     before = _attributes(tracer_module)
+    frame = build_lie_frame()
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         third = FieldScalar(1) / FieldScalar(3)       # an inverse and a product
-        KForm.blade(1, coeff=third) ^ KForm.blade(2)
+        KForm.from_terms(1, [((1,), third)]) ^ KForm.from_terms(1, [((2,), 1)])
         kform_wedges = tracer.calls.get("forms.wedge", 0)
         ChamberForm.generator(1).wedge(ChamberForm.generator(2))
         chamber_wedges = tracer.calls.get("forms.wedge", 0) - kform_wedges
         S * W                                         # a chamber product
-        chamber.maurer_cartan_d(ChamberForm.generator(6))
+        chamber.maurer_cartan_d(ChamberForm.generator(6), frame)
     finally:
         tracer.uninstall()
     summary = tracer.summary()
