@@ -443,8 +443,8 @@ class FormOperator:
     operator that they build from int numerators keeps them as its view,
     not always in lowest terms, and divides them into its ``images`` only
     when those are read; surd results are divided at once, so a kept view
-    is an int view.  ``==`` and ``hash`` read the images.  Of elimination
-    it has ``rank`` and ``kernel`` only, both over Q.
+    is an int view.  ``==`` cross-multiplies views, ``hash`` reads their
+    nonzero pattern; of elimination it has ``rank`` and ``kernel``, over Q.
     """
 
     __slots__ = ("degree", "_images", "_view")
@@ -548,12 +548,18 @@ class FormOperator:
         return -1 * self
 
     def __eq__(self, other):
-        return (isinstance(other, FormOperator)
-                and self.degree == other.degree and self.images == other.images)
+        if not isinstance(other, FormOperator) or self.degree != other.degree:
+            return False
+        den_a, left = self._numerators()
+        den_b, right = other._numerators()
+        return len(left) == len(right) and all(
+            a.keys() == b.keys() and all(x * den_b == b[m] * den_a
+                                         for m, x in a.items())
+            for a, b in zip(left, right))
 
     def __hash__(self):
         return hash((self.degree,
-                     tuple(frozenset(img.items()) for img in self.images)))
+                     tuple(frozenset(img) for img in self._numerators()[1])))
 
     def __bool__(self):
         return any(self._numerators()[1])

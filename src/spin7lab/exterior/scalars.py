@@ -14,10 +14,10 @@ and go out as ``Q``.  Floats are refused: no floating point is used
 anywhere.
 
 The numerator view.  The sparse sum-and-multiply code of the library
-(``Endo @``, ``rho``, ``pullback``, the contraction cube, the chamber
-products, ``maurer_cartan_d``, ``InvariantField.contract`` and integer
-elimination) reads its coefficients through one pair of functions, and no
-other module looks inside a scalar:
+(``Endo @``, ``rho``, ``pullback``, the contraction cube, the views that
+``ChamberScalar`` keeps and integer elimination) reads its coefficients
+through one pair of functions, and no other module looks inside a
+scalar:
 
 * ``to_numerators(maps)`` takes term maps ({key: scalar}) or rows
   (sequences, keyed by position) and returns (den, one {key: int} map per

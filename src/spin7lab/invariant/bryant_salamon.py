@@ -23,10 +23,10 @@ from functools import lru_cache
 
 from ..exterior.blades import contract_sign
 from ..exterior.forms import blade_pullback, wedge
-from ..exterior.scalars import ZERO, FieldScalar, to_numerators
+from ..exterior.scalars import ZERO, FieldScalar
 from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
-                      S, _add_products, _over, maurer_cartan_d)
+                      S, _add_products, _lcm_view, _over, maurer_cartan_d)
 
 __all__ = ["BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",
@@ -136,30 +136,35 @@ class InvariantField:
 
     def contract(self, form: ChamberForm) -> ChamberForm:
         """Y⌟form: the raw (s, w) terms of the three slots are summed per
-        output blade on the numerator view of Y and the form
-        (``scalars.to_numerators``, over D), then canonicalized once and
-        divided by D² per term."""
+        output blade on the views of Y's coefficients (over their lcm D_Y)
+        and of the form's (over D_F), then each goes once through _over."""
         fields = self.coefficients()
-        den, maps = to_numerators([c.terms for _, c in fields]
-                                  + [c.terms for c in form.terms.values()])
+        den_y, ys = _lcm_view([c for _, c in fields])
+        den_f, maps = _lcm_view(form.terms.values())
         acc: dict[int, dict] = {}
-        for (slot, _), y in zip(fields, maps):
+        for (slot, _), y in zip(fields, ys):
             signed = {1: y, -1: {k: -c for k, c in y.items()}}
-            for m, terms in zip(form.terms, maps[len(fields):]):
+            for m, terms in zip(form.terms, maps):
                 sign = contract_sign(slot, m)
                 if sign:
                     _add_products(acc.setdefault(m ^ (1 << slot), {}),
                                   signed[sign], terms)
-        return ChamberForm(form.degree - 1, {m: _over(raw, den * den)
+        return ChamberForm(form.degree - 1, {m: _over(raw, den_y * den_f)
                                              for m, raw in acc.items()})
+
+
+def _dt_wedge(form: ChamberForm) -> ChamberForm:
+    """dt∧form in one pass: dt = 2s ds, ds is slot 0, so each blade without
+    ds gains bit 0 (sign +1) and its coefficient the factor 2s."""
+    return ChamberForm(form.degree + 1, {m | 1: c._scaled(DT) for m, c in
+                                         form.terms.items() if not m & 1})
 
 
 def perturbed_form(field: InvariantField, bs: BryantSalamon) -> ChamberForm:
     """Φ + dt∧(Y⌟Φ) in chamber variables (dt = 2s ds)."""
     if not field.is_even():
         raise ValueError("perturbation coefficients must be even functions of s")
-    ds = ChamberForm.generator(0)
-    return bs.phi + DT * ds.wedge(field.contract(bs.phi))
+    return bs.phi + _dt_wedge(field.contract(bs.phi))
 
 
 def closure_mechanism_sides(field: InvariantField, bs: BryantSalamon,
@@ -167,12 +172,10 @@ def closure_mechanism_sides(field: InvariantField, bs: BryantSalamon,
     """(d(dt∧Y⌟Φ), −dt∧L_YΦ): equal sides of the identity behind
     closedness.  Y⌟Φ is contracted once for both sides, and Cartan's
     L_YΦ = d(Y⌟Φ) + Y⌟dΦ is written out; dΦ is computed, not assumed 0."""
-    ds = ChamberForm.generator(0)
     y_phi = field.contract(bs.phi)
     lie = maurer_cartan_d(y_phi, frame) + field.contract(
         maurer_cartan_d(bs.phi, frame))
-    return (maurer_cartan_d(DT * ds.wedge(y_phi), frame),
-            -(DT * ds.wedge(lie)))
+    return maurer_cartan_d(_dt_wedge(y_phi), frame), -_dt_wedge(lie)
 
 
 def closure_mechanism_holds(field: InvariantField, bs: BryantSalamon,
@@ -289,16 +292,11 @@ def lemma_invariant_forms() -> tuple[ChamberForm, ChamberForm]:
 
 
 def pointwise_rank_one_check(field: InvariantField, s_value) -> dict:
-    """Framed orbit membership of the perturbed form at one chamber point.
-
-    In the metric coframe the 4-form is the standard Cayley form, and the
-    perturbing endomorphism Y⊗dt becomes w ⊗ v♭ with v the (dt)♯ direction
-    and w the value of Y — the frame factors only rescale v and w by
-    positive amounts, which changes neither the Jordan type nor orbit
-    membership.  The check replays the flat-space rank-one criterion on
-    that data: v ⊥ w, w ⊗ v♭ square-zero of rank one with Jordan type
-    (2,1,1,1,1,1,1), and Ω + v♭∧(w⌟Ω) = Λ⁴(Id + w⊗v♭)Ω exactly.
-    """
+    """The flat rank-one criterion replayed on Ω at one chamber point, with
+    v = 2s₀e₁ (dt = 2s ds) and w = Y(s₀) on e2..e4 (A4..A6): for w ≠ 0,
+    the rank, square and Jordan type of w ⊗ v♭ and whether
+    Λ⁴(Id + w⊗v♭)Ω = Ω + v♭∧(w⌟Ω).  Nothing ties Φ to Ω here: ROADMAP
+    item 1 measured Φ pointwise in the orbit of −Ω, not Ω (same stabilizer)."""
     from ..cayley import build_omega, perturb_rank_one
     from ..classify import jordan_type_of
     from ..exterior.endo import Endo, pullback
@@ -309,11 +307,8 @@ def pointwise_rank_one_check(field: InvariantField, s_value) -> dict:
         raise ValueError("chamber sample points must be positive rationals")
     values = [c.evaluate(s0) for c in (field.a, field.b, field.c)]
     record = {"s": str(s0), "field_value": [str(x) for x in values]}
-    # e1 <-> the s-direction, e2..e4 <-> A4..A6, e5..e8 <-> X1..X4
-    v = (FieldScalar(2) * s0) * Vector.basis(1)
-    w = Vector.zero()
-    for idx, val in zip((2, 3, 4), values):
-        w = w + val * Vector.basis(idx)
+    v = Vector((s0 + s0, 0, 0, 0, 0, 0, 0, 0))
+    w = Vector((0, *values, 0, 0, 0, 0))
     if not w:
         record.update(trivial=True, in_orbit=True)
         return record

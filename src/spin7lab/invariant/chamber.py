@@ -6,24 +6,25 @@ turns every fractional power appearing in the geometry into a Laurent
 polynomial, so d, wedge and Lie derivatives stay exact.  The derivation is
 determined by ∂_s w = (2/5) s w⁻⁴.
 
+A ChamberScalar keeps the numerator view of its canonical (s, w) terms;
+sums, products, ∂_s, d and contraction sum raw terms on views over one
+denominator (w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep int
+numerators integral), and ``_over`` canonicalizes and reduces each once.
+
 ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
 the differential combines ∂_s on coefficients with the Maurer-Cartan
 equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j, read from the frame's constants
 into one table of numerators per frame (``LieFrame.maurer_cartan_table``).
-d, ∂_s and products without a w-free monomial factor c·s^a sum raw (s, w)
-terms on the numerator view of their inputs (``scalars.to_numerators``;
-w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep int numerators
-integral); each output scalar is canonicalized once, each term divided once.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd, lcm
 
 from ..exterior.blades import indices_of, mask_of
 from ..exterior.forms import Form, contract_generator
-from ..exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
+from ..exterior.scalars import (Q, FieldScalar, from_numerators,
                                 to_numerators)
 from .liealg import LieFrame, N_GENERATORS
 
@@ -39,145 +40,142 @@ _CONSTANTS = (int, Q, FieldScalar)
 
 
 class ChamberScalar:
-    """An element of F[s, w, w⁻¹]/(w⁵ − 1 − s²) in canonical form.
+    """An element of F[s, w, w⁻¹]/(w⁵ − 1 − s²): the (s_exp, net_w_exp) terms
+    of its representative numerator·w^{-k} with k minimal and numerator
+    w-degrees in 0..4, kept as a view (den, {(s_exp, w_exp): n}) of ints over
+    a positive den with gcd 1, or with a surd of FieldScalars over 1.  ``==``
+    and ``hash`` read the view; the FieldScalar ``terms`` are divided out on
+    first read, and are assignable."""
 
-    Stored as a map (s_exp, net_w_exp) -> FieldScalar where the net
-    exponents are those of the unique representative numerator·w^{-k} with
-    k minimal and numerator w-degrees in 0..4.
-    """
+    __slots__ = ("_denom", "_nums", "_terms")
 
-    __slots__ = ("terms",)
+    def __init__(self, raw: dict | None = None):
+        x = _over({k: FieldScalar.of(c) for k, c in (raw or {}).items()}, 1)
+        self._denom, self._nums, self._terms = x._denom, x._nums, None
 
-    def __init__(self, raw: dict[tuple[int, int], FieldScalar] | None = None):
-        self.terms = _canonical(raw or {})
+    @property
+    def terms(self) -> dict[tuple[int, int], FieldScalar]:
+        if self._terms is None:
+            self._terms = from_numerators(self._nums, self._denom)
+        return self._terms
+
+    @terms.setter
+    def terms(self, terms: dict[tuple[int, int], FieldScalar]) -> None:
+        den, (nums,) = to_numerators([terms])
+        self._denom, self._nums, self._terms = den, nums, None
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def of(x) -> "ChamberScalar":
-        if isinstance(x, ChamberScalar):
-            return x
-        return ChamberScalar({(0, 0): FieldScalar.of(x)})
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, (ChamberScalar, *_CONSTANTS)):
-            return ChamberScalar.of(x)
-        return None
+        return x if isinstance(x, ChamberScalar) else ChamberScalar.monomial(x)
 
     @staticmethod
     def monomial(coeff, s_exp: int = 0, w_exp: int = 0) -> "ChamberScalar":
-        return ChamberScalar({(s_exp, w_exp): FieldScalar.of(coeff)})
+        # canonical for |w_exp| < 5: one term's w⁰-layer never has 1 + s²
+        if isinstance(coeff, (int, Q)) and -5 < w_exp < 5:
+            q = Q(coeff)
+            return _make(q.denominator, {(s_exp, w_exp): q.numerator} if q else {})
+        return _over({(s_exp, w_exp): FieldScalar.of(coeff)}, 1)
 
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
-        other = ChamberScalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        raw = dict(self.terms)
-        _add_terms(raw, other.terms.items())
-        return ChamberScalar(raw)
+        return _summed(self, _operand(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ChamberScalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return _summed(self, _operand(other), -1)
 
     def __rsub__(self, other):
-        other = ChamberScalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return _summed(_operand(other), self, -1)
 
     def __neg__(self):
-        out = ChamberScalar.__new__(ChamberScalar)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return _make(self._denom, {k: -c for k, c in self._nums.items()})
 
     def __mul__(self, other):
-        if isinstance(other, _CONSTANTS):
-            return self._scaled(FieldScalar.of(other))
-        if not isinstance(other, ChamberScalar):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         # by a w-free monomial c·s^a (a constant when a = 0): see _scaled
         for x, y in ((self, other), (other, self)):
-            if len(y.terms) == 1:
-                ((a, e), c), = y.terms.items()
+            if len(y._nums) == 1:
+                (_a, e), = y._nums
                 if not e:
-                    return x._scaled(c, a)
-        den, (x, y) = to_numerators([self.terms, other.terms])
+                    return x._scaled(y)
         raw: dict = {}
-        _add_products(raw, x, y)
-        return _over(raw, den * den)
+        _add_products(raw, self._nums, other._nums)
+        return _over(raw, self._denom * other._denom)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c: FieldScalar, a: int = 0) -> "ChamberScalar":
-        """self·c·s^a, without re-canonicalizing: 1 + s² is coprime to s over
-        F, so the w⁰-layer divisibility test that fixes the canonical form
-        gives the same answer on s^a times a numerator.  By 1 it is self."""
-        if not c:
-            return ChamberScalar()
-        if not a and c == ONE:
+    def _scaled(self, m: "ChamberScalar") -> "ChamberScalar":
+        """self·m for a nonzero w-free monomial m = (n/d)·s^a, uncanonicalized:
+        1 + s² is coprime to s over F, so the w⁰-layer test that fixes the
+        canonical form agrees on s^a times a numerator.  By 1 it is self."""
+        ((a, _), n), = m._nums.items()
+        d, den, nums = m._denom, self._denom, self._nums
+        if not a and d == 1 and n == 1:
             return self
-        out = ChamberScalar.__new__(ChamberScalar)
-        out.terms = {(b + a, e): c * x for (b, e), x in self.terms.items()}
-        return out
+        surd = type(next(iter(nums.values()), 0)) is not int
+        if type(n) is int and not surd:
+            return _reduced({(b + a, e): n * c for (b, e), c in nums.items()},
+                            den * d)
+        out = {(b + a, e): FieldScalar.from_ratio(n * c, den * d)
+               for (b, e), c in nums.items()}
+        # a surd times a nonzero rational is a surd; two surds may give one
+        return _over(out, 1) if surd and type(n) is not int else _make(1, out)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in the ring")
-        out = ChamberScalar.of(1)
+        out = _ONE_SCALAR
         for _ in range(n):
             out = out * self
         return out
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
-        if isinstance(other, _CONSTANTS):
-            other = ChamberScalar.of(other)
-        if not isinstance(other, ChamberScalar):
-            return NotImplemented
-        return self.terms == other.terms
+        other = _operand(other)
+        return NotImplemented if other is None else (
+            self._denom == other._denom and self._nums == other._nums)
 
     def __hash__(self):
         # a constant equals its FieldScalar (or int, or Q), so it must hash like it
         if self.is_constant():
-            return hash(self.terms.get((0, 0), ZERO))
-        return hash(frozenset(self.terms.items()))
+            n = self._nums.get((0, 0), 0)
+            return hash(Q(n, self._denom) if type(n) is int else n)
+        return hash((self._denom, frozenset(self._nums.items())))
 
     # -- calculus and predicates -----------------------------------------
 
     def derivative(self) -> "ChamberScalar":
         """∂_s, with ∂_s w = (2/5) s w⁻⁴, as 5∂_s divided by 5."""
-        den, (terms,) = to_numerators([self.terms])
         raw: dict = {}
-        _add_terms(raw, _derivative_terms(terms))
-        return _over(raw, 5 * den)
+        _add_terms(raw, _derivative_terms(self._nums))
+        return _over(raw, 5 * self._denom)
 
     def is_even_in_s(self) -> bool:
-        return all(a % 2 == 0 for (a, _e) in self.terms)
+        return all(a % 2 == 0 for (a, _e) in self._nums)
 
     def is_constant(self) -> bool:
-        return all(k == (0, 0) for k in self.terms)
+        return all(k == (0, 0) for k in self._nums)
 
     def evaluate(self, s_value) -> FieldScalar:
-        """Value at a rational point of the s-axis; defined for w-free
-        elements only (the canonical form of a genuine w-power never has
-        w-exponent zero everywhere)."""
-        s_value = FieldScalar.of(s_value)
-        out = ZERO
-        for (a, e), c in self.terms.items():
-            if e:
-                raise ValueError("cannot evaluate a w-dependent coefficient at a point")
-            out = out + c * s_value ** a
-        return out
+        """Value at a rational point s = p/q, for w-free elements only (a
+        genuine w-power never has w-exponent zero everywhere): by Horner on
+        the view, Σ n_a p^a q^(top − a) over den·q^top."""
+        if any(e for _a, e in self._nums):
+            raise ValueError("cannot evaluate a w-dependent coefficient at a point")
+        q, (p,) = to_numerators([(FieldScalar.of(s_value),)])
+        acc, q_power = 0, 1
+        for a in range(max((a for a, _e in self._nums), default=0), -1, -1):
+            acc = acc * p.get(0, 0) + self._nums.get((a, 0), 0) * q_power
+            q_power = q_power * q if a else q_power
+        return FieldScalar.from_ratio(acc, self._denom * q_power)
 
     def sorted_terms(self) -> list[tuple[int, int, FieldScalar]]:
         return [(a, e, c) for (a, e), c in sorted(self.terms.items())]
@@ -200,15 +198,58 @@ class ChamberScalar:
     __repr__ = __str__
 
 
-# Raw term maps (s_exp, w_exp) -> coefficient need not be canonical.  The
+def _operand(x) -> ChamberScalar | None:
+    """A ChamberScalar or constant operand as a ChamberScalar, else None."""
+    if type(x) is ChamberScalar:
+        return x
+    return ChamberScalar.monomial(x) if isinstance(x, _CONSTANTS) else None
+
+
+def _make(den: int, nums: dict) -> ChamberScalar:
+    out = object.__new__(ChamberScalar)
+    out._denom, out._nums, out._terms = den, nums, None
+    return out
+
+
+def _reduced(nums: dict, den: int) -> ChamberScalar:
+    """The scalar of canonical int numerators over a positive den."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den, nums = den // g, {k: c // g for k, c in nums.items()}
+    return _make(den, nums)
+
+
+# Raw term maps (s_exp, w_exp) -> numerator need not be canonical.  The
 # helpers below build, sum and reduce them on ints or on FieldScalars:
 # every sum starts from its first term, never from ZERO.
 
 def _over(raw: dict, den: int) -> ChamberScalar:
-    """raw/den, canonicalized once, then divided once per term."""
-    out = ChamberScalar.__new__(ChamberScalar)
-    out.terms = from_numerators(_canonical(raw), den)
-    return out
+    """raw/den, canonicalized once and reduced by one gcd; with a
+    FieldScalar among the numerators, divided at once and viewed anew."""
+    nums = _canonical(raw)
+    try:
+        return _reduced(nums, den) if nums else _ZERO_SCALAR
+    except TypeError:  # gcd refuses FieldScalars
+        den, (nums,) = to_numerators([from_numerators(nums, den)])
+        return _make(den, nums)
+
+
+def _summed(x, y, sign: int):
+    """x + sign·y on their lcm view; NotImplemented for a refused operand."""
+    if x is None or y is None:
+        return NotImplemented
+    den, (raw, other) = _lcm_view((x, y))
+    raw = dict(raw)
+    _add_scaled(raw, sign, other)
+    return _over(raw, den)
+
+
+def _lcm_view(scalars) -> tuple[int, list[dict]]:
+    """(D, the scalars' views as numerators over D), D the lcm of dens."""
+    den = lcm(*(x._denom for x in scalars))
+    return den, [x._nums if x._denom == den else
+                 {k: c * (den // x._denom) for k, c in x._nums.items()}
+                 for x in scalars]
 
 
 def _add_terms(raw: dict, items) -> None:
@@ -292,12 +333,11 @@ def _divide_by_one_plus_s2(poly: dict) -> dict | None:
     return None if any(rem.values()) else out
 
 
+_ZERO_SCALAR = _make(1, {})
 S = ChamberScalar.monomial(1, 1, 0)
 W = ChamberScalar.monomial(1, 0, 1)
 W_INV = ChamberScalar.monomial(1, 0, -1)
 T = S * S
-
-_ZERO_SCALAR = ChamberScalar()
 _ONE_SCALAR = ChamberScalar.of(1)
 
 
@@ -374,14 +414,11 @@ def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
 
     d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
     degree, so moving it to the front costs no sign.  The constants of
-    5·de^k come from ``frame.maurer_cartan_table``, built once per frame
-    object, as numerators over D_frame.  The raw (s, w) terms of 5·d are
-    summed per output blade on the numerator view of the form (over
-    D_form), each Maurer-Cartan term as one numerator times a term map,
-    then canonicalized once and divided by 5·D_form·D_frame per term.
-    """
+    5·de^k are numerators over D_frame from ``frame.maurer_cartan_table``,
+    built once per frame object.  The raw (s, w) terms of 5·d are summed
+    per output blade on the coefficients' views over their lcm D_form."""
     frame_den, dgen = frame.maurer_cartan_table
-    den, maps = to_numerators([c.terms for c in form.terms.values()])
+    den, maps = _lcm_view(form.terms.values())
     acc: dict[int, dict] = {}
     for mask, terms in zip(form.terms, maps):
         if not mask & 1:  # ds is slot 0, so ds∧e^I has sign +1

@@ -253,6 +253,41 @@ def test_rational_d_and_contract_multiply_no_field_scalars(monkeypatch):
     assert [bool(x) for x in d] == [False, True, False, False]
 
 
+def test_rational_chamber_checks_divide_no_field_scalar(monkeypatch):
+    # d, Y⌟, the perturbed form and the closure sides stay on int views:
+    # no term is divided into a FieldScalar on the way
+    import spin7lab.invariant.bryant_salamon as bsm
+    rng = random.Random("test-bs:no-division")
+    field = InvariantField.of(*(random_even_scalar(rng) for _ in range(3)))
+    form = Q(3, 35) * W_INV * BS.phi + S * BS.psi2
+    calls = []
+    original = FieldScalar.from_ratio
+    monkeypatch.setattr(FieldScalar, "from_ratio", staticmethod(
+        lambda n, d: calls.append((n, d)) or original(n, d)))
+    d_form = maurer_cartan_d(form, FRAME)
+    contracted = field.contract(form)
+    perturbed = perturbed_form(field, BS)
+    lhs, rhs = bsm.closure_mechanism_sides(field, BS, FRAME)
+    assert calls == []
+    monkeypatch.undo()
+    assert d_form == old_maurer_cartan_d(form, FRAME)
+    assert contracted == old_contract(field, form)
+    assert perturbed == BS.phi + DT * DS.wedge(old_contract(field, BS.phi))
+    assert lhs == rhs
+
+
+def test_dt_wedge_is_dt_times_ds_wedge():
+    import spin7lab.invariant.bryant_salamon as bsm
+    rng = random.Random("test-bs:dt-wedge")
+    field = InvariantField.of(*(random_even_scalar(rng) for _ in range(3)))
+    surd = ChamberScalar.monomial(SQRT2, 1, -2) + W
+    forms = [BS.phi, field.contract(BS.phi), DS, ONE_FORM,
+             ChamberForm.blade(0, 4, coeff=W) + ChamberForm.blade(5, 7),
+             surd * ChamberForm.blade(4, 7) + Q(2, 3) * ChamberForm.blade(0, 9)]
+    for form in forms:
+        assert bsm._dt_wedge(form) == DT * DS.wedge(form)
+
+
 def test_contract_of_a_scalar_raises():
     with pytest.raises(ValueError):
         InvariantField.of(1, 0, 0).contract(ONE_FORM)

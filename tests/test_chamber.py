@@ -6,12 +6,14 @@ derivative driven by the connection-frame structure constants.
 """
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spin7lab.exterior.forms import wedge
-from spin7lab.exterior.scalars import ZERO, FieldScalar, Q, to_numerators
+from spin7lab.exterior.scalars import (SQRT2, ZERO, FieldScalar, Q,
+                                      to_numerators)
 from spin7lab.invariant import chamber
 from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         ChamberScalar, S, T, W, W_INV,
@@ -167,6 +169,57 @@ def test_constants_compare_and_combine_like_their_rational(r):
     assert S * q == ChamberScalar.monomial(q, 1, 0)
 
 
+# -- the numerator view ------------------------------------------------------------
+
+def assert_canonical_view(x: ChamberScalar):
+    """Ints over a positive den in lowest terms, or FieldScalars over 1
+    with at least one surd among them."""
+    den, nums = x._denom, x._nums
+    if all(type(c) is int for c in nums.values()):
+        assert den > 0 and gcd(den, *nums.values()) == 1
+    else:
+        assert den == 1 and all(type(c) is FieldScalar for c in nums.values())
+        assert not all(c.is_rational() for c in nums.values())
+    assert all(nums.values())
+
+
+@given(st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
+       st.data())
+def test_views_are_canonical_and_round_trip_through_terms(family, data):
+    x, y = data.draw(family), data.draw(family)
+    for z in (x, y, x + y, x - y, -x, x * y, x * S, x * Q(3, 7),
+              x.derivative(), x * W_INV ** 5):
+        assert_canonical_view(z)
+        twin = ChamberScalar(z.terms)
+        assert twin == z and hash(twin) == hash(z)
+        assert (twin._denom, twin._nums) == (z._denom, z._nums)
+        assigned = ChamberScalar.__new__(ChamberScalar)
+        assigned.terms = z.terms
+        assert assigned == z and hash(assigned) == hash(z)
+    # equal values reached along different paths hash alike
+    assert x + y - y == x and hash(x + y - y) == hash(x)
+    assert (x * W) * W_INV == x and hash((x * W) * W_INV) == hash(x)
+
+
+@given(rational_laurent_scalars, rational_laurent_scalars)
+def test_rational_results_reached_through_surds_are_int_views(x, y):
+    root2 = ChamberScalar.of(SQRT2)
+    for via_surds, twin in (((root2 * x) * (root2 * y), 2 * (x * y)),
+                            (root2 * x * W + (x - root2 * x) * W, x * W)):
+        assert via_surds == twin and hash(via_surds) == hash(twin)
+        assert (via_surds._denom, via_surds._nums) == (twin._denom, twin._nums)
+        assert_canonical_view(via_surds)
+
+
+def test_root_two_s_squared_is_the_int_built_two_s_squared():
+    root2_s = ChamberScalar.monomial(SQRT2, 1)
+    two_t = ChamberScalar.monomial(2, 2)
+    for square in (root2_s * root2_s, root2_s ** 2):
+        assert square == two_t and hash(square) == hash(two_t)
+        assert (square._denom, square._nums) == (1, {(2, 0): 2})
+        assert_canonical_view(square)
+
+
 # -- derivation ------------------------------------------------------------------
 
 def test_derivative_of_the_generators():
@@ -202,6 +255,17 @@ def test_evaluate_w_free_elements():
     assert S.evaluate("3/2") == FieldScalar(Q(3, 2))
     poly = 3 * T * T - 2 * T + 1
     assert poly.evaluate(1) == FieldScalar(2)
+
+
+@given(laurent_scalars(st.integers(0, 6), st.just(0),
+                      st.one_of(rationals, field_scalars), max_size=4),
+       st.fractions(min_value=Q(1, 9), max_value=9, max_denominator=9))
+def test_evaluate_is_the_sum_of_the_terms(x, s_value):
+    s0 = FieldScalar(Q(s_value))
+    expected = ZERO
+    for a, _e, c in x.sorted_terms():
+        expected = expected + c * s0 ** a
+    assert x.evaluate(s0) == x.evaluate(Q(s_value)) == expected
 
 
 def test_evaluate_rejects_w_dependence():

@@ -29,6 +29,7 @@ from spin7lab.cayley import build_omega, projectors
 from spin7lab.classify import enumerate_diagrams, representative
 from spin7lab.exterior.blades import BLADE_POSITION, BLADES
 from spin7lab.exterior.endo import Endo, rho
+from spin7lab.exterior import forms as forms_module
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
 from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent
@@ -234,6 +235,38 @@ def test_projector_products_match_image_by_image_apply():
     for p, q in ((ps.p7, ps.p7), (ps.p27, ps.p35), (ps.p1, ps.p27)):
         assert as_forms(p @ q) == [old_apply(as_forms(p), img)
                                    for img in as_forms(q)]
+
+
+def test_projector_square_compares_without_dividing(monkeypatch):
+    # == cross-multiplies the two numerator views; neither is divided
+    p7 = projectors().p7
+    calls = []
+    original = forms_module.from_numerators
+    monkeypatch.setattr(forms_module, "from_numerators",
+                        lambda *args: calls.append(args) or original(*args))
+    square = p7 @ p7
+    assert square == p7 and p7 == square and hash(square) == hash(p7)
+    assert square != 2 * p7 and square != p7 - p7
+    assert calls == []
+
+
+@settings(max_examples=40)
+@given(entry_families, st.sampled_from([2, 4]), st.integers(2, 9),
+       st.randoms(use_true_random=True))
+def test_equality_cross_multiplies_views_in_any_terms(
+        family, degree, k, rng):
+    p = random_operator(family, degree, rng)
+    den, images = p._numerators()
+    image_built = FormOperator(degree, [dict(img) for img in p.images])
+    # a view over k·den, not in lowest terms when the view is an int view
+    scaled_view = FormOperator._of_numerators(
+        degree, [{m: k * x for m, x in img.items()} for img in images],
+        k * den)
+    for op in (image_built, scaled_view, old_operator_sum(p, p, 0)):
+        assert op == p and p == op
+        assert hash(op) == hash(p)
+    assert (k * p == p) == (not p)
+    assert p != FormOperator(degree + 1, p.images)
 
 
 # -- kernels --------------------------------------------------------------------
