@@ -10,9 +10,9 @@ perturbation Ω + t·v♭∧(w⌟Ω).
 
 The projectors are FormOperators (exterior.forms): one {mask: coefficient}
 dict per basis 4-blade, applied and composed with one accumulator per
-output blade.  All four are rational, so they are applied and composed on
-int numerators over one denominator per projector, and a rational ρ(A)Ω
-is projected without a FieldScalar product.  The stabilizer and the orbit
+output blade.  All four are rational and built on int numerators, and a
+KForm is its numerator view, so a rational ρ(A)Ω is computed, projected
+and compared without a FieldScalar operation.  The stabilizer and the orbit
 dimensions are the kernel and the rank of the map A ↦ ρ(A)Ω, a
 FormOperator from gl(8) into Λ⁴; the elements of gl(8) are Endos, the
 same operator type on Λ¹.
@@ -26,11 +26,10 @@ from typing import Sequence
 
 from .exterior.blades import BLADES, wedge_sign
 from .exterior.forms import (FormOperator, KForm, Vector, _combine,
-                             _pair_contracted, contract, hodge_star, inner,
-                             wedge)
+                             _lcm_view, _pair_contracted, basis_blades,
+                             contract, hodge_star, wedge)
 from .exterior.endo import Endo, rho
-from .exterior.scalars import (ONE, ZERO, Q, FieldScalar, from_numerators,
-                               to_numerators)
+from .exterior.scalars import ZERO, Q, FieldScalar, to_numerators
 
 __all__ = ["CayleyStructure", "FormOperator", "DecompositionProjectors",
            "build_omega", "stabilizer_algebra", "so8_basis", "sl8_basis",
@@ -129,42 +128,41 @@ def projectors() -> DecompositionProjectors:
     M = μ·p7 with μ = tr M/7 = Σ|T_ij|²/7 = 224/7 = 32.  The checks
     ``projector-ranks`` and ``resolution-of-identity`` check the result."""
     omega = build_omega().omega
-    blades = [KForm(4, {m: ONE}) for m in BLADES[4]]
-    norm_inv = inner(omega, omega).inverse()
-
-    p1 = FormOperator.of_forms(4, [(inner(b, omega) * norm_inv) * omega
-                                   for b in blades])
-
-    half = FieldScalar(Q(1, 2))
-    p35 = FormOperator.of_forms(4, [half * (b - hodge_star(b)) for b in blades])
-
-    images = [dict(rho(a, omega).mask_items()) for a in so8_basis()]
-    mu_inv = 7 / sum((c * c for t in images for c in t.values()), ZERO)
-    p7 = FormOperator(4, [_combine((t, mu_inv * t[m]) for t in images
-                                   if m in t) for m in BLADES[4]])
-
+    p1 = _gram_projector([omega], 1)
+    p7 = _gram_projector([rho(a, omega) for a in so8_basis()], 7)
+    p35 = Q(1, 2) * FormOperator.of_forms(
+        4, [b - hodge_star(b) for b in basis_blades(4)])
     p27 = FormOperator.identity(4) - p1 - p7 - p35
     return DecompositionProjectors(p1=p1, p7=p7, p27=p27, p35=p35)
+
+
+def _gram_projector(forms: Sequence[KForm], rank: int) -> FormOperator:
+    """rank·Σ T⟨T, ·⟩/Σ|T|² over rational 4-forms T: with T = N/D over one
+    D, image m is rank·Σ N[m]·N/Σ|N|², on ints."""
+    _, nums = _lcm_view(forms)
+    norm = sum(x * x for t in nums for x in t.values())
+    return FormOperator._of_numerators(
+        4, [_combine((t, rank * t[m]) for t in nums if m in t)
+            for m in BLADES[4]], norm)
 
 
 def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
     """(u⌟v⌟a)³ ∈ Λ⁶ for a 4-form a; the pair contraction is degenerate
     iff this vanishes.
 
-    On one numerator view of u, v and a over den
-    (``scalars.to_numerators``), q = den³·(u⌟v⌟a) is the sum of
-    (u_i·v_j − u_j·v_i)·e_i⌟e_j⌟a over the nonzero minors i < j, each
-    pair contracted on masks by ``forms._pair_contracted``.  A 2-form
-    cubed is 3! times its Pfaffians: the coefficient of q³ on a 6-blade M
-    is 6·Pf(q|_M), the signed sum of q_a·q_b·q_c over the perfect
-    matchings {a, b, c} of M (``_matchings``), divided once by den⁹."""
+    With u, v over den (``scalars.to_numerators``) and a over den_a,
+    q = den²·den_a·(u⌟v⌟a) is the sum of (u_i·v_j − u_j·v_i)·e_i⌟e_j⌟a
+    over the nonzero minors i < j, each pair contracted on masks by
+    ``forms._pair_contracted``.  A 2-form cubed is 3! times its
+    Pfaffians: the coefficient of q³ on a 6-blade M is 6·Pf(q|_M), the
+    signed sum of q_a·q_b·q_c over the perfect matchings {a, b, c} of M
+    (``_matchings``), over (den²·den_a)³."""
     if a.degree != 4:
         raise ValueError("the contraction cube is taken of a 4-form")
-    den, (us, vs, terms) = to_numerators(
-        [u.components, v.components, dict(a.mask_items())])
+    den, (us, vs) = to_numerators([u.components, v.components])
     minors = ((i, j, us.get(i, 0) * vs.get(j, 0) - us.get(j, 0) * vs.get(i, 0))
               for i in range(8) for j in range(i + 1, 8))
-    q = _combine((_pair_contracted(1 << i, 1 << j, terms), w)
+    q = _combine((_pair_contracted(1 << i, 1 << j, a._nums), w)
                  for i, j, w in minors if w)
     cube = {}
     for m, matchings in _matchings():
@@ -175,7 +173,7 @@ def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
                 total = total + term if sign > 0 else total - term
         if total:
             cube[m] = 6 * total
-    return KForm(6, from_numerators(cube, den ** 9))
+    return KForm._of_numerators(6, cube, (den * den * a._denom) ** 3)
 
 
 @lru_cache(maxsize=1)

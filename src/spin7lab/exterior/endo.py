@@ -16,10 +16,10 @@ The numerator view.  ``rho``, ``pullback``, ``exp_nilpotent`` and the
 classifier's ``jordan_type_of``, like the ``@``, sums and scaling that an
 Endo inherits, sum and multiply on the numerator view of its images
 (``scalars.to_numerators``: ints over one denominator, or the FieldScalars
-over 1 with a surd) and divide once per output entry.  An Endo built from
-int numerators keeps them as its view, so a chain such as
-``pullback(exp_nilpotent(t * a), Ω)`` stays on ints from A to the 70
-output coefficients.
+over 1 with a surd).  An Endo built from int numerators keeps them as its
+view, and a KForm is its numerator view, so ``rho`` and ``pullback``
+divide nothing: ``pullback(exp_nilpotent(t * a), Ω) == Ω + t·ρ(A)Ω``
+stays on ints from A to the comparison.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import factorial
 
 from .blades import DIM
-from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
+from .scalars import ZERO, FieldScalar, to_numerators
 from .forms import (Covector, FormOperator, KForm, Vector, _combine,
                     _composed, _pruned, _pulled_back)
 
@@ -118,13 +118,11 @@ def _rho_terms(terms: dict, columns: list[dict]) -> dict:
 
 
 def _on_numerators(a: Endo, form: KForm, action, den_power: int) -> KForm:
-    """action(term map of the form, images of A) on the numerator views
-    of A and the form, divided once by den(A)^den_power·den(form) per
-    output coefficient."""
+    """action(numerators of the form, numerator images of A) over
+    den(A)^den_power·den(form)."""
     den_a, images = a._numerators()
-    den_f, (terms,) = to_numerators([dict(form.mask_items())])
-    return KForm(form.degree, from_numerators(action(terms, images),
-                                              den_a ** den_power * den_f))
+    return KForm._of_numerators(form.degree, action(form._nums, images),
+                                den_a ** den_power * form._denom)
 
 
 def rho(a: Endo, form: KForm) -> KForm:

@@ -1,15 +1,17 @@
 """Sparse exterior algebra over any coefficient ring, and its R^8 instance.
 
-A Form stores a degree and a map from blade masks (see blades.py) to
-coefficients; zero coefficients are pruned eagerly so equality is
-structural.  The engine below (add, negate, scale, wedge, contraction by
-one generator, blade pullback) only adds, negates and multiplies the
-coefficients it is given, so the same code serves KForm (the eight
-covectors of R^8 over Q(sqrt2, sqrt3)), ChamberForm (the eleven chamber
-coframe generators over the chamber ring) and the int numerators of a
-rational ``endo.pullback``.  Blade pullback wedges on one image term at a
-time, with its signs from a table per generator count, and adds the last
-wedge of each blade straight into the output.
+A Form is a degree and its numerator view: ``_nums`` maps blade masks (see
+blades.py) to nonzero numerators over one positive int ``_denom``.  A KForm
+(R^8 over Q(sqrt2, sqrt3)) holds ints with gcd(den, numerators) = 1, or
+with a surd its FieldScalars over 1 (``scalars.to_numerators``' fallback),
+and divides out FieldScalar coefficients only when read; a ChamberForm
+(the eleven chamber coframe generators) holds its coefficients over 1.
+The engine below (add, negate, scale, wedge, contraction by one
+generator, blade pullback) only adds, negates and multiplies numerators
+and dens, so the same code serves both and ``endo.rho``/``pullback``; it
+builds each result by ``Form._of_numerators``.  Blade pullback wedges on
+one image term at a time, with its signs from a table per generator
+count, and adds the last wedge of each blade straight into the output.
 
 On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
@@ -21,20 +23,20 @@ domain basis is the blade order of ``blades.BLADES``.  ``endo.Endo`` is
 the FormOperator on Λ¹, an 8x8 matrix whose image j is its column j.
 Applying, composing (``_composed``, which also raises the powers of
 ``endo.exp_nilpotent`` and ``classify.jordan_type_of``), adding and
-scaling operators, like contracting by a vector, sum every contribution
-into one accumulator per output blade, on the numerator view of the
-FieldScalar images (``scalars.to_numerators``, taken once per operator):
-ints over one denominator for rational images, FieldScalars over 1 with a
-surd.  An operator built from int numerators keeps them as its view.  Its
-rank and kernel are all it asks of elimination: both hand ``linalg`` one
-sparse {column: coefficient} row per occurring blade, in mask order, and
-reduce it over Q only.
+scaling operators sum every contribution into one accumulator per output
+blade, on the numerator view of the FieldScalar images
+(``scalars.to_numerators``, taken once per operator): ints over one
+denominator for rational images, FieldScalars over 1 with a surd.  An
+operator built from int numerators keeps them as its view.  Its rank and
+kernel are all it asks of elimination: both hand ``linalg`` one sparse
+{column: coefficient} row per occurring blade, in mask order, and reduce
+it over Q only.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from . import linalg
@@ -60,20 +62,10 @@ class _EightTuple:
         self.components = comps
 
     @classmethod
-    def zero(cls):
-        return cls((0,) * DIM)
-
-    @classmethod
     def basis(cls, i: int):
         if not 1 <= i <= DIM:
             raise ValueError(f"basis index {i} out of range 1..{DIM}")
         return cls(tuple(ONE if k == i - 1 else ZERO for k in range(DIM)))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(tuple(a + b for a, b in
-                                zip(self.components, other.components)))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -124,45 +116,63 @@ class Covector(_EightTuple):
 
 
 class Form:
-    """A homogeneous exterior form over ``generators`` covectors.
+    """A homogeneous exterior form over ``generators`` covectors, held as
+    its canonical numerator view (``_denom``, ``_nums``): ``==`` and
+    ``hash`` compare views.
 
-    Subclasses set the generator count and ``_scalar``, which coerces a
-    multiplier into their coefficient ring once per product, never per term.
+    Subclasses set the generator count, ``_scalar``, which coerces a
+    coefficient or multiplier into their ring, and ``_lowest``, which puts
+    numerators over a den in lowest terms (by default, as they are).
     """
 
-    __slots__ = ("degree", "_terms")
+    __slots__ = ("degree", "_denom", "_nums")
     generators: int
     _scalar: Callable
 
     def __init__(self, degree: int, terms: dict | None = None):
         if not 0 <= degree:
             raise ValueError("degree must be nonnegative")
-        self.degree = degree
-        self._terms = {m: c for m, c in (terms or {}).items() if c}
-        for m in self._terms:
+        coeffs = {m: x for m, c in (terms or {}).items()
+                  if (x := self._scalar(c))}
+        for m in coeffs:
             if m.bit_count() != degree:
                 raise ValueError(f"blade {indices_of(m)} has wrong degree")
+        self.degree = degree
+        self._denom, self._nums = self._lowest(coeffs, 1)
+
+    @classmethod
+    def _of_numerators(cls, degree: int, nums: dict, den: int = 1):
+        """nums/den for numerators the engine has just built, trusted to
+        hold masks of this degree and no zero: only ``_lowest`` runs."""
+        if degree < 0:  # contraction is the one step that lowers a degree
+            raise ValueError("cannot contract a scalar")
+        out = object.__new__(cls)
+        out.degree = degree
+        out._denom, out._nums = cls._lowest(nums, den)
+        return out
+
+    _lowest = staticmethod(lambda nums, den: (den, nums))
 
     @classmethod
     def zero(cls, degree: int):
-        return cls(degree)
+        return cls._of_numerators(degree, {})
 
     def mask_items(self):
-        return self._terms.items()
+        return self._nums.items()
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self._terms == other._terms:
-            return self.degree == other.degree or not self._terms
+        if self._nums == other._nums and self._denom == other._denom:
+            return self.degree == other.degree or not self._nums
         return False
 
     def __hash__(self):
         # the blades fix the degree, and zero forms of any degree are equal
-        return hash(frozenset(self._terms.items()))
+        return hash((self._denom, frozenset(self._nums.items())))
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -178,7 +188,7 @@ class Form:
         return negate(self)
 
     def __rmul__(self, scalar):
-        return scale(self._scalar(scalar), self)
+        return scale(scalar, self)
 
     __mul__ = __rmul__
 
@@ -195,28 +205,44 @@ class Form:
 
 
 def add(a: Form, b: Form) -> Form:
-    if a.degree != b.degree and a._terms and b._terms:
+    if a.degree != b.degree and a._nums and b._nums:
         raise ValueError("cannot add forms of different degrees")
-    acc = dict(a._terms)
-    for m, c in b._terms.items():
+    den, (left, right) = _lcm_view((a, b))
+    acc = dict(left)
+    for m, c in right.items():
         prev = acc.get(m)
         acc[m] = c if prev is None else prev + c
-    return type(a)(a.degree if a._terms else b.degree, acc)
+    return type(a)._of_numerators(a.degree if a._nums else b.degree,
+                                  _pruned(acc), den)
 
 
 def negate(a: Form) -> Form:
-    return type(a)(a.degree, {m: -c for m, c in a._terms.items()})
+    return type(a)._of_numerators(
+        a.degree, {m: -c for m, c in a._nums.items()}, a._denom)
 
 
 def scale(s, a: Form) -> Form:
-    """s·a for a coefficient s already in a's ring."""
+    """s·a for any s that a's ring coerces, on the views of s and a."""
+    s = a._scalar(s)
     if not s:
-        return type(a)(a.degree)
-    return type(a)(a.degree, {m: s * c for m, c in a._terms.items()})
+        return a.zero(a.degree)
+    den, view = a._lowest({0: s}, 1)
+    n = view[0]
+    return type(a)._of_numerators(
+        a.degree, {m: n * c for m, c in a._nums.items()}, den * a._denom)
 
 
 def wedge(a: Form, b: Form) -> Form:
-    return type(a)(a.degree + b.degree, _wedged(a._terms, b._terms))
+    return type(a)._of_numerators(a.degree + b.degree, _wedged(
+        a._nums, b._nums), a._denom * b._denom)
+
+
+def _lcm_view(forms) -> tuple[int, list[dict]]:
+    """(D, each form's numerators over D), D the lcm of their dens."""
+    den = lcm(*(f._denom for f in forms))
+    return den, [f._nums if f._denom == den else
+                 {m: x * (den // f._denom) for m, x in f._nums.items()}
+                 for f in forms]
 
 
 def _wedged(terms1: dict, terms2: dict) -> dict:
@@ -238,9 +264,8 @@ def _wedged(terms1: dict, terms2: dict) -> dict:
 def contract_generator(slot: int, a: Form) -> Form:
     """Interior product with the dual of generator ``slot`` (0-based),
     contracting the first slot."""
-    if a.degree == 0:
-        raise ValueError("cannot contract a scalar")
-    return type(a)(a.degree - 1, _contracted(slot, a._terms))
+    return type(a)._of_numerators(a.degree - 1, _contracted(slot, a._nums),
+                                  a._denom)
 
 
 def _contracted(slot: int, terms: dict) -> dict:
@@ -270,8 +295,9 @@ def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
         raise ValueError(f"need one image per generator, got {len(images)}")
     if a.degree == 0:
         return a
-    return type(a)(a.degree,
-                   _pulled_back(a._terms, [f._terms for f in images]))
+    den, maps = _lcm_view(images)
+    return type(a)._of_numerators(a.degree, _pulled_back(a._nums, maps),
+                                  a._denom * den ** a.degree)
 
 
 def _pulled_back(terms: dict, images: Sequence[dict]) -> dict:
@@ -359,6 +385,16 @@ class KForm(Form):
     generators = DIM
     _scalar = staticmethod(FieldScalar.of)
 
+    @staticmethod
+    def _lowest(nums: dict, den: int) -> tuple[int, dict]:
+        try:
+            g = gcd(den, *nums.values())
+        except TypeError:  # gcd refuses FieldScalars: divide, view anew
+            den, (nums,) = to_numerators([from_numerators(nums, den)])
+            g = 1
+        return ((den, nums) if g == 1 else
+                (den // g, {m: x // g for m, x in nums.items()}))
+
     # -- construction --------------------------------------------------
 
     @staticmethod
@@ -367,18 +403,20 @@ class KForm(Form):
         acc: dict[int, FieldScalar] = {}
         for indices, coeff in terms:
             sign, mask = mask_of(indices)
-            if sign == 0:
-                continue
-            c = sign * FieldScalar.of(coeff)
-            acc[mask] = acc.get(mask, ZERO) + c
+            if sign:
+                acc[mask] = acc.get(mask, ZERO) + sign * FieldScalar.of(coeff)
         return KForm(degree, acc)
 
     # -- inspection -----------------------------------------------------
 
+    def mask_items(self):
+        """(mask, FieldScalar) pairs, divided out of the view on each read."""
+        return from_numerators(self._nums, self._denom).items()
+
     def terms(self) -> list[tuple[tuple[int, ...], FieldScalar]]:
         """Sorted (indices, coefficient) pairs; the canonical readout."""
         return [(indices_of(m), c)
-                for m, c in sorted(self._terms.items(),
+                for m, c in sorted(self.mask_items(),
                                    key=lambda mc: indices_of(mc[0]))]
 
     def to_record(self) -> dict:
@@ -398,36 +436,29 @@ class KForm(Form):
 
 def contract(v: Vector, a: KForm) -> KForm:
     """Interior product v ⌟ a, contracting the first slot."""
-    if a.degree == 0:
-        raise ValueError("cannot contract a scalar")
-    return KForm(a.degree - 1, _combine(
-        (_contracted(slot, a._terms), comp)
-        for slot, comp in enumerate(v.components) if comp))
+    den, (comps,) = to_numerators([v.components])
+    return KForm._of_numerators(a.degree - 1, _combine(
+        (_contracted(slot, a._nums), n) for slot, n in comps.items()),
+        den * a._denom)
 
 
 def hodge_star(a: KForm) -> KForm:
     """Euclidean Hodge star with orientation e^{12345678}."""
-    acc = {}
-    for m, c in a._terms.items():
-        s = complement_sign(m)
-        acc[FULL_MASK ^ m] = s * c
-    return KForm(DIM - a.degree, acc)
+    return KForm._of_numerators(DIM - a.degree, {
+        FULL_MASK ^ m: complement_sign(m) * c for m, c in a._nums.items()},
+        a._denom)
 
 
 def inner(a: KForm, b: KForm) -> FieldScalar:
     """The inner product with {e^I} orthonormal: sum of matched coefficients."""
-    if len(b._terms) < len(a._terms):
+    if len(b._nums) < len(a._nums):
         a, b = b, a
-    total = ZERO
-    for m, c in a._terms.items():
-        other = b._terms.get(m)
-        if other is not None:
-            total = total + c * other
-    return total
+    total = sum(c * b._nums[m] for m, c in a._nums.items() if m in b._nums)
+    return FieldScalar.from_ratio(total, a._denom * b._denom)
 
 
 def basis_blades(k: int) -> list[KForm]:
-    return [KForm(k, {m: ONE}) for m in BLADES[k]]
+    return [KForm._of_numerators(k, {m: 1}) for m in BLADES[k]]
 
 
 class FormOperator:
@@ -440,11 +471,12 @@ class FormOperator:
     scaling and ``bool`` read the images through their numerator view,
     computed on first use: int numerators over one denominator when all
     are rational, the FieldScalars over 1 when one has a surd.  An
-    operator that they build from int numerators keeps them as its view,
-    not always in lowest terms, and divides them into its ``images`` only
-    when those are read; surd results are divided at once, so a kept view
-    is an int view.  ``==`` cross-multiplies views, ``hash`` reads their
-    nonzero pattern; of elimination it has ``rank`` and ``kernel``, over Q.
+    operator that they, ``of_forms`` or ``identity`` build from int
+    numerators keeps them as its view, not always in lowest terms, and
+    divides them into its ``images`` only when those are read; surd
+    results are divided at once, so a kept view is an int view.  ``==``
+    cross-multiplies views, ``hash`` reads their nonzero pattern; of
+    elimination it has ``rank`` and ``kernel``, over Q.
     """
 
     __slots__ = ("degree", "_images", "_view")
@@ -488,20 +520,21 @@ class FormOperator:
     @staticmethod
     def of_forms(degree: int, forms: Sequence[KForm]) -> "FormOperator":
         """The map sending the j-th coordinate vector to forms[j]."""
-        return FormOperator(degree, [f._terms for f in forms])
+        den, maps = _lcm_view(forms)
+        return FormOperator._of_numerators(degree, maps, den)
 
     @staticmethod
     def identity(degree: int) -> "FormOperator":
-        return FormOperator(degree, [{m: ONE} for m in BLADES[degree]])
+        return FormOperator.of_forms(degree, basis_blades(degree))
 
     def apply(self, form: KForm) -> KForm:
         if form.degree != self.degree:
             raise ValueError("operator degree mismatch")
         den, images = self._numerators()
-        den_f, (terms,) = to_numerators([form._terms])
         pos = BLADE_POSITION[self.degree]
-        return KForm(self.degree, from_numerators(_combine(
-            (images[pos[m]], c) for m, c in terms.items()), den * den_f))
+        return KForm._of_numerators(self.degree, _combine(
+            (images[pos[m]], c) for m, c in form._nums.items()),
+            den * form._denom)
 
     __call__ = apply
 

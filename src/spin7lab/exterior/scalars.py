@@ -15,9 +15,9 @@ anywhere.
 
 The numerator view.  The sparse sum-and-multiply code of the library
 (``Endo @``, ``rho``, ``pullback``, the contraction cube, the views that
-``ChamberScalar`` keeps and integer elimination) reads its coefficients
-through one pair of functions, and no other module looks inside a
-scalar:
+``KForm`` and ``ChamberScalar`` keep and integer elimination) reads its
+coefficients through one pair of functions, and no other module looks
+inside a scalar:
 
 * ``to_numerators(maps)`` takes term maps ({key: scalar}) or rows
   (sequences, keyed by position) and returns (den, one {key: int} map per

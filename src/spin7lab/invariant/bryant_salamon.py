@@ -149,15 +149,15 @@ class InvariantField:
                 if sign:
                     _add_products(acc.setdefault(m ^ (1 << slot), {}),
                                   signed[sign], terms)
-        return ChamberForm(form.degree - 1, {m: _over(raw, den_y * den_f)
-                                             for m, raw in acc.items()})
+        return ChamberForm._of_numerators(form.degree - 1, {
+            m: c for m, raw in acc.items() if (c := _over(raw, den_y * den_f))})
 
 
 def _dt_wedge(form: ChamberForm) -> ChamberForm:
     """dt∧form in one pass: dt = 2s ds, ds is slot 0, so each blade without
     ds gains bit 0 (sign +1) and its coefficient the factor 2s."""
-    return ChamberForm(form.degree + 1, {m | 1: c._scaled(DT) for m, c in
-                                         form.terms.items() if not m & 1})
+    return ChamberForm._of_numerators(form.degree + 1, {
+        m | 1: c._scaled(DT) for m, c in form.terms.items() if not m & 1})
 
 
 def perturbed_form(field: InvariantField, bs: BryantSalamon) -> ChamberForm:

@@ -354,14 +354,14 @@ class ChamberForm(Form):
 
     @property
     def terms(self) -> dict[int, ChamberScalar]:
-        return self._terms
+        return self._nums
 
     @staticmethod
     def generator(slot: int) -> "ChamberForm":
         """The coframe covector for a slot: 0 = ds, 1..6 = A, 7..10 = X."""
         if not 0 <= slot < N_COFRAME:
             raise ValueError(f"slot {slot} out of range 0..{N_COFRAME - 1}")
-        return ChamberForm(1, {1 << slot: _ONE_SCALAR})
+        return ChamberForm._of_numerators(1, {1 << slot: _ONE_SCALAR})
 
     @staticmethod
     def blade(*slots: int, coeff=1) -> "ChamberForm":
@@ -375,11 +375,11 @@ class ChamberForm(Form):
         sign, mask = mask_of([s + 1 for s in slots], N_COFRAME)
         if sign == 0:
             return _ZERO_SCALAR
-        got = self._terms.get(mask, _ZERO_SCALAR)
+        got = self._nums.get(mask, _ZERO_SCALAR)
         return got if sign == 1 else -got
 
     def blades(self) -> list[tuple[tuple[int, ...], ChamberScalar]]:
-        return sorted(((_slots(m), c) for m, c in self._terms.items()),
+        return sorted(((_slots(m), c) for m, c in self._nums.items()),
                       key=lambda sc: sc[0])
 
     def to_record(self) -> dict:
@@ -438,8 +438,8 @@ def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
                     _add_scaled(acc.setdefault(m | sub, {}), negated
                                 if (odd + (sub & between).bit_count()) & 1
                                 else five, terms)
-    return ChamberForm(form.degree + 1, {m: _over(raw, 5 * den * frame_den)
-                                         for m, raw in acc.items()})
+    return ChamberForm._of_numerators(form.degree + 1, {
+        m: c for m, raw in acc.items() if (c := _over(raw, 5 * den * frame_den))})
 
 
 def lie_derivative(slot: int, form: ChamberForm,

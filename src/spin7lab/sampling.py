@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .exterior.blades import DIM
+from .exterior.blades import DIM, mask_of
 from .exterior.forms import KForm, Vector
 from .exterior.endo import Endo
 
@@ -55,11 +55,11 @@ def random_orthogonal_pair(rng: random.Random) -> tuple[Vector, Vector]:
 
 
 def random_form(rng: random.Random, degree: int, nterms: int = 6) -> KForm:
-    terms = []
+    acc: dict[int, int] = {}
     for _ in range(nterms):
-        idx = rng.sample(range(1, DIM + 1), degree)
-        terms.append((tuple(idx), rng.randint(-9, 9)))
-    return KForm.from_terms(degree, terms)
+        sign, mask = mask_of(rng.sample(range(1, DIM + 1), degree))
+        acc[mask] = acc.get(mask, 0) + sign * rng.randint(-9, 9)
+    return KForm._of_numerators(degree, {m: c for m, c in acc.items() if c})
 
 
 def random_rank_one_nilpotent(rng: random.Random) -> Endo:

@@ -4,8 +4,9 @@ from math import factorial, gcd
 
 from spin7lab.cayley import build_omega, so8_basis
 from spin7lab.exterior import linalg
-from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM,
-                                     contract_sign, wedge_sign)
+from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK,
+                                     complement_sign, contract_sign,
+                                     wedge_sign)
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, _combine,
                                      contract, inner, wedge)
@@ -662,3 +663,113 @@ def old_contract(field, form):
                                                   else (-c).terms))
     return ChamberForm(form.degree - 1,
                        {m: _old_scalar(raw) for m, raw in acc.items()})
+
+
+# -- the KForm engine on {mask: FieldScalar} dicts -----------------------------
+# Every operation term by term on FieldScalar coefficients, summed from ZERO
+# with the signs of blades.py, as the package computed forms before a KForm
+# held its numerator view.  Results drop zero coefficients.
+
+def coefficients(form):
+    return dict(form.mask_items())
+
+
+def _nonzero(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+def _put(acc, mask, c):
+    acc[mask] = acc.get(mask, ZERO) + c
+
+
+def dict_sum(a, b, sign=1):
+    acc = dict(a)
+    for m, c in b.items():
+        _put(acc, m, c if sign == 1 else -c)
+    return _nonzero(acc)
+
+
+def dict_scale(s, a):
+    return _nonzero({m: FieldScalar.of(s) * c for m, c in a.items()})
+
+
+def dict_wedge(a, b):
+    acc = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            sign = wedge_sign(m1, m2)
+            if sign:
+                _put(acc, m1 | m2, c1 * c2 if sign == 1 else -(c1 * c2))
+    return _nonzero(acc)
+
+
+def dict_contract(v, a):
+    """v⌟a, contracting the first slot."""
+    acc = {}
+    for m, c in a.items():
+        for slot, comp in enumerate(v.components):
+            sign = contract_sign(slot, m)
+            if sign and comp:
+                _put(acc, m ^ (1 << slot), sign * (comp * c))
+    return _nonzero(acc)
+
+
+def dict_star(a):
+    return {FULL_MASK ^ m: complement_sign(m) * c for m, c in a.items()}
+
+
+def dict_inner(a, b):
+    return sum((c * b[m] for m, c in a.items() if m in b), ZERO)
+
+
+def dict_rho(a, form):
+    """Σ over the blades e^m = ±e^p∧e^rest and their slots p of
+    ±(A e^p)∧e^rest."""
+    acc = {}
+    for m, c in form.items():
+        for p in range(DIM):
+            if m >> p & 1:
+                rest = m ^ (1 << p)
+                sign = wedge_sign(1 << p, rest)
+                image = {1 << i: a.rows[i][p] for i in range(DIM)}
+                for k, x in dict_wedge(image, {rest: c}).items():
+                    _put(acc, k, x if sign == 1 else -x)
+    return _nonzero(acc)
+
+
+def dict_pullback(l_map, form):
+    """Λ^k L: each blade's generators replaced by their images, wedged."""
+    acc = {}
+    for m, c in form.items():
+        piece = {0: c}
+        for p in range(DIM):
+            if m >> p & 1:
+                piece = dict_wedge(piece, {1 << i: l_map.rows[i][p]
+                                           for i in range(DIM)})
+        for k, x in piece.items():
+            _put(acc, k, x)
+    return _nonzero(acc)
+
+
+def dict_apply(op, form):
+    """Σ c·(image of blade m) over the terms c·e^m of the form."""
+    acc = {}
+    pos = BLADE_POSITION[op.degree]
+    for m, c in form.items():
+        for k, x in op.images[pos[m]].items():
+            _put(acc, k, c * x)
+    return _nonzero(acc)
+
+
+def is_canonical_view(form):
+    """Every mask of the form's degree, no zero numerator, and for a KForm
+    the view in lowest terms: ints over den > 0 with gcd 1, or FieldScalars
+    over 1 with a surd among them."""
+    nums = form._nums
+    if not all(m.bit_count() == form.degree and x for m, x in nums.items()):
+        return False
+    if not isinstance(form, KForm):
+        return form._denom == 1
+    if all(type(x) is int for x in nums.values()):
+        return form._denom > 0 and gcd(form._denom, *nums.values()) == 1
+    return form._denom == 1 and not all(x.is_rational() for x in nums.values())

@@ -31,8 +31,8 @@ from spin7lab.invariant.liealg import Quaternion, build_lie_frame
 from spin7lab.sampling import random_even_scalar
 
 from _oracles import blade_pullback as old_blade_pullback
-from _oracles import (count_calls, mutated_frame, old_contract,
-                      old_maurer_cartan_d, verify_killing,
+from _oracles import (count_calls, is_canonical_view, mutated_frame,
+                      old_contract, old_maurer_cartan_d, verify_killing,
                       verify_pullback_proposition)
 from _strategies import laurent_scalars, rational_laurent_scalars
 
@@ -206,6 +206,21 @@ def test_contract_matches_the_sum_of_generator_contractions_on_phi(field):
 @given(_fields, _three_forms)
 def test_contract_matches_the_sum_of_generator_contractions(field, form):
     assert field.contract(form) == _contract_by_slots(field, form)
+
+
+@settings(max_examples=20)
+@given(_fields, _three_forms, _laurent)
+def test_every_chamber_engine_output_is_a_canonical_view(field, form, c):
+    # the outputs built without the public constructor's degree and zero
+    # checks: the engine's, d, Y⌟ and dt∧
+    import spin7lab.invariant.bryant_salamon as bsm
+    y_form = field.contract(form)
+    outputs = [form + form, form - form, -form, c * form, DS.wedge(form),
+               contract_generator(4, form), y_form, bsm._dt_wedge(y_form),
+               maurer_cartan_d(form, FRAME), field.contract(BS.phi),
+               blade_pullback(form, [ChamberForm.generator(k) + c * DS
+                                     for k in range(N_COFRAME)])]
+    assert all(map(is_canonical_view, outputs))
 
 
 _rational_fields = st.builds(InvariantField, rational_laurent_scalars,

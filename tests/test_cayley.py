@@ -18,13 +18,14 @@ from spin7lab.cayley import (DecompositionProjectors, FormOperator,
                              projectors, skew_perturbation, sl8_basis,
                              so8_basis, stabilizer_algebra)
 from spin7lab.exterior import linalg
-from spin7lab.exterior.endo import Endo, rho
+from spin7lab.exterior.endo import Endo, exp_nilpotent, pullback, rho
 from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.forms import (KForm, Vector, _wedged, hodge_star,
                                      inner, wedge)
 from spin7lab.exterior.linalg import rank
 from spin7lab.exterior.scalars import FieldScalar, Q
-from spin7lab.sampling import (random_form, random_orthogonal_pair,
+from spin7lab.sampling import (random_form, random_independent_pair,
+                               random_orthogonal_pair,
                                random_rank_one_nilpotent)
 
 from _oracles import (commutator, count_calls, flatten, gram_p7, is_skew,
@@ -282,6 +283,28 @@ def test_rational_contraction_cube_multiplies_no_field_scalars(monkeypatch):
     assert calls == {"__mul__": 0}
     monkeypatch.undo()
     assert cube and cube == old_pair_contraction_cube(u, v, OMEGA)
+
+
+def test_rational_cayley_identities_make_no_field_scalar_arithmetic(
+        monkeypatch):
+    # the four identities of the rank-one sweep, on inputs drawn (and
+    # projectors built) before counting: ρ, the projections, exp, the Λ⁴
+    # pullback, Ω + t·ρ(A)Ω and every comparison stay on int views
+    ps = projectors()
+    rng = seeded("field-free-identities")
+    samples = [(random_rank_one_nilpotent(rng), random_form(rng, 4),
+                random_independent_pair(rng)) for _ in range(3)]
+    calls = count_calls(monkeypatch, "__mul__", "__add__", "__radd__",
+                        "inverse")
+    for a, form, (u, v) in samples:
+        delta = rho(a, OMEGA)
+        assert not ps.p1(delta) and not ps.p27(delta)
+        assert not rho(a, rho(a, form))
+        for t in (1, -3, Q(5, 7)):
+            assert pullback(exp_nilpotent(t * a), OMEGA) == OMEGA + t * delta
+        assert pair_contraction_cube(u, v, OMEGA)
+    assert calls == dict.fromkeys(("__mul__", "__add__", "__radd__",
+                                   "inverse"), 0)
 
 
 def test_perturbation_requires_orthogonality():

@@ -3,15 +3,26 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from spin7lab.cayley import projectors
 from spin7lab.exterior.blades import BLADES, DIM, wedge_sign
+from spin7lab.exterior.endo import pullback, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
                                      _pair_contracted, _sign_table,
-                                     basis_blades, contract,
+                                     basis_blades, blade_pullback, contract,
                                      contract_generator, hodge_star, inner,
                                      wedge)
-from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import ONE, SQRT2, ZERO, FieldScalar, Q
 
-from _strategies import forms, small_ints, vectors
+from _oracles import (coefficients, dict_apply, dict_contract, dict_inner,
+                      dict_pullback, dict_rho, dict_scale, dict_star,
+                      dict_sum, dict_wedge, is_canonical_view)
+from _strategies import (coefficient_families, forms, mixed_endos,
+                         mixed_forms, small_ints, vectors)
+
+# one coefficient family per draw: integers, non-integer rationals or surds
+mixed_scalars = st.sampled_from(coefficient_families).flatmap(lambda c: c)
+mixed_vectors = st.sampled_from(coefficient_families).flatmap(
+    lambda c: st.lists(c, min_size=DIM, max_size=DIM).map(Vector))
 
 VOL = KForm.from_terms(8, [((1, 2, 3, 4, 5, 6, 7, 8), 1)])
 
@@ -192,10 +203,65 @@ def test_eight_tuple_validation():
 
 
 def test_vector_arithmetic():
-    u = Vector.basis(1) + 2 * Vector.basis(2)
+    u = Vector((1, 2, 0, 0, 0, 0, 0, 0))
     assert u.components[1] == FieldScalar(2)
-    assert (u - u) == Vector.zero()
-    assert bool(u) and not Vector.zero()
+    e2 = Vector.basis(2)
+    assert u - Vector.basis(1) == 2 * e2 == -(-2 * e2)
+    zero = Vector((0,) * DIM)
+    assert u - u == zero
+    assert bool(u) and not zero
+
+
+# -- the numerator view against the FieldScalar-dict oracle ---------------------
+
+@given(mixed_forms(4), mixed_forms(4), mixed_forms(2), mixed_vectors,
+       mixed_scalars)
+def test_form_algebra_matches_the_field_scalar_dict_oracle(a, b, c, v, s):
+    da, db, dc = coefficients(a), coefficients(b), coefficients(c)
+    assert coefficients(a + b) == dict_sum(da, db)
+    assert coefficients(a - b) == dict_sum(da, db, -1)
+    assert coefficients(-a) == dict_scale(-1, da)
+    assert coefficients(s * a) == coefficients(a * s) == dict_scale(s, da)
+    assert coefficients(wedge(c, a)) == dict_wedge(dc, da)
+    assert coefficients(contract(v, a)) == dict_contract(v, da)
+    assert coefficients(hodge_star(c)) == dict_star(dc)
+    assert inner(a, b) == dict_inner(da, db)
+
+
+@given(mixed_endos, mixed_forms(3), mixed_forms(4))
+def test_rho_pullback_and_apply_match_the_field_scalar_dict_oracle(a, x, y):
+    dx, dy = coefficients(x), coefficients(y)
+    assert coefficients(rho(a, x)) == dict_rho(a, dx)
+    assert coefficients(pullback(a, x)) == dict_pullback(a, dx)
+    ps = projectors()
+    for op in (ps.p7, SQRT2 * ps.p35 + ps.p1):
+        assert coefficients(op(y)) == dict_apply(op, dy)
+
+
+@given(mixed_forms(4), st.integers(0, DIM), st.integers(0, DIM))
+def test_equal_forms_built_by_different_routes_compare_and_hash_alike(w, j, k):
+    routes = [Q(1, 2) * (2 * w), (w + w) - w, -(-w), KForm(4, coefficients(w)),
+              FormOperator.identity(4)(w), hodge_star(hodge_star(w))]
+    for x in routes:
+        assert x == w and hash(x) == hash(w)
+    zeros = [KForm.zero(j), KForm.zero(k), KForm(k), w - w, 0 * w]
+    for z in zeros:
+        assert not z and z == zeros[0] and hash(z) == hash(zeros[0])
+
+
+@given(mixed_forms(2), mixed_forms(3), mixed_vectors, mixed_endos,
+       mixed_scalars)
+def test_every_engine_output_is_a_canonical_view(a, b, v, e, s):
+    images = [Covector([e.rows[i][p] for i in range(DIM)]).form()
+              for p in range(DIM)]
+    outputs = [a + a, a - a, b - b, -b, s * b, wedge(a, b), wedge(a, a),
+               contract_generator(2, b), contract(v, b), hodge_star(b),
+               rho(e, b), pullback(e, b), blade_pullback(b, images),
+               Covector(v.components).form(), *basis_blades(2)[:3]]
+    assert all(map(is_canonical_view, outputs + images))
+    for form in outputs:
+        assert all(m.bit_count() == form.degree and c
+                   for m, c in form.mask_items())
 
 
 # -- kernels of operators on form spaces ----------------------------------------
