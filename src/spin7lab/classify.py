@@ -122,7 +122,7 @@ def jordan_type_of(a: Endo) -> YoungDiagram:
     (``forms._composed``) and each rank is the size of their integer
     Gauss–Jordan basis (``linalg._integer_rref``), the rank of A^k's
     transpose."""
-    images = linalg._int_rows(a._numerators())
+    images = linalg._int_rows((a._denom, a._nums))
     ranks = [DIM]
     power = images
     while any(power):

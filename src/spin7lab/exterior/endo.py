@@ -12,14 +12,15 @@ in the image of e^j.  Two extensions to Λ^k matter here:
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 
-The numerator view.  ``rho``, ``pullback``, ``exp_nilpotent`` and the
+The numerator view.  An Endo, like every FormOperator, is held only as
+the numerator view of its images (ints over one denominator, or the
+FieldScalars over 1 with a surd); ``rows`` and ``images`` are divided out
+of it on every read.  ``rho``, ``pullback``, ``exp_nilpotent`` and the
 classifier's ``jordan_type_of``, like the ``@``, sums and scaling that an
-Endo inherits, sum and multiply on the numerator view of its images
-(``scalars.to_numerators``: ints over one denominator, or the FieldScalars
-over 1 with a surd).  An Endo built from int numerators keeps them as its
-view, and a KForm is its numerator view, so ``rho`` and ``pullback``
-divide nothing: ``pullback(exp_nilpotent(t * a), Ω) == Ω + t·ρ(A)Ω``
-stays on ints from A to the comparison.
+Endo inherits, sum and multiply on that view, and a KForm is its
+numerator view, so ``rho`` and ``pullback`` divide nothing:
+``pullback(exp_nilpotent(t * a), Ω) == Ω + t·ρ(A)Ω`` stays on ints from
+A to the comparison.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ def _rho_terms(terms: dict, columns: list[dict]) -> dict:
 def _on_numerators(a: Endo, form: KForm, action, den_power: int) -> KForm:
     """action(numerators of the form, numerator images of A) over
     den(A)^den_power·den(form)."""
-    den_a, images = a._numerators()
-    return KForm._of_numerators(form.degree, action(form._nums, images),
-                                den_a ** den_power * form._denom)
+    return KForm._of_numerators(form.degree, action(form._nums, a._nums),
+                                a._denom ** den_power * form._denom)
 
 
 def rho(a: Endo, form: KForm) -> KForm:
@@ -147,7 +147,7 @@ def exp_nilpotent(a: Endo) -> Endo:
     nilpotent.  With A^n the last nonzero power, the series is summed over
     the common denominator den^n·n!, the k-th term weighted by
     den^(n-k)·n!/k!, and kept as the view of the result."""
-    den, images = a._numerators()
+    den, images = a._denom, a._nums
     powers = [[{1 << i: 1} for i in range(DIM)], images]
     while any(powers[-1]):
         if len(powers) > DIM:

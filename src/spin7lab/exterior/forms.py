@@ -17,20 +17,19 @@ On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
 the musical isomorphisms.  The interior product contracts the first slot.
 
-A FormOperator is a linear map into Λ^k stored as the images of a domain
-basis, one {mask: coefficient} dict per basis vector; on Λ^k itself the
-domain basis is the blade order of ``blades.BLADES``.  ``endo.Endo`` is
-the FormOperator on Λ¹, an 8x8 matrix whose image j is its column j.
-Applying, composing (``_composed``, which also raises the powers of
-``endo.exp_nilpotent`` and ``classify.jordan_type_of``), adding and
-scaling operators sum every contribution into one accumulator per output
-blade, on the numerator view of the FieldScalar images
-(``scalars.to_numerators``, taken once per operator): ints over one
-denominator for rational images, FieldScalars over 1 with a surd.  An
-operator built from int numerators keeps them as its view.  Its rank and
+A FormOperator is a linear map into Λ^k held as the numerator view of
+the images of a domain basis, one {mask: numerator} dict per basis
+vector over one den: ints when all images are rational, FieldScalars
+over 1 with a surd.  On Λ^k itself the domain basis is the blade order
+of ``blades.BLADES``.  ``endo.Endo`` is the FormOperator on Λ¹, an 8x8
+matrix whose image j is its column j.  Applying, composing
+(``_composed``, which also raises the powers of ``endo.exp_nilpotent``
+and ``classify.jordan_type_of``), adding and scaling operators sum every
+contribution into one accumulator per output blade, on the views; the
+FieldScalar ``images`` are divided out only when read.  Its rank and
 kernel are all it asks of elimination: both hand ``linalg`` one sparse
-{column: coefficient} row per occurring blade, in mask order, and reduce
-it over Q only.
+{column: int} row per occurring blade, in mask order, and reduce it over
+Q only.
 """
 
 from __future__ import annotations
@@ -462,60 +461,44 @@ def basis_blades(k: int) -> list[KForm]:
 
 
 class FormOperator:
-    """A linear map into Λ^degree: ``images[j]`` is the {mask: FieldScalar}
-    dict of the image of the j-th domain basis vector.
+    """A linear map into Λ^degree, held as the numerator view of its images
+    (``_denom``, ``_nums``): ``_nums[j]`` is the {mask: numerator} dict of
+    the image of the j-th domain basis vector, over ``_denom``.
 
     With one image per basis blade of Λ^degree, in ``BLADES`` order, it is
     an operator on Λ^degree, as ``apply``, ``@`` and ``identity`` assume;
-    ``endo.Endo`` is the one on Λ¹.  ``apply``, ``@``, ``+``, ``-``,
-    scaling and ``bool`` read the images through their numerator view,
-    computed on first use: int numerators over one denominator when all
-    are rational, the FieldScalars over 1 when one has a surd.  An
-    operator that they, ``of_forms`` or ``identity`` build from int
-    numerators keeps them as its view, not always in lowest terms, and
-    divides them into its ``images`` only when those are read; surd
-    results are divided at once, so a kept view is an int view.  ``==``
-    cross-multiplies views, ``hash`` reads their nonzero pattern; of
-    elimination it has ``rank`` and ``kernel``, over Q.
+    ``endo.Endo`` is the one on Λ¹.  The view holds ints over one
+    denominator when all images are rational, not always in lowest terms,
+    and the FieldScalars over 1 when one has a surd; the {mask: FieldScalar}
+    ``images`` are divided out of it on every read.  ``==`` cross-multiplies
+    views, ``hash`` reads their nonzero pattern; of elimination it has
+    ``rank`` and ``kernel``, over Q, on the int view.
     """
 
-    __slots__ = ("degree", "_images", "_view")
+    __slots__ = ("degree", "_denom", "_nums")
 
     def __init__(self, degree: int, images: Sequence[dict]):
         self.degree = degree
-        self._images = tuple(images)
-        self._view = None
+        self._denom, self._nums = to_numerators(images)
 
     @classmethod
     def _of_numerators(cls, degree: int, images: list[dict], den: int):
-        """The operator of these numerator images over den.  Int numerators
-        are kept as its view; with a FieldScalar among them (a surd view,
-        whose quotients may all be rational) all are divided at once, so
-        that a kept view is an int view exactly when the images are
-        rational, as ``linalg._int_rows`` assumes."""
-        op = object.__new__(cls)
-        op.degree = degree
+        """The operator of these numerator images over den.  With a
+        FieldScalar among them (a surd view, whose quotients may all be
+        rational) all are divided and viewed anew, so that the view is an
+        int view exactly when the images are rational, as
+        ``linalg._int_rows`` assumes."""
         if any(type(x) is not int for img in images for x in img.values()):
-            op._images = tuple(from_numerators(img, den) for img in images)
-            op._view = None
-        else:
-            op._images, op._view = None, (den, images)
+            den, images = to_numerators(
+                [from_numerators(img, den) for img in images])
+        op = object.__new__(cls)
+        op.degree, op._denom, op._nums = degree, den, images
         return op
 
     @property
     def images(self) -> tuple:
-        """The {mask: FieldScalar} images; divided out of the numerator view
-        on first read by an operator built from one."""
-        if self._images is None:
-            den, images = self._view
-            self._images = tuple(from_numerators(img, den) for img in images)
-        return self._images
-
-    def _numerators(self) -> tuple[int, list]:
-        """(den, numerator images), kept once computed."""
-        if self._view is None:
-            self._view = to_numerators(self._images)
-        return self._view
+        """The {mask: FieldScalar} images, divided out of the view."""
+        return tuple(from_numerators(img, self._denom) for img in self._nums)
 
     @staticmethod
     def of_forms(degree: int, forms: Sequence[KForm]) -> "FormOperator":
@@ -530,21 +513,19 @@ class FormOperator:
     def apply(self, form: KForm) -> KForm:
         if form.degree != self.degree:
             raise ValueError("operator degree mismatch")
-        den, images = self._numerators()
         pos = BLADE_POSITION[self.degree]
         return KForm._of_numerators(self.degree, _combine(
-            (images[pos[m]], c) for m, c in form._nums.items()),
-            den * form._denom)
+            (self._nums[pos[m]], c) for m, c in form._nums.items()),
+            self._denom * form._denom)
 
     __call__ = apply
 
     def __matmul__(self, other: "FormOperator") -> "FormOperator":
         if not isinstance(other, FormOperator):
             return NotImplemented
-        den_a, left = self._numerators()
-        den_b, right = other._numerators()
         return self._of_numerators(
-            self.degree, _composed(left, right, self.degree), den_a * den_b)
+            self.degree, _composed(self._nums, other._nums, self.degree),
+            self._denom * other._denom)
 
     def __add__(self, other: "FormOperator") -> "FormOperator":
         if not isinstance(other, FormOperator):
@@ -558,22 +539,20 @@ class FormOperator:
 
     def _summed(self, other: "FormOperator", sign: int) -> "FormOperator":
         """self + sign·other over the lcm of the two denominators."""
-        den_a, left = self._numerators()
-        den_b, right = other._numerators()
+        den_a, den_b = self._denom, other._denom
         den = lcm(den_a, den_b)
         scale_a, scale_b = den // den_a, sign * (den // den_b)
         images = [_combine(((a, scale_a), (b, scale_b)))
-                  for a, b in zip(left, right)]
+                  for a, b in zip(self._nums, other._nums)]
         return self._of_numerators(self.degree, images, den)
 
     def __rmul__(self, scalar) -> "FormOperator":
         """s·self on the numerator views of s and self."""
         den_s, (s,) = to_numerators([(FieldScalar.of(scalar),)])
         n = s.get(0)
-        den, images = self._numerators()
         return self._of_numerators(
             self.degree, [{k: n * x for k, x in img.items()} if n else {}
-                          for img in images], den * den_s)
+                          for img in self._nums], self._denom * den_s)
 
     __mul__ = __rmul__
 
@@ -583,8 +562,8 @@ class FormOperator:
     def __eq__(self, other):
         if not isinstance(other, FormOperator) or self.degree != other.degree:
             return False
-        den_a, left = self._numerators()
-        den_b, right = other._numerators()
+        den_a, left = self._denom, self._nums
+        den_b, right = other._denom, other._nums
         return len(left) == len(right) and all(
             a.keys() == b.keys() and all(x * den_b == b[m] * den_a
                                          for m, x in a.items())
@@ -592,27 +571,28 @@ class FormOperator:
 
     def __hash__(self):
         return hash((self.degree,
-                     tuple(frozenset(img) for img in self._numerators()[1])))
+                     tuple(frozenset(img) for img in self._nums)))
 
     def __bool__(self):
-        return any(self._numerators()[1])
+        return any(self._nums)
 
     def _rows(self) -> list[dict]:
-        """One {column: coefficient} row per occurring blade, in mask order."""
+        """One {column: int numerator} row per occurring blade, in mask
+        order; ValueError on a surd view (``linalg._int_rows``)."""
         rows: dict = {}
-        for j, img in enumerate(self.images):
+        for j, img in enumerate(linalg._int_rows((self._denom, self._nums))):
             for m, c in img.items():
                 rows.setdefault(m, {})[j] = c
         return [rows[m] for m in sorted(rows)]
 
     def rank(self) -> int:
-        return linalg.rank(self._rows())
+        return len(linalg._integer_rref(self._rows()))
 
     def kernel(self) -> list[dict[int, FieldScalar]]:
         """Canonical kernel basis as sparse coordinate vectors, one per free
         column with 1 there (the vectors of ``linalg.nullspace``)."""
-        return [{j: x for j, x in enumerate(vec) if x} for vec in
-                linalg.nullspace(self._rows(), ncols=len(self.images))]
+        return [linalg.unit_in_free_column(vec) for vec in
+                linalg.integer_nullspace(self._rows(), len(self._nums))]
 
     def is_idempotent(self) -> bool:
         return self @ self == self

@@ -19,8 +19,9 @@ rows (the rows of ρ(A)² in the classifier) straight to the integer
 Gauss–Jordan and returns primitive integer kernel vectors, with no dense
 matrix and no FieldScalar at all.  The columns of one-entry rows are
 dropped first, and since clearing makes a row primitive, only a row that
-enters the basis uncleared is divided by its content.  ``nullspace``
-divides each of its vectors by its entry in its free column.
+enters the basis uncleared is divided by its content.
+``unit_in_free_column`` divides such a vector by its entry in its free
+column, for ``nullspace`` and ``forms.FormOperator.kernel``.
 
 The RREF of a matrix is unique, so the same matrix always yields the same
 canonical bases.
@@ -32,7 +33,8 @@ from math import gcd, lcm
 
 from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
 
-__all__ = ["echelon", "rank", "nullspace", "integer_nullspace"]
+__all__ = ["echelon", "rank", "nullspace", "integer_nullspace",
+           "unit_in_free_column"]
 
 Matrix = list[list[FieldScalar]]
 SparseRow = dict[int, int]
@@ -119,13 +121,15 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[FieldScalar]]:
     sparse rows: one vector per free column, unit in that slot, each vector
     of ``integer_nullspace`` over its entry in that column (its largest
     key)."""
-    basis = []
-    for vec in integer_nullspace(_int_rows(to_numerators(rows)), ncols):
-        v, den = [ZERO] * ncols, vec[max(vec)]
-        for j, x in vec.items():
-            v[j] = FieldScalar.from_ratio(x, den)
-        basis.append(v)
-    return basis
+    return [[vec.get(j, ZERO) for j in range(ncols)] for vec in
+            map(unit_in_free_column,
+                integer_nullspace(_int_rows(to_numerators(rows)), ncols))]
+
+
+def unit_in_free_column(vec: SparseRow) -> dict[int, FieldScalar]:
+    """An ``integer_nullspace`` vector divided by its entry in its free
+    column (its largest key), as sparse FieldScalars."""
+    return from_numerators(vec, vec[max(vec)])
 
 
 def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:

@@ -339,7 +339,7 @@ def _check_display_transcription(run: _Run, rng: Random) -> tuple[bool, dict]:
     bs = build_bryant_salamon()
     display = proposition_display()
     ok = bs.phi == display
-    detail = {"terms": len(bs.phi.terms),
+    detail = {"terms": len(bs.phi.mask_items()),
               "spot_ds_A456": str(bs.phi.coefficient(0, 4, 5, 6)),
               "spot_X1234": str(bs.phi.coefficient(7, 8, 9, 10))}
     if not ok:

@@ -140,11 +140,11 @@ class InvariantField:
         and of the form's (over D_F), then each goes once through _over."""
         fields = self.coefficients()
         den_y, ys = _lcm_view([c for _, c in fields])
-        den_f, maps = _lcm_view(form.terms.values())
+        den_f, maps = _lcm_view(form._nums.values())
         acc: dict[int, dict] = {}
         for (slot, _), y in zip(fields, ys):
             signed = {1: y, -1: {k: -c for k, c in y.items()}}
-            for m, terms in zip(form.terms, maps):
+            for m, terms in zip(form._nums, maps):
                 sign = contract_sign(slot, m)
                 if sign:
                     _add_products(acc.setdefault(m ^ (1 << slot), {}),
@@ -157,7 +157,7 @@ def _dt_wedge(form: ChamberForm) -> ChamberForm:
     """dt∧form in one pass: dt = 2s ds, ds is slot 0, so each blade without
     ds gains bit 0 (sign +1) and its coefficient the factor 2s."""
     return ChamberForm._of_numerators(form.degree + 1, {
-        m | 1: c._scaled(DT) for m, c in form.terms.items() if not m & 1})
+        m | 1: c._scaled(DT) for m, c in form._nums.items() if not m & 1})
 
 
 def perturbed_form(field: InvariantField, bs: BryantSalamon) -> ChamberForm:

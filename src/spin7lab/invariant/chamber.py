@@ -6,10 +6,11 @@ turns every fractional power appearing in the geometry into a Laurent
 polynomial, so d, wedge and Lie derivatives stay exact.  The derivation is
 determined by ∂_s w = (2/5) s w⁻⁴.
 
-A ChamberScalar keeps the numerator view of its canonical (s, w) terms;
-sums, products, ∂_s, d and contraction sum raw terms on views over one
-denominator (w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep int
-numerators integral), and ``_over`` canonicalizes and reduces each once.
+A ChamberScalar is held only as the numerator view of its canonical
+(s, w) terms, which are divided out on every read; sums, products, ∂_s,
+d and contraction sum raw terms on views over one denominator (w⁵ = 1 +
+s², division by the monic 1 + s² and 5∂_s keep int numerators integral),
+and ``_over`` canonicalizes and reduces each once.
 
 ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
@@ -44,25 +45,18 @@ class ChamberScalar:
     of its representative numerator·w^{-k} with k minimal and numerator
     w-degrees in 0..4, kept as a view (den, {(s_exp, w_exp): n}) of ints over
     a positive den with gcd 1, or with a surd of FieldScalars over 1.  ``==``
-    and ``hash`` read the view; the FieldScalar ``terms`` are divided out on
-    first read, and are assignable."""
+    and ``hash`` read the view; the FieldScalar ``terms`` are divided out of
+    it on every read."""
 
-    __slots__ = ("_denom", "_nums", "_terms")
+    __slots__ = ("_denom", "_nums")
 
     def __init__(self, raw: dict | None = None):
         x = _over({k: FieldScalar.of(c) for k, c in (raw or {}).items()}, 1)
-        self._denom, self._nums, self._terms = x._denom, x._nums, None
+        self._denom, self._nums = x._denom, x._nums
 
     @property
     def terms(self) -> dict[tuple[int, int], FieldScalar]:
-        if self._terms is None:
-            self._terms = from_numerators(self._nums, self._denom)
-        return self._terms
-
-    @terms.setter
-    def terms(self, terms: dict[tuple[int, int], FieldScalar]) -> None:
-        den, (nums,) = to_numerators([terms])
-        self._denom, self._nums, self._terms = den, nums, None
+        return from_numerators(self._nums, self._denom)
 
     # -- constructors ---------------------------------------------------
 
@@ -186,7 +180,7 @@ class ChamberScalar:
                           for a, e, c in self.sorted_terms()]}
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         bits = []
         for a, e, c in self.sorted_terms():
@@ -207,7 +201,7 @@ def _operand(x) -> ChamberScalar | None:
 
 def _make(den: int, nums: dict) -> ChamberScalar:
     out = object.__new__(ChamberScalar)
-    out._denom, out._nums, out._terms = den, nums, None
+    out._denom, out._nums = den, nums
     return out
 
 
@@ -354,7 +348,8 @@ class ChamberForm(Form):
 
     @property
     def terms(self) -> dict[int, ChamberScalar]:
-        return self._nums
+        """{mask: coefficient}, a copy of the form's own map."""
+        return dict(self._nums)
 
     @staticmethod
     def generator(slot: int) -> "ChamberForm":
@@ -418,9 +413,9 @@ def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
     built once per frame object.  The raw (s, w) terms of 5·d are summed
     per output blade on the coefficients' views over their lcm D_form."""
     frame_den, dgen = frame.maurer_cartan_table
-    den, maps = _lcm_view(form.terms.values())
+    den, maps = _lcm_view(form._nums.values())
     acc: dict[int, dict] = {}
-    for mask, terms in zip(form.terms, maps):
+    for mask, terms in zip(form._nums, maps):
         if not mask & 1:  # ds is slot 0, so ds∧e^I has sign +1
             # over 5·D_form·D_frame, ∂_s(n/D_form) is 5∂_s(n)·D_frame
             _add_terms(acc.setdefault(mask | 1, {}),

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use, kept out of the package."""
 
+import sys
 from math import factorial, gcd
 
 from spin7lab.cayley import build_omega, so8_basis
@@ -15,6 +16,7 @@ from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                build_metric,
                                                metric_lie_derivative,
                                                proposition_display)
+from spin7lab.invariant import chamber
 from spin7lab.invariant.chamber import ChamberForm, ChamberScalar
 from spin7lab.invariant.liealg import (N_GENERATORS, LieFrame, QuatMat2,
                                        _ZERO_Q, _basis_matrices,
@@ -486,6 +488,23 @@ def old_cubic_vanishes(u, v, basis):
     return True
 
 
+def count_function_calls(monkeypatch, function) -> list:
+    """Records the arguments of each call of a module-level function under
+    every name that a loaded spin7lab module binds it to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("spin7lab"):
+            for name, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def count_calls(monkeypatch, *names, cls=FieldScalar):
     """Counts calls of these methods of ``cls``; ``__rmul__`` shares the
     ``__mul__`` counter."""
@@ -588,9 +607,8 @@ def _old_divide_by_one_plus_s2(poly):
 
 
 def _old_scalar(raw):
-    out = ChamberScalar.__new__(ChamberScalar)
-    out.terms = old_canonical(raw)
-    return out
+    den, (nums,) = to_numerators([old_canonical(raw)])
+    return chamber._make(den, nums)
 
 
 def old_product(x, y):

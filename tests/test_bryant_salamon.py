@@ -106,6 +106,16 @@ def test_display_transcription_matches_construction():
     assert verify_pullback_proposition()
 
 
+def test_editing_what_phi_terms_returns_leaves_the_cached_phi_alone():
+    phi = build_bryant_salamon().phi
+    terms = phi.terms
+    mask = next(iter(terms))
+    terms[mask] = terms[mask] + 1
+    del terms[next(m for m in terms if m != mask)]
+    assert build_bryant_salamon().phi == proposition_display()
+    assert len(phi.terms) == len(terms) + 1 and phi.terms[mask] != terms[mask]
+
+
 # -- closedness --------------------------------------------------------------------
 
 def test_phi_is_closed():

@@ -193,12 +193,23 @@ def test_views_are_canonical_and_round_trip_through_terms(family, data):
         twin = ChamberScalar(z.terms)
         assert twin == z and hash(twin) == hash(z)
         assert (twin._denom, twin._nums) == (z._denom, z._nums)
-        assigned = ChamberScalar.__new__(ChamberScalar)
-        assigned.terms = z.terms
-        assert assigned == z and hash(assigned) == hash(z)
     # equal values reached along different paths hash alike
     assert x + y - y == x and hash(x + y - y) == hash(x)
     assert (x * W) * W_INV == x and hash((x * W) * W_INV) == hash(x)
+
+
+@given(st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
+       st.data())
+def test_editing_what_terms_returns_changes_no_scalar(family, data):
+    x = data.draw(family)
+    twin = ChamberScalar(x.terms)
+    before = (x.terms, hash(x), x.to_record(), str(x))
+    terms = x.terms
+    terms[(9, 0)] = FieldScalar(5)
+    if len(terms) > 1:
+        del terms[min(terms)]
+    assert (x.terms, hash(x), x.to_record(), str(x)) == before
+    assert x == twin and twin == x
 
 
 @given(rational_laurent_scalars, rational_laurent_scalars)

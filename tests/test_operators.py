@@ -25,17 +25,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spin7lab.cayley import build_omega, projectors
+from spin7lab.cayley import (build_omega, image_dimension, projectors,
+                             sl8_basis, so8_basis)
 from spin7lab.classify import enumerate_diagrams, representative
 from spin7lab.exterior.blades import BLADE_POSITION, BLADES
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior import forms as forms_module
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
-from spin7lab.exterior.scalars import ONE, SQRT2, SQRT3, ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, ZERO, FieldScalar,
+                                      Q, to_numerators)
 from spin7lab.sampling import random_rank_one_nilpotent
 
-from _oracles import (coefficient_matrix, count_calls, diagonal,
-                      field_nullspace, images_rho, is_rational,
+from _oracles import (coefficient_matrix, count_calls, count_function_calls,
+                      diagonal, field_nullspace, images_rho, is_rational,
                       nullspace_on_forms,
                       old_operator_apply,
                       old_operator_product, old_operator_sum, old_rho,
@@ -256,7 +258,7 @@ def test_projector_square_compares_without_dividing(monkeypatch):
 def test_equality_cross_multiplies_views_in_any_terms(
         family, degree, k, rng):
     p = random_operator(family, degree, rng)
-    den, images = p._numerators()
+    den, images = p._denom, p._nums
     image_built = FormOperator(degree, [dict(img) for img in p.images])
     # a view over k·den, not in lowest terms when the view is an int view
     scaled_view = FormOperator._of_numerators(
@@ -267,6 +269,54 @@ def test_equality_cross_multiplies_views_in_any_terms(
         assert hash(op) == hash(p)
     assert (k * p == p) == (not p)
     assert p != FormOperator(degree + 1, p.images)
+
+
+def _scribble(images, degree):
+    """Edit what ``images`` returned: one entry set to 5, image 1 emptied."""
+    images[0][BLADES[degree][0]] = FieldScalar(5)
+    images[1].clear()
+
+
+def _readout(op):
+    out = (op.images, hash(op))
+    return out + (op.rows, op.to_record()) if isinstance(op, Endo) else out
+
+
+@settings(max_examples=20)
+@given(entry_families, st.sampled_from([2, 4]),
+       st.randoms(use_true_random=True))
+def test_editing_what_images_returns_changes_no_operator(family, degree, rng):
+    given_images = [dict(img) for img in
+                    random_operator(family, degree, rng).images]
+    pristine = [dict(img) for img in given_images]
+    rows = [[img.get(1 << i, 0) for img in
+             random_operator(family, 1, rng).images] for i in range(8)]
+    p, a = FormOperator(degree, given_images), Endo(rows)
+    _scribble(a.images, 1)  # before a's first operation
+    _scribble(given_images, degree)  # the list p was built from
+    twin = FormOperator(degree, pristine)
+    identity_rows = Endo.identity().rows
+    for op, same in ((p, twin), (p @ p, twin @ twin), (a, Endo(rows)),
+                     (Endo.identity(), Endo(identity_rows))):
+        before = _readout(op)
+        assert before == _readout(same) and op == same and same == op
+        _scribble(op.images, op.degree)
+        assert _readout(op) == before and op == same and same == op
+
+
+def test_rank_and_kernel_eliminate_the_int_view(monkeypatch):
+    # the int rows of the view go straight to linalg: no image is divided
+    # into FieldScalars for linalg to view again
+    ps = projectors()
+    omega = build_omega().omega
+    op = FormOperator.of_forms(4, [rho(a, omega) for a in so8_basis()])
+    viewed = count_function_calls(monkeypatch, to_numerators)
+    divided = count_calls(monkeypatch, "from_ratio")
+    assert image_dimension(sl8_basis()) == 42 and ps.ranks() == (1, 7, 27, 35)
+    assert (len(viewed), divided["from_ratio"]) == (0, 0)
+    kernel = op.kernel()
+    assert len(kernel) == 21 and all(vec[max(vec)] == ONE for vec in kernel)
+    assert viewed == []
 
 
 # -- kernels --------------------------------------------------------------------
