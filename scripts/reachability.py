@@ -11,9 +11,10 @@ function around them, class and module bodies as ``<class>`` and
 lines, and the totals line: executable lines, unreached lines and the
 physical line count of the package's source files, newline by newline as
 ``find src -name '*.py' | xargs cat | wc -l`` counts them.  A line is
-executable when the compiled module has bytecode on it.  Takes no flags:
+executable when the compiled module has bytecode on it.  It traces the
+package under the checkout's ``src/``, and takes no flags:
 
-    PYTHONPATH=src python3 scripts/reachability.py
+    python3 scripts/reachability.py
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import types
 from collections import defaultdict
 
 HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
 PACKAGE = pathlib.Path(
     importlib.util.find_spec("spin7lab").submodule_search_locations[0])
 SWEEPS = ("cayley-sweep", "chamber-sweep", "classify-sweep")

@@ -115,16 +115,14 @@ def representative(diagram: YoungDiagram) -> JordanRepresentative:
 
 def jordan_type_of(a: Endo) -> YoungDiagram:
     """Recover the partition from the ranks of A, A², … up to the first
-    zero power; A^8 ≠ 0 means A is not nilpotent.  A's numerator view is
-    read as int images by ``linalg._int_rows`` (ValueError on a surd
-    entry), so a product such as g·A·g⁻¹ is never divided into
-    FieldScalars; the powers are composed on those images
+    zero power; A^8 ≠ 0 means A is not nilpotent.  A's int numerator
+    images are read as they are, so a product such as g·A·g⁻¹ is never
+    divided into FieldScalars; the powers are composed on those images
     (``forms._composed``) and each rank is the size of their integer
     Gauss–Jordan basis (``linalg._integer_rref``), the rank of A^k's
     transpose."""
-    images = linalg._int_rows((a._denom, a._nums))
     ranks = [DIM]
-    power = images
+    power = images = a._nums
     while any(power):
         if len(ranks) == DIM:
             raise ValueError("jordan type computed for nilpotent input only")

@@ -1,1 +1,1 @@
-"""Exact exterior algebra on R^8 over Q(sqrt2, sqrt3)."""
+"""Exact exterior algebra on R^8 over Q."""

@@ -1,6 +1,6 @@
 """Endomorphisms of the covector space and their exterior extensions.
 
-An Endo is the FormOperator (see forms.py) on Λ¹: an 8x8 exact matrix
+An Endo is the FormOperator (see forms.py) on Λ¹: an 8x8 rational matrix
 acting on covectors, its image j the 1-form A e^j = Σ_i a_ij e^i stored as
 {bit of e^i: a_ij}.  ``rows`` reads entry (i, j), the coefficient of e^i
 in the image of e^j.  Two extensions to Λ^k matter here:
@@ -13,9 +13,9 @@ in the image of e^j.  Two extensions to Λ^k matter here:
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 
 The numerator view.  An Endo, like every FormOperator, is held only as
-the numerator view of its images (ints over one denominator, or the
-FieldScalars over 1 with a surd); ``rows`` and ``images`` are divided out
-of it on every read.  ``rho``, ``pullback``, ``exp_nilpotent`` and the
+the numerator view of its images, ints over one denominator (a surd
+entry raises ValueError); ``rows`` and ``images`` are divided out of it
+on every read.  ``rho``, ``pullback``, ``exp_nilpotent`` and the
 classifier's ``jordan_type_of``, like the ``@``, sums and scaling that an
 Endo inherits, sum and multiply on that view, and a KForm is its
 numerator view, so ``rho`` and ``pullback`` divide nothing:
@@ -36,7 +36,7 @@ __all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
 
 
 class Endo(FormOperator):
-    """An exact linear map on covectors; rows[i][j] = ⟨e^i | A e^j⟩."""
+    """A rational linear map on covectors; rows[i][j] = ⟨e^i | A e^j⟩."""
 
     __slots__ = ()
 

@@ -2,10 +2,10 @@
 
 A Form is a degree and its numerator view: ``_nums`` maps blade masks (see
 blades.py) to nonzero numerators over one positive int ``_denom``.  A KForm
-(R^8 over Q(sqrt2, sqrt3)) holds ints with gcd(den, numerators) = 1, or
-with a surd its FieldScalars over 1 (``scalars.to_numerators``' fallback),
-and divides out FieldScalar coefficients only when read; a ChamberForm
-(the eleven chamber coframe generators) holds its coefficients over 1.
+(R^8 over Q) holds ints with gcd(den, numerators) = 1, viewed once from
+its rational FieldScalar coefficients (``scalars.to_numerators``, which
+refuses a surd), and divides them out only when read; a ChamberForm (the
+eleven chamber coframe generators) holds its coefficients over 1.
 The engine below (add, negate, scale, wedge, contraction by one
 generator, blade pullback) only adds, negates and multiplies numerators
 and dens, so the same code serves both and ``endo.rho``/``pullback``; it
@@ -17,10 +17,9 @@ On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
 the musical isomorphisms.  The interior product contracts the first slot.
 
-A FormOperator is a linear map into Λ^k held as the numerator view of
-the images of a domain basis, one {mask: numerator} dict per basis
-vector over one den: ints when all images are rational, FieldScalars
-over 1 with a surd.  On Λ^k itself the domain basis is the blade order
+A FormOperator is a linear map into Λ^k over Q held as the numerator
+view of the images of a domain basis, one {mask: int} dict per basis
+vector over one den.  On Λ^k itself the domain basis is the blade order
 of ``blades.BLADES``.  ``endo.Endo`` is the FormOperator on Λ¹, an 8x8
 matrix whose image j is its column j.  Applying, composing
 (``_composed``, which also raises the powers of ``endo.exp_nilpotent``
@@ -28,8 +27,7 @@ and ``classify.jordan_type_of``), adding and scaling operators sum every
 contribution into one accumulator per output blade, on the views; the
 FieldScalar ``images`` are divided out only when read.  Its rank and
 kernel are all it asks of elimination: both hand ``linalg`` one sparse
-{column: int} row per occurring blade, in mask order, and reduce it over
-Q only.
+{column: int} row per occurring blade, in mask order.
 """
 
 from __future__ import annotations
@@ -119,25 +117,25 @@ class Form:
     its canonical numerator view (``_denom``, ``_nums``): ``==`` and
     ``hash`` compare views.
 
-    Subclasses set the generator count, ``_scalar``, which coerces a
-    coefficient or multiplier into their ring, and ``_lowest``, which puts
-    numerators over a den in lowest terms (by default, as they are).
+    Subclasses set the generator count, ``_view``, which takes a map of
+    coefficients (whatever their ring coerces) to its view, zeros dropped,
+    and ``_lowest``, which puts numerators over a den in lowest terms (by
+    default, as they are).
     """
 
     __slots__ = ("degree", "_denom", "_nums")
     generators: int
-    _scalar: Callable
+    _view: Callable
 
     def __init__(self, degree: int, terms: dict | None = None):
         if not 0 <= degree:
             raise ValueError("degree must be nonnegative")
-        coeffs = {m: x for m, c in (terms or {}).items()
-                  if (x := self._scalar(c))}
-        for m in coeffs:
-            if m.bit_count() != degree:
-                raise ValueError(f"blade {indices_of(m)} has wrong degree")
+        self._denom, self._nums = self._view(terms or {})
+        for m in self._nums:
+            if m < 0 or m >> self.generators or m.bit_count() != degree:
+                raise ValueError(f"{m:#b} is not a blade of degree {degree}"
+                                 f" on {self.generators} generators")
         self.degree = degree
-        self._denom, self._nums = self._lowest(coeffs, 1)
 
     @classmethod
     def _of_numerators(cls, degree: int, nums: dict, den: int = 1):
@@ -222,13 +220,10 @@ def negate(a: Form) -> Form:
 
 def scale(s, a: Form) -> Form:
     """s·a for any s that a's ring coerces, on the views of s and a."""
-    s = a._scalar(s)
-    if not s:
-        return a.zero(a.degree)
-    den, view = a._lowest({0: s}, 1)
-    n = view[0]
-    return type(a)._of_numerators(
-        a.degree, {m: n * c for m, c in a._nums.items()}, den * a._denom)
+    den, view = a._view({0: s})
+    n = view.get(0)
+    return type(a)._of_numerators(a.degree, {
+        m: n * c for m, c in a._nums.items()} if n else {}, den * a._denom)
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -288,10 +283,12 @@ def _pair_contracted(a: int, b: int, terms: dict) -> dict:
 
 
 def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
-    """Λ^k of the map sending generator i to the 1-form images[i]: every
-    blade becomes the wedge of its generators' images."""
+    """Λ^k of the map sending generator i to the 1-form images[i], of a's
+    type: every blade becomes the wedge of its generators' images."""
     if len(images) != a.generators:
         raise ValueError(f"need one image per generator, got {len(images)}")
+    if any(type(image) is not type(a) for image in images):
+        raise ValueError(f"every image must be a {type(a).__name__}")
     if a.degree == 0:
         return a
     den, maps = _lcm_view(images)
@@ -377,20 +374,21 @@ def _combine(pairs) -> dict:
 
 
 class KForm(Form):
-    """A homogeneous form on R^8 over Q(sqrt2, sqrt3), degree 0..8,
-    addressed by 1-based indices."""
+    """A homogeneous form on R^8 over Q, degree 0..8, addressed by 1-based
+    indices."""
 
     __slots__ = ()
     generators = DIM
-    _scalar = staticmethod(FieldScalar.of)
+
+    @staticmethod
+    def _view(coeffs: dict) -> tuple[int, dict]:
+        den, (nums,) = to_numerators([{m: FieldScalar.of(c)
+                                       for m, c in coeffs.items()}])
+        return den, nums  # already in lowest terms
 
     @staticmethod
     def _lowest(nums: dict, den: int) -> tuple[int, dict]:
-        try:
-            g = gcd(den, *nums.values())
-        except TypeError:  # gcd refuses FieldScalars: divide, view anew
-            den, (nums,) = to_numerators([from_numerators(nums, den)])
-            g = 1
+        g = gcd(den, *nums.values())
         return ((den, nums) if g == 1 else
                 (den // g, {m: x // g for m, x in nums.items()}))
 
@@ -468,11 +466,11 @@ class FormOperator:
     With one image per basis blade of Λ^degree, in ``BLADES`` order, it is
     an operator on Λ^degree, as ``apply``, ``@`` and ``identity`` assume;
     ``endo.Endo`` is the one on Λ¹.  The view holds ints over one
-    denominator when all images are rational, not always in lowest terms,
-    and the FieldScalars over 1 when one has a surd; the {mask: FieldScalar}
-    ``images`` are divided out of it on every read.  ``==`` cross-multiplies
-    views, ``hash`` reads their nonzero pattern; of elimination it has
-    ``rank`` and ``kernel``, over Q, on the int view.
+    denominator, not always in lowest terms, and refuses a surd
+    (``scalars.to_numerators``); the {mask: FieldScalar} ``images`` are
+    divided out of it on every read.  ``==`` cross-multiplies views,
+    ``hash`` reads their nonzero pattern; of elimination it has ``rank``
+    and ``kernel``, on the int view.
     """
 
     __slots__ = ("degree", "_denom", "_nums")
@@ -483,14 +481,7 @@ class FormOperator:
 
     @classmethod
     def _of_numerators(cls, degree: int, images: list[dict], den: int):
-        """The operator of these numerator images over den.  With a
-        FieldScalar among them (a surd view, whose quotients may all be
-        rational) all are divided and viewed anew, so that the view is an
-        int view exactly when the images are rational, as
-        ``linalg._int_rows`` assumes."""
-        if any(type(x) is not int for img in images for x in img.values()):
-            den, images = to_numerators(
-                [from_numerators(img, den) for img in images])
+        """The operator of these int numerator images over den."""
         op = object.__new__(cls)
         op.degree, op._denom, op._nums = degree, den, images
         return op
@@ -578,9 +569,9 @@ class FormOperator:
 
     def _rows(self) -> list[dict]:
         """One {column: int numerator} row per occurring blade, in mask
-        order; ValueError on a surd view (``linalg._int_rows``)."""
+        order."""
         rows: dict = {}
-        for j, img in enumerate(linalg._int_rows((self._denom, self._nums))):
+        for j, img in enumerate(self._nums):
             for m, c in img.items():
                 rows.setdefault(m, {})[j] = c
         return [rows[m] for m in sorted(rows)]

@@ -3,16 +3,16 @@
 Matrices are lists of rows of rational FieldScalars, dense or as sparse
 {column: entry} dicts.  Every elimination is one sparse integer
 Gauss–Jordan (``_integer_rref``) on the numerator view of the rows
-(``_int_rows``: sparse {column: int} dicts over one denominator), which
-raises ValueError on a surd entry.  The rows are reduced one at a time
-into a Gauss–Jordan basis: a row is cleared in a column by
-cross-multiplying, p/g times it minus f/g times the basis row with pivot
-p, where f is its own entry and g = gcd(p, f), and every result is
-divided by its content (the gcd of its entries).  Each division is
-therefore exact, and no field inversion happens.  ``rank`` counts the
-pivots of that basis; only ``echelon``, which ``liealg.normalizer``
-uses, takes it back to FieldScalar, one reduced fraction per nonzero
-entry of the RREF.  No matrix is inverted.
+(``scalars.to_numerators``: sparse {column: int} dicts over one
+denominator, which leaves the row space as it is; ValueError on a surd
+entry).  The rows are reduced one at a time into a Gauss–Jordan basis: a
+row is cleared in a column by cross-multiplying, p/g times it minus f/g
+times the basis row with pivot p, where f is its own entry and
+g = gcd(p, f), and every result is divided by its content (the gcd of
+its entries).  Each division is therefore exact, and no field inversion
+happens.  ``rank`` counts the pivots of that basis; only ``echelon``,
+which ``liealg.normalizer`` uses, takes it back to FieldScalar, one
+reduced fraction per nonzero entry of the RREF.  No matrix is inverted.
 
 ``integer_nullspace`` builds every kernel basis: it takes sparse integer
 rows (the rows of ρ(A)² in the classifier) straight to the integer
@@ -48,23 +48,13 @@ def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    basis = _integer_rref(_int_rows(to_numerators(rows)))
+    basis = _integer_rref(to_numerators(rows)[1])
     pivots = sorted(basis)
     reduced = []
     for c in pivots:
         row = from_numerators(basis[c], basis[c][c])
         reduced.append([row.get(j, ZERO) for j in range(ncols)])
     return reduced, pivots
-
-
-def _int_rows(view: tuple[int, list]) -> list[SparseRow]:
-    """The rows of a numerator view (``to_numerators``), less its
-    denominator, which leaves the row space as it is; ValueError on a surd
-    entry (the view's fallback)."""
-    _den, sparse = view
-    if type(next((x for row in sparse for x in row.values()), 0)) is not int:
-        raise ValueError("a surd entry: elimination runs over Q only")
-    return sparse
 
 
 def _primitive(row: SparseRow) -> SparseRow:
@@ -113,7 +103,7 @@ def _integer_rref(rows: list[SparseRow]) -> dict[int, SparseRow]:
 
 
 def rank(rows: Matrix) -> int:
-    return len(_integer_rref(_int_rows(to_numerators(rows))))
+    return len(_integer_rref(to_numerators(rows)[1]))
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[FieldScalar]]:
@@ -123,7 +113,7 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[FieldScalar]]:
     key)."""
     return [[vec.get(j, ZERO) for j in range(ncols)] for vec in
             map(unit_in_free_column,
-                integer_nullspace(_int_rows(to_numerators(rows)), ncols))]
+                integer_nullspace(to_numerators(rows)[1], ncols))]
 
 
 def unit_in_free_column(vec: SparseRow) -> dict[int, FieldScalar]:

@@ -25,10 +25,9 @@ inside a scalar:
   all their denominators;
 * ``from_numerators(terms, den)`` divides each term once on the way back.
 
-Surd fallback: when any coefficient has a surd, ``to_numerators`` returns
-the nonzero scalars themselves over den 1.  The same code then sums and
-multiplies FieldScalars instead of ints (an int times a scalar is a
-scalar), and ``from_numerators`` accepts either kind of numerator.
+The engine runs over Q: ``to_numerators`` raises ValueError on a
+coefficient with a surd, so every view holds ints.  Surds stay in the
+scalars themselves, for ``liealg``'s Killing-orthonormal frame.
 """
 
 from __future__ import annotations
@@ -79,13 +78,8 @@ class FieldScalar:
         return FieldScalar(x) if out is NotImplemented else out
 
     @staticmethod
-    def from_ratio(numerator, denominator: int) -> "FieldScalar":
-        """numerator/denominator: an int or FieldScalar over a nonzero int."""
-        if type(numerator) is FieldScalar:
-            n = numerator
-            if denominator == 1:
-                return n
-            return _reduced(n._a, n._b, n._c, n._d, n._den * denominator)
+    def from_ratio(numerator: int, denominator: int) -> "FieldScalar":
+        """numerator/denominator for ints, the denominator nonzero."""
         if denominator == 1:
             return _canonical(numerator, 0, 0, 0, 1)
         return _reduced(numerator, 0, 0, 0, denominator)
@@ -237,26 +231,23 @@ class FieldScalar:
 
 def to_numerators(maps) -> tuple[int, list[dict]]:
     """(den, one {key: int numerator} map per term map or row), keeping the
-    nonzero coefficients only, den the lcm of all their denominators; the
-    nonzero scalars themselves over den 1 when one has a surd."""
+    nonzero coefficients only, den the lcm of all their denominators;
+    ValueError on a coefficient with a surd."""
     den = 1
     for m in maps:
         for x in (m.values() if isinstance(m, dict) else m):
             if x._b or x._c or x._d:
-                return 1, [{k: x for k, x in _items(m) if x} for m in maps]
+                raise ValueError(f"the engine runs over Q: a surd {x!r}")
             if den % x._den:
                 den = lcm(den, x._den)
-    return den, [{k: x._a * (den // x._den) for k, x in _items(m) if x._a}
+    return den, [{k: x._a * (den // x._den) for k, x in
+                  (m.items() if isinstance(m, dict) else enumerate(m)) if x._a}
                  for m in maps]
 
 
 def from_numerators(terms: dict, den: int) -> dict:
-    """{key: numerator/den} for int or FieldScalar numerators."""
+    """{key: numerator/den} for int numerators."""
     return {k: FieldScalar.from_ratio(n, den) for k, n in terms.items()}
-
-
-def _items(m):
-    return m.items() if isinstance(m, dict) else enumerate(m)
 
 
 _new = object.__new__

@@ -30,7 +30,7 @@ from ..classify import (ClassificationReport, classification_report,
                         enumerate_diagrams, jordan_type_of)
 from ..exterior.endo import exp_nilpotent, pullback, rho
 from ..exterior.forms import Vector, hodge_star, inner
-from ..exterior.scalars import ONE, ZERO, FieldScalar, Q
+from ..exterior.scalars import FieldScalar, Q
 from ..invariant.bryant_salamon import (InvariantField, build_bryant_salamon,
                                         build_metric, closure_mechanism_sides,
                                         lemma_invariant_forms,
@@ -41,8 +41,9 @@ from ..invariant.bryant_salamon import (InvariantField, build_bryant_salamon,
 from ..invariant.chamber import (S, ChamberForm, ChamberScalar,
                                  lie_derivative, maurer_cartan_d)
 from ..invariant.liealg import (N_GENERATORS, SP1_PLUS, LieFrame,
-                                build_lie_frame, build_orthonormal_frame,
-                                generator_coords, killing_matrix, normalizer)
+                                ORTHONORMAL_SQUARED_SCALES, build_integer_frame,
+                                build_lie_frame, generator_coords,
+                                killing_matrix, normalizer)
 from ..sampling import (random_even_scalar, random_form,
                         random_independent_pair, random_rank_one_nilpotent)
 
@@ -326,12 +327,16 @@ def _check_sp1_normalizer(run: _Run, rng: Random) -> tuple[bool, dict]:
 
 
 def _check_orthonormal_killing(run: _Run, rng: Random) -> tuple[bool, dict]:
-    km = killing_matrix(build_orthonormal_frame())
-    ok = all(km[i][j] == (-ONE if i == j else ZERO)
+    # B(r_i e_i, r_j e_j) = r_i r_j B(e_i, e_j), on the integer frame over Q
+    km = killing_matrix(build_integer_frame())
+    squares = ORTHONORMAL_SQUARED_SCALES
+    ok = all(km[i][j] * squares[i] == (-1 if i == j else 0)
              for i in range(N_GENERATORS) for j in range(N_GENERATORS))
     detail = {"killing_is_minus_identity": ok}
     if not ok:
-        detail["witness"] = [[str(x) for x in row] for row in km]
+        detail["witness"] = {
+            "integer_killing": [[str(x) for x in row] for row in km],
+            "squared_scales": [str(q) for q in squares]}
     return ok, detail
 
 

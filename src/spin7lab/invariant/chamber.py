@@ -1,16 +1,16 @@
 """Exact function ring and coframe calculus on the cohomogeneity-one chamber.
 
-Radial functions live in the ring F[s, w, w⁻¹]/(w⁵ − 1 − s²) over
-F = Q(sqrt2, sqrt3): the substitution s = sqrt(t), w = (1 + s²)^{1/5}
-turns every fractional power appearing in the geometry into a Laurent
-polynomial, so d, wedge and Lie derivatives stay exact.  The derivation is
-determined by ∂_s w = (2/5) s w⁻⁴.
+Radial functions live in the ring Q[s, w, w⁻¹]/(w⁵ − 1 − s²): the
+substitution s = sqrt(t), w = (1 + s²)^{1/5} turns every fractional power
+appearing in the geometry into a Laurent polynomial, so d, wedge and Lie
+derivatives stay exact.  The derivation is determined by ∂_s w = (2/5) s w⁻⁴.
 
-A ChamberScalar is held only as the numerator view of its canonical
-(s, w) terms, which are divided out on every read; sums, products, ∂_s,
-d and contraction sum raw terms on views over one denominator (w⁵ = 1 +
-s², division by the monic 1 + s² and 5∂_s keep int numerators integral),
-and ``_over`` canonicalizes and reduces each once.
+A ChamberScalar is held only as the int numerator view of its canonical
+(s, w) terms (a surd coefficient is refused), which are divided out on
+every read; sums, products, ∂_s, d and contraction sum raw terms on views
+over one denominator (w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s
+keep int numerators integral), and ``_over`` canonicalizes and reduces
+each once.
 
 ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
@@ -41,17 +41,18 @@ _CONSTANTS = (int, Q, FieldScalar)
 
 
 class ChamberScalar:
-    """An element of F[s, w, w⁻¹]/(w⁵ − 1 − s²): the (s_exp, net_w_exp) terms
+    """An element of Q[s, w, w⁻¹]/(w⁵ − 1 − s²): the (s_exp, net_w_exp) terms
     of its representative numerator·w^{-k} with k minimal and numerator
     w-degrees in 0..4, kept as a view (den, {(s_exp, w_exp): n}) of ints over
-    a positive den with gcd 1, or with a surd of FieldScalars over 1.  ``==``
-    and ``hash`` read the view; the FieldScalar ``terms`` are divided out of
-    it on every read."""
+    a positive den with gcd 1.  ``==`` and ``hash`` read the view; the
+    FieldScalar ``terms`` are divided out of it on every read."""
 
     __slots__ = ("_denom", "_nums")
 
     def __init__(self, raw: dict | None = None):
-        x = _over({k: FieldScalar.of(c) for k, c in (raw or {}).items()}, 1)
+        den, (nums,) = to_numerators([{k: FieldScalar.of(c)
+                                       for k, c in (raw or {}).items()}])
+        x = _over(nums, den)
         self._denom, self._nums = x._denom, x._nums
 
     @property
@@ -70,7 +71,7 @@ class ChamberScalar:
         if isinstance(coeff, (int, Q)) and -5 < w_exp < 5:
             q = Q(coeff)
             return _make(q.denominator, {(s_exp, w_exp): q.numerator} if q else {})
-        return _over({(s_exp, w_exp): FieldScalar.of(coeff)}, 1)
+        return ChamberScalar({(s_exp, w_exp): coeff})
 
     # -- ring structure ---------------------------------------------------
 
@@ -106,20 +107,14 @@ class ChamberScalar:
 
     def _scaled(self, m: "ChamberScalar") -> "ChamberScalar":
         """self·m for a nonzero w-free monomial m = (n/d)·s^a, uncanonicalized:
-        1 + s² is coprime to s over F, so the w⁰-layer test that fixes the
+        1 + s² is coprime to s over Q, so the w⁰-layer test that fixes the
         canonical form agrees on s^a times a numerator.  By 1 it is self."""
         ((a, _), n), = m._nums.items()
-        d, den, nums = m._denom, self._denom, self._nums
-        if not a and d == 1 and n == 1:
+        if not a and m._denom == 1 and n == 1:
             return self
-        surd = type(next(iter(nums.values()), 0)) is not int
-        if type(n) is int and not surd:
-            return _reduced({(b + a, e): n * c for (b, e), c in nums.items()},
-                            den * d)
-        out = {(b + a, e): FieldScalar.from_ratio(n * c, den * d)
-               for (b, e), c in nums.items()}
-        # a surd times a nonzero rational is a surd; two surds may give one
-        return _over(out, 1) if surd and type(n) is not int else _make(1, out)
+        return _reduced({(b + a, e): n * c
+                         for (b, e), c in self._nums.items()},
+                        self._denom * m._denom)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -140,8 +135,7 @@ class ChamberScalar:
     def __hash__(self):
         # a constant equals its FieldScalar (or int, or Q), so it must hash like it
         if self.is_constant():
-            n = self._nums.get((0, 0), 0)
-            return hash(Q(n, self._denom) if type(n) is int else n)
+            return hash(Q(self._nums.get((0, 0), 0), self._denom))
         return hash((self._denom, frozenset(self._nums.items())))
 
     # -- calculus and predicates -----------------------------------------
@@ -213,19 +207,14 @@ def _reduced(nums: dict, den: int) -> ChamberScalar:
     return _make(den, nums)
 
 
-# Raw term maps (s_exp, w_exp) -> numerator need not be canonical.  The
-# helpers below build, sum and reduce them on ints or on FieldScalars:
-# every sum starts from its first term, never from ZERO.
+# Raw term maps (s_exp, w_exp) -> int numerator need not be canonical.  The
+# helpers below build, sum and reduce them: every sum starts from its first
+# term, never from 0.
 
 def _over(raw: dict, den: int) -> ChamberScalar:
-    """raw/den, canonicalized once and reduced by one gcd; with a
-    FieldScalar among the numerators, divided at once and viewed anew."""
+    """raw/den, canonicalized once and reduced by one gcd."""
     nums = _canonical(raw)
-    try:
-        return _reduced(nums, den) if nums else _ZERO_SCALAR
-    except TypeError:  # gcd refuses FieldScalars
-        den, (nums,) = to_numerators([from_numerators(nums, den)])
-        return _make(den, nums)
+    return _reduced(nums, den) if nums else _ZERO_SCALAR
 
 
 def _summed(x, y, sign: int):
@@ -344,7 +333,11 @@ class ChamberForm(Form):
 
     __slots__ = ()
     generators = N_COFRAME
-    _scalar = staticmethod(ChamberScalar.of)
+
+    @staticmethod
+    def _view(coeffs: dict) -> tuple[int, dict]:
+        return 1, {m: x for m, c in coeffs.items()
+                   if (x := ChamberScalar.of(c))}
 
     @property
     def terms(self) -> dict[int, ChamberScalar]:
@@ -389,8 +382,8 @@ def _maurer_cartan_table(frame: LieFrame) -> tuple[int, tuple]:
     """(D_frame, 5·de^k per coframe slot), de^k = −Σ_{i<j} c^k_ij e^i∧e^j
     read from ``frame.structure`` (generator i is slot i + 1; d(ds) = 0):
     per blade e^i∧e^j, (its mask, the bits from i to below j, 5·numerator
-    of −c^k_ij, its negation), an int over D_frame or, with a surd, a
-    FieldScalar."""
+    of −c^k_ij, its negation), an int over D_frame; ValueError on a frame
+    with a surd constant."""
     structure = frame.structure
     entries = [(k + 1, 2 << i | 2 << j, structure[i][j][k])
                for k in range(N_GENERATORS) for i in range(N_GENERATORS)

@@ -11,12 +11,14 @@ basis are exposed:
   Bryant-Salamon 4-form (the radial coefficients 4(1+t)^{-2/5} and
   5(1+t)^{3/5} are tuned to exactly these curvature constants).
 * build_orthonormal_frame() scales by 1/sqrt(12) and 1/sqrt(24), making
-  the basis orthonormal for the Killing metric (Killing matrix -Id).
+  the basis orthonormal for the Killing metric (Killing matrix -Id), which
+  is checked over Q on build_integer_frame() and ORTHONORMAL_SQUARED_SCALES.
 
-Both frames take their structure constants from one table c_ij^k built on
-Python ints for the unscaled basis e_i, whose brackets an exactness guard
-rebuilds from their nonzero coordinates; the frame of generators s_i·e_i
-has the constants c_ij^k·s_i·s_j/s_k.  A frame holds only those constants
+These frames and build_integer_frame() (the unscaled basis e_i) take
+their structure constants from one table c_ij^k built on Python ints for
+the e_i, whose brackets an exactness guard rebuilds from their nonzero
+coordinates; the frame of generators s_i·e_i has the constants
+c_ij^k·s_i·s_j/s_k.  A frame holds only those constants
 (``chamber.COFRAME_NAMES[1:]`` names the generators) and gives the
 bracket, the Killing form, and infinitesimal normalizers of subalgebras.
 
@@ -37,7 +39,8 @@ from ..exterior import linalg
 from ..exterior.scalars import ONE, ZERO, Q, FieldScalar
 
 __all__ = ["Quaternion", "QuatMat2", "LieFrame", "build_lie_frame",
-           "build_orthonormal_frame", "killing_matrix", "normalizer",
+           "build_orthonormal_frame", "build_integer_frame",
+           "ORTHONORMAL_SQUARED_SCALES", "killing_matrix", "normalizer",
            "is_subalgebra", "generator_coords", "SP1_PLUS", "SP1_MINUS"]
 
 N_GENERATORS = 10
@@ -153,6 +156,7 @@ class QuatMat2:
 _CONNECTION_SCALES = (FieldScalar(1), FieldScalar("1/2"))
 _ORTHONORMAL_SCALES = (FieldScalar(0, 0, Q(1, 6), 0),     # sqrt(3)/6 = 1/sqrt(12)
                        FieldScalar(0, 0, 0, Q(1, 12)))    # sqrt(6)/12 = 1/sqrt(24)
+ORTHONORMAL_SQUARED_SCALES = (Q(1, 12),) * 6 + (Q(1, 24),) * 4  # per generator
 
 
 def _basis_matrices() -> tuple[QuatMat2, ...]:
@@ -242,6 +246,12 @@ def build_lie_frame() -> LieFrame:
 def build_orthonormal_frame() -> LieFrame:
     """The same basis rescaled to be Killing-orthonormal (Killing = -Id)."""
     return _frame_from_scales(*_ORTHONORMAL_SCALES)
+
+
+def build_integer_frame() -> LieFrame:
+    """The unscaled basis, built anew on each call: Killing matrix
+    -diag(12 (6 times), 24 (4 times))."""
+    return _frame_from_scales(ONE, ONE)
 
 
 def killing_matrix(frame: LieFrame) -> list[list[FieldScalar]]:

@@ -51,10 +51,6 @@ def diagonal(*entries):
                  for i in range(DIM)])
 
 
-def is_rational(a):
-    return all(x.is_rational() for row in a.rows for x in row)
-
-
 def is_nilpotent(a):
     p = a
     for _ in range(3):  # A^8 via three squarings
@@ -781,13 +777,11 @@ def dict_apply(op, form):
 
 def is_canonical_view(form):
     """Every mask of the form's degree, no zero numerator, and for a KForm
-    the view in lowest terms: ints over den > 0 with gcd 1, or FieldScalars
-    over 1 with a surd among them."""
+    the view in lowest terms: ints over den > 0 with gcd 1."""
     nums = form._nums
     if not all(m.bit_count() == form.degree and x for m, x in nums.items()):
         return False
     if not isinstance(form, KForm):
         return form._denom == 1
-    if all(type(x) is int for x in nums.values()):
-        return form._denom > 0 and gcd(form._denom, *nums.values()) == 1
-    return form._denom == 1 and not all(x.is_rational() for x in nums.values())
+    return (all(type(x) is int for x in nums.values()) and form._denom > 0
+            and gcd(form._denom, *nums.values()) == 1)

@@ -1,6 +1,6 @@
 """Pytest configuration: one hypothesis profile for exact arithmetic.
 
-Examples over Q(sqrt2, sqrt3) have very uneven per-example cost (a wedge of
+Exact examples have very uneven per-example cost (a wedge of
 dense 4-forms is orders of magnitude slower than a scalar product), so the
 per-example deadline is disabled and the example counts are kept moderate.
 Shrinking still works; only the wall-clock heuristics are relaxed.

@@ -3,7 +3,7 @@
 Each test verifies one guarantee end to end, with the stated sample count
 and an explicit wall-clock budget, and prints a single PASS line (visible
 under `pytest -s` / `-rA`).  Everything here is exact arithmetic — the
-assertions are equalities in Q(sqrt2, sqrt3), never approximate.
+assertions are equalities over Q, never approximate.
 """
 
 import random

@@ -244,7 +244,7 @@ _family_vectors = st.sampled_from(coefficient_families).flatmap(
 @settings(max_examples=40, deadline=None)
 @given(_family_vectors, _family_vectors, mixed_forms(4, 10))
 def test_contraction_cube_matches_contract_and_wedge(u, v, a):
-    # ints, non-integer rationals and surds in each of u, v and a
+    # ints and non-integer rationals in each of u, v and a
     assert pair_contraction_cube(u, v, a) == old_pair_contraction_cube(u, v, a)
 
 

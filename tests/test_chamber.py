@@ -1,6 +1,7 @@
 """The chamber coefficient ring and the invariant coframe calculus.
 
-Coefficients live in Q(sqrt2,sqrt3)[s, w, w⁻¹] modulo w⁵ = 1 + s²; forms
+Coefficients live in Q[s, w, w⁻¹] modulo w⁵ = 1 + s², and a surd
+coefficient is refused; forms
 carry eleven coframe slots (ds, A¹..A⁶, X¹..X⁴) with the exterior
 derivative driven by the connection-frame structure constants.
 """
@@ -12,33 +13,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spin7lab.exterior.forms import wedge
-from spin7lab.exterior.scalars import (SQRT2, ZERO, FieldScalar, Q,
-                                      to_numerators)
+from spin7lab.exterior.scalars import ZERO, FieldScalar, Q, to_numerators
 from spin7lab.invariant import chamber
 from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         ChamberScalar, S, T, W, W_INV,
                                         contract_generator, lie_derivative,
                                         maurer_cartan_d)
-from spin7lab.invariant.liealg import build_lie_frame, build_orthonormal_frame
+from spin7lab.invariant.liealg import build_integer_frame, build_lie_frame
 
 from _oracles import (coframe_differentials, mutated_frame, old_derivative,
                       old_maurer_cartan_d, old_product)
-from _strategies import (field_scalars, laurent_scalars,
-                         rational_laurent_scalars, rationals, small_ints,
-                         surds)
+from _strategies import (laurent_scalars, rational_field_scalars,
+                         rational_laurent_scalars, rationals, small_ints)
 
 DS = ChamberForm.generator(0)
 FRAME = build_lie_frame()
 
 scalars = laurent_scalars(st.integers(0, 3), st.integers(-2, 2), small_ints)
 
-# surd coefficients and w-exponents on both sides of the w⁵ reduction
-surd_laurent_scalars = laurent_scalars(st.integers(0, 4), st.integers(-7, 7),
-                                       field_scalars)
+# FieldScalar coefficients and w-exponents on both sides of the w⁵
+# reduction
+field_laurent_scalars = laurent_scalars(st.integers(0, 4), st.integers(-7, 7),
+                                        rational_field_scalars)
 
 constant_scalars = st.one_of(st.just(ChamberScalar()),
                              small_ints.map(ChamberScalar.of),
-                             field_scalars.map(ChamberScalar.of))
+                             rational_field_scalars.map(ChamberScalar.of))
 
 
 def _raw_product(x: ChamberScalar, y: ChamberScalar) -> ChamberScalar:
@@ -83,7 +83,7 @@ def test_multiplying_by_the_relation_is_transparent(x):
     assert x * W ** 5 == x * (1 + T)
 
 
-@given(constant_scalars, st.one_of(surd_laurent_scalars, constant_scalars))
+@given(constant_scalars, st.one_of(field_laurent_scalars, constant_scalars))
 def test_constant_products_are_the_canonical_product(c, x):
     # the constant fast path skips the reduction; its result must still be
     # the canonical form of the raw product, from either side
@@ -93,10 +93,11 @@ def test_constant_products_are_the_canonical_product(c, x):
         assert ChamberScalar(product.terms).terms == product.terms
 
 
-# 1, −1 and c·s^a with c rational or surd: the operands that skip the reduction
+# 1, −1 and c·s^a with c an integer or not: the operands that skip the
+# reduction
 units_and_s_monomials = st.one_of(
     st.sampled_from([ChamberScalar.of(1), ChamberScalar.of(-1)]),
-    st.builds(ChamberScalar.monomial, st.one_of(rationals, surds),
+    st.builds(ChamberScalar.monomial, st.one_of(rationals, small_ints),
               st.integers(0, 4)))
 
 
@@ -116,7 +117,7 @@ def test_unit_and_s_monomial_products_skip_the_reduction(monkeypatch):
     x = (ChamberScalar.monomial(Q(2, 5), 0, -3)
          + ChamberScalar.monomial(7, 1, 2) - ChamberScalar.monomial(1, 3, 4))
     monomials = (1, -1, S, T, ChamberScalar.monomial(2, 1),
-                 ChamberScalar.monomial(FieldScalar(0, 1), 3))
+                 ChamberScalar.monomial(FieldScalar(Q(-2, 3)), 3))
     products = [m * x for m in (W, S * W_INV)]  # these need the reduction
     for name in ("_canonical", "to_numerators", "_over"):
         monkeypatch.setattr(chamber, name, refuse)
@@ -127,10 +128,9 @@ def test_unit_and_s_monomial_products_skip_the_reduction(monkeypatch):
     assert products == [W * x, x * (S * W_INV)]
 
 
-@given(st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
+@given(st.sampled_from([rational_laurent_scalars, field_laurent_scalars]),
        st.data())
 def test_products_and_derivatives_match_the_field_scalar_oracle(family, data):
-    # rational operands run on int numerators, surd ones on FieldScalars;
     # the second pair's product cancels w⁻⁵ against 1 + s²
     x, y = data.draw(family), data.draw(family)
     for a, b in ((x, y), (x * W_INV ** 5, y * (1 + T))):
@@ -141,11 +141,11 @@ def test_products_and_derivatives_match_the_field_scalar_oracle(family, data):
 def test_power_and_coercion():
     assert S ** 3 == S * S * S
     assert ChamberScalar.of(7) == ChamberScalar.monomial(7)
-    assert ChamberScalar.of(FieldScalar(0, 1)) * \
-        ChamberScalar.of(FieldScalar(0, 1)) == ChamberScalar.of(2)
+    assert ChamberScalar.of(FieldScalar(Q(2, 3))) * \
+        ChamberScalar.of(FieldScalar(Q(9, 2))) == ChamberScalar.of(3)
 
 
-@given(st.one_of(small_ints, field_scalars))
+@given(st.one_of(small_ints, rational_field_scalars))
 def test_constants_hash_like_their_value(x):
     # a constant equals its int or FieldScalar, so a set never holds both
     c = ChamberScalar.of(x)
@@ -172,18 +172,14 @@ def test_constants_compare_and_combine_like_their_rational(r):
 # -- the numerator view ------------------------------------------------------------
 
 def assert_canonical_view(x: ChamberScalar):
-    """Ints over a positive den in lowest terms, or FieldScalars over 1
-    with at least one surd among them."""
+    """Ints over a positive den in lowest terms."""
     den, nums = x._denom, x._nums
-    if all(type(c) is int for c in nums.values()):
-        assert den > 0 and gcd(den, *nums.values()) == 1
-    else:
-        assert den == 1 and all(type(c) is FieldScalar for c in nums.values())
-        assert not all(c.is_rational() for c in nums.values())
+    assert all(type(c) is int for c in nums.values())
+    assert den > 0 and gcd(den, *nums.values()) == 1
     assert all(nums.values())
 
 
-@given(st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
+@given(st.sampled_from([rational_laurent_scalars, field_laurent_scalars]),
        st.data())
 def test_views_are_canonical_and_round_trip_through_terms(family, data):
     x, y = data.draw(family), data.draw(family)
@@ -198,7 +194,7 @@ def test_views_are_canonical_and_round_trip_through_terms(family, data):
     assert (x * W) * W_INV == x and hash((x * W) * W_INV) == hash(x)
 
 
-@given(st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
+@given(st.sampled_from([rational_laurent_scalars, field_laurent_scalars]),
        st.data())
 def test_editing_what_terms_returns_changes_no_scalar(family, data):
     x = data.draw(family)
@@ -210,25 +206,6 @@ def test_editing_what_terms_returns_changes_no_scalar(family, data):
         del terms[min(terms)]
     assert (x.terms, hash(x), x.to_record(), str(x)) == before
     assert x == twin and twin == x
-
-
-@given(rational_laurent_scalars, rational_laurent_scalars)
-def test_rational_results_reached_through_surds_are_int_views(x, y):
-    root2 = ChamberScalar.of(SQRT2)
-    for via_surds, twin in (((root2 * x) * (root2 * y), 2 * (x * y)),
-                            (root2 * x * W + (x - root2 * x) * W, x * W)):
-        assert via_surds == twin and hash(via_surds) == hash(twin)
-        assert (via_surds._denom, via_surds._nums) == (twin._denom, twin._nums)
-        assert_canonical_view(via_surds)
-
-
-def test_root_two_s_squared_is_the_int_built_two_s_squared():
-    root2_s = ChamberScalar.monomial(SQRT2, 1)
-    two_t = ChamberScalar.monomial(2, 2)
-    for square in (root2_s * root2_s, root2_s ** 2):
-        assert square == two_t and hash(square) == hash(two_t)
-        assert (square._denom, square._nums) == (1, {(2, 0): 2})
-        assert_canonical_view(square)
 
 
 # -- derivation ------------------------------------------------------------------
@@ -269,7 +246,7 @@ def test_evaluate_w_free_elements():
 
 
 @given(laurent_scalars(st.integers(0, 6), st.just(0),
-                      st.one_of(rationals, field_scalars), max_size=4),
+                      st.one_of(rationals, rational_field_scalars), max_size=4),
        st.fractions(min_value=Q(1, 9), max_value=9, max_denominator=9))
 def test_evaluate_is_the_sum_of_the_terms(x, s_value):
     s0 = FieldScalar(Q(s_value))
@@ -393,10 +370,10 @@ def _engine_d(form: ChamberForm, frame) -> ChamberForm:
 
 FRAMES = [FRAME,
           mutated_frame({(3, 4, 5): 3}),           # [A4, A5] = 3 A6
-          mutated_frame({(0, 6, 9): FieldScalar(0, 1), (2, 8, 1): -2})]
+          mutated_frame({(0, 6, 9): FieldScalar(Q(3, 7)), (2, 8, 1): -2})]
 
 
-def chamber_forms(degree: int, coeffs=surd_laurent_scalars):
+def chamber_forms(degree: int, coeffs=field_laurent_scalars):
     """Sparse degree-k chamber forms with Laurent coefficients."""
     masks = [m for m in range(1 << N_COFRAME) if m.bit_count() == degree]
     return st.lists(st.tuples(st.sampled_from(masks), coeffs),
@@ -414,11 +391,10 @@ def test_d_equals_the_engine_composition(degree, frame, data):
 
 
 @given(st.integers(0, 4), st.sampled_from(FRAMES),
-       st.sampled_from([rational_laurent_scalars, surd_laurent_scalars]),
+       st.sampled_from([rational_laurent_scalars, field_laurent_scalars]),
        st.data())
 def test_d_matches_the_field_scalar_oracle(degree, frame, coeffs, data):
-    # rational forms on the integer frames run on int numerators, the rest
-    # on FieldScalars; the exact part makes raw sums cancel
+    # the exact part makes raw sums cancel
     form = data.draw(chamber_forms(degree, coeffs))
     if degree:
         form = form + old_maurer_cartan_d(
@@ -434,6 +410,13 @@ def test_d_of_exact_forms_cancels_on_the_real_frame():
 
 # -- contraction and Lie derivative ----------------------------------------------
 
+def test_the_public_constructor_checks_blades_against_the_coframe():
+    for terms in ({1 << 12: 1}, {1 << 11: S}):
+        with pytest.raises(ValueError, match="on 11 generators"):
+            ChamberForm(1, terms)
+    assert ChamberForm(1, {1 << 10: 1}) == ChamberForm.generator(10)
+
+
 def test_contract_generator_picks_out_slots():
     form = ChamberForm.blade(4, 7, coeff=S)
     assert contract_generator(4, form) == S * ChamberForm.generator(7)
@@ -445,7 +428,7 @@ def _table_of(dgen):
     """(D, the d table) of the ChamberForm de^k: per slot and blade, (its
     mask, the bits from its lower to below its upper generator, 5·n, −5·n)
     for the blade's constant coefficient n/D, D the lcm of the
-    denominators (n a FieldScalar over D = 1 with a surd)."""
+    denominators."""
     entries = [(slot, m, c.terms[(0, 0)]) for slot, dk in enumerate(dgen)
                for m, c in dk.terms.items()]
     den, (nums,) = to_numerators([[c for _, _, c in entries]])
@@ -480,9 +463,9 @@ def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
     assert other.maurer_cartan_table != frame.maurer_cartan_table
 
 
-@pytest.mark.parametrize("frame", [build_lie_frame(),
-                                   build_orthonormal_frame(), FRAMES[2]],
-                         ids=["connection", "orthonormal", "with-structure"])
+@pytest.mark.parametrize("frame", [build_lie_frame(), build_integer_frame(),
+                                   FRAMES[2]],
+                         ids=["connection", "integer", "with-structure"])
 def test_maurer_cartan_table_is_that_of_the_chamber_form_de_k(frame):
     assert frame.maurer_cartan_table == \
         _table_of(coframe_differentials(frame))

@@ -27,14 +27,14 @@ from spin7lab.exterior import endo, forms, linalg, scalars
 from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import FormOperator, KForm, Vector, contract
-from spin7lab.exterior.scalars import SQRT2, ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
 from _oracles import (count_calls, diagonal, is_nilpotent, kernel_basis,
                       old_cubic_vanishes, old_jordan_type, old_kernel_basis,
                       old_rho, operator_kernel_vectors, operator_square_rows,
                       rho_images)
-from _strategies import small_ints, surds
+from _strategies import rationals, small_ints
 
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
 KERNEL_DIMS = {
@@ -161,17 +161,6 @@ def test_jordan_type_of_a_conjugate_builds_no_field_scalar_rows(monkeypatch):
         assert jordan_type_of(g @ a @ g_inv) == d
         assert calls == {"from_ratio": 0}
         monkeypatch.undo()
-
-
-def test_jordan_type_reads_a_rational_product_of_surd_matrices():
-    # √2·(√2·A) is rational although both factors of the product are not
-    d = YoungDiagram((3, 2, 2, 1))
-    a = representative(d).matrix
-    assert jordan_type_of(SQRT2 * (SQRT2 * a)) == d
-    assert jordan_type_of((SQRT2 * a) @ (SQRT2 * a)) == \
-        YoungDiagram((2, 1, 1, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        jordan_type_of(SQRT2 * a)
 
 
 def _scaled_conjugates(rng, d):
@@ -397,13 +386,13 @@ def test_pair_contractions_match_contract_on_every_candidate_pair():
                 _contracted_by_forms(u, v, space)
 
 
-_int_or_surd_vectors = st.sampled_from([small_ints, surds]).flatmap(
+_int_or_rational_vectors = st.sampled_from([small_ints, rationals]).flatmap(
     lambda c: st.lists(c, min_size=8, max_size=8)).map(Vector)
 
 
 @settings(max_examples=30)
-@given(st.sampled_from(enumerate_diagrams()), _int_or_surd_vectors,
-       _int_or_surd_vectors)
+@given(st.sampled_from(enumerate_diagrams()), _int_or_rational_vectors,
+       _int_or_rational_vectors)
 def test_pair_contractions_match_contract_on_dense_vectors(d, u, v):
     space = kernel_space(d)
     assert _as_forms(_pair_contractions(u, v, space.vectors)) == \

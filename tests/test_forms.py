@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from spin7lab.cayley import projectors
+from spin7lab.cayley import build_omega, projectors
 from spin7lab.exterior.blades import BLADES, DIM, wedge_sign
 from spin7lab.exterior.endo import pullback, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
@@ -11,7 +11,8 @@ from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
                                      basis_blades, blade_pullback, contract,
                                      contract_generator, hodge_star, inner,
                                      wedge)
-from spin7lab.exterior.scalars import ONE, SQRT2, ZERO, FieldScalar, Q
+from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
+from spin7lab.invariant.chamber import ChamberForm
 
 from _oracles import (coefficients, dict_apply, dict_contract, dict_inner,
                       dict_pullback, dict_rho, dict_scale, dict_star,
@@ -19,7 +20,7 @@ from _oracles import (coefficients, dict_apply, dict_contract, dict_inner,
 from _strategies import (coefficient_families, forms, mixed_endos,
                          mixed_forms, small_ints, vectors)
 
-# one coefficient family per draw: integers, non-integer rationals or surds
+# one coefficient family per draw: integers or non-integer rationals
 mixed_scalars = st.sampled_from(coefficient_families).flatmap(lambda c: c)
 mixed_vectors = st.sampled_from(coefficient_families).flatmap(
     lambda c: st.lists(c, min_size=DIM, max_size=DIM).map(Vector))
@@ -234,7 +235,7 @@ def test_rho_pullback_and_apply_match_the_field_scalar_dict_oracle(a, x, y):
     assert coefficients(rho(a, x)) == dict_rho(a, dx)
     assert coefficients(pullback(a, x)) == dict_pullback(a, dx)
     ps = projectors()
-    for op in (ps.p7, SQRT2 * ps.p35 + ps.p1):
+    for op in (ps.p7, Q(-9, 4) * ps.p35 + ps.p1):
         assert coefficients(op(y)) == dict_apply(op, dy)
 
 
@@ -262,6 +263,32 @@ def test_every_engine_output_is_a_canonical_view(a, b, v, e, s):
     for form in outputs:
         assert all(m.bit_count() == form.degree and c
                    for m, c in form.mask_items())
+
+
+# -- what the public entry points refuse ------------------------------------------
+
+def test_the_public_constructor_checks_blades_against_the_generators():
+    # bit 9 would be e^10 on R^8; _of_numerators stays unchecked
+    for degree, terms in ((1, {1 << 9: 1}), (1, {1 << 8: 2}),
+                          (2, {1 | 1 << 12: 1}), (1, {-1: 1})):
+        with pytest.raises(ValueError, match="on 8 generators"):
+            KForm(degree, terms)
+    with pytest.raises(ValueError, match="0b1000000000 is not a blade"):
+        KForm(1, {1 << 9: 1})
+    with pytest.raises(ValueError, match="0b11 is not a blade of degree 3"):
+        KForm(3, {0b11: 1})
+    assert KForm(1, {1 << 7: 1}) == KForm.from_terms(1, [((8,), 1)])
+
+
+def test_blade_pullback_wants_images_of_the_form_type():
+    # eight ChamberForm images of a KForm pass the length check
+    omega = build_omega().omega
+    images = [ChamberForm.generator(k) for k in range(DIM)]
+    with pytest.raises(ValueError, match="every image must be a KForm"):
+        blade_pullback(omega, images)
+    with pytest.raises(ValueError, match="one image per generator"):
+        blade_pullback(omega, basis_blades(1)[:7])
+    assert blade_pullback(omega, basis_blades(1)) == omega
 
 
 # -- kernels of operators on form spaces ----------------------------------------

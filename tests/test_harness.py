@@ -11,6 +11,7 @@ import json
 import contextlib
 import dataclasses
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from spin7lab.cayley import build_omega, perturb_rank_one, projectors
 from spin7lab.classify import classification_report
 from spin7lab.exterior.endo import Endo
+from spin7lab.exterior import scalars
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
 from spin7lab.harness import checks
 from spin7lab.harness.checks import (SUITE_NAMES, CheckResult, run_all_suites,
@@ -29,7 +31,7 @@ from spin7lab.invariant.bryant_salamon import (InvariantMetric,
 from spin7lab.invariant.chamber import ChamberForm
 from spin7lab.invariant.liealg import build_lie_frame
 
-from _oracles import count_calls, mutated_frame
+from _oracles import count_calls, count_function_calls, mutated_frame
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -57,6 +59,34 @@ def test_every_suite_passes():
         assert code == 0, seed
         golden = GOLDEN / f"verify-seed{seed}.json"
         assert out.encode("utf-8") == golden.read_bytes(), seed
+
+
+def test_no_run_builds_a_surd(monkeypatch):
+    """Every run is rational: for seeds 0, 1 and 2, with each cached
+    artifact built afresh, the five suites make no FieldScalar with a surd
+    part, neither by its constructor nor by the arithmetic's
+    ``scalars._canonical``."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("spin7lab"):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    canonical = count_function_calls(monkeypatch, scalars._canonical)
+    constructed = []
+    init = scalars.FieldScalar.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        constructed.append(self)
+
+    monkeypatch.setattr(scalars.FieldScalar, "__init__", recorded)
+    for seed in (0, 1, 2):
+        results = run_all_suites(SUITE_NAMES, seed=seed)
+        assert all(r.passed for rs in results.values() for r in rs), seed
+    monkeypatch.undo()
+    assert canonical and constructed
+    assert [args for args in canonical if any(args[1:4])] == []
+    assert [x for x in constructed if not x.is_rational()] == []
 
 
 def test_chamber_suites_pass_on_seeds_outside_the_goldens():
@@ -213,6 +243,16 @@ def test_flipped_omega_fails_the_basics_suite(monkeypatch):
     # *Ω − Ω: the flipped blade and its complement, each off by ±2c
     assert witness["degree"] == 4 and len(witness["terms"]) == 2
     _fails_verify("basics")
+
+
+def test_a_wrong_integer_frame_fails_the_orthonormal_killing_check(monkeypatch):
+    # the connection frame's Killing matrix is -diag(12, 6), not -diag(12, 24)
+    monkeypatch.setattr(checks, "build_integer_frame", build_lie_frame)
+    witness = _failed_witness("bryant-salamon", "orthonormal-killing")
+    assert witness["squared_scales"] == ["1/12"] * 6 + ["1/24"] * 4
+    assert [row[i] for i, row in enumerate(witness["integer_killing"])] == \
+        ["-12"] * 6 + ["-6"] * 4
+    _fails_verify("bryant-salamon")
 
 
 def test_swapped_projectors_fail_the_decomposition_suite(monkeypatch):

@@ -1,5 +1,6 @@
 """Field axioms and Galois structure of the Q(sqrt2, sqrt3) scalars, and
-the numerator view of rational coefficients."""
+the numerator view of rational coefficients, which refuses a surd and so
+keeps every exact type of the engine over Q."""
 
 import ast
 from fractions import Fraction
@@ -10,9 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spin7lab
+from spin7lab.exterior import linalg
+from spin7lab.exterior.endo import Endo
+from spin7lab.exterior.forms import FormOperator, KForm
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, SQRT6, ZERO,
                                        FieldScalar, Q, from_numerators,
                                        to_numerators)
+from spin7lab.invariant.chamber import ChamberForm, ChamberScalar
+from spin7lab.invariant.liealg import build_orthonormal_frame
 
 from _oracles import conj_sqrt2, conj_sqrt3
 from _strategies import field_scalars, nonzero_field_scalars, surds
@@ -257,18 +263,36 @@ def test_numerator_view_round_trips_rational_maps_and_rows(raw):
 
 @settings(max_examples=100)
 @given(st.lists(_view_entries, max_size=6), st.integers(0, 6), surds)
-def test_numerator_view_of_a_surd_map_is_its_scalars_over_one(entries, at,
-                                                              surd):
+def test_numerator_view_refuses_a_surd_in_any_map_or_row(entries, at, surd):
     rational_map = {k: FieldScalar.of(x) for k, x in enumerate(entries)}
     surd_map = dict(rational_map)
     surd_map[at] = surd
-    den, views = to_numerators([rational_map, surd_map, list(surd_map.values())])
-    assert den == 1
-    for m, view in zip((rational_map, surd_map, list(surd_map.values())), views):
-        nonzero = {k: x for k, x in _items(m) if x}
-        assert all(type(x) is FieldScalar for x in view.values())
-        assert view == nonzero
-        assert from_numerators(view, den) == nonzero
+    for maps in ([rational_map, surd_map], [list(surd_map.values())],
+                 [surd_map, rational_map]):
+        with pytest.raises(ValueError, match="surd"):
+            to_numerators(maps)
+
+
+# every exact type of the engine holds an int view, so each refuses a surd
+_SURD_BUILDS = {
+    "KForm": lambda: KForm(2, {0b11: 1, 0b101: SQRT2}),
+    "Endo": lambda: Endo([[SQRT3 if i == j else 0 for j in range(8)]
+                          for i in range(8)]),
+    "FormOperator": lambda: FormOperator(1, [{1: ONE}, {1: ONE, 2: SQRT2}]),
+    "ChamberScalar.of": lambda: ChamberScalar.of(ONE + SQRT6),
+    "ChamberScalar.monomial": lambda: ChamberScalar.monomial(SQRT2, 1, -7),
+    "ChamberForm": lambda: ChamberForm(1, {1 << 3: SQRT2}),
+    "SQRT2 * form": lambda: SQRT2 * KForm(1, {1: 1}),
+    "linalg.rank": lambda: linalg.rank([[ONE, SQRT2], [SQRT3, ONE]]),
+    "orthonormal maurer_cartan_table":
+        lambda: build_orthonormal_frame().maurer_cartan_table,
+}
+
+
+@pytest.mark.parametrize("build", _SURD_BUILDS.values(), ids=_SURD_BUILDS)
+def test_the_engine_refuses_a_surd(build):
+    with pytest.raises(ValueError, match="surd"):
+        build()
 
 
 def test_only_scalars_reads_the_private_slots_of_a_field_scalar():

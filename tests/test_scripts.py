@@ -9,7 +9,10 @@ the physical line count of the package.
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from spin7lab.cayley import build_omega, perturb_rank_one
 from spin7lab.exterior.forms import Vector
@@ -78,6 +81,22 @@ def test_reachability_tracer_sees_the_omega_export(tmp_path):
     functions = reach.executable(pathlib.Path(cli.__file__))
     assert line_of("record = build_omega().omega.to_record()") in \
         functions["export_form"]
+
+
+def test_reachability_loads_without_pythonpath(tmp_path):
+    # the script puts the checkout's src/ on sys.path itself
+    import spin7lab
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    loader = ("import importlib.util, sys\n"
+              "spec = importlib.util.spec_from_file_location('r', sys.argv[1])\n"
+              "module = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(module)\n"
+              "print(module.PACKAGE)")
+    out = subprocess.run([sys.executable, "-c", loader,
+                          str(SCRIPTS / "reachability.py")],
+                         cwd=tmp_path, env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == str(pathlib.Path(spin7lab.__file__).resolve().parent)
 
 
 def test_reachability_totals_end_in_the_physical_line_count():
