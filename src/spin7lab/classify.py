@@ -3,27 +3,31 @@
 For each of the 22 nilpotent Jordan types on R^8 this module builds the
 canonical representative A, the kernel K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} and a
 certificate deciding whether K can meet the GL(8)-orbit of the Cayley
-form.  A is a shift, so everything runs on int bitmasks from A's chain
-steps to the verdict: the rows of ρ(A)² by bit addition on blade masks,
-and the candidate pairs as basis duals, contracted on blade masks by
-``forms._pair_contracted`` (the kernel of ``cayley.pair_contraction_cube``).
-The obstruction is degeneracy: if some pair of dual vectors (u, v) has
-(u⌟v⌟ω)³ = 0 for EVERY ω ∈ K — proved by expanding the cubic's
+form.  The obstruction is degeneracy: if some pair of dual vectors (u, v)
+has (u⌟v⌟ω)³ = 0 for EVERY ω ∈ K — proved by expanding the cubic's
 coefficients, not by sampling — then no orbit element lies in K and the
 type is excluded.  Exactly the rank-one type (2,1,...,1) and the zero type
-(1,...,1) survive.  Tests derive dim K from sl₂ weights too, and check that
-each kernel vector lies in one (bits per chain, H-weight) block.
+(1,...,1) survive.
+
+A is a shift, so all of it runs on int bitmasks and constant tables of
+Λ⁴.  A step moves one generator up one position, so ρ(A)² adds 2 to a
+blade's weight (the sum of its 0-based generator positions): ρ(A)² is
+block-diagonal over the 17 weight classes of Λ⁴, K is eliminated block by
+block, and each ω in K, so each q = e_a⌟e_b⌟ω, has one weight.  A product
+of three q is a multiple of the blade of Λ⁶ without e^a and e^b, of weight
+28 − a − b, so only triples whose weights sum to that are wedged.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from typing import Iterator
 
-from .exterior.blades import BLADES, DIM
+from .exterior.blades import BLADE_POSITION, BLADES, DIM
 from .exterior.forms import Vector, _composed, _pair_contracted, _wedged
 from .exterior import linalg
 from .exterior.endo import Endo
@@ -51,12 +55,7 @@ class YoungDiagram:
 
     def blocks(self) -> list[tuple[int, int]]:
         """(start position, size) for each Jordan block, positions 1-based."""
-        out = []
-        pos = 1
-        for size in self.parts:
-            out.append((pos, size))
-            pos += size
-        return out
+        return list(zip(accumulate(self.parts[:-1], initial=1), self.parts))
 
     def __str__(self):
         return "(" + ",".join(map(str, self.parts)) + ")"
@@ -90,6 +89,7 @@ class JordanRepresentative:
     diagram: YoungDiagram
     labels: tuple[str, ...]
     columns: tuple[dict[int, int], ...]
+    __hash__ = None  # equal by value, but it holds dicts
 
     @property
     def steps(self) -> int:
@@ -144,42 +144,47 @@ class KernelSpace:
     diagram: YoungDiagram
     vectors: tuple[dict[int, int], ...]
     representative: JordanRepresentative
+    __hash__ = None  # equal by value, but it holds dicts
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
 
+# The weight of each blade mask of Λ⁴; and _PATHS[p][q], the
+# (j, m + 2^p + 2^q) of the blades m, the j-th of Λ⁴, that step p
+# (e^(p+1) -> e^(p+2), 1-based) and then step q move.
+_WEIGHT = {m: sum(i for i in range(DIM) if m >> i & 1) for m in BLADES[4]}
+_PATHS = tuple(tuple(
+    tuple((j, m + (1 << p) + (1 << q)) for j, m in enumerate(BLADES[4])
+          if m >> p & 3 == 1 and (m + (1 << p)) >> q & 3 == 1)
+    for q in range(DIM - 1)) for p in range(DIM - 1))
+
+
 def _square_rows(steps: int) -> dict[int, dict[int, int]]:
     """The sparse int rows of ρ(A)² on Λ⁴, keyed by blade mask, for the
-    shift A with chain-step mask ``steps``.  Each step sends e^p to
-    e^(p+1) and no generator lies between them, so ρ(A)e^m is Σ e^(m+b),
-    every coefficient +1, over the bits b of m & steps & ~(m >> 1): the
-    steps of m whose target m lacks.  Two such bit loops per blade m, the
-    j-th of Λ⁴, add 1 to column j of row m'' per path m -> m' -> m''; no
-    sum cancels."""
+    shift A with chain-step mask ``steps``: each path m -> m'' of two
+    steps in the mask (``_PATHS``), m the j-th blade, adds 1 to column j
+    of row m''.  No sum cancels."""
     rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for j, m in enumerate(BLADES[4]):
-        t = m & steps & ~(m >> 1)
-        while t:
-            b = t & -t
-            t ^= b
-            m1 = m + b
-            t1 = m1 & steps & ~(m1 >> 1)
-            while t1:
-                b1 = t1 & -t1
-                t1 ^= b1
-                row = rows[m1 + b1]
+    steps_on = [q for q in range(DIM - 1) if steps >> q & 1]
+    for p in steps_on:
+        for q in steps_on:
+            for j, target in _PATHS[p][q]:
+                row = rows[target]
                 row[j] = row.get(j, 0) + 1
     return rows
 
 
 def kernel_space(diagram: YoungDiagram) -> KernelSpace:
-    """K for the representative, on ints: integer Gauss–Jordan on the rows
-    of ρ(A)² (``_square_rows``) gives the kernel vectors."""
+    """K for the representative, on ints: the rows of ρ(A)² grouped by
+    weight block go to ``linalg.integer_nullspace``."""
     rep = representative(diagram)
+    blocks: defaultdict[int, list[dict[int, int]]] = defaultdict(list)
+    for m, row in _square_rows(rep.steps).items():
+        blocks[_WEIGHT[m]].append(row)
     return KernelSpace(diagram, tuple(linalg.integer_nullspace(
-        list(_square_rows(rep.steps).values()), len(BLADES[4]))), rep)
+        list(blocks.values()), len(BLADES[4]))), rep)
 
 
 # -- the cubic certificate ----------------------------------------------------
@@ -191,23 +196,34 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 
 _DUALS = tuple(Vector.basis(i + 1) for i in range(DIM))
 
+# e_a⌟e_b⌟ on Λ⁴ per ordered pair (a, b) of distinct indices: blade index
+# -> (image mask, sign), for the blades holding both generators.
+_CONTRACTIONS = {(a, b): {
+    BLADE_POSITION[4][m | 1 << a | 1 << b]: (m, sign) for m, sign in
+    _pair_contracted(1 << a, 1 << b, dict.fromkeys(BLADES[4], 1)).items()}
+    for a in range(DIM) for b in range(DIM) if a != b}
+
 
 def cubic_vanishes_on_subspace(a: int, b: int, kernel: KernelSpace) -> bool:
     """True iff (e_a⌟e_b⌟ω)³ = 0 for every ω in K, for the basis duals of
-    two distinct 0-based indices a and b: each kernel vector with a blade
-    holding both (the others contract to zero), keyed by blade mask, goes
-    through ``forms._pair_contracted``; the results are wedged on ints."""
+    two distinct 0-based indices a and b: the kernel vectors, each of one
+    weight, are contracted through ``_CONTRACTIONS``, and the triples of
+    weights summing to 28 − a − b are wedged on ints."""
     if a == b or not (0 <= a < DIM and 0 <= b < DIM):
         raise ValueError(f"need two distinct dual indices in 0..{DIM - 1}")
-    ab = 1 << a | 1 << b
-    holding = {j for j, m in enumerate(BLADES[4]) if m & ab == ab}
-    qs = [_pair_contracted(1 << a, 1 << b, {
-        BLADES[4][j]: x for j, x in vec.items()})
-        for vec in kernel.vectors if not holding.isdisjoint(vec)]
-    for i, qi in enumerate(qs):
-        for j in range(i, len(qs)):
-            rij = _wedged(qi, qs[j])
-            if rij and any(_wedged(rij, q) for q in qs[j:]):
+    table, top = _CONTRACTIONS[a, b], sum(range(DIM)) - a - b
+    qs = sorted(((_WEIGHT[BLADES[4][next(iter(vec))]] - a - b, {
+        table[j][0]: table[j][1] * x for j, x in vec.items() if j in table})
+        for vec in kernel.vectors if not table.keys().isdisjoint(vec)),
+        key=lambda wq: wq[0])
+    weights = [w for w, _ in qs]
+    for i, (wi, qi) in enumerate(qs):
+        for j, (wj, qj) in enumerate(qs[i:], i):
+            if (wk := top - wi - wj) < wj:
+                break
+            lo, hi = bisect_left(weights, wk, j), bisect_right(weights, wk, j)
+            if lo < hi and (rij := _wedged(qi, qj)) and any(
+                    _wedged(rij, q) for _, q in qs[lo:hi]):
                 return False
     return True
 

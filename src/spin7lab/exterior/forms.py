@@ -583,7 +583,7 @@ class FormOperator:
         """Canonical kernel basis as sparse coordinate vectors, one per free
         column with 1 there (the vectors of ``linalg.nullspace``)."""
         return [linalg.unit_in_free_column(vec) for vec in
-                linalg.integer_nullspace(self._rows(), len(self._nums))]
+                linalg.integer_nullspace([self._rows()], len(self._nums))]
 
     def is_idempotent(self) -> bool:
         return self @ self == self

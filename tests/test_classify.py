@@ -9,6 +9,7 @@ a mismatch against these constants.
 import random
 import sys
 from collections import Counter
+from collections.abc import Hashable
 from itertools import combinations
 from math import gcd
 
@@ -30,7 +31,8 @@ from spin7lab.exterior.forms import FormOperator, KForm, Vector, contract
 from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
-from _oracles import (count_calls, diagonal, is_nilpotent, kernel_basis,
+from _oracles import (count_calls, count_function_calls, diagonal,
+                      is_nilpotent, kernel_basis,
                       old_cubic_vanishes, old_jordan_type, old_kernel_basis,
                       old_rho, operator_kernel_vectors, operator_square_rows,
                       rho_images)
@@ -268,6 +270,59 @@ def test_kernel_dimensions_follow_from_sl2_weights():
             assert len(grades) == 1, (d, vec)
 
 
+# -- the weight grading of Λ⁴ -------------------------------------------------
+
+def _weight(mask):
+    """The sum of the 0-based generator positions of a blade."""
+    return sum(i for i in range(8) if mask >> i & 1)
+
+
+def _shift_columns(steps):
+    """The columns of the shift sending e^(p+1) to e^(p+2), 1-based, for
+    each bit p of ``steps``."""
+    return tuple({2 << p: 1} if steps >> p & 1 else {} for p in range(8))
+
+
+def test_weight_grading_and_the_elimination_and_wedge_counts(monkeypatch):
+    # every kernel vector, and so every contraction q = e_a⌟e_b⌟ω on the
+    # 616 candidate pairs, has one weight, the vector's minus a + b
+    pairs = 0
+    for d in enumerate_diagrams():
+        space = kernel_space(d)
+        weights = []
+        for vec in space.vectors:
+            grades = {_weight(BLADES[4][j]) for j in vec}
+            assert len(grades) == 1, (d, vec)
+            weights.append(grades.pop())
+        for a, b in _candidate_pairs(space.representative):
+            pairs += 1
+            for vec, w in zip(space.vectors, weights):
+                q = forms._pair_contracted(1 << a, 1 << b, {
+                    BLADES[4][j]: x for j, x in vec.items()})
+                assert {_weight(m) for m in q} <= {w - a - b}
+    assert pairs == 616
+    # exact counts over the 22 kernels and the 22 certificate searches;
+    # without the grading they were 604 and 407
+    cleared = count_function_calls(monkeypatch, linalg._cleared)
+    for d in enumerate_diagrams():
+        kernel_space(d)
+    assert len(cleared) == 571
+    wedged = count_function_calls(monkeypatch, forms._wedged)
+    for d in enumerate_diagrams():
+        find_certificate(d)
+    assert len(wedged) == 59
+
+
+def test_kernel_space_and_representative_declare_themselves_unhashable():
+    # both are equal by value but hold dicts, so no hash can agree with ==
+    d = YoungDiagram((3, 2, 2, 1))
+    for obj, twin in ((kernel_space(d), kernel_space(d)),
+                      (representative(d), representative(d))):
+        assert obj == twin and not isinstance(obj, Hashable)
+        with pytest.raises(TypeError, match=type(obj).__name__):
+            hash(obj)
+
+
 # -- integer kernels against the dense FieldScalar elimination ------------------
 
 @pytest.fixture(scope="module")
@@ -334,6 +389,16 @@ def test_shift_images_and_square_rows_match_the_operators():
                    for m in BLADES[4]]
         assert shifted == rho_images(rep.columns, BLADES[4])
         assert _square_rows(steps) == operator_square_rows(rep.matrix)
+        assert rep.columns == _shift_columns(steps)
+    # every subset of the seven chain steps is a shift; ρ(A)² adds 2 to a
+    # blade's weight, so each row of its square lies in one weight block
+    for steps in range(1 << 7):
+        columns = _shift_columns(steps)
+        rows = _square_rows(steps)
+        assert rows == operator_square_rows(Endo([
+            [column.get(1 << i, 0) for column in columns] for i in range(8)]))
+        for m, row in rows.items():
+            assert {_weight(BLADES[4][j]) for j in row} == {_weight(m) - 2}
 
 
 def test_kernel_space_makes_no_operator_or_field_product(monkeypatch):
