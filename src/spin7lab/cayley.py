@@ -20,10 +20,10 @@ same operator type on Λ¹.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from ._record import Record
 from .exterior.blades import BLADES, wedge_sign
 from .exterior.forms import (FormOperator, KForm, Vector, _combine,
                              _lcm_view, _pair_contracted, basis_blades,
@@ -37,8 +37,7 @@ __all__ = ["CayleyStructure", "FormOperator", "DecompositionProjectors",
            "perturb_rank_one", "skew_perturbation"]
 
 
-@dataclass(frozen=True)
-class CayleyStructure:
+class CayleyStructure(Record):
     """Ω = α²/2 + Re β with its two building blocks kept separate."""
 
     omega: KForm
@@ -46,8 +45,7 @@ class CayleyStructure:
     re_beta: KForm
 
 
-@dataclass(frozen=True)
-class DecompositionProjectors:
+class DecompositionProjectors(Record):
     """Exact projectors onto Λ⁴₁, Λ⁴₇, Λ⁴₂₇, Λ⁴₃₅."""
 
     p1: FormOperator

@@ -23,10 +23,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, product
 from typing import Iterator
 
+from ._record import Record
 from .exterior.blades import BLADE_POSITION, BLADES, DIM
 from .exterior.forms import Vector, _composed, _pair_contracted, _wedged
 from .exterior import linalg
@@ -39,19 +39,17 @@ __all__ = ["YoungDiagram", "JordanRepresentative", "KernelSpace",
            "classification_report"]
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class YoungDiagram(Record):
     """A partition of 8 = the Jordan type of a nilpotent endomorphism."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts or sum(self.parts) != DIM:
-            raise ValueError(f"parts must sum to {DIM}")
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be weakly decreasing")
+        parts = self.__dict__["parts"] = tuple(self.parts)
+        if set(map(type, parts)) != {int} or min(parts) < 1:
+            raise ValueError("parts must be positive ints")
+        if sum(parts) != DIM or sorted(parts, reverse=True) != list(parts):
+            raise ValueError(f"parts must sum to {DIM}, weakly decreasing")
 
     def blocks(self) -> list[tuple[int, int]]:
         """(start position, size) for each Jordan block, positions 1-based."""
@@ -75,8 +73,7 @@ def enumerate_diagrams() -> tuple[YoungDiagram, ...]:
     return tuple(YoungDiagram(p) for p in gen(DIM, DIM))
 
 
-@dataclass(frozen=True)
-class JordanRepresentative:
+class JordanRepresentative(Record):
     """Canonical nilpotent matrix for a diagram, with labeled Jordan basis.
 
     The covector starting a block of size >= 2 at position p is labeled
@@ -136,8 +133,7 @@ def jordan_type_of(a: Endo) -> YoungDiagram:
         for _ in range(at_least[size - 1] - at_least[size])))
 
 
-@dataclass(frozen=True)
-class KernelSpace:
+class KernelSpace(Record):
     """K = {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the diagram's representative A,
     spanned by ``vectors``, primitive int coordinates over ``BLADES[4]``."""
 
@@ -197,9 +193,11 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 _DUALS = tuple(Vector.basis(i + 1) for i in range(DIM))
 
 # e_a⌟e_b⌟ on Λ⁴ per ordered pair (a, b) of distinct indices: blade index
-# -> (image mask, sign), for the blades holding both generators.
+# -> (image mask, sign), for the blades holding both generators; its 840
+# entries share the 56 tuples of _IMAGES.
+_IMAGES = {(m, sign): (m, sign) for m in BLADES[2] for sign in (1, -1)}
 _CONTRACTIONS = {(a, b): {
-    BLADE_POSITION[4][m | 1 << a | 1 << b]: (m, sign) for m, sign in
+    BLADE_POSITION[4][m | 1 << a | 1 << b]: _IMAGES[m, sign] for m, sign in
     _pair_contracted(1 << a, 1 << b, dict.fromkeys(BLADES[4], 1)).items()}
     for a in range(DIM) for b in range(DIM) if a != b}
 
@@ -228,8 +226,7 @@ def cubic_vanishes_on_subspace(a: int, b: int, kernel: KernelSpace) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LabeledVector:
+class LabeledVector(Record):
     """A certificate vector together with its dual-basis label, if it has one."""
 
     vector: Vector
@@ -241,8 +238,7 @@ class LabeledVector:
                 "components": [str(c) for c in self.vector.components]}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     diagram: YoungDiagram
     verdict: str  # "admissible" | "excluded" | "unresolved"
     dim_kernel: int
@@ -281,8 +277,7 @@ def find_certificate(diagram: YoungDiagram) -> Certificate:
     return Certificate(diagram, "unresolved", kernel.dimension)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """The certificate of each of the 22 Jordan types, in the order of
     ``enumerate_diagrams``, with the milliseconds its search took."""
 

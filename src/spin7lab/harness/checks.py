@@ -18,11 +18,10 @@ from __future__ import annotations
 import functools
 import os
 import time
-import traceback
-from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
 
+from .._record import Record
 from ..cayley import (build_omega, image_dimension, pair_contraction_cube,
                       projectors, skew_perturbation, sl8_basis, so8_basis,
                       stabilizer_algebra)
@@ -58,12 +57,16 @@ _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUOTED_CUBE_DISPLAY = "6e^{354867}"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict = None  # None: a new empty dict
     duration_millis: int = 0
+    __hash__ = None  # equal by value, but it holds a dict
+
+    def __post_init__(self):
+        if self.detail is None:
+            self.__dict__["detail"] = {}
 
     def to_record(self, *, zero_timings: bool = False) -> dict:
         return {"name": self.name, "passed": self.passed,
@@ -89,6 +92,7 @@ class _Run:
 def _raised_at(exc: Exception) -> str:
     """'<path in the package>:<line> in <function>' of the innermost frame
     of the traceback that lies in the spin7lab package."""
+    import traceback  # only a raising check needs it
     frames = [f for f in traceback.extract_tb(exc.__traceback__)
               if os.path.abspath(f.filename).startswith(_PACKAGE_DIR + os.sep)]
     frame = frames[-1]  # never empty: _timed's own frame is in the package

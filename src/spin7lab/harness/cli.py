@@ -9,18 +9,16 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from dataclasses import dataclass
 
+from .._record import Record
 from .checks import SUITE_NAMES, CheckResult, run_all_suites
 
 __all__ = ["RunConfig", "run", "export_form", "main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     suites: tuple[str, ...] = SUITE_NAMES
     seed: int = 0
     output: str | None = None          # None = standard output
@@ -128,6 +126,7 @@ def export_form(form: str, path: str, v: str | None = None,
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only a command line needs it
     parser = argparse.ArgumentParser(
         prog="spin7lab",
         description="exact verification of linear Spin(7) perturbations")

@@ -18,9 +18,9 @@ symmetric-tensor Lie derivative against the induced metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .._record import Record
 from ..exterior.blades import contract_sign
 from ..exterior.forms import blade_pullback, wedge
 from ..exterior.scalars import ZERO, FieldScalar
@@ -41,8 +41,7 @@ _A = {4: 4, 5: 5, 6: 6}          # coframe slots of A⁴, A⁵, A⁶
 _X = {1: 7, 2: 8, 3: 9, 4: 10}   # coframe slots of X¹..X⁴
 
 
-@dataclass(frozen=True)
-class BryantSalamon:
+class BryantSalamon(Record):
     """The 4-form Φ together with every intermediate ingredient."""
 
     phi: ChamberForm                       # Φ = f²ψ₁ + fgψ₂ + g²ψ₃
@@ -115,8 +114,7 @@ def proposition_display() -> ChamberForm:
     return out
 
 
-@dataclass(frozen=True)
-class InvariantField:
+class InvariantField(Record):
     """Y = a(s²)A₄ + b(s²)A₅ + c(s²)A₆, the general invariant vector field."""
 
     a: ChamberScalar

@@ -31,10 +31,10 @@ forms with it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+from .._record import Record
 from ..exterior import linalg
 from ..exterior.scalars import ONE, ZERO, Q, FieldScalar
 
@@ -177,8 +177,7 @@ def _decompose(m: QuatMat2) -> tuple:
             m.b.x, m.b.y, m.b.z, m.b.w)
 
 
-@dataclass(frozen=True)
-class LieFrame:
+class LieFrame(Record):
     """The exact structure constants c[i][j][k] of ten generators, named by
     ``chamber.COFRAME_NAMES[1:]``; a frame holds nothing else."""
 

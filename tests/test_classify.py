@@ -125,6 +125,14 @@ def test_diagram_validation():
         YoungDiagram((4, 3))  # must sum to 8
     with pytest.raises(ValueError):
         YoungDiagram((9, -1))  # parts must be positive
+    # parts are stored as a tuple, so a list builds an equal, hashable diagram
+    listed = YoungDiagram([4, 4])
+    assert type(listed.parts) is tuple and listed == YoungDiagram((4, 4))
+    assert hash(listed) == hash(YoungDiagram((4, 4)))
+    assert find_certificate(listed).diagram.parts == (4, 4)
+    for parts in ((4.0, 4), (True,) * 8, ("8",), ()):
+        with pytest.raises(ValueError):
+            YoungDiagram(parts)  # parts must be ints, and bools are not
 
 
 # -- canonical representatives and jordan types ----------------------------------

@@ -9,15 +9,18 @@ witnesses (never as a crash), and the exit codes must follow the contract
 import io
 import json
 import contextlib
-import dataclasses
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from spin7lab.cayley import build_omega, perturb_rank_one, projectors
-from spin7lab.classify import classification_report
+from spin7lab.cayley import (CayleyStructure, DecompositionProjectors,
+                             build_omega, perturb_rank_one, projectors)
+from spin7lab.classify import (Certificate, ClassificationReport,
+                               classification_report)
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior import scalars
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
@@ -237,7 +240,7 @@ def test_flipped_omega_fails_the_basics_suite(monkeypatch):
     cayley = build_omega()
     mask, coeff = min(cayley.omega.mask_items())
     flipped = KForm(4, {**dict(cayley.omega.mask_items()), mask: -coeff})
-    bad = dataclasses.replace(cayley, omega=flipped)
+    bad = CayleyStructure(flipped, cayley.alpha2, cayley.re_beta)
     monkeypatch.setattr(checks, "build_omega", lambda: bad)
     witness = _failed_witness("basics", "cayley-normalization")
     # *Ω − Ω: the flipped blade and its complement, each off by ±2c
@@ -257,7 +260,7 @@ def test_a_wrong_integer_frame_fails_the_orthonormal_killing_check(monkeypatch):
 
 def test_swapped_projectors_fail_the_decomposition_suite(monkeypatch):
     ps = projectors()
-    bad = dataclasses.replace(ps, p7=ps.p35, p35=ps.p7)
+    bad = DecompositionProjectors(ps.p1, ps.p35, ps.p27, ps.p7)
     monkeypatch.setattr(checks, "projectors", lambda: bad)
     witness = _failed_witness("decomposition", "star-eigenvalue-split")
     assert witness["component"] == "p7" and witness["form"]["degree"] == 4
@@ -266,10 +269,11 @@ def test_swapped_projectors_fail_the_decomposition_suite(monkeypatch):
 
 def test_excluded_rank_one_row_fails_the_classify_suite(monkeypatch):
     report = classification_report()
-    rows = tuple((dataclasses.replace(cert, verdict="excluded"), ms)
+    rows = tuple((Certificate(cert.diagram, "excluded", cert.dim_kernel,
+                              cert.pair), ms)
                  if cert.diagram.parts == (2, 1, 1, 1, 1, 1, 1)
                  else (cert, ms) for cert, ms in report.rows)
-    bad = dataclasses.replace(report, rows=rows)
+    bad = ClassificationReport(rows)
     monkeypatch.setattr(checks, "classification_report", lambda: bad)
     witness = _failed_witness("classify", "admissible-set")
     assert witness == {"expected": [[2, 1, 1, 1, 1, 1, 1],
@@ -339,7 +343,7 @@ def test_passing_resolution_check_composes_the_cross_products_only(
 
 def test_failed_resolution_check_squares_each_projector(monkeypatch):
     ps = projectors()
-    doubled = dataclasses.replace(ps, p1=2 * ps.p1)
+    doubled = DecompositionProjectors(2 * ps.p1, ps.p7, ps.p27, ps.p35)
     monkeypatch.setattr(checks, "projectors", lambda: doubled)
     calls = count_calls(monkeypatch, "__matmul__", cls=FormOperator)
     result = _resolution_check(monkeypatch)
@@ -382,6 +386,21 @@ def test_failed_report_build_fails_each_check_where_raised(monkeypatch):
             "error": _BAD_UNIT,
             "where": f"exterior/endo.py:{_unit_raise_line()} in unit"}
     assert calls == [len(_REPORT_CHECKS)]  # a failed build is not reused
+
+
+# -- the import path ------------------------------------------------------------
+
+def test_importing_the_cli_loads_none_of_the_heavy_stdlib_modules():
+    # a fresh interpreter without ``site``, so nothing but the import runs
+    heavy = ("argparse", "dataclasses", "inspect", "traceback")
+    src = Path(checks.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, spin7lab.harness.cli\n"
+            f"print(sorted(set(sys.modules) & set({heavy!r})))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # -- RunConfig and run() -----------------------------------------------------------
