@@ -12,10 +12,11 @@ type is excluded.  Exactly the rank-one type (2,1,...,1) and the zero type
 A is a shift, so all of it runs on int bitmasks and constant tables of
 Λ⁴.  A step moves one generator up one position, so ρ(A)² adds 2 to a
 blade's weight (the sum of its 0-based generator positions): ρ(A)² is
-block-diagonal over the 17 weight classes of Λ⁴, K is eliminated block by
-block, and each ω in K, so each q = e_a⌟e_b⌟ω, has one weight.  A product
-of three q is a multiple of the blade of Λ⁶ without e^a and e^b, of weight
-28 − a − b, so only triples whose weights sum to that are wedged.
+block-diagonal over the 17 weight classes of Λ⁴.  So, though K is
+eliminated in one pass, each ω of its basis, so each q = e_a⌟e_b⌟ω, has
+one weight.  A product of three q is a multiple of the blade of Λ⁶ without
+e^a and e^b, of weight 28 − a − b, so only triples whose weights sum to
+that are wedged.
 """
 
 from __future__ import annotations
@@ -173,14 +174,11 @@ def _square_rows(steps: int) -> dict[int, dict[int, int]]:
 
 
 def kernel_space(diagram: YoungDiagram) -> KernelSpace:
-    """K for the representative, on ints: the rows of ρ(A)² grouped by
-    weight block go to ``linalg.integer_nullspace``."""
+    """K for the representative, on ints: the rows of ρ(A)² go to
+    ``linalg.integer_nullspace``."""
     rep = representative(diagram)
-    blocks: defaultdict[int, list[dict[int, int]]] = defaultdict(list)
-    for m, row in _square_rows(rep.steps).items():
-        blocks[_WEIGHT[m]].append(row)
     return KernelSpace(diagram, tuple(linalg.integer_nullspace(
-        list(blocks.values()), len(BLADES[4]))), rep)
+        list(_square_rows(rep.steps).values()), len(BLADES[4]))), rep)
 
 
 # -- the cubic certificate ----------------------------------------------------

@@ -231,12 +231,21 @@ def wedge(a: Form, b: Form) -> Form:
         a._nums, b._nums), a._denom * b._denom)
 
 
-def _lcm_view(forms) -> tuple[int, list[dict]]:
-    """(D, each form's numerators over D), D the lcm of their dens."""
-    den = lcm(*(f._denom for f in forms))
+def _lcm_view(views) -> tuple[int, list[dict]]:
+    """(D, the numerators of each view over D), D the lcm of their dens:
+    of forms, or of ChamberScalars, which are held as views too."""
+    den = lcm(*(f._denom for f in views))
     return den, [f._nums if f._denom == den else
                  {m: x * (den // f._denom) for m, x in f._nums.items()}
-                 for f in forms]
+                 for f in views]
+
+
+def _lowest(nums: dict, den: int) -> tuple[int, dict]:
+    """(den, nums) of int numerators over a positive den, divided by their
+    gcd."""
+    g = gcd(den, *nums.values())
+    return ((den, nums) if g == 1 else
+            (den // g, {m: x // g for m, x in nums.items()}))
 
 
 def _wedged(terms1: dict, terms2: dict) -> dict:
@@ -303,9 +312,8 @@ def _pulled_back(terms: dict, images: Sequence[dict]) -> dict:
     A wedge step walks the nonzero terms of one image and reads each sign
     from ``_sign_table``.  The wedge of a blade's first generators (its
     prefix) is built once per call and shared by the blades that start so.
-    The image of the last generator j goes straight into the output: a
-    one-term image with the blade's coefficient folded into it, a longer
-    one wedged once onto Σ c·prefix over the blades that end in j."""
+    The image of the last generator j goes straight into the output,
+    wedged once onto Σ c·prefix over the blades that end in j."""
     signs = _sign_table(len(images))
     steps = [[(signs[b.bit_length() - 1], b, c) for b, c in image.items()]
              for image in images]
@@ -324,11 +332,8 @@ def _pulled_back(terms: dict, images: Sequence[dict]) -> dict:
             prefix |= low
         if not prefix:  # a 1-form blade: its coefficient times its image
             _wedge_step(acc, {0: coeff}, steps[j])
-        elif len(steps[j]) > 1:
-            ending.setdefault(j, []).append((prefixes[prefix], coeff))
         else:
-            _wedge_step(acc, prefixes[prefix],
-                        [(row, b, coeff * c) for row, b, c in steps[j]])
+            ending.setdefault(j, []).append((prefixes[prefix], coeff))
     for j, pairs in ending.items():
         _wedge_step(acc, _combine(pairs), steps[j])
     return _pruned(acc)
@@ -386,11 +391,7 @@ class KForm(Form):
                                        for m, c in coeffs.items()}])
         return den, nums  # already in lowest terms
 
-    @staticmethod
-    def _lowest(nums: dict, den: int) -> tuple[int, dict]:
-        g = gcd(den, *nums.values())
-        return ((den, nums) if g == 1 else
-                (den // g, {m: x // g for m, x in nums.items()}))
+    _lowest = staticmethod(_lowest)
 
     # -- construction --------------------------------------------------
 
@@ -583,7 +584,7 @@ class FormOperator:
         """Canonical kernel basis as sparse coordinate vectors, one per free
         column with 1 there (the vectors of ``linalg.nullspace``)."""
         return [linalg.unit_in_free_column(vec) for vec in
-                linalg.integer_nullspace([self._rows()], len(self._nums))]
+                linalg.integer_nullspace(self._rows(), len(self._nums))]
 
     def is_idempotent(self) -> bool:
         return self @ self == self

@@ -14,9 +14,8 @@ the pivots of that basis; only ``echelon``, for ``liealg.normalizer``,
 takes it back to FieldScalar, one reduced fraction per nonzero entry.
 
 ``integer_nullspace`` builds every kernel basis as primitive int vectors,
-with no dense matrix and no FieldScalar, from groups of sparse int rows
-on disjoint columns (the weight blocks of ρ(A)² in the classifier): one
-Gauss–Jordan per group, after the columns of one-entry rows are dropped.
+with no dense matrix and no FieldScalar, from one list of sparse int rows:
+one Gauss–Jordan, after the columns of one-entry rows are dropped.
 ``unit_in_free_column`` divides such a vector by its entry in its free
 column, for ``nullspace`` and ``forms.FormOperator.kernel``.  The RREF of
 a matrix is unique, so the same matrix always yields the same bases.
@@ -108,7 +107,7 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[FieldScalar]]:
     key)."""
     return [[vec.get(j, ZERO) for j in range(ncols)] for vec in
             map(unit_in_free_column,
-                integer_nullspace([to_numerators(rows)[1]], ncols))]
+                integer_nullspace(to_numerators(rows)[1], ncols))]
 
 
 def unit_in_free_column(vec: SparseRow) -> dict[int, FieldScalar]:
@@ -117,24 +116,19 @@ def unit_in_free_column(vec: SparseRow) -> dict[int, FieldScalar]:
     return from_numerators(vec, vec[max(vec)])
 
 
-def integer_nullspace(groups: list[list[SparseRow]],
-                      ncols: int) -> list[SparseRow]:
+def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     """Per free column f, in order, the primitive int kernel vector that is
     positive in f and zero in every other free column, for a matrix given
-    as groups of sparse integer rows, primitive or not, no two groups
-    sharing a column.  A one-entry row's column is zero in every kernel
-    vector, so that row is dropped and its column leaves the other rows;
-    then each group is eliminated on its own, as the RREF of a
-    block-diagonal matrix is the union of its blocks' RREFs.  The other
-    entries sit in pivot columns left of f; a free column that no basis
-    row holds gives {f: 1}."""
-    fixed = {min(row) for rows in groups for row in rows if len(row) == 1}
-    basis: dict[int, SparseRow] = {}
-    for rows in groups:  # a row emptied here is skipped by _integer_rref
-        basis.update(_integer_rref([
-            row if fixed.isdisjoint(row)
-            else {j: x for j, x in row.items() if j not in fixed}
-            for row in rows if len(row) > 1]))
+    as sparse integer rows, primitive or not.  A one-entry row's column is
+    zero in every kernel vector, so that row is dropped and its column
+    leaves the other rows before the one Gauss–Jordan.  The other entries
+    sit in pivot columns left of f; a free column that no basis row holds
+    gives {f: 1}."""
+    fixed = {min(row) for row in rows if len(row) == 1}
+    basis = _integer_rref([  # a row emptied here is skipped by _integer_rref
+        row if fixed.isdisjoint(row)
+        else {j: x for j, x in row.items() if j not in fixed}
+        for row in rows if len(row) > 1])
     fixed.update(basis)  # a basis row is zero in the other pivot columns
     entries: dict[int, list] = {f: [] for f in range(ncols) if f not in fixed}
     for c, row in basis.items():

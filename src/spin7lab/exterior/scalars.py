@@ -4,8 +4,8 @@ Every scalar in the library is a + b*sqrt2 + c*sqrt3 + d*sqrt6 with
 rational a, b, c, d, stored as four integer numerators over one positive
 integer denominator in lowest terms (gcd(a, b, c, d, den) == 1).  The
 representation is canonical, so equality and hashing compare parts, and
-each result is normalized by a single gcd.  The field is closed under the
-four arithmetic operations; inversion goes through the two Galois
+each result is normalized by a single gcd.  Scalars add, subtract and
+multiply; the one division is ``inverse()``, through the two Galois
 conjugations (sqrt2 -> -sqrt2 and sqrt3 -> -sqrt3), which push the norm
 down to a plain integer.
 
@@ -101,9 +101,6 @@ class FieldScalar:
             if other is NotImplemented:
                 return NotImplemented
         n1, n2 = self._den, other._den
-        if n1 == n2:
-            return _reduced(self._a + other._a, self._b + other._b,
-                            self._c + other._c, self._d + other._d, n1)
         return _reduced(self._a * n2 + other._a * n1, self._b * n2 + other._b * n1,
                         self._c * n2 + other._c * n1, self._d * n2 + other._d * n1,
                         n1 * n2)
@@ -116,9 +113,6 @@ class FieldScalar:
             if other is NotImplemented:
                 return NotImplemented
         n1, n2 = self._den, other._den
-        if n1 == n2:
-            return _reduced(self._a - other._a, self._b - other._b,
-                            self._c - other._c, self._d - other._d, n1)
         return _reduced(self._a * n2 - other._a * n1, self._b * n2 - other._b * n1,
                         self._c * n2 - other._c * n1, self._d * n2 - other._d * n1,
                         n1 * n2)
@@ -147,33 +141,6 @@ class FieldScalar:
         return _reduced(*_product(a1, b1, c1, d1, a2, b2, c2, d2), den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not FieldScalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- Galois conjugation and inversion -----------------------------
 

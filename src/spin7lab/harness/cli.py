@@ -169,6 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # kept off the import path: only a crash needs it
+        traceback.print_exc()
+        return 2
 
 
 if __name__ == "__main__":

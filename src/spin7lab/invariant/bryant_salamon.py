@@ -22,11 +22,11 @@ from functools import lru_cache
 
 from .._record import Record
 from ..exterior.blades import contract_sign
-from ..exterior.forms import blade_pullback, wedge
+from ..exterior.forms import _lcm_view, blade_pullback, wedge
 from ..exterior.scalars import ZERO, FieldScalar
 from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
-                      S, _add_products, _lcm_view, _over, maurer_cartan_d)
+                      S, _add_products, _over, maurer_cartan_d)
 
 __all__ = ["BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",

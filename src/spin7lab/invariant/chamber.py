@@ -21,10 +21,10 @@ into one table of numerators per frame (``LieFrame.maurer_cartan_table``).
 
 from __future__ import annotations
 
-from math import comb, gcd, lcm
+from math import comb
 
 from ..exterior.blades import indices_of, mask_of
-from ..exterior.forms import Form, contract_generator
+from ..exterior.forms import Form, _lcm_view, _lowest, contract_generator
 from ..exterior.scalars import (Q, FieldScalar, from_numerators,
                                 to_numerators)
 from .liealg import LieFrame, N_GENERATORS
@@ -112,9 +112,9 @@ class ChamberScalar:
         ((a, _), n), = m._nums.items()
         if not a and m._denom == 1 and n == 1:
             return self
-        return _reduced({(b + a, e): n * c
-                         for (b, e), c in self._nums.items()},
-                        self._denom * m._denom)
+        return _make(*_lowest({(b + a, e): n * c
+                               for (b, e), c in self._nums.items()},
+                              self._denom * m._denom))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -128,6 +128,8 @@ class ChamberScalar:
         return bool(self._nums)
 
     def __eq__(self, other):
+        if type(other) is FieldScalar and not other.is_rational():
+            return False  # the ring is over Q: no element of it is a surd
         other = _operand(other)
         return NotImplemented if other is None else (
             self._denom == other._denom and self._nums == other._nums)
@@ -199,14 +201,6 @@ def _make(den: int, nums: dict) -> ChamberScalar:
     return out
 
 
-def _reduced(nums: dict, den: int) -> ChamberScalar:
-    """The scalar of canonical int numerators over a positive den."""
-    g = gcd(den, *nums.values())
-    if g != 1:
-        den, nums = den // g, {k: c // g for k, c in nums.items()}
-    return _make(den, nums)
-
-
 # Raw term maps (s_exp, w_exp) -> int numerator need not be canonical.  The
 # helpers below build, sum and reduce them: every sum starts from its first
 # term, never from 0.
@@ -214,7 +208,7 @@ def _reduced(nums: dict, den: int) -> ChamberScalar:
 def _over(raw: dict, den: int) -> ChamberScalar:
     """raw/den, canonicalized once and reduced by one gcd."""
     nums = _canonical(raw)
-    return _reduced(nums, den) if nums else _ZERO_SCALAR
+    return _make(*_lowest(nums, den)) if nums else _ZERO_SCALAR
 
 
 def _summed(x, y, sign: int):
@@ -225,14 +219,6 @@ def _summed(x, y, sign: int):
     raw = dict(raw)
     _add_scaled(raw, sign, other)
     return _over(raw, den)
-
-
-def _lcm_view(scalars) -> tuple[int, list[dict]]:
-    """(D, the scalars' views as numerators over D), D the lcm of dens."""
-    den = lcm(*(x._denom for x in scalars))
-    return den, [x._nums if x._denom == den else
-                 {k: c * (den // x._denom) for k, c in x._nums.items()}
-                 for x in scalars]
 
 
 def _add_terms(raw: dict, items) -> None:

@@ -390,7 +390,7 @@ def operator_kernel_vectors(a):
     for row in operator_square_rows(a).values():
         g = gcd(*row.values())
         primitive.append({j: x // g for j, x in row.items()})
-    return linalg.integer_nullspace([primitive], len(BLADES[4]))
+    return linalg.integer_nullspace(primitive, len(BLADES[4]))
 
 
 # -- FormOperator and exp_nilpotent on FieldScalars ----------------------------

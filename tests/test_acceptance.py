@@ -84,7 +84,9 @@ def test_03_contraction_cube_nondegeneracy():
     u, v = random_independent_pair(_rng("scaling"))
     lam, mu = FieldScalar("3/2"), FieldScalar(-2)
     scaled = pair_contraction_cube(lam * u, mu * v, omega)
-    assert scaled == (lam * mu) ** 3 * pair_contraction_cube(u, v, omega)
+    lam_mu = lam * mu
+    assert scaled == lam_mu * lam_mu * lam_mu * \
+        pair_contraction_cube(u, v, omega)
     _pass("[03] contraction cube nonzero on 200 independent pairs",
           time.perf_counter() - started, 30.0)
 

@@ -7,13 +7,14 @@ derivative driven by the connection-frame structure constants.
 """
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spin7lab.exterior.forms import wedge
-from spin7lab.exterior.scalars import ZERO, FieldScalar, Q, to_numerators
+from spin7lab.exterior.scalars import (ONE, SQRT2, ZERO, FieldScalar, Q,
+                                      to_numerators)
 from spin7lab.invariant import chamber
 from spin7lab.invariant.chamber import (COFRAME_NAMES, N_COFRAME, ChamberForm,
                                         ChamberScalar, S, T, W, W_INV,
@@ -169,6 +170,15 @@ def test_constants_compare_and_combine_like_their_rational(r):
     assert S * q == ChamberScalar.monomial(q, 1, 0)
 
 
+def test_a_surd_constant_is_unequal_to_every_chamber_scalar():
+    # == answers False for a surd, while arithmetic with one still refuses it
+    assert ChamberScalar.of(1) != SQRT2
+    assert not S == SQRT2 and not SQRT2 == S and SQRT2 != S
+    assert [S, ChamberScalar.of(1)].count(SQRT2) == 0
+    with pytest.raises(ValueError):
+        S + SQRT2
+
+
 # -- the numerator view ------------------------------------------------------------
 
 def assert_canonical_view(x: ChamberScalar):
@@ -252,7 +262,7 @@ def test_evaluate_is_the_sum_of_the_terms(x, s_value):
     s0 = FieldScalar(Q(s_value))
     expected = ZERO
     for a, _e, c in x.sorted_terms():
-        expected = expected + c * s0 ** a
+        expected = expected + c * prod([s0] * a, start=ONE)
     assert x.evaluate(s0) == x.evaluate(Q(s_value)) == expected
 
 

@@ -20,6 +20,7 @@ import pytest
 from spin7lab.cayley import (CayleyStructure, DecompositionProjectors,
                              build_omega, perturb_rank_one, projectors)
 from spin7lab.classify import (Certificate, ClassificationReport,
+                               LabeledVector, YoungDiagram,
                                classification_report)
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior import scalars
@@ -32,7 +33,7 @@ from spin7lab.invariant.bryant_salamon import (InvariantMetric,
                                                build_bryant_salamon,
                                                build_metric)
 from spin7lab.invariant.chamber import ChamberForm
-from spin7lab.invariant.liealg import build_lie_frame
+from spin7lab.invariant.liealg import build_lie_frame, generator_coords
 
 from _oracles import count_calls, count_function_calls, mutated_frame
 
@@ -116,6 +117,8 @@ def test_classifier_suites_pass_on_seeds_outside_the_goldens():
 def test_unknown_suite_raises():
     with pytest.raises(ValueError):
         run_suite("nonsense")
+    with pytest.raises(ValueError, match="unknown suite: nonsense"):
+        run_all_suites(("basics", "nonsense"))
 
 
 def test_run_all_suites_preserves_canonical_order():
@@ -190,13 +193,72 @@ def test_failed_frame_build_fails_each_check_that_reads_it(monkeypatch):
         assert c["detail"]["where"].endswith(" in frame")
 
 
-def _failed_witness(suite, name):
-    """The JSON round trip of a check's witness; the check must fail
-    without raising."""
-    result = next(r for r in run_suite(suite, seed=0) if r.name == name)
-    assert not result.passed
+def _failed_witness(suite, name, key="witness"):
+    """The JSON round trip of a check's witness, ``detail[key]``; the check
+    must fail without raising, and every check of its suite is reported."""
+    results = run_suite(suite, seed=0)
+    assert [r.name for r in results] == [n for n, _ in checks.SUITES[suite]]
+    result = next(r for r in results if r.name == name)
+    assert result.passed is False
     assert "error" not in result.detail
-    return json.loads(json.dumps(result.detail["witness"]))
+    return json.loads(json.dumps(result.detail[key]))
+
+
+def _chain_pair_of_v_duals():
+    """The classification report with the (2,2,2,2) certificate's first
+    dual relabeled as a v-dual."""
+    rows = []
+    for cert, ms in classification_report().rows:
+        if cert.diagram.parts == (2, 2, 2, 2):
+            u, v = cert.pair
+            cert = Certificate(cert.diagram, cert.verdict, cert.dim_kernel,
+                               (LabeledVector(u.vector, "v2"), v))
+        rows.append((cert, ms))
+    return ClassificationReport(tuple(rows))
+
+
+def _phi_with_one_more_blade():
+    return build_bryant_salamon().phi + ChamberForm.blade(0, 1, 2, 3)
+
+
+_NO_CUBE = {"pair_contraction_cube": lambda u, v, omega: KForm(6)}
+_RHO_IS_IDENTITY = {"rho": lambda a, form: form}
+_FAULTS = [  # (suite, check, {checks hook: fake}, the witness's detail key)
+    ("basics", "contraction-nondegeneracy", _NO_CUBE, "witness"),
+    ("basics", "cube-display-discrepancy", _NO_CUBE, "witness"),
+    ("decomposition", "rank-one-module-membership", _RHO_IS_IDENTITY,
+     "witness"),
+    ("classify", "chain-dual-certificates",
+     {"classification_report": _chain_pair_of_v_duals}, "pairs"),
+    ("classify", "signature-replay",
+     {"jordan_type_of": lambda a: YoungDiagram((2, 2, 1, 1, 1, 1))},
+     "witness"),
+    ("bryant-salamon", "lie-frame-consistency",  # Jacobi holds, d² ≠ 0
+     {"maurer_cartan_d": lambda form, frame: ChamberForm.generator(0)},
+     "witness"),
+    ("bryant-salamon", "sp1-normalizer",
+     {"normalizer": lambda frame, h: [generator_coords(i) for i in range(7)]},
+     "witness"),
+    ("bryant-salamon", "display-transcription",
+     {"proposition_display": _phi_with_one_more_blade}, "witness"),
+    ("perturb", "rank-one-square-zero", _RHO_IS_IDENTITY, "witness"),
+    ("perturb", "exponential-pullback", _RHO_IS_IDENTITY, "witness"),
+    ("perturb", "evenness-guard",
+     {"perturbed_form": lambda field, bs: bs.phi}, "witness"),
+    ("perturb", "pointwise-samples",  # both: out of the orbit, wrong type
+     {"pointwise_rank_one_check": lambda field, s0: {
+         "in_orbit": False, "trivial": False, "jordan_type": [2, 2, 1, 1]}},
+     "samples"),
+]
+
+
+@pytest.mark.parametrize("suite, name, hooks, key", _FAULTS,
+                         ids=[fault[1] for fault in _FAULTS])
+def test_each_failure_branch_returns_a_serializable_witness(
+        monkeypatch, suite, name, hooks, key):
+    for hook, fake in hooks.items():
+        monkeypatch.setattr(checks, hook, fake)
+    assert _failed_witness(suite, name, key)
 
 
 def test_closure_mechanism_failure_carries_the_difference_as_witness(
@@ -478,6 +540,23 @@ def test_cli_reports_failure_exit_code(monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert report["summary"]["failed"] == 1
+
+
+def test_cli_reports_an_internal_error_with_exit_code_2(monkeypatch, capsys):
+    # a witness that json.dumps refuses is a bug of the program, not a
+    # failed check: exit 2 and the traceback on stderr
+    import spin7lab.harness.cli as cli
+
+    def fake_run_all(suites, seed=0):
+        return {"basics": [CheckResult(name="broken", passed=False,
+                                       detail={"witness": {1, 2}},
+                                       duration_millis=1)]}
+
+    monkeypatch.setattr(cli, "run_all_suites", fake_run_all)
+    code, _ = run_cli(["verify", "--suite", "basics"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError" in err
 
 
 # -- export ---------------------------------------------------------------------------

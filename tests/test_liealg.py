@@ -215,7 +215,7 @@ def test_frames_differ_by_block_rescale():
         for j in range(10):
             for k in range(10):
                 assert orth.structure[i][j][k] == \
-                    conn.structure[i][j][k] * r[i] * r[j] / r[k]
+                    conn.structure[i][j][k] * r[i] * r[j] * r[k].inverse()
 
 
 # -- subalgebras and the normalizer ----------------------------------------------

@@ -163,7 +163,7 @@ def test_integer_path_matches_field_code(m):
 @given(rational_matrices())
 def test_integer_nullspace_is_the_nullspace_made_primitive(m):
     ncols = len(m[0])
-    vectors = integer_nullspace([to_numerators(m)[1]], ncols)
+    vectors = integer_nullspace(to_numerators(m)[1], ncols)
     canonical = field_nullspace(m, ncols)
     assert len(vectors) == len(canonical)
     for vec, expected in zip(vectors, canonical):
@@ -196,8 +196,8 @@ def test_integer_nullspace_ignores_the_content_of_its_rows(m, factors, twos,
                  for row in rows if row]
     scaled = [{j: f * x for j, x in row.items()}
               for f, row in zip(factors, rows + rows)]
-    vectors = integer_nullspace([scaled], ncols)
-    assert vectors == integer_nullspace([primitive], ncols)
+    vectors = integer_nullspace(scaled, ncols)
+    assert vectors == integer_nullspace(primitive, ncols)
     basis = linalg._integer_rref(scaled)
     assert all(gcd(*row.values()) == 1 for row in basis.values())
     assert [[FieldScalar.from_ratio(vec.get(j, 0), vec[max(vec)])
@@ -210,19 +210,17 @@ def test_integer_nullspace_ignores_the_content_of_its_rows(m, factors, twos,
 def test_integer_nullspace_eliminates_column_disjoint_groups_apart(blocks,
                                                                    data):
     # a block-diagonal matrix whose blocks sit on interleaved, disjoint
-    # column sets: passed as its blocks or as one group, the same kernel
+    # column sets, as the weight blocks of ρ(A)² in the classifier do
     ncols = sum(len(block[0]) for block in blocks)
     columns = data.draw(st.permutations(range(ncols)))
-    groups, start = [], 0
+    whole, start = [], 0
     for block in blocks:
         width = len(block[0])
         cols = columns[start:start + width]
         start += width
-        groups.append([{cols[k]: x for k, x in enumerate(row) if x}
-                       for row in block])
-    whole = [row for group in groups for row in group]
-    vectors = integer_nullspace(groups, ncols)
-    assert vectors == integer_nullspace([whole], ncols)
+        whole += [{cols[k]: x for k, x in enumerate(row) if x}
+                  for row in block]
+    vectors = integer_nullspace(whole, ncols)
     dense = [[row.get(j, 0) for j in range(ncols)] for row in whole]
     assert [[FieldScalar.from_ratio(vec.get(j, 0), vec[max(vec)])
              for j in range(ncols)] for vec in vectors] == \

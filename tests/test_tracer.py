@@ -9,7 +9,9 @@ The suite names that perfbench/tracer.py and perfbench/run.py copy, and
 the modules, classes, counted methods and hooked functions the tracer
 wraps by name, are read from their source with ``ast``, without importing
 them; the wrapped names are then looked up in a fresh interpreter that has
-imported ``spin7lab.harness.cli``, as the benchmark's child does.
+imported ``spin7lab.harness.cli``, as the benchmark's child does.  The
+benchmark's self-test must print ``"ok": true`` and its scalar kernels
+must pass their checks, so that a deletion the benchmark needs fails here.
 """
 
 import ast
@@ -32,9 +34,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER_PATH = PERFBENCH / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -55,7 +57,7 @@ def _attributes(tracer_module) -> dict:
 
 
 def test_tracer_installs_counts_and_restores():
-    tracer_module = _load_tracer()
+    tracer_module = _load_perfbench("tracer")
     # the fault-injection child rebinds this global of the checks module
     assert "build_lie_frame" in vars(checks)
     before = _attributes(tracer_module)
@@ -63,7 +65,8 @@ def test_tracer_installs_counts_and_restores():
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        third = FieldScalar(1) / FieldScalar(3)       # an inverse and a product
+        # an inverse and a product, for the two FieldScalar counters
+        third = FieldScalar(1) * FieldScalar(3).inverse()
         KForm.from_terms(1, [((1,), third)]) ^ KForm.from_terms(1, [((2,), 1)])
         kform_wedges = tracer.calls.get("forms.wedge", 0)
         ChamberForm.generator(1).wedge(ChamberForm.generator(2))
@@ -140,6 +143,18 @@ def test_tracer_targets_exist_after_importing_the_cli():
     assert missing["classes"] == [], "LAYERS classes not in their modules"
     assert missing["counted"] == [], "COUNTED methods not in their classes"
     assert missing["hooks"] == [], "_HOOKS keys not traced public functions"
+
+
+def test_the_benchmark_selftest_and_kernels_run_on_the_library():
+    # beyond the tracer's names, the self-test reads the --fault verify path
+    # and LieFrame.with_structure, and the kernels read surd FieldScalar
+    # products, inverse and quadruple, build_orthonormal_frame and
+    # ChamberScalar.derivative
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert json.loads(proc.stdout)["ok"] is True, proc.stderr
+    _, _, kernel_checks = _load_perfbench("kernels").run(0)
+    assert kernel_checks == [("surd-inverse", True), ("surd-operands", True)]
 
 
 def test_perfbench_suite_names_are_the_harness_suites():
