@@ -28,7 +28,7 @@ from ..cayley import (build_omega, image_dimension, pair_contraction_cube,
 from ..classify import (ClassificationReport, classification_report,
                         enumerate_diagrams, jordan_type_of)
 from ..exterior.endo import exp_nilpotent, pullback, rho
-from ..exterior.forms import Vector, hodge_star, inner
+from ..exterior.forms import FormOperator, Vector, hodge_star, inner
 from ..exterior.scalars import FieldScalar, Q
 from ..invariant.bryant_salamon import (InvariantField, build_bryant_salamon,
                                         build_metric, closure_mechanism_sides,
@@ -131,8 +131,11 @@ def _check_orbit_dimensions(run: _Run, rng: Random) -> tuple[bool, dict]:
     image_sl8 = image_dimension(sl8_basis())
     image_so8 = image_dimension(so8_basis())
     ok = stab == 21 and image_sl8 == 42 and image_so8 == 7
-    return ok, {"stabilizer_dim": stab, "image_dim": image_sl8,
-                "skew_image_dim": image_so8}
+    detail = {"stabilizer_dim": stab, "image_dim": image_sl8,
+              "skew_image_dim": image_so8}
+    if not ok:
+        detail["witness"] = {"expected": [21, 42, 7]}
+    return ok, detail
 
 
 def _check_contraction_nondegeneracy(run: _Run, rng: Random) -> tuple[bool, dict]:
@@ -166,7 +169,11 @@ def _check_cube_display(run: _Run, rng: Random) -> tuple[bool, dict]:
 
 def _check_projector_ranks(run: _Run, rng: Random) -> tuple[bool, dict]:
     ranks = projectors().ranks()
-    return ranks == (1, 7, 27, 35), {"ranks": list(ranks)}
+    ok = ranks == (1, 7, 27, 35)
+    detail = {"ranks": list(ranks)}
+    if not ok:
+        detail["witness"] = {"expected": [1, 7, 27, 35]}
+    return ok, detail
 
 
 def _check_resolution_of_identity(run: _Run, rng: Random) -> tuple[bool, dict]:
@@ -175,8 +182,14 @@ def _check_resolution_of_identity(run: _Run, rng: Random) -> tuple[bool, dict]:
     # a resolution of the identity is idempotent (is_resolution's proof)
     idem = {name: ok or op.is_idempotent()
             for name, op in zip(("p1", "p7", "p27", "p35"), ps.all())}
-    return ok and all(idem.values()), {"idempotent": idem,
-                                       "sums_to_identity": ok}
+    detail = {"idempotent": idem, "sums_to_identity": ok}
+    if not ok:
+        residual = (ps.p1 + ps.p7 + ps.p27 + ps.p35
+                    - FormOperator.identity(4))
+        detail["witness"] = {
+            "not_idempotent": [name for name, i in idem.items() if not i],
+            "sum_minus_identity_rank": residual.rank()}
+    return ok and all(idem.values()), detail
 
 
 def _check_star_split(run: _Run, rng: Random) -> tuple[bool, dict]:
@@ -232,9 +245,12 @@ def _check_skew_ansatz(run: _Run, rng: Random) -> tuple[bool, dict]:
 def _check_diagram_enumeration(run: _Run, rng: Random) -> tuple[bool, dict]:
     diagrams = enumerate_diagrams()
     ok = len(diagrams) == 22 and len(set(diagrams)) == 22
-    return ok, {"count": len(diagrams),
-                "first": list(diagrams[0].parts),
-                "last": list(diagrams[-1].parts)}
+    detail = {"count": len(diagrams), "first": list(diagrams[0].parts),
+              "last": list(diagrams[-1].parts)}
+    if not ok:
+        detail["witness"] = {"expected_count": 22, "repeated": sorted(
+            list(d.parts) for d in set(diagrams) if diagrams.count(d) > 1)}
+    return ok, detail
 
 
 def _check_admissible_set(run: _Run, rng: Random) -> tuple[bool, dict]:
@@ -266,16 +282,21 @@ def _check_chain_dual_certificates(run: _Run, rng: Random) -> tuple[bool, dict]:
     """The four length-capped chain diagrams certify via pairs of w-duals."""
     chains = {(3, 2, 2, 1), (2, 2, 2, 2), (2, 2, 2, 1, 1),
               (2, 2, 1, 1, 1, 1)}
-    found = {}
-    ok = True
+    found, bad = {}, {}
     for cert, _ms in run.report.rows:
         if cert.diagram.parts not in chains:
             continue
         labels = [lv.label or "?" for lv in (cert.pair or ())]
         found[str(cert.diagram)] = labels
         if not (len(labels) == 2 and all(l.startswith("w") for l in labels)):
-            ok = False
-    return ok and len(found) == 4, {"pairs": found}
+            bad[str(cert.diagram)] = labels
+    ok = not bad and len(found) == 4
+    detail = {"pairs": found}
+    if not ok:
+        seen = {cert.diagram.parts for cert, _ms in run.report.rows}
+        detail["witness"] = {"not_w_dual_pairs": bad,
+                             "missing": sorted(map(list, chains - seen))}
+    return ok, detail
 
 
 def _check_signature_replay(run: _Run, rng: Random) -> tuple[bool, dict]:
@@ -478,16 +499,18 @@ def _check_pointwise_samples(run: _Run, rng: Random) -> tuple[bool, dict]:
     t = ChamberScalar.monomial(1, 2, 0)
     field_ = InvariantField.of(t, 1, t * t)
     records = []
-    ok = True
+    failed = []
     for _ in range(5):
         s0 = Q(rng.randrange(1, 30), rng.randrange(1, 30))
         rec = pointwise_rank_one_check(field_, s0)
         records.append(rec)
-        if not rec["in_orbit"]:
-            ok = False
-        if not rec.get("trivial") and rec.get("jordan_type") != [2, 1, 1, 1, 1, 1, 1]:
-            ok = False
-    return ok, {"samples": records}
+        if not rec["in_orbit"] or (not rec.get("trivial") and rec.get(
+                "jordan_type") != [2, 1, 1, 1, 1, 1, 1]):
+            failed.append(rec)
+    detail = {"samples": records}
+    if failed:
+        detail["witness"] = failed[0]
+    return not failed, detail
 
 
 # --------------------------------------------------------------------------

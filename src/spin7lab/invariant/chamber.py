@@ -17,6 +17,9 @@ the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots
 the differential combines ∂_s on coefficients with the Maurer-Cartan
 equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j, read from the frame's constants
 into one table of numerators per frame (``LieFrame.maurer_cartan_table``).
+d reads one row of 5·d(e^I) per source blade, built from it on first use
+and kept on the frame (``LieFrame.maurer_cartan_rows``); an output blade
+whose raw sum cancels to all zeros is dropped without being canonicalized.
 """
 
 from __future__ import annotations
@@ -383,15 +386,33 @@ def _maurer_cartan_table(frame: LieFrame) -> tuple[int, tuple]:
     return den, tuple(map(tuple, table))
 
 
+def _maurer_cartan_row(mask: int, dgen: tuple) -> tuple:
+    """Σ_{k∈I} 5·de^k∧(e_k⌟e^I) for the blade e^I of this mask (de^k is even,
+    so moving it to the front costs no sign) as (target mask, int over
+    D_frame) pairs, summed per target, zero sums dropped."""
+    row: dict[int, int] = {}
+    for slot in _slots(mask):
+        sub = mask ^ 1 << slot
+        # contract_sign(slot, mask) times wedge_sign(m, sub), which flips
+        # once per generator of sub between the two generators of m
+        odd = (sub & ((1 << slot) - 1)).bit_count()
+        for m, between, five, negated in dgen[slot]:
+            if not m & sub:
+                c = negated if (odd + (sub & between).bit_count()) & 1 else five
+                row[m | sub] = row.get(m | sub, 0) + c
+    return tuple((m, c) for m, c in row.items() if c)
+
+
 def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
     """Exterior derivative: ∂_s on coefficients plus Maurer-Cartan terms.
 
-    d(c·e^I) = ∂_s c ds∧e^I + c Σ_{k∈I} de^k∧(e_k⌟e^I); de^k has even
-    degree, so moving it to the front costs no sign.  The constants of
-    5·de^k are numerators over D_frame from ``frame.maurer_cartan_table``,
-    built once per frame object.  The raw (s, w) terms of 5·d are summed
-    per output blade on the coefficients' views over their lcm D_form."""
+    d(c·e^I) = ∂_s c ds∧e^I + c·d(e^I), with 5·d(e^I) read from its row in
+    ``frame.maurer_cartan_rows`` (built on the mask's first use).  The raw
+    (s, w) terms of 5·d are summed per output blade on the coefficients'
+    views over their lcm D_form; a blade whose raw sum is all zero is
+    dropped, and every other one is canonicalized once."""
     frame_den, dgen = frame.maurer_cartan_table
+    rows = frame.maurer_cartan_rows
     den, maps = _lcm_view(form._nums.values())
     acc: dict[int, dict] = {}
     for mask, terms in zip(form._nums, maps):
@@ -399,21 +420,15 @@ def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
             # over 5·D_form·D_frame, ∂_s(n/D_form) is 5∂_s(n)·D_frame
             _add_terms(acc.setdefault(mask | 1, {}),
                        _derivative_terms(terms, frame_den))
-        t = mask
-        while t:
-            bit = t & -t
-            t ^= bit
-            sub = mask ^ bit
-            # contract_sign(slot, mask) times wedge_sign(m, sub), which flips
-            # once per generator of sub between the two generators of m
-            odd = (mask & (bit - 1)).bit_count()
-            for m, between, five, negated in dgen[bit.bit_length() - 1]:
-                if not m & sub:
-                    _add_scaled(acc.setdefault(m | sub, {}), negated
-                                if (odd + (sub & between).bit_count()) & 1
-                                else five, terms)
+        row = rows.get(mask)
+        if row is None:
+            row = rows[mask] = _maurer_cartan_row(mask, dgen)
+        for target, five in row:
+            _add_scaled(acc.setdefault(target, {}), five, terms)
+    # a nonzero raw map can still be 0 modulo w⁵ − 1 − s²: _over decides
     return ChamberForm._of_numerators(form.degree + 1, {
-        m: c for m, raw in acc.items() if (c := _over(raw, 5 * den * frame_den))})
+        m: c for m, raw in acc.items()
+        if any(raw.values()) and (c := _over(raw, 5 * den * frame_den))})
 
 
 def lie_derivative(slot: int, form: ChamberForm,

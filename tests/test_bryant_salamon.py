@@ -31,9 +31,9 @@ from spin7lab.invariant.liealg import Quaternion, build_lie_frame
 from spin7lab.sampling import random_even_scalar
 
 from _oracles import blade_pullback as old_blade_pullback
-from _oracles import (count_calls, is_canonical_view, mutated_frame,
-                      old_contract, old_maurer_cartan_d, verify_killing,
-                      verify_pullback_proposition)
+from _oracles import (count_calls, count_function_calls, is_canonical_view,
+                      mutated_frame, old_contract, old_maurer_cartan_d,
+                      verify_killing, verify_pullback_proposition)
 from _strategies import laurent_scalars, rational_laurent_scalars
 
 BS = build_bryant_salamon()
@@ -299,6 +299,19 @@ def test_rational_chamber_checks_divide_no_field_scalar(monkeypatch):
     assert contracted == old_contract(field, form)
     assert perturbed == BS.phi + DT * DS.wedge(old_contract(field, BS.phi))
     assert lhs == rhs
+
+
+def test_closed_forms_canonicalize_only_the_blade_that_vanishes_in_the_ring(
+        monkeypatch):
+    # d reduces no cancelled blade: the one _canonical call left in each d
+    # is a raw sum that is nonzero as a map and zero modulo w⁵ − 1 − s²
+    from spin7lab.invariant import chamber
+    field = InvariantField.of(T + 1, Q(2, 3) * T, 5)
+    form = perturbed_form(field, BS)
+    calls = count_function_calls(monkeypatch, chamber._canonical)
+    assert not maurer_cartan_d(BS.phi, FRAME) and len(calls) == 1
+    assert not maurer_cartan_d(form, FRAME) and len(calls) == 2
+    assert all(any(raw.values()) for raw, in calls)
 
 
 def test_dt_wedge_is_dt_times_ds_wedge():

@@ -451,26 +451,36 @@ def _table_of(dgen):
 
 
 def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
-    # as the table of 5·de^k that maurer_cartan_d reads
-    tables = []
+    # as the table of 5·de^k that maurer_cartan_d reads, and one row of
+    # 5·d(e^I) per blade mask
+    tables, rows = [], []
     original_table = chamber._maurer_cartan_table
+    original_row = chamber._maurer_cartan_row
     monkeypatch.setattr(chamber, "_maurer_cartan_table",
                         lambda frame: tables.append(frame)
                         or original_table(frame))
+    monkeypatch.setattr(chamber, "_maurer_cartan_row",
+                        lambda mask, dgen: rows.append(mask)
+                        or original_row(mask, dgen))
     base = build_lie_frame()
     frame = base.with_structure(base.structure)  # a fresh frame object
     a6 = ChamberForm.generator(6)
     form = a6 + ChamberForm.blade(7, coeff=S)
     first = maurer_cartan_d(form, frame)
+    assert sorted(rows) == [1 << 6, 1 << 7]
+    assert frame.maurer_cartan_rows.keys() == set(rows)
     for _ in range(3):
         assert maurer_cartan_d(form, frame) == first
+    assert len(rows) == 2  # a second d on the same frame builds no row
     lie_derivative(1, form, frame)
     assert tables == [frame]
     # a frame with other constants ([A4, A5] = 3 A6) gets its own table
+    # and rows, though the connection frame's rows are filled
     other = mutated_frame({(3, 4, 5): 3})
     assert maurer_cartan_d(a6, other) != maurer_cartan_d(a6, frame)
     assert tables == [frame, other]
     assert other.maurer_cartan_table != frame.maurer_cartan_table
+    assert other.maurer_cartan_rows[1 << 6] != frame.maurer_cartan_rows[1 << 6]
 
 
 @pytest.mark.parametrize("frame", [build_lie_frame(), build_integer_frame(),

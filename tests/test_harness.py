@@ -21,7 +21,7 @@ from spin7lab.cayley import (CayleyStructure, DecompositionProjectors,
                              build_omega, perturb_rank_one, projectors)
 from spin7lab.classify import (Certificate, ClassificationReport,
                                LabeledVector, YoungDiagram,
-                               classification_report)
+                               classification_report, enumerate_diagrams)
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior import scalars
 from spin7lab.exterior.forms import FormOperator, KForm, Vector
@@ -193,15 +193,15 @@ def test_failed_frame_build_fails_each_check_that_reads_it(monkeypatch):
         assert c["detail"]["where"].endswith(" in frame")
 
 
-def _failed_witness(suite, name, key="witness"):
-    """The JSON round trip of a check's witness, ``detail[key]``; the check
-    must fail without raising, and every check of its suite is reported."""
+def _failed_witness(suite, name):
+    """The JSON round trip of a check's witness; the check must fail
+    without raising, and every check of its suite is reported."""
     results = run_suite(suite, seed=0)
     assert [r.name for r in results] == [n for n, _ in checks.SUITES[suite]]
     result = next(r for r in results if r.name == name)
     assert result.passed is False
     assert "error" not in result.detail
-    return json.loads(json.dumps(result.detail[key]))
+    return json.loads(json.dumps(result.detail["witness"]))
 
 
 def _chain_pair_of_v_duals():
@@ -221,44 +221,55 @@ def _phi_with_one_more_blade():
     return build_bryant_salamon().phi + ChamberForm.blade(0, 1, 2, 3)
 
 
+def _p1_replaced_by_p7():
+    ps = projectors()
+    return DecompositionProjectors(ps.p7, ps.p7, ps.p27, ps.p35)
+
+
+def _first_diagram_twice():
+    diagrams = enumerate_diagrams()
+    return diagrams + diagrams[:1]
+
+
 _NO_CUBE = {"pair_contraction_cube": lambda u, v, omega: KForm(6)}
 _RHO_IS_IDENTITY = {"rho": lambda a, form: form}
-_FAULTS = [  # (suite, check, {checks hook: fake}, the witness's detail key)
-    ("basics", "contraction-nondegeneracy", _NO_CUBE, "witness"),
-    ("basics", "cube-display-discrepancy", _NO_CUBE, "witness"),
-    ("decomposition", "rank-one-module-membership", _RHO_IS_IDENTITY,
-     "witness"),
+_FAULTS = [  # (suite, check, {checks hook: fake})
+    ("basics", "orbit-dimensions", {"stabilizer_algebra": lambda: []}),
+    ("basics", "contraction-nondegeneracy", _NO_CUBE),
+    ("basics", "cube-display-discrepancy", _NO_CUBE),
+    ("decomposition", "projector-ranks", {"projectors": _p1_replaced_by_p7}),
+    ("decomposition", "resolution-of-identity",
+     {"projectors": _p1_replaced_by_p7}),
+    ("decomposition", "rank-one-module-membership", _RHO_IS_IDENTITY),
+    ("classify", "diagram-enumeration",
+     {"enumerate_diagrams": _first_diagram_twice}),
     ("classify", "chain-dual-certificates",
-     {"classification_report": _chain_pair_of_v_duals}, "pairs"),
+     {"classification_report": _chain_pair_of_v_duals}),
     ("classify", "signature-replay",
-     {"jordan_type_of": lambda a: YoungDiagram((2, 2, 1, 1, 1, 1))},
-     "witness"),
+     {"jordan_type_of": lambda a: YoungDiagram((2, 2, 1, 1, 1, 1))}),
     ("bryant-salamon", "lie-frame-consistency",  # Jacobi holds, d² ≠ 0
-     {"maurer_cartan_d": lambda form, frame: ChamberForm.generator(0)},
-     "witness"),
+     {"maurer_cartan_d": lambda form, frame: ChamberForm.generator(0)}),
     ("bryant-salamon", "sp1-normalizer",
-     {"normalizer": lambda frame, h: [generator_coords(i) for i in range(7)]},
-     "witness"),
+     {"normalizer": lambda frame, h: [generator_coords(i) for i in range(7)]}),
     ("bryant-salamon", "display-transcription",
-     {"proposition_display": _phi_with_one_more_blade}, "witness"),
-    ("perturb", "rank-one-square-zero", _RHO_IS_IDENTITY, "witness"),
-    ("perturb", "exponential-pullback", _RHO_IS_IDENTITY, "witness"),
+     {"proposition_display": _phi_with_one_more_blade}),
+    ("perturb", "rank-one-square-zero", _RHO_IS_IDENTITY),
+    ("perturb", "exponential-pullback", _RHO_IS_IDENTITY),
     ("perturb", "evenness-guard",
-     {"perturbed_form": lambda field, bs: bs.phi}, "witness"),
+     {"perturbed_form": lambda field, bs: bs.phi}),
     ("perturb", "pointwise-samples",  # both: out of the orbit, wrong type
      {"pointwise_rank_one_check": lambda field, s0: {
-         "in_orbit": False, "trivial": False, "jordan_type": [2, 2, 1, 1]}},
-     "samples"),
+         "in_orbit": False, "trivial": False, "jordan_type": [2, 2, 1, 1]}}),
 ]
 
 
-@pytest.mark.parametrize("suite, name, hooks, key", _FAULTS,
+@pytest.mark.parametrize("suite, name, hooks", _FAULTS,
                          ids=[fault[1] for fault in _FAULTS])
 def test_each_failure_branch_returns_a_serializable_witness(
-        monkeypatch, suite, name, hooks, key):
+        monkeypatch, suite, name, hooks):
     for hook, fake in hooks.items():
         monkeypatch.setattr(checks, hook, fake)
-    assert _failed_witness(suite, name, key)
+    assert _failed_witness(suite, name)
 
 
 def test_closure_mechanism_failure_carries_the_difference_as_witness(
@@ -411,9 +422,13 @@ def test_failed_resolution_check_squares_each_projector(monkeypatch):
     result = _resolution_check(monkeypatch)
     # the sum fails before any cross product; then each projector is squared
     assert calls == {"__matmul__": 4}
+    witness = result.detail.pop("witness")
     assert not result.passed and result.detail == {
         "idempotent": {"p1": False, "p7": True, "p27": True, "p35": True},
         "sums_to_identity": False}
+    # Σp − I is the doubled p1 − p1 = p1, of rank 1
+    assert witness == {"not_idempotent": ["p1"],
+                       "sum_minus_identity_rank": 1}
 
 
 _REPORT_CHECKS = ("admissible-set", "exclusion-certificates",

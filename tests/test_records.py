@@ -129,3 +129,11 @@ def test_maurer_cartan_table_is_built_once_per_frame_and_is_not_a_field(
     assert "maurer_cartan_table" not in vars(fresh)
     assert repr(fresh) == repr(frame)
     assert fresh.maurer_cartan_table == table and len(built) == 2
+    # the per-blade rows of d: a property of the frame object, not a field
+    assert "maurer_cartan_rows" not in LieFrame._fields
+    assert "maurer_cartan_rows" not in vars(LieFrame(frame.structure))
+    rows = frame.maurer_cartan_rows
+    chamber.maurer_cartan_d(chamber.ChamberForm.generator(6), frame)
+    assert frame.maurer_cartan_rows is rows and rows
+    assert fresh == frame and hash(fresh) == hash(frame)
+    assert repr(fresh) == repr(frame)
