@@ -6,8 +6,9 @@ acting on covectors, its image j the 1-form A e^j = Σ_i a_ij e^i stored as
 in the image of e^j.  Two extensions to Λ^k matter here:
 
 * ``rho(A, a)`` — the derivation (Lie-algebra) action, replacing one slot
-  at a time: each generator p of each blade is walked down image p of A
-  into one accumulator (``_rho_terms``);
+  at a time: Σ_p (A e^p)∧(e_p⌟a), each contraction by one generator
+  wedged on image p of A by the engine's one-generator wedge, into one
+  accumulator (``_rho_terms``);
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
 
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
@@ -30,7 +31,8 @@ from math import factorial
 from .blades import DIM
 from .scalars import ZERO, FieldScalar, to_numerators
 from .forms import (Covector, FormOperator, KForm, Vector, _combine,
-                    _composed, _pruned, _pulled_back)
+                    _composed, _contracted, _pruned, _pulled_back,
+                    _wedge_step, _wedge_steps)
 
 __all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
 
@@ -87,56 +89,32 @@ class Endo(FormOperator):
         return {"rows": [[x.to_record() for x in row] for row in self.rows]}
 
 
-def _rho_terms(terms: dict, columns: list[dict]) -> dict:
-    """ρ(A) of a term map, blade by blade and slot by slot: generator p of
-    blade m is walked down image p of A, and a_ip·c goes to m ^ p | i,
-    negated if m has an odd number of generators strictly between i and p,
-    and dropped if m holds i ≠ p.  Diagonal entries may sum to zero, which
-    is pruned."""
-    slots = []
-    for p, column in enumerate(columns):
-        bit_p = 1 << p
-        slots.append([(0, 0, 0, x) if bit_i == bit_p else
-                      (bit_i, bit_i | bit_p,
-                       abs(bit_i - bit_p) - min(bit_i, bit_p), x)
-                      for bit_i, x in column.items()])
+def _rho_terms(terms: dict, columns: list[dict], degree: int) -> dict:
+    """ρ(A) of a term map of degree k as the derivation rule
+    Σ_p (A e^p)∧(e_p⌟ω) = Σ_p (e_p⌟ω)∧(A e^p)·(−1)^(k−1): per generator p,
+    one ``forms._contracted`` wedged on image p by the one-generator step
+    of blade pullback, into one accumulator.  Diagonal entries may sum to
+    zero, which is pruned."""
     acc: dict = {}
-    for m, c in terms.items():
-        t = m
-        while t:
-            bit = t & -t
-            t ^= bit
-            for blocked, swap, between, x in slots[bit.bit_length() - 1]:
-                if m & blocked:
-                    continue
-                key = m ^ swap
-                prev = acc.get(key)
-                if (m & between).bit_count() & 1:
-                    acc[key] = -(c * x) if prev is None else prev - c * x
-                else:
-                    acc[key] = c * x if prev is None else prev + c * x
+    for p, step in enumerate(_wedge_steps(columns, degree % 2 * 2 - 1)):
+        _wedge_step(acc, _contracted(p, terms), step)
     return _pruned(acc)
-
-
-def _on_numerators(a: Endo, form: KForm, action, den_power: int) -> KForm:
-    """action(numerators of the form, numerator images of A) over
-    den(A)^den_power·den(form)."""
-    return KForm._of_numerators(form.degree, action(form._nums, a._nums),
-                                a._denom ** den_power * form._denom)
 
 
 def rho(a: Endo, form: KForm) -> KForm:
     """Derivation action: replace each slot of each blade by its image."""
-    return _on_numerators(a, form, _rho_terms, 1)
+    return KForm._of_numerators(form.degree, _rho_terms(
+        form._nums, a._nums, form.degree), a._denom * form._denom)
 
 
 def pullback(l_map: Endo, form: KForm) -> KForm:
     """Λ^k L: each covector slot is mapped through L and the images are
     wedged, the last one of each blade straight into the output
-    (``forms._pulled_back``)."""
+    (``forms._pulled_back``), over den(L)^k·den(form)."""
     if not form.degree:
         return form
-    return _on_numerators(l_map, form, _pulled_back, form.degree)
+    return KForm._of_numerators(form.degree, _pulled_back(
+        form._nums, l_map._nums), l_map._denom ** form.degree * form._denom)
 
 
 def exp_nilpotent(a: Endo) -> Endo:

@@ -8,10 +8,15 @@ refuses a surd), and divides them out only when read; a ChamberForm (the
 eleven chamber coframe generators) holds its coefficients over 1.
 The engine below (add, negate, scale, wedge, contraction by one
 generator, blade pullback) only adds, negates and multiplies numerators
-and dens, so the same code serves both and ``endo.rho``/``pullback``; it
-builds each result by ``Form._of_numerators``.  Blade pullback wedges on
-one image term at a time, with its signs from a table per generator
-count, and adds the last wedge of each blade straight into the output.
+and dens, so the same code serves both; it builds each result by
+``Form._of_numerators``.  Blade pullback wedges on one image term at a
+time, with its signs from a table per generator count, and adds the last
+wedge of each blade straight into the output.  Every blade sign lives
+here and in blades.py: ``endo.pullback`` is blade pullback on R^8, and
+the two derivations D(ω) = Σ_k D(e^k)∧(e_k⌟ω) are built from contraction
+by one generator and a wedge, ``endo.rho`` with the one-image wedge step
+of blade pullback, and the Maurer–Cartan rows of the chamber d
+(``chamber._maurer_cartan_row``) with ``_wedged``.
 
 On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
@@ -314,9 +319,7 @@ def _pulled_back(terms: dict, images: Sequence[dict]) -> dict:
     prefix) is built once per call and shared by the blades that start so.
     The image of the last generator j goes straight into the output,
     wedged once onto Σ c·prefix over the blades that end in j."""
-    signs = _sign_table(len(images))
-    steps = [[(signs[b.bit_length() - 1], b, c) for b, c in image.items()]
-             for image in images]
+    steps = _wedge_steps(images)
     prefixes = {1 << i: image for i, image in enumerate(images)}
     ending: dict = {}
     acc: dict = {}
@@ -352,6 +355,14 @@ def _wedge_step(acc: dict, piece: dict, step) -> dict:
                 else:
                     acc[m] = -(pc * c) if prev is None else prev - pc * c
     return acc
+
+
+def _wedge_steps(images: Sequence[dict], sign: int = 1) -> list[list]:
+    """Per image Σ c·e^b, the (sign row, b, sign·c) terms that
+    ``_wedge_step`` wedges on, the rows read from ``_sign_table``."""
+    signs = _sign_table(len(images))
+    return [[(signs[b.bit_length() - 1], b, c if sign > 0 else -c)
+             for b, c in image.items()] for image in images]
 
 
 @cache

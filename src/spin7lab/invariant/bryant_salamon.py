@@ -26,7 +26,8 @@ from ..exterior.forms import _lcm_view, blade_pullback, wedge
 from ..exterior.scalars import ZERO, FieldScalar
 from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
-                      S, _add_products, _over, maurer_cartan_d)
+                      S, _ZERO_SCALAR, _add_products, _over,
+                      maurer_cartan_d)
 
 __all__ = ["BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",
@@ -215,7 +216,7 @@ class InvariantMetric:
                 self.entries[(min(i, j), max(i, j))] = c
 
     def get(self, i: int, j: int) -> ChamberScalar:
-        return self.entries.get((min(i, j), max(i, j)), ChamberScalar())
+        return self.entries.get((min(i, j), max(i, j)), _ZERO_SCALAR)
 
     def __bool__(self):
         return bool(self.entries)
@@ -267,7 +268,7 @@ def metric_lie_derivative(slot: int, metric: InvariantMetric,
     out: dict[tuple[int, int], ChamberScalar] = {}
     for i in range(N_COFRAME):
         for j in range(i, N_COFRAME):
-            total = ChamberScalar()
+            total = _ZERO_SCALAR
             for k in range(N_COFRAME):
                 if c[i][k] and metric.get(k, j):
                     total = total - metric.get(k, j) * c[i][k]

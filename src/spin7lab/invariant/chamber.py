@@ -16,10 +16,12 @@ ChamberForm is the shared sparse exterior algebra (exterior.forms) over
 the 11 coframe generators {ds, A¹..A⁶, X¹..X⁴}, addressed by 0-based slots;
 the differential combines ∂_s on coefficients with the Maurer-Cartan
 equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j, read from the frame's constants
-into one table of numerators per frame (``LieFrame.maurer_cartan_table``).
-d reads one row of 5·d(e^I) per source blade, built from it on first use
-and kept on the frame (``LieFrame.maurer_cartan_rows``); an output blade
-whose raw sum cancels to all zeros is dropped without being canonicalized.
+into one 2-form of numerators per slot, once per frame
+(``LieFrame.maurer_cartan_table``).  d reads one row of 5·d(e^I) per source
+blade, built from them by the derivation rule Σ_k de^k∧(e_k⌟e^I) on the
+engine's contraction and wedge on first use and kept on the frame
+(``LieFrame.maurer_cartan_rows``); an output blade whose raw sum cancels to
+all zeros is dropped without being canonicalized.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 from math import comb
 
 from ..exterior.blades import indices_of, mask_of
-from ..exterior.forms import Form, _lcm_view, _lowest, contract_generator
+from ..exterior.forms import (Form, _combine, _contracted, _lcm_view,
+                              _lowest, _wedged, contract_generator)
 from ..exterior.scalars import (Q, FieldScalar, from_numerators,
                                 to_numerators)
 from .liealg import LieFrame, N_GENERATORS
@@ -368,39 +371,23 @@ class ChamberForm(Form):
 
 
 def _maurer_cartan_table(frame: LieFrame) -> tuple[int, tuple]:
-    """(D_frame, 5·de^k per coframe slot), de^k = −Σ_{i<j} c^k_ij e^i∧e^j
-    read from ``frame.structure`` (generator i is slot i + 1; d(ds) = 0):
-    per blade e^i∧e^j, (its mask, the bits from i to below j, 5·numerator
-    of −c^k_ij, its negation), an int over D_frame; ValueError on a frame
-    with a surd constant."""
+    """(D_frame, the 2-form 5·de^k per coframe slot k as {mask: int} over
+    D_frame), de^k = −Σ_{i<j} c^k_ij e^i∧e^j read from ``frame.structure``
+    (generator i is slot i + 1; d(ds) = 0); ValueError on a frame with a
+    surd constant."""
     structure = frame.structure
-    entries = [(k + 1, 2 << i | 2 << j, structure[i][j][k])
-               for k in range(N_GENERATORS) for i in range(N_GENERATORS)
-               for j in range(i + 1, N_GENERATORS) if structure[i][j][k]]
-    den, (nums,) = to_numerators([[c for _, _, c in entries]])
-    table: list[list] = [[] for _ in range(N_COFRAME)]
-    for i, (slot, m, _) in enumerate(entries):
-        five = -5 * nums[i]
-        low = m & -m
-        table[slot].append((m, ((m ^ low) - 1) ^ (low - 1), five, -five))
-    return den, tuple(map(tuple, table))
+    den, dgen = to_numerators([{}] + [
+        {2 << i | 2 << j: structure[i][j][k] for i in range(N_GENERATORS)
+         for j in range(i + 1, N_GENERATORS)} for k in range(N_GENERATORS)])
+    return den, tuple({m: -5 * n for m, n in dk.items()} for dk in dgen)
 
 
-def _maurer_cartan_row(mask: int, dgen: tuple) -> tuple:
-    """Σ_{k∈I} 5·de^k∧(e_k⌟e^I) for the blade e^I of this mask (de^k is even,
-    so moving it to the front costs no sign) as (target mask, int over
-    D_frame) pairs, summed per target, zero sums dropped."""
-    row: dict[int, int] = {}
-    for slot in _slots(mask):
-        sub = mask ^ 1 << slot
-        # contract_sign(slot, mask) times wedge_sign(m, sub), which flips
-        # once per generator of sub between the two generators of m
-        odd = (sub & ((1 << slot) - 1)).bit_count()
-        for m, between, five, negated in dgen[slot]:
-            if not m & sub:
-                c = negated if (odd + (sub & between).bit_count()) & 1 else five
-                row[m | sub] = row.get(m | sub, 0) + c
-    return tuple((m, c) for m, c in row.items() if c)
+def _maurer_cartan_row(mask: int, dgen: tuple) -> dict:
+    """Σ_{k∈I} 5·de^k∧(e_k⌟e^I) for the blade e^I of this mask (the
+    derivation rule of d, de^k even) as {target mask: int over D_frame},
+    zero sums dropped."""
+    return _combine((_wedged(dgen[k], _contracted(k, {mask: 1})), 1)
+                    for k in _slots(mask))
 
 
 def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
@@ -423,7 +410,7 @@ def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:
         row = rows.get(mask)
         if row is None:
             row = rows[mask] = _maurer_cartan_row(mask, dgen)
-        for target, five in row:
+        for target, five in row.items():
             _add_scaled(acc.setdefault(target, {}), five, terms)
     # a nonzero raw map can still be 0 modulo w⁵ − 1 − s²: _over decides
     return ChamberForm._of_numerators(form.degree + 1, {

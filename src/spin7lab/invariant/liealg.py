@@ -205,15 +205,16 @@ class LieFrame(Record):
 
     @cached_property
     def maurer_cartan_table(self) -> tuple:
-        """The constants of 5·d(e^k) as numerators over one denominator
-        D_frame, built once per frame object; ``chamber.maurer_cartan_d``
-        builds its per-blade rows (``maurer_cartan_rows``) from them."""
+        """(D_frame, per coframe slot k the 2-form 5·d(e^k) as {mask: int}
+        numerators over D_frame), built once per frame object;
+        ``chamber.maurer_cartan_d`` builds its per-blade rows
+        (``maurer_cartan_rows``) from them."""
         from .chamber import _maurer_cartan_table
         return _maurer_cartan_table(self)
 
     @cached_property
     def maurer_cartan_rows(self) -> dict:
-        """{blade mask: its row of 5·d(e^I) over D_frame}, filled by
+        """{blade mask: 5·d(e^I) as {mask: int} over D_frame}, filled by
         ``chamber.maurer_cartan_d`` on each mask's first use."""
         return {}
 

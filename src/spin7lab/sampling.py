@@ -85,8 +85,8 @@ def random_unimodular(rng: random.Random) -> tuple[Endo, Endo]:
 def random_even_scalar(rng: random.Random):
     """A random polynomial of degree at most 4 in t = s² (even in s) with
     small integer coefficients; suitable as a perturbation coefficient."""
-    from .invariant.chamber import ChamberScalar
-    out = ChamberScalar()
+    from .invariant.chamber import _ZERO_SCALAR, ChamberScalar
+    out = _ZERO_SCALAR
     for _ in range(rng.randint(1, 4)):
         coeff = rng.randint(-9, 9)
         out = out + ChamberScalar.monomial(coeff, 2 * rng.randint(0, 4), 0)

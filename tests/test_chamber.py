@@ -7,6 +7,7 @@ derivative driven by the connection-frame structure constants.
 """
 
 import random
+from functools import reduce
 from math import gcd, prod
 
 import pytest
@@ -435,19 +436,11 @@ def test_contract_generator_picks_out_slots():
 
 
 def _table_of(dgen):
-    """(D, the d table) of the ChamberForm de^k: per slot and blade, (its
-    mask, the bits from its lower to below its upper generator, 5·n, −5·n)
-    for the blade's constant coefficient n/D, D the lcm of the
-    denominators."""
-    entries = [(slot, m, c.terms[(0, 0)]) for slot, dk in enumerate(dgen)
-               for m, c in dk.terms.items()]
-    den, (nums,) = to_numerators([[c for _, _, c in entries]])
-    table = [[] for _ in range(N_COFRAME)]
-    for i, (slot, m, _) in enumerate(entries):
-        low = m & -m
-        table[slot].append((m, ((m ^ low) - 1) ^ (low - 1), 5 * nums[i],
-                            -5 * nums[i]))
-    return den, tuple(map(tuple, table))
+    """(D, the d table) of the ChamberForm de^k: per slot, {mask: 5·n} for
+    each blade's constant coefficient n/D, D the lcm of the denominators."""
+    den, nums = to_numerators([{m: c.terms[(0, 0)]
+                                for m, c in dk.terms.items()} for dk in dgen])
+    return den, tuple({m: 5 * n for m, n in dk.items()} for dk in nums)
 
 
 def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
@@ -489,6 +482,28 @@ def test_coframe_differentials_are_built_once_per_frame(monkeypatch):
 def test_maurer_cartan_table_is_that_of_the_chamber_form_de_k(frame):
     assert frame.maurer_cartan_table == \
         _table_of(coframe_differentials(frame))
+
+
+@pytest.mark.parametrize("frame", [FRAME, FRAMES[2]],
+                         ids=["connection", "mutated"])
+def test_maurer_cartan_rows_are_the_leibniz_expansion(frame):
+    # d(e^{i1}∧…∧e^{ik}) = Σ_j (−1)^j e^{i1}∧…∧de^{ij}∧…∧e^{ik} on every
+    # blade of degree 1 to 4, from the public wedge of the de^k forms
+    dgen = coframe_differentials(frame)
+    den, table = frame.maurer_cartan_table
+    masks = [m for m in range(1 << N_COFRAME) if 1 <= m.bit_count() <= 4]
+    assert len(masks) == 561
+    for mask in masks:
+        slots = chamber._slots(mask)
+        expected = ChamberForm.zero(len(slots) + 1)
+        for j in range(len(slots)):
+            factors = [dgen[k] if i == j else ChamberForm.generator(k)
+                       for i, k in enumerate(slots)]
+            term = reduce(wedge, factors)
+            expected = expected + term if j % 2 == 0 else expected - term
+        row = chamber._maurer_cartan_row(mask, table)
+        assert ChamberForm(len(slots) + 1, {
+            m: Q(c, 5 * den) for m, c in row.items()}) == expected
 
 
 def test_lie_derivative_rotates_the_sp1_coframe():

@@ -18,14 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from spin7lab.cayley import build_omega
 from spin7lab.classify import (Certificate, LabeledVector, YoungDiagram,
-                               _DUALS, _candidate_pairs,
+                               _DUALS, _PATHS, _candidate_pairs,
                                _square_rows,
                                classification_report,
                                cubic_vanishes_on_subspace, enumerate_diagrams,
                                find_certificate, jordan_type_of, kernel_space,
                                representative)
 from spin7lab.exterior import endo, forms, linalg, scalars
-from spin7lab.exterior.blades import BLADES
+from spin7lab.exterior.blades import BLADE_POSITION, BLADES, DIM
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import FormOperator, KForm, Vector, contract
 from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
@@ -407,6 +407,15 @@ def test_shift_images_and_square_rows_match_the_operators():
             [column.get(1 << i, 0) for column in columns] for i in range(8)]))
         for m, row in rows.items():
             assert {_weight(BLADES[4][j]) for j in row} == {_weight(m) - 2}
+
+
+def test_two_step_paths_are_one_table_of_the_seven_chain_steps():
+    # one row per chain step p and one entry per step q, each path ending
+    # on a blade of Λ⁴
+    assert len(_PATHS) == DIM - 1
+    assert all(len(row) == DIM - 1 for row in _PATHS)
+    assert all(target in BLADE_POSITION[4] for row in _PATHS
+               for paths in row for _j, target in paths)
 
 
 def test_kernel_space_makes_no_operator_or_field_product(monkeypatch):

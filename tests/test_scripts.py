@@ -4,7 +4,8 @@ The classification table must print the frozen rows of
 ``test_classify.py``; the form export must write the three named forms,
 each the record of the form it was made from; the reachability tracer
 must tell a reached line from an unreached one, and its totals line ends in
-the physical line count of the package.
+the physical line count of the package; the report comparison must name the
+first seed on which two trees' verify reports differ.
 """
 
 import importlib.util
@@ -108,3 +109,19 @@ def test_reachability_totals_end_in_the_physical_line_count():
     assert physical > 0
     assert reach.totals(2367, 225).split("\t") == \
         ["total", "2367", "225", str(physical)]
+
+
+def test_same_reports_names_the_first_seed_whose_reports_differ(tmp_path,
+                                                                capsys):
+    same = load_script("same_reports")
+    same.SEEDS = range(1)
+    assert same.main([]) == 2
+    assert same.main([str(SCRIPTS.parent)]) == 0
+    assert capsys.readouterr().out == "seeds 0-0: the reports are identical\n"
+    harness = tmp_path / "src" / "spin7lab" / "harness"
+    harness.mkdir(parents=True)
+    for package in (harness.parent, harness):
+        (package / "__init__.py").write_text("")
+    (harness / "cli.py").write_text("print('another report')\n")
+    assert same.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "seed 0: the reports differ\n"
