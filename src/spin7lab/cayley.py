@@ -24,9 +24,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._record import Record
-from .exterior.blades import BLADES, wedge_sign
+from .exterior.blades import BLADES, DIM, wedge_sign
 from .exterior.forms import (FormOperator, KForm, Vector, _combine,
-                             _lcm_view, _pair_contracted, basis_blades,
+                             _contractions, _lcm_view, basis_blades,
                              contract, hodge_star, wedge)
 from .exterior.endo import Endo, rho
 from .exterior.scalars import ZERO, Q, FieldScalar, to_numerators
@@ -150,18 +150,19 @@ def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
 
     With u, v over den (``scalars.to_numerators``) and a over den_a,
     q = den²·den_a·(u⌟v⌟a) is the sum of (u_i·v_j − u_j·v_i)·e_i⌟e_j⌟a
-    over the nonzero minors i < j, each pair contracted on masks by
-    ``forms._pair_contracted``.  A 2-form cubed is 3! times its
-    Pfaffians: the coefficient of q³ on a 6-blade M is 6·Pf(q|_M), the
-    signed sum of q_a·q_b·q_c over the perfect matchings {a, b, c} of M
-    (``_matchings``), over (den²·den_a)³."""
+    over the nonzero minors i < j, e_i⌟e_j⌟a read from two walks of
+    ``forms._contractions`` (by e_j, then by e_i).  A 2-form cubed is 3!
+    times its Pfaffians: the coefficient of q³ on a 6-blade M is
+    6·Pf(q|_M), the signed sum of q_a·q_b·q_c over the perfect matchings
+    {a, b, c} of M (``_matchings``), over (den²·den_a)³."""
     if a.degree != 4:
         raise ValueError("the contraction cube is taken of a 4-form")
     den, (us, vs) = to_numerators([u.components, v.components])
     minors = ((i, j, us.get(i, 0) * vs.get(j, 0) - us.get(j, 0) * vs.get(i, 0))
               for i in range(8) for j in range(i + 1, 8))
-    q = _combine((_pair_contracted(1 << i, 1 << j, a._nums), w)
-                 for i, j, w in minors if w)
+    pairs = [_contractions(by_j, j)  # e_i⌟e_j⌟a for i < j
+             for j, by_j in enumerate(_contractions(a._nums, DIM))]
+    q = _combine((pairs[j][i], w) for i, j, w in minors if w)
     cube = {}
     for m, matchings in _matchings():
         total = 0

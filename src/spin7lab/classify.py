@@ -29,7 +29,7 @@ from typing import Iterator
 
 from ._record import Record
 from .exterior.blades import BLADE_POSITION, BLADES, DIM
-from .exterior.forms import Vector, _composed, _pair_contracted, _wedged
+from .exterior.forms import Vector, _composed, _contractions, _wedged
 from .exterior import linalg
 from .exterior.endo import Endo
 
@@ -191,13 +191,15 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 _DUALS = tuple(Vector.basis(i + 1) for i in range(DIM))
 
 # e_a⌟e_b⌟ on Λ⁴ per ordered pair (a, b) of distinct indices: blade index
-# -> (image mask, sign), for the blades holding both generators; its 840
-# entries share the 56 tuples of _IMAGES.
+# -> (image mask, sign), for the blades holding both generators, from one
+# ``forms._contractions`` walk of the unit blades and one of each e_b⌟ of
+# them; its 840 entries share the 56 tuples of _IMAGES.
 _IMAGES = {(m, sign): (m, sign) for m in BLADES[2] for sign in (1, -1)}
 _CONTRACTIONS = {(a, b): {
-    BLADE_POSITION[4][m | 1 << a | 1 << b]: _IMAGES[m, sign] for m, sign in
-    _pair_contracted(1 << a, 1 << b, dict.fromkeys(BLADES[4], 1)).items()}
-    for a in range(DIM) for b in range(DIM) if a != b}
+    BLADE_POSITION[4][m | 1 << a | 1 << b]: _IMAGES[m, sign]
+    for m, sign in by_ab.items()}
+    for b, by_b in enumerate(_contractions(dict.fromkeys(BLADES[4], 1), DIM))
+    for a, by_ab in enumerate(_contractions(by_b, DIM)) if a != b}
 
 
 def cubic_vanishes_on_subspace(a: int, b: int, kernel: KernelSpace) -> bool:

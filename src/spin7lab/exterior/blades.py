@@ -5,7 +5,7 @@ The generator count defaults to the eight covectors of R^8, whose blades
 of each degree are tabulated once, at import, in the order of their index
 tuples (``BLADES``), with each mask's position in that order
 (``BLADE_POSITION``).  Signs come from counting transpositions, so
-everything stays exact.
+everything stays exact (interior products: ``forms._contractions``).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ DIM = 8
 FULL_MASK = (1 << DIM) - 1
 
 __all__ = ["DIM", "FULL_MASK", "BLADES", "BLADE_POSITION", "wedge_sign",
-           "contract_sign", "pair_sign_mask", "mask_of", "indices_of",
-           "complement_sign"]
+           "mask_of", "indices_of", "complement_sign"]
 
 
 def wedge_sign(m1: int, m2: int) -> int:
@@ -39,24 +38,6 @@ def _sign_mask(m2: int) -> int:
         s ^= -(low << 1)
         t ^= low
     return s
-
-
-def pair_sign_mask(a: int, b: int) -> int:
-    """The mask S with e_a⌟e_b⌟e^m = (-1)^|m & S| e^(m ^ a ^ b) for every
-    blade m holding both generators, given as the bits a ≠ b: e_b comes
-    out past m's generators below b, then e_a past those of m ^ b below a."""
-    return (b - 1) ^ (a - 1) & ~b
-
-
-def contract_sign(slot: int, mask: int) -> int:
-    """Sign picked up when e_slot (0-based) is pulled out of the front of mask.
-
-    Returns 0 if the slot is absent, else (-1)**(number of earlier slots).
-    """
-    bit = 1 << slot
-    if not (mask & bit):
-        return 0
-    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
 
 
 def mask_of(indices, dim: int = DIM) -> tuple[int, int]:

@@ -6,7 +6,7 @@ acting on covectors, its image j the 1-form A e^j = Σ_i a_ij e^i stored as
 in the image of e^j.  Two extensions to Λ^k matter here:
 
 * ``rho(A, a)`` — the derivation (Lie-algebra) action, replacing one slot
-  at a time: Σ_p (A e^p)∧(e_p⌟a), each contraction by one generator
+  at a time: Σ_p (A e^p)∧(e_p⌟a), each e_p⌟a of one contraction walk
   wedged on image p of A by the engine's one-generator wedge, into one
   accumulator (``_rho_terms``);
 * ``pullback(L, a)`` — the multiplicative (group) action Λ^k L.
@@ -31,7 +31,7 @@ from math import factorial
 from .blades import DIM
 from .scalars import ZERO, FieldScalar, to_numerators
 from .forms import (Covector, FormOperator, KForm, Vector, _combine,
-                    _composed, _contracted, _pruned, _pulled_back,
+                    _composed, _contractions, _pruned, _pulled_back,
                     _wedge_step, _wedge_steps)
 
 __all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
@@ -91,13 +91,14 @@ class Endo(FormOperator):
 
 def _rho_terms(terms: dict, columns: list[dict], degree: int) -> dict:
     """ρ(A) of a term map of degree k as the derivation rule
-    Σ_p (A e^p)∧(e_p⌟ω) = Σ_p (e_p⌟ω)∧(A e^p)·(−1)^(k−1): per generator p,
-    one ``forms._contracted`` wedged on image p by the one-generator step
-    of blade pullback, into one accumulator.  Diagonal entries may sum to
-    zero, which is pruned."""
+    Σ_p (A e^p)∧(e_p⌟ω) = Σ_p (e_p⌟ω)∧(A e^p)·(−1)^(k−1): the contractions
+    by every generator p, from one ``forms._contractions`` walk, each
+    wedged on image p by the one-generator step of blade pullback, into
+    one accumulator.  Diagonal entries may sum to zero, which is pruned."""
     acc: dict = {}
-    for p, step in enumerate(_wedge_steps(columns, degree % 2 * 2 - 1)):
-        _wedge_step(acc, _contracted(p, terms), step)
+    for piece, step in zip(_contractions(terms, DIM),
+                           _wedge_steps(columns, degree % 2 * 2 - 1)):
+        _wedge_step(acc, piece, step)
     return _pruned(acc)
 
 

@@ -6,15 +6,16 @@ blades.py) to nonzero numerators over one positive int ``_denom``.  A KForm
 its rational FieldScalar coefficients (``scalars.to_numerators``, which
 refuses a surd), and divides them out only when read; a ChamberForm (the
 eleven chamber coframe generators) holds its coefficients over 1.
-The engine below (add, negate, scale, wedge, contraction by one
-generator, blade pullback) only adds, negates and multiplies numerators
-and dens, so the same code serves both; it builds each result by
-``Form._of_numerators``.  Blade pullback wedges on one image term at a
-time, with its signs from a table per generator count, and adds the last
-wedge of each blade straight into the output.  Every blade sign lives
-here and in blades.py: ``endo.pullback`` is blade pullback on R^8, and
-the two derivations D(ω) = Σ_k D(e^k)∧(e_k⌟ω) are built from contraction
-by one generator and a wedge, ``endo.rho`` with the one-image wedge step
+The engine below (add, negate, scale, wedge, contraction, blade
+pullback) only adds, negates and multiplies numerators and dens, so the
+same code serves both; it builds each result by ``Form._of_numerators``.
+Every interior product is read from one walk over each blade by the
+generators below a count (``_contractions``).  Blade pullback wedges on
+one image term at a time, with its signs from a table per generator
+count, and adds the last wedge of each blade straight into the output.
+Every blade sign lives here and in blades.py: ``endo.pullback`` is blade
+pullback on R^8, and the two derivations D(ω) = Σ_k D(e^k)∧(e_k⌟ω) are
+built from that walk and a wedge, ``endo.rho`` with the one-image wedge step
 of blade pullback, and the Maurer–Cartan rows of the chamber d
 (``chamber._maurer_cartan_row``) with ``_wedged``.
 
@@ -43,8 +44,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, _sign_mask,
-                     complement_sign, contract_sign, indices_of, mask_of,
-                     pair_sign_mask)
+                     complement_sign, indices_of, mask_of)
 from .scalars import ONE, ZERO, FieldScalar, from_numerators, to_numerators
 
 __all__ = ["Form", "Vector", "Covector", "KForm", "FormOperator", "add",
@@ -272,28 +272,25 @@ def _wedged(terms1: dict, terms2: dict) -> dict:
 def contract_generator(slot: int, a: Form) -> Form:
     """Interior product with the dual of generator ``slot`` (0-based),
     contracting the first slot."""
-    return type(a)._of_numerators(a.degree - 1, _contracted(slot, a._nums),
-                                  a._denom)
+    return type(a)._of_numerators(
+        a.degree - 1, _contractions(a._nums, slot + 1)[slot], a._denom)
 
 
-def _contracted(slot: int, terms: dict) -> dict:
-    bit = 1 << slot
-    out = {}
+def _contractions(terms: dict, generators: int) -> list[dict]:
+    """[e_p⌟ω for each p < generators] of a term map ω over any ring that
+    negates, in one walk over each blade's generators below that count:
+    pulling e_p to the front passes the generators of the blade below p,
+    so the signs along a blade go +, −, +, …"""
+    out: list[dict] = [{} for _ in range(generators)]
+    below = (1 << generators) - 1
     for m, c in terms.items():
-        sign = contract_sign(slot, m)
-        if sign:
-            out[m ^ bit] = c if sign == 1 else -c
+        t = m & below
+        while t:
+            low = t & -t
+            out[low.bit_length() - 1][m ^ low] = c
+            t ^= low
+            c = -c
     return out
-
-
-def _pair_contracted(a: int, b: int, terms: dict) -> dict:
-    """e_a⌟e_b⌟ of a term map for generator bits a ≠ b: each blade m
-    holding both goes to m ^ a ^ b with the sign of
-    ``blades.pair_sign_mask``."""
-    ab = a | b
-    sign_mask = pair_sign_mask(a, b)
-    return {m ^ ab: -c if (m & sign_mask).bit_count() & 1 else c
-            for m, c in terms.items() if m & ab == ab}
 
 
 def blade_pullback(a: Form, images: Sequence[Form]) -> Form:
@@ -446,9 +443,9 @@ class KForm(Form):
 def contract(v: Vector, a: KForm) -> KForm:
     """Interior product v ⌟ a, contracting the first slot."""
     den, (comps,) = to_numerators([v.components])
+    pieces = _contractions(a._nums, DIM)
     return KForm._of_numerators(a.degree - 1, _combine(
-        (_contracted(slot, a._nums), n) for slot, n in comps.items()),
-        den * a._denom)
+        (pieces[slot], n) for slot, n in comps.items()), den * a._denom)
 
 
 def hodge_star(a: KForm) -> KForm:

@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .._record import Record
-from ..exterior.blades import contract_sign
-from ..exterior.forms import _lcm_view, blade_pullback, wedge
+from ..exterior.forms import (_contractions, _lcm_view, blade_pullback,
+                              wedge)
 from ..exterior.scalars import ZERO, FieldScalar
 from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
@@ -136,18 +136,20 @@ class InvariantField(Record):
     def contract(self, form: ChamberForm) -> ChamberForm:
         """Y⌟form: the raw (s, w) terms of the three slots are summed per
         output blade on the views of Y's coefficients (over their lcm D_Y)
-        and of the form's (over D_F), then each goes once through _over."""
+        and of the form's (over D_F), then each goes once through _over.
+        The walk ``forms._contractions`` of {blade: ±(its position + 1)}
+        up to A⁶ gives each slot's source blades and signs."""
         fields = self.coefficients()
         den_y, ys = _lcm_view([c for _, c in fields])
         den_f, maps = _lcm_view(form._nums.values())
+        pieces = _contractions({m: i + 1 for i, m in enumerate(form._nums)},
+                               _A[6] + 1)
         acc: dict[int, dict] = {}
         for (slot, _), y in zip(fields, ys):
-            signed = {1: y, -1: {k: -c for k, c in y.items()}}
-            for m, terms in zip(form._nums, maps):
-                sign = contract_sign(slot, m)
-                if sign:
-                    _add_products(acc.setdefault(m ^ (1 << slot), {}),
-                                  signed[sign], terms)
+            negated = {k: -c for k, c in y.items()}
+            for m, at in pieces[slot].items():
+                _add_products(acc.setdefault(m, {}), y if at > 0 else negated,
+                              maps[abs(at) - 1])
         return ChamberForm._of_numerators(form.degree - 1, {
             m: c for m, raw in acc.items() if (c := _over(raw, den_y * den_f))})
 

@@ -19,7 +19,7 @@ equation de^k = −Σ_{i<j} c^k_{ij} e^i∧e^j, read from the frame's constants
 into one 2-form of numerators per slot, once per frame
 (``LieFrame.maurer_cartan_table``).  d reads one row of 5·d(e^I) per source
 blade, built from them by the derivation rule Σ_k de^k∧(e_k⌟e^I) on the
-engine's contraction and wedge on first use and kept on the frame
+engine's one contraction walk and wedge on first use and kept on the frame
 (``LieFrame.maurer_cartan_rows``); an output blade whose raw sum cancels to
 all zeros is dropped without being canonicalized.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import comb
 
 from ..exterior.blades import indices_of, mask_of
-from ..exterior.forms import (Form, _combine, _contracted, _lcm_view,
+from ..exterior.forms import (Form, _combine, _contractions, _lcm_view,
                               _lowest, _wedged, contract_generator)
 from ..exterior.scalars import (Q, FieldScalar, from_numerators,
                                 to_numerators)
@@ -384,10 +384,11 @@ def _maurer_cartan_table(frame: LieFrame) -> tuple[int, tuple]:
 
 def _maurer_cartan_row(mask: int, dgen: tuple) -> dict:
     """Σ_{k∈I} 5·de^k∧(e_k⌟e^I) for the blade e^I of this mask (the
-    derivation rule of d, de^k even) as {target mask: int over D_frame},
+    derivation rule of d, de^k even), the e_k⌟e^I from one walk over the
+    blade (``forms._contractions``), as {target mask: int over D_frame},
     zero sums dropped."""
-    return _combine((_wedged(dgen[k], _contracted(k, {mask: 1})), 1)
-                    for k in _slots(mask))
+    return _combine((_wedged(dk, piece), 1) for dk, piece in
+                    zip(dgen, _contractions({mask: 1}, N_COFRAME)) if piece)
 
 
 def maurer_cartan_d(form: ChamberForm, frame: LieFrame) -> ChamberForm:

@@ -6,8 +6,7 @@ from math import factorial, gcd
 from spin7lab.cayley import build_omega, so8_basis
 from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK,
-                                     complement_sign, contract_sign,
-                                     wedge_sign)
+                                     complement_sign, wedge_sign)
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, _combine,
                                      contract, inner, wedge)
@@ -26,6 +25,28 @@ from spin7lab.sampling import random_unimodular
 
 def trace(a):
     return sum((a.rows[i][i] for i in range(DIM)), ZERO)
+
+
+# -- interior-product signs, one blade and one generator at a time ------------
+
+def contract_sign(slot, mask):
+    """Sign picked up when e_slot (0-based) is pulled out of the front of
+    mask: 0 if the slot is absent, else (-1)**(number of earlier slots)."""
+    bit = 1 << slot
+    if not (mask & bit):
+        return 0
+    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1
+
+
+def pair_contracted(a, b, terms):
+    """e_a⌟e_b⌟ of a term map for 0-based generators a ≠ b: e_b comes out
+    first, then e_a, each by ``contract_sign``."""
+    out = {}
+    for m, c in terms.items():
+        sign = contract_sign(b, m) * contract_sign(a, m & ~(1 << b))
+        if sign:
+            out[m ^ (1 << a) ^ (1 << b)] = c if sign == 1 else -c
+    return out
 
 
 def flatten(a):

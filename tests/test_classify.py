@@ -35,7 +35,7 @@ from _oracles import (count_calls, count_function_calls, diagonal,
                       is_nilpotent, kernel_basis,
                       old_cubic_vanishes, old_jordan_type, old_kernel_basis,
                       old_rho, operator_kernel_vectors, operator_square_rows,
-                      rho_images)
+                      pair_contracted, rho_images)
 from _strategies import rationals, small_ints
 
 # dim {ω ∈ Λ⁴ : ρ(A)²ω = 0} for the canonical nilpotent of each Jordan type
@@ -305,7 +305,7 @@ def test_weight_grading_and_the_elimination_and_wedge_counts(monkeypatch):
         for a, b in _candidate_pairs(space.representative):
             pairs += 1
             for vec, w in zip(space.vectors, weights):
-                q = forms._pair_contracted(1 << a, 1 << b, {
+                q = pair_contracted(a, b, {
                     BLADES[4][j]: x for j, x in vec.items()})
                 assert {_weight(m) for m in q} <= {w - a - b}
     assert pairs == 616
@@ -444,12 +444,12 @@ def _contracted_by_forms(u, v, space):
 
 def _pair_contractions(u, v, vectors):
     """The nonzero u⌟v⌟ωᵢ of the kernel vectors as Σ uᵢ·vⱼ·e_i⌟e_j⌟ωᵢ over
-    i ≠ j, each pair by ``forms._pair_contracted``."""
+    i ≠ j, each pair by the oracle ``pair_contracted``."""
     qs = []
     for vec in vectors:
         terms = {BLADES[4][j]: x for j, x in vec.items()}
         qs.append(forms._combine(
-            (forms._pair_contracted(1 << i, 1 << j, terms), x * y)
+            (pair_contracted(i, j, terms), x * y)
             for i, x in enumerate(u.components)
             for j, y in enumerate(v.components) if i != j and x and y))
     return [q for q in qs if q]

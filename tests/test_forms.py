@@ -7,18 +7,20 @@ from spin7lab.cayley import build_omega, projectors
 from spin7lab.exterior.blades import BLADES, DIM, wedge_sign
 from spin7lab.exterior.endo import pullback, rho
 from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
-                                     _pair_contracted, _sign_table,
+                                     _contractions, _sign_table,
                                      basis_blades, blade_pullback, contract,
                                      contract_generator, hodge_star, inner,
                                      wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
 from spin7lab.invariant.chamber import ChamberForm
 
-from _oracles import (coefficients, dict_apply, dict_contract, dict_inner,
-                      dict_pullback, dict_rho, dict_scale, dict_star,
-                      dict_sum, dict_wedge, is_canonical_view)
+from _oracles import (coefficients, contract_sign, dict_apply, dict_contract,
+                      dict_inner, dict_pullback, dict_rho, dict_scale,
+                      dict_star, dict_sum, dict_wedge, is_canonical_view,
+                      pair_contracted)
 from _strategies import (coefficient_families, forms, mixed_endos,
-                         mixed_forms, small_ints, vectors)
+                         mixed_forms, nonzero_field_scalars, small_ints,
+                         vectors)
 
 # one coefficient family per draw: integers or non-integer rationals
 mixed_scalars = st.sampled_from(coefficient_families).flatmap(lambda c: c)
@@ -93,6 +95,39 @@ def test_contraction_is_adjoint_to_exterior_multiplication(v, a, b):
     assert inner(contract(v, a), b) == inner(a, wedge(v.flat().form(), b))
 
 
+# term maps of degree 1..4 on 8 or 11 generators, with int or FieldScalar
+# coefficients: the walk only negates them
+term_maps = st.tuples(st.sampled_from([8, 11]), st.integers(1, 4),
+                      st.sampled_from([small_ints.filter(bool),
+                                       nonzero_field_scalars])).flatmap(
+    lambda nkc: st.tuples(st.just(nkc[0]), st.dictionaries(
+        st.sets(st.integers(0, nkc[0] - 1), min_size=nkc[1],
+                max_size=nkc[1]).map(lambda s: sum(1 << i for i in s)),
+        nkc[2], max_size=6)))
+
+
+@given(term_maps, st.integers(0, 8))
+def test_contractions_are_the_contraction_by_each_generator(case, first):
+    generators, terms = case
+    pieces = _contractions(terms, generators)
+    assert len(pieces) == generators
+    for p, piece in enumerate(pieces):
+        assert piece == {m ^ (1 << p): c if contract_sign(p, m) > 0 else -c
+                         for m, c in terms.items() if contract_sign(p, m)}
+    # a smaller count contracts by the first generators only
+    assert _contractions(terms, first) == pieces[:first]
+
+
+@given(term_maps)
+def test_two_walks_are_the_pair_contraction(case):
+    # e_a⌟e_b⌟ω as e_b⌟ from one walk, then e_a⌟ from a walk of that
+    generators, terms = case
+    for b, by_b in enumerate(_contractions(terms, generators)):
+        for a, by_ab in enumerate(_contractions(by_b, generators)):
+            if a != b:
+                assert by_ab == pair_contracted(a, b, terms)
+
+
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_pair_contraction_is_two_generator_contractions(degree):
     # e_a⌟e_b⌟ on masks, for every ordered pair a ≠ b and every blade
@@ -103,8 +138,8 @@ def test_pair_contraction_is_two_generator_contractions(degree):
             for m in BLADES[degree]:
                 blade = KForm(degree, {m: ONE})
                 expected = contract_generator(a, contract_generator(b, blade))
-                assert KForm(degree - 2, _pair_contracted(
-                    1 << a, 1 << b, {m: ONE})) == expected
+                assert KForm(degree - 2, pair_contracted(
+                    a, b, {m: ONE})) == expected
 
 
 def test_contract_scalar_raises():

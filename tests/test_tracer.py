@@ -10,8 +10,9 @@ the modules, classes, counted methods and hooked functions the tracer
 wraps by name, are read from their source with ``ast``, without importing
 them; the wrapped names are then looked up in a fresh interpreter that has
 imported ``spin7lab.harness.cli``, as the benchmark's child does.  The
-benchmark's self-test must print ``"ok": true`` and its scalar kernels
-must pass their checks, so that a deletion the benchmark needs fails here.
+benchmark's self-test must print ``"ok": true``, its scalar kernels
+must pass their checks and the set-up child of every workload must start
+cold and exit 0, so that a change the benchmark cannot run on fails here.
 """
 
 import ast
@@ -155,6 +156,20 @@ def test_the_benchmark_selftest_and_kernels_run_on_the_library():
     assert json.loads(proc.stdout)["ok"] is True, proc.stderr
     _, _, kernel_checks = _load_perfbench("kernels").run(0)
     assert kernel_checks == [("surd-inverse", True), ("surd-operands", True)]
+
+
+def test_perfbench_setup_children_start_cold():
+    # every set-up child refuses an interpreter in which importing
+    # spin7lab.harness.cli already filled a library cache, and then
+    # counts as a failed run: a cache that a module-level table fills at
+    # import would fail every benchmark run while the self-test, which
+    # only checks that a warm interpreter is refused, still passes
+    workloads = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    for workload in [w["name"] for w in workloads["workloads"]]:
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "child.py"), "setup", workload],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (workload, proc.stderr)
 
 
 def test_perfbench_suite_names_are_the_harness_suites():
