@@ -25,11 +25,11 @@ from typing import Sequence
 
 from ._record import Record
 from .exterior.blades import BLADES, DIM, wedge_sign
-from .exterior.forms import (FormOperator, KForm, Vector, _combine,
+from .exterior.forms import (FormOperator, KForm, _check_vectors, _combine,
                              _contractions, _lcm_view, basis_blades,
-                             contract, hodge_star, wedge)
+                             contract, hodge_star, inner, wedge)
 from .exterior.endo import Endo, rho
-from .exterior.scalars import ZERO, Q, FieldScalar, to_numerators
+from .exterior.scalars import ZERO, Q, FieldScalar
 
 __all__ = ["CayleyStructure", "FormOperator", "DecompositionProjectors",
            "build_omega", "stabilizer_algebra", "so8_basis", "sl8_basis",
@@ -144,22 +144,24 @@ def _gram_projector(forms: Sequence[KForm], rank: int) -> FormOperator:
             for m in BLADES[4]], norm)
 
 
-def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
-    """(u⌟v⌟a)³ ∈ Λ⁶ for a 4-form a; the pair contraction is degenerate
-    iff this vanishes.
+def pair_contraction_cube(u: KForm, v: KForm, a: KForm) -> KForm:
+    """(u⌟v⌟a)³ ∈ Λ⁶ for vectors u, v (1-forms) and a 4-form a; the pair
+    contraction is degenerate iff this vanishes.
 
-    With u, v over den (``scalars.to_numerators``) and a over den_a,
-    q = den²·den_a·(u⌟v⌟a) is the sum of (u_i·v_j − u_j·v_i)·e_i⌟e_j⌟a
+    With u, v and a over their dens d_u, d_v and d_a,
+    q = d_u·d_v·d_a·(u⌟v⌟a) is the sum of (u_i·v_j − u_j·v_i)·e_i⌟e_j⌟a
     over the nonzero minors i < j, e_i⌟e_j⌟a read from two walks of
     ``forms._contractions`` (by e_j, then by e_i).  A 2-form cubed is 3!
     times its Pfaffians: the coefficient of q³ on a 6-blade M is
     6·Pf(q|_M), the signed sum of q_a·q_b·q_c over the perfect matchings
-    {a, b, c} of M (``_matchings``), over (den²·den_a)³."""
+    {a, b, c} of M (``_matchings``), over (d_u·d_v·d_a)³."""
     if a.degree != 4:
         raise ValueError("the contraction cube is taken of a 4-form")
-    den, (us, vs) = to_numerators([u.components, v.components])
-    minors = ((i, j, us.get(i, 0) * vs.get(j, 0) - us.get(j, 0) * vs.get(i, 0))
-              for i in range(8) for j in range(i + 1, 8))
+    _check_vectors(u, v)
+    us, vs = u._nums, v._nums
+    minors = ((i, j, us.get(1 << i, 0) * vs.get(1 << j, 0)
+               - us.get(1 << j, 0) * vs.get(1 << i, 0))
+              for i in range(DIM) for j in range(i + 1, DIM))
     pairs = [_contractions(by_j, j)  # e_i⌟e_j⌟a for i < j
              for j, by_j in enumerate(_contractions(a._nums, DIM))]
     q = _combine((pairs[j][i], w) for i, j, w in minors if w)
@@ -172,7 +174,8 @@ def pair_contraction_cube(u: Vector, v: Vector, a: KForm) -> KForm:
                 total = total + term if sign > 0 else total - term
         if total:
             cube[m] = 6 * total
-    return KForm._of_numerators(6, cube, (den * den * a._denom) ** 3)
+    return KForm._of_numerators(
+        6, cube, (u._denom * v._denom * a._denom) ** 3)
 
 
 @lru_cache(maxsize=1)
@@ -199,17 +202,16 @@ def _pairings(m: int):
             yield (sign * wedge_sign(low | b, rest ^ b), low | b, *pairs)
 
 
-def perturb_rank_one(v: Vector, w: Vector, t) -> KForm:
+def perturb_rank_one(v: KForm, w: KForm, t) -> KForm:
     """Ω + t·v♭∧(w⌟Ω), the rank-one perturbation along A = w ⊗ v♭."""
-    if v.dot(w):
+    _check_vectors(v, w)
+    if inner(v, w):
         raise ValueError("rank-one perturbation requires α(v)=0")
     omega = build_omega().omega
-    delta = wedge(v.flat().form(), contract(w, omega))
-    return omega + FieldScalar.of(t) * delta
+    return omega + FieldScalar.of(t) * wedge(v, contract(w, omega))
 
 
-def skew_perturbation(v: Vector, w: Vector) -> KForm:
-    """δ = v♭∧(w⌟Ω) − w♭∧(v⌟Ω); lands in Λ⁴₇."""
+def skew_perturbation(v: KForm, w: KForm) -> KForm:
+    """δ = v♭∧(w⌟Ω) − w♭∧(v⌟Ω) for vectors v and w; lands in Λ⁴₇."""
     omega = build_omega().omega
-    return (wedge(v.flat().form(), contract(w, omega))
-            - wedge(w.flat().form(), contract(v, omega)))
+    return wedge(v, contract(w, omega)) - wedge(w, contract(v, omega))

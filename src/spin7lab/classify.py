@@ -29,7 +29,8 @@ from typing import Iterator
 
 from ._record import Record
 from .exterior.blades import BLADE_POSITION, BLADES, DIM
-from .exterior.forms import Vector, _composed, _contractions, _wedged
+from .exterior.forms import (KForm, _composed, _contractions, _wedged,
+                             basis_blades)
 from .exterior import linalg
 from .exterior.endo import Endo
 
@@ -188,7 +189,7 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 # qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k, which the int kernel vectors decide.
 # The basis duals are kept as vectors only for the certificate records.
 
-_DUALS = tuple(Vector.basis(i + 1) for i in range(DIM))
+_DUALS = tuple(basis_blades(1))
 
 # e_a⌟e_b⌟ on Λ⁴ per ordered pair (a, b) of distinct indices: blade index
 # -> (image mask, sign), for the blades holding both generators, from one
@@ -227,15 +228,15 @@ def cubic_vanishes_on_subspace(a: int, b: int, kernel: KernelSpace) -> bool:
 
 
 class LabeledVector(Record):
-    """A certificate vector together with its dual-basis label, if it has one."""
+    """A certificate vector, a 1-form, and its dual-basis label, if any."""
 
-    vector: Vector
+    vector: KForm
     label: str | None = None
 
     def to_record(self) -> dict:
         """The rational components as ``str(Q)`` prints them."""
         return {"label": self.label,
-                "components": [str(c) for c in self.vector.components]}
+                "components": [str(c) for c in self.vector.components()]}
 
 
 class Certificate(Record):

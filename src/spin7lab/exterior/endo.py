@@ -29,10 +29,10 @@ from __future__ import annotations
 from math import factorial
 
 from .blades import DIM
-from .scalars import ZERO, FieldScalar, to_numerators
-from .forms import (Covector, FormOperator, KForm, Vector, _combine,
-                    _composed, _contractions, _pruned, _pulled_back,
-                    _wedge_step, _wedge_steps)
+from .scalars import ZERO, FieldScalar
+from .forms import (FormOperator, KForm, _check_vectors, _combine, _composed,
+                    _contractions, _pruned, _pulled_back, _wedge_step,
+                    _wedge_steps)
 
 __all__ = ["Endo", "rho", "pullback", "exp_nilpotent"]
 
@@ -72,13 +72,15 @@ class Endo(FormOperator):
         return Endo._of_numerators(1, images, 1)
 
     @staticmethod
-    def tensor(v: Vector, alpha: Covector) -> "Endo":
-        """v ⊗ alpha as a map on covectors: ε -> ε(v) · alpha; image j is
-        v_j·alpha, built on one numerator view of v and alpha."""
-        den, (vs, alphas) = to_numerators([v.components, alpha.components])
+    def tensor(v: KForm, alpha: KForm) -> "Endo":
+        """v ⊗ alpha as a map on covectors, v and alpha 1-forms: ε -> ε(v)·
+        alpha; image j is v_j·alpha, on the int views of v and alpha."""
+        _check_vectors(v, alpha)
+        vs = v._nums
         return Endo._of_numerators(
-            1, [{1 << i: a * vs[j] for i, a in alphas.items()} if j in vs
-                else {} for j in range(DIM)], den * den)
+            1, [{m: a * vs[1 << j] for m, a in alpha._nums.items()}
+                if 1 << j in vs else {} for j in range(DIM)],
+            v._denom * alpha._denom)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)

@@ -21,7 +21,9 @@ of blade pullback, and the Maurer–Cartan rows of the chamber d
 
 On R^8 the metric is the standard Euclidean one with {e^1..e^8}
 orthonormal and orientation e^{12345678}, which fixes the Hodge star and
-the musical isomorphisms.  The interior product contracts the first slot.
+the musical isomorphisms.  So a vector v is its metric-dual 1-form,
+v♭ = v, one KForm of degree 1 (``KForm.vector``), and ``contract(v, a)``
+reads v's int view.  The interior product contracts the first slot.
 
 A FormOperator is a linear map into Λ^k over Q held as the numerator
 view of the images of a domain basis, one {mask: int} dict per basis
@@ -45,76 +47,11 @@ from typing import Callable, Sequence
 from . import linalg
 from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, _sign_mask,
                      complement_sign, indices_of, mask_of)
-from .scalars import ONE, ZERO, FieldScalar, from_numerators, to_numerators
+from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
 
-__all__ = ["Form", "Vector", "Covector", "KForm", "FormOperator", "add",
-           "negate", "scale", "wedge", "contract_generator", "blade_pullback",
-           "contract", "hodge_star", "inner", "basis_blades"]
-
-
-class _EightTuple:
-    """Shared implementation for vectors and covectors (8 exact components)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        comps = tuple(FieldScalar.of(c) for c in components)
-        if len(comps) != DIM:
-            raise ValueError(f"expected {DIM} components, got {len(comps)}")
-        self.components = comps
-
-    @classmethod
-    def basis(cls, i: int):
-        if not 1 <= i <= DIM:
-            raise ValueError(f"basis index {i} out of range 1..{DIM}")
-        return cls(tuple(ONE if k == i - 1 else ZERO for k in range(DIM)))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(tuple(a - b for a, b in
-                                zip(self.components, other.components)))
-
-    def __neg__(self):
-        return type(self)(tuple(-a for a in self.components))
-
-    def __rmul__(self, scalar):
-        s = FieldScalar.of(scalar)
-        return type(self)(tuple(s * a for a in self.components))
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.components == other.components
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.components))
-
-    def __bool__(self):
-        return any(self.components)
-
-    def __repr__(self):
-        inner_ = ", ".join(str(c) for c in self.components)
-        return f"{type(self).__name__}({inner_})"
-
-
-class Vector(_EightTuple):
-    """A tangent vector v = sum v_i e_i."""
-
-    def flat(self) -> "Covector":
-        """Musical isomorphism: the metric is Euclidean, so components copy."""
-        return Covector(self.components)
-
-    def dot(self, other: "Vector") -> FieldScalar:
-        return sum((a * b for a, b in zip(self.components, other.components)),
-                   ZERO)
-
-
-class Covector(_EightTuple):
-    """A one-form alpha = sum alpha_i e^i."""
-
-    def form(self) -> "KForm":
-        return KForm(1, {1 << i: c for i, c in enumerate(self.components) if c})
+__all__ = ["Form", "KForm", "FormOperator", "add", "negate", "scale",
+           "wedge", "contract_generator", "blade_pullback", "contract",
+           "hodge_star", "inner", "basis_blades"]
 
 
 class Form:
@@ -272,6 +209,8 @@ def _wedged(terms1: dict, terms2: dict) -> dict:
 def contract_generator(slot: int, a: Form) -> Form:
     """Interior product with the dual of generator ``slot`` (0-based),
     contracting the first slot."""
+    if not 0 <= slot < a.generators:
+        raise ValueError(f"slot {slot} out of range 0..{a.generators - 1}")
     return type(a)._of_numerators(
         a.degree - 1, _contractions(a._nums, slot + 1)[slot], a._denom)
 
@@ -413,7 +352,23 @@ class KForm(Form):
                 acc[mask] = acc.get(mask, ZERO) + sign * FieldScalar.of(coeff)
         return KForm(degree, acc)
 
+    @staticmethod
+    def vector(components) -> "KForm":
+        """The 1-form Σ c_i e^i of 8 exact components c_1..c_8."""
+        comps = tuple(components)
+        if len(comps) != DIM:
+            raise ValueError(f"expected {DIM} components, got {len(comps)}")
+        return KForm(1, {1 << i: c for i, c in enumerate(comps)})
+
     # -- inspection -----------------------------------------------------
+
+    def components(self) -> list[FieldScalar]:
+        """The 8 coefficients of a 1-form, e^1 first."""
+        _check_vectors(self)
+        out = [ZERO] * DIM
+        for m, n in self._nums.items():
+            out[m.bit_length() - 1] = FieldScalar.from_ratio(n, self._denom)
+        return out
 
     def mask_items(self):
         """(mask, FieldScalar) pairs, divided out of the view on each read."""
@@ -440,12 +395,22 @@ class KForm(Form):
 # -- operations specific to R^8 ----------------------------------------------
 
 
-def contract(v: Vector, a: KForm) -> KForm:
-    """Interior product v ⌟ a, contracting the first slot."""
-    den, (comps,) = to_numerators([v.components])
+def _check_vectors(*vs) -> None:
+    """ValueError unless each of vs is a vector of R^8, a KForm of degree
+    1: the masks of any other degree would be misread as slots."""
+    for v in vs:
+        if type(v) is not KForm or v.degree != 1:
+            raise ValueError(f"a vector of R^{DIM} is a KForm of degree 1")
+
+
+def contract(v: KForm, a: KForm) -> KForm:
+    """Interior product v ⌟ a by a vector v, contracting the first slot:
+    Σ v_p·(e_p⌟a) over the int view of v."""
+    _check_vectors(v)
     pieces = _contractions(a._nums, DIM)
     return KForm._of_numerators(a.degree - 1, _combine(
-        (pieces[slot], n) for slot, n in comps.items()), den * a._denom)
+        (pieces[m.bit_length() - 1], n) for m, n in v._nums.items()),
+        v._denom * a._denom)
 
 
 def hodge_star(a: KForm) -> KForm:

@@ -28,7 +28,7 @@ from ..cayley import (build_omega, image_dimension, pair_contraction_cube,
 from ..classify import (ClassificationReport, classification_report,
                         enumerate_diagrams, jordan_type_of)
 from ..exterior.endo import exp_nilpotent, pullback, rho
-from ..exterior.forms import FormOperator, Vector, hodge_star, inner
+from ..exterior.forms import FormOperator, basis_blades, hodge_star, inner
 from ..exterior.scalars import FieldScalar, Q
 from ..invariant.bryant_salamon import (InvariantField, build_bryant_salamon,
                                         build_metric, closure_mechanism_sides,
@@ -145,14 +145,14 @@ def _check_contraction_nondegeneracy(run: _Run, rng: Random) -> tuple[bool, dict
         cube = pair_contraction_cube(u, v, omega)
         if not cube:
             return False, {"samples": i,
-                           "witness": {"u": [str(c) for c in u.components],
-                                       "v": [str(c) for c in v.components]}}
+                           "witness": {"u": [str(c) for c in u.components()],
+                                       "v": [str(c) for c in v.components()]}}
     return True, {"samples": 25, "all_nonzero": True}
 
 
 def _check_cube_display(run: _Run, rng: Random) -> tuple[bool, dict]:
     omega = build_omega().omega
-    cube = pair_contraction_cube(Vector.basis(7), Vector.basis(8), omega)
+    cube = pair_contraction_cube(*basis_blades(1)[6:], omega)
     detail = {
         "computed": {f"e^{''.join(map(str, idx))}": str(c)
                      for idx, c in cube.terms()},

@@ -97,11 +97,11 @@ def run(config: RunConfig) -> int:
 
 
 def _parse_vector(text: str):
-    from ..exterior.forms import Vector
+    from ..exterior.forms import KForm
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 8:
         raise ValueError("vectors take exactly 8 comma-separated rationals")
-    return Vector(parts)
+    return KForm.vector(parts)
 
 
 def export_form(form: str, path: str, v: str | None = None,

@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .._record import Record
-from ..exterior.forms import (_contractions, _lcm_view, blade_pullback,
-                              wedge)
+from ..exterior.forms import (KForm, _contractions, _lcm_view,
+                              blade_pullback, wedge)
 from ..exterior.scalars import ZERO, FieldScalar
 from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
@@ -301,19 +301,18 @@ def pointwise_rank_one_check(field: InvariantField, s_value) -> dict:
     from ..cayley import build_omega, perturb_rank_one
     from ..classify import jordan_type_of
     from ..exterior.endo import Endo, pullback
-    from ..exterior.forms import Vector
 
     s0 = FieldScalar.of(s_value)
     if not (s0.is_rational() and s0.is_positive_rational()):
         raise ValueError("chamber sample points must be positive rationals")
     values = [c.evaluate(s0) for c in (field.a, field.b, field.c)]
     record = {"s": str(s0), "field_value": [str(x) for x in values]}
-    v = Vector((s0 + s0, 0, 0, 0, 0, 0, 0, 0))
-    w = Vector((0, *values, 0, 0, 0, 0))
+    v = KForm.vector((s0 + s0, 0, 0, 0, 0, 0, 0, 0))
+    w = KForm.vector((0, *values, 0, 0, 0, 0))
     if not w:
         record.update(trivial=True, in_orbit=True)
         return record
-    endo = Endo.tensor(w, v.flat())
+    endo = Endo.tensor(w, v)
     perturbed = perturb_rank_one(v, w, 1)
     omega = build_omega().omega
     in_orbit = (pullback(Endo.identity() + endo, omega) == perturbed)

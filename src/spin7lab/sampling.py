@@ -8,10 +8,9 @@ reproducible from a seed.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from .exterior.blades import DIM, mask_of
-from .exterior.forms import KForm, Vector
+from .exterior.forms import KForm, inner, wedge
 from .exterior.endo import Endo
 
 __all__ = ["random_vector", "random_nonzero_vector", "random_orthogonal_pair",
@@ -20,36 +19,32 @@ __all__ = ["random_vector", "random_nonzero_vector", "random_orthogonal_pair",
            "random_even_scalar"]
 
 
-def random_vector(rng: random.Random) -> Vector:
-    return Vector([rng.randint(-9, 9) for _ in range(DIM)])
+def random_vector(rng: random.Random) -> KForm:
+    return KForm.vector([rng.randint(-9, 9) for _ in range(DIM)])
 
 
-def random_nonzero_vector(rng: random.Random) -> Vector:
+def random_nonzero_vector(rng: random.Random) -> KForm:
     while True:
         v = random_vector(rng)
         if v:
             return v
 
 
-def random_independent_pair(rng: random.Random) -> tuple[Vector, Vector]:
-    """Two exactly linearly independent integer vectors."""
+def random_independent_pair(rng: random.Random) -> tuple[KForm, KForm]:
+    """Two exactly linearly independent integer vectors: u∧v ≠ 0."""
     while True:
         u = random_nonzero_vector(rng)
         v = random_nonzero_vector(rng)
-        # independence: some 2x2 minor is nonzero
-        for i, j in combinations(range(DIM), 2):
-            minor = (u.components[i] * v.components[j]
-                     - u.components[j] * v.components[i])
-            if minor:
-                return u, v
+        if wedge(u, v):
+            return u, v
 
 
-def random_orthogonal_pair(rng: random.Random) -> tuple[Vector, Vector]:
+def random_orthogonal_pair(rng: random.Random) -> tuple[KForm, KForm]:
     """Nonzero integer vectors with <v, w> = 0 exactly (Gram-Schmidt step)."""
     while True:
         v = random_nonzero_vector(rng)
         raw = random_vector(rng)
-        w = v.dot(v) * raw - v.dot(raw) * v
+        w = inner(v, v) * raw - inner(v, raw) * v
         if w:
             return v, w
 
@@ -65,7 +60,7 @@ def random_form(rng: random.Random, degree: int, nterms: int = 6) -> KForm:
 def random_rank_one_nilpotent(rng: random.Random) -> Endo:
     """w ⊗ v♭ with <v, w> = 0: a traceless square-zero rank-one map."""
     v, w = random_orthogonal_pair(rng)
-    return Endo.tensor(w, v.flat())
+    return Endo.tensor(w, v)
 
 
 def random_unimodular(rng: random.Random) -> tuple[Endo, Endo]:

@@ -8,8 +8,8 @@ from spin7lab.exterior import linalg
 from spin7lab.exterior.blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK,
                                      complement_sign, wedge_sign)
 from spin7lab.exterior.endo import Endo, rho
-from spin7lab.exterior.forms import (Covector, FormOperator, KForm, _combine,
-                                     contract, inner, wedge)
+from spin7lab.exterior.forms import (FormOperator, KForm, _combine, contract,
+                                     inner, wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q, to_numerators
 from spin7lab.invariant.bryant_salamon import (build_bryant_salamon,
                                                build_metric,
@@ -59,10 +59,10 @@ def is_skew(a):
 
 
 def apply(a, alpha):
-    """The image of a covector under an Endo."""
-    return Covector(tuple(
-        sum((row[j] * alpha.components[j] for j in range(DIM)), ZERO)
-        for row in a.rows))
+    """The image of a 1-form under an Endo, row by row."""
+    comps = alpha.components()
+    return KForm.vector(sum((row[j] * comps[j] for j in range(DIM)), ZERO)
+                        for row in a.rows)
 
 
 def diagonal(*entries):
@@ -742,7 +742,7 @@ def dict_contract(v, a):
     """v⌟a, contracting the first slot."""
     acc = {}
     for m, c in a.items():
-        for slot, comp in enumerate(v.components):
+        for slot, comp in enumerate(v.components()):
             sign = contract_sign(slot, m)
             if sign and comp:
                 _put(acc, m ^ (1 << slot), sign * (comp * c))

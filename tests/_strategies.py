@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.endo import Endo
-from spin7lab.exterior.forms import Covector, KForm, Vector
+from spin7lab.exterior.forms import KForm
 from spin7lab.exterior.scalars import FieldScalar, Q
 from spin7lab.invariant.chamber import ChamberScalar
 
@@ -53,7 +53,7 @@ seeded_entry = {"int": lambda rng: rng.randint(-9, 9),
                                           rng.randint(2, 6))}
 entry_families = st.sampled_from(sorted(seeded_entry))
 
-vectors = st.lists(small_ints, min_size=8, max_size=8).map(Vector)
+vectors = st.lists(small_ints, min_size=8, max_size=8).map(KForm.vector)
 
 nonzero_vectors = vectors.filter(bool)
 
@@ -92,7 +92,8 @@ def _squares(entries):
 
 def _rank_one(entries):
     eight = st.lists(entries, min_size=8, max_size=8)
-    return st.builds(lambda v, alpha: Endo.tensor(Vector(v), Covector(alpha)),
+    return st.builds(lambda v, alpha: Endo.tensor(KForm.vector(v),
+                                                  KForm.vector(alpha)),
                      eight, eight)
 
 

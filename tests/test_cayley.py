@@ -20,8 +20,8 @@ from spin7lab.cayley import (DecompositionProjectors, FormOperator,
 from spin7lab.exterior import linalg
 from spin7lab.exterior.endo import Endo, exp_nilpotent, pullback, rho
 from spin7lab.exterior.blades import BLADES
-from spin7lab.exterior.forms import (KForm, Vector, _wedged, hodge_star,
-                                     inner, wedge)
+from spin7lab.exterior.forms import (KForm, _wedged, basis_blades, contract,
+                                     hodge_star, inner, wedge)
 from spin7lab.exterior.linalg import rank
 from spin7lab.exterior.scalars import FieldScalar, Q
 from spin7lab.sampling import (random_form, random_independent_pair,
@@ -208,7 +208,7 @@ def test_p7_image_is_rho_of_skew():
     ps = projectors()
     rng = seeded("p7-skew")
     v, w = random_orthogonal_pair(rng)
-    skew = Endo.tensor(w, v.flat()) - Endo.tensor(v, w.flat())
+    skew = Endo.tensor(w, v) - Endo.tensor(v, w)
     delta = rho(skew, OMEGA)
     assert ps.p7(delta) == delta
 
@@ -216,7 +216,7 @@ def test_p7_image_is_rho_of_skew():
 # -- contraction cube and rank-one perturbations ---------------------------------
 
 def test_contraction_cube_basis_value():
-    cube = pair_contraction_cube(Vector.basis(7), Vector.basis(8), OMEGA)
+    cube = pair_contraction_cube(*basis_blades(1)[6:], OMEGA)
     assert cube == KForm.from_terms(6, [((1, 2, 3, 4, 5, 6), -6)])
 
 
@@ -238,7 +238,7 @@ def test_contraction_cube_is_antisymmetric_under_swap():
 
 
 _family_vectors = st.sampled_from(coefficient_families).flatmap(
-    lambda c: st.lists(c, min_size=8, max_size=8)).map(Vector)
+    lambda c: st.lists(c, min_size=8, max_size=8)).map(KForm.vector)
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,7 +249,7 @@ def test_contraction_cube_matches_contract_and_wedge(u, v, a):
 
 
 def test_contraction_cube_is_taken_of_four_forms_only():
-    u, v = Vector.basis(1), Vector.basis(2)
+    u, v = basis_blades(1)[:2]
     for a in (KForm.from_terms(2, [((1, 2), 1)]),
               KForm.from_terms(3, [((1, 2, 3), 1)])):
         with pytest.raises(ValueError):
@@ -269,15 +269,15 @@ def test_each_matching_sign_is_the_wedge_of_its_two_blades():
 def test_contraction_cube_of_omega_matches_contract_and_wedge():
     rng = seeded("cube-oracle")
     for _ in range(10):
-        u, v = (Vector([Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
-                        for _ in range(8)]) for _ in range(2))
+        u, v = (KForm.vector(Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+                             for _ in range(8)) for _ in range(2))
         assert pair_contraction_cube(u, v, OMEGA) == \
             old_pair_contraction_cube(u, v, OMEGA)
 
 
 def test_rational_contraction_cube_multiplies_no_field_scalars(monkeypatch):
-    u = Vector([Q(1, 2), 0, Q(-3, 5), 1, 0, 2, Q(1, 7), 0])
-    v = Vector([0, Q(2, 3), 1, 0, Q(-1, 4), 0, 3, 1])
+    u = KForm.vector([Q(1, 2), 0, Q(-3, 5), 1, 0, 2, Q(1, 7), 0])
+    v = KForm.vector([0, Q(2, 3), 1, 0, Q(-1, 4), 0, 3, 1])
     calls = count_calls(monkeypatch, "__mul__")
     cube = pair_contraction_cube(u, v, OMEGA)
     assert calls == {"__mul__": 0}
@@ -307,9 +307,23 @@ def test_rational_cayley_identities_make_no_field_scalar_arithmetic(
                                    "inverse"), 0)
 
 
+def test_every_vector_argument_refuses_a_two_form():
+    # a vector is a 1-form: the two-bit masks of a 2-form would be misread
+    e7, e8 = basis_blades(1)[6:]
+    e78 = wedge(e7, e8)
+    calls = [lambda v, w: contract(v, contract(w, OMEGA)), Endo.tensor,
+             lambda v, w: pair_contraction_cube(v, w, OMEGA),
+             lambda v, w: perturb_rank_one(v, w, 1), skew_perturbation]
+    for call in calls:
+        assert call(e7, e8) is not None
+        for v, w in ((e78, e8), (e7, e78), (e7, KForm.zero(2))):
+            with pytest.raises(ValueError, match="degree 1"):
+                call(v, w)
+
+
 def test_perturbation_requires_orthogonality():
     with pytest.raises(ValueError):
-        perturb_rank_one(Vector.basis(1), Vector.basis(1), 1)
+        perturb_rank_one(basis_blades(1)[0], basis_blades(1)[0], 1)
 
 
 def test_perturbation_is_affine_in_t():
@@ -319,7 +333,7 @@ def test_perturbation_is_affine_in_t():
     assert base == OMEGA
     step = perturb_rank_one(v, w, 1) - OMEGA
     assert perturb_rank_one(v, w, "5/7") == OMEGA + FieldScalar.of("5/7") * step
-    assert step == rho(Endo.tensor(w, v.flat()), OMEGA)
+    assert step == rho(Endo.tensor(w, v), OMEGA)
 
 
 def test_rank_one_direction_avoids_1_and_27():
@@ -346,5 +360,5 @@ def test_skew_perturbation_is_pure_type_seven():
 def test_skew_perturbation_is_rho_of_the_skew_part():
     rng = seeded("skew-rho")
     v, w = random_orthogonal_pair(rng)
-    skew = Endo.tensor(w, v.flat()) - Endo.tensor(v, w.flat())
+    skew = Endo.tensor(w, v) - Endo.tensor(v, w)
     assert skew_perturbation(v, w) == rho(skew, OMEGA)

@@ -27,7 +27,8 @@ from spin7lab.classify import (Certificate, LabeledVector, YoungDiagram,
 from spin7lab.exterior import endo, forms, linalg, scalars
 from spin7lab.exterior.blades import BLADE_POSITION, BLADES, DIM
 from spin7lab.exterior.endo import Endo, rho
-from spin7lab.exterior.forms import FormOperator, KForm, Vector, contract
+from spin7lab.exterior.forms import (FormOperator, KForm, basis_blades,
+                                     contract)
 from spin7lab.exterior.scalars import ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
 
@@ -450,8 +451,8 @@ def _pair_contractions(u, v, vectors):
         terms = {BLADES[4][j]: x for j, x in vec.items()}
         qs.append(forms._combine(
             (pair_contracted(i, j, terms), x * y)
-            for i, x in enumerate(u.components)
-            for j, y in enumerate(v.components) if i != j and x and y))
+            for i, x in enumerate(u.components())
+            for j, y in enumerate(v.components()) if i != j and x and y))
     return [q for q in qs if q]
 
 
@@ -463,13 +464,13 @@ def test_pair_contractions_match_contract_on_every_candidate_pair():
     for d in enumerate_diagrams():
         space = kernel_space(d)
         for a, b in _candidate_pairs(space.representative):
-            u, v = Vector.basis(a + 1), Vector.basis(b + 1)
+            u, v = basis_blades(1)[a], basis_blades(1)[b]
             assert _as_forms(_pair_contractions(u, v, space.vectors)) == \
                 _contracted_by_forms(u, v, space)
 
 
 _int_or_rational_vectors = st.sampled_from([small_ints, rationals]).flatmap(
-    lambda c: st.lists(c, min_size=8, max_size=8)).map(Vector)
+    lambda c: st.lists(c, min_size=8, max_size=8)).map(KForm.vector)
 
 
 @settings(max_examples=30)
@@ -568,7 +569,7 @@ def test_certificate_records_serialize():
 @settings(max_examples=60)
 @given(st.lists(st.fractions(max_denominator=12), min_size=8, max_size=8))
 def test_labeled_vector_record_prints_components_as_fractions(components):
-    rec = LabeledVector(Vector(components), "w1").to_record()
+    rec = LabeledVector(KForm.vector(components), "w1").to_record()
     assert rec == {"label": "w1",
                    "components": [str(Q(c)) for c in components]}
 

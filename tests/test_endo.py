@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from spin7lab.classify import YoungDiagram, enumerate_diagrams, representative
 from spin7lab.exterior.blades import BLADES
 from spin7lab.exterior.endo import Endo, exp_nilpotent, pullback, rho
-from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
+from spin7lab.exterior.forms import (FormOperator, KForm, basis_blades,
                                      blade_pullback, wedge)
 from spin7lab.exterior.scalars import SQRT2, ZERO, FieldScalar, Q
 from spin7lab.sampling import random_rank_one_nilpotent, random_unimodular
@@ -40,7 +40,7 @@ def seeded(name: str) -> random.Random:
 
 @given(endos, endos)
 def test_matmul_matches_composition_on_covectors(a, b):
-    alpha = Covector(range(1, 9))
+    alpha = KForm.vector(range(1, 9))
     assert apply(a @ b, alpha) == apply(a, apply(b, alpha))
 
 
@@ -53,10 +53,10 @@ def test_matmul_matches_the_dense_sum(a, b):
 
 
 def test_constructors():
-    assert apply(Endo.unit(2, 5), Covector.basis(5)) == Covector.basis(2)
-    assert not apply(Endo.unit(2, 5), Covector.basis(4))
+    assert apply(Endo.unit(2, 5), basis_blades(1)[4]) == basis_blades(1)[1]
+    assert not apply(Endo.unit(2, 5), basis_blades(1)[3])
     d = diagonal(1, 2, 3, 4, 5, 6, 7, 8)
-    assert apply(d, Covector.basis(3)) == 3 * Covector.basis(3)
+    assert apply(d, basis_blades(1)[2]) == 3 * basis_blades(1)[2]
     assert trace(d) == FieldScalar(36)
     with pytest.raises(ValueError):
         diagonal(1, 2, 3)
@@ -117,21 +117,21 @@ def test_view_built_and_image_built_operators_compare_and_hash_alike(a, b, s):
 @given(st.sampled_from(coefficient_families).flatmap(
     lambda c: st.tuples(*[st.lists(c, min_size=8, max_size=8)] * 2)))
 def test_tensor_on_numerators_matches_the_entrywise_build(entries):
-    v, alpha = Vector(entries[0]), Covector(entries[1])
-    expected = Endo([[alpha.components[i] * v.components[j] for j in range(8)]
-                     for i in range(8)])
+    v, alpha = KForm.vector(entries[0]), KForm.vector(entries[1])
+    vs, alphas = v.components(), alpha.components()
+    expected = Endo([[alphas[i] * vs[j] for j in range(8)] for i in range(8)])
     assert Endo.tensor(v, alpha) == expected
     assert Endo.tensor(v, alpha).rows == expected.rows
 
 
 def test_tensor_is_rank_one():
-    v = Vector([1, 2, 0, 0, 1, 0, 0, 0])
-    alpha = Covector([0, 0, 3, 4, 0, 0, 0, 0])
+    v = KForm.vector([1, 2, 0, 0, 1, 0, 0, 0])
+    alpha = KForm.vector([0, 0, 3, 4, 0, 0, 0, 0])
     t = Endo.tensor(v, alpha)
     assert t.rank() == 1
     # as a map on covectors: eps -> eps(v) * alpha
-    eps = Covector([1, 1, 1, 1, 1, 1, 1, 1])
-    evaluated = sum((c for c in v.components), ZERO)
+    eps = KForm.vector([1, 1, 1, 1, 1, 1, 1, 1])
+    evaluated = sum((c for c in v.components()), ZERO)
     assert apply(t, eps) == evaluated * alpha
 
 

@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 from spin7lab.cayley import build_omega, projectors
 from spin7lab.exterior.blades import BLADES, DIM, wedge_sign
 from spin7lab.exterior.endo import pullback, rho
-from spin7lab.exterior.forms import (Covector, FormOperator, KForm, Vector,
-                                     _contractions, _sign_table,
-                                     basis_blades, blade_pullback, contract,
-                                     contract_generator, hodge_star, inner,
-                                     wedge)
+from spin7lab.exterior.forms import (FormOperator, KForm, _contractions,
+                                     _sign_table, basis_blades, blade_pullback,
+                                     contract, contract_generator, hodge_star,
+                                     inner, wedge)
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q
 from spin7lab.invariant.chamber import ChamberForm
 
@@ -25,7 +24,7 @@ from _strategies import (coefficient_families, forms, mixed_endos,
 # one coefficient family per draw: integers or non-integer rationals
 mixed_scalars = st.sampled_from(coefficient_families).flatmap(lambda c: c)
 mixed_vectors = st.sampled_from(coefficient_families).flatmap(
-    lambda c: st.lists(c, min_size=DIM, max_size=DIM).map(Vector))
+    lambda c: st.lists(c, min_size=DIM, max_size=DIM).map(KForm.vector))
 
 VOL = KForm.from_terms(8, [((1, 2, 3, 4, 5, 6, 7, 8), 1)])
 
@@ -92,7 +91,7 @@ def test_contraction_squares_to_zero(v, a):
 
 @given(vectors, forms(3), forms(2))
 def test_contraction_is_adjoint_to_exterior_multiplication(v, a, b):
-    assert inner(contract(v, a), b) == inner(a, wedge(v.flat().form(), b))
+    assert inner(contract(v, a), b) == inner(a, wedge(v, b))
 
 
 # term maps of degree 1..4 on 8 or 11 generators, with int or FieldScalar
@@ -144,7 +143,16 @@ def test_pair_contraction_is_two_generator_contractions(degree):
 
 def test_contract_scalar_raises():
     with pytest.raises(ValueError):
-        contract(Vector.basis(1), KForm.from_terms(0, [((), 1)]))
+        contract(basis_blades(1)[0], KForm.from_terms(0, [((), 1)]))
+
+
+def test_contract_generator_refuses_a_slot_out_of_range():
+    omega, frame_form = build_omega().omega, ChamberForm.blade(0, 10)
+    for slot, form in ((8, omega), (11, frame_form), (-1, omega),
+                       (-3, frame_form)):
+        with pytest.raises(ValueError, match="out of range"):
+            contract_generator(slot, form)
+    assert contract_generator(10, frame_form) == -ChamberForm.generator(0)
 
 
 # -- Hodge star and inner product --------------------------------------------
@@ -216,34 +224,46 @@ def test_degree_validation():
         KForm(2, {0b111: ONE})
 
 
-# -- vectors and covectors -----------------------------------------------------
+# -- vectors: 1-forms, v♭ = v --------------------------------------------------
 
 @given(vectors, vectors)
 def test_dot_symmetry(u, v):
-    assert u.dot(v) == v.dot(u)
+    assert inner(u, v) == inner(v, u) == sum(
+        (x * y for x, y in zip(u.components(), v.components())), ZERO)
+
+
+@given(st.lists(mixed_scalars, min_size=DIM, max_size=DIM))
+def test_vector_components_round_trip(components):
+    assert KForm.vector(components).components() == components
 
 
 @given(vectors)
 def test_musical_isomorphisms_round_trip(v):
-    assert Vector(v.flat().components) == v
-    # with the Euclidean metric, ⟨v♭, v♭⟩ is |v|^2
-    assert inner(v.flat().form(), v.flat().form()) == v.dot(v)
+    # with the Euclidean metric, v♭ is v and ⟨v♭, v♭⟩ is |v|^2
+    assert KForm.vector(v.components()) == v
+    assert inner(v, v) == sum((c * c for c in v.components()), ZERO)
 
 
 def test_eight_tuple_validation():
+    for wrong_length in ([1, 2, 3], range(DIM + 1)):
+        with pytest.raises(ValueError):
+            KForm.vector(wrong_length)
     with pytest.raises(ValueError):
-        Vector([1, 2, 3])
-    with pytest.raises(ValueError):
-        Covector.basis(0)
-    assert Vector.basis(3).components == (ZERO, ZERO, ONE) + (ZERO,) * 5
+        KForm.vector([FieldScalar(0, 1)] + [0] * (DIM - 1))
+    for not_a_vector in (KForm.from_terms(2, [((1, 2), 1)]), KForm.zero(0)):
+        with pytest.raises(ValueError):
+            not_a_vector.components()
+    with pytest.raises(ValueError):  # a chamber 1-form has 11 generators
+        contract(ChamberForm.generator(0), VOL)
+    assert basis_blades(1)[2].components() == [ZERO, ZERO, ONE] + [ZERO] * 5
 
 
 def test_vector_arithmetic():
-    u = Vector((1, 2, 0, 0, 0, 0, 0, 0))
-    assert u.components[1] == FieldScalar(2)
-    e2 = Vector.basis(2)
-    assert u - Vector.basis(1) == 2 * e2 == -(-2 * e2)
-    zero = Vector((0,) * DIM)
+    u = KForm.vector((1, 2, 0, 0, 0, 0, 0, 0))
+    assert u.components()[1] == FieldScalar(2)
+    e2 = basis_blades(1)[1]
+    assert u - basis_blades(1)[0] == 2 * e2 == -(-2 * e2)
+    zero = KForm.vector((0,) * DIM)
     assert u - u == zero
     assert bool(u) and not zero
 
@@ -288,12 +308,12 @@ def test_equal_forms_built_by_different_routes_compare_and_hash_alike(w, j, k):
 @given(mixed_forms(2), mixed_forms(3), mixed_vectors, mixed_endos,
        mixed_scalars)
 def test_every_engine_output_is_a_canonical_view(a, b, v, e, s):
-    images = [Covector([e.rows[i][p] for i in range(DIM)]).form()
+    images = [KForm.vector([e.rows[i][p] for i in range(DIM)])
               for p in range(DIM)]
     outputs = [a + a, a - a, b - b, -b, s * b, wedge(a, b), wedge(a, a),
                contract_generator(2, b), contract(v, b), hodge_star(b),
                rho(e, b), pullback(e, b), blade_pullback(b, images),
-               Covector(v.components).form(), *basis_blades(2)[:3]]
+               KForm.vector(v.components()), *basis_blades(2)[:3]]
     assert all(map(is_canonical_view, outputs + images))
     for form in outputs:
         assert all(m.bit_count() == form.degree and c

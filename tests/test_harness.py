@@ -24,7 +24,7 @@ from spin7lab.classify import (Certificate, ClassificationReport,
                                classification_report, enumerate_diagrams)
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior import scalars
-from spin7lab.exterior.forms import FormOperator, KForm, Vector
+from spin7lab.exterior.forms import FormOperator, KForm, basis_blades
 from spin7lab.harness import checks
 from spin7lab.harness.checks import (SUITE_NAMES, CheckResult, run_all_suites,
                                      run_suite)
@@ -598,7 +598,7 @@ def test_export_rank_one_round_trip(tmp_path):
                        "--t", "5/7", "--out", str(path)])
     assert code == 0
     assert json.loads(path.read_text()) == perturb_rank_one(
-        Vector.basis(7), Vector.basis(8), "5/7").to_record()
+        *basis_blades(1)[6:], "5/7").to_record()
 
 
 def test_export_rank_one_validates_orthogonality(tmp_path):

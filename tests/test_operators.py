@@ -30,7 +30,7 @@ from spin7lab.classify import enumerate_diagrams, representative
 from spin7lab.exterior.blades import BLADE_POSITION, BLADES
 from spin7lab.exterior.endo import Endo, rho
 from spin7lab.exterior import forms as forms_module
-from spin7lab.exterior.forms import FormOperator, KForm, Vector
+from spin7lab.exterior.forms import FormOperator, KForm, inner
 from spin7lab.exterior.scalars import ONE, ZERO, FieldScalar, Q, to_numerators
 from spin7lab.sampling import random_rank_one_nilpotent
 
@@ -74,10 +74,10 @@ _prime_denominators = st.sampled_from([ZERO, ONE, -ONE, FieldScalar(Q(2, 7)),
 def rank_one_nilpotents(entries):
     """w ⊗ v♭ with <v, w> = 0 exactly, w made orthogonal to v."""
     def build(v, raw):
-        w = v.dot(v) * raw - v.dot(raw) * v
-        return Endo.tensor(w, v.flat())
+        w = inner(v, v) * raw - inner(v, raw) * v
+        return Endo.tensor(w, v)
 
-    vecs = st.lists(entries, min_size=8, max_size=8).map(Vector)
+    vecs = st.lists(entries, min_size=8, max_size=8).map(KForm.vector)
     return st.builds(build, vecs.filter(bool), vecs).filter(bool)
 
 

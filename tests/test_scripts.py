@@ -5,7 +5,8 @@ The classification table must print the frozen rows of
 each the record of the form it was made from; the reachability tracer
 must tell a reached line from an unreached one, and its totals line ends in
 the physical line count of the package; the report comparison must name the
-first seed on which two trees' verify reports differ.
+first seed on which two trees' verify reports differ, or else the first
+export whose outputs differ.
 """
 
 import importlib.util
@@ -16,7 +17,7 @@ import subprocess
 import sys
 
 from spin7lab.cayley import build_omega, perturb_rank_one
-from spin7lab.exterior.forms import Vector
+from spin7lab.exterior.forms import basis_blades
 from spin7lab.invariant.bryant_salamon import build_bryant_salamon
 
 from test_classify import ADMISSIBLE, CERTIFICATE_PAIRS, KERNEL_DIMS
@@ -62,7 +63,7 @@ def test_export_forms_writes_the_three_named_forms(tmp_path, capsys):
     assert read("omega.json") == build_omega().omega.to_record()
     assert read("phi.json") == build_bryant_salamon().phi.to_record()
     assert read("rank_one.json") == perturb_rank_one(
-        Vector.basis(7), Vector.basis(8), "5/7").to_record()
+        *basis_blades(1)[6:], "5/7").to_record()
 
 
 def test_reachability_tracer_sees_the_omega_export(tmp_path):
@@ -117,7 +118,8 @@ def test_same_reports_names_the_first_seed_whose_reports_differ(tmp_path,
     same.SEEDS = range(1)
     assert same.main([]) == 2
     assert same.main([str(SCRIPTS.parent)]) == 0
-    assert capsys.readouterr().out == "seeds 0-0: the reports are identical\n"
+    assert capsys.readouterr().out == \
+        "seeds 0-0 and 3 exports: the outputs are identical\n"
     harness = tmp_path / "src" / "spin7lab" / "harness"
     harness.mkdir(parents=True)
     for package in (harness.parent, harness):
@@ -125,3 +127,14 @@ def test_same_reports_names_the_first_seed_whose_reports_differ(tmp_path,
     (harness / "cli.py").write_text("print('another report')\n")
     assert same.main([str(tmp_path)]) == 1
     assert capsys.readouterr().out == "seed 0: the reports differ\n"
+    # a tree that replays this tree's verify report and Ω export, but
+    # prints another Φ
+    replayed = {args: same.output(SCRIPTS.parent, *args) for args in
+                [("verify", "--seed", "0"), ("export", "--form", "omega")]}
+    (harness / "cli.py").write_text(
+        "import sys\n"
+        f"code, out = {replayed!r}.get(tuple(sys.argv[1:]), (0, b'phi'))\n"
+        "sys.stdout.buffer.write(out)\n"
+        "sys.exit(code)\n")
+    assert same.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "export --form phi: the outputs differ\n"
