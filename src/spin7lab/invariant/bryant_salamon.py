@@ -10,10 +10,11 @@ quaternion-valued forms are ``liealg.Quaternion``s of chamber forms, and
 parts.
 
 The perturbation machinery adds dt∧(Y⌟Φ) for an invariant field Y along
-A₄, A₅, A₆ with even coefficients, checks closedness and the mechanism
-d(dt∧Y⌟Φ) = −dt∧L_YΦ symbolically, and exhibits the rank-one orbit
-witness Λ⁴(Id + Y⊗dt)Φ = Φ + dt∧(Y⌟Φ).  The Killing check runs the
-symmetric-tensor Lie derivative against the induced metric.
+A₄, A₅, A₆ with even coefficients (smoothness at s = 0), checks
+closedness and the mechanism d(dt∧Y⌟Φ) = −dt∧L_YΦ symbolically, and
+exhibits the rank-one orbit witness Λ⁴(Id + Y⊗dt)Φ = Φ + dt∧(Y⌟Φ).
+The Killing check runs the symmetric-tensor Lie derivative against the
+induced metric.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .._record import Record
-from ..exterior.forms import (KForm, _contractions, _lcm_view,
+from ..exterior.forms import (KForm, _combine, _contractions,
                               blade_pullback, wedge)
 from ..exterior.scalars import ZERO, FieldScalar
 from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
-                      S, _ZERO_SCALAR, _add_products, _over,
-                      maurer_cartan_d)
+                      S, _ZERO_SCALAR, maurer_cartan_d)
 
 __all__ = ["BryantSalamon", "build_bryant_salamon",
            "proposition_display", "InvariantField", "perturbed_form",
@@ -116,7 +116,10 @@ def proposition_display() -> ChamberForm:
 
 
 class InvariantField(Record):
-    """Y = a(s²)A₄ + b(s²)A₅ + c(s²)A₆, the general invariant vector field."""
+    """Y = aA₄ + bA₅ + cA₆, the general invariant vector field, for any
+    chamber scalars a, b, c.  ``perturbed_form`` wants them even in s, as
+    functions of t = s²: that is smoothness at s = 0, not closedness, since
+    Φ + dt∧(Y⌟Φ) is closed for Y = (s, 0, 0) and (s³, 2s, −s) as well."""
 
     a: ChamberScalar
     b: ChamberScalar
@@ -134,24 +137,14 @@ class InvariantField(Record):
         return all(c.is_even_in_s() for c in (self.a, self.b, self.c))
 
     def contract(self, form: ChamberForm) -> ChamberForm:
-        """Y⌟form: the raw (s, w) terms of the three slots are summed per
-        output blade on the views of Y's coefficients (over their lcm D_Y)
-        and of the form's (over D_F), then each goes once through _over.
-        The walk ``forms._contractions`` of {blade: ±(its position + 1)}
-        up to A⁶ gives each slot's source blades and signs."""
-        fields = self.coefficients()
-        den_y, ys = _lcm_view([c for _, c in fields])
-        den_f, maps = _lcm_view(form._nums.values())
-        pieces = _contractions({m: i + 1 for i, m in enumerate(form._nums)},
-                               _A[6] + 1)
-        acc: dict[int, dict] = {}
-        for (slot, _), y in zip(fields, ys):
-            negated = {k: -c for k, c in y.items()}
-            for m, at in pieces[slot].items():
-                _add_products(acc.setdefault(m, {}), y if at > 0 else negated,
-                              maps[abs(at) - 1])
-        return ChamberForm._of_numerators(form.degree - 1, {
-            m: c for m, raw in acc.items() if (c := _over(raw, den_y * den_f))})
+        """Y⌟form = Σ y_slot·(e_slot⌟form) in ChamberScalar arithmetic, the
+        e_slot⌟form from one walk ``forms._contractions`` up to A⁶ and
+        summed per output blade; ValueError on anything but a ChamberForm."""
+        if type(form) is not ChamberForm:
+            raise ValueError("Y⌟ contracts a ChamberForm only")
+        pieces = _contractions(form._nums, _A[6] + 1)
+        return ChamberForm._of_numerators(form.degree - 1, _combine(
+            (pieces[slot], y) for slot, y in self.coefficients() if y))
 
 
 def _dt_wedge(form: ChamberForm) -> ChamberForm:

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spin7lab.exterior.forms import blade_pullback, wedge
+from spin7lab.exterior.forms import KForm, blade_pullback, wedge
 from spin7lab.exterior.scalars import FieldScalar, Q
 from spin7lab.invariant.bryant_salamon import (DT, BryantSalamon,
                                                InvariantField,
@@ -329,6 +329,35 @@ def test_dt_wedge_is_dt_times_ds_wedge():
 def test_contract_of_a_scalar_raises():
     with pytest.raises(ValueError):
         InvariantField.of(1, 0, 0).contract(ONE_FORM)
+    # a KForm is refused, not read as a chamber form on its 8 generators
+    from spin7lab.cayley import build_omega
+    for form in (build_omega().omega, KForm.vector((0,) * 4 + (1,) + (0,) * 3)):
+        with pytest.raises(ValueError):
+            InvariantField.of(1, 2, 3).contract(form)
+
+
+def test_orbit_witness_takes_no_operand_for_a_unit_product(monkeypatch):
+    # the pullback by Id + Y⊗dt multiplies mostly by the unit coefficient of
+    # the identity images; only the other products coerce their operand
+    from spin7lab.invariant import chamber
+    import spin7lab.invariant.bryant_salamon as bsm
+    rng = random.Random("test-bs:unit-products")
+    field = InvariantField.of(*(random_even_scalar(rng) for _ in range(3)))
+    products = []
+    original = ChamberScalar.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(ChamberScalar, "__mul__", counted)
+    monkeypatch.setattr(ChamberScalar, "__rmul__", counted)
+    operands = count_function_calls(monkeypatch, chamber._operand)
+    lhs, rhs = bsm.orbit_witness_sides(field, BS)
+    monkeypatch.undo()
+    assert lhs == rhs
+    assert any(x is chamber._ONE_SCALAR for x in products)
+    assert operands == [(x,) for x in products if x is not chamber._ONE_SCALAR]
 
 
 def test_closure_mechanism():
