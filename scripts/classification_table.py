@@ -28,7 +28,7 @@ def main(argv=None):
     for cert, millis in report.rows:
         pair = ""
         if cert.pair is not None:
-            pair = ", ".join(lv.label or "?" for lv in cert.pair)
+            pair = ", ".join(label for _, label in cert.pair)
         row = (f"{str(cert.diagram):<22}{cert.dim_kernel:>6}  "
                f"{cert.verdict:<12}{pair:<20}")
         if args.timings:

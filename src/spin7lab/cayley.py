@@ -15,7 +15,8 @@ KForm is its numerator view, so a rational ρ(A)Ω is computed, projected
 and compared without a FieldScalar operation.  The stabilizer and the orbit
 dimensions are the kernel and the rank of the map A ↦ ρ(A)Ω, a
 FormOperator from gl(8) into Λ⁴; the elements of gl(8) are Endos, the
-same operator type on Λ¹.
+same operator type on Λ¹, and each stabilizer element is viewed straight
+from an int kernel vector of that map (``linalg.integer_nullspace``).
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._record import Record
+from .exterior import linalg
 from .exterior.blades import BLADES, DIM, wedge_sign
 from .exterior.forms import (FormOperator, KForm, _check_vectors, _combine,
                              _contractions, _lcm_view, basis_blades,
-                             contract, hodge_star, inner, wedge)
+                             contract, hodge_star, inner, scale, wedge)
 from .exterior.endo import Endo, rho
-from .exterior.scalars import ZERO, Q, FieldScalar
+from .exterior.scalars import Q
 
 __all__ = ["CayleyStructure", "FormOperator", "DecompositionProjectors",
            "build_omega", "stabilizer_algebra", "so8_basis", "sl8_basis",
@@ -75,7 +77,7 @@ class DecompositionProjectors(Record):
 def build_omega() -> CayleyStructure:
     alpha = KForm.from_terms(2, [((1, 2), 1), ((3, 4), 1), ((5, 6), 1),
                                  ((7, 8), 1)])
-    alpha2 = FieldScalar(Q(1, 2)) * wedge(alpha, alpha)
+    alpha2 = Q(1, 2) * wedge(alpha, alpha)
     re_beta = KForm.from_terms(4, [
         ((1, 3, 5, 7), 1), ((1, 3, 6, 8), -1), ((1, 4, 5, 8), -1),
         ((1, 4, 6, 7), -1), ((2, 3, 5, 8), -1), ((2, 3, 6, 7), -1),
@@ -103,11 +105,16 @@ def sl8_basis() -> list[Endo]:
 
 @lru_cache(maxsize=1)
 def stabilizer_algebra() -> tuple[Endo, ...]:
-    """Canonical basis of {A ∈ gl(8) : ρ(A)Ω = 0}; 21-dimensional."""
+    """Canonical basis of {A ∈ gl(8) : ρ(A)Ω = 0}; 21-dimensional.  Each A
+    is an int kernel vector over its entry in its free column (its largest
+    key); its coordinate 8i + j, that of E(i, j) in ``_gl8_basis``, is the
+    entry of e^i in image j."""
     omega = build_omega().omega
     op = FormOperator.of_forms(4, [rho(a, omega) for a in _gl8_basis()])
-    return tuple(Endo([[vec.get(i * 8 + j, ZERO) for j in range(8)]
-                       for i in range(8)]) for vec in op.kernel())
+    return tuple(Endo._of_numerators(1, [
+        {1 << i: vec[k] for i in range(DIM) if (k := DIM * i + j) in vec}
+        for j in range(DIM)], vec[max(vec)])
+        for vec in linalg.integer_nullspace(op._rows(), DIM * DIM))
 
 
 def image_dimension(generators: Sequence[Endo]) -> int:
@@ -208,7 +215,7 @@ def perturb_rank_one(v: KForm, w: KForm, t) -> KForm:
     if inner(v, w):
         raise ValueError("rank-one perturbation requires α(v)=0")
     omega = build_omega().omega
-    return omega + FieldScalar.of(t) * wedge(v, contract(w, omega))
+    return omega + scale(t, wedge(v, contract(w, omega)))
 
 
 def skew_perturbation(v: KForm, w: KForm) -> KForm:

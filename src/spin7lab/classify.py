@@ -16,7 +16,8 @@ block-diagonal over the 17 weight classes of Λ⁴.  So, though K is
 eliminated in one pass, each ω of its basis, so each q = e_a⌟e_b⌟ω, has
 one weight.  A product of three q is a multiple of the blade of Λ⁶ without
 e^a and e^b, of weight 28 − a − b, so only triples whose weights sum to
-that are wedged.
+that are wedged.  A certificate pair is two basis-dual indices with their
+labels; its record writes the unit components of the two duals.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import Iterator
 
 from ._record import Record
 from .exterior.blades import BLADE_POSITION, BLADES, DIM
-from .exterior.forms import (KForm, _composed, _contractions, _wedged,
-                             basis_blades)
+from .exterior.forms import _composed, _contractions, _wedged
 from .exterior import linalg
 from .exterior.endo import Endo
 
@@ -83,6 +83,7 @@ class JordanRepresentative(Record):
     each chain covector to the next one and the chain ends to zero: column
     p - 1 of ``columns`` is {bit of e^(p+1): 1} for each chain step
     e^p -> e^(p+1) (1-based), and bit p - 1 of ``steps`` is set.
+    ``matrix`` is the Endo whose int view is those columns.
     """
 
     diagram: YoungDiagram
@@ -97,8 +98,7 @@ class JordanRepresentative(Record):
 
     @property
     def matrix(self) -> Endo:
-        return Endo([[column.get(1 << i, 0) for column in self.columns]
-                     for i in range(DIM)])
+        return Endo._of_numerators(1, list(self.columns), 1)
 
 
 def representative(diagram: YoungDiagram) -> JordanRepresentative:
@@ -187,9 +187,6 @@ def kernel_space(diagram: YoungDiagram) -> KernelSpace:
 # (e_a⌟e_b⌟ Σ xᵢωᵢ)³ is a cubic in x with Λ⁶-valued coefficients.  Since
 # the two-forms qᵢ = e_a⌟e_b⌟ωᵢ commute, it vanishes identically iff
 # qᵢ∧qⱼ∧q_k = 0 for all i ≤ j ≤ k, which the int kernel vectors decide.
-# The basis duals are kept as vectors only for the certificate records.
-
-_DUALS = tuple(basis_blades(1))
 
 # e_a⌟e_b⌟ on Λ⁴ per ordered pair (a, b) of distinct indices: blade index
 # -> (image mask, sign), for the blades holding both generators, from one
@@ -227,32 +224,25 @@ def cubic_vanishes_on_subspace(a: int, b: int, kernel: KernelSpace) -> bool:
     return True
 
 
-class LabeledVector(Record):
-    """A certificate vector, a 1-form, and its dual-basis label, if any."""
-
-    vector: KForm
-    label: str | None = None
-
-    def to_record(self) -> dict:
-        """The rational components as ``str(Q)`` prints them."""
-        return {"label": self.label,
-                "components": [str(c) for c in self.vector.components()]}
-
-
 class Certificate(Record):
+    """The verdict on a diagram; an excluded one carries the basis duals
+    whose cubic vanishes on K, as two (0-based index, label) pairs."""
+
     diagram: YoungDiagram
     verdict: str  # "admissible" | "excluded" | "unresolved"
     dim_kernel: int
-    pair: tuple[LabeledVector, LabeledVector] | None = None
+    pair: tuple[tuple[int, str], tuple[int, str]] | None = None
 
     def to_record(self) -> dict:
+        """The pair as the labels and unit components of its two duals."""
         rec = {"diagram": list(self.diagram.parts),
                "dim_kernel": self.dim_kernel,
                "verdict": self.verdict,
                "pair": None}
         if self.pair is not None:
-            rec["pair"] = {"u": self.pair[0].to_record(),
-                           "v": self.pair[1].to_record()}
+            rec["pair"] = {key: {"label": label, "components": [
+                "1" if i == index else "0" for i in range(DIM)]}
+                for key, (index, label) in zip("uv", self.pair)}
         return rec
 
 
@@ -272,9 +262,8 @@ def find_certificate(diagram: YoungDiagram) -> Certificate:
     rep = kernel.representative
     for a, b in _candidate_pairs(rep):
         if cubic_vanishes_on_subspace(a, b, kernel):
-            return Certificate(diagram, "excluded", kernel.dimension, (
-                LabeledVector(_DUALS[a], rep.labels[a]),
-                LabeledVector(_DUALS[b], rep.labels[b])))
+            return Certificate(diagram, "excluded", kernel.dimension,
+                               ((a, rep.labels[a]), (b, rep.labels[b])))
     return Certificate(diagram, "unresolved", kernel.dimension)
 
 

@@ -14,8 +14,9 @@ in the image of e^j.  Two extensions to Λ^k matter here:
 For nilpotent A the two are linked by pullback(exp A) = exp(rho A).
 
 The numerator view.  An Endo, like every FormOperator, is held only as
-the numerator view of its images, ints over one denominator (a surd
-entry raises ValueError); ``rows`` and ``images`` are divided out of it
+the numerator view of its images, ints over one denominator, read from
+its entries as they are (a surd entry raises ValueError, a float
+TypeError); ``rows`` and ``images`` are divided out of it
 on every read.  ``rho``, ``pullback``, ``exp_nilpotent`` and the
 classifier's ``jordan_type_of``, like the ``@``, sums and scaling that an
 Endo inherits, sum and multiply on that view, and a KForm is its
@@ -29,7 +30,7 @@ from __future__ import annotations
 from math import factorial
 
 from .blades import DIM
-from .scalars import ZERO, FieldScalar
+from .scalars import ZERO
 from .forms import (FormOperator, KForm, _check_vectors, _combine, _composed,
                     _contractions, _pruned, _pulled_back, _wedge_step,
                     _wedge_steps)
@@ -43,10 +44,10 @@ class Endo(FormOperator):
     __slots__ = ()
 
     def __init__(self, rows):
-        rs = tuple(tuple(FieldScalar.of(x) for x in row) for row in rows)
+        rs = tuple(map(tuple, rows))
         if len(rs) != DIM or any(len(r) != DIM for r in rs):
             raise ValueError(f"need an {DIM}x{DIM} matrix")
-        super().__init__(1, [{1 << i: r[j] for i, r in enumerate(rs) if r[j]}
+        super().__init__(1, [{1 << i: r[j] for i, r in enumerate(rs)}
                              for j in range(DIM)])
 
     @property

@@ -3,8 +3,9 @@
 A Form is a degree and its numerator view: ``_nums`` maps blade masks (see
 blades.py) to nonzero numerators over one positive int ``_denom``.  A KForm
 (R^8 over Q) holds ints with gcd(den, numerators) = 1, viewed once from
-its rational FieldScalar coefficients (``scalars.to_numerators``, which
-refuses a surd), and divides them out only when read; a ChamberForm (the
+its coefficients, ints, ``Q``, 'p/q' strings or rational FieldScalars read
+as they are (``scalars.to_numerators``, which refuses a surd or a float),
+and divides them out only when read; a ChamberForm (the
 eleven chamber coframe generators) holds its coefficients over 1.
 The engine below (add, negate, scale, wedge, contraction, blade
 pullback) only adds, negates and multiplies numerators and dens, so the
@@ -33,9 +34,9 @@ matrix whose image j is its column j.  Applying, composing
 (``_composed``, which also raises the powers of ``endo.exp_nilpotent``
 and ``classify.jordan_type_of``), adding and scaling operators sum every
 contribution into one accumulator per output blade, on the views; the
-FieldScalar ``images`` are divided out only when read.  Its rank and
-kernel are all it asks of elimination: both hand ``linalg`` one sparse
-{column: int} row per occurring blade, in mask order.
+FieldScalar ``images`` are divided out only when read.  Its rank is all
+it asks of elimination, on one sparse {column: int} row per occurring
+blade, in mask order (``_rows``, which ``cayley`` eliminates for a kernel).
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from typing import Callable, Sequence
 from . import linalg
 from .blades import (BLADE_POSITION, BLADES, DIM, FULL_MASK, _sign_mask,
                      complement_sign, indices_of, mask_of)
-from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
+from .scalars import (ZERO, FieldScalar, Q, _ratio, from_numerators,
+                      to_numerators)
 
 __all__ = ["Form", "KForm", "FormOperator", "add", "negate", "scale",
            "wedge", "contract_generator", "blade_pullback", "contract",
@@ -334,8 +336,7 @@ class KForm(Form):
 
     @staticmethod
     def _view(coeffs: dict) -> tuple[int, dict]:
-        den, (nums,) = to_numerators([{m: FieldScalar.of(c)
-                                       for m, c in coeffs.items()}])
+        den, (nums,) = to_numerators([coeffs])
         return den, nums  # already in lowest terms
 
     _lowest = staticmethod(_lowest)
@@ -345,11 +346,11 @@ class KForm(Form):
     @staticmethod
     def from_terms(degree: int, terms) -> "KForm":
         """Build from (indices, coeff) pairs; unsorted indices are canonicalized."""
-        acc: dict[int, FieldScalar] = {}
+        acc: dict[int, Q] = {}
         for indices, coeff in terms:
             sign, mask = mask_of(indices)
             if sign:
-                acc[mask] = acc.get(mask, ZERO) + sign * FieldScalar.of(coeff)
+                acc[mask] = acc.get(mask, 0) + sign * Q(*_ratio(coeff))
         return KForm(degree, acc)
 
     @staticmethod
@@ -443,8 +444,8 @@ class FormOperator:
     denominator, not always in lowest terms, and refuses a surd
     (``scalars.to_numerators``); the {mask: FieldScalar} ``images`` are
     divided out of it on every read.  ``==`` cross-multiplies views,
-    ``hash`` reads their nonzero pattern; of elimination it has ``rank``
-    and ``kernel``, on the int view.
+    ``hash`` reads their nonzero pattern; of elimination it has ``rank``,
+    on the int view.
     """
 
     __slots__ = ("degree", "_denom", "_nums")
@@ -513,8 +514,7 @@ class FormOperator:
 
     def __rmul__(self, scalar) -> "FormOperator":
         """s·self on the numerator views of s and self."""
-        den_s, (s,) = to_numerators([(FieldScalar.of(scalar),)])
-        n = s.get(0)
+        n, den_s = _ratio(scalar)
         return self._of_numerators(
             self.degree, [{k: n * x for k, x in img.items()} if n else {}
                           for img in self._nums], self._denom * den_s)
@@ -552,12 +552,6 @@ class FormOperator:
 
     def rank(self) -> int:
         return len(linalg._integer_rref(self._rows()))
-
-    def kernel(self) -> list[dict[int, FieldScalar]]:
-        """Canonical kernel basis as sparse coordinate vectors, one per free
-        column with 1 there (the vectors of ``linalg.nullspace``)."""
-        return [linalg.unit_in_free_column(vec) for vec in
-                linalg.integer_nullspace(self._rows(), len(self._nums))]
 
     def is_idempotent(self) -> bool:
         return self @ self == self

@@ -1,24 +1,25 @@
 """Exact linear algebra over Q.
 
-Matrices are lists of rows of rational FieldScalars, dense or as sparse
-{column: entry} dicts.  Every elimination is one sparse integer
-Gauss–Jordan (``_integer_rref``) on the numerator view of the rows
-(``scalars.to_numerators``: sparse {column: int} dicts over one
-denominator, with the same row space; ValueError on a surd entry).  The
-rows are reduced one at a time into a Gauss–Jordan basis: a row is
-cleared in a column by cross-multiplying, p/g times it minus f/g times
-the basis row with pivot p, where f is its own entry and g = gcd(p, f),
-and every result is divided by its content (the gcd of its entries), so
-each division is exact and no field inversion happens.  ``rank`` counts
-the pivots of that basis; only ``echelon``, for ``liealg.normalizer``,
-takes it back to FieldScalar, one reduced fraction per nonzero entry.
+Matrices are lists of rows of rationals (ints, ``Q`` or rational
+FieldScalars), dense or as sparse {column: entry} dicts.  Every
+elimination is one sparse integer Gauss–Jordan (``_integer_rref``) on the
+numerator view of the rows (``scalars.to_numerators``: sparse
+{column: int} dicts over one denominator, with the same row space;
+ValueError on a surd entry).  The rows are reduced one at a time into a
+Gauss–Jordan basis: a row is cleared in a column by cross-multiplying, p/g
+times it minus f/g times the basis row with pivot p, where f is its own
+entry and g = gcd(p, f), and every result is divided by its content (the
+gcd of its entries), so each division is exact and no field inversion
+happens.  ``rank`` counts the pivots of that basis; only ``echelon`` and
+``nullspace``, for ``liealg.normalizer``, take it back to FieldScalar, one
+reduced fraction per nonzero entry.
 
 ``integer_nullspace`` builds every kernel basis as primitive int vectors,
 with no dense matrix and no FieldScalar, from one list of sparse int rows:
-one Gauss–Jordan, after the columns of one-entry rows are dropped.
-``unit_in_free_column`` divides such a vector by its entry in its free
-column, for ``nullspace`` and ``forms.FormOperator.kernel``.  The RREF of
-a matrix is unique, so the same matrix always yields the same bases.
+one Gauss–Jordan, after the columns of one-entry rows are dropped;
+``nullspace`` and ``cayley.stabilizer_algebra`` divide each vector by its
+entry in its free column.  The RREF of a matrix is unique, so the same
+matrix always yields the same bases.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from math import gcd, lcm
 
 from .scalars import ZERO, FieldScalar, from_numerators, to_numerators
 
-__all__ = ["echelon", "rank", "nullspace", "integer_nullspace",
-           "unit_in_free_column"]
+__all__ = ["echelon", "rank", "nullspace", "integer_nullspace"]
 
 Matrix = list[list[FieldScalar]]
 SparseRow = dict[int, int]
@@ -37,11 +37,13 @@ SparseRow = dict[int, int]
 def echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     """The nonzero rows of the reduced row-echelon form (unit pivots, zeros
     above and below) in pivot order, and the pivot columns.  The RREF is
-    canonical, so bases built from it are deterministic.  Raises ValueError
-    on a surd entry."""
+    canonical, so bases built from it are deterministic.  It is as wide as
+    the widest row: a dense row's length, a sparse row's largest column
+    + 1.  Raises ValueError on a surd entry."""
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    ncols = max(max(row, default=-1) + 1 if isinstance(row, dict)
+                else len(row) for row in rows)
     basis = _integer_rref(to_numerators(rows)[1])
     pivots = sorted(basis)
     reduced = []
@@ -104,16 +106,13 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[FieldScalar]]:
     """Canonical kernel basis of a matrix with ``ncols`` columns, dense or
     sparse rows: one vector per free column, unit in that slot, each vector
     of ``integer_nullspace`` over its entry in that column (its largest
-    key)."""
-    return [[vec.get(j, ZERO) for j in range(ncols)] for vec in
-            map(unit_in_free_column,
-                integer_nullspace(to_numerators(rows)[1], ncols))]
-
-
-def unit_in_free_column(vec: SparseRow) -> dict[int, FieldScalar]:
-    """An ``integer_nullspace`` vector divided by its entry in its free
-    column (its largest key), as sparse FieldScalars."""
-    return from_numerators(vec, vec[max(vec)])
+    key).  Raises ValueError on an entry in a column ≥ ``ncols``."""
+    nums = to_numerators(rows)[1]
+    if any(max(row) >= ncols for row in nums if row):
+        raise ValueError(f"an entry beyond the {ncols} columns")
+    units = (from_numerators(vec, vec[max(vec)])
+             for vec in integer_nullspace(nums, ncols))
+    return [[unit.get(j, ZERO) for j in range(ncols)] for unit in units]
 
 
 def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
@@ -123,7 +122,7 @@ def integer_nullspace(rows: list[SparseRow], ncols: int) -> list[SparseRow]:
     zero in every kernel vector, so that row is dropped and its column
     leaves the other rows before the one Gauss–Jordan.  The other entries
     sit in pivot columns left of f; a free column that no basis row holds
-    gives {f: 1}."""
+    gives {f: 1}.  Every column must lie in 0..ncols - 1."""
     fixed = {min(row) for row in rows if len(row) == 1}
     basis = _integer_rref([  # a row emptied here is skipped by _integer_rref
         row if fixed.isdisjoint(row)

@@ -10,8 +10,8 @@ conjugations (sqrt2 -> -sqrt2 and sqrt3 -> -sqrt3), which push the norm
 down to a plain integer.
 
 Rationals come in as int, ``Q`` (``fractions.Fraction``) or 'p/q' strings
-and go out as ``Q``.  Floats are refused: no floating point is used
-anywhere.
+and go out as ``Q``.  Floats are refused, and so are decimal strings such
+as '0.5': no floating point is used anywhere.
 
 The numerator view.  The sparse sum-and-multiply code of the library
 (``Endo @``, ``rho``, ``pullback``, the contraction cube, the views that
@@ -19,15 +19,17 @@ The numerator view.  The sparse sum-and-multiply code of the library
 coefficients through one pair of functions, and no other module looks
 inside a scalar:
 
-* ``to_numerators(maps)`` takes term maps ({key: scalar}) or rows
+* ``to_numerators(maps)`` takes term maps ({key: coefficient}) or rows
   (sequences, keyed by position) and returns (den, one {key: int} map per
   input), the numerators of the nonzero coefficients over den, the lcm of
-  all their denominators;
+  all their denominators, each read as it is (``_ratio``: an int, ``Q``,
+  'p/q' string or rational FieldScalar), so an int view builds no scalar;
 * ``from_numerators(terms, den)`` divides each term once on the way back.
 
 The engine runs over Q: ``to_numerators`` raises ValueError on a
-coefficient with a surd, so every view holds ints.  Surds stay in the
-scalars themselves, for ``liealg``'s Killing-orthonormal frame.
+coefficient with a surd and TypeError on a float, so every view holds
+ints.  Surds stay in the scalars themselves, for ``liealg``'s
+Killing-orthonormal frame.
 """
 
 from __future__ import annotations
@@ -42,13 +44,23 @@ __all__ = ["Q", "FieldScalar", "ZERO", "ONE", "SQRT2", "SQRT3", "SQRT6",
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) in lowest terms of an int, Q or 'p/q'
-    string; ValueError on a string with a zero denominator."""
-    if isinstance(x, int):
+    """(numerator, denominator) in lowest terms of an int, a Q, a 'p/q'
+    string or a rational FieldScalar; ValueError on a surd or any other
+    string ('0.5' too), TypeError on anything else, floats included."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is FieldScalar:
+        if x._b or x._c or x._d:
+            raise ValueError(f"the engine runs over Q: a surd {x!r}")
+        return x._a, x._den
+    if isinstance(x, int):  # bool and other int subclasses
         return int(x), 1
     if isinstance(x, str):
+        num, slash, den = x.replace(" ", "").partition("/")
         try:
-            x = Fraction(x.replace(" ", ""))
+            x = Fraction(int(num), int(den) if slash else 1)
+        except ValueError:
+            raise ValueError(f"{x!r} is not an int or 'p/q'") from None
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, Fraction):
@@ -198,18 +210,15 @@ class FieldScalar:
 
 def to_numerators(maps) -> tuple[int, list[dict]]:
     """(den, one {key: int numerator} map per term map or row), keeping the
-    nonzero coefficients only, den the lcm of all their denominators;
-    ValueError on a coefficient with a surd."""
-    den = 1
-    for m in maps:
-        for x in (m.values() if isinstance(m, dict) else m):
-            if x._b or x._c or x._d:
-                raise ValueError(f"the engine runs over Q: a surd {x!r}")
-            if den % x._den:
-                den = lcm(den, x._den)
-    return den, [{k: x._a * (den // x._den) for k, x in
-                  (m.items() if isinstance(m, dict) else enumerate(m)) if x._a}
-                 for m in maps]
+    nonzero coefficients only, den the lcm of all their denominators; each
+    coefficient read by ``_ratio`` (ValueError on a surd, TypeError on a
+    float)."""
+    views = [[(k, *_ratio(x)) for k, x in
+              (m.items() if isinstance(m, dict) else enumerate(m))]
+             for m in maps]
+    den = lcm(1, *(q for view in views for _, p, q in view if p))
+    return den, [{k: p * (den // q) for k, p, q in view if p}
+                 for view in views]
 
 
 def from_numerators(terms: dict, den: int) -> dict:
@@ -255,13 +264,10 @@ def _product(a1, b1, c1, d1, a2, b2, c2, d2):
 
 def _coerce(x):
     """An int or Q operand as a scalar, else NotImplemented."""
-    if type(x) is int:
-        return _canonical(x, 0, 0, 0, 1)
-    if isinstance(x, Fraction):
-        return _canonical(x.numerator, 0, 0, 0, x.denominator)
-    if isinstance(x, int):  # bool and other int subclasses
-        return _canonical(int(x), 0, 0, 0, 1)
-    return NotImplemented
+    if not isinstance(x, (int, Fraction)):
+        return NotImplemented
+    p, q = _ratio(x)
+    return _canonical(p, 0, 0, 0, q)
 
 
 ZERO = FieldScalar(0)

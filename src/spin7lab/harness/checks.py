@@ -29,7 +29,7 @@ from ..classify import (ClassificationReport, classification_report,
                         enumerate_diagrams, jordan_type_of)
 from ..exterior.endo import exp_nilpotent, pullback, rho
 from ..exterior.forms import FormOperator, basis_blades, hodge_star, inner
-from ..exterior.scalars import FieldScalar, Q
+from ..exterior.scalars import Q
 from ..invariant.bryant_salamon import (InvariantField, build_bryant_salamon,
                                         build_metric, closure_mechanism_sides,
                                         lemma_invariant_forms,
@@ -119,7 +119,7 @@ def _check_cayley_normalization(run: _Run, rng: Random) -> tuple[bool, dict]:
     omega = build_omega().omega
     starred = hodge_star(omega)
     norm = inner(omega, omega)
-    ok = starred == omega and norm == FieldScalar(14)
+    ok = starred == omega and norm == 14
     detail = {"self_dual": starred == omega, "norm": str(norm)}
     if not ok:
         detail["witness"] = (starred - omega).to_record()
@@ -201,7 +201,7 @@ def _check_star_split(run: _Run, rng: Random) -> tuple[bool, dict]:
         for name, op, sign in (("p1", ps.p1, 1), ("p7", ps.p7, 1),
                                ("p27", ps.p27, 1), ("p35", ps.p35, -1)):
             part = op(form)
-            expect = FieldScalar(sign) * part
+            expect = sign * part
             if hodge_star(part) != expect:
                 ok = False
                 detail["witness"] = {"component": name,
@@ -286,7 +286,7 @@ def _check_chain_dual_certificates(run: _Run, rng: Random) -> tuple[bool, dict]:
     for cert, _ms in run.report.rows:
         if cert.diagram.parts not in chains:
             continue
-        labels = [lv.label or "?" for lv in (cert.pair or ())]
+        labels = [label for _, label in cert.pair or ()]
         found[str(cert.diagram)] = labels
         if not (len(labels) == 2 and all(l.startswith("w") for l in labels)):
             bad[str(cert.diagram)] = labels
@@ -433,7 +433,7 @@ def _check_rank_one_square_zero(run: _Run, rng: Random) -> tuple[bool, dict]:
 
 def _check_exponential_pullback(run: _Run, rng: Random) -> tuple[bool, dict]:
     omega = build_omega().omega
-    ts = (FieldScalar(1), FieldScalar(-3), FieldScalar("5/7"))
+    ts = (1, -3, Q(5, 7))
     for i in range(8):
         a = random_rank_one_nilpotent(rng)
         delta = rho(a, omega)

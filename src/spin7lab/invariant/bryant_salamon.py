@@ -24,7 +24,7 @@ from functools import lru_cache
 from .._record import Record
 from ..exterior.forms import (KForm, _combine, _contractions,
                               blade_pullback, wedge)
-from ..exterior.scalars import ZERO, FieldScalar
+from ..exterior.scalars import ZERO, FieldScalar, Q
 from .liealg import LieFrame, Quaternion
 from .chamber import (COFRAME_NAMES, ChamberForm, ChamberScalar, N_COFRAME,
                       S, _ZERO_SCALAR, maurer_cartan_d)
@@ -63,7 +63,7 @@ def build_bryant_salamon() -> BryantSalamon:
     alpha = Quaternion(ds, -(S * a4), -(S * a5), -(S * a6))  # da − aφ, a = s
     spinor = Quaternion(x4, x1, x2, x3)
 
-    half = FieldScalar("1/2")
+    half = Q(1, 2)
     b_full = half * alpha.conjugate().product(alpha, wedge)
     fiber_full = half * spinor.conjugate().product(spinor, wedge)
     if b_full.w or fiber_full.w:

@@ -6,8 +6,9 @@ appearing in the geometry into a Laurent polynomial, so d, wedge and Lie
 derivatives stay exact.  The derivation is determined by ∂_s w = (2/5) s w⁻⁴.
 
 A ChamberScalar is held only as the int numerator view of its canonical
-(s, w) terms (a surd coefficient is refused), which are divided out on
-every read; sums, products, ∂_s and d sum raw terms on views over one
+(s, w) terms, read from ints, ``Q``, 'p/q' strings or rational FieldScalars
+as they are (a surd coefficient or a float is refused), which are divided
+out on every read; sums, products, ∂_s and d sum raw terms on views over one
 denominator (w⁵ = 1 + s², division by the monic 1 + s² and 5∂_s keep int
 numerators integral), and ``_over`` canonicalizes and reduces each once.
 A product by the unit returns its operand.
@@ -31,7 +32,7 @@ from math import comb
 from ..exterior.blades import indices_of, mask_of
 from ..exterior.forms import (Form, _combine, _contractions, _lcm_view,
                               _lowest, _wedged, contract_generator)
-from ..exterior.scalars import (Q, FieldScalar, from_numerators,
+from ..exterior.scalars import (Q, FieldScalar, _ratio, from_numerators,
                                 to_numerators)
 from .liealg import LieFrame, N_GENERATORS
 
@@ -56,8 +57,7 @@ class ChamberScalar:
     __slots__ = ("_denom", "_nums")
 
     def __init__(self, raw: dict | None = None):
-        den, (nums,) = to_numerators([{k: FieldScalar.of(c)
-                                       for k, c in (raw or {}).items()}])
+        den, (nums,) = to_numerators([raw or {}])
         x = _over(nums, den)
         self._denom, self._nums = x._denom, x._nums
 
@@ -168,10 +168,10 @@ class ChamberScalar:
         the view, Σ n_a p^a q^(top − a) over den·q^top."""
         if any(e for _a, e in self._nums):
             raise ValueError("cannot evaluate a w-dependent coefficient at a point")
-        q, (p,) = to_numerators([(FieldScalar.of(s_value),)])
+        p, q = _ratio(s_value)
         acc, q_power = 0, 1
         for a in range(max((a for a, _e in self._nums), default=0), -1, -1):
-            acc = acc * p.get(0, 0) + self._nums.get((a, 0), 0) * q_power
+            acc = acc * p + self._nums.get((a, 0), 0) * q_power
             q_power = q_power * q if a else q_power
         return FieldScalar.from_ratio(acc, self._denom * q_power)
 

@@ -402,6 +402,15 @@ def operator_square_rows(a):
     return rows
 
 
+def operator_kernel(op):
+    """The canonical kernel basis of a FormOperator, one sparse vector per
+    free column with 1 there: the primitive int vectors that
+    ``linalg.integer_nullspace`` builds on the operator's int rows, each
+    over its entry in its free (last) column, as {coordinate: Q}."""
+    return [{j: Q(x, vec[max(vec)]) for j, x in vec.items()}
+            for vec in linalg.integer_nullspace(op._rows(), len(op._nums))]
+
+
 def operator_kernel_vectors(a):
     """ker ρ(A)² on Λ⁴ of an integer A as primitive int vectors, the way
     the classifier took it before it built the rows of ρ(A)² directly:

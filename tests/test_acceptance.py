@@ -127,7 +127,7 @@ def test_05_classification_of_nilpotent_orbits():
               (2, 2, 1, 1, 1, 1)}
     for cert, _ in report.rows:
         if cert.diagram.parts in chains:
-            labels = [lv.label for lv in cert.pair]
+            labels = [label for _, label in cert.pair]
             assert len(labels) == 2
             assert all(label.startswith("w") for label in labels)
     _pass("[05] only (2,1^6) and (1^8) admissible; 20 exclusion certificates",

@@ -58,6 +58,7 @@ def _raw_product(x: ChamberScalar, y: ChamberScalar) -> ChamberScalar:
 def test_defining_relation():
     assert W ** 5 == 1 + T
     assert W * W_INV == ChamberScalar.of(1)
+    assert W ** 0 == (T - W_INV) ** 0 == ChamberScalar.of(1)
     with pytest.raises(ValueError):
         W ** -1  # only explicit w⁻¹ monomials exist; the ring is not a field
 

@@ -16,7 +16,7 @@ from spin7lab.invariant.chamber import ChamberForm
 from _oracles import (coefficients, contract_sign, dict_apply, dict_contract,
                       dict_inner, dict_pullback, dict_rho, dict_scale,
                       dict_star, dict_sum, dict_wedge, is_canonical_view,
-                      pair_contracted)
+                      operator_kernel, pair_contracted)
 from _strategies import (coefficient_families, forms, mixed_endos,
                          mixed_forms, nonzero_field_scalars, small_ints,
                          vectors)
@@ -352,7 +352,7 @@ def test_kernel_of_wedge_with_covector():
     # kernel of (e^1 ∧ ·) on Λ¹ is exactly the span of e^1
     op = FormOperator.of_forms(2, [wedge(KForm.from_terms(1, [((1,), 1)]), b)
                                    for b in basis_blades(1)])
-    kernel = op.kernel()
+    kernel = operator_kernel(op)
     assert kernel == [{0: ONE}]
     assert BLADES[1][0] == 1  # coordinate 0 is the blade e^1
 
@@ -361,13 +361,13 @@ def test_kernel_of_a_map_from_fewer_coordinates():
     # three images are a map from R³: only the first coordinate dies
     e1 = KForm.from_terms(1, [((1,), 1)])
     images = [wedge(e1, b) for b in basis_blades(1)]
-    assert len(FormOperator.of_forms(2, images).kernel()) == 1
-    assert FormOperator.of_forms(2, images[:3]).kernel() == [{0: ONE}]
-    assert FormOperator.of_forms(2, images[1:4]).kernel() == []
+    assert len(operator_kernel(FormOperator.of_forms(2, images))) == 1
+    assert operator_kernel(FormOperator.of_forms(2, images[:3])) == [{0: ONE}]
+    assert operator_kernel(FormOperator.of_forms(2, images[1:4])) == []
 
 
 def test_kernel_of_zero_operator():
-    kernel = FormOperator(2, [{}] * len(BLADES[2])).kernel()
+    kernel = operator_kernel(FormOperator(2, [{}] * len(BLADES[2])))
     assert kernel == [{j: ONE} for j in range(28)]
 
 

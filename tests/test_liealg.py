@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from spin7lab.exterior.linalg import rank
 from spin7lab.exterior.scalars import ONE, SQRT3, SQRT6, ZERO, FieldScalar, Q
 from spin7lab.invariant import liealg
 from spin7lab.invariant.chamber import COFRAME_NAMES
@@ -249,6 +250,25 @@ def test_normalizer_of_the_isotropy_block():
     got = {tuple(1 if c else 0 for c in row) for row in basis}
     expected = {tuple(1 if k == i else 0 for k in range(10)) for i in range(6)}
     assert got == expected
+
+
+def test_normalizer_of_a_subalgebra_off_the_coordinate_axes():
+    # the diagonal sp(1) = span{A1 + A4, A2 + A5, A3 + A6}: its echelon rows
+    # have entries off their pivots, which correct every bracket condition;
+    # its normalizer adds X4, the off-diagonal 1, which commutes with it
+    frame = build_lie_frame()
+    diagonal = [[ONE if k in (i, i + 3) else ZERO for k in range(10)]
+                for i in range(3)]
+    # the same algebra from a basis that is not yet reduced
+    mixed = [diagonal[0], [a + b for a, b in zip(diagonal[0], diagonal[1])],
+             [a - 2 * b for a, b in zip(diagonal[2], diagonal[1])]]
+    expected = diagonal + [generator_coords(9)]
+    for basis in (diagonal, mixed):
+        assert is_subalgebra(frame, basis)
+        assert normalizer(frame, basis) == expected
+    for x in expected:
+        for h in diagonal:
+            assert rank(diagonal + [list(frame.bracket_coords(h, x))]) == 3
 
 
 def test_normalizer_of_the_zero_algebra_is_everything():

@@ -125,6 +125,20 @@ def test_nullspace_is_canonical_per_free_column():
                      [FieldScalar(-3), ZERO, ONE]]
 
 
+def test_sparse_rows_take_their_width_from_their_largest_column():
+    # a sparse row is as wide as its largest column, not its entry count
+    sparse = [{0: 1, 5: 2}, {3: 1}]
+    dense = [[1, 0, 0, 0, 0, 2], [0, 0, 0, 1, 0, 0]]
+    assert echelon(sparse) == echelon(dense) == (dense, [0, 3])
+    assert nullspace(sparse, 6) == nullspace(dense, 6)
+
+
+def test_a_column_beyond_the_width_is_refused():
+    for rows in ([{0: 1, 5: 2}], [[1, 0, 0, 2]], [{0: 1}, {3: 1}]):
+        with pytest.raises(ValueError, match="beyond the 3 columns"):
+            nullspace(rows, 3)
+
+
 # -- the integer path against the field code -----------------------------------
 
 _entries = st.one_of(st.just(0), st.just(0), small_ints,
@@ -149,6 +163,18 @@ def _field_reference(m):
     """echelon, rank and nullspace of m computed by the field code alone."""
     reduced = field_rref(m)
     return reduced, len(reduced[1]), field_nullspace(m, len(m[0]))
+
+
+@settings(max_examples=100)
+@given(rational_matrices())
+def test_sparse_rows_eliminate_as_the_dense_rows(m):
+    # with a nonzero entry in the last column, the sparse rows are as wide
+    width = len(m[0])
+    m = m + [[ZERO] * (width - 1) + [ONE]]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert echelon(sparse) == echelon(m)
+    assert rank(sparse) == rank(m)
+    assert nullspace(sparse, width) == nullspace(m, width)
 
 
 @settings(max_examples=150)

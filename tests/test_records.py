@@ -1,5 +1,5 @@
 """The read-only records: the contract ``spin7lab._record.Record`` gives
-each of the package's thirteen record classes.
+each of the package's twelve record classes.
 
 Every record is built positionally and by keyword with the same result,
 cannot be assigned or deleted through, equals only a record of its own type
@@ -16,8 +16,7 @@ from spin7lab.cayley import (CayleyStructure, DecompositionProjectors,
                              build_omega, projectors)
 from spin7lab.classify import (Certificate, ClassificationReport,
                                JordanRepresentative, KernelSpace,
-                               LabeledVector, YoungDiagram, _DUALS,
-                               kernel_space, representative)
+                               YoungDiagram, kernel_space, representative)
 from spin7lab.harness.checks import SUITE_NAMES, CheckResult
 from spin7lab.harness.cli import RunConfig
 from spin7lab.invariant import chamber
@@ -41,12 +40,9 @@ RECORDS = {
                            lambda: representative(_D)),
     KernelSpace: (("diagram", "vectors", "representative"),
                   lambda: kernel_space(_D)),
-    LabeledVector: (("vector", "label"),
-                    lambda: LabeledVector(_DUALS[0], "w1")),
     Certificate: (("diagram", "verdict", "dim_kernel", "pair"),
-                  lambda: Certificate(_D, "excluded", 30, (
-                      LabeledVector(_DUALS[0], "w1"),
-                      LabeledVector(_DUALS[1], "v2")))),
+                  lambda: Certificate(_D, "excluded", 30,
+                                      ((0, "w1"), (1, "v2")))),
     ClassificationReport: (("rows",), lambda: ClassificationReport(
         ((Certificate(YoungDiagram((1,) * 8), "admissible", 70), 0),))),
     CayleyStructure: (("omega", "alpha2", "re_beta"), build_omega),
@@ -95,11 +91,14 @@ def test_record_contract(cls):
     # repr in field order
     assert repr(record) == cls.__name__ + "(" + ", ".join(
         f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
-    # a missing, an unknown or a doubled field
+    # a missing, an unknown or a doubled field; a missing one also
+    # positionally, one short of the fields without a default
+    required = sum(not hasattr(cls, f) for f in fields)
     bad = [((*values, values[0]), {}), (values, {"other": 1}),
            (values, {fields[0]: values[0]})]
     if cls is not RunConfig:  # every RunConfig field has a default
         bad.append(((), dict(zip(fields[1:], values[1:]))))
+        bad.append((values[:required - 1], {}))
     for args, kwargs in bad:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
@@ -109,7 +108,6 @@ def test_record_defaults():
     assert Certificate(_D, "admissible", 70).pair is None
     assert Certificate(_D, "admissible", 70) == \
         Certificate(_D, "admissible", 70, None)
-    assert LabeledVector(_DUALS[0]).label is None
     first, second = CheckResult("x", True), CheckResult("y", False)
     assert first.detail == {} and first.duration_millis == 0
     assert first.detail is not second.detail  # a new dict per result

@@ -11,16 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spin7lab
-from spin7lab.exterior import linalg
+from spin7lab.cayley import stabilizer_algebra
+from spin7lab.classify import classification_report
+from spin7lab.exterior import linalg, scalars
 from spin7lab.exterior.endo import Endo
 from spin7lab.exterior.forms import FormOperator, KForm
 from spin7lab.exterior.scalars import (ONE, SQRT2, SQRT3, SQRT6, ZERO,
                                        FieldScalar, Q, from_numerators,
                                        to_numerators)
+from spin7lab.harness.cli import main
 from spin7lab.invariant.chamber import ChamberForm, ChamberScalar
 from spin7lab.invariant.liealg import build_orthonormal_frame
 
-from _oracles import conj_sqrt2, conj_sqrt3
+from _oracles import conj_sqrt2, conj_sqrt3, count_function_calls
 from _strategies import field_scalars, nonzero_field_scalars, surds
 
 
@@ -274,6 +277,71 @@ _SURD_BUILDS = {
 def test_the_engine_refuses_a_surd(build):
     with pytest.raises(ValueError, match="surd"):
         build()
+
+
+def _export(option: str, text: str) -> int:
+    """Exit code of ``spin7lab export`` of a rank-one form, v = e^7, w = e^8
+    and t = 1, with one option's text replaced."""
+    args = {"--v": "0,0,0,0,0,0,1,0", "--w": "0,0,0,0,0,0,0,1", "--t": "1"}
+    args[option] = text
+    return main(["export", "--form", "rank-one",
+                 *(x for item in args.items() for x in item)])
+
+
+# every entry point that reads coefficients into a view reads them as they
+# are, and refuses a float (0.0 included) with TypeError and a surd or a
+# decimal string with ValueError; on the command line, where every value is
+# text, a decimal is a usage error
+_READERS = {
+    "KForm": lambda x: KForm(2, {0b11: 1, 0b101: x}),
+    "KForm.vector": lambda x: KForm.vector([1, x, 0, 0, 0, 0, 0, 0]),
+    "KForm.from_terms": lambda x: KForm.from_terms(2, [((1, 2), 1),
+                                                      ((3, 4), x)]),
+    "Endo": lambda x: Endo([[x if (i, j) == (2, 5) else int(i == j)
+                             for j in range(8)] for i in range(8)]),
+    "x * form": lambda x: x * KForm.vector(range(8)),
+    "form * x": lambda x: KForm.vector(range(8)) * x,
+    "x * operator": lambda x: x * Endo.identity(),
+    "operator * x": lambda x: Endo.identity() * x,
+    "ChamberScalar.of": ChamberScalar.of,
+    "ChamberScalar.monomial": lambda x: ChamberScalar.monomial(x, 2, 1),
+}
+_REFUSALS = [(name, x, TypeError if type(x) is float else ValueError)
+             for name in _READERS for x in (0.0, 0.5, SQRT2, "0.5")] + [
+    (f"export {option}", text, SystemExit)
+    for option, text in (("--t", "0.5"), ("--t", "0.0"),
+                         ("--v", "0,0,0,0,0,0,0.5,0"),
+                         ("--w", "0,0,0,0,0,0,0,1.0"))]
+
+
+@pytest.mark.parametrize("entry, value, refusal", _REFUSALS,
+                         ids=[f"{e}-{v!r}" for e, v, _ in _REFUSALS])
+def test_every_entry_point_refuses_a_float_and_a_surd(entry, value, refusal,
+                                                       capsys):
+    if refusal is SystemExit:
+        assert _export(entry.split()[1], value) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        return
+    with pytest.raises(refusal):
+        _READERS[entry](value)
+
+
+def test_views_of_ints_build_no_field_scalar(monkeypatch):
+    # an int or Q is read into a view as it is: no FieldScalar is built on
+    # the way by the arithmetic (scalars._canonical) or the constructor
+    built = count_function_calls(monkeypatch, scalars._canonical)
+    init = FieldScalar.__init__
+
+    def constructed(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldScalar, "__init__", constructed)
+    stabilizer_algebra.cache_clear()
+    assert len(stabilizer_algebra()) == 21
+    assert KForm.vector(range(8)) == KForm.vector([0, 1, 2, 3, 4, 5, 6, 7])
+    assert len(classification_report().admissible) == 2
+    assert built == []
 
 
 def test_only_scalars_reads_the_private_slots_of_a_field_scalar():
